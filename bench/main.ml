@@ -102,6 +102,14 @@ let parallel_map (xs : 'a list) ~(f : 'a -> 'b) : 'b list =
     out
   end
 
+(* set when any gate check fails (sanity, chaos, `gate`): the run exits 4 *)
+let gate_failed = ref false
+
+let judge ?base ?error ~suite rows =
+  let o = Gate.diff ?base ~suite rows in
+  let o = match error with Some e -> { o with Gate.failures = ([], e) :: o.failures } | None -> o in
+  if not (Gate.report ~suite rows o) then gate_failed := true
+
 let traced : (string * Trace.Tracer.t * Trace.Sanitizer.t option) list ref = ref []
 
 let traced_mutex = Mutex.create ()
@@ -712,33 +720,29 @@ let ablation () =
 
 (* ---------- sanity: the full scheduler matrix under the sanitizer ---------- *)
 
+(* Each scheduler's sanitized workload: (run, completed?) and the
+   sanitizer config.  A core arbiter (arachne: tasks are activations, only
+   dispatched once its runtime requests cores) is driven by the memcached
+   runtime rather than raw pipe tasks, and is neither work-conserving nor
+   starvation-free for parked activations: those two invariants are
+   renounced by design. *)
+let sanitized_workload (e : Schedulers.Registry.entry) =
+  let all = Trace.Sanitizer.default_config in
+  if e.arbiter then
+    ( (fun b ->
+        ignore
+          (Workloads.Memcached.run b
+             (memcached_params ~mode:Workloads.Memcached.Arachne_enoki ~load_kreqs:100.));
+        true),
+      { all with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ] } )
+  else
+    ((fun b -> (Workloads.Pipe_bench.run b ~messages:5_000 ()).Workloads.Pipe_bench.completed), all)
+
 let sanity () =
   Report.section "Sanity: every in-tree scheduler under the invariant sanitizer";
-  (* each scheduler runs its default workload; arachne is a core arbiter
-     (tasks are activations, only dispatched once its runtime requests
-     cores), so it is driven by the memcached runtime rather than raw pipe
-     tasks *)
-  let pipe b = ignore (Workloads.Pipe_bench.run b ~messages:5_000 ()) in
-  let memcached b =
-    ignore
-      (Workloads.Memcached.run b
-         (memcached_params ~mode:Workloads.Memcached.Arachne_enoki ~load_kreqs:100.))
-  in
-  let all = Trace.Sanitizer.default_config in
-  (* a core arbiter is neither work-conserving nor starvation-free for
-     parked activations: those two invariants are renounced by design *)
-  let arbiter =
-    { all with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ] }
-  in
-  let kinds =
-    List.map
-      (fun (e : Schedulers.Registry.entry) ->
-        let kind = Workloads.Setup.of_registry e in
-        if e.Schedulers.Registry.arbiter then (kind, memcached, arbiter) else (kind, pipe, all))
-      Schedulers.Registry.all
-  in
   let cells =
-    parallel_map kinds ~f:(fun (kind, workload, config) ->
+    parallel_map Schedulers.Registry.all ~f:(fun e ->
+        let workload, config = sanitized_workload e and kind = Workloads.Setup.of_registry e in
         let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
         let tracer = Trace.Tracer.create ~nr_cpus () in
         let s = Trace.Sanitizer.create ~config ~nr_cpus () in
@@ -748,25 +752,19 @@ let sanity () =
         if !trace_path <> None then
           add_traced (Workloads.Setup.label kind, tracer, None);
         let b = Workloads.Setup.build ~tracer ~topology:one_socket kind in
-        workload b;
-        let verdict =
-          if Trace.Sanitizer.ok s then "clean"
-          else Printf.sprintf "%d VIOLATIONS" (List.length (Trace.Sanitizer.violations s))
-        in
-        let report =
-          if Trace.Sanitizer.ok s then None else Some (Trace.Sanitizer.report_string s)
-        in
-        ( [
-            Workloads.Setup.label kind;
-            string_of_int (Trace.Sanitizer.events_seen s);
-            string_of_int (Trace.Tracer.dropped tracer);
-            verdict;
-          ],
-          report ))
+        ignore (workload b);
+        ( Gate.row
+            [ ("scheduler", Workloads.Setup.label kind) ]
+            [
+              Gate.int "events_checked" (Trace.Sanitizer.events_seen s);
+              Gate.int "ring_drops" (Trace.Tracer.dropped tracer);
+              Gate.int "violations" (List.length (Trace.Sanitizer.violations s))
+                ~check:(Ceiling 0.);
+            ],
+          if Trace.Sanitizer.ok s then None else Some (Trace.Sanitizer.report_string s) ))
   in
   List.iter (fun (_, report) -> Option.iter print_endline report) cells;
-  let rows = List.map fst cells in
-  Report.table ~header:[ "scheduler"; "events checked"; "ring drops"; "verdict" ] rows;
+  judge ~suite:"sanity" (List.map fst cells);
   Report.note "invariants: no double-run, no starvation, work conservation,";
   Report.note "Schedulable token discipline, lock acquire/release pairing."
 
@@ -775,29 +773,13 @@ let sanity () =
 let chaos () =
   Report.section "Chaos: fault injection, failover and watchdog recovery";
   let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-  let pipe b = (Workloads.Pipe_bench.run b ~messages:5_000 ()).Workloads.Pipe_bench.completed in
-  let memcached b =
-    ignore
-      (Workloads.Memcached.run b
-         (memcached_params ~mode:Workloads.Memcached.Arachne_enoki ~load_kreqs:100.));
-    true
-  in
-  let all = Trace.Sanitizer.default_config in
-  (* arachne is a core arbiter; see sanity() for why these two invariants
-     are renounced by design *)
-  let arbiter =
-    { all with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ] }
-  in
-  let mods : (string * (module Enoki.Sched_trait.S) * _ * _) list =
-    (* every Enoki module in the registry gets the full plan matrix; the
-       non-module entries (CFS, ghOSt) become controls below *)
+  (* every Enoki module in the registry gets the full plan matrix; the
+     non-module entries (CFS, ghOSt) become controls below *)
+  let mods =
     List.filter_map
       (fun (e : Schedulers.Registry.entry) ->
-        Option.map
-          (fun m ->
-            if e.Schedulers.Registry.arbiter then (e.Schedulers.Registry.name, m, memcached, arbiter)
-            else (e.Schedulers.Registry.name, m, pipe, all))
-          (Schedulers.Registry.enoki_module e))
+        let workload, config = sanitized_workload e in
+        Option.map (fun m -> (e.name, m, workload, config)) (Schedulers.Registry.enoki_module e))
       Schedulers.Registry.all
   in
   (* plan name, spec, per-call budget, watchdog armed *)
@@ -806,6 +788,15 @@ let chaos () =
       ("panic", "panic", None, false);
       ("chaos", "chaos", None, false);
       ("wedge+wd", "wedge@pick_next_task:after=500", Some 1_000_000, true);
+    ]
+  in
+  (* chaos plans inject wrong replies on purpose, so their verdict columns
+     are informational; every other row must end clean and done *)
+  let recovered ~judged s completed =
+    [
+      Gate.int "violations" (List.length (Trace.Sanitizer.violations s))
+        ~check:(if judged then Ceiling 0. else Info);
+      Gate.bool "done" completed ~check:(if judged then Floor 1. else Info);
     ]
   in
   let run_one name (module S : Enoki.Sched_trait.S) workload config ~plan_name ~spec ~budget
@@ -851,36 +842,28 @@ let chaos () =
     in
     let completed = workload b in
     let f = Enoki.Enoki_c.failover_stats e in
-    let injected = Hashtbl.fold (fun _ v acc -> acc + v) tally 0 in
-    [
-      name;
-      plan_name;
-      string_of_int injected;
-      string_of_int f.Enoki.Enoki_c.panics;
-      string_of_int f.Enoki.Enoki_c.failovers;
-      (match f.Enoki.Enoki_c.blackout with Some ns -> Kernsim.Time.to_string ns | None -> "-");
-      string_of_int f.Enoki.Enoki_c.overruns;
-      (match wd with
-      | Some w -> string_of_int (List.length (Fault.Watchdog.fires w))
-      | None -> "-");
-      (if watchdog then string_of_int !rollbacks else "-");
-      (if Trace.Sanitizer.ok s then "clean"
-       else Printf.sprintf "%d violations" (List.length (Trace.Sanitizer.violations s)));
-      (if completed then "yes" else "NO");
-    ]
+    Gate.row
+      [ ("scheduler", name); ("plan", plan_name) ]
+      ([
+         Gate.int "injected" (Hashtbl.fold (fun _ v acc -> acc + v) tally 0);
+         Gate.int "panics" f.Enoki.Enoki_c.panics;
+         Gate.int "failovers" f.Enoki.Enoki_c.failovers;
+       ]
+      @ Option.to_list (Option.map (Gate.int "blackout_ns") f.Enoki.Enoki_c.blackout)
+      @ [ Gate.int "overruns" f.Enoki.Enoki_c.overruns ]
+      @ Option.to_list
+          (Option.map (fun w -> Gate.int "wd_fires" (List.length (Fault.Watchdog.fires w))) wd)
+      @ (if watchdog then [ Gate.int "rollbacks" !rollbacks ] else [])
+      @ recovered ~judged:(plan_name <> "chaos") s completed)
   in
-  let control (label, kind) =
+  let control (e : Schedulers.Registry.entry) =
+    let workload, config = sanitized_workload e in
     let tracer = Trace.Tracer.create ~nr_cpus () in
-    let s = Trace.Sanitizer.create ~config:all ~nr_cpus () in
+    let s = Trace.Sanitizer.create ~config ~nr_cpus () in
     Trace.Sanitizer.attach s tracer;
-    let b = Workloads.Setup.build ~tracer ~topology:one_socket kind in
-    let completed = pipe b in
-    [
-      label; "(control)"; "0"; "-"; "-"; "-"; "-"; "-"; "-";
-      (if Trace.Sanitizer.ok s then "clean"
-       else Printf.sprintf "%d violations" (List.length (Trace.Sanitizer.violations s)));
-      (if completed then "yes" else "NO");
-    ]
+    let b = Workloads.Setup.build ~tracer ~topology:one_socket (Workloads.Setup.of_registry e) in
+    let completed = workload b in
+    Gate.row [ ("scheduler", e.name); ("plan", "control") ] (recovered ~judged:true s completed)
   in
   let cells =
     List.concat_map
@@ -891,11 +874,8 @@ let chaos () =
           plans)
       mods
     @ List.filter_map
-        (fun (e : Schedulers.Registry.entry) ->
-          match Schedulers.Registry.enoki_module e with
-          | Some _ -> None
-          | None ->
-            Some (`Control (e.Schedulers.Registry.name, Workloads.Setup.of_registry e)))
+        (fun e ->
+          if Option.is_none (Schedulers.Registry.enoki_module e) then Some (`Control e) else None)
         Schedulers.Registry.all
   in
   let rows =
@@ -904,11 +884,7 @@ let chaos () =
         run_one name m workload config ~plan_name ~spec ~budget ~watchdog
       | `Control c -> control c)
   in
-  Report.table
-    ~header:
-      [ "scheduler"; "plan"; "injected"; "panics"; "failovers"; "blackout"; "overruns";
-        "wd fires"; "rollbacks"; "sanitizer"; "done" ]
-    rows;
+  judge ~suite:"chaos" rows;
   Report.note "panic plans must stay clean: the module dies, the boundary quarantines it";
   Report.note "and fails over to built-in CFS with no double-run or token leak.";
   Report.note "chaos plans inject wrong replies, so token-discipline violations there";
@@ -982,28 +958,23 @@ let micro () =
   in
   Report.table ~header:[ "operation"; "cost" ] rows
 
-(* ---------- perf: versioned benchmark snapshot + regression gate ----------
+(* ---------- the gated suites ----------
 
-   `perf` runs the full scheduler matrix with the metrics registry and the
-   Enoki-C self-profiler attached and writes BENCH_<suite>.json — the
-   versioned snapshot CI archives.  `regress` reruns the suite and diffs
-   the simulation-deterministic numbers (wakeup p99, throughput) against a
-   committed baseline in bench/baselines/; wall-clock columns are recorded
-   but never gated on, since they vary run to run. *)
+   perf, speed, dsq, fleet and obs each emit Gate rows.  `bench <suite>`
+   prints them and writes BENCH_<suite>.json, the versioned snapshot CI
+   archives; `bench gate [suite...]` also diffs them against
+   bench/baselines/BENCH_<suite>.json.  With --quick a suite is named
+   <suite>-quick.  The simulated columns are deterministic for a fixed
+   seed, so tolerances only absorb intentional cost-model churn; wall
+   clock is judged only as same-run ratchets. *)
 
 let quick = ref false
 
-let bench_out : string option ref = ref None
+let tail = Gate.Rel (Lower, 0.25)
 
-let baseline_path : string option ref = ref None
+let throughput = Gate.Rel (Higher, 0.10)
 
-let tolerance : float option ref = ref None
-
-(* minimum parallel-fleet speedup fleetgate demands at -j N; None derives
-   a floor from the domains the host can actually run concurrently *)
-let speedup_floor : float option ref = ref None
-
-let regress_failed = ref false
+let bytes = Gate.Rel (Lower, 0.20)
 
 let git_rev () =
   try
@@ -1013,40 +984,45 @@ let git_rev () =
     if rev = "" then "unknown" else rev
   with _ -> "unknown"
 
-(* The full scheduler matrix — everything in the registry.  Core arbiters
-   (activations are dispatched only once their runtime requests cores) are
-   driven by the memcached runtime instead of raw pipe tasks, as in
-   sanity(). *)
-let perf_matrix : (string * Workloads.Setup.kind) list =
-  List.map
-    (fun (e : Schedulers.Registry.entry) ->
-      (e.Schedulers.Registry.name, Workloads.Setup.of_registry e))
-    Schedulers.Registry.all
+let suite_id name = if !quick then name ^ "-quick" else name
 
-let is_arbiter name =
-  match Schedulers.Registry.find name with
-  | Some e -> e.Schedulers.Registry.arbiter
-  | None -> false
+let write_snapshot id rows =
+  let path = Printf.sprintf "BENCH_%s.json" id in
+  let git_rev = git_rev () in
+  Metrics.Json.save ~path (Gate.to_json ~suite:id ~git_rev ~seed:!seed rows);
+  Printf.printf "wrote %s (git %s)\n" path git_rev
 
-type perf_result = {
-  pr_name : string;
-  pr_workload : string;
-  pr_wakeup : Stats.Histogram.t;
-  pr_throughput : float; (* requests (or wakeups) per simulated second *)
-  pr_callbacks : Profile.row list;
-}
+(* best of [n] wall-clock readings of [f ()] seconds; host noise only
+   ever slows a run down *)
+let best_of n f = List.fold_left (fun acc _ -> Float.min acc (f ())) infinity (List.init n Fun.id)
 
-let perf_suite () = if !quick then "quick" else "perf"
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
-let perf_collect () =
+(* ---------- perf: the scheduler matrix with metrics and profiler on ----------
+
+   Every registry scheduler with the metrics registry and the Enoki-C
+   self-profiler attached.  Core arbiters (activations are dispatched only
+   once their runtime requests cores) are driven by the memcached runtime
+   instead of raw pipe tasks, as in sanity(). *)
+
+let pipe_throughput (r : Workloads.Pipe_bench.result) =
+  if r.elapsed > 0 then float_of_int r.wakeups /. (float_of_int r.elapsed /. 1e9) else 0.
+
+let perf_rows () =
   let messages = if !quick then 2_000 else 20_000 in
-  parallel_map perf_matrix ~f:(fun (name, kind) ->
+  parallel_map Schedulers.Registry.all ~f:(fun (e : Schedulers.Registry.entry) ->
       let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
       let reg = Metrics.Registry.create ~nr_cpus () in
       let prof = Profile.create () in
-      let b = Workloads.Setup.build ~registry:reg ~profile:prof ~topology:one_socket kind in
-      let pr_workload, pr_throughput =
-        if is_arbiter name then begin
+      let b =
+        Workloads.Setup.build ~registry:reg ~profile:prof ~topology:one_socket
+          (Workloads.Setup.of_registry e)
+      in
+      let workload, thpt =
+        if e.arbiter then begin
           let load_kreqs = if !quick then 50. else 100. in
           let r =
             Workloads.Memcached.run b
@@ -1054,237 +1030,67 @@ let perf_collect () =
           in
           ("memcached", r.Workloads.Memcached.achieved_kreqs *. 1000.)
         end
-        else begin
-          let r = Workloads.Pipe_bench.run b ~messages () in
-          let throughput =
-            if r.Workloads.Pipe_bench.elapsed > 0 then
-              float_of_int r.Workloads.Pipe_bench.wakeups
-              /. (float_of_int r.Workloads.Pipe_bench.elapsed /. 1e9)
-            else 0.
-          in
-          ("pipe", throughput)
-        end
+        else ("pipe", pipe_throughput (Workloads.Pipe_bench.run b ~messages ()))
       in
-      let pr_wakeup =
+      let wakeup =
         match Metrics.Registry.find_histogram reg "sched_wakeup_latency_ns" with
         | Some h -> Metrics.Registry.merged h
         | None -> Stats.Histogram.create ()
       in
-      { pr_name = name; pr_workload; pr_wakeup; pr_throughput; pr_callbacks = Profile.rows prof })
-
-let perf_json results =
-  let open Metrics.Json in
-  let hist_json h =
-    Obj
-      [
-        ("count", Int (Stats.Histogram.count h));
-        ("mean", Float (Stats.Histogram.mean h));
-        ("p50", Int (Stats.Histogram.percentile h 50.0));
-        ("p95", Int (Stats.Histogram.percentile h 95.0));
-        ("p99", Int (Stats.Histogram.percentile h 99.0));
-        ("p999", Int (Stats.Histogram.percentile h 99.9));
-      ]
-  in
-  let callback_json (r : Profile.row) =
-    Obj
-      [
-        ("call", String r.Profile.call);
-        ("count", Int r.Profile.count);
-        ("sim_ns_mean", Float (float_of_int r.Profile.sim_ns /. float_of_int (max 1 r.Profile.count)));
-        ("wall_ns_mean", Float (r.Profile.wall_ns /. float_of_int (max 1 r.Profile.count)));
-      ]
-  in
-  Obj
-    [
-      ("schema_version", Int 1);
-      ("suite", String (perf_suite ()));
-      ("git_rev", String (git_rev ()));
-      ( "results",
-        List
-          (List.map
-             (fun pr ->
-               Obj
-                 [
-                   ("scheduler", String pr.pr_name);
-                   ("workload", String pr.pr_workload);
-                   ("wakeup_ns", hist_json pr.pr_wakeup);
-                   ("throughput_per_s", Float pr.pr_throughput);
-                   ("callbacks", List (List.map callback_json pr.pr_callbacks));
-                 ])
-             results) );
-    ]
-
-let perf_out_path () =
-  Option.value !bench_out ~default:(Printf.sprintf "BENCH_%s.json" (perf_suite ()))
-
-let perf_table results =
-  Report.table
-    ~header:[ "scheduler"; "workload"; "wakeup p50"; "p99"; "throughput/s"; "crossings" ]
-    (List.map
-       (fun pr ->
-         [
-           pr.pr_name;
-           pr.pr_workload;
-           Kernsim.Time.to_string (Stats.Histogram.percentile pr.pr_wakeup 50.0);
-           Kernsim.Time.to_string (Stats.Histogram.percentile pr.pr_wakeup 99.0);
-           Printf.sprintf "%.0f" pr.pr_throughput;
-           string_of_int (List.fold_left (fun a (r : Profile.row) -> a + r.Profile.count) 0 pr.pr_callbacks);
-         ])
-       results)
-
-let perf () =
-  Report.section (Printf.sprintf "Perf suite (%s): per-scheduler benchmark snapshot" (perf_suite ()));
-  let results = perf_collect () in
-  perf_table results;
-  let path = perf_out_path () in
-  Metrics.Json.save ~path (perf_json results);
-  Printf.printf "wrote %s (git %s)\n" path (git_rev ())
-
-(* Default drift tolerances: the simulated numbers are deterministic for a
-   fixed seed, so these only need to absorb intentional cost-model churn;
-   --tolerance=PCT overrides both. *)
-let default_p99_tolerance = 25.0
-
-let default_throughput_tolerance = 10.0
-
-let regress () =
-  Report.section (Printf.sprintf "Regression gate (%s suite)" (perf_suite ()));
-  let path =
-    Option.value !baseline_path
-      ~default:(Printf.sprintf "bench/baselines/BENCH_%s.json" (perf_suite ()))
-  in
-  match Metrics.Json.parse_file ~path with
-  | Error msg ->
-    Printf.eprintf "regress: cannot read baseline %s: %s\n" path msg;
-    regress_failed := true
-  | Ok base ->
-    let tol_p99 = Option.value !tolerance ~default:default_p99_tolerance in
-    let tol_tp = Option.value !tolerance ~default:default_throughput_tolerance in
-    let base_rev =
-      Option.value ~default:"?" Option.(bind (Metrics.Json.member "git_rev" base) Metrics.Json.to_str)
-    in
-    let base_results =
-      Option.value ~default:[]
-        Option.(bind (Metrics.Json.member "results" base) Metrics.Json.to_list)
-    in
-    let find_base name =
-      List.find_opt
-        (fun j ->
-          Option.(bind (Metrics.Json.member "scheduler" j) Metrics.Json.to_str) = Some name)
-        base_results
-    in
-    let results = perf_collect () in
-    let rows =
-      List.map
-        (fun pr ->
-          let cur_p99 = float_of_int (Stats.Histogram.percentile pr.pr_wakeup 99.0) in
-          match find_base pr.pr_name with
-          | None -> [ pr.pr_name; "-"; "-"; "-"; "-"; "new (no baseline)" ]
-          | Some bj ->
-            let get path_fn = Option.bind (path_fn bj) Metrics.Json.to_float in
-            let base_p99 =
-              get (fun j -> Option.bind (Metrics.Json.member "wakeup_ns" j) (Metrics.Json.member "p99"))
-            in
-            let base_tp = get (Metrics.Json.member "throughput_per_s") in
-            let verdicts = ref [] in
-            (match base_p99 with
-            | Some bp when bp > 0. && cur_p99 > (bp *. (1. +. (tol_p99 /. 100.))) +. 1. ->
-              verdicts := Printf.sprintf "p99 +%.1f%%" (100. *. ((cur_p99 /. bp) -. 1.)) :: !verdicts
-            | _ -> ());
-            (match base_tp with
-            | Some bt when bt > 0. && pr.pr_throughput < bt *. (1. -. (tol_tp /. 100.)) ->
-              verdicts :=
-                Printf.sprintf "throughput %.1f%%" (100. *. ((pr.pr_throughput /. bt) -. 1.))
-                :: !verdicts
-            | _ -> ());
-            if !verdicts <> [] then regress_failed := true;
-            [
-              pr.pr_name;
-              (match base_p99 with Some b -> Printf.sprintf "%.0f" b | None -> "-");
-              Printf.sprintf "%.0f" cur_p99;
-              (match base_tp with Some b -> Printf.sprintf "%.0f" b | None -> "-");
-              Printf.sprintf "%.0f" pr.pr_throughput;
-              (if !verdicts = [] then "ok" else "REGRESSED: " ^ String.concat ", " !verdicts);
-            ])
-        results
-    in
-    Report.table
-      ~header:
-        [ "scheduler"; "base p99 (ns)"; "now"; "base thpt/s"; "now"; "verdict" ]
-      rows;
-    Report.note
-      (Printf.sprintf "baseline %s (git %s); tolerance p99 %.0f%%, throughput %.0f%%" path
-         base_rev tol_p99 tol_tp);
-    if !regress_failed then print_endline "regress: FAIL (see verdicts above)"
-    else print_endline "regress: ok"
+      let p q = Stats.Histogram.percentile wakeup q in
+      Gate.row
+        [ ("scheduler", e.name); ("workload", workload) ]
+        [
+          Gate.int ~check:Exact "wakeups" (Stats.Histogram.count wakeup);
+          Gate.int ~check:tail "wakeup_p50_ns" (p 50.0);
+          Gate.int ~check:tail "wakeup_p99_ns" (p 99.0);
+          Gate.int ~check:tail "wakeup_p999_ns" (p 99.9);
+          Gate.float ~check:throughput "throughput_per_s" thpt;
+          Gate.int ~check:Exact "crossings" (Profile.crossings prof);
+        ])
 
 (* ---------- speed: simulator-throughput suite ----------
 
-   `speed` measures the simulator itself, not the schedulers: how many
-   simulated events the machine dispatches per host second, host ns per
-   event, and allocated bytes per event.  Two kinds of rows:
+   `speed` measures the simulator itself, not the schedulers: host ns per
+   simulated event and allocated bytes per event.  Two kinds of rows:
 
    - machine rows: the full machine running pipe-bench per scheduler
      (best-of-N wall clock; bytes and event counts are deterministic);
    - core rows: the bare event loop at fixed queue depth, timer wheel vs
      the reference heap.  The heap degrades with depth (O(log n) sift),
-     the wheel stays flat, so deep queues are where the wheel's >= 3x
-     shows up; at depth 1 the heap's tiny constant wins.
+     the wheel stays flat, so deep queues are where the wheel wins; at
+     depth 1 the heap's tiny constant wins.
 
-   The snapshot goes to BENCH_speed.json; `speedgate` diffs a committed
-   baseline.  The gate holds the deterministic columns (events,
-   bytes/event), the wheel-vs-heap ratio (measured under identical
-   conditions in the same process), and — since the hot-path overhaul —
-   absolute ceilings on the built-in CFS row: ns/event and bytes/event
-   must stay under fixed bounds, locking in the tentpole's >= 2x win over
-   the ~510 ns/event seed.  Other wall-clock columns are recorded, never
-   gated. *)
+   The built-in CFS row's ns/event is a wall ratchet: the seed sat at
+   ~510 ns/event; the SoA task table, int-encoded events and batched wheel
+   expiry brought it to ~220 ns, and the 250 ns ceiling keeps a hot-path
+   slow path from creeping back in. *)
 
-type speed_machine_row = {
-  sm_name : string;
-  sm_events : int;
-  sm_wall_s : float; (* best of 3; gated only via the cfs-row ns ceiling *)
-  sm_bytes_per_event : float; (* deterministic, gated *)
-}
+let cfs_ns_ceiling = 250.
 
-type speed_core_row = {
-  sc_depth : int;
-  sc_wheel_ns : float;
-  sc_heap_ns : float;
-  sc_wheel_bytes : float;
-  sc_heap_bytes : float;
-}
+(* the wheel must keep beating the heap on deep queues *)
+let deep_speedup_floor = 2.0
 
-let speed_matrix = List.filter (fun (n, _) -> not (is_arbiter n)) perf_matrix
-
-let speed_machine_cell (name, kind) =
+(* (events, best wall seconds, bytes per event) *)
+let speed_machine_cell kind =
   let messages = if !quick then 10_000 else 50_000 in
-  (* best-of-5 even in quick mode: the CFS ns/event column is gated with
-     an absolute ceiling, and a small sample is too noisy to hold a gate *)
-  let runs = 5 in
-  let best_wall = ref infinity and bytes = ref 0. and events = ref 0 in
   (* untimed warm-up: the first run through a scheduler pays first-touch
      costs (code paging, heap growth) that would pollute a gated reading *)
   (let b = Workloads.Setup.build ~topology:one_socket kind in
    ignore (Workloads.Pipe_bench.run b ~messages:(messages / 4) ()));
-  for _ = 1 to runs do
-    let b = Workloads.Setup.build ~topology:one_socket kind in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    ignore (Workloads.Pipe_bench.run b ~messages ());
-    let wall = Unix.gettimeofday () -. t0 in
-    (* bytes and events are identical across runs (the simulation is
-       deterministic); wall clock takes the best *)
-    bytes := Gc.allocated_bytes () -. a0;
-    events := M.events_dispatched b.Workloads.Setup.machine;
-    if wall < !best_wall then best_wall := wall
-  done;
-  {
-    sm_name = name;
-    sm_events = !events;
-    sm_wall_s = !best_wall;
-    sm_bytes_per_event = !bytes /. float_of_int (max 1 !events);
-  }
+  (* best-of-5 even in quick mode: a small sample is too noisy to hold the
+     CFS ratchet.  Bytes and events are identical across runs. *)
+  let bytes = ref 0. and events = ref 0 in
+  let wall =
+    best_of 5 (fun () ->
+        let b = Workloads.Setup.build ~topology:one_socket kind in
+        let a0 = Gc.allocated_bytes () in
+        let (), wall = timed (fun () -> ignore (Workloads.Pipe_bench.run b ~messages ())) in
+        bytes := Gc.allocated_bytes () -. a0;
+        events := M.events_dispatched b.Workloads.Setup.machine;
+        wall)
+  in
+  (!events, wall, !bytes /. float_of_int (max 1 !events))
 
 (* Steady-state event loop at fixed queue depth: [depth] self-rescheduling
    events, each firing re-arms itself one horizon ahead, so the queue
@@ -1302,291 +1108,92 @@ let speed_core_cycle backend ~depth ~cycles =
     Kernsim.Sim.at sim ~time:(i * 100) fire
   done;
   let a0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  Kernsim.Sim.run sim;
-  let wall = Unix.gettimeofday () -. t0 in
+  let (), wall = timed (fun () -> Kernsim.Sim.run sim) in
   let bytes = Gc.allocated_bytes () -. a0 in
   let n = float_of_int (Kernsim.Sim.dispatched sim) in
   (wall *. 1e9 /. n, bytes /. n)
 
 let speed_core_depths = [ 1; 64; 512; 4096; 32768 ]
 
-let speed_core_cell depth =
+let speed_rows () =
+  (* sequential: machine rows are wall-clock measurements too, and
+     competing domains would perturb them *)
+  let ns_per_event (events, wall, _) = wall *. 1e9 /. float_of_int (max 1 events) in
+  let machine =
+    List.map
+      (fun (e : Schedulers.Registry.entry) ->
+        let kind = Workloads.Setup.of_registry e in
+        let cell = speed_machine_cell kind in
+        let events, _, bpe = cell in
+        let ns_check : Gate.check =
+          if e.name = "cfs" then
+            Wall_ratchet
+              {
+                limit = cfs_ns_ceiling;
+                better = Lower;
+                remeasure = (fun () -> ns_per_event (speed_machine_cell kind));
+              }
+          else Info
+        in
+        Gate.row [ ("scheduler", e.name) ]
+          [
+            Gate.int ~check:Exact "events" events;
+            Gate.float ~check:ns_check "ns_per_event" (ns_per_event cell);
+            Gate.float ~check:bytes "bytes_per_event" bpe;
+          ])
+      (List.filter (fun (e : Schedulers.Registry.entry) -> not e.arbiter) Schedulers.Registry.all)
+  in
   let cycles = if !quick then 200_000 else 1_000_000 in
-  (* alternate and take the best of 3 interleaved pairs, so transient host
-     noise hits both backends alike *)
-  let best = ref (infinity, 0., infinity, 0.) in
-  for _ = 1 to (if !quick then 1 else 3) do
-    let w_ns, w_b = speed_core_cycle `Wheel ~depth ~cycles in
-    let h_ns, h_b = speed_core_cycle `Heap ~depth ~cycles in
-    let bw, _, bh, _ = !best in
-    best := (min bw w_ns, w_b, min bh h_ns, h_b)
-  done;
-  let w_ns, w_b, h_ns, h_b = !best in
-  { sc_depth = depth; sc_wheel_ns = w_ns; sc_heap_ns = h_ns; sc_wheel_bytes = w_b; sc_heap_bytes = h_b }
-
-let speed_collect () =
-  (* both row families run sequentially: the CFS machine row's ns/event is
-     gated, so machine rows are wall-clock measurements too and competing
-     domains would perturb them *)
-  let machine = List.map speed_machine_cell speed_matrix in
-  let core = List.map speed_core_cell speed_core_depths in
-  (machine, core)
-
-let speed_suite () = if !quick then "speed-quick" else "speed"
-
-let speed_json (machine, core) =
-  let open Metrics.Json in
-  let core_speedup_max =
-    List.fold_left (fun acc r -> Float.max acc (r.sc_heap_ns /. r.sc_wheel_ns)) 0. core
+  let core =
+    List.map
+      (fun depth ->
+        (* interleaved pairs, best of each, so transient host noise hits
+           both backends alike *)
+        let best = ref (infinity, 0., infinity, 0.) in
+        for _ = 1 to if !quick then 1 else 3 do
+          let w_ns, w_b = speed_core_cycle `Wheel ~depth ~cycles in
+          let h_ns, h_b = speed_core_cycle `Heap ~depth ~cycles in
+          let bw, _, bh, _ = !best in
+          best := (Float.min bw w_ns, w_b, Float.min bh h_ns, h_b)
+        done;
+        let w_ns, w_b, h_ns, h_b = !best in
+        (depth, w_ns, w_b, h_ns, h_b))
+      speed_core_depths
   in
-  Obj
-    [
-      ("schema_version", Int 1);
-      ("suite", String (speed_suite ()));
-      ("git_rev", String (git_rev ()));
-      ( "machine",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("scheduler", String r.sm_name);
-                   ("events", Int r.sm_events);
-                   ("wall_s", Float r.sm_wall_s);
-                   ("ns_per_event", Float (r.sm_wall_s *. 1e9 /. float_of_int (max 1 r.sm_events)));
-                   ("events_per_s", Float (float_of_int r.sm_events /. r.sm_wall_s));
-                   ("bytes_per_event", Float r.sm_bytes_per_event);
-                 ])
-             machine) );
-      ( "core",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("depth", Int r.sc_depth);
-                   ("wheel_ns_per_event", Float r.sc_wheel_ns);
-                   ("heap_ns_per_event", Float r.sc_heap_ns);
-                   ("wheel_bytes_per_event", Float r.sc_wheel_bytes);
-                   ("heap_bytes_per_event", Float r.sc_heap_bytes);
-                   ("speedup", Float (r.sc_heap_ns /. r.sc_wheel_ns));
-                 ])
-             core) );
-      ("core_speedup_max", Float core_speedup_max);
-    ]
-
-let speed_table (machine, core) =
-  Report.note "machine rows: full machine + scheduler running pipe-bench;";
-  Report.note "wall/ns columns are host measurements (gated only as the cfs-row";
-  Report.note "absolute ceiling), events and bytes/event are deterministic.";
-  Report.table
-    ~header:[ "scheduler"; "events"; "wall (s)"; "ns/event"; "events/s"; "B/event" ]
-    (List.map
-       (fun r ->
-         [
-           r.sm_name;
-           string_of_int r.sm_events;
-           Printf.sprintf "%.3f" r.sm_wall_s;
-           Printf.sprintf "%.0f" (r.sm_wall_s *. 1e9 /. float_of_int (max 1 r.sm_events));
-           Printf.sprintf "%.0f" (float_of_int r.sm_events /. r.sm_wall_s);
-           Printf.sprintf "%.1f" r.sm_bytes_per_event;
-         ])
-       machine);
-  Report.note "";
-  Report.note "core rows: bare event loop at steady queue depth, wheel vs heap:";
-  Report.table
-    ~header:[ "queue depth"; "wheel ns/ev"; "heap ns/ev"; "speedup"; "wheel B/ev"; "heap B/ev" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.sc_depth;
-           Printf.sprintf "%.0f" r.sc_wheel_ns;
-           Printf.sprintf "%.0f" r.sc_heap_ns;
-           Printf.sprintf "%.2fx" (r.sc_heap_ns /. r.sc_wheel_ns);
-           Printf.sprintf "%.1f" r.sc_wheel_bytes;
-           Printf.sprintf "%.1f" r.sc_heap_bytes;
-         ])
-       core);
-  Report.note "expected shape: heap ns/ev grows with depth (log n sift), wheel stays";
-  Report.note "flat; the crossover sits near depth 64 and deep queues reach >= 3x."
-
-let speed () =
-  Report.section (Printf.sprintf "Speed suite (%s): simulator throughput" (speed_suite ()));
-  let results = speed_collect () in
-  speed_table results;
-  let path = Option.value !bench_out ~default:(Printf.sprintf "BENCH_%s.json" (speed_suite ())) in
-  Metrics.Json.save ~path (speed_json results);
-  Printf.printf "wrote %s (git %s)\n" path (git_rev ())
-
-(* The speed gate: diff against a committed BENCH_speed baseline.  Gated
-   columns — machine [events] (exact-ish: drift > 1%% means the event
-   stream changed) and [bytes_per_event] (allocation regressions), plus
-   the deep-queue wheel-vs-heap speedup floor and the absolute cfs-row
-   ns/event + bytes/event ceilings below.  Other wall-derived columns are
-   reported, never gated. *)
-let default_bytes_tolerance = 20.0
-
-(* Absolute hot-path ceilings for the built-in CFS machine row (tracing and
-   metrics off).  These are ratchets, not drift checks: the seed sat at
-   ~510 ns/event and ~500 B/event; the SoA task table, int-encoded events
-   and batched wheel expiry brought that to ~220 ns and ~0 B, and the gate
-   pins the budget so a hot-path allocation or slow path cannot creep
-   back in unnoticed. *)
-let cfs_ns_ceiling = 250.
-
-let cfs_bytes_ceiling = 64.
-
-let speedgate () =
-  Report.section (Printf.sprintf "Speed gate (%s suite)" (speed_suite ()));
-  let path =
-    Option.value !baseline_path
-      ~default:(Printf.sprintf "bench/baselines/BENCH_%s.json" (speed_suite ()))
+  let deep =
+    List.fold_left
+      (fun acc (depth, w_ns, _, h_ns, _) ->
+        if depth >= 512 then Float.max acc (h_ns /. w_ns) else acc)
+      0. core
   in
-  match Metrics.Json.parse_file ~path with
-  | Error msg ->
-    Printf.eprintf "speedgate: cannot read baseline %s: %s\n" path msg;
-    regress_failed := true
-  | Ok base ->
-    let tol_bytes = Option.value !tolerance ~default:default_bytes_tolerance in
-    let machine, core = speed_collect () in
-    let base_machine =
-      Option.value ~default:[]
-        Option.(bind (Metrics.Json.member "machine" base) Metrics.Json.to_list)
-    in
-    let find_base name =
-      List.find_opt
-        (fun j ->
-          Option.(bind (Metrics.Json.member "scheduler" j) Metrics.Json.to_str) = Some name)
-        base_machine
-    in
-    let rows =
-      List.map
-        (fun r ->
-          match find_base r.sm_name with
-          | None -> [ r.sm_name; "-"; "-"; "-"; "-"; "new (no baseline)" ]
-          | Some bj ->
-            let get k = Option.bind (Metrics.Json.member k bj) Metrics.Json.to_float in
-            let verdicts = ref [] in
-            (match get "events" with
-            | Some be when be > 0. ->
-              let drift =
-                100. *. Float.abs ((float_of_int r.sm_events /. be) -. 1.)
-              in
-              if drift > 1. then
-                verdicts := Printf.sprintf "events drifted %.1f%%" drift :: !verdicts
-            | _ -> ());
-            (match get "bytes_per_event" with
-            | Some bb when bb > 0. && r.sm_bytes_per_event > bb *. (1. +. (tol_bytes /. 100.)) ->
-              verdicts :=
-                Printf.sprintf "bytes/event +%.1f%%" (100. *. ((r.sm_bytes_per_event /. bb) -. 1.))
-                :: !verdicts
-            | _ -> ());
-            if !verdicts <> [] then regress_failed := true;
-            [
-              r.sm_name;
-              (match get "events" with Some b -> Printf.sprintf "%.0f" b | None -> "-");
-              string_of_int r.sm_events;
-              (match get "bytes_per_event" with Some b -> Printf.sprintf "%.1f" b | None -> "-");
-              Printf.sprintf "%.1f" r.sm_bytes_per_event;
-              (if !verdicts = [] then "ok" else "REGRESSED: " ^ String.concat ", " !verdicts);
-            ])
-        machine
-    in
-    Report.table
-      ~header:[ "scheduler"; "base events"; "now"; "base B/ev"; "now"; "verdict" ]
-      rows;
-    (* deep-queue speedup floor: the wheel must keep beating the heap where
-       it matters.  The best ratio across the deep rows (depth >= 512) and
-       generous slack absorb host noise; a real backend regression (the
-       wheel degrading to heap-like behaviour) trips it. *)
-    let now_ratio =
-      List.fold_left
-        (fun acc r ->
-          if r.sc_depth >= 512 then Float.max acc (r.sc_heap_ns /. r.sc_wheel_ns) else acc)
-        0. core
-    in
-    let base_floor =
-      Option.value ~default:3.0
-        Option.(bind (Metrics.Json.member "core_speedup_max" base) Metrics.Json.to_float)
-    in
-    let floor = Float.max 2.0 (base_floor *. 0.5) in
-    if now_ratio < floor then begin
-      regress_failed := true;
-      Printf.printf "deep-queue core speedup: %.2fx < floor %.2fx REGRESSED\n" now_ratio floor
-    end
-    else Printf.printf "deep-queue core speedup: %.2fx (floor %.2fx) ok\n" now_ratio floor;
-    (* absolute hot-path ceilings on the built-in CFS row *)
-    (match List.find_opt (fun r -> r.sm_name = "cfs") machine with
-    | None ->
-      regress_failed := true;
-      print_endline "cfs machine row missing: cannot check hot-path ceilings REGRESSED"
-    | Some r ->
-      let ns_of x = x.sm_wall_s *. 1e9 /. float_of_int (max 1 x.sm_events) in
-      let ns = ns_of r in
-      (* sustained host contention can poison even a best-of-N sample;
-         confirm an apparent breach with one fresh measurement before
-         failing the gate *)
-      let ns =
-        if ns > cfs_ns_ceiling then
-          match List.find_opt (fun (n, _) -> n = "cfs") speed_matrix with
-          | Some cell -> Float.min ns (ns_of (speed_machine_cell cell))
-          | None -> ns
-        else ns
-      in
-      if ns > cfs_ns_ceiling then begin
-        regress_failed := true;
-        Printf.printf "cfs hot path: %.0f ns/event > ceiling %.0f REGRESSED\n" ns cfs_ns_ceiling
-      end
-      else Printf.printf "cfs hot path: %.0f ns/event (ceiling %.0f) ok\n" ns cfs_ns_ceiling;
-      if r.sm_bytes_per_event > cfs_bytes_ceiling then begin
-        regress_failed := true;
-        Printf.printf "cfs hot path: %.1f B/event > ceiling %.0f REGRESSED\n"
-          r.sm_bytes_per_event cfs_bytes_ceiling
-      end
-      else
-        Printf.printf "cfs hot path: %.1f B/event (ceiling %.0f) ok\n" r.sm_bytes_per_event
-          cfs_bytes_ceiling);
-    Report.note
-      (Printf.sprintf
-         "baseline %s; bytes tolerance %.0f%%; cfs row gated at %.0f ns/event and %.0f B/event; \
-          other wall columns never gated"
-         path tol_bytes cfs_ns_ceiling cfs_bytes_ceiling);
-    if !regress_failed then print_endline "speedgate: FAIL (see verdicts above)"
-    else print_endline "speedgate: ok"
+  machine
+  @ List.map
+      (fun (depth, w_ns, w_b, h_ns, h_b) ->
+        Gate.row
+          [ ("depth", string_of_int depth) ]
+          [
+            Gate.float "wheel_ns_per_event" w_ns;
+            Gate.float "heap_ns_per_event" h_ns;
+            Gate.float "wheel_bytes_per_event" w_b;
+            Gate.float "heap_bytes_per_event" h_b;
+            Gate.float "speedup" (h_ns /. w_ns);
+          ])
+      core
+  @ [ Gate.row [ ("depth", ">=512") ] [ Gate.float "speedup" deep ~check:(Floor deep_speedup_floor) ] ]
 
 (* ---------- dsq: the DSQ scheduler family vs built-in CFS ----------
 
    The dual-queue O(1) priority scheduler that scx-prio-dq reproduces
    claims 65% lower dispatch latency and 33% fewer context switches than
    CFS.  `dsq` runs built-in CFS and the DSQ family (scx-simple, scx-rr,
-   scx-prio-dq) over pipe/schbench/rocksdb/memcached and snapshots
-   BENCH_dsq*.json: per row the kernel wakeup-to-dispatch latency (the
-   CFS-comparable dispatch-latency measure), the DSQ-internal
-   enqueue-to-consume wait histogram, context switches, throughput, and
-   the deltas against the CFS row of the same workload, printed next to
-   the paper's claims.  `dsqgate` diffs the deterministic columns against
-   a committed baseline in bench/baselines/. *)
-
-let dsq_suite () = if !quick then "dsq-quick" else "dsq"
-
-type dsq_row = {
-  dq_sched : string;
-  dq_workload : string;
-  dq_wakeup : Stats.Histogram.t;  (* kernel wakeup -> dispatch, all rows *)
-  dq_dsq_wait : Stats.Histogram.t option;  (* DSQ insert -> consume; None for cfs *)
-  dq_ctxsw : int;
-  dq_throughput : float;
-}
+   scx-prio-dq) over pipe/schbench/rocksdb/memcached: per row the kernel
+   wakeup-to-dispatch latency (the CFS-comparable dispatch-latency
+   measure), the DSQ-internal enqueue-to-consume wait, context switches,
+   throughput, and the deltas against the CFS row of the same workload. *)
 
 let dsq_workloads () : (string * (Workloads.Setup.built -> float)) list =
   let pipe b =
-    let messages = if !quick then 5_000 else 20_000 in
-    let r = Workloads.Pipe_bench.run b ~messages () in
-    if r.Workloads.Pipe_bench.elapsed > 0 then
-      float_of_int r.Workloads.Pipe_bench.wakeups
-      /. (float_of_int r.Workloads.Pipe_bench.elapsed /. 1e9)
-    else 0.
+    pipe_throughput (Workloads.Pipe_bench.run b ~messages:(if !quick then 5_000 else 20_000) ())
   in
   let schbench b =
     let duration = Kernsim.Time.ms (if !quick then 400 else 1500) in
@@ -1613,215 +1220,57 @@ let dsq_workloads () : (string * (Workloads.Setup.built -> float)) list =
   in
   [ ("pipe", pipe); ("schbench", schbench); ("rocksdb", rocksdb); ("memcached", memcached) ]
 
-let dsq_schedulers () =
-  List.filter
-    (fun (e : Schedulers.Registry.entry) ->
-      e.Schedulers.Registry.name = "cfs"
-      || List.mem e.Schedulers.Registry.name Schedulers.Registry.dsq_names)
-    Schedulers.Registry.all
-
-let dsq_collect () =
+let dsq_rows () =
   let cells =
     List.concat_map
       (fun (e : Schedulers.Registry.entry) -> List.map (fun w -> (e, w)) (dsq_workloads ()))
-      (dsq_schedulers ())
+      (List.filter
+         (fun (e : Schedulers.Registry.entry) ->
+           e.name = "cfs" || List.mem e.name Schedulers.Registry.dsq_names)
+         Schedulers.Registry.all)
   in
-  parallel_map cells ~f:(fun ((e : Schedulers.Registry.entry), (wname, workload)) ->
-      let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-      let reg = Metrics.Registry.create ~nr_cpus () in
-      let b =
-        Workloads.Setup.build ~registry:reg ~topology:one_socket (Workloads.Setup.of_registry e)
-      in
-      let dq_throughput = workload b in
-      let mets = M.metrics b.Workloads.Setup.machine in
-      let dq_dsq_wait =
-        Option.map Metrics.Registry.merged
-          (Metrics.Registry.find_histogram reg "dsq_dispatch_latency_ns")
-      in
-      {
-        dq_sched = e.Schedulers.Registry.name;
-        dq_workload = wname;
-        dq_wakeup = Kernsim.Accounting.wakeup_latency mets;
-        dq_dsq_wait;
-        dq_ctxsw = Kernsim.Accounting.context_switches mets;
-        dq_throughput;
-      })
-
-(* deltas against the CFS row of the same workload, in percent (negative =
-   better than CFS on both measures) *)
-let dsq_deltas rows r =
-  match
-    List.find_opt (fun c -> c.dq_sched = "cfs" && c.dq_workload = r.dq_workload) rows
-  with
-  | Some c when r.dq_sched <> "cfs" ->
-    let p99 h = float_of_int (Stats.Histogram.percentile h 99.0) in
-    let wakeup =
-      if p99 c.dq_wakeup > 0. then Some (100. *. ((p99 r.dq_wakeup /. p99 c.dq_wakeup) -. 1.))
-      else None
-    in
-    let ctxsw =
-      if c.dq_ctxsw > 0 then
-        Some (100. *. ((float_of_int r.dq_ctxsw /. float_of_int c.dq_ctxsw) -. 1.))
-      else None
-    in
-    (wakeup, ctxsw)
-  | _ -> (None, None)
-
-let dsq_json rows =
-  let open Metrics.Json in
-  let hist_json h =
-    Obj
-      [
-        ("count", Int (Stats.Histogram.count h));
-        ("mean", Float (Stats.Histogram.mean h));
-        ("p50", Int (Stats.Histogram.percentile h 50.0));
-        ("p99", Int (Stats.Histogram.percentile h 99.0));
-        ("p999", Int (Stats.Histogram.percentile h 99.9));
-      ]
-  in
-  let row_json r =
-    let wakeup_delta, ctxsw_delta = dsq_deltas rows r in
-    let opt k = function Some v -> [ (k, Float v) ] | None -> [] in
-    Obj
-      ([
-         ("scheduler", String r.dq_sched);
-         ("workload", String r.dq_workload);
-         ("wakeup_ns", hist_json r.dq_wakeup);
-         ("context_switches", Int r.dq_ctxsw);
-         ("throughput_per_s", Float r.dq_throughput);
-       ]
-      @ (match r.dq_dsq_wait with Some h -> [ ("dsq_wait_ns", hist_json h) ] | None -> [])
-      @ opt "wakeup_p99_vs_cfs_pct" wakeup_delta
-      @ opt "context_switches_vs_cfs_pct" ctxsw_delta)
-  in
-  Obj
-    [
-      ("schema_version", Int 1);
-      ("suite", String (dsq_suite ()));
-      ("git_rev", String (git_rev ()));
-      ( "claims",
-        Obj
+  let results =
+    parallel_map cells ~f:(fun ((e : Schedulers.Registry.entry), (wname, workload)) ->
+        let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
+        let reg = Metrics.Registry.create ~nr_cpus () in
+        let b =
+          Workloads.Setup.build ~registry:reg ~topology:one_socket (Workloads.Setup.of_registry e)
+        in
+        let thpt = workload b in
+        let mets = M.metrics b.Workloads.Setup.machine in
+        let wakeup = Kernsim.Accounting.wakeup_latency mets in
+        let dsq_wait =
+          Option.map Metrics.Registry.merged
+            (Metrics.Registry.find_histogram reg "dsq_dispatch_latency_ns")
+        in
+        let p h q = Stats.Histogram.percentile h q in
+        ( (e.name, wname),
           [
-            ("dispatch_latency_vs_cfs_pct", Float (-65.));
-            ("context_switches_vs_cfs_pct", Float (-33.));
-          ] );
-      ("results", List (List.map row_json rows));
-    ]
-
-let dsq () =
-  Report.section
-    (Printf.sprintf "DSQ suite (%s): dispatch-queue schedulers vs built-in CFS" (dsq_suite ()));
-  let rows = dsq_collect () in
-  let fmt_delta = function Some d -> Printf.sprintf "%+.0f%%" d | None -> "-" in
-  Report.table
-    ~header:
-      [ "scheduler"; "workload"; "wakeup p50"; "p99"; "vs cfs"; "dsq wait p99"; "ctxsw";
-        "vs cfs"; "thpt/s" ]
-    (List.map
-       (fun r ->
-         let wakeup_delta, ctxsw_delta = dsq_deltas rows r in
-         [
-           r.dq_sched;
-           r.dq_workload;
-           Kernsim.Time.to_string (Stats.Histogram.percentile r.dq_wakeup 50.0);
-           Kernsim.Time.to_string (Stats.Histogram.percentile r.dq_wakeup 99.0);
-           fmt_delta wakeup_delta;
-           (match r.dq_dsq_wait with
-           | Some h -> Kernsim.Time.to_string (Stats.Histogram.percentile h 99.0)
-           | None -> "-");
-           string_of_int r.dq_ctxsw;
-           fmt_delta ctxsw_delta;
-           Printf.sprintf "%.0f" r.dq_throughput;
-         ])
-       rows);
-  Report.note "dual-queue paper claims vs CFS: 65% lower dispatch latency and 33% fewer";
-  Report.note "context switches -- read the scx-prio-dq rows' \"vs cfs\" columns against";
-  Report.note "them.  \"dsq wait\" is the DSQ-internal enqueue-to-consume histogram.";
-  let path = Option.value !bench_out ~default:(Printf.sprintf "BENCH_%s.json" (dsq_suite ())) in
-  Metrics.Json.save ~path (dsq_json rows);
-  Printf.printf "wrote %s (git %s)\n" path (git_rev ())
-
-(* The DSQ gate: like regress/speedgate, but keyed by scheduler x workload.
-   Gated columns are all simulation-deterministic: wakeup p99 and
-   throughput under the regress tolerances, context switches near-exactly
-   (drift > 1% means the scheduling decision stream changed). *)
-let dsqgate () =
-  Report.section (Printf.sprintf "DSQ gate (%s suite)" (dsq_suite ()));
-  let path =
-    Option.value !baseline_path
-      ~default:(Printf.sprintf "bench/baselines/BENCH_%s.json" (dsq_suite ()))
+            Gate.int ~check:tail "wakeup_p50_ns" (p wakeup 50.0);
+            Gate.int ~check:tail "wakeup_p99_ns" (p wakeup 99.0);
+            Gate.int ~check:tail "wakeup_p999_ns" (p wakeup 99.9);
+          ]
+          @ Option.to_list
+              (Option.map (fun h -> Gate.int ~check:tail "dsq_wait_p99_ns" (p h 99.0)) dsq_wait)
+          @ [
+              Gate.int ~check:Exact "context_switches" (Kernsim.Accounting.context_switches mets);
+              Gate.float ~check:throughput "throughput_per_s" thpt;
+            ] ))
   in
-  match Metrics.Json.parse_file ~path with
-  | Error msg ->
-    Printf.eprintf "dsqgate: cannot read baseline %s: %s\n" path msg;
-    regress_failed := true
-  | Ok base ->
-    let tol_p99 = Option.value !tolerance ~default:default_p99_tolerance in
-    let tol_tp = Option.value !tolerance ~default:default_throughput_tolerance in
-    let base_results =
-      Option.value ~default:[]
-        Option.(bind (Metrics.Json.member "results" base) Metrics.Json.to_list)
-    in
-    let find_base sched workload =
-      List.find_opt
-        (fun j ->
-          Option.(bind (Metrics.Json.member "scheduler" j) Metrics.Json.to_str) = Some sched
-          && Option.(bind (Metrics.Json.member "workload" j) Metrics.Json.to_str)
-             = Some workload)
-        base_results
-    in
-    let results = dsq_collect () in
-    let rows =
-      List.map
-        (fun r ->
-          let label = r.dq_sched ^ "/" ^ r.dq_workload in
-          let cur_p99 = float_of_int (Stats.Histogram.percentile r.dq_wakeup 99.0) in
-          match find_base r.dq_sched r.dq_workload with
-          | None -> [ label; "-"; "-"; "-"; "-"; "new (no baseline)" ]
-          | Some bj ->
-            let get path_fn = Option.bind (path_fn bj) Metrics.Json.to_float in
-            let base_p99 =
-              get (fun j ->
-                  Option.bind (Metrics.Json.member "wakeup_ns" j) (Metrics.Json.member "p99"))
-            in
-            let base_ctxsw = get (Metrics.Json.member "context_switches") in
-            let base_tp = get (Metrics.Json.member "throughput_per_s") in
-            let verdicts = ref [] in
-            (match base_p99 with
-            | Some bp when bp > 0. && cur_p99 > (bp *. (1. +. (tol_p99 /. 100.))) +. 1. ->
-              verdicts := Printf.sprintf "p99 +%.1f%%" (100. *. ((cur_p99 /. bp) -. 1.)) :: !verdicts
-            | _ -> ());
-            (match base_ctxsw with
-            | Some bc when bc > 0. ->
-              let drift = 100. *. Float.abs ((float_of_int r.dq_ctxsw /. bc) -. 1.) in
-              if drift > 1. then
-                verdicts := Printf.sprintf "ctxsw drifted %.1f%%" drift :: !verdicts
-            | _ -> ());
-            (match base_tp with
-            | Some bt when bt > 0. && r.dq_throughput < bt *. (1. -. (tol_tp /. 100.)) ->
-              verdicts :=
-                Printf.sprintf "throughput %.1f%%" (100. *. ((r.dq_throughput /. bt) -. 1.))
-                :: !verdicts
-            | _ -> ());
-            if !verdicts <> [] then regress_failed := true;
-            [
-              label;
-              (match base_p99 with Some b -> Printf.sprintf "%.0f" b | None -> "-");
-              Printf.sprintf "%.0f" cur_p99;
-              (match base_ctxsw with Some b -> Printf.sprintf "%.0f" b | None -> "-");
-              string_of_int r.dq_ctxsw;
-              (if !verdicts = [] then "ok" else "REGRESSED: " ^ String.concat ", " !verdicts);
-            ])
-        results
-    in
-    Report.table
-      ~header:[ "scheduler/workload"; "base p99 (ns)"; "now"; "base ctxsw"; "now"; "verdict" ]
-      rows;
-    Report.note
-      (Printf.sprintf "baseline %s; tolerance p99 %.0f%%, throughput %.0f%%, ctxsw 1%%" path
-         tol_p99 tol_tp);
-    if !regress_failed then print_endline "dsqgate: FAIL (see verdicts above)"
-    else print_endline "dsqgate: ok"
+  (* deltas against the CFS row of the same workload, in percent
+     (negative = better than CFS) *)
+  let value name ms = (List.find (fun (m : Gate.metric) -> m.name = name) ms).value in
+  List.map
+    (fun ((sched, wname), ms) ->
+      let cfs = List.assoc ("cfs", wname) results in
+      let delta name =
+        let c = value name cfs in
+        if sched = "cfs" || c <= 0. then []
+        else [ Gate.float (name ^ "_vs_cfs_pct") (100. *. ((value name ms /. c) -. 1.)) ]
+      in
+      Gate.row [ ("scheduler", sched); ("workload", wname) ]
+        (ms @ delta "wakeup_p99_ns" @ delta "context_switches"))
+    results
 
 (* ---------- §5.8: record and replay ----------
 
@@ -1845,8 +1294,6 @@ type rr_mode = {
   rr_wire_bytes : int; (* encoded log size *)
   rr_log : string option; (* binary log kept for the replay phase *)
 }
-
-let rr_suite () = if !quick then "recordreplay-quick" else "recordreplay"
 
 let recordreplay () =
   Report.section "Record and replay overhead (5.8)";
@@ -1903,114 +1350,71 @@ let recordreplay () =
   let wire_per_event m = float_of_int m.rr_wire_bytes /. float_of_int (max 1 m.rr_recorded) in
   let alloc_ratio = rec_alloc text /. Float.max 1e-9 (rec_alloc binary) in
   let wire_ratio = wire_per_event text /. Float.max 1e-9 (wire_per_event binary) in
-  Report.table
-    ~header:[ "mode"; "simulated"; "slowdown"; "wall (s)"; "B/machine-event"; "DROPPED" ]
-    (List.map
-       (fun m ->
-         [
-           m.rr_name;
-           Kernsim.Time.to_string m.rr_elapsed;
-           Printf.sprintf "%.2fx" (slowdown m);
-           Printf.sprintf "%.3f" m.rr_wall_s;
-           Printf.sprintf "%.1f" (alloc_per_event m);
-           (if m.rr_dropped > 0 then Printf.sprintf "%d EVENTS DROPPED" m.rr_dropped
-            else if m.rr_name = "none" then "-"
-            else "0");
-         ])
-       [ none; text; binary ]);
-  Report.note "paper: record costs ~7.5x in service time on real hardware; here the";
-  Report.note "record_msg cost model drives the simulated slowdown.";
-  Report.table
-    ~header:[ "record cost per event"; "text"; "binary"; "text/binary" ]
-    [
-      [
-        "GC-allocated bytes";
-        Printf.sprintf "%.1f" (rec_alloc text);
-        Printf.sprintf "%.1f" (rec_alloc binary);
-        Printf.sprintf "%.2fx" alloc_ratio;
-      ];
-      [
-        "wire bytes";
-        Printf.sprintf "%.1f" (wire_per_event text);
-        Printf.sprintf "%.1f" (wire_per_event binary);
-        Printf.sprintf "%.2fx" wire_ratio;
-      ];
-    ];
-  Printf.printf "binary vs text allocation: %.2fx cheaper (target >= 3x): %s\n" alloc_ratio
-    (if alloc_ratio >= 3.0 then "ok" else "SHORTFALL");
   (* replay the binary log end to end *)
-  let log = Option.get binary.rr_log in
   let report =
-    Enoki.Replay.run ~allow_drops:(binary.rr_dropped > 0) (module Schedulers.Wfq) ~log
+    Enoki.Replay.run ~allow_drops:(binary.rr_dropped > 0) (module Schedulers.Wfq)
+      ~log:(Option.get binary.rr_log)
   in
-  Report.table
-    ~header:[ "replay"; "result"; "paper" ]
-    [
-      [ "calls replayed"; string_of_int report.Enoki.Replay.total_calls; "-" ];
-      [ "wall time"; Printf.sprintf "%.2f s" report.Enoki.Replay.wall_seconds; "~180 s @ 1M msgs" ];
-      [
-        "validation";
-        (match report.Enoki.Replay.mismatches with
-        | [] -> "all replies matched"
-        | l -> Printf.sprintf "%d MISMATCHES" (List.length l));
-        "matches";
-      ];
-    ];
-  Report.note "shape: record costs several-fold in service time; replay is offline and validates.";
-  let json =
-    let open Metrics.Json in
-    let mode_json m =
-      Obj
+  let mode_row m =
+    Gate.row
+      [ ("mode", m.rr_name) ]
+      ([
+         Gate.int "sim_elapsed_ns" m.rr_elapsed;
+         Gate.float "slowdown" (slowdown m);
+         Gate.float "wall_s" m.rr_wall_s;
+         Gate.float "alloc_bytes_per_event" (alloc_per_event m);
+         Gate.int "machine_events" m.rr_events;
+         Gate.int "recorded_events" m.rr_recorded;
+         Gate.int "dropped" m.rr_dropped;
+         Gate.int "wire_bytes" m.rr_wire_bytes;
+       ]
+      @
+      if m == none then []
+      else
         [
-          ("mode", String m.rr_name);
-          ("sim_elapsed_ns", Int m.rr_elapsed);
-          ("wall_s", Float m.rr_wall_s);
-          ("alloc_bytes", Float m.rr_alloc);
-          ("machine_events", Int m.rr_events);
-          ("recorded_events", Int m.rr_recorded);
-          ("dropped", Int m.rr_dropped);
-          ("wire_bytes", Int m.rr_wire_bytes);
-        ]
-    in
-    Obj
-      [
-        ("schema_version", Int 1);
-        ("suite", String (rr_suite ()));
-        ("git_rev", String (git_rev ()));
-        ("messages", Int messages);
-        ("modes", List (List.map mode_json [ none; text; binary ]));
-        ("record_alloc_bytes_per_event_text", Float (rec_alloc text));
-        ("record_alloc_bytes_per_event_binary", Float (rec_alloc binary));
-        ("record_alloc_ratio_text_over_binary", Float alloc_ratio);
-        ("wire_bytes_per_event_text", Float (wire_per_event text));
-        ("wire_bytes_per_event_binary", Float (wire_per_event binary));
-        ("wire_ratio_text_over_binary", Float wire_ratio);
-        ( "replay",
-          Obj
-            [
-              ("wall_s", Float report.Enoki.Replay.wall_seconds);
-              ("total_calls", Int report.Enoki.Replay.total_calls);
-              ("threads", Int report.Enoki.Replay.threads);
-              ("mismatches", Int (List.length report.Enoki.Replay.mismatches));
-            ] );
+          Gate.float "record_alloc_bytes_per_event" (rec_alloc m);
+          Gate.float "wire_bytes_per_event" (wire_per_event m);
+        ])
+  in
+  let rows =
+    List.map mode_row [ none; text; binary ]
+    @ [
+        Gate.row
+          [ ("mode", "text/binary") ]
+          [
+            Gate.float "record_alloc_bytes_per_event" alloc_ratio;
+            Gate.float "wire_bytes_per_event" wire_ratio;
+          ];
+        Gate.row
+          [ ("replay", "binary log") ]
+          [
+            Gate.int "total_calls" report.Enoki.Replay.total_calls;
+            Gate.float "wall_s" report.Enoki.Replay.wall_seconds;
+            Gate.int "threads" report.Enoki.Replay.threads;
+            Gate.int "mismatches" (List.length report.Enoki.Replay.mismatches);
+          ];
       ]
   in
-  let out = Option.value !bench_out ~default:(Printf.sprintf "BENCH_%s.json" (rr_suite ())) in
-  Metrics.Json.save ~path:out json;
-  Printf.printf "wrote %s (git %s)\n" out (git_rev ())
+  Gate.print rows;
+  Report.note "paper: record costs ~7.5x in service time on real hardware (replay of 1M";
+  Report.note "messages ~180 s); here the record_msg cost model drives the simulated slowdown.";
+  Printf.printf "binary vs text allocation: %.2fx cheaper (target >= 3x): %s\n" alloc_ratio
+    (if alloc_ratio >= 3.0 then "ok" else "SHORTFALL");
+  Printf.printf "replay validation: %s\n"
+    (match report.Enoki.Replay.mismatches with
+    | [] -> "all replies matched"
+    | l -> Printf.sprintf "%d MISMATCHES" (List.length l));
+  write_snapshot (suite_id "recordreplay") rows
 
 (* ---------- fleet: the cluster tier ----------
 
    Drives lib/cluster end to end: a steady-state heterogeneous fleet under
    the three-tenant antagonist mix (per-tenant tail latency), a
    load-balancer policy sweep, §5.7 rolling live upgrades under peak vs
-   idle load (pause + blackout-window tail attribution), and a chaos drill
-   (victim panic -> drain -> failover -> re-admit).  Snapshots
-   BENCH_fleet*.json; `fleetgate` diffs the deterministic columns against
-   bench/baselines/.  Every row carries the root seed: the whole fleet is
-   bit-for-bit reproducible from it. *)
-
-let fleet_suite () = if !quick then "fleet-quick" else "fleet"
+   idle load (pause + blackout-window tail attribution), a chaos drill
+   (victim panic -> drain -> failover -> re-admit), and, under -j N, the
+   steady fleet on a domain pool.  The whole fleet is bit-for-bit
+   reproducible from the root seed. *)
 
 let fleet_seed () = Option.value !seed ~default:1
 
@@ -2044,27 +1448,37 @@ let fleet_steady ?pool () =
   Cluster.Fleet.run f ~until:(fleet_duration ());
   f
 
-(* parallel fleet execution: the same steady fleet advanced across a
-   j-domain pool.  The fingerprint digests every deterministic output the
-   fleet exposes — identical for every j is the byte-identity contract. *)
-let fleet_par_fingerprint f =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( Cluster.Fleet.tenant_stats f,
-            Cluster.Fleet.host_stats f,
-            Cluster.Fleet.clock f,
-            Cluster.Fleet.events_dispatched f,
-            Metrics.Export.prometheus (Cluster.Fleet.registry f) )
-          []))
+(* Digests every deterministic output the fleet exposes; identical for
+   every -j is the byte-identity contract.  48 bits of it, so the value
+   is exact in a snapshot's float column. *)
+let fleet_fingerprint f =
+  let hex =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            ( Cluster.Fleet.tenant_stats f,
+              Cluster.Fleet.host_stats f,
+              Cluster.Fleet.clock f,
+              Cluster.Fleet.events_dispatched f,
+              Metrics.Export.prometheus (Cluster.Fleet.registry f) )
+            []))
+  in
+  float_of_int (int_of_string ("0x" ^ String.sub hex 0 12))
 
-let fleet_par_run j =
-  let pool = if j > 1 then Some (Ds.Domain_pool.create ~domains:j ()) else None in
-  let t0 = Unix.gettimeofday () in
-  let f = fleet_steady ?pool () in
-  let wall = Unix.gettimeofday () -. t0 in
-  Option.iter Ds.Domain_pool.shutdown pool;
-  (f, wall)
+(* The steady fleet sequential vs on a j-domain pool, best of 3 walls
+   each, interleaved so host noise hits both alike: (speedup, pooled
+   fingerprint). *)
+let fleet_pooled j =
+  let pool = Ds.Domain_pool.create ~domains:j () in
+  let seq = ref infinity and par = ref infinity and fp = ref 0. in
+  for _ = 1 to 3 do
+    seq := Float.min !seq (snd (timed (fun () -> fleet_steady ())));
+    let f, wall = timed (fun () -> fleet_steady ~pool ()) in
+    par := Float.min !par wall;
+    fp := fleet_fingerprint f
+  done;
+  Ds.Domain_pool.shutdown pool;
+  (!seq /. !par, !fp)
 
 let fleet_lb_cells () =
   parallel_map
@@ -2082,13 +1496,24 @@ let fleet_lb_cells () =
           ()
       in
       Cluster.Fleet.run f ~until:(fleet_duration ());
-      let completed = List.fold_left (fun n (h : Cluster.Fleet.host_stat) -> n + h.completed) 0 (Cluster.Fleet.host_stats f) in
+      let hosts = Cluster.Fleet.host_stats f in
       let p99, p999 =
         match Cluster.Fleet.tenant_stats f with
         | w :: _ -> (w.Cluster.Fleet.p99, w.Cluster.Fleet.p999)
         | [] -> (0, 0)
       in
-      (Cluster.Lb.policy_name policy, completed, p99, p999, Cluster.Fleet.host_stats f))
+      Gate.row
+        [ ("lb", Cluster.Lb.policy_name policy) ]
+        ([
+           Gate.int ~check:Exact "completed"
+             (List.fold_left (fun n (h : Cluster.Fleet.host_stat) -> n + h.completed) 0 hosts);
+           Gate.int ~check:tail "web_p99_ns" p99;
+           Gate.int ~check:tail "web_p999_ns" p999;
+         ]
+        @ List.mapi
+            (fun i (h : Cluster.Fleet.host_stat) ->
+              Gate.int (Printf.sprintf "host%d_completed" i) h.completed)
+            hosts))
 
 (* rolling upgrade at 60% of the run, staggered, under peak and idle load *)
 let fleet_upgrade_cells () =
@@ -2103,9 +1528,21 @@ let fleet_upgrade_cells () =
           ~seed:(fleet_seed ()) ~hosts ~tenants:(fleet_mix ~scale ()) ()
       in
       Cluster.Fleet.run f ~until:d;
-      (label, Cluster.Fleet.upgrades f, Cluster.Fleet.upgrade_failures f, Cluster.Fleet.blackout f))
+      let ups = Cluster.Fleet.upgrades f and bl = Cluster.Fleet.blackout f in
+      let p q = Stats.Histogram.percentile bl q in
+      Gate.row
+        [ ("upgrade", label) ]
+        [
+          Gate.int ~check:Exact "hosts_upgraded" (List.length ups);
+          Gate.int ~check:Exact "failures" (Cluster.Fleet.upgrade_failures f);
+          Gate.int ~check:tail "max_pause_ns" (List.fold_left (fun m (_, p) -> max m p) 0 ups);
+          Gate.int ~check:Exact "blackout_reqs" (Stats.Histogram.count bl);
+          Gate.int ~check:tail "blackout_p50_ns" (p 50.0);
+          Gate.int ~check:tail "blackout_p99_ns" (p 99.0);
+          Gate.int ~check:tail "blackout_p999_ns" (p 99.9);
+        ])
 
-let fleet_chaos_run () =
+let fleet_chaos_row () =
   let hosts = fleet_entries [ "wfq"; "wfq"; "wfq"; "wfq" ] in
   let f =
     Cluster.Fleet.create ~warmup:fleet_warmup
@@ -2120,347 +1557,77 @@ let fleet_chaos_run () =
       ()
   in
   Cluster.Fleet.run f ~until:(fleet_duration ());
-  f
-
-let fleet_hist_json h =
-  let open Metrics.Json in
-  Obj
-    [
-      ("count", Int (Stats.Histogram.count h));
-      ("p50", Int (Stats.Histogram.percentile h 50.0));
-      ("p99", Int (Stats.Histogram.percentile h 99.0));
-      ("p999", Int (Stats.Histogram.percentile h 99.9));
-    ]
-
-let fleet () =
-  Report.section
-    (Printf.sprintf "Fleet suite (%s): cluster tier under multi-tenant open-loop load"
-       (fleet_suite ()));
-  let seed = fleet_seed () in
-  let open Metrics.Json in
-  (* steady state *)
-  let steady = fleet_steady () in
-  let tr = Cluster.Fleet.traffic steady in
-  let tstats = Cluster.Fleet.tenant_stats steady in
-  Printf.printf "steady: 8 hosts (%sx2), %d flows churned (%d live), seed %d\n"
-    (String.concat "," fleet_steady_scheds)
-    (Cluster.Traffic.flows_completed tr)
-    (Cluster.Traffic.live_flows tr) seed;
-  Report.table
-    ~header:[ "tenant"; "completed"; "dropped"; "rejected"; "p50"; "p99"; "p999" ]
-    (List.map
-       (fun (s : Cluster.Fleet.tenant_stat) ->
-         [
-           s.tenant;
-           string_of_int s.completed;
-           string_of_int s.dropped;
-           string_of_int s.rejected;
-           Kernsim.Time.to_string s.p50;
-           Kernsim.Time.to_string s.p99;
-           Kernsim.Time.to_string s.p999;
-         ])
-       tstats);
-  (* lb policy sweep *)
-  let lb_rows = fleet_lb_cells () in
-  Report.table
-    ~header:[ "lb policy"; "completed"; "web p99"; "web p999"; "per-host" ]
-    (List.map
-       (fun (name, completed, p99, p999, hstats) ->
-         [
-           name;
-           string_of_int completed;
-           Kernsim.Time.to_string p99;
-           Kernsim.Time.to_string p999;
-           String.concat "/"
-             (List.map
-                (fun (h : Cluster.Fleet.host_stat) -> string_of_int h.completed)
-                hstats);
-         ])
-       lb_rows);
-  (* rolling upgrade, peak vs idle *)
-  let up_rows = fleet_upgrade_cells () in
-  Report.table
-    ~header:[ "upgrade"; "hosts upgraded"; "max pause"; "blackout reqs"; "p50"; "p99"; "p999" ]
-    (List.map
-       (fun (label, ups, fails, bl) ->
-         let max_pause = List.fold_left (fun m (_, p) -> max m p) 0 ups in
-         [
-           label ^ (if fails > 0 then "(FAILURES)" else "");
-           string_of_int (List.length ups);
-           Kernsim.Time.to_string max_pause;
-           string_of_int (Stats.Histogram.count bl);
-           Kernsim.Time.to_string (Stats.Histogram.percentile bl 50.0);
-           Kernsim.Time.to_string (Stats.Histogram.percentile bl 99.0);
-           Kernsim.Time.to_string (Stats.Histogram.percentile bl 99.9);
-         ])
-       up_rows);
-  Report.note "blackout: completions landing inside a host's upgrade pause window (pause +";
-  Report.note "one epoch); the peak-vs-idle pair is the fleet-scale read of the paper's §5.7.";
-  (* chaos drill *)
-  let cf = fleet_chaos_run () in
-  let rejected =
-    List.fold_left (fun n (s : Cluster.Fleet.tenant_stat) -> n + s.rejected) 0
-      (Cluster.Fleet.tenant_stats cf)
-  in
   let op_at name =
-    List.find_map (fun (ts, _, op) -> if op = name then Some ts else None) (Cluster.Fleet.oplog cf)
+    List.find_map
+      (fun (ts, _, op) -> if op = name then Some (Gate.int (name ^ "_at_ns") ts) else None)
+      (Cluster.Fleet.oplog f)
   in
-  Printf.printf "chaos drill: %s, sanitizer %s, %d rejected during blackout%s%s\n"
-    (if Cluster.Fleet.converged cf then "converged" else "NOT CONVERGED")
-    (if Cluster.Fleet.sanitizer_ok cf then "clean" else "VIOLATIONS")
-    rejected
-    (match op_at "drain" with
-    | Some ts -> Printf.sprintf ", drained at %s" (Kernsim.Time.to_string ts)
-    | None -> "")
-    (match op_at "admit" with
-    | Some ts -> Printf.sprintf ", re-admitted at %s" (Kernsim.Time.to_string ts)
-    | None -> "");
-  (* parallel execution: the steady fleet across a domain pool *)
-  let par_rows =
-    List.map
-      (fun j ->
-        let f, wall = fleet_par_run j in
-        (j, wall, Cluster.Fleet.events_dispatched f, fleet_par_fingerprint f))
-      [ 1; 2; 4; 8 ]
-  in
-  let base_wall, base_fp =
-    match par_rows with (_, w, _, fp) :: _ -> (w, fp) | [] -> (0., "")
-  in
-  Report.table
-    ~header:[ "-j"; "wall"; "events/s"; "speedup"; "fingerprint" ]
-    (List.map
-       (fun (j, wall, events, fp) ->
-         [
-           string_of_int j;
-           Printf.sprintf "%.2fs" wall;
-           Printf.sprintf "%.2fM" (float_of_int events /. wall /. 1e6);
-           Printf.sprintf "%.2fx" (base_wall /. wall);
-           (String.sub fp 0 12 ^ if fp = base_fp then "" else " DIVERGED");
-         ])
-       par_rows);
-  Report.note
-    (Printf.sprintf
-       "steady fleet advanced on a -j domain pool (host has %d); fingerprint digests tenant/host"
-       (Domain.recommended_domain_count ()));
-  Report.note "stats, clock, events and the metrics export — identical down the column is the";
-  Report.note "parallel-determinism contract.";
-  (* snapshot *)
-  let tenant_json (s : Cluster.Fleet.tenant_stat) =
-    Obj
-      [
-        ("tenant", String s.tenant);
-        ("seed", Int seed);
-        ("completed", Int s.completed);
-        ("dropped", Int s.dropped);
-        ("rejected", Int s.rejected);
-        ("p50_ns", Int s.p50);
-        ("p99_ns", Int s.p99);
-        ("p999_ns", Int s.p999);
-      ]
-  in
-  let json =
-    Obj
-      [
-        ("schema_version", Int 1);
-        ("suite", String (fleet_suite ()));
-        ("git_rev", String (git_rev ()));
-        ("seed", Int seed);
-        ( "steady",
-          Obj
-            [
-              ("seed", Int seed);
-              ("flows", Int (Cluster.Traffic.flows_completed tr));
-              ("live_flows", Int (Cluster.Traffic.live_flows tr));
-              ("tenants", List (List.map tenant_json tstats));
-            ] );
-        ( "lb",
-          List
-            (List.map
-               (fun (name, completed, p99, p999, _) ->
-                 Obj
-                   [
-                     ("policy", String name);
-                     ("seed", Int seed);
-                     ("completed", Int completed);
-                     ("web_p99_ns", Int p99);
-                     ("web_p999_ns", Int p999);
-                   ])
-               lb_rows) );
-        ( "upgrade",
-          List
-            (List.map
-               (fun (label, ups, fails, bl) ->
-                 Obj
-                   [
-                     ("load", String label);
-                     ("seed", Int seed);
-                     ("hosts_upgraded", Int (List.length ups));
-                     ("failures", Int fails);
-                     ( "max_pause_ns",
-                       Int (List.fold_left (fun m (_, p) -> max m p) 0 ups) );
-                     ("blackout", fleet_hist_json bl);
-                   ])
-               up_rows) );
-        ( "chaos",
-          Obj
-            [
-              ("seed", Int seed);
-              ("converged", Bool (Cluster.Fleet.converged cf));
-              ("sanitizer_ok", Bool (Cluster.Fleet.sanitizer_ok cf));
-              ("rejected", Int rejected);
-            ] );
-        ( "par",
-          List
-            (List.map
-               (fun (j, wall, events, fp) ->
-                 Obj
-                   [
-                     ("jobs", Int j);
-                     ("seed", Int seed);
-                     ("wall_s", Float wall);
-                     ("events_per_s", Float (float_of_int events /. wall));
-                     ("speedup", Float (base_wall /. wall));
-                     ("deterministic", Bool (fp = base_fp));
-                     ("fingerprint", String fp);
-                   ])
-               par_rows) );
-      ]
-  in
-  let path = Option.value !bench_out ~default:(Printf.sprintf "BENCH_%s.json" (fleet_suite ())) in
-  Metrics.Json.save ~path json;
-  Printf.printf "wrote %s (git %s)\n" path (git_rev ())
+  Gate.row
+    [ ("chaos", "victim panic") ]
+    ([
+       Gate.bool ~check:(Floor 1.) "converged" (Cluster.Fleet.converged f);
+       Gate.bool ~check:(Floor 1.) "sanitizer_clean" (Cluster.Fleet.sanitizer_ok f);
+       Gate.int ~check:Exact "rejected"
+         (List.fold_left
+            (fun n (s : Cluster.Fleet.tenant_stat) -> n + s.rejected)
+            0 (Cluster.Fleet.tenant_stats f));
+     ]
+    @ List.filter_map op_at [ "drain"; "admit" ])
 
-(* The fleet gate: the simulation is deterministic, so the gated columns
-   only move when the scheduling/traffic decision stream changes.
-   Completion counts gate at 1% drift, tails at the regress tolerance; the
-   chaos drill must stay converged and sanitizer-clean. *)
-let fleetgate () =
-  Report.section (Printf.sprintf "Fleet gate (%s suite)" (fleet_suite ()));
-  let path =
-    Option.value !baseline_path
-      ~default:(Printf.sprintf "bench/baselines/BENCH_%s.json" (fleet_suite ()))
-  in
-  match Metrics.Json.parse_file ~path with
-  | Error msg ->
-    Printf.eprintf "fleetgate: cannot read baseline %s: %s\n" path msg;
-    regress_failed := true
-  | Ok base ->
-    let tol = Option.value !tolerance ~default:default_p99_tolerance in
-    let member_int j k = Option.(bind (Metrics.Json.member k j) Metrics.Json.to_float) in
-    let rows = ref [] in
-    let check label ~base_v ~cur ~max_drift =
-      match base_v with
-      | None -> rows := [ label; "-"; Printf.sprintf "%.0f" cur; "new (no baseline)" ] :: !rows
-      | Some b ->
-        let drift = if b = 0. then 0. else 100. *. Float.abs ((cur /. b) -. 1.) in
-        let ok = drift <= max_drift in
-        if not ok then regress_failed := true;
-        rows :=
-          [
-            label;
-            Printf.sprintf "%.0f" b;
-            Printf.sprintf "%.0f" cur;
-            (if ok then "ok" else Printf.sprintf "REGRESSED: drifted %.1f%%" drift);
-          ]
-          :: !rows
-    in
-    (* steady tenants (timed: the sequential side of the parallel checks) *)
-    let steady, seq_wall = fleet_par_run 1 in
-    let base_tenants =
-      Option.value ~default:[]
-        Option.(
-          bind (Metrics.Json.member "steady" base) (fun s ->
-              bind (Metrics.Json.member "tenants" s) Metrics.Json.to_list))
-    in
-    List.iter
+let fleet_rows () =
+  let steady, wall = timed (fun () -> fleet_steady ()) in
+  let tr = Cluster.Fleet.traffic steady in
+  let tenants =
+    List.map
       (fun (s : Cluster.Fleet.tenant_stat) ->
-        let bj =
-          List.find_opt
-            (fun j ->
-              Option.(bind (Metrics.Json.member "tenant" j) Metrics.Json.to_str) = Some s.tenant)
-            base_tenants
-        in
-        check
-          ("steady/" ^ s.tenant ^ " completed")
-          ~base_v:(Option.bind bj (fun j -> member_int j "completed"))
-          ~cur:(float_of_int s.completed) ~max_drift:1.;
-        check
-          ("steady/" ^ s.tenant ^ " p999")
-          ~base_v:(Option.bind bj (fun j -> member_int j "p999_ns"))
-          ~cur:(float_of_int s.p999) ~max_drift:tol)
-      (Cluster.Fleet.tenant_stats steady);
-    (* lb sweep *)
-    let base_lb =
-      Option.value ~default:[] Option.(bind (Metrics.Json.member "lb" base) Metrics.Json.to_list)
-    in
-    List.iter
-      (fun (name, completed, _, _, _) ->
-        let bj =
-          List.find_opt
-            (fun j ->
-              Option.(bind (Metrics.Json.member "policy" j) Metrics.Json.to_str) = Some name)
-            base_lb
-        in
-        check ("lb/" ^ name ^ " completed")
-          ~base_v:(Option.bind bj (fun j -> member_int j "completed"))
-          ~cur:(float_of_int completed) ~max_drift:1.)
-      (fleet_lb_cells ());
-    (* chaos drill invariants *)
-    let cf = fleet_chaos_run () in
-    let conv = Cluster.Fleet.converged cf and clean = Cluster.Fleet.sanitizer_ok cf in
-    if not (conv && clean) then regress_failed := true;
-    rows :=
+        Gate.row
+          [ ("tenant", s.tenant) ]
+          [
+            Gate.int ~check:Exact "completed" s.completed;
+            Gate.int ~check:Exact "dropped" s.dropped;
+            Gate.int ~check:Exact "rejected" s.rejected;
+            Gate.int ~check:tail "p50_ns" s.p50;
+            Gate.int ~check:tail "p99_ns" s.p99;
+            Gate.int ~check:tail "p999_ns" s.p999;
+          ])
+      (Cluster.Fleet.tenant_stats steady)
+  in
+  let seq_fp = fleet_fingerprint steady in
+  let sequential =
+    Gate.row
+      [ ("jobs", "1") ]
       [
-        "chaos drill";
-        "converged+clean";
-        (Printf.sprintf "%s+%s"
-           (if conv then "converged" else "NOT-CONVERGED")
-           (if clean then "clean" else "VIOLATIONS"));
-        (if conv && clean then "ok" else "REGRESSED");
+        Gate.int ~check:Exact "events" (Cluster.Fleet.events_dispatched steady);
+        Gate.int ~check:Exact "flows" (Cluster.Traffic.flows_completed tr);
+        Gate.int ~check:Exact "live_flows" (Cluster.Traffic.live_flows tr);
+        Gate.float ~check:Exact "fingerprint" seq_fp;
+        Gate.float "wall_s" wall;
       ]
-      :: !rows;
-    (* parallel execution: at -j N the steady fleet must be byte-identical
-       to the sequential run and clear the speedup floor.  The derived
-       floor only engages for the domains the host can actually run
-       concurrently — on a one-core runner it degrades to determinism-only
-       (override with --speedup-floor=). *)
-    let j = effective_jobs () in
-    if j > 1 then begin
-      let par, par_wall = fleet_par_run j in
-      let same = fleet_par_fingerprint steady = fleet_par_fingerprint par in
-      if not same then regress_failed := true;
-      rows :=
-        [
-          Printf.sprintf "par/-j %d determinism" j;
-          "identical";
-          (if same then "identical" else "DIVERGED");
-          (if same then "ok" else "REGRESSED");
-        ]
-        :: !rows;
-      let speedup = seq_wall /. par_wall in
+  in
+  (* under -j N the pooled fleet must match the sequential one and clear
+     a speedup floor that only engages for the domains the host can run
+     concurrently: on a one-core runner it is determinism only *)
+  let j = effective_jobs () in
+  let pooled =
+    if j <= 1 then []
+    else begin
+      let speedup, fp = fleet_pooled j in
       let avail = min j (Domain.recommended_domain_count ()) in
-      let floor =
-        match !speedup_floor with
-        | Some f -> f
-        | None -> if avail <= 1 then 0.0 else 1.0 +. (0.15 *. float_of_int (avail - 1))
-      in
-      let ok = speedup >= floor in
-      if not ok then regress_failed := true;
-      rows :=
-        [
-          Printf.sprintf "par/-j %d speedup" j;
-          Printf.sprintf ">= %.2fx" floor;
-          Printf.sprintf "%.2fx" speedup;
-          (if ok then "ok" else "REGRESSED: below floor");
-        ]
-        :: !rows
-    end;
-    Report.table ~header:[ "check"; "baseline"; "now"; "verdict" ] (List.rev !rows);
-    Report.note
-      (Printf.sprintf "baseline %s; completion drift 1%%, tails %.0f%%, chaos must converge" path
-         tol);
-    if !regress_failed then print_endline "fleetgate: FAIL (see verdicts above)"
-    else print_endline "fleetgate: ok"
+      let floor = if avail <= 1 then 0.0 else 1.0 +. (0.15 *. float_of_int (avail - 1)) in
+      [
+        Gate.row
+          [ ("jobs", string_of_int j) ]
+          [
+            Gate.bool ~check:(Ceiling 0.) "diverged" (fp <> seq_fp);
+            Gate.float "speedup" speedup
+              ~check:
+                (Wall_ratchet
+                   { limit = floor; better = Higher; remeasure = (fun () -> fst (fleet_pooled j)) });
+          ];
+      ]
+    end
+  in
+  tenants @ fleet_lb_cells () @ fleet_upgrade_cells () @ [ fleet_chaos_row (); sequential ] @ pooled
 
 (* ---------- obs: observability-overhead suite ----------
 
@@ -2468,84 +1635,45 @@ let fleetgate () =
    host ns/event and allocated bytes/event, at two scales:
 
    - machine rows: pipe-bench per scheduler under four configurations —
-     no observability, schedtrace tracer, metrics registry, both.  The
-     simulation is deterministic and the hooks must never perturb it, so
-     the [events] column has to be identical down a scheduler's configs;
+     no observability, schedtrace tracer, metrics registry, both;
    - fleet rows: the cluster tier with observability off
      ([observe:false], the no-observability baseline), the default
      metrics pipeline, and the full request-anatomy decomposition.
 
-   The snapshot goes to BENCH_obs*.json; `obsgate` enforces (a) the
-   zero-perturbation invariant (event streams identical across configs),
-   (b) events and bytes/event drift against the committed baseline, (c)
-   the anatomy exact-sum invariant, and (d) the fast-path budget: the
-   default fleet must stay within 5% wall clock of the no-observability
-   baseline (best-of-N, interleaved so host noise hits both alike).  On
-   failure it writes the anatomy exemplar timeline for the CI artifact. *)
-
-let obs_suite () = if !quick then "obs-quick" else "obs"
-
-type obs_machine_row = {
-  om_sched : string;
-  om_config : string;
-  om_events : int;
-  om_wall_s : float;  (* best of N, recorded; only the in-process ratio gates *)
-  om_bytes_per_event : float;  (* deterministic, gated *)
-}
+   The hooks must never perturb the simulation, so event counts are
+   identical down a scheduler's configs and across the fleet configs
+   (same-run invariant rows).  The fast-path budget: the default fleet
+   stays within 5% wall clock of the no-observability baseline.  The
+   anatomy exemplar timeline is written next to the snapshot, for CI to
+   upload when the gate fails. *)
 
 let obs_machine_scheds = [ "wfq"; "cfs" ]
 
 let obs_machine_configs = [ "none"; "tracer"; "metrics"; "both" ]
 
+(* (events, best wall seconds, bytes per event) *)
 let obs_machine_cell ~sched ~config =
-  let kind =
-    match Schedulers.Registry.find sched with
-    | Some e -> Workloads.Setup.of_registry e
-    | None -> failwith ("obs: unknown scheduler " ^ sched)
-  in
+  let kind = Workloads.Setup.of_registry (List.hd (fleet_entries [ sched ])) in
   let messages = if !quick then 10_000 else 50_000 in
-  let runs = if !quick then 1 else 3 in
-  let best_wall = ref infinity and bytes = ref 0. and events = ref 0 in
-  for _ = 1 to runs do
-    let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-    let tracer =
-      if config = "tracer" || config = "both" then Some (Trace.Tracer.create ~nr_cpus ())
-      else None
-    in
-    let registry =
-      if config = "metrics" || config = "both" then Some (Metrics.Registry.create ()) else None
-    in
-    let b = Workloads.Setup.build ?tracer ?registry ~topology:one_socket kind in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    ignore (Workloads.Pipe_bench.run b ~messages ());
-    let wall = Unix.gettimeofday () -. t0 in
-    bytes := Gc.allocated_bytes () -. a0;
-    events := M.events_dispatched b.Workloads.Setup.machine;
-    if wall < !best_wall then best_wall := wall
-  done;
-  {
-    om_sched = sched;
-    om_config = config;
-    om_events = !events;
-    om_wall_s = !best_wall;
-    om_bytes_per_event = !bytes /. float_of_int (max 1 !events);
-  }
-
-(* machine cells run sequentially: the wall column would be perturbed by
-   competing domains, and the point of the suite is the overhead price *)
-let obs_machine_cells () =
-  List.concat_map
-    (fun sched -> List.map (fun config -> obs_machine_cell ~sched ~config) obs_machine_configs)
-    obs_machine_scheds
-
-type obs_fleet_row = {
-  ofl_config : string;
-  ofl_events : int;
-  ofl_wall_s : float;
-  ofl_bytes_per_event : float;
-  ofl_completed : int;
-}
+  let bytes = ref 0. and events = ref 0 in
+  let wall =
+    best_of (if !quick then 1 else 3) (fun () ->
+        let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
+        let tracer =
+          if config = "tracer" || config = "both" then Some (Trace.Tracer.create ~nr_cpus ())
+          else None
+        in
+        let registry =
+          if config = "metrics" || config = "both" then Some (Metrics.Registry.create ()) else None
+        in
+        let b = Workloads.Setup.build ?tracer ?registry ~topology:one_socket kind in
+        let a0 = Gc.allocated_bytes () in
+        let (), wall = timed (fun () -> ignore (Workloads.Pipe_bench.run b ~messages ())) in
+        bytes := Gc.allocated_bytes () -. a0;
+        events := M.events_dispatched b.Workloads.Setup.machine;
+        wall)
+  in
+  (!events, wall, !bytes /. float_of_int (max 1 !events))
 
 let obs_fleet_configs = [ "baseline"; "metrics"; "anatomy" ]
 
@@ -2558,308 +1686,177 @@ let obs_fleet_build config =
 
 let obs_fleet_duration () = Kernsim.Time.ms (if !quick then 600 else 1500)
 
-(* Interleaved best-of-N: each round runs baseline, metrics and anatomy
-   back to back, so transient host noise lands on all three alike — the
-   fast-path ratio is gated, so it must not be an artifact of when the
-   config happened to run. *)
+(* Interleaved best-of-3: each round runs baseline, metrics and anatomy
+   back to back, so transient host noise lands on all three alike.
+   Returns (config, fleet, best wall, bytes) per config; events, bytes and
+   completions are deterministic across rounds. *)
 let obs_fleet_cells () =
-  let n = List.length obs_fleet_configs in
-  let rounds = 3 in
-  let best_wall = Array.make n infinity in
-  let kept = Array.make n None in
-  for _ = 1 to rounds do
+  let best = Array.make (List.length obs_fleet_configs) infinity in
+  let kept = Array.make (List.length obs_fleet_configs) None in
+  for _ = 1 to 3 do
     List.iteri
       (fun i config ->
         let f = obs_fleet_build config in
         let a0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        Cluster.Fleet.run f ~until:(obs_fleet_duration ());
-        let wall = Unix.gettimeofday () -. t0 in
-        let bytes = Gc.allocated_bytes () -. a0 in
-        if wall < best_wall.(i) then best_wall.(i) <- wall;
-        (* events, bytes and completions are deterministic across rounds *)
-        kept.(i) <- Some (f, bytes))
+        let (), wall = timed (fun () -> Cluster.Fleet.run f ~until:(obs_fleet_duration ())) in
+        best.(i) <- Float.min best.(i) wall;
+        kept.(i) <- Some (f, Gc.allocated_bytes () -. a0))
       obs_fleet_configs
   done;
   List.mapi
     (fun i config ->
       let f, bytes = Option.get kept.(i) in
-      let events = Cluster.Fleet.events_dispatched f in
-      let completed =
-        List.fold_left
-          (fun acc (s : Cluster.Fleet.tenant_stat) -> acc + s.completed)
-          0 (Cluster.Fleet.tenant_stats f)
-      in
-      ( {
-          ofl_config = config;
-          ofl_events = events;
-          ofl_wall_s = best_wall.(i);
-          ofl_bytes_per_event = bytes /. float_of_int (max 1 events);
-          ofl_completed = completed;
-        },
-        Cluster.Fleet.anatomy f ))
+      (config, f, best.(i), bytes))
     obs_fleet_configs
 
-let obs_collect () = (obs_machine_cells (), obs_fleet_cells ())
+let obs_fastpath_ratio cells =
+  let wall config = List.find_map (fun (c, _, w, _) -> if c = config then Some w else None) cells in
+  Option.get (wall "metrics") /. Option.get (wall "baseline")
 
-let obs_fastpath_ratio fleet_rows =
-  let wall config =
-    List.find_map
-      (fun (r, _) -> if r.ofl_config = config then Some r.ofl_wall_s else None)
-      fleet_rows
+let obs_fastpath_ceiling = 1.05
+
+let obs_exemplar_path = "obs-exemplars.trace.json"
+
+let obs_rows () =
+  let machine =
+    List.concat_map
+      (fun sched ->
+        List.map (fun config -> (sched, config, obs_machine_cell ~sched ~config)) obs_machine_configs)
+      obs_machine_scheds
   in
-  match (wall "baseline", wall "metrics") with
-  | Some b, Some m when b > 0. -> m /. b
-  | _ -> nan
-
-let obs_json (machine, fleet_rows) =
-  let open Metrics.Json in
-  Obj
-    [
-      ("schema_version", Int 1);
-      ("suite", String (obs_suite ()));
-      ("git_rev", String (git_rev ()));
-      ("seed", Int (fleet_seed ()));
-      ( "machine",
-        List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("scheduler", String r.om_sched);
-                   ("config", String r.om_config);
-                   ("events", Int r.om_events);
-                   ("wall_s", Float r.om_wall_s);
-                   ("ns_per_event", Float (r.om_wall_s *. 1e9 /. float_of_int (max 1 r.om_events)));
-                   ("bytes_per_event", Float r.om_bytes_per_event);
-                 ])
-             machine) );
-      ( "fleet",
-        List
-          (List.map
-             (fun (r, anat) ->
-               Obj
-                 ([
-                    ("config", String r.ofl_config);
-                    ("events", Int r.ofl_events);
-                    ("wall_s", Float r.ofl_wall_s);
-                    ( "ns_per_event",
-                      Float (r.ofl_wall_s *. 1e9 /. float_of_int (max 1 r.ofl_events)) );
-                    ("bytes_per_event", Float r.ofl_bytes_per_event);
-                    ("completed", Int r.ofl_completed);
-                  ]
-                 @
-                 match anat with
-                 | None -> []
-                 | Some a ->
-                   [
-                     ("anatomy_completions", Int (Trace.Anatomy.completions a));
-                     ("anatomy_max_sum_error", Int (Trace.Anatomy.max_sum_error a));
-                   ]))
-             fleet_rows) );
-      ("fastpath_ratio", Float (obs_fastpath_ratio fleet_rows));
+  let fleet = obs_fleet_cells () in
+  let per_event wall events = wall *. 1e9 /. float_of_int (max 1 events) in
+  let spread label events =
+    Gate.row
+      [ ("invariant", label ^ " events identical") ]
+      [
+        Gate.int ~check:(Ceiling 0.) "spread"
+          (List.fold_left max min_int events - List.fold_left min max_int events);
+      ]
+  in
+  List.map
+    (fun (sched, config, (events, wall, bpe)) ->
+      Gate.row
+        [ ("scheduler", sched); ("config", config) ]
+        [
+          Gate.int ~check:Exact "events" events;
+          Gate.float "ns_per_event" (per_event wall events);
+          Gate.float ~check:bytes "bytes_per_event" bpe;
+        ])
+    machine
+  @ List.map
+      (fun (config, f, wall, allocated) ->
+        let events = Cluster.Fleet.events_dispatched f in
+        Gate.row
+          [ ("fleet", config) ]
+          ([
+             Gate.int ~check:Exact "events" events;
+             Gate.int ~check:Exact "completed"
+               (List.fold_left
+                  (fun acc (s : Cluster.Fleet.tenant_stat) -> acc + s.completed)
+                  0 (Cluster.Fleet.tenant_stats f));
+             Gate.float "ns_per_event" (per_event wall events);
+             Gate.float ~check:bytes "bytes_per_event" (allocated /. float_of_int (max 1 events));
+           ]
+          @
+          match Cluster.Fleet.anatomy f with
+          | None -> []
+          | Some a ->
+            Trace.Anatomy.save_chrome a ~path:obs_exemplar_path;
+            [
+              Gate.int ~check:(Floor 1.) "anatomy_completions" (Trace.Anatomy.completions a);
+              Gate.int ~check:Exact "anatomy_max_sum_error" (Trace.Anatomy.max_sum_error a);
+            ]))
+      fleet
+  @ List.map
+      (fun sched ->
+        spread ("machine/" ^ sched)
+          (List.filter_map
+             (fun (s, _, (events, _, _)) -> if s = sched then Some events else None)
+             machine))
+      obs_machine_scheds
+  @ [
+      spread "fleet" (List.map (fun (_, f, _, _) -> Cluster.Fleet.events_dispatched f) fleet);
+      Gate.row
+        [ ("invariant", "fleet fast path") ]
+        [
+          Gate.float "metrics_vs_baseline_wall" (obs_fastpath_ratio fleet)
+            ~check:
+              (Wall_ratchet
+                 {
+                   limit = obs_fastpath_ceiling;
+                   better = Lower;
+                   remeasure = (fun () -> obs_fastpath_ratio (obs_fleet_cells ()));
+                 });
+        ];
     ]
 
-let obs_table (machine, fleet_rows) =
-  Report.note "machine rows: pipe-bench per scheduler x observability config; the";
-  Report.note "events column must be identical down a scheduler's configs (the hooks";
-  Report.note "never perturb the simulation).  Wall columns are host measurements.";
-  let base_wall sched =
-    List.find_map
-      (fun r -> if r.om_sched = sched && r.om_config = "none" then Some r.om_wall_s else None)
-      machine
-  in
-  Report.table
-    ~header:[ "scheduler"; "config"; "events"; "wall (s)"; "ns/event"; "B/event"; "vs none" ]
-    (List.map
-       (fun r ->
-         [
-           r.om_sched;
-           r.om_config;
-           string_of_int r.om_events;
-           Printf.sprintf "%.3f" r.om_wall_s;
-           Printf.sprintf "%.0f" (r.om_wall_s *. 1e9 /. float_of_int (max 1 r.om_events));
-           Printf.sprintf "%.1f" r.om_bytes_per_event;
-           (match base_wall r.om_sched with
-           | Some b when b > 0. -> Printf.sprintf "%.2fx" (r.om_wall_s /. b)
-           | _ -> "-");
-         ])
-       machine);
-  Report.note "";
-  Report.note "fleet rows: cluster tier (wfq+cfs hosts) with observability off, the";
-  Report.note "default metrics pipeline, and full request anatomy:";
-  Report.table
-    ~header:[ "config"; "events"; "completed"; "wall (s)"; "ns/event"; "B/event"; "anatomy" ]
-    (List.map
-       (fun (r, anat) ->
-         [
-           r.ofl_config;
-           string_of_int r.ofl_events;
-           string_of_int r.ofl_completed;
-           Printf.sprintf "%.3f" r.ofl_wall_s;
-           Printf.sprintf "%.0f" (r.ofl_wall_s *. 1e9 /. float_of_int (max 1 r.ofl_events));
-           Printf.sprintf "%.1f" r.ofl_bytes_per_event;
-           (match anat with
-           | None -> "-"
-           | Some a ->
-             Printf.sprintf "%d reqs, sum err %d" (Trace.Anatomy.completions a)
-               (Trace.Anatomy.max_sum_error a));
-         ])
-       fleet_rows);
-  let ratio = obs_fastpath_ratio fleet_rows in
-  if not (Float.is_nan ratio) then
-    Report.note
-      (Printf.sprintf "fast path: default fleet at %.3fx the no-observability baseline wall"
-         ratio)
+(* ---------- suites and the gate ---------- *)
 
-let obs () =
-  Report.section
-    (Printf.sprintf "Observability suite (%s): what watching costs" (obs_suite ()));
-  let results = obs_collect () in
-  obs_table results;
-  let path = Option.value !bench_out ~default:(Printf.sprintf "BENCH_%s.json" (obs_suite ())) in
-  Metrics.Json.save ~path (obs_json results);
-  Printf.printf "wrote %s (git %s)\n" path (git_rev ())
+type suite = { name : string; title : string; rows : unit -> Gate.row list; notes : string list }
 
-(* Where obsgate drops the anatomy exemplar timeline on failure, so CI can
-   upload it as an artifact next to the gate log.  Under _build so a failed
-   gate never litters the repo root. *)
-let obs_exemplar_path = "_build/obs-exemplars.trace.json"
+let suites =
+  [
+    {
+      name = "perf";
+      title = "Perf suite: every registry scheduler, metrics and profiler attached";
+      rows = perf_rows;
+      notes =
+        [ "wakeup percentiles and throughput are simulated, so deterministic; crossings";
+          "counts Enoki-C boundary dispatches (0 for natively built-in schedulers)." ];
+    };
+    {
+      name = "speed";
+      title = "Speed suite: simulator throughput";
+      rows = speed_rows;
+      notes =
+        [ "scheduler rows: full machine + scheduler running pipe-bench; ns/event is host";
+          "wall clock (ratcheted on cfs), events and bytes/event are deterministic.";
+          "depth rows: bare event loop at steady queue depth, wheel vs heap; heap ns/ev";
+          "grows with depth (log n sift), the wheel stays flat." ];
+    };
+    {
+      name = "dsq";
+      title = "DSQ suite: dispatch-queue schedulers vs built-in CFS";
+      rows = dsq_rows;
+      notes =
+        [ "dual-queue paper claims vs CFS: 65% lower dispatch latency and 33% fewer";
+          "context switches -- read the scx-prio-dq rows' *_vs_cfs_pct columns against";
+          "them.  dsq_wait is the DSQ-internal enqueue-to-consume histogram." ];
+    };
+    {
+      name = "fleet";
+      title = "Fleet suite: cluster tier under multi-tenant open-loop load";
+      rows = fleet_rows;
+      notes =
+        [ "blackout: completions landing inside a host's upgrade pause window (pause + one";
+          "epoch); the peak-vs-idle pair is the fleet-scale read of the paper's 5.7.";
+          "jobs rows: the steady fleet's fingerprint digests tenant/host stats, clock, events";
+          "and the metrics export; under -j N it must not diverge from the sequential run." ];
+    };
+    {
+      name = "obs";
+      title = "Observability suite: what watching costs";
+      rows = obs_rows;
+      notes =
+        [ "ns_per_event is host wall clock; the hooks never perturb the simulation, so";
+          "events match down a scheduler's configs.  fleet: wfq+cfs hosts with observability";
+          "off (baseline), the default metrics pipeline, and full request anatomy." ];
+    };
+  ]
 
-let obsgate () =
-  Report.section (Printf.sprintf "Observability gate (%s suite)" (obs_suite ()));
-  let machine, fleet_rows = obs_collect () in
-  let rows = ref [] in
-  let verdict label baseline now ok why =
-    if not ok then regress_failed := true;
-    rows := [ label; baseline; now; (if ok then "ok" else "REGRESSED: " ^ why) ] :: !rows
-  in
-  (* (a) zero perturbation: within a scheduler, every config dispatches the
-     exact same event count — no baseline needed, the run argues with
-     itself *)
-  List.iter
-    (fun sched ->
-      let events =
-        List.filter_map
-          (fun r -> if r.om_sched = sched then Some r.om_events else None)
-          machine
-      in
-      match events with
-      | [] -> ()
-      | e0 :: _ ->
-        let ok = List.for_all (fun e -> e = e0) events in
-        verdict
-          (Printf.sprintf "machine/%s events identical" sched)
-          (string_of_int e0)
-          (String.concat "/" (List.map string_of_int events))
-          ok "observability perturbed the event stream")
-    obs_machine_scheds;
-  (match List.map (fun (r, _) -> r.ofl_events) fleet_rows with
-  | [] -> ()
-  | e0 :: _ as events ->
-    verdict "fleet events identical" (string_of_int e0)
-      (String.concat "/" (List.map string_of_int events))
-      (List.for_all (fun e -> e = e0) events)
-      "observability perturbed the fleet");
-  (* (c) anatomy invariants: phases must sum exactly, and the decomposition
-     must actually have seen traffic *)
-  let anat = List.find_map (fun (_, a) -> a) fleet_rows in
-  (match anat with
-  | None ->
-    verdict "anatomy present" "yes" "no" false "anatomy fleet row missing"
-  | Some a ->
-    verdict "anatomy sum error" "0"
-      (string_of_int (Trace.Anatomy.max_sum_error a))
-      (Trace.Anatomy.max_sum_error a = 0)
-      "phase durations no longer sum to e2e";
-    verdict "anatomy completions" "> 0"
-      (string_of_int (Trace.Anatomy.completions a))
-      (Trace.Anatomy.completions a > 0)
-      "anatomy observed no requests");
-  (* (d) the fast-path budget: metrics-on fleet within 5% of the
-     no-observability baseline, measured interleaved in this process *)
-  let ratio = obs_fastpath_ratio fleet_rows in
-  verdict "fleet fast path" "<= 1.05x"
-    (if Float.is_nan ratio then "nan" else Printf.sprintf "%.3fx" ratio)
-    ((not (Float.is_nan ratio)) && ratio <= 1.05)
-    "observability on costs more than 5% wall clock";
-  (* (b) drift against the committed baseline *)
-  let path =
-    Option.value !baseline_path
-      ~default:(Printf.sprintf "bench/baselines/BENCH_%s.json" (obs_suite ()))
-  in
-  (match Metrics.Json.parse_file ~path with
-  | Error msg ->
-    Printf.eprintf "obsgate: cannot read baseline %s: %s\n" path msg;
-    regress_failed := true
-  | Ok base ->
-    let tol_bytes = Option.value !tolerance ~default:default_bytes_tolerance in
-    let get_float j k = Option.bind (Metrics.Json.member k j) Metrics.Json.to_float in
-    let get_str j k = Option.bind (Metrics.Json.member k j) Metrics.Json.to_str in
-    let diff label bj ~events ~bytes =
-      match bj with
-      | None -> rows := [ label; "-"; "-"; "new (no baseline)" ] :: !rows
-      | Some bj ->
-        (match get_float bj "events" with
-        | Some be when be > 0. ->
-          let drift = 100. *. Float.abs ((float_of_int events /. be) -. 1.) in
-          verdict (label ^ " events")
-            (Printf.sprintf "%.0f" be)
-            (string_of_int events)
-            (drift <= 1.)
-            (Printf.sprintf "drifted %.1f%%" drift)
-        | _ -> ());
-        (match get_float bj "bytes_per_event" with
-        | Some bb when bb > 0. ->
-          verdict (label ^ " B/event")
-            (Printf.sprintf "%.1f" bb)
-            (Printf.sprintf "%.1f" bytes)
-            (bytes <= bb *. (1. +. (tol_bytes /. 100.)))
-            (Printf.sprintf "+%.1f%%" (100. *. ((bytes /. bb) -. 1.)))
-        | _ -> ())
-    in
-    let base_machine =
-      Option.value ~default:[]
-        Option.(bind (Metrics.Json.member "machine" base) Metrics.Json.to_list)
-    in
-    List.iter
-      (fun r ->
-        let bj =
-          List.find_opt
-            (fun j -> get_str j "scheduler" = Some r.om_sched && get_str j "config" = Some r.om_config)
-            base_machine
-        in
-        diff
-          (Printf.sprintf "machine/%s/%s" r.om_sched r.om_config)
-          bj ~events:r.om_events ~bytes:r.om_bytes_per_event)
-      machine;
-    let base_fleet =
-      Option.value ~default:[]
-        Option.(bind (Metrics.Json.member "fleet" base) Metrics.Json.to_list)
-    in
-    List.iter
-      (fun (r, _) ->
-        let bj =
-          List.find_opt (fun j -> get_str j "config" = Some r.ofl_config) base_fleet
-        in
-        diff ("fleet/" ^ r.ofl_config) bj ~events:r.ofl_events ~bytes:r.ofl_bytes_per_event)
-      fleet_rows);
-  Report.table ~header:[ "check"; "baseline"; "now"; "verdict" ] (List.rev !rows);
-  Report.note
-    (Printf.sprintf
-       "baseline %s; events drift 1%%, bytes %.0f%%, fast path 5%%; wall never gated vs disk"
-       path
-       (Option.value !tolerance ~default:default_bytes_tolerance));
-  if !regress_failed then begin
-    (match anat with
-    | Some a ->
-      Trace.Anatomy.save_chrome a ~path:obs_exemplar_path;
-      Printf.printf "obsgate: wrote %s (worst-request timeline for the CI artifact)\n"
-        obs_exemplar_path
-    | None -> ());
-    print_endline "obsgate: FAIL (see verdicts above)"
-  end
-  else print_endline "obsgate: ok"
+let run_suite ~gate s =
+  let id = suite_id s.name in
+  Report.section (Printf.sprintf "%s (%s)" s.title id);
+  let rows = s.rows () in
+  (if not gate then Gate.print rows
+   else
+     let path = Printf.sprintf "bench/baselines/BENCH_%s.json" id in
+     match Gate.load ~path with
+     | Ok base -> judge ~base ~suite:id rows
+     | Error e -> judge ~error:e ~suite:id rows);
+  List.iter Report.note s.notes;
+  write_snapshot id rows
 
 (* ---------- driver ---------- *)
 
@@ -2880,144 +1877,109 @@ let experiments =
     ("micro", micro);
     ("sanity", sanity);
     ("chaos", chaos);
-    ("perf", perf);
-    ("regress", regress);
-    ("speed", speed);
-    ("speedgate", speedgate);
-    ("dsq", dsq);
-    ("dsqgate", dsqgate);
-    ("fleet", fleet);
-    ("fleetgate", fleetgate);
-    ("obs", obs);
-    ("obsgate", obsgate);
   ]
+  @ List.map (fun s -> (s.name, fun () -> run_suite ~gate:false s)) suites
+
+let usage =
+  "usage: main.exe [--quick] [--seed=N] [-j [N] | -jN | --jobs=N] [--sanitize] [--trace=PATH]\n\
+  \                [--trace-format=chrome|ftrace] [EXPERIMENT... | gate [SUITE...]]"
 
 let () =
-  let has_prefix ~prefix s =
-    String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+  let bad fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s\n%s\n" msg usage;
+        exit 2)
+      fmt
   in
-  let cut ~prefix s = String.sub s (String.length prefix) (String.length s - String.length prefix) in
-  (* a bare -j defaults to the host's domain count, but may be refined by a
-     following integer argument ("-j 4"), matching make/dune convention *)
-  let jobs_pending = ref false in
-  let unknown_name = ref false in
-  let names =
-    List.filter
-      (fun arg ->
-        let was_jobs_arg = !jobs_pending in
-        jobs_pending := false;
-        if arg = "--sanitize" then begin
-          sanitize := true;
-          false
-        end
-        else if has_prefix ~prefix:"--trace=" arg then begin
-          trace_path := Some (cut ~prefix:"--trace=" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--trace-format=" arg then begin
-          (match Trace.Export.format_of_string (cut ~prefix:"--trace-format=" arg) with
-          | Some f -> trace_format := f
-          | None -> Printf.eprintf "unknown trace format in %s (chrome|ftrace)\n" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--seed=" arg then begin
-          (match int_of_string_opt (cut ~prefix:"--seed=" arg) with
-          | Some n -> seed := Some n
-          | None -> Printf.eprintf "bad seed in %s\n" arg);
-          false
-        end
-        else if arg = "--quick" then begin
-          quick := true;
-          false
-        end
-        else if arg = "-j" then begin
-          (* bare -j: size the pool to the host *)
-          jobs := Domain.recommended_domain_count ();
-          jobs_pending := true;
-          false
-        end
-        else if was_jobs_arg && int_of_string_opt arg <> None then begin
-          (match int_of_string_opt arg with
-          | Some n when n >= 1 -> jobs := n
-          | _ -> Printf.eprintf "bad job count in -j %s\n" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--jobs=" arg then begin
-          (match int_of_string_opt (cut ~prefix:"--jobs=" arg) with
-          | Some n when n >= 1 -> jobs := n
-          | _ -> Printf.eprintf "bad job count in %s\n" arg);
-          false
-        end
-        else if has_prefix ~prefix:"-j" arg then begin
-          (match int_of_string_opt (cut ~prefix:"-j" arg) with
-          | Some n when n >= 1 -> jobs := n
-          | _ -> Printf.eprintf "bad job count in %s (try -jN or --jobs=N)\n" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--bench-out=" arg then begin
-          bench_out := Some (cut ~prefix:"--bench-out=" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--baseline=" arg then begin
-          baseline_path := Some (cut ~prefix:"--baseline=" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--tolerance=" arg then begin
-          (match float_of_string_opt (cut ~prefix:"--tolerance=" arg) with
-          | Some pct -> tolerance := Some pct
-          | None -> Printf.eprintf "bad tolerance in %s (percent expected)\n" arg);
-          false
-        end
-        else if has_prefix ~prefix:"--speedup-floor=" arg then begin
-          (match float_of_string_opt (cut ~prefix:"--speedup-floor=" arg) with
-          | Some x -> speedup_floor := Some x
-          | None -> Printf.eprintf "bad speedup floor in %s (e.g. 1.3)\n" arg);
-          false
-        end
-        else true)
-      (List.tl (Array.to_list Sys.argv))
+  let count s = match int_of_string_opt s with Some n when n >= 1 -> n | _ -> bad "bad job count %s" s in
+  let rec parse names = function
+    | [] -> List.rev names
+    | "--sanitize" :: rest ->
+      sanitize := true;
+      parse names rest
+    | "--quick" :: rest ->
+      quick := true;
+      parse names rest
+    (* a bare -j sizes the pool to the host; "-j 4" refines it, matching
+       make/dune convention *)
+    | "-j" :: n :: rest when int_of_string_opt n <> None ->
+      jobs := count n;
+      parse names rest
+    | "-j" :: rest ->
+      jobs := Domain.recommended_domain_count ();
+      parse names rest
+    | arg :: rest when String.starts_with ~prefix:"-j" arg ->
+      jobs := count (String.sub arg 2 (String.length arg - 2));
+      parse names rest
+    | arg :: rest when String.starts_with ~prefix:"--" arg && String.contains arg '=' ->
+      let i = String.index arg '=' in
+      let v = String.sub arg (i + 1) (String.length arg - i - 1) in
+      (match String.sub arg 0 i with
+      | "--trace" -> trace_path := Some v
+      | "--trace-format" -> (
+        match Trace.Export.format_of_string v with
+        | Some f -> trace_format := f
+        | None -> bad "unknown trace format %s (chrome|ftrace)" v)
+      | "--seed" -> (
+        match int_of_string_opt v with Some n -> seed := Some n | None -> bad "bad seed %s" v)
+      | "--jobs" -> jobs := count v
+      | _ -> bad "unknown flag %s" arg);
+      parse names rest
+    | arg :: _ when String.starts_with ~prefix:"-" arg -> bad "unknown flag %s" arg
+    | name :: rest -> parse (name :: names) rest
   in
-  (* perf and regress are explicit gating targets, not part of "run
-     everything" (regress needs a committed baseline to diff against) *)
-  let default_set =
-    List.filter
-      (fun n -> not (List.mem n [ "perf"; "regress"; "speed"; "speedgate"; "dsq"; "dsqgate"; "fleet"; "fleetgate"; "obs"; "obsgate" ]))
-      (List.map fst experiments)
+  let names = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let is_suite n = List.exists (fun s -> s.name = n) suites in
+  let requested =
+    match names with
+    | "gate" :: picked ->
+      let chosen = if picked = [] then List.map (fun s -> s.name) suites else picked in
+      List.map
+        (fun n ->
+          match List.find_opt (fun s -> s.name = n) suites with
+          | Some s -> ("gate " ^ n, fun () -> run_suite ~gate:true s)
+          | None ->
+            bad "unknown suite %s; gated suites: %s" n
+              (String.concat " " (List.map (fun s -> s.name) suites)))
+        chosen
+    (* the suites are explicit targets, not part of "run everything" *)
+    | [] -> List.filter (fun (n, _) -> not (is_suite n)) experiments
+    | names ->
+      List.map
+        (fun n ->
+          match List.assoc_opt n experiments with
+          | Some f -> (n, f)
+          | None ->
+            bad "unknown experiment %s; available: %s, or gate [SUITE...]" n
+              (String.concat " " (List.map fst experiments)))
+        names
   in
-  let requested = match names with [] -> default_set | ns -> ns in
   Printf.printf "workload seed: %s\n"
     (match !seed with
     | Some n -> string_of_int n
-    | None -> "per-workload defaults (schbench 42, rocksdb 7, memcached 11)");
+    | None -> "per-workload defaults (schbench 42, rocksdb 7, memcached 11, fleet 1)");
   if !jobs > 1 then
     Printf.printf "job pool: %d domains%s\n" (effective_jobs ())
       (if effective_jobs () = 1 then " requested, forced sequential by --trace=" else "");
   let t0 = Unix.gettimeofday () in
   List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        let t = Unix.gettimeofday () in
-        let a0 = Gc.allocated_bytes () and c0 = Atomic.get cells_allocated in
-        let g0 = Gc.quick_stat () in
-        f ();
-        (* allocation aggregated across the main domain and the pool *)
-        let mb =
-          (Gc.allocated_bytes () -. a0 +. float_of_int (Atomic.get cells_allocated - c0))
-          /. 1e6
-        in
-        let g1 = Gc.quick_stat () in
-        Printf.printf "  [%s took %.1fs, %.0f MB allocated, %d minor / %d major gcs]\n%!" name
-          (Unix.gettimeofday () -. t)
-          mb
-          (g1.Gc.minor_collections - g0.Gc.minor_collections)
-          (g1.Gc.major_collections - g0.Gc.major_collections)
-      | None ->
-        unknown_name := true;
-        Printf.eprintf "unknown experiment %s; available: %s\n" name
-          (String.concat " " (List.map fst experiments)))
+    (fun (name, f) ->
+      let t = Unix.gettimeofday () in
+      let a0 = Gc.allocated_bytes () and c0 = Atomic.get cells_allocated in
+      let g0 = Gc.quick_stat () in
+      f ();
+      (* allocation aggregated across the main domain and the pool *)
+      let mb =
+        (Gc.allocated_bytes () -. a0 +. float_of_int (Atomic.get cells_allocated - c0)) /. 1e6
+      in
+      let g1 = Gc.quick_stat () in
+      Printf.printf "  [%s took %.1fs, %.0f MB allocated, %d minor / %d major gcs]\n%!" name
+        (Unix.gettimeofday () -. t)
+        mb
+        (g1.Gc.minor_collections - g0.Gc.minor_collections)
+        (g1.Gc.major_collections - g0.Gc.major_collections))
     requested;
   finish_tracing ();
   Printf.printf "\nall requested experiments done in %.1fs\n" (Unix.gettimeofday () -. t0);
-  if !unknown_name then exit 2;
-  if !regress_failed then exit 4
+  if !gate_failed then exit 4

@@ -77,16 +77,6 @@ let topology_of_cores = function
   | 8 -> Kernsim.Topology.one_socket
   | n -> Kernsim.Topology.create ~cores:n ~cores_per_llc:n ~cores_per_node:n
 
-let core_arg =
-  Arg.(
-    value
-    & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-    & info [ "core" ] ~docv:"BACKEND"
-        ~doc:
-          "Event-queue backend for the simulator core: $(b,wheel) (hierarchical timing \
-           wheel, the default) or $(b,heap) (the reference binary heap).  Both dispatch \
-           the identical event stream; only speed differs.")
-
 let trace_arg =
   Arg.(
     value
@@ -296,7 +286,7 @@ let bisect_arg =
            first divergent call with surrounding context.")
 
 let run_cmd =
-  let run sched workload load cores sim_backend trace_path trace_format sanitize seed fault_plan
+  let run sched workload load cores trace_path trace_format sanitize seed fault_plan
       fault_seed call_budget watchdog metrics_out metrics_interval profile record_path replay_path
       allow_drops bisect =
     (match replay_path with
@@ -360,8 +350,7 @@ let run_cmd =
           exit 2)
     in
     let b =
-      Workloads.Setup.build ?record ?tracer ?registry ?profile:prof ?call_budget ~sim_backend
-        ~topology kind
+      Workloads.Setup.build ?record ?tracer ?registry ?profile:prof ?call_budget ~topology kind
     in
     let sampler =
       Option.map
@@ -486,7 +475,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a workload under a scheduler and print its metrics.")
     Term.(
-      const run $ sched_arg $ workload_arg $ load_arg $ cores_arg $ core_arg $ trace_arg
+      const run $ sched_arg $ workload_arg $ load_arg $ cores_arg $ trace_arg
       $ trace_format_arg $ sanitize_arg $ seed_arg $ fault_plan_arg $ fault_seed_arg
       $ call_budget_arg $ watchdog_arg $ metrics_out_arg $ metrics_interval_arg $ profile_arg
       $ record_path_arg $ replay_path_arg $ allow_drops_arg $ bisect_arg)
