@@ -131,7 +131,7 @@ let worker_beh t host =
       let lat = ctx.T.now - req.Traffic.arrived in
       host.inflight <- host.inflight - 1;
       host.completed <- host.completed + 1;
-      if t.measuring then Reg.observe host.hist lat;
+      if t.measuring then Reg.observe host.hist ~cpu:0 lat;
       fx host
         (Fx_done
            {
@@ -447,8 +447,8 @@ let apply_fx t host =
       | Fx_done { tenant; lat; measured; blackout } ->
         Lb.complete t.lb host.id;
         t.completed.(tenant) <- t.completed.(tenant) + 1;
-        if measured then Reg.observe t.tenant_hist.(tenant) lat;
-        if blackout then Reg.observe t.blackout_h lat
+        if measured then Reg.observe t.tenant_hist.(tenant) ~cpu:0 lat;
+        if blackout then Reg.observe t.blackout_h ~cpu:0 lat
       | Fx_drop { tenant } ->
         t.dropped.(tenant) <- t.dropped.(tenant) + 1;
         Lb.complete t.lb host.id

@@ -1,8 +1,22 @@
 module Ops = Kernsim.Sched_class
 
+(* Crossing kinds: indices into [call_names] and [obs.o_per_call].  The
+   names are [Message.call_name]'s, so traces, profiles and metrics name a
+   callback exactly as the record log does. *)
+let call_names =
+  [| "select_task_rq"; "task_new"; "task_wakeup"; "task_blocked"; "task_yield"; "task_preempt";
+     "task_dead"; "task_departed"; "task_tick"; "pick_next_task"; "pnt_err"; "balance";
+     "balance_err"; "migrate_task_rq"; "task_prio_changed"; "task_affinity_changed"; "parse_hint" |]
+
+let k_select = 0 and k_new = 1 and k_wakeup = 2 and k_blocked = 3 and k_yield = 4
+and k_preempt = 5 and k_dead = 6 and k_departed = 7 and k_tick = 8 and k_pick = 9
+and k_pnt_err = 10 and k_balance = 11 and k_balance_err = 12 and k_migrate = 13 and k_prio = 14
+and k_affinity = 15 and k_hint = 16
+
 (* Registry handles for the dispatch boundary, resolved once at [create].
-   Per-callback counters are created lazily on first crossing (the call
-   vocabulary is small and fixed) and cached by name. *)
+   Per-callback counters are registered on a kind's first crossing (so the
+   registry lists only callbacks that ran, in first-use order) and cached
+   in the slot of that kind. *)
 type obs = {
   reg : Metrics.Registry.t;
   o_calls : Metrics.Registry.counter;
@@ -11,7 +25,7 @@ type obs = {
   o_failovers : Metrics.Registry.counter;
   o_overruns : Metrics.Registry.counter;
   o_violations : Metrics.Registry.counter;
-  o_per_call : (string, Metrics.Registry.counter) Hashtbl.t;
+  o_per_call : Metrics.Registry.counter option array;
 }
 
 type t = {
@@ -19,6 +33,7 @@ type t = {
   policy : int;
   mutable packed : Sched_trait.packed option;
   mutable ops : Ops.kernel_ops option;
+  mutable all_cpus : int list; (* the [allowed] of an unpinned task, built at registration *)
   (* pid -> latest Schedulable generation, dense (pids are small and
      contiguous).  0 means "no outstanding capability"; minted generations
      start at 1.  [ngens] counts live (non-zero) entries. *)
@@ -68,7 +83,7 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
             Metrics.Registry.counter reg ~help:"per-call budget overruns" "enoki_overruns_total";
           o_violations =
             Metrics.Registry.counter reg ~help:"API discipline violations" "enoki_violations_total";
-          o_per_call = Hashtbl.create 16;
+          o_per_call = Array.make (Array.length call_names) None;
         })
       registry
   in
@@ -77,6 +92,7 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
     policy;
     packed = None;
     ops = None;
+    all_cpus = [];
     gens = Array.make 64 0;
     ngens = 0;
     hint_ring = Ds.Ring_buffer.create ~capacity:hint_capacity;
@@ -134,18 +150,17 @@ let count_violation t kind =
   t.violations <- t.violations + 1;
   Hashtbl.replace t.violation_kinds kind
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.violation_kinds kind));
-  match t.obs with Some o -> Metrics.Registry.incr o.o_violations () | None -> ()
+  match t.obs with Some o -> Metrics.Registry.incr o.o_violations ~cpu:0 | None -> ()
 
-(* Per-callback crossing counter, created on first use of each call name. *)
-let per_call_counter o name =
-  match Hashtbl.find_opt o.o_per_call name with
+let per_call_counter o k =
+  match Array.unsafe_get o.o_per_call k with
   | Some c -> c
   | None ->
     let c =
       Metrics.Registry.counter o.reg ~help:"boundary crossings for one callback"
-        ("enoki_call_" ^ name ^ "_total")
+        ("enoki_call_" ^ call_names.(k) ^ "_total")
     in
-    Hashtbl.replace o.o_per_call name c;
+    o.o_per_call.(k) <- Some c;
     c
 
 let violation_breakdown t =
@@ -198,151 +213,210 @@ let token_valid t token ~cpu =
   pid < Array.length t.gens
   && Array.unsafe_get t.gens pid = Schedulable.generation token
 
-(* ---------- dispatch ---------- *)
+(* ---------- crossing ---------- *)
 
-(* The synchronous call path: read-lock, translate, invoke the processing
-   function, record.  Overheads are charged to the calling cpu's context,
-   modelling the 100-150 ns per invocation the paper measures. *)
-let dispatch t ~cpu call =
+(* Settle a crossing, on return and on raise alike, so a call that both
+   overruns and raises is still surfaced.  The per-call latency is the fixed
+   crossing cost plus whatever the module charged; profile rows add the host
+   wall clock.  Neither moves simulated time. *)
+let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
+  t.readers <- t.readers - 1;
+  (* the wedged-module detector: compare what the module charged via
+     [Ctx.charge] during this call against the per-call budget *)
+  let charged = t.charged_in_call in
+  t.charged_in_call <- saved_charge;
+  (match t.obs with
+  | Some o -> Metrics.Registry.observe o.o_call_lat ~cpu (ops.costs.enoki_call + charged)
+  | None -> ());
+  (match t.profile with
+  | Some p ->
+    Profile.record p ~sched:(scheduler_name t) ~call:call_names.(k)
+      ~sim_ns:(ops.costs.enoki_call + charged)
+      ~wall_ns:(Profile.now_wall () -. wall0)
+  | None -> ());
+  match t.call_budget with
+  | Some budget when charged > budget ->
+    t.overruns <- t.overruns + 1;
+    (match t.obs with Some o -> Metrics.Registry.incr o.o_overruns ~cpu | None -> ());
+    count_violation t "call_budget";
+    emit t ~cpu (Trace.Event.Overrun { call = call_names.(k); charged; budget })
+  | Some _ | None -> ()
+
+(* The synchronous call path: read-lock, call the registered module, settle.
+   [f] is a closed function of the packed module and the hook's arguments,
+   hence a static value: a crossing allocates nothing.  Overheads are
+   charged to the calling cpu's context, modelling the 100-150 ns per
+   invocation the paper measures. *)
+let cross t ~cpu k f a b c =
   let ops = ops_exn t in
   ops.charge ~cpu ops.costs.enoki_call;
-  emit t ~cpu (Trace.Event.Msg_call { name = Message.call_name call });
+  (match t.tracer with
+  | Some _ -> emit t ~cpu (Trace.Event.Msg_call { name = call_names.(k) })
+  | None -> ());
   t.calls <- t.calls + 1;
   (match t.obs with
   | Some o ->
-    Metrics.Registry.incr o.o_calls ~cpu ();
-    Metrics.Registry.incr (per_call_counter o (Message.call_name call)) ~cpu ()
+    Metrics.Registry.incr o.o_calls ~cpu;
+    Metrics.Registry.incr (per_call_counter o k) ~cpu
   | None -> ());
   t.current_tid <- cpu;
   t.readers <- t.readers + 1;
   let saved_charge = t.charged_in_call in
   t.charged_in_call <- 0;
-  let wall0 =
-    match t.profile with Some _ -> Profile.now_wall () | None -> 0.0
-  in
-  let reply =
-    Fun.protect
-      (fun () -> Lib_enoki.process (packed_exn t) call)
-      ~finally:(fun () ->
-        t.readers <- t.readers - 1;
-        (* the wedged-module detector: compare what the module charged via
-           [Ctx.charge] during this call against the per-call budget.  The
-           check runs in [finally] so a call that both overruns and raises
-           is still surfaced. *)
-        let charged = t.charged_in_call in
-        t.charged_in_call <- saved_charge;
-        (* per-call latency: the fixed crossing cost plus whatever the
-           module charged; profile rows add the host wall clock.  Both
-           record into plain OCaml state — no simulated time moves. *)
-        (match t.obs with
-        | Some o -> Metrics.Registry.observe o.o_call_lat ~cpu (ops.costs.enoki_call + charged)
-        | None -> ());
-        (match t.profile with
-        | Some p ->
-          Profile.record p ~sched:(scheduler_name t) ~call:(Message.call_name call)
-            ~sim_ns:(ops.costs.enoki_call + charged)
-            ~wall_ns:(Profile.now_wall () -. wall0)
-        | None -> ());
-        match t.call_budget with
-        | Some budget when charged > budget ->
-          t.overruns <- t.overruns + 1;
-          (match t.obs with
-          | Some o -> Metrics.Registry.incr o.o_overruns ~cpu ()
-          | None -> ());
-          count_violation t "call_budget";
-          emit t ~cpu (Trace.Event.Overrun { call = Message.call_name call; charged; budget })
-        | Some _ | None -> ())
-  in
-  (match t.record with
-  | Some r ->
-    ops.charge ~cpu ops.costs.record_msg;
-    Record.tap_call r ~tid:cpu call reply
-  | None -> ());
-  reply
+  let wall0 = match t.profile with Some _ -> Profile.now_wall () | None -> 0.0 in
+  match f (packed_exn t) a b c with
+  | r ->
+    leave t ops ~cpu k saved_charge wall0;
+    r
+  | exception e ->
+    leave t ops ~cpu k saved_charge wall0;
+    raise e
 
-let dispatch_raw t ~tid call = dispatch t ~cpu:tid call
-
-let unit_reply = function
-  | Message.R_unit -> ()
-  | r -> invalid_arg ("Enoki_c: expected unit reply, got " ^ Message.encode_reply r)
+(* The record tap, the only consumer of [Message] on the kernel path: each
+   hook builds its call and reply inside its [Some r] branch, so nothing is
+   built while recording is off. *)
+let tap t r ~cpu call reply =
+  let ops = ops_exn t in
+  ops.charge ~cpu ops.costs.record_msg;
+  Record.tap_call r ~tid:cpu call reply
 
 (* ---------- scheduler-class hooks ---------- *)
 
 let select_task_rq t (task : Kernsim.Task.t) ~waker_cpu =
-  let allowed =
-    match task.affinity with
-    | Some cpus -> cpus
-    | None -> List.init (ops_exn t).nr_cpus Fun.id
+  let allowed = match task.affinity with Some cpus -> cpus | None -> t.all_cpus in
+  let cpu =
+    cross t ~cpu:waker_cpu k_select
+      (fun (Packed ((module S), st)) pid w allowed ->
+        S.select_task_rq st ~pid ~waker_cpu:w ~allowed)
+      task.pid waker_cpu allowed
   in
-  match dispatch t ~cpu:waker_cpu (Select_task_rq { pid = task.pid; waker_cpu; allowed }) with
-  | R_int cpu when cpu >= 0 && cpu < (ops_exn t).nr_cpus && Kernsim.Task.allowed_cpu task cpu
-    -> cpu
-  | R_int _ ->
+  (match t.record with
+  | Some r ->
+    tap t r ~cpu:waker_cpu (Select_task_rq { pid = task.pid; waker_cpu; allowed }) (R_int cpu)
+  | None -> ());
+  if cpu >= 0 && cpu < (ops_exn t).nr_cpus && Kernsim.Task.allowed_cpu task cpu then cpu
+  else begin
     (* scheduler chose a cpu the task may not use; fall back *)
     count_violation t "bad_select_cpu";
     emit t ~cpu:waker_cpu (Trace.Event.Pnt_err { pid = task.pid; err = "bad_select_cpu" });
-    (match task.affinity with Some (c :: _) -> c | Some [] | None -> waker_cpu)
-  | r -> invalid_arg ("Enoki_c: bad select_task_rq reply " ^ Message.encode_reply r)
+    match task.affinity with Some (c :: _) -> c | Some [] | None -> waker_cpu
+  end
 
 let task_new t (task : Kernsim.Task.t) ~cpu =
   let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu
-       (Task_new { pid = task.pid; runtime = task.sum_exec; prio = task.nice; sched }))
+  cross t ~cpu k_new
+    (fun (Packed ((module S), st)) (p : Kernsim.Task.t) sched () ->
+      S.task_new st ~pid:p.pid ~runtime:p.sum_exec ~prio:p.nice ~sched)
+    task sched ();
+  match t.record with
+  | Some r ->
+    tap t r ~cpu
+      (Task_new { pid = task.pid; runtime = task.sum_exec; prio = task.nice; sched })
+      R_unit
+  | None -> ()
 
 let task_wakeup t (task : Kernsim.Task.t) ~cpu ~waker_cpu =
   let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu:waker_cpu
-       (Task_wakeup { pid = task.pid; runtime = task.sum_exec; waker_cpu; sched }))
+  cross t ~cpu:waker_cpu k_wakeup
+    (fun (Packed ((module S), st)) (p : Kernsim.Task.t) waker_cpu sched ->
+      S.task_wakeup st ~pid:p.pid ~runtime:p.sum_exec ~waker_cpu ~sched)
+    task waker_cpu sched;
+  match t.record with
+  | Some r ->
+    tap t r ~cpu:waker_cpu
+      (Task_wakeup { pid = task.pid; runtime = task.sum_exec; waker_cpu; sched }) R_unit
+  | None -> ()
 
 let task_blocked t (task : Kernsim.Task.t) ~cpu =
   invalidate t ~pid:task.pid;
-  unit_reply
-    (dispatch t ~cpu (Task_blocked { pid = task.pid; runtime = task.sum_exec; cpu }))
+  cross t ~cpu k_blocked
+    (fun (Packed ((module S), st)) (p : Kernsim.Task.t) cpu () ->
+      S.task_blocked st ~pid:p.pid ~runtime:p.sum_exec ~cpu)
+    task cpu ();
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_blocked { pid = task.pid; runtime = task.sum_exec; cpu }) R_unit
+  | None -> ()
 
 let task_yield t (task : Kernsim.Task.t) ~cpu =
   let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu (Task_yield { pid = task.pid; runtime = task.sum_exec; cpu; sched }))
+  cross t ~cpu k_yield
+    (fun (Packed ((module S), st)) (p : Kernsim.Task.t) cpu sched ->
+      S.task_yield st ~pid:p.pid ~runtime:p.sum_exec ~cpu ~sched)
+    task cpu sched;
+  match t.record with
+  | Some r ->
+    tap t r ~cpu (Task_yield { pid = task.pid; runtime = task.sum_exec; cpu; sched }) R_unit
+  | None -> ()
 
 let task_preempt t (task : Kernsim.Task.t) ~cpu =
   let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu (Task_preempt { pid = task.pid; runtime = task.sum_exec; cpu; sched }))
+  cross t ~cpu k_preempt
+    (fun (Packed ((module S), st)) (p : Kernsim.Task.t) cpu sched ->
+      S.task_preempt st ~pid:p.pid ~runtime:p.sum_exec ~cpu ~sched)
+    task cpu sched;
+  match t.record with
+  | Some r ->
+    tap t r ~cpu (Task_preempt { pid = task.pid; runtime = task.sum_exec; cpu; sched }) R_unit
+  | None -> ()
 
 let task_dead t (task : Kernsim.Task.t) ~cpu =
   invalidate t ~pid:task.pid;
   forget_gen t task.pid;
-  unit_reply (dispatch t ~cpu (Task_dead { pid = task.pid }))
+  cross t ~cpu k_dead
+    (fun (Packed ((module S), st)) pid () () -> S.task_dead st ~pid)
+    task.pid () ();
+  match t.record with Some r -> tap t r ~cpu (Task_dead { pid = task.pid }) R_unit | None -> ()
 
 let task_departed t (task : Kernsim.Task.t) ~cpu =
-  (match dispatch t ~cpu (Task_departed { pid = task.pid; cpu }) with
-  | R_sched_opt tok ->
-    (* the scheduler returns whatever token it held; consume it *)
-    Option.iter Schedulable.Private.consume tok
-  | r -> invalid_arg ("Enoki_c: bad task_departed reply " ^ Message.encode_reply r));
+  let held =
+    cross t ~cpu k_departed
+      (fun (Packed ((module S), st)) pid cpu () -> S.task_departed st ~pid ~cpu)
+      task.pid cpu ()
+  in
+  (match t.record with
+  | Some r -> tap t r ~cpu (Task_departed { pid = task.pid; cpu }) (R_sched_opt held)
+  | None -> ());
+  (* the scheduler returns whatever token it held; consume it *)
+  Option.iter Schedulable.Private.consume held;
   invalidate t ~pid:task.pid;
   forget_gen t task.pid
 
-let task_tick t ~cpu ~queued = unit_reply (dispatch t ~cpu (Task_tick { cpu; queued }))
+let task_tick t ~cpu ~queued =
+  cross t ~cpu k_tick (fun (Packed ((module S), st)) cpu queued () -> S.task_tick st ~cpu ~queued)
+    cpu queued ();
+  match t.record with Some r -> tap t r ~cpu (Task_tick { cpu; queued }) R_unit | None -> ()
 
-(* Int-encoded Sched_class boundary: option/token replies stay on the
-   Message wire (record/replay compatibility), but what crosses into the
-   machine's per-schedule hot path is a plain pid or -1. *)
+(* A picked token failed validation (wrong core, stale or forged): hand
+   ownership back via pnt_err, the recoverable path the Schedulable design
+   exists for. *)
+let reject_pick t ~cpu token err =
+  let pid = Schedulable.pid token in
+  count_violation t err;
+  emit t ~cpu (Trace.Event.Pnt_err { pid; err });
+  cross t ~cpu k_pnt_err
+    (fun (Packed ((module S), st)) cpu err tok ->
+      S.pnt_err st ~cpu ~pid:(Schedulable.pid tok) ~err ~sched:(Some tok))
+    cpu err token;
+  (match t.record with
+  | Some r -> tap t r ~cpu (Pnt_err { cpu; pid; err; sched = Some token }) R_unit
+  | None -> ());
+  -1
+
+(* Int-encoded for the machine's per-schedule hot path: a pid or -1. *)
 let pick_next_task t ~cpu =
-  match dispatch t ~cpu (Pick_next_task { cpu; curr = None; curr_runtime = 0 }) with
-  | R_sched_opt None -> -1
-  | R_sched_opt (Some token) ->
-    let reject err =
-      (* wrong core, stale or forged token: hand ownership back via
-         pnt_err, the recoverable path the Schedulable design exists for *)
-      count_violation t err;
-      emit t ~cpu (Trace.Event.Pnt_err { pid = Schedulable.pid token; err });
-      unit_reply
-        (dispatch t ~cpu (Pnt_err { cpu; pid = Schedulable.pid token; err; sched = Some token }));
-      -1
-    in
+  let picked =
+    cross t ~cpu k_pick
+      (fun (Packed ((module S), st)) cpu () () ->
+        S.pick_next_task st ~cpu ~curr:None ~curr_runtime:0)
+      cpu () ()
+  in
+  (match t.record with
+  | Some r ->
+    tap t r ~cpu (Pick_next_task { cpu; curr = None; curr_runtime = 0 }) (R_sched_opt picked)
+  | None -> ());
+  match picked with
+  | None -> -1
+  | Some token ->
     if token_valid t token ~cpu then begin
       let pid = Schedulable.pid token in
       (* the token checks out against our generation table; re-validate
@@ -353,50 +427,73 @@ let pick_next_task t ~cpu =
         Schedulable.Private.consume token;
         invalidate t ~pid;
         pid
-      | Some _ | None -> reject "not_runnable"
+      | Some _ | None -> reject_pick t ~cpu token "not_runnable"
     end
     else
-      reject
+      reject_pick t ~cpu token
         (if not (Schedulable.is_live token) then "consumed"
          else if Schedulable.cpu token <> cpu then "wrong_cpu"
          else "stale_generation")
-  | r -> invalid_arg ("Enoki_c: bad pick_next_task reply " ^ Message.encode_reply r)
 
 let balance t ~cpu =
-  match dispatch t ~cpu (Balance { cpu }) with
-  | R_pid_opt (Some p) -> p
-  | R_pid_opt None -> -1
-  | r -> invalid_arg ("Enoki_c: bad balance reply " ^ Message.encode_reply r)
+  let pid =
+    cross t ~cpu k_balance (fun (Packed ((module S), st)) cpu () () -> S.balance st ~cpu) cpu () ()
+  in
+  (match t.record with Some r -> tap t r ~cpu (Balance { cpu }) (R_pid_opt pid) | None -> ());
+  match pid with Some p -> p | None -> -1
 
 let balance_err t (task : Kernsim.Task.t) ~cpu =
-  unit_reply (dispatch t ~cpu (Balance_err { cpu; pid = task.pid; sched = None }))
+  cross t ~cpu k_balance_err
+    (fun (Packed ((module S), st)) cpu pid () -> S.balance_err st ~cpu ~pid ~sched:None)
+    cpu task.pid ();
+  match t.record with
+  | Some r -> tap t r ~cpu (Balance_err { cpu; pid = task.pid; sched = None }) R_unit
+  | None -> ()
 
 let migrate_task_rq t (task : Kernsim.Task.t) ~from_cpu ~to_cpu =
   let sched = mint t ~pid:task.pid ~cpu:to_cpu in
-  match dispatch t ~cpu:to_cpu (Migrate_task_rq { pid = task.pid; from_cpu; sched }) with
-  | R_sched_opt old ->
-    (* the scheduler returns the superseded token; consume whatever it gave *)
-    Option.iter Schedulable.Private.consume old
-  | r -> invalid_arg ("Enoki_c: bad migrate reply " ^ Message.encode_reply r)
+  let old =
+    cross t ~cpu:to_cpu k_migrate
+      (fun (Packed ((module S), st)) pid sched () -> S.migrate_task_rq st ~pid ~sched)
+      task.pid sched ()
+  in
+  (match t.record with
+  | Some r ->
+    tap t r ~cpu:to_cpu (Migrate_task_rq { pid = task.pid; from_cpu; sched }) (R_sched_opt old)
+  | None -> ());
+  (* the scheduler returns the superseded token; consume whatever it gave *)
+  Option.iter Schedulable.Private.consume old
 
 let task_prio_changed t (task : Kernsim.Task.t) =
-  unit_reply
-    (dispatch t ~cpu:task.cpu (Task_prio_changed { pid = task.pid; prio = task.nice }))
+  let cpu = task.cpu in
+  cross t ~cpu k_prio
+    (fun (Packed ((module S), st)) pid prio () -> S.task_prio_changed st ~pid ~prio)
+    task.pid task.nice ();
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_prio_changed { pid = task.pid; prio = task.nice }) R_unit
+  | None -> ()
 
 let task_affinity_changed t (task : Kernsim.Task.t) =
-  let allowed =
-    match task.affinity with
-    | Some cpus -> cpus
-    | None -> List.init (ops_exn t).nr_cpus Fun.id
-  in
-  unit_reply (dispatch t ~cpu:task.cpu (Task_affinity_changed { pid = task.pid; allowed }))
+  let cpu = task.cpu in
+  let allowed = match task.affinity with Some cpus -> cpus | None -> t.all_cpus in
+  cross t ~cpu k_affinity
+    (fun (Packed ((module S), st)) pid allowed () -> S.task_affinity_changed st ~pid ~allowed)
+    task.pid allowed ();
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_affinity_changed { pid = task.pid; allowed }) R_unit
+  | None -> ()
 
 (* User hints go through the shared ring, then Enoki-C synchronously drains
    it into parse_hint calls (the enter_queue protocol of §3.3). *)
 let deliver_hint t (task : Kernsim.Task.t) hint =
+  let cpu = task.cpu in
   if Ds.Ring_buffer.push t.hint_ring (task.pid, hint) then
     List.iter
-      (fun (pid, hint) -> unit_reply (dispatch t ~cpu:task.cpu (Parse_hint { pid; hint })))
+      (fun (pid, hint) ->
+        cross t ~cpu k_hint
+          (fun (Packed ((module S), st)) pid hint () -> S.parse_hint st ~pid ~hint)
+          pid hint ();
+        match t.record with Some r -> tap t r ~cpu (Parse_hint { pid; hint }) R_unit | None -> ())
       (Ds.Ring_buffer.drain t.hint_ring)
 
 (* ---------- registration ---------- *)
@@ -443,7 +540,7 @@ let fallback_exn t =
 let quarantine t ~cpu ?skip ~call exn =
   let ops = ops_exn t in
   t.panics <- t.panics + 1;
-  (match t.obs with Some o -> Metrics.Registry.incr o.o_panics ~cpu () | None -> ());
+  (match t.obs with Some o -> Metrics.Registry.incr o.o_panics ~cpu | None -> ());
   let reason = Printexc.to_string exn in
   emit t ~cpu (Trace.Event.Panic { call; reason });
   match t.quarantined with
@@ -451,7 +548,7 @@ let quarantine t ~cpu ?skip ~call exn =
   | None ->
     t.quarantined <- Some (reason, ops.now ());
     t.failovers <- t.failovers + 1;
-    (match t.obs with Some o -> Metrics.Registry.incr o.o_failovers ~cpu () | None -> ());
+    (match t.obs with Some o -> Metrics.Registry.incr o.o_failovers ~cpu | None -> ());
     t.blackout <- None;
     count_violation t "panic";
     emit t ~cpu (Trace.Event.Failover { fallback = fallback_name });
@@ -469,17 +566,6 @@ let quarantine t ~cpu ?skip ~call exn =
     done;
     fb
 
-(* Every scheduler-class hook runs under this boundary: when quarantined,
-   route straight to the fallback; otherwise run the module and convert
-   anything it raises into quarantine + failover instead of letting it
-   unwind the core scheduler. *)
-let guarded t ~cpu ?skip ~call ~(active : unit -> 'a) ~(failed : Ops.t -> 'a) () =
-  match t.quarantined with
-  | Some _ -> failed (fallback_exn t)
-  | None ->
-    if not t.isolate then active ()
-    else ( try active () with exn -> failed (quarantine t ~cpu ?skip ~call exn))
-
 let rec arm_record_drain t (ops : Ops.kernel_ops) r =
   ops.defer ~delay:(Kernsim.Time.us 100) (fun () ->
       Record.drain r;
@@ -489,6 +575,7 @@ let factory t : Kernsim.Sched_class.factory =
  fun ops ->
   if t.ops <> None then invalid_arg "Enoki_c: scheduler already registered";
   t.ops <- Some ops;
+  t.all_cpus <- List.init ops.nr_cpus Fun.id;
   (* module load: construct the scheduler against the safe context *)
   Lock.reset_ids ();
   (match t.tracer with
@@ -509,69 +596,85 @@ let factory t : Kernsim.Sched_class.factory =
   let (module S : Sched_trait.S) = t.modul in
   let st = S.create (make_ctx t ops) in
   t.packed <- Some (Sched_trait.Packed ((module S), st));
+  (* Every hook runs under the isolation boundary: when quarantined, route
+     straight to the fallback; otherwise run the module and turn anything it
+     raises into quarantine + failover instead of letting it unwind the core
+     scheduler.  [~skip] is the task the failed hook was about. *)
   {
     Kernsim.Sched_class.name = "enoki:" ^ S.name;
     select_task_rq =
       (fun task ~waker_cpu ->
-        guarded t ~cpu:waker_cpu ~skip:task.pid ~call:"select_task_rq"
-          ~active:(fun () -> select_task_rq t task ~waker_cpu)
-          ~failed:(fun fb -> fb.select_task_rq task ~waker_cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).select_task_rq task ~waker_cpu
+        | None -> (
+          try select_task_rq t task ~waker_cpu with exn when t.isolate ->
+            let fb = quarantine t ~cpu:waker_cpu ~skip:task.pid ~call:"select_task_rq" exn in
+            fb.select_task_rq task ~waker_cpu));
     task_new =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_new"
-          ~active:(fun () -> task_new t task ~cpu)
-          ~failed:(fun fb -> fb.task_new task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_new task ~cpu
+        | None -> (
+          try task_new t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"task_new" exn).task_new task ~cpu));
     task_wakeup =
       (fun task ~cpu ~waker_cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_wakeup"
-          ~active:(fun () -> task_wakeup t task ~cpu ~waker_cpu)
-          ~failed:(fun fb -> fb.task_wakeup task ~cpu ~waker_cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_wakeup task ~cpu ~waker_cpu
+        | None -> (
+          try task_wakeup t task ~cpu ~waker_cpu with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_wakeup" exn in
+            fb.task_wakeup task ~cpu ~waker_cpu));
     task_blocked =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_blocked"
-          ~active:(fun () -> task_blocked t task ~cpu)
-          ~failed:(fun fb -> fb.task_blocked task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_blocked task ~cpu
+        | None -> (
+          try task_blocked t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"task_blocked" exn).task_blocked task ~cpu));
     task_yield =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_yield"
-          ~active:(fun () -> task_yield t task ~cpu)
-          ~failed:(fun fb -> fb.task_yield task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_yield task ~cpu
+        | None -> (
+          try task_yield t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"task_yield" exn).task_yield task ~cpu));
     task_preempt =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_preempt"
-          ~active:(fun () -> task_preempt t task ~cpu)
-          ~failed:(fun fb -> fb.task_preempt task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_preempt task ~cpu
+        | None -> (
+          try task_preempt t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"task_preempt" exn).task_preempt task ~cpu));
     task_dead =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_dead"
-          ~active:(fun () -> task_dead t task ~cpu)
-          ~failed:(fun fb -> fb.task_dead task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_dead task ~cpu
+        | None -> (
+          try task_dead t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"task_dead" exn).task_dead task ~cpu));
     task_departed =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_departed"
-          ~active:(fun () -> task_departed t task ~cpu)
-          ~failed:(fun fb -> fb.task_departed task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_departed task ~cpu
+        | None -> (
+          try task_departed t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"task_departed" exn).task_departed task ~cpu));
     task_tick =
       (fun ~cpu ~queued ->
-        guarded t ~cpu ~call:"task_tick"
-          ~active:(fun () -> task_tick t ~cpu ~queued)
-          ~failed:(fun fb -> fb.task_tick ~cpu ~queued)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_tick ~cpu ~queued
+        | None -> (
+          try task_tick t ~cpu ~queued with exn when t.isolate ->
+            (quarantine t ~cpu ~call:"task_tick" exn).task_tick ~cpu ~queued));
     pick_next_task =
       (fun ~cpu ->
         let picked =
-          guarded t ~cpu ~call:"pick_next_task"
-            ~active:(fun () -> pick_next_task t ~cpu)
-            ~failed:(fun fb -> fb.pick_next_task ~cpu)
-            ()
+          match t.quarantined with
+          | Some _ -> (fallback_exn t).pick_next_task ~cpu
+          | None -> (
+            try pick_next_task t ~cpu with exn when t.isolate ->
+              (quarantine t ~cpu ~call:"pick_next_task" exn).pick_next_task ~cpu)
         in
         (if picked >= 0 then
            match (t.quarantined, t.blackout) with
@@ -582,40 +685,50 @@ let factory t : Kernsim.Sched_class.factory =
         picked);
     balance =
       (fun ~cpu ->
-        guarded t ~cpu ~call:"balance"
-          ~active:(fun () -> balance t ~cpu)
-          ~failed:(fun fb -> fb.balance ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).balance ~cpu
+        | None -> (
+          try balance t ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~call:"balance" exn).balance ~cpu));
     balance_err =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"balance_err"
-          ~active:(fun () -> balance_err t task ~cpu)
-          ~failed:(fun fb -> fb.balance_err task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).balance_err task ~cpu
+        | None -> (
+          try balance_err t task ~cpu with exn when t.isolate ->
+            (quarantine t ~cpu ~skip:task.pid ~call:"balance_err" exn).balance_err task ~cpu));
     migrate_task_rq =
       (fun task ~from_cpu ~to_cpu ->
-        guarded t ~cpu:to_cpu ~skip:task.pid ~call:"migrate_task_rq"
-          ~active:(fun () -> migrate_task_rq t task ~from_cpu ~to_cpu)
-          ~failed:(fun fb -> fb.migrate_task_rq task ~from_cpu ~to_cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).migrate_task_rq task ~from_cpu ~to_cpu
+        | None -> (
+          try migrate_task_rq t task ~from_cpu ~to_cpu with exn when t.isolate ->
+            let fb = quarantine t ~cpu:to_cpu ~skip:task.pid ~call:"migrate_task_rq" exn in
+            fb.migrate_task_rq task ~from_cpu ~to_cpu));
     task_prio_changed =
       (fun task ->
-        guarded t ~cpu:task.cpu ~skip:task.pid ~call:"task_prio_changed"
-          ~active:(fun () -> task_prio_changed t task)
-          ~failed:(fun fb -> fb.task_prio_changed task)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_prio_changed task
+        | None -> (
+          try task_prio_changed t task with exn when t.isolate ->
+            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"task_prio_changed" exn in
+            fb.task_prio_changed task));
     task_affinity_changed =
       (fun task ->
-        guarded t ~cpu:task.cpu ~skip:task.pid ~call:"task_affinity_changed"
-          ~active:(fun () -> task_affinity_changed t task)
-          ~failed:(fun fb -> fb.task_affinity_changed task)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_affinity_changed task
+        | None -> (
+          try task_affinity_changed t task with exn when t.isolate ->
+            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"task_affinity_changed" exn in
+            fb.task_affinity_changed task));
     deliver_hint =
       (fun task hint ->
-        guarded t ~cpu:task.cpu ~skip:task.pid ~call:"parse_hint"
-          ~active:(fun () -> deliver_hint t task hint)
-          ~failed:(fun fb -> fb.deliver_hint task hint)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).deliver_hint task hint
+        | None -> (
+          try deliver_hint t task hint with exn when t.isolate ->
+            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"parse_hint" exn in
+            fb.deliver_hint task hint));
   }
 
 (* ---------- live upgrade (§3.2) ---------- *)

@@ -1,12 +1,15 @@
 (** Enoki-C: the in-kernel half of the framework.
 
     Sits between the core scheduling code ({!Kernsim.Machine}) and a loaded
-    scheduler module.  It translates every scheduler-class hook into a
-    {!Message}, mints and validates {!Schedulable} capabilities, tracks task
-    runtimes on the scheduler's behalf, manages the user/kernel hint rings,
-    charges the framework's per-invocation overhead in simulated time, taps
-    the record subsystem, and implements live upgrade behind a quiescing
-    read-write lock (§3, §3.2).
+    scheduler module.  Each scheduler-class hook calls the module's matching
+    {!Sched_trait.S} function directly with plain data; a crossing allocates
+    nothing beyond the {!Schedulable} token it mints.  Enoki-C mints and
+    validates those capabilities, tracks task runtimes on the scheduler's
+    behalf, manages the user/kernel hint rings, charges the framework's
+    per-invocation overhead in simulated time, and implements live upgrade
+    behind a quiescing read-write lock (§3, §3.2).  The {!Message} form of a
+    call is built only for the record tap; replay feeds decoded messages
+    back through {!Lib_enoki.process}.
 
     Usage: [let h = Enoki_c.create (module My_sched) in
             Machine.create ~classes:[ Enoki_c.factory h ] ... ] *)
@@ -18,7 +21,7 @@ type t
     time).  [policy] is the id user tasks use to attach (defaults to the
     class's position, 0).  [hint_capacity] bounds the user-to-kernel hint
     ring.  [record] enables the record tap.  [tracer] attaches a schedtrace
-    sink: Enoki-C then emits [Msg_call] at every message boundary,
+    sink: Enoki-C then emits [Msg_call] at every boundary crossing,
     [Pnt_err] for every rejected Schedulable (and bad [select_task_rq]
     reply), and lock acquire/release events via {!Lock.set_trace_tap}.
 
@@ -104,7 +107,3 @@ val previous : t -> (module Sched_trait.S) option
     watchdog takes when the current module is wedged or panicking.  Like
     {!upgrade} but pops the version history on success. *)
 val rollback : t -> (Upgrade.stats, exn) result
-
-(** Send a call directly to the registered scheduler (tests and the replay
-    validator use this; the kernel path goes through the factory). *)
-val dispatch_raw : t -> tid:int -> Message.call -> Message.reply

@@ -1,10 +1,9 @@
 (** The libEnoki processing function.
 
-    When a scheduler module registers, libEnoki registers this processing
-    function with Enoki-C; it parses each per-function message, calls the
-    corresponding scheduler function, and writes the return value back into
-    a reply (§3.1).  Replay drives the very same function, which is what
-    guarantees the identical scheduler code runs in the kernel and at
-    userspace. *)
+    It parses each per-function message, calls the corresponding scheduler
+    function, and writes the return value back into a reply (§3.1).
+    Replay drives it with the messages decoded from a record log; in a
+    live run Enoki-C makes the same calls directly, so the identical
+    scheduler code runs in the kernel and at userspace. *)
 
 val process : Sched_trait.packed -> Message.call -> Message.reply

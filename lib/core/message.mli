@@ -1,12 +1,12 @@
 (** Messages across the Enoki-C / libEnoki boundary.
 
-    Enoki-C translates every call from the core scheduler code into a
+    Every call from the core scheduler code to a module is one
     per-function message (§3): plain data plus Schedulable capabilities —
-    never kernel pointers.  The processing function in libEnoki
-    ({!Lib_enoki}) parses each message and invokes the scheduler.  The
-    record subsystem serialises the same messages, one per line, so replay
-    can feed the identical call stream to the identical scheduler code at
-    userspace. *)
+    never kernel pointers.  Enoki-C calls the module directly and builds
+    the message value only for the record tap, which serialises one per
+    call; replay decodes them and feeds the identical call stream through
+    the processing function in libEnoki ({!Lib_enoki}) to the identical
+    scheduler code at userspace. *)
 
 type ns = Kernsim.Time.ns
 

@@ -117,7 +117,7 @@ let cpu_idle t cpu = t.cores.(cpu).curr < 0
 (* Registry recording: one option match when no registry is attached, and
    the record calls never touch simulated time (zero-perturbation). *)
 let obs_incr t ~cpu f =
-  match t.obs with None -> () | Some o -> Metrics.Registry.incr (f o) ~cpu ()
+  match t.obs with None -> () | Some o -> Metrics.Registry.incr (f o) ~cpu
 
 let obs_observe t ~cpu f v =
   match t.obs with None -> () | Some o -> Metrics.Registry.observe (f o) ~cpu v

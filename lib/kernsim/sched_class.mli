@@ -4,8 +4,8 @@
     hook set through which the core scheduling code ({!Machine}) drives a
     policy.  The native CFS implementation ({!Cfs}) implements it directly;
     the Enoki framework ({!Enoki_c} in [lib/core]) implements it once and
-    translates every hook into a message for a loaded scheduler module,
-    exactly as the paper's Enoki-C does.
+    forwards every hook to a loaded scheduler module as plain data, as the
+    paper's Enoki-C does.
 
     A class receives {!Task.t} values (the kernel lets its schedulers read
     [task_struct]); the Enoki layer deliberately never forwards them to

@@ -148,13 +148,13 @@ let histogram t ?(help = "") name =
 
 let shard shards cpu = if cpu >= 0 && cpu < Array.length shards then cpu else 0
 
-let incr c ?(cpu = 0) ?(n = 1) () =
+let incr c ~cpu =
   let i = shard c.c_shards cpu in
-  c.c_shards.(i) <- c.c_shards.(i) + n
+  c.c_shards.(i) <- c.c_shards.(i) + 1
 
 let set g v = g.g_value <- v
 
-let observe h ?(cpu = 0) v = Stats.Histogram.record h.h_shards.(shard h.h_shards cpu) v
+let observe h ~cpu v = Stats.Histogram.record h.h_shards.(shard h.h_shards cpu) v
 
 (* ---------- reading ---------- *)
 

@@ -73,13 +73,14 @@ val gauge_probe : t -> ?help:string -> string -> (unit -> float) -> unit
 val histogram : t -> ?help:string -> string -> histogram
 
 (** Recording. [cpu] out of range is folded onto shard 0, mirroring the
-    tracer's discipline. *)
+    tracer's discipline.  [cpu] is a required label so that a hot-path
+    record never boxes it into an option. *)
 
-val incr : counter -> ?cpu:int -> ?n:int -> unit -> unit
+val incr : counter -> cpu:int -> unit
 
 val set : gauge -> float -> unit
 
-val observe : histogram -> ?cpu:int -> int -> unit
+val observe : histogram -> cpu:int -> int -> unit
 
 (** Reading. *)
 

@@ -189,16 +189,17 @@ let pnt_err t ~cpu ~pid ~err:_ ~sched =
 let select_task_rq t ~pid ~waker_cpu ~allowed =
   Enoki.Lock.with_lock t.lock (fun () ->
       (* go back to the previous cpu unless it has queued work; otherwise
-         take the emptiest allowed queue *)
-      let ok cpu = List.mem cpu allowed && cpu >= 0 && cpu < Array.length t.rqs in
+         take the emptiest allowed queue.  Only [prev] needs the membership
+         test: the scan draws its cpus from [allowed] itself. *)
+      let in_range cpu = cpu >= 0 && cpu < Array.length t.rqs in
       let prev = match Hashtbl.find_opt t.ents pid with Some e -> e.cpu | None -> waker_cpu in
-      if ok prev && nr_running t.rqs.(prev) = 0 then prev
+      if List.mem prev allowed && in_range prev && nr_running t.rqs.(prev) = 0 then prev
       else begin
         let best = ref (match allowed with c :: _ -> c | [] -> prev)
         and best_n = ref max_int in
         List.iter
           (fun cpu ->
-            if ok cpu then begin
+            if in_range cpu then begin
               let n = nr_running t.rqs.(cpu) in
               if n < !best_n then begin
                 best := cpu;

@@ -115,7 +115,7 @@ let request_observer b =
       Metrics.Registry.histogram reg ~help:"workload request/wakeup latency (ns)"
         "workload_request_latency_ns"
     in
-    fun v -> Metrics.Registry.observe h v
+    fun v -> Metrics.Registry.observe h ~cpu:0 v
 
 let label = function
   | Cfs -> "cfs"

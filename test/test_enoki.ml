@@ -309,6 +309,148 @@ let test_schedulable_violation_recovered () =
   check Alcotest.bool "task survived the bad pick" true
     ((Option.get (M.find_task b.machine pid)).T.state = T.Dead)
 
+(* ---------- the crossing itself, driven without a machine ---------- *)
+
+(* A module that allocates nothing: every callback returns a constant or
+   one of its arguments.  While [tick_panic] is [Some ns], [task_tick]
+   charges [ns] through the context and then raises. *)
+exception Boom
+
+let tick_panic = ref None
+
+module Null_sched = struct
+  type t = { ctx : Enoki.Ctx.t }
+
+  include Enoki.Sched_trait.Defaults (struct
+    type nonrec t = t
+  end)
+
+  let name = "null"
+
+  let create ctx = { ctx }
+
+  let get_policy _ = 0
+
+  let pick_next_task _ ~cpu:_ ~curr:_ ~curr_runtime:_ = None
+
+  let task_dead _ ~pid:_ = ()
+
+  let task_blocked _ ~pid:_ ~runtime:_ ~cpu:_ = ()
+
+  let task_wakeup _ ~pid:_ ~runtime:_ ~waker_cpu:_ ~sched:_ = ()
+
+  let task_new _ ~pid:_ ~runtime:_ ~prio:_ ~sched:_ = ()
+
+  let task_preempt _ ~pid:_ ~runtime:_ ~cpu:_ ~sched:_ = ()
+
+  let task_departed _ ~pid:_ ~cpu:_ = None
+
+  let select_task_rq _ ~pid:_ ~waker_cpu ~allowed:_ = waker_cpu
+
+  let migrate_task_rq _ ~pid:_ ~sched:_ = None
+
+  let reregister_init ctx _ = create ctx
+
+  let task_tick t ~cpu ~queued:_ =
+    match !tick_panic with
+    | Some ns ->
+      t.ctx.charge ~cpu ns;
+      raise Boom
+    | None -> ()
+end
+
+(* Register [e] against an inert 80-cpu kernel and return its class. *)
+let null_class e =
+  let topology = Kernsim.Topology.two_socket in
+  Enoki.Enoki_c.factory e
+    {
+      Kernsim.Sched_class.now = (fun () -> 0);
+      nr_cpus = Kernsim.Topology.nr_cpus topology;
+      topology;
+      costs = Kernsim.Costs.default;
+      defer = (fun ~delay:_ _ -> ());
+      resched_cpu = (fun _ -> ());
+      set_timer = (fun ~cpu:_ _ -> ());
+      cancel_timer = (fun ~cpu:_ -> ());
+      charge = (fun ~cpu:_ _ -> ());
+      send_user = (fun ~pid:_ _ -> ());
+      current = (fun ~cpu:_ -> None);
+      cpu_is_idle = (fun _ -> true);
+      find_task = (fun _ -> None);
+      live_tasks = (fun ~policy:_ -> []);
+    }
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_crossing_allocates_nothing () =
+  let e = Enoki.Enoki_c.create (module Null_sched) in
+  let cls = null_class e in
+  let task = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid:1 ~now:0 in
+  check Alcotest.bool "unpinned task" true (task.T.affinity = None);
+  let n = 10_000 in
+  let per_hook =
+    [
+      ( "pick_next_task",
+        fun () ->
+          for i = 1 to n do
+            ignore (Sys.opaque_identity (cls.pick_next_task ~cpu:(i land 63)))
+          done );
+      ( "balance",
+        fun () ->
+          for i = 1 to n do
+            ignore (Sys.opaque_identity (cls.balance ~cpu:(i land 63)))
+          done );
+      ( "task_tick",
+        fun () ->
+          for i = 1 to n do
+            cls.task_tick ~cpu:(i land 63) ~queued:true
+          done );
+      ( "select_task_rq",
+        fun () ->
+          for i = 1 to n do
+            ignore (Sys.opaque_identity (cls.select_task_rq task ~waker_cpu:(i land 63)))
+          done );
+    ]
+  in
+  List.iter
+    (fun (hook, f) -> check (Alcotest.float 0.0) (hook ^ ": minor words") 0.0 (minor_words f))
+    per_hook;
+  check Alcotest.int "every crossing counted" (4 * n) (Enoki.Enoki_c.calls e);
+  check Alcotest.int "no violations" 0 (Enoki.Enoki_c.violations e)
+
+let test_isolation_semantics () =
+  let panicking ?call_budget ~isolate charge =
+    let e = Enoki.Enoki_c.create ~isolate ?call_budget (module Null_sched) in
+    let cls = null_class e in
+    tick_panic := Some charge;
+    Fun.protect ~finally:(fun () -> tick_panic := None) (fun () ->
+        (e, match cls.task_tick ~cpu:2 ~queued:true with () -> None | exception exn -> Some exn))
+  in
+  (* isolation off: the module's exception unwinds the class hook *)
+  let e, raised = panicking ~isolate:false 0 in
+  check Alcotest.bool "exception propagates" true (raised = Some Boom);
+  check Alcotest.int "no panic counted" 0 (Enoki.Enoki_c.failover_stats e).panics;
+  (* isolation on: the same module is quarantined behind the CFS fallback *)
+  let e, raised = panicking ~isolate:true 0 in
+  let f = Enoki.Enoki_c.failover_stats e in
+  check Alcotest.bool "exception contained" true (raised = None);
+  check Alcotest.int "one panic" 1 f.panics;
+  check Alcotest.int "one failover" 1 f.failovers;
+  check Alcotest.bool "quarantined" true (f.quarantined <> None);
+  check Alcotest.int "no budget: no overrun" 0 f.overruns;
+  (* a call that charges past its budget and then raises is both *)
+  let e, raised = panicking ~isolate:true ~call_budget:(Kernsim.Time.us 1) (Kernsim.Time.us 5) in
+  let f = Enoki.Enoki_c.failover_stats e in
+  check Alcotest.bool "contained" true (raised = None);
+  check Alcotest.int "counted as an overrun" 1 f.overruns;
+  check Alcotest.int "and as a panic" 1 f.panics;
+  let kinds = Enoki.Enoki_c.violation_breakdown e in
+  check Alcotest.bool "call_budget violation" true (List.mem_assoc "call_budget" kinds);
+  check Alcotest.bool "panic violation" true (List.mem_assoc "panic" kinds)
+
 (* ---------- live upgrade ---------- *)
 
 let hog ~chunk ~steps =
@@ -767,6 +909,8 @@ let () =
           Alcotest.test_case "coexists with cfs" `Quick test_enoki_coexists_with_cfs;
           Alcotest.test_case "violation recovered via pnt_err" `Quick
             test_schedulable_violation_recovered;
+          Alcotest.test_case "crossing allocates nothing" `Quick test_crossing_allocates_nothing;
+          Alcotest.test_case "isolation semantics" `Quick test_isolation_semantics;
         ] );
       ( "upgrade",
         [

@@ -22,8 +22,8 @@ let test_get_or_create () =
   let reg = R.create ~nr_cpus:4 () in
   let a = R.counter reg ~help:"a counter" "x_total" in
   let b = R.counter reg "x_total" in
-  R.incr a ();
-  R.incr b ~n:2 ();
+  R.incr a ~cpu:0;
+  for _ = 1 to 2 do R.incr b ~cpu:0 done;
   check Alcotest.int "handles alias one metric" 3 (R.counter_value a);
   check Alcotest.int "second handle agrees" 3 (R.counter_value b);
   let g = R.gauge reg "g" in
@@ -44,11 +44,11 @@ let test_sharding () =
   check Alcotest.int "nr_cpus" 4 (R.nr_cpus reg);
   let c = R.counter reg "sharded_total" in
   for cpu = 0 to 3 do
-    R.incr c ~cpu ()
+    R.incr c ~cpu
   done;
   (* out-of-range cpus fold onto shard 0 rather than being lost *)
-  R.incr c ~cpu:99 ();
-  R.incr c ~cpu:(-1) ();
+  R.incr c ~cpu:99;
+  R.incr c ~cpu:(-1);
   check Alcotest.int "value sums all shards" 6 (R.counter_value c);
   let h = R.histogram reg "sharded_ns" in
   for i = 1 to 100 do
@@ -66,7 +66,7 @@ let test_probe_and_iter () =
   let live = ref 0.0 in
   R.gauge_probe reg "depth" (fun () -> !live);
   ignore (R.histogram reg "lat_ns");
-  R.incr c ~n:7 ();
+  for _ = 1 to 7 do R.incr c ~cpu:0 done;
   live := 3.0;
   let seen = ref [] in
   R.iter reg (fun ~name ~help:_ v -> seen := (name, v) :: !seen);
@@ -132,11 +132,11 @@ let test_to_buckets () =
 let sample_registry () =
   let reg = R.create ~nr_cpus:2 () in
   let c = R.counter reg ~help:"total frobs" "frobs_total" in
-  R.incr c ~n:5 ();
+  for _ = 1 to 5 do R.incr c ~cpu:0 done;
   let g = R.gauge reg ~help:"queue depth" "depth" in
   R.set g 2.0;
   let h = R.histogram reg ~help:"latency" "lat_ns" in
-  List.iter (fun v -> R.observe h v) [ 10; 100; 1000; 1000 ];
+  List.iter (fun v -> R.observe h ~cpu:0 v) [ 10; 100; 1000; 1000 ];
   reg
 
 let test_prometheus () =
@@ -217,7 +217,7 @@ let test_sampler_ticks () =
     | (t, f) :: rest when t <= 500 ->
       agenda := rest;
       now := t;
-      R.incr c ();
+      R.incr c ~cpu:0;
       f ();
       loop ()
     | _ -> ()
@@ -295,7 +295,7 @@ let test_labeled_csv_roundtrip () =
   let reg = R.create ~nr_cpus:1 () in
   let labels = [ ("tenant", "we\"b"); ("sched", "wfq,2") ] in
   let c = R.counter reg (R.labeled "fleet_completed_total" labels) in
-  R.incr c ~n:3 ();
+  for _ = 1 to 3 do R.incr c ~cpu:0 done;
   let smp = Metrics.Sampler.create ~interval:10 reg in
   Metrics.Sampler.flush smp ~ts:10;
   let csv = Metrics.Export.csv smp in
@@ -316,7 +316,8 @@ let test_labeled_csv_roundtrip () =
 let test_labeled_json_roundtrip () =
   let reg = R.create ~nr_cpus:1 () in
   let name = R.labeled "fleet_completed_total" [ ("tenant", "we\"b") ] in
-  R.incr (R.counter reg name) ~n:7 ();
+  let c = R.counter reg name in
+  for _ = 1 to 7 do R.incr c ~cpu:0 done;
   let j = Metrics.Export.json_summary reg in
   match Metrics.Json.parse (Metrics.Json.to_string ~pretty:true j) with
   | Error e -> Alcotest.failf "summary does not reparse: %s" e
