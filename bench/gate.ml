@@ -4,8 +4,9 @@
    A suite emits rows: key columns naming the cell (scheduler, workload,
    tenant, ...) plus metric columns.  Each metric carries its check in
    code.  Exact and Rel compare against the committed baseline; Ceiling,
-   Floor and Wall_ratchet are same-run bounds that need no baseline; Info
-   columns are recorded and printed, never judged.  Snapshots are
+   Floor and Wall_ratchet are same-run bounds that need no baseline; Both
+   pairs two checks on one column; Info columns are recorded and printed,
+   never judged.  Snapshots are
    {schema_version: 2, suite, git_rev, seed, rows}. *)
 
 type better = Lower | Higher
@@ -20,6 +21,9 @@ type check =
   | Wall_ratchet of { limit : float; better : better; remeasure : unit -> float }
       (** a best-of-N wall-clock bound; a breach is re-measured once, and
           the better reading decides *)
+  | Both of check * check
+      (** both must pass: a baseline-relative check under an absolute
+          bound that a regenerated baseline cannot loosen *)
   | Info
 
 type metric = { name : string; value : float; check : check }
@@ -120,18 +124,27 @@ let fmt v =
   else if Float.abs v >= 100. then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.3g" v
 
-let compared m = match m.check with Exact | Rel _ -> true | _ -> false
+let rec needs_base = function
+  | Exact | Rel _ -> true
+  | Both (a, b) -> needs_base a || needs_base b
+  | Ceiling _ | Floor _ | Wall_ratchet _ | Info -> false
+
+let compared m = needs_base m.check
 
 let judged m = match m.check with Info -> false | _ -> true
 
 let worse better ~limit v = match better with Lower -> v > limit | Higher -> v < limit
 
 (* the verdict on one metric, [base] being its baseline value: None passes *)
-let judge ~note ~base m =
+let rec judge ~note ~base m =
   let vs b =
     Printf.sprintf "%s, baseline %s (%+.1f%%)" (fmt m.value) (fmt b) (100. *. ((m.value /. b) -. 1.))
   in
   match (m.check, base) with
+  | Both (a, b), _ -> (
+    match judge ~note ~base { m with check = a } with
+    | Some _ as failed -> failed
+    | None -> judge ~note ~base { m with check = b })
   | Info, _ | (Exact | Rel _), None -> None
   | Exact, Some b -> if m.value = b then None else Some (vs b ^ ": must be identical")
   | Rel (better, tol), Some b ->

@@ -81,6 +81,19 @@ let test_same_run_bounds () =
   expect "info never judged" (passes (run [ float "ns_per_event" 1e9 ]));
   Alcotest.(check int) "info not counted" 1 (run [ float "ns" 1.; int ~check:(Ceiling 0.) "v" 0 ]).checks
 
+let test_both () =
+  let b = base [ (key, [ ("bytes_per_event", 40.) ]) ] in
+  let check = Both (Rel (Lower, 0.2), Ceiling 64.) in
+  expect "within both" (passes (run ~base:b [ float ~check "bytes_per_event" 44. ]));
+  expect "rel drift fails"
+    (failure_mentions "regressed past 20%" (run ~base:b [ float ~check "bytes_per_event" 50. ]));
+  let loose = base [ (key, [ ("bytes_per_event", 60.) ]) ] in
+  expect "ceiling holds under a regenerated baseline"
+    (failure_mentions "> ceiling 64" (run ~base:loose [ float ~check "bytes_per_event" 70. ]));
+  expect "a Rel half needs a baseline row"
+    (failure_mentions "row missing from the baseline"
+       (diff ~base:b ~suite:"s" [ row [ ("scheduler", "wfq") ] [ float ~check "bytes_per_event" 1. ] ]))
+
 let test_wall_ratchet () =
   let calls = ref 0 in
   let ratchet readings =
@@ -130,6 +143,7 @@ let () =
           Alcotest.test_case "exact off by one" `Quick test_exact;
           Alcotest.test_case "same-run bounds" `Quick test_same_run_bounds;
           Alcotest.test_case "wall ratchet confirm" `Quick test_wall_ratchet;
+          Alcotest.test_case "both: rel under a ceiling" `Quick test_both;
         ] );
       ("snapshot", [ Alcotest.test_case "json round trip" `Quick test_snapshot_roundtrip ]);
     ]

@@ -44,6 +44,9 @@ type t = {
   tracer : Trace.Tracer.t option;
   obs : obs option;
   profile : Profile.t option;
+  (* the profile row of each call kind for the registered module, resolved
+     on the kind's first crossing and reset when an upgrade swaps modules *)
+  prof_cells : Profile.cell option array;
   mutable calls : int;
   mutable violations : int;
   violation_kinds : (string, int) Hashtbl.t;
@@ -100,6 +103,8 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
     tracer;
     obs;
     profile;
+    prof_cells =
+      (match profile with Some _ -> Array.make (Array.length call_names) None | None -> [||]);
     calls = 0;
     violations = 0;
     violation_kinds = Hashtbl.create 8;
@@ -161,6 +166,14 @@ let per_call_counter o k =
         ("enoki_call_" ^ call_names.(k) ^ "_total")
     in
     o.o_per_call.(k) <- Some c;
+    c
+
+let profile_cell t p k =
+  match Array.unsafe_get t.prof_cells k with
+  | Some c -> c
+  | None ->
+    let c = Profile.cell p ~sched:(scheduler_name t) ~call:call_names.(k) in
+    t.prof_cells.(k) <- Some c;
     c
 
 let violation_breakdown t =
@@ -230,8 +243,7 @@ let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
   | None -> ());
   (match t.profile with
   | Some p ->
-    Profile.record p ~sched:(scheduler_name t) ~call:call_names.(k)
-      ~sim_ns:(ops.costs.enoki_call + charged)
+    Profile.record_cell p (profile_cell t p k) ~sim_ns:(ops.costs.enoki_call + charged)
       ~wall_ns:(Profile.now_wall () -. wall0)
   | None -> ());
   match t.call_budget with
@@ -773,6 +785,7 @@ let upgrade t (module New : Sched_trait.S) =
     | transfer, new_st ->
       t.history <- (module Old : Sched_trait.S) :: t.history;
       t.packed <- Some (Sched_trait.Packed ((module New), new_st));
+      Array.fill t.prof_cells 0 (Array.length t.prof_cells) None;
       (* the write lock was held while both reregister calls ran; model
          that blackout by delaying every cpu's next dispatch *)
       let pause =

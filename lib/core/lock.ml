@@ -131,6 +131,14 @@ let with_lock t f =
     in
     Fun.protect f ~finally
 
+(* Passthrough without a tap runs [f] with no closure built; anything that
+   logs, taps or orders acquisitions goes through [with_lock], so lock
+   events are the same whichever form a module uses. *)
+let locked t f s a b c d =
+  match (mode (), Domain.DLS.get tap_key) with
+  | Passthrough, None -> f s a b c d
+  | _ -> with_lock t (fun () -> f s a b c d)
+
 (* The whole domain-local lock state as a first-class value, so a host's
    lock identity (its mode, tap, id counter and replay-created locks) can
    travel with the host rather than with whichever domain happens to run

@@ -1,9 +1,11 @@
 (** Immutable red-black trees with ordered keys.
 
-    This is the runqueue structure used by the native CFS implementation
-    ({!Kernsim.Cfs}): tasks are keyed by [(vruntime, pid)] and the scheduler
-    repeatedly needs the minimum key.  The tree is persistent; all operations
-    are O(log n).
+    The ordered run-queue of the EDF and RT-FIFO modules and of the
+    vtime-ordered DSQs: tasks are keyed by a tuple such as
+    [(deadline, pid)] and the scheduler repeatedly needs the minimum key.
+    The tree is persistent; all operations are O(log n).  Each [add]
+    allocates its path, so a hot run-queue that only needs the minimum is
+    cheaper as a {!Pid_heap} (WFQ) or an inline heap (built-in CFS).
 
     The implementation maintains the two classical red-black invariants
     (no red node has a red child; every root-to-leaf path crosses the same

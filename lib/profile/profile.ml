@@ -11,15 +11,17 @@ let create () = { cells = Hashtbl.create 32; total = 0 }
 
 let now_wall () = Unix.gettimeofday () *. 1e9
 
-let record t ~sched ~call ~sim_ns ~wall_ns =
-  let cell =
-    match Hashtbl.find_opt t.cells (sched, call) with
-    | Some c -> c
-    | None ->
-      let c = { count = 0; sim_ns = 0; wall_ns = 0.0 } in
-      Hashtbl.add t.cells (sched, call) c;
-      c
-  in
+(* The (sched, call) lookup builds a tuple key and hashes two strings, so
+   a caller resolves its cell once and then records into it directly. *)
+let cell t ~sched ~call =
+  match Hashtbl.find_opt t.cells (sched, call) with
+  | Some c -> c
+  | None ->
+    let c = { count = 0; sim_ns = 0; wall_ns = 0.0 } in
+    Hashtbl.add t.cells (sched, call) c;
+    c
+
+let record_cell t (cell : cell) ~sim_ns ~wall_ns =
   cell.count <- cell.count + 1;
   cell.sim_ns <- cell.sim_ns + sim_ns;
   cell.wall_ns <- cell.wall_ns +. Float.max 0.0 wall_ns;
@@ -30,7 +32,8 @@ let crossings t = t.total
 let rows t =
   Hashtbl.fold
     (fun (sched, call) (c : cell) acc ->
-      { sched; call; count = c.count; sim_ns = c.sim_ns; wall_ns = c.wall_ns } :: acc)
+      if c.count = 0 then acc
+      else { sched; call; count = c.count; sim_ns = c.sim_ns; wall_ns = c.wall_ns } :: acc)
     t.cells []
   |> List.sort (fun a b ->
          match String.compare a.sched b.sched with
@@ -58,6 +61,13 @@ let table_rows t =
       ])
     rs
 
+(* Zero the cells in place rather than dropping them, so cells a caller
+   resolved with [cell] stay live; [rows] skips the empty ones. *)
 let clear t =
-  Hashtbl.reset t.cells;
+  Hashtbl.iter
+    (fun _ (c : cell) ->
+      c.count <- 0;
+      c.sim_ns <- 0;
+      c.wall_ns <- 0.0)
+    t.cells;
   t.total <- 0

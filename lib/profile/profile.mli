@@ -30,7 +30,15 @@ val create : unit -> t
     differences are meaningful). *)
 val now_wall : unit -> float
 
-val record : t -> sched:string -> call:string -> sim_ns:int -> wall_ns:float -> unit
+(** One (scheduler, callback) row's accumulator.  {!cell} finds or makes
+    it by name (a tuple key, two string hashes); a caller resolves it once
+    and then records every crossing with {!record_cell}, which allocates
+    nothing.  A cell stays valid across {!clear}. *)
+type cell
+
+val cell : t -> sched:string -> call:string -> cell
+
+val record_cell : t -> cell -> sim_ns:int -> wall_ns:float -> unit
 
 (** Total boundary crossings across all callbacks and modules. *)
 val crossings : t -> int
@@ -45,4 +53,5 @@ val table_header : string list
 
 val table_rows : t -> string list list
 
+(** Reset every row to zero crossings. *)
 val clear : t -> unit

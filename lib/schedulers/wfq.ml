@@ -1,13 +1,5 @@
 module Sched = Enoki.Schedulable
-
-module Key = struct
-  type t = int * int (* vruntime, pid *)
-
-  let compare (v1, p1) (v2, p2) =
-    match Int.compare v1 v2 with 0 -> Int.compare p1 p2 | c -> c
-end
-
-module Tree = Ds.Rbtree.Make (Key)
+module Heap = Ds.Pid_heap
 
 let nice_0_load = 1024
 
@@ -17,294 +9,342 @@ let min_slice = Kernsim.Time.us 750
 
 let wakeup_thresh = Kernsim.Time.us 3_000
 
-type ent = {
-  pid : int;
-  mutable vruntime : int;
-  mutable weight : int;
-  mutable last_runtime : int; (* kernel-supplied runtime at last message *)
-  mutable cpu : int;
-}
-
+(* Per-cpu run-queue: the waiting pids in a min-heap ordered by
+   (vruntime, pid); the pid tiebreak makes the order total, so equal
+   vruntimes pick deterministically.  [running] is -1 when none of our
+   tasks is dispatched on the cpu. *)
 type rq = {
-  mutable tree : Sched.t Tree.t;
+  heap : Heap.t;
   mutable min_vruntime : int;
-  mutable running : int option;
+  mutable running : int;
   mutable ticks_since_dispatch : int;
 }
 
-type t = { ctx : Enoki.Ctx.t; rqs : rq array; ents : (int, ent) Hashtbl.t; lock : Enoki.Lock.t }
+(* Entity state lives in pid-indexed arrays (machine pids are small and
+   contiguous), grown on the first task rather than at [create].  A pid is
+   queued iff [pos.(pid) >= 0], and then [tok.(pid)] holds its token: the
+   [Some] stored at enqueue is the one [pick_next_task] hands back, so a
+   queued task costs one option box and a hook allocates nothing else.
+   A pid's vruntime never changes while it is queued: every hook that
+   moves it unqueues the pid first. *)
+type t = {
+  ctx : Enoki.Ctx.t;
+  lock : Enoki.Lock.t;
+  rqs : rq array;
+  mutable present : bool array;
+  mutable vruntime : int array;
+  mutable weight : int array;
+  mutable last_runtime : int array; (* kernel-supplied runtime at last message *)
+  mutable cpu : int array; (* the rq the pid was last queued on *)
+  mutable pos : int array; (* heap slot, -1 = not queued *)
+  mutable tok : Sched.t option array;
+}
 
 let name = "wfq"
-
-let make_rqs n =
-  Array.init n (fun _ ->
-      { tree = Tree.empty; min_vruntime = 0; running = None; ticks_since_dispatch = 0 })
 
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    rqs = make_rqs ctx.nr_cpus;
-    ents = Hashtbl.create 64;
     lock = Enoki.Lock.create ~name:"wfq-rq" ();
+    rqs =
+      Array.init ctx.nr_cpus (fun _ ->
+          { heap = Heap.create (); min_vruntime = 0; running = -1; ticks_since_dispatch = 0 });
+    present = [||];
+    vruntime = [||];
+    weight = [||];
+    last_runtime = [||];
+    cpu = [||];
+    pos = [||];
+    tok = [||];
   }
 
 let get_policy t = t.ctx.policy
 
-let ent_of t ~pid ~prio =
-  match Hashtbl.find_opt t.ents pid with
-  | Some e -> e
-  | None ->
-    let e =
-      {
-        pid;
-        vruntime = 0;
-        weight = Kernsim.Cfs.weight_of_nice prio;
-        last_runtime = 0;
-        cpu = 0;
-      }
+let known t pid = pid >= 0 && pid < Array.length t.present && Array.unsafe_get t.present pid
+
+let ensure_cap t pid =
+  let len = Array.length t.present in
+  if pid >= len then begin
+    let n = max (pid + 1) (max 16 (2 * len)) in
+    let grow src fill =
+      let dst = Array.make n fill in
+      Array.blit src 0 dst 0 len;
+      dst
     in
-    Hashtbl.replace t.ents pid e;
-    e
+    t.present <- grow t.present false;
+    t.vruntime <- grow t.vruntime 0;
+    t.weight <- grow t.weight 0;
+    t.last_runtime <- grow t.last_runtime 0;
+    t.cpu <- grow t.cpu 0;
+    t.pos <- grow t.pos (-1);
+    t.tok <- grow t.tok None
+  end
+
+(* Make [pid] known, fresh at vruntime 0 if it was not. *)
+let adopt t pid prio =
+  ensure_cap t pid;
+  if not t.present.(pid) then begin
+    t.present.(pid) <- true;
+    t.vruntime.(pid) <- 0;
+    t.weight.(pid) <- Kernsim.Cfs.weight_of_nice prio;
+    t.last_runtime.(pid) <- 0;
+    t.cpu.(pid) <- 0
+  end
 
 let calc_delta delta weight = delta * nice_0_load / max 1 weight
 
 (* fold kernel-reported runtime into vruntime *)
-let advance_vruntime e ~runtime =
-  let delta = runtime - e.last_runtime in
+let advance_vruntime t pid runtime =
+  let delta = runtime - t.last_runtime.(pid) in
   if delta > 0 then begin
-    e.last_runtime <- runtime;
-    e.vruntime <- e.vruntime + calc_delta delta e.weight
+    t.last_runtime.(pid) <- runtime;
+    t.vruntime.(pid) <- t.vruntime.(pid) + calc_delta delta t.weight.(pid)
   end
 
-let update_min rq =
-  match Tree.min_binding_opt rq.tree with
-  | Some ((v, _), _) -> if v > rq.min_vruntime then rq.min_vruntime <- v
-  | None -> ()
+let update_min t rq =
+  let p = Heap.top rq.heap in
+  if p >= 0 && t.vruntime.(p) > rq.min_vruntime then rq.min_vruntime <- t.vruntime.(p)
 
-let insert t ~cpu e sched =
-  let rq = t.rqs.(cpu) in
-  e.cpu <- cpu;
-  rq.tree <- Tree.add (e.vruntime, e.pid) sched rq.tree
+(* Unqueue a known pid (a no-op when it is not queued) and hand back the
+   token it held. *)
+let dequeue t pid =
+  let held = t.tok.(pid) in
+  Heap.remove t.rqs.(t.cpu.(pid)).heap ~key:t.vruntime ~pos:t.pos pid;
+  t.tok.(pid) <- None;
+  held
 
-let remove_from t e =
-  let rq = t.rqs.(e.cpu) in
-  match Tree.find_opt (e.vruntime, e.pid) rq.tree with
-  | Some sched ->
-    rq.tree <- Tree.remove (e.vruntime, e.pid) rq.tree;
-    Some sched
-  | None -> None
+(* Queue a known, unqueued pid on [cpu] holding [held]. *)
+let enqueue t ~cpu pid held =
+  t.cpu.(pid) <- cpu;
+  t.tok.(pid) <- held;
+  Heap.add t.rqs.(cpu).heap ~key:t.vruntime ~pos:t.pos pid
 
-let nr_queued rq = Tree.cardinal rq.tree
+let nr_queued rq = Heap.length rq.heap
 
-let nr_running rq = nr_queued rq + if rq.running = None then 0 else 1
+let nr_running rq = nr_queued rq + if rq.running < 0 then 0 else 1
 
 (* ---------- trait implementation ---------- *)
 
+(* Each hook is a closed [*_locked] function of the state and four
+   arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
+   closure is built per call. *)
+
+let task_new_locked t pid runtime prio sched =
+  let cpu = Sched.cpu sched in
+  adopt t pid prio;
+  ignore (dequeue t pid);
+  t.weight.(pid) <- Kernsim.Cfs.weight_of_nice prio;
+  t.last_runtime.(pid) <- runtime;
+  t.vruntime.(pid) <- t.rqs.(cpu).min_vruntime;
+  enqueue t ~cpu pid (Some sched)
+
 let task_new t ~pid ~runtime ~prio ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let cpu = Sched.cpu sched in
-      let e = ent_of t ~pid ~prio in
-      e.weight <- Kernsim.Cfs.weight_of_nice prio;
-      e.last_runtime <- runtime;
-      e.vruntime <- t.rqs.(cpu).min_vruntime;
-      insert t ~cpu e sched)
+  Enoki.Lock.locked t.lock task_new_locked t pid runtime prio sched
+
+let task_wakeup_locked t pid runtime sched () =
+  let cpu = Sched.cpu sched in
+  adopt t pid 0;
+  ignore (dequeue t pid);
+  advance_vruntime t pid runtime;
+  let floor_v = t.rqs.(cpu).min_vruntime - calc_delta wakeup_thresh t.weight.(pid) in
+  if t.vruntime.(pid) < floor_v then t.vruntime.(pid) <- floor_v;
+  enqueue t ~cpu pid (Some sched)
 
 let task_wakeup t ~pid ~runtime ~waker_cpu:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let cpu = Sched.cpu sched in
-      let e = ent_of t ~pid ~prio:0 in
-      advance_vruntime e ~runtime;
-      let rq = t.rqs.(cpu) in
-      let floor_v = rq.min_vruntime - calc_delta wakeup_thresh e.weight in
-      if e.vruntime < floor_v then e.vruntime <- floor_v;
-      insert t ~cpu e sched)
+  Enoki.Lock.locked t.lock task_wakeup_locked t pid runtime sched ()
+
+let task_blocked_locked t pid runtime cpu () =
+  if known t pid then begin
+    ignore (dequeue t pid);
+    advance_vruntime t pid runtime;
+    let rq = t.rqs.(cpu) in
+    if rq.running = pid then rq.running <- -1;
+    update_min t rq
+  end
 
 let task_blocked t ~pid ~runtime ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.ents pid with
-      | None -> ()
-      | Some e ->
-        ignore (remove_from t e);
-        advance_vruntime e ~runtime;
-        let rq = t.rqs.(cpu) in
-        if rq.running = Some pid then rq.running <- None;
-        update_min rq)
+  Enoki.Lock.locked t.lock task_blocked_locked t pid runtime cpu ()
+
+let requeue_locked t pid runtime cpu sched =
+  adopt t pid 0;
+  ignore (dequeue t pid);
+  advance_vruntime t pid runtime;
+  let rq = t.rqs.(cpu) in
+  if rq.running = pid then rq.running <- -1;
+  enqueue t ~cpu pid (Some sched);
+  update_min t rq
 
 let requeue t ~pid ~runtime ~cpu ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let e = ent_of t ~pid ~prio:0 in
-      ignore (remove_from t e);
-      advance_vruntime e ~runtime;
-      let rq = t.rqs.(cpu) in
-      if rq.running = Some pid then rq.running <- None;
-      insert t ~cpu e sched;
-      update_min rq)
+  Enoki.Lock.locked t.lock requeue_locked t pid runtime cpu sched
 
 let task_preempt = requeue
 
 let task_yield = requeue
 
-let task_dead t ~pid =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (match Hashtbl.find_opt t.ents pid with
-      | Some e ->
-        ignore (remove_from t e);
-        let rq = t.rqs.(e.cpu) in
-        if rq.running = Some pid then rq.running <- None
-      | None -> ());
-      Hashtbl.remove t.ents pid)
+(* Forget a known pid, returning the token it held if it was queued. *)
+let drop t pid =
+  let held = dequeue t pid in
+  t.present.(pid) <- false;
+  held
 
-let task_departed t ~pid ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let token =
-        match Hashtbl.find_opt t.ents pid with Some e -> remove_from t e | None -> None
-      in
-      let rq = t.rqs.(cpu) in
-      if rq.running = Some pid then rq.running <- None;
-      Hashtbl.remove t.ents pid;
-      token)
+let task_dead_locked t pid () () () =
+  if known t pid then begin
+    ignore (drop t pid);
+    let rq = t.rqs.(t.cpu.(pid)) in
+    if rq.running = pid then rq.running <- -1
+  end
+
+let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
+
+let task_departed_locked t pid cpu () () =
+  let held = if known t pid then drop t pid else None in
+  let rq = t.rqs.(cpu) in
+  if rq.running = pid then rq.running <- -1;
+  held
+
+let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ()
+
+let pick_next_task_locked t cpu curr () () =
+  let rq = t.rqs.(cpu) in
+  let pid = Heap.top rq.heap in
+  if pid >= 0 then begin
+    let v = t.vruntime.(pid) in
+    let held = dequeue t pid in
+    rq.running <- pid;
+    rq.ticks_since_dispatch <- 0;
+    if rq.min_vruntime < v then rq.min_vruntime <- v;
+    held
+  end
+  else begin
+    rq.running <- (match curr with Some s -> Sched.pid s | None -> -1);
+    curr
+  end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let rq = t.rqs.(cpu) in
-      match Tree.min_binding_opt rq.tree with
-      | Some ((v, pid), sched) ->
-        rq.tree <- Tree.remove (v, pid) rq.tree;
-        rq.running <- Some pid;
-        rq.ticks_since_dispatch <- 0;
-        if rq.min_vruntime < v then rq.min_vruntime <- v;
-        Some sched
-      | None ->
-        rq.running <- Option.map Sched.pid curr;
-        curr)
+  Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
+
+(* Re-queue a rejected pick.  If the pid is somehow still queued its one
+   entry moves: a pid never sits in the run-queues twice. *)
+let pnt_err_locked t cpu pid held () =
+  adopt t pid 0;
+  ignore (dequeue t pid);
+  enqueue t ~cpu pid held
 
 let pnt_err t ~cpu ~pid ~err:_ ~sched =
   match sched with
   | None -> ()
-  | Some tok ->
-    Enoki.Lock.with_lock t.lock (fun () ->
-        let e = ent_of t ~pid ~prio:0 in
-        insert t ~cpu e tok)
+  | Some _ -> Enoki.Lock.locked t.lock pnt_err_locked t cpu pid sched ()
+
+let in_range t cpu = cpu >= 0 && cpu < Array.length t.rqs
+
+let rec mem_cpu cpu = function [] -> false | c :: tl -> c = cpu || mem_cpu cpu tl
+
+(* the first allowed in-range cpu with the fewest tasks *)
+let rec emptiest t cpus best best_n =
+  match cpus with
+  | [] -> best
+  | c :: tl ->
+    let n = if in_range t c then nr_running t.rqs.(c) else max_int in
+    if n < best_n then emptiest t tl c n else emptiest t tl best best_n
+
+(* go back to the previous cpu unless it has queued work; otherwise take
+   the emptiest allowed queue.  Only [prev] needs the membership test: the
+   scan draws its cpus from [allowed] itself. *)
+let select_task_rq_locked t pid waker_cpu allowed () =
+  let prev = if known t pid then t.cpu.(pid) else waker_cpu in
+  if mem_cpu prev allowed && in_range t prev && nr_running t.rqs.(prev) = 0 then prev
+  else emptiest t allowed (match allowed with c :: _ -> c | [] -> prev) max_int
 
 let select_task_rq t ~pid ~waker_cpu ~allowed =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (* go back to the previous cpu unless it has queued work; otherwise
-         take the emptiest allowed queue.  Only [prev] needs the membership
-         test: the scan draws its cpus from [allowed] itself. *)
-      let in_range cpu = cpu >= 0 && cpu < Array.length t.rqs in
-      let prev = match Hashtbl.find_opt t.ents pid with Some e -> e.cpu | None -> waker_cpu in
-      if List.mem prev allowed && in_range prev && nr_running t.rqs.(prev) = 0 then prev
-      else begin
-        let best = ref (match allowed with c :: _ -> c | [] -> prev)
-        and best_n = ref max_int in
-        List.iter
-          (fun cpu ->
-            if in_range cpu then begin
-              let n = nr_running t.rqs.(cpu) in
-              if n < !best_n then begin
-                best := cpu;
-                best_n := n
-              end
-            end)
-          allowed;
-        !best
-      end)
+  Enoki.Lock.locked t.lock select_task_rq_locked t pid waker_cpu allowed ()
+
+let migrate_task_rq_locked t pid sched () () =
+  let to_cpu = Sched.cpu sched in
+  if not (known t pid) then begin
+    adopt t pid 0;
+    enqueue t ~cpu:to_cpu pid (Some sched);
+    None
+  end
+  else begin
+    let old = dequeue t pid in
+    let from_rq = t.rqs.(t.cpu.(pid)) and to_rq = t.rqs.(to_cpu) in
+    if from_rq.running = pid then from_rq.running <- -1;
+    t.vruntime.(pid) <- t.vruntime.(pid) - from_rq.min_vruntime + to_rq.min_vruntime;
+    enqueue t ~cpu:to_cpu pid (Some sched);
+    old
+  end
 
 let migrate_task_rq t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.ents pid with
-      | None ->
-        let e = ent_of t ~pid ~prio:0 in
-        insert t ~cpu:(Sched.cpu sched) e sched;
-        None
-      | Some e ->
-        let old = remove_from t e in
-        let from_rq = t.rqs.(e.cpu) and to_rq = t.rqs.(Sched.cpu sched) in
-        if from_rq.running = Some pid then from_rq.running <- None;
-        e.vruntime <- e.vruntime - from_rq.min_vruntime + to_rq.min_vruntime;
-        insert t ~cpu:(Sched.cpu sched) e sched;
-        old)
+  Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
 (* steal from the longest queue only when this core is about to idle *)
-let balance t ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let rq = t.rqs.(cpu) in
-      if nr_queued rq > 0 || rq.running <> None then None
-      else begin
-        let longest = ref None in
-        Array.iteri
-          (fun other o ->
-            if other <> cpu then
-              (* only steal from a core that cannot drain itself promptly *)
-              let n = if o.running <> None then nr_queued o else if nr_queued o >= 2 then nr_queued o else 0 in
-              match !longest with
-              | Some (_, ln) when ln >= n -> ()
-              | _ -> if n > 0 then longest := Some (other, n))
-          t.rqs;
-        match !longest with
-        | Some (other, _) -> (
-          match Tree.min_binding_opt t.rqs.(other).tree with
-          | Some ((_, pid), _) -> Some pid
-          | None -> None)
-        | None -> None
-      end)
+let balance_locked t cpu () () () =
+  let rq = t.rqs.(cpu) in
+  if nr_queued rq > 0 || rq.running >= 0 then None
+  else begin
+    (* first longest wins; only steal from a core that cannot drain itself
+       promptly (something running, or at least two waiting) *)
+    let best = ref (-1) and best_n = ref 0 in
+    for other = 0 to Array.length t.rqs - 1 do
+      if other <> cpu then begin
+        let o = t.rqs.(other) in
+        let q = nr_queued o in
+        let n = if o.running >= 0 || q >= 2 then q else 0 in
+        if n > !best_n then begin
+          best := other;
+          best_n := n
+        end
+      end
+    done;
+    if !best >= 0 then Some (Heap.top t.rqs.(!best).heap) else None
+  end
+
+let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
 let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
 
-let slice rq e =
+let slice rq weight =
   let nr = max 1 (nr_running rq) in
-  max min_slice (sched_latency * e.weight / (nice_0_load * nr))
+  max min_slice (sched_latency * weight / (nice_0_load * nr))
 
-let task_tick t ~cpu ~queued =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let rq = t.rqs.(cpu) in
-      if queued then begin
-        rq.ticks_since_dispatch <- rq.ticks_since_dispatch + 1;
-        match rq.running with
-        | Some pid when nr_queued rq > 0 -> (
-          match Hashtbl.find_opt t.ents pid with
-          | Some e ->
-            let ran = rq.ticks_since_dispatch * Kernsim.Time.ms 1 in
-            let slice_exceeded = ran >= slice rq e in
-            let curr_v_est = e.vruntime + calc_delta ran e.weight in
-            let waiting_shorter =
-              match Tree.min_binding_opt rq.tree with
-              | Some ((v, _), _) -> v < curr_v_est
-              | None -> false
-            in
-            if slice_exceeded || waiting_shorter then t.ctx.resched ~cpu
-          | None -> ())
-        | Some _ | None -> ()
-      end)
+let task_tick_locked t cpu queued () () =
+  let rq = t.rqs.(cpu) in
+  if queued then begin
+    rq.ticks_since_dispatch <- rq.ticks_since_dispatch + 1;
+    let pid = rq.running in
+    if pid >= 0 && nr_queued rq > 0 && known t pid then begin
+      let ran = rq.ticks_since_dispatch * Kernsim.Time.ms 1 in
+      let w = t.weight.(pid) in
+      let slice_exceeded = ran >= slice rq w in
+      let curr_v_est = t.vruntime.(pid) + calc_delta ran w in
+      let waiting_shorter = t.vruntime.(Heap.top rq.heap) < curr_v_est in
+      if slice_exceeded || waiting_shorter then t.ctx.resched ~cpu
+    end
+  end
+
+let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
 let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
 
+(* the weight is not part of the heap key, so a queued pid stays put *)
+let task_prio_changed_locked t pid prio () () =
+  if known t pid then t.weight.(pid) <- Kernsim.Cfs.weight_of_nice prio
+
 let task_prio_changed t ~pid ~prio =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.ents pid with
-      | Some e -> (
-        (* reinsert under the key ordering if queued *)
-        match remove_from t e with
-        | Some sched ->
-          e.weight <- Kernsim.Cfs.weight_of_nice prio;
-          insert t ~cpu:e.cpu e sched
-        | None -> e.weight <- Kernsim.Cfs.weight_of_nice prio)
-      | None -> ())
+  Enoki.Lock.locked t.lock task_prio_changed_locked t pid prio () ()
 
 let parse_hint _ ~pid:_ ~hint:_ = ()
 
 (* ---------- live upgrade ---------- *)
 
-type Enoki.Upgrade.transfer +=
-  | Wfq_state of { rqs : rq array; ents : (int, ent) Hashtbl.t }
+type Enoki.Upgrade.transfer += Wfq_state of t
 
-let reregister_prepare t = Some (Wfq_state { rqs = t.rqs; ents = t.ents })
+let reregister_prepare t = Some (Wfq_state t)
 
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Wfq_state { rqs; ents }) ->
-    { ctx; rqs; ents; lock = Enoki.Lock.create ~name:"wfq-rq" () }
+  | Some (Wfq_state old) -> { old with ctx; lock = Enoki.Lock.create ~name:"wfq-rq" () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "wfq: unrecognised transfer state")
 
 let without_steal : (module Enoki.Sched_trait.S) =
@@ -358,5 +398,4 @@ let without_steal : (module Enoki.Sched_trait.S) =
 
 let queue_length t ~cpu = nr_queued t.rqs.(cpu)
 
-let vruntime_of t ~pid =
-  match Hashtbl.find_opt t.ents pid with Some e -> Some e.vruntime | None -> None
+let vruntime_of t ~pid = if known t pid then Some t.vruntime.(pid) else None

@@ -268,6 +268,83 @@ let test_heap_remove_at () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------- Pid heap ---------- *)
+
+module Ph = Ds.Pid_heap
+
+let test_pid_heap_basic () =
+  let key = [| 30; 10; 20; 10 |] and pos = Array.make 4 (-1) in
+  let h = Ph.create () in
+  check Alcotest.int "empty top" (-1) (Ph.top h);
+  List.iter (Ph.add h ~key ~pos) [ 0; 1; 2; 3 ];
+  check Alcotest.int "length" 4 (Ph.length h);
+  check Alcotest.int "smallest key, lower pid first" 1 (Ph.top h);
+  Ph.remove h ~key ~pos 1;
+  check Alcotest.int "unqueued pid has pos -1" (-1) pos.(1);
+  Ph.remove h ~key ~pos 1;
+  check Alcotest.int "removing twice is a no-op" 3 (Ph.length h);
+  check Alcotest.int "tie broken by pid" 3 (Ph.top h)
+
+(* Random add / remove / pop sequences against a (key, pid) list model.
+   Adding a queued pid moves it under its new key, as WFQ re-queues.
+   After every step: same length, same minimum, and [pos] gives each
+   queued pid a distinct slot below the length and -1 to every other
+   pid.  Draining at the end must pop in the model's sorted order. *)
+let prop_pid_heap_model ops =
+  let n = 16 in
+  let key = Array.make n 0 and pos = Array.make n (-1) in
+  let h = Ph.create () in
+  let model = ref [] in
+  let consistent () =
+    let sorted = List.sort compare !model in
+    let min_ok = Ph.top h = match sorted with (_, p) :: _ -> p | [] -> -1 in
+    let pos_ok =
+      List.for_all
+        (fun p ->
+          match List.find_opt (fun (_, q) -> q = p) !model with
+          | Some (k, _) -> key.(p) = k && pos.(p) >= 0 && pos.(p) < Ph.length h
+          | None -> pos.(p) = -1)
+        (List.init n Fun.id)
+    in
+    let slots = List.sort compare (List.map (fun (_, p) -> pos.(p)) !model) in
+    Ph.length h = List.length !model
+    && min_ok && pos_ok
+    && slots = List.init (List.length slots) Fun.id
+  in
+  let drains_sorted () =
+    let expected = List.map snd (List.sort compare !model) in
+    let rec drain acc =
+      let top = Ph.top h in
+      if top < 0 then List.rev acc
+      else begin
+        Ph.remove h ~key ~pos top;
+        drain (top :: acc)
+      end
+    in
+    drain [] = expected
+  in
+  List.for_all
+    (fun (op, pid, k) ->
+      let pid = pid mod n in
+      (match op mod 3 with
+      | 0 ->
+        Ph.remove h ~key ~pos pid;
+        key.(pid) <- k mod 8;
+        Ph.add h ~key ~pos pid;
+        model := (k mod 8, pid) :: List.filter (fun (_, q) -> q <> pid) !model
+      | 1 ->
+        Ph.remove h ~key ~pos pid;
+        model := List.filter (fun (_, q) -> q <> pid) !model
+      | _ ->
+        let top = Ph.top h in
+        if top >= 0 then begin
+          Ph.remove h ~key ~pos top;
+          model := List.filter (fun (_, q) -> q <> top) !model
+        end);
+      consistent ())
+    ops
+  && drains_sorted ()
+
 (* ---------- Timer wheel ---------- *)
 
 module W = Ds.Timer_wheel
@@ -709,6 +786,13 @@ let () =
           Alcotest.test_case "growth + stability" `Quick test_heap_growth_stability;
           Alcotest.test_case "remove_at" `Quick test_heap_remove_at;
           qtest "heapsort" QCheck.(list small_int) prop_heap_sorts;
+        ] );
+      ( "pid_heap",
+        [
+          Alcotest.test_case "basic" `Quick test_pid_heap_basic;
+          qtest "models a sorted (key, pid) list"
+            QCheck.(list (triple small_int small_int small_int))
+            prop_pid_heap_model;
         ] );
       ( "timer_wheel",
         [

@@ -166,6 +166,64 @@ let test_lock_replay_order () =
   Enoki.Lock.set_passthrough_mode ();
   check Alcotest.(list int) "recorded order enforced" [ 2; 1; 2 ] (List.rev !log)
 
+(* [Lock.locked] with a closed function: no closure, no allocation *)
+let add_into acc a b c d = acc := !acc + a + b + c + d
+
+let test_locked_passthrough_allocates_nothing () =
+  Enoki.Lock.set_passthrough_mode ();
+  Enoki.Lock.set_trace_tap None;
+  let l = Enoki.Lock.create () in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Enoki.Lock.locked l add_into acc i 1 1 1
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "body ran every time" ((10_000 * 10_001 / 2) + 30_000) !acc;
+  check (Alcotest.float 0.0) "minor words" 0.0 words
+
+let raise_exit () () () () () = raise Exit
+
+let test_locked_tap_pairs_on_raise () =
+  Enoki.Lock.set_passthrough_mode ();
+  let l = Enoki.Lock.create () in
+  let seen = ref [] in
+  Enoki.Lock.set_trace_tap
+    (Some (fun op ~lock_id -> seen := (Enoki.Lock.op_name op, lock_id) :: !seen));
+  let raised =
+    match Enoki.Lock.locked l raise_exit () () () () () with
+    | () -> false
+    | exception Exit -> true
+  in
+  Enoki.Lock.set_trace_tap None;
+  check Alcotest.bool "body's exception propagates" true raised;
+  check
+    Alcotest.(list (pair string int))
+    "acquire then release" [ ("acquire", Enoki.Lock.id l); ("release", Enoki.Lock.id l) ]
+    (List.rev !seen)
+
+let sum5 s a b c d = s + a + b + c + d
+
+let test_locked_records_like_with_lock () =
+  let recorded f =
+    let events = ref [] in
+    Enoki.Lock.reset_ids ();
+    Enoki.Lock.set_record_mode ~sink:(fun e -> events := e :: !events) ~tid:(fun () -> 5);
+    let l = Enoki.Lock.create () in
+    let r = f l in
+    Enoki.Lock.set_passthrough_mode ();
+    ( r,
+      List.rev_map
+        (fun (e : Enoki.Lock.event) -> (Enoki.Lock.op_name e.op, e.lock_id, e.tid))
+        !events )
+  in
+  let via_with_lock = recorded (fun l -> Enoki.Lock.with_lock l (fun () -> sum5 3 1 1 1 1)) in
+  let via_locked = recorded (fun l -> Enoki.Lock.locked l sum5 3 1 1 1 1) in
+  check Alcotest.int "three events" 3 (List.length (snd via_locked));
+  check
+    Alcotest.(pair int (list (triple string int int)))
+    "same result, same log" via_with_lock via_locked
+
 (* ---------- Enoki_c end-to-end on a machine ---------- *)
 
 let build_fifo ?record () =
@@ -902,6 +960,11 @@ let () =
           Alcotest.test_case "passthrough" `Quick test_lock_passthrough;
           Alcotest.test_case "record events" `Quick test_lock_record_events;
           Alcotest.test_case "replay order" `Quick test_lock_replay_order;
+          Alcotest.test_case "locked: passthrough allocates nothing" `Quick
+            test_locked_passthrough_allocates_nothing;
+          Alcotest.test_case "locked: tap pairs on raise" `Quick test_locked_tap_pairs_on_raise;
+          Alcotest.test_case "locked: records like with_lock" `Quick
+            test_locked_records_like_with_lock;
         ] );
       ( "enoki_c",
         [

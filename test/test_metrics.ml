@@ -329,11 +329,13 @@ let test_labeled_json_roundtrip () =
 
 (* ---------- profiler ---------- *)
 
+let record p ~sched ~call = Profile.record_cell p (Profile.cell p ~sched ~call)
+
 let test_profile_rows () =
   let p = Profile.create () in
-  Profile.record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:100 ~wall_ns:5.0;
-  Profile.record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:50 ~wall_ns:3.0;
-  Profile.record p ~sched:"wfq" ~call:"task_wakeup" ~sim_ns:10 ~wall_ns:1.0;
+  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:100 ~wall_ns:5.0;
+  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:50 ~wall_ns:3.0;
+  record p ~sched:"wfq" ~call:"task_wakeup" ~sim_ns:10 ~wall_ns:1.0;
   check Alcotest.int "crossings" 3 (Profile.crossings p);
   let rows = Profile.rows p in
   check Alcotest.int "one row per (sched, call)" 2 (List.length rows);
@@ -349,6 +351,27 @@ let test_profile_rows () =
     (Profile.table_rows p);
   Profile.clear p;
   check Alcotest.int "clear resets" 0 (Profile.crossings p)
+
+(* A cell resolved once collects every crossing in one row, the same row
+   as resolving the names each time, and stays live across [clear]. *)
+let test_profile_cells () =
+  let p = Profile.create () in
+  let c = Profile.cell p ~sched:"wfq" ~call:"pick_next_task" in
+  Profile.record_cell p c ~sim_ns:100 ~wall_ns:0.0;
+  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:20 ~wall_ns:0.0;
+  (match Profile.rows p with
+  | [ r ] ->
+    check Alcotest.int "one row" 2 r.Profile.count;
+    check Alcotest.int "both crossings' sim ns" 120 r.Profile.sim_ns
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+  Profile.clear p;
+  check Alcotest.int "cleared table is empty" 0 (List.length (Profile.rows p));
+  Profile.record_cell p c ~sim_ns:5 ~wall_ns:0.0;
+  match Profile.rows p with
+  | [ r ] ->
+    check Alcotest.string "cell still live after clear" "pick_next_task" r.Profile.call;
+    check Alcotest.int "counted from zero" 1 r.Profile.count
+  | rows -> Alcotest.failf "expected one row after clear, got %d" (List.length rows)
 
 (* ---------- end to end: wiring and zero perturbation ---------- *)
 
@@ -485,7 +508,11 @@ let () =
           Alcotest.test_case "labelled series survive csv" `Quick test_labeled_csv_roundtrip;
           Alcotest.test_case "labelled series survive json" `Quick test_labeled_json_roundtrip;
         ] );
-      ("profile", [ Alcotest.test_case "row aggregation" `Quick test_profile_rows ]);
+      ( "profile",
+        [
+          Alcotest.test_case "row aggregation" `Quick test_profile_rows;
+          Alcotest.test_case "resolved cells" `Quick test_profile_cells;
+        ] );
       ( "zero-perturbation",
         [
           Alcotest.test_case "bit-identical trace" `Quick test_zero_perturbation;

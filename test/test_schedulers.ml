@@ -82,6 +82,27 @@ let test_wfq_vruntime_visible () =
     check Alcotest.int "fresh queues empty" 0 (Schedulers.Wfq.queue_length w ~cpu:0))
   | None -> Alcotest.fail "no enoki"
 
+(* Regression: a second wakeup, or a pnt_err, for a pid that is still
+   queued used to add a second run-queue entry under the new vruntime and
+   leave the old one behind as a ghost holding a stale token. *)
+let test_wfq_requeue_moves_single_entry () =
+  let module W = Schedulers.Wfq in
+  let w = W.create (Enoki.Ctx.inert ()) in
+  let tok gen = Enoki.Schedulable.Private.create ~pid:3 ~cpu:0 ~gen in
+  let t1 = tok 1 and t2 = tok 2 and t3 = tok 3 in
+  W.task_new w ~pid:3 ~runtime:0 ~prio:0 ~sched:t1;
+  (* the pid ran in between, so the second wakeup moves its vruntime *)
+  W.task_wakeup w ~pid:3 ~runtime:(Kernsim.Time.ms 5) ~waker_cpu:0 ~sched:t2;
+  check Alcotest.int "second wakeup: one entry" 1 (W.queue_length w ~cpu:0);
+  W.pnt_err w ~cpu:0 ~pid:3 ~err:"test" ~sched:(Some t3);
+  check Alcotest.int "pnt_err: one entry" 1 (W.queue_length w ~cpu:0);
+  (match W.pick_next_task w ~cpu:0 ~curr:None ~curr_runtime:0 with
+  | Some t -> check Alcotest.bool "picked with the newest token" true (t == t3)
+  | None -> Alcotest.fail "queued pid not picked");
+  check Alcotest.bool "picked exactly once" true
+    (Option.is_none (W.pick_next_task w ~cpu:0 ~curr:None ~curr_runtime:0));
+  check Alcotest.int "queue drained" 0 (W.queue_length w ~cpu:0)
+
 (* ---------- Shinjuku ---------- *)
 
 let test_shinjuku_preempts_long_tasks () =
@@ -369,6 +390,8 @@ let () =
           Alcotest.test_case "steals when idle" `Quick test_wfq_steals_when_idle;
           Alcotest.test_case "work conserving" `Quick test_wfq_work_conserving;
           Alcotest.test_case "introspection" `Quick test_wfq_vruntime_visible;
+          Alcotest.test_case "re-queue moves the single entry" `Quick
+            test_wfq_requeue_moves_single_entry;
         ] );
       ( "shinjuku",
         [

@@ -201,18 +201,27 @@ let test_fairness_placement_stdev () =
    behaviour closures) spread over the run while still failing loudly if
    any per-event boxing sneaks back in — a single 3-word record per event
    would read as ~24 B/event here. *)
-let test_pipe_zero_alloc () =
-  let messages = 5_000 in
-  let b = build Workloads.Setup.Cfs in
+let check_pipe_bytes_per_event ?(messages = 5_000) kind ~ceiling =
+  let b = build kind in
   let before = Gc.allocated_bytes () in
   ignore (Workloads.Pipe_bench.run b ~messages ());
   let after = Gc.allocated_bytes () in
   let events = Kernsim.Machine.events_dispatched b.Workloads.Setup.machine in
   let per_event = (after -. before) /. float_of_int events in
   Alcotest.check Alcotest.bool
-    (Printf.sprintf "bytes/event %.2f below 8.0 (%d events)" per_event events)
-    true
-    (per_event < 8.0)
+    (Printf.sprintf "bytes/event %.2f below %.1f (%d events)" per_event ceiling events)
+    true (per_event < ceiling)
+
+let test_pipe_zero_alloc () = check_pipe_bytes_per_event Workloads.Setup.Cfs ~ceiling:8.0
+
+(* The same segment routed through Enoki-C into WFQ.  The crossing and the
+   module's hooks allocate nothing; what remains is the one [Some token]
+   per queued task the trait forces (16 B) and the fixed setup, which a
+   longer run spreads thin enough to read the per-event cost. *)
+let test_pipe_wfq_alloc () =
+  check_pipe_bytes_per_event ~messages:20_000
+    (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+    ~ceiling:32.0
 
 let test_setup_labels () =
   check Alcotest.string "cfs" "cfs" (Workloads.Setup.label Workloads.Setup.Cfs);
@@ -271,5 +280,6 @@ let () =
           Alcotest.test_case "labels" `Quick test_setup_labels;
           Alcotest.test_case "agent core" `Quick test_setup_agent_core;
           Alcotest.test_case "pipe hot path zero-alloc" `Quick test_pipe_zero_alloc;
+          Alcotest.test_case "pipe wfq under 32 B/event" `Quick test_pipe_wfq_alloc;
         ] );
     ]
