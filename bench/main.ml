@@ -1659,11 +1659,12 @@ let obs_machine_scheds = [ "wfq"; "cfs" ]
 
 let obs_machine_configs = [ "none"; "tracer"; "metrics"; "both" ]
 
-(* (events, best wall seconds, bytes per event) *)
+(* (events, best wall seconds, bytes per event), plus the last run's
+   undrained tracer when the config has one *)
 let obs_machine_cell ~sched ~config =
   let kind = Workloads.Setup.of_registry (List.hd (fleet_entries [ sched ])) in
   let messages = if !quick then 10_000 else 50_000 in
-  let bytes = ref 0. and events = ref 0 in
+  let bytes = ref 0. and events = ref 0 and kept = ref None in
   let wall =
     best_of (if !quick then 1 else 3) (fun () ->
         let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
@@ -1679,9 +1680,32 @@ let obs_machine_cell ~sched ~config =
         let (), wall = timed (fun () -> ignore (Workloads.Pipe_bench.run b ~messages ())) in
         bytes := Gc.allocated_bytes () -. a0;
         events := M.events_dispatched b.Workloads.Setup.machine;
+        kept := tracer;
         wall)
   in
-  (!events, wall, !bytes /. float_of_int (max 1 !events))
+  ((!events, wall, !bytes /. float_of_int (max 1 !events)), !kept)
+
+(* What reading a trace out costs once the run is over: drain the tracer
+   and render the Chrome JSON, priced per trace event.  The direct writer
+   allocates the event list plus the document's buffer and string, a few
+   hundred bytes per event; per-event Printf rendering cost ~2.5 KB. *)
+let obs_trace_export_row tracer =
+  let a0 = Gc.allocated_bytes () in
+  let (n, json_bytes), wall =
+    timed (fun () ->
+        let evs = Trace.Tracer.events tracer in
+        (List.length evs, String.length (Trace.Export.chrome_json evs)))
+  in
+  let per_event x = x /. float_of_int (max 1 n) in
+  Gate.row
+    [ ("trace", "export") ]
+    [
+      Gate.int ~check:Exact "trace_events" n;
+      Gate.int ~check:Exact "json_bytes" json_bytes;
+      Gate.float ~check:(Ceiling 512.) "bytes_per_trace_event"
+        (per_event (Gc.allocated_bytes () -. a0));
+      Gate.float "ns_per_trace_event" (per_event (wall *. 1e9));
+    ]
 
 let obs_fleet_configs = [ "baseline"; "metrics"; "anatomy" ]
 
@@ -1732,6 +1756,13 @@ let obs_rows () =
         List.map (fun config -> (sched, config, obs_machine_cell ~sched ~config)) obs_machine_configs)
       obs_machine_scheds
   in
+  let wfq_tracer =
+    List.find_map
+      (fun (sched, config, (_, tracer)) ->
+        if sched = "wfq" && config = "tracer" then tracer else None)
+      machine
+  in
+  let machine = List.map (fun (sched, config, (cell, _)) -> (sched, config, cell)) machine in
   let fleet = obs_fleet_cells () in
   let per_event wall events = wall *. 1e9 /. float_of_int (max 1 events) in
   let spread label events =
@@ -1776,6 +1807,7 @@ let obs_rows () =
               Gate.int ~check:Exact "anatomy_max_sum_error" (Trace.Anatomy.max_sum_error a);
             ]))
       fleet
+  @ List.map obs_trace_export_row (Option.to_list wfq_tracer)
   @ List.map
       (fun sched ->
         spread ("machine/" ^ sched)

@@ -9,20 +9,23 @@ type t =
 
 (* ---------- printing ---------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let hex = "0123456789abcdef"
+
+(* a loop, not [String.iter]: the trace exporters call this per field *)
+let add_escaped buf s =
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | c when Char.code c < 0x20 ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex.[Char.code c lsr 4];
+      Buffer.add_char buf hex.[Char.code c land 15]
+    | c -> Buffer.add_char buf c
+  done
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -39,7 +42,7 @@ let to_string ?(pretty = false) t =
     | Float f -> Buffer.add_string buf (float_repr f)
     | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
@@ -69,7 +72,7 @@ let to_string ?(pretty = false) t =
           end;
           pad (depth + 1);
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf (if pretty then "\": " else "\":");
           go (depth + 1) v)
         fields;

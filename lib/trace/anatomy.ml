@@ -290,54 +290,62 @@ let host_phase_sum t h ph = t.host_phase_sum.(h).(phase_index ph)
 
 (* ---------- Chrome-trace flow export for the exemplar ring ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let us_of_ns ns = float_of_int ns /. 1e3
-
 let lb_pid = 0
 
 let host_pid h = 1 + h
 
+let sep buf first = if !first then first := false else Buffer.add_char buf ','
+
 (* Chrome collapses zero-width slices; clamp to 1 ns so every phase of an
    exemplar stays clickable. *)
 let slice buf ~first ~name ~cat ~pid ~tid ~start_ns ~stop_ns ~args =
-  if !first then first := false else Buffer.add_char buf ',';
-  let dur_ns = max 1 (stop_ns - start_ns) in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-       (json_escape name) cat (us_of_ns start_ns) (us_of_ns dur_ns) pid tid
-       (String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-             args)))
+  sep buf first;
+  Buffer.add_string buf "{\"name\":\"";
+  Metrics.Json.add_escaped buf name;
+  Buffer.add_string buf "\",\"cat\":\"";
+  Buffer.add_string buf cat;
+  Buffer.add_string buf "\",\"ph\":\"X\",\"ts\":";
+  Export.add_us buf start_ns;
+  Buffer.add_string buf ",\"dur\":";
+  Export.add_us buf (max 1 (stop_ns - start_ns));
+  Buffer.add_string buf ",\"pid\":";
+  Export.add_int buf pid;
+  Buffer.add_string buf ",\"tid\":";
+  Export.add_int buf tid;
+  Buffer.add_string buf ",\"args\":{";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '"';
+      Metrics.Json.add_escaped buf k;
+      Buffer.add_string buf "\":\"";
+      Metrics.Json.add_escaped buf v;
+      Buffer.add_char buf '"')
+    args;
+  Buffer.add_string buf "}}"
 
 let flow buf ~first ~ph ~id ~pid ~tid ~ts =
-  if !first then first := false else Buffer.add_char buf ',';
-  let bp = if ph = "f" then ",\"bp\":\"e\"" else "" in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"req %d\",\"cat\":\"anatomy\",\"ph\":\"%s\",\"id\":%d,\"pid\":%d,\"tid\":%d,\"ts\":%.3f%s}"
-       id ph id pid tid (us_of_ns ts) bp)
+  sep buf first;
+  Buffer.add_string buf "{\"name\":\"req ";
+  Export.add_int buf id;
+  Buffer.add_string buf "\",\"cat\":\"anatomy\",\"ph\":\"";
+  Buffer.add_string buf ph;
+  Buffer.add_string buf "\",\"id\":";
+  Export.add_int buf id;
+  Buffer.add_string buf ",\"pid\":";
+  Export.add_int buf pid;
+  Buffer.add_string buf ",\"tid\":";
+  Export.add_int buf tid;
+  Buffer.add_string buf ",\"ts\":";
+  Export.add_us buf ts;
+  if ph = "f" then Buffer.add_string buf ",\"bp\":\"e\"";
+  Buffer.add_char buf '}'
 
 let meta buf ~first ~pid ~tid ~name ~value =
-  if !first then first := false else Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-       name pid tid (json_escape value))
+  sep buf first;
+  Export.add_meta buf ~pid ~tid ~name ~value
 
-let chrome_json t =
+let chrome_buffer t =
   let exs = t.exemplars in
   let buf = Buffer.create 16384 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -403,8 +411,10 @@ let chrome_json t =
       flow buf ~first ~ph:"f" ~id:c.req ~pid:hp ~tid:c.pid ~ts:c.taken)
     exs;
   Buffer.add_string buf "]}";
-  Buffer.contents buf
+  buf
+
+let chrome_json t = Buffer.contents (chrome_buffer t)
 
 let save_chrome t ~path =
-  let oc = open_out path in
-  Fun.protect (fun () -> output_string oc (chrome_json t)) ~finally:(fun () -> close_out oc)
+  let buf = chrome_buffer t in
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf)

@@ -80,38 +80,68 @@ let pid_of = function
   | Failover _ | Overrun _ | Watchdog_fire _ | Metric_flush _ | Fleet_op _ | Req_enqueue _ ->
     None
 
-let opt_pid = function None -> "idle" | Some p -> string_of_int p
-
-let args = function
-  | Sched_switch { prev; next } -> [ ("prev", opt_pid prev); ("next", opt_pid next) ]
-  | Wakeup { pid; waker_cpu; affinity } ->
-    ("pid", string_of_int pid) :: ("waker_cpu", string_of_int waker_cpu)
-    ::
-    (match affinity with
-    | None -> []
-    | Some cpus -> [ ("affinity", String.concat "," (List.map string_of_int cpus)) ])
+(* One match names every kind's payload fields, in export order; [args]
+   and the exporters' direct writers are both built on it.  [int] and [str]
+   get the field's 0-based position so a writer can place separators
+   without per-event state.  A [Sched_switch] side with no task reads
+   "idle". *)
+let iter_args kind ~int ~str acc =
+  match kind with
+  | Sched_switch { prev; next } ->
+    (match prev with Some p -> int acc 0 "prev" p | None -> str acc 0 "prev" "idle");
+    (match next with Some p -> int acc 1 "next" p | None -> str acc 1 "next" "idle")
+  | Wakeup { pid; waker_cpu; affinity } -> (
+    int acc 0 "pid" pid;
+    int acc 1 "waker_cpu" waker_cpu;
+    match affinity with
+    | None -> ()
+    | Some cpus -> str acc 2 "affinity" (String.concat "," (List.map string_of_int cpus)))
   | Dispatch { pid } | Preempt { pid } | Yield { pid } | Block { pid } | Exit { pid } ->
-    [ ("pid", string_of_int pid) ]
+    int acc 0 "pid" pid
   | Migrate { pid; from_cpu; to_cpu } ->
-    [ ("pid", string_of_int pid); ("from", string_of_int from_cpu); ("to", string_of_int to_cpu) ]
-  | Tick | Idle -> []
-  | Pnt_err { pid; err } -> [ ("pid", string_of_int pid); ("err", err) ]
-  | Lock_acquire { lock_id } | Lock_release { lock_id } -> [ ("lock", string_of_int lock_id) ]
-  | Msg_call { name } -> [ ("call", name) ]
-  | Panic { call; reason } -> [ ("call", call); ("reason", reason) ]
-  | Failover { fallback } -> [ ("fallback", fallback) ]
+    int acc 0 "pid" pid;
+    int acc 1 "from" from_cpu;
+    int acc 2 "to" to_cpu
+  | Tick | Idle -> ()
+  | Pnt_err { pid; err } ->
+    int acc 0 "pid" pid;
+    str acc 1 "err" err
+  | Lock_acquire { lock_id } | Lock_release { lock_id } -> int acc 0 "lock" lock_id
+  | Msg_call { name } -> str acc 0 "call" name
+  | Panic { call; reason } ->
+    str acc 0 "call" call;
+    str acc 1 "reason" reason
+  | Failover { fallback } -> str acc 0 "fallback" fallback
   | Overrun { call; charged; budget } ->
-    [ ("call", call); ("charged", string_of_int charged); ("budget", string_of_int budget) ]
-  | Watchdog_fire { reason } -> [ ("reason", reason) ]
-  | Metric_flush { tick } -> [ ("tick", string_of_int tick) ]
-  | Dsq_insert { dsq; pid } -> [ ("dsq", dsq); ("pid", string_of_int pid) ]
+    str acc 0 "call" call;
+    int acc 1 "charged" charged;
+    int acc 2 "budget" budget
+  | Watchdog_fire { reason } -> str acc 0 "reason" reason
+  | Metric_flush { tick } -> int acc 0 "tick" tick
+  | Dsq_insert { dsq; pid } ->
+    str acc 0 "dsq" dsq;
+    int acc 1 "pid" pid
   | Dsq_consume { dsq; pid; wait } ->
-    [ ("dsq", dsq); ("pid", string_of_int pid); ("wait", string_of_int wait) ]
-  | Fleet_op { host; op } -> [ ("host", string_of_int host); ("op", op) ]
+    str acc 0 "dsq" dsq;
+    int acc 1 "pid" pid;
+    int acc 2 "wait" wait
+  | Fleet_op { host; op } ->
+    int acc 0 "host" host;
+    str acc 1 "op" op
   | Req_enqueue { req; tenant } ->
-    [ ("req", string_of_int req); ("tenant", string_of_int tenant) ]
+    int acc 0 "req" req;
+    int acc 1 "tenant" tenant
   | Req_take { req; pid } | Req_done { req; pid } ->
-    [ ("req", string_of_int req); ("pid", string_of_int pid) ]
+    int acc 0 "req" req;
+    int acc 1 "pid" pid
+
+let args kind =
+  let kvs = ref [] in
+  iter_args kind
+    ~int:(fun kvs _ k v -> kvs := (k, string_of_int v) :: !kvs)
+    ~str:(fun kvs _ k v -> kvs := (k, v) :: !kvs)
+    kvs;
+  List.rev !kvs
 
 let pp fmt t =
   Format.fprintf fmt "[%d] %d %s" t.cpu t.ts (name t.kind);

@@ -76,6 +76,18 @@ val pid_of : kind -> int option
 (** Key/value payload for exporters. *)
 val args : kind -> (string * string) list
 
+(** [iter_args kind ~int ~str acc] visits the payload {!args} lists, in
+    the same order, without building it: [int acc i key v] for an integer
+    field, [str acc i key s] for a string one, [i] counting fields from 0.
+    Allocates nothing beyond what the callbacks do, except for a wakeup
+    carrying an affinity mask. *)
+val iter_args :
+  kind ->
+  int:('a -> int -> string -> int -> unit) ->
+  str:('a -> int -> string -> string -> unit) ->
+  'a ->
+  unit
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

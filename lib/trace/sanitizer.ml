@@ -43,7 +43,7 @@ type t = {
   config : config;
   nr_cpus : int;
   running : (int, int) Hashtbl.t; (* pid -> cpu it is dispatched on *)
-  current : int option array; (* per-cpu dispatched pid *)
+  current : int array; (* per-cpu dispatched pid, -1 when idle *)
   runnable : (int, int) Hashtbl.t; (* pid -> runnable-since timestamp *)
   affinity : (int, int list option) Hashtbl.t;
   starved_reported : (int, unit) Hashtbl.t; (* once per runnable episode *)
@@ -59,7 +59,7 @@ let create ?(config = default_config) ~nr_cpus () =
     config;
     nr_cpus;
     running = Hashtbl.create 64;
-    current = Array.make nr_cpus None;
+    current = Array.make nr_cpus (-1);
     runnable = Hashtbl.create 64;
     affinity = Hashtbl.create 64;
     starved_reported = Hashtbl.create 16;
@@ -89,12 +89,14 @@ let clear_runnable t pid =
   Hashtbl.remove t.runnable pid;
   Hashtbl.remove t.starved_reported pid
 
-let stop_running t pid cpu =
+let stop_running t pid =
   Hashtbl.remove t.running pid;
-  if t.current.(cpu) = Some pid then t.current.(cpu) <- None;
   (* the pid may have been dispatched elsewhere per our bookkeeping if a
-     double-run slipped through; clear every slot that names it *)
-  Array.iteri (fun c p -> if p = Some pid then t.current.(c) <- None) t.current
+     double-run slipped through; clear every slot that names it, not just
+     the event's cpu *)
+  for c = 0 to Array.length t.current - 1 do
+    if t.current.(c) = pid then t.current.(c) <- -1
+  done
 
 let check_starvation t now =
   Hashtbl.iter
@@ -110,7 +112,7 @@ let check_starvation t now =
 
 let check_work_conservation t now =
   for cpu = 0 to t.nr_cpus - 1 do
-    if t.current.(cpu) = None then begin
+    if t.current.(cpu) < 0 then begin
       if not t.wc_reported.(cpu) then begin
         let waiting =
           Hashtbl.fold
@@ -152,27 +154,22 @@ let feed t (ev : Event.t) =
            other)
     | Some _ | None -> ());
     Hashtbl.replace t.running pid cpu;
-    t.current.(cpu) <- Some pid;
+    t.current.(cpu) <- pid;
     t.wc_reported.(cpu) <- false;
     clear_runnable t pid
   | Event.Preempt { pid } | Event.Yield { pid } ->
-    stop_running t pid cpu;
+    stop_running t pid;
     set_runnable t pid ev.ts
   | Event.Block { pid } ->
-    stop_running t pid cpu;
+    stop_running t pid;
     clear_runnable t pid
   | Event.Exit { pid } ->
-    stop_running t pid cpu;
+    stop_running t pid;
     clear_runnable t pid;
     Hashtbl.remove t.affinity pid
-  | Event.Idle -> (
-    match t.current.(cpu) with
-    | Some pid -> stop_running t pid cpu
-    | None -> ())
-  | Event.Sched_switch { next = None; _ } -> (
-    match t.current.(cpu) with
-    | Some pid -> stop_running t pid cpu
-    | None -> ())
+  | Event.Idle | Event.Sched_switch { next = None; _ } ->
+    let pid = t.current.(cpu) in
+    if pid >= 0 then stop_running t pid
   | Event.Sched_switch _ | Event.Migrate _ -> ()
   | Event.Tick ->
     (* invariants that need the passage of time are evaluated on the

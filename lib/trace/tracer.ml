@@ -176,32 +176,118 @@ let dropped t = Array.fold_left (fun acc r -> acc + r.r_dropped) 0 t.rings
 
 let buffered t = Array.fold_left (fun acc r -> acc + r.r_len) 0 t.rings
 
-let drain_ring cpu r =
-  let cap = Array.length r.r_ts in
-  let rec go acc =
-    if r.r_len = 0 then List.rev acc
-    else begin
-      let i = r.r_head in
-      let tag = r.r_tag.(i) in
-      let kind =
-        if tag = tag_cold then begin
-          let k = r.r_cold.(i) in
-          r.r_cold.(i) <- Event.Tick;
-          k
-        end
-        else decode_tag tag r.r_a.(i) r.r_b.(i) r.r_c.(i)
-      in
-      let ev = { Event.ts = r.r_ts.(i); cpu; kind } in
-      r.r_head <- (i + 1) mod cap;
-      r.r_len <- r.r_len - 1;
-      go (ev :: acc)
+(* Decode slot [i] of [cpu]'s ring, releasing its cold payload. *)
+let take cpu r i =
+  let tag = r.r_tag.(i) in
+  let kind =
+    if tag = tag_cold then begin
+      let k = r.r_cold.(i) in
+      r.r_cold.(i) <- Event.Tick;
+      k
     end
+    else decode_tag tag r.r_a.(i) r.r_b.(i) r.r_c.(i)
   in
-  go []
+  { Event.ts = r.r_ts.(i); cpu; kind }
 
-let events t =
-  (* each per-cpu ring is already time-ordered; a stable sort on the
-     timestamp merges them without reordering same-time events of one cpu *)
-  Array.to_list (Array.mapi drain_ring t.rings)
+(* The merge keys an event by one int, [ts lsl bits lor cpu], so [ts] must
+   fit in the bits the cpu number leaves: a ring is mergeable when its
+   timestamps never step backwards (an emitter with its own clock could
+   break that) and lie in [0, limit]. *)
+let ring_mergeable r ~limit =
+  let cap = Array.length r.r_ts in
+  let rec go left i prev =
+    left = 0
+    ||
+    let ts = r.r_ts.(i) in
+    ts >= prev && ts <= limit && go (left - 1) (if i + 1 = cap then 0 else i + 1) ts
+  in
+  go r.r_len r.r_head 0
+
+(* Fallback for unmergeable rings: drain everything in ring order, then a
+   stable sort on the timestamp. *)
+let events_sorted t =
+  let drain cpu r =
+    let cap = Array.length r.r_ts in
+    let rec go acc =
+      if r.r_len = 0 then List.rev acc
+      else begin
+        let i = r.r_head in
+        r.r_head <- (i + 1) mod cap;
+        r.r_len <- r.r_len - 1;
+        go (take cpu r i :: acc)
+      end
+    in
+    go []
+  in
+  Array.to_list (Array.mapi drain t.rings)
   |> List.concat
   |> List.stable_sort (fun (a : Event.t) (b : Event.t) -> Int.compare a.ts b.ts)
+
+(* Binary max-heap of merge keys, with a hole at [i] to fill with [key]. *)
+let rec sift_down (heap : int array) n i key =
+  let l = (2 * i) + 1 in
+  let m = if l + 1 < n && heap.(l + 1) > heap.(l) then l + 1 else l in
+  if l < n && heap.(m) > key then begin
+    heap.(i) <- heap.(m);
+    sift_down heap n m key
+  end
+  else heap.(i) <- key
+
+let rec sift_up (heap : int array) i key =
+  let p = (i - 1) / 2 in
+  if i > 0 && heap.(p) < key then begin
+    heap.(i) <- heap.(p);
+    sift_up heap p key
+  end
+  else heap.(i) <- key
+
+(* k-way merge of the time-ordered rings, newest first so the result list
+   is built back to front.  The heap holds one key per non-empty cpu, for
+   its newest undrained event; the largest (ts, cpu) comes off first, so
+   among equal timestamps the higher cpu is consed first and the lower cpu
+   ends up ahead — the order a stable sort of the per-cpu concatenation
+   gives. *)
+let events_merged t ~bits =
+  let rings = t.rings in
+  let k = Array.length rings in
+  let mask = (1 lsl bits) - 1 in
+  let heap = Array.make k 0 in
+  (* per cpu: slot of the newest undrained event *)
+  let tail = Array.make k 0 in
+  let n = ref 0 in
+  for cpu = 0 to k - 1 do
+    let r = rings.(cpu) in
+    if r.r_len > 0 then begin
+      let cap = Array.length r.r_ts in
+      let last = (r.r_head + r.r_len - 1) mod cap in
+      tail.(cpu) <- last;
+      (* where a front-to-back drain would leave the head *)
+      r.r_head <- (last + 1) mod cap;
+      sift_up heap !n ((r.r_ts.(last) lsl bits) lor cpu);
+      incr n
+    end
+  done;
+  let acc = ref [] in
+  while !n > 0 do
+    let cpu = heap.(0) land mask in
+    let r = rings.(cpu) in
+    let i = tail.(cpu) in
+    acc := take cpu r i :: !acc;
+    r.r_len <- r.r_len - 1;
+    if r.r_len = 0 then begin
+      decr n;
+      sift_down heap !n 0 heap.(!n)
+    end
+    else begin
+      let prev = if i = 0 then Array.length r.r_ts - 1 else i - 1 in
+      tail.(cpu) <- prev;
+      sift_down heap !n 0 ((r.r_ts.(prev) lsl bits) lor cpu)
+    end
+  done;
+  !acc
+
+let events t =
+  let rec width b = if 1 lsl b >= Array.length t.rings then b else width (b + 1) in
+  let bits = width 0 in
+  let limit = max_int lsr bits in
+  if Array.for_all (ring_mergeable ~limit) t.rings then events_merged t ~bits else events_sorted t

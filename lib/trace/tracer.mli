@@ -66,6 +66,10 @@ val dropped_of_cpu : t -> int -> int
 (** Events currently queued across all rings. *)
 val buffered : t -> int
 
-(** Drain every ring and return the merged stream in timestamp order.
-    Destructive: a second call returns only events emitted in between. *)
+(** Drain every ring and return the merged stream in timestamp order,
+    same-time events ordered by cpu, then by emission order on that cpu.
+    Destructive: a second call returns only events emitted in between.
+    Each cpu's ring is normally already in time order, and the rings are
+    then k-way merged in one linear pass; a ring whose timestamps step
+    backwards falls back to a stable sort, with the same result. *)
 val events : t -> Event.t list

@@ -175,6 +175,120 @@ let test_tracer_folds_out_of_range_cpu () =
     check Alcotest.int "negative folded too" 0 b.Trace.Event.cpu
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
 
+(* ---------- event generators (all 25 kinds) ---------- *)
+
+module E = Trace.Event
+
+(* strings mixing plain bytes with everything JSON must escape *)
+let gen_str =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'z'; ' '; ','; '='; '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031' ])
+      (int_range 0 6))
+
+let gen_kind =
+  let open QCheck.Gen in
+  let pid = int_range 0 5 and small = int_range 0 1_000 in
+  oneof
+    [
+      map2 (fun prev next -> E.Sched_switch { prev; next }) (opt pid) (opt pid);
+      map3
+        (fun pid waker_cpu affinity -> E.Wakeup { pid; waker_cpu; affinity })
+        pid (int_range 0 3)
+        (opt (list_size (int_range 0 3) (int_range 0 7)));
+      map (fun pid -> E.Dispatch { pid }) pid;
+      map (fun pid -> E.Preempt { pid }) pid;
+      map (fun pid -> E.Yield { pid }) pid;
+      map (fun pid -> E.Block { pid }) pid;
+      map (fun pid -> E.Exit { pid }) pid;
+      map3 (fun pid from_cpu to_cpu -> E.Migrate { pid; from_cpu; to_cpu }) pid (int_range 0 3)
+        (int_range 0 3);
+      return E.Tick;
+      return E.Idle;
+      map2 (fun pid err -> E.Pnt_err { pid; err }) pid gen_str;
+      map (fun lock_id -> E.Lock_acquire { lock_id }) small;
+      map (fun lock_id -> E.Lock_release { lock_id }) small;
+      map (fun name -> E.Msg_call { name }) gen_str;
+      map2 (fun call reason -> E.Panic { call; reason }) gen_str gen_str;
+      map (fun fallback -> E.Failover { fallback }) gen_str;
+      map3 (fun call charged budget -> E.Overrun { call; charged; budget }) gen_str small small;
+      map (fun reason -> E.Watchdog_fire { reason }) gen_str;
+      map (fun tick -> E.Metric_flush { tick }) small;
+      map2 (fun dsq pid -> E.Dsq_insert { dsq; pid }) gen_str pid;
+      map3 (fun dsq pid wait -> E.Dsq_consume { dsq; pid; wait }) gen_str pid small;
+      map2 (fun host op -> E.Fleet_op { host; op }) (int_range 0 7) gen_str;
+      map2 (fun req tenant -> E.Req_enqueue { req; tenant }) small (int_range 0 3);
+      map2 (fun req pid -> E.Req_take { req; pid }) small pid;
+      map2 (fun req pid -> E.Req_done { req; pid }) small pid;
+    ]
+
+let print_events evs = String.concat "\n" (List.map E.to_string evs)
+
+(* ---------- drain order ----------
+
+   The tracer's merged drain against a reference model: each cpu keeps the
+   first [capacity] events offered since its last drain (a full ring drops
+   the newest), and the drain is the per-cpu concatenation stably sorted on
+   the timestamp.  Two rounds per case, so the second round's rings start
+   mid-array and wrap. *)
+
+type drain_case = {
+  nr_cpus : int;
+  capacity : int;
+  monotone : bool; (* per-cpu time order (the merge); false exercises the sort fallback *)
+  rounds : (int * int * E.kind) list list; (* (cpu, ts step or raw ts, kind) *)
+}
+
+let gen_drain_case =
+  let open QCheck.Gen in
+  let* nr_cpus = int_range 1 5 in
+  let* capacity = int_range 1 6 in
+  let* monotone = frequency [ (4, return true); (1, return false) ] in
+  let op = triple (int_range 0 (nr_cpus - 1)) (int_range 0 3) gen_kind in
+  let+ rounds = list_repeat 2 (list_size (int_range 0 30) op) in
+  { nr_cpus; capacity; monotone; rounds }
+
+let print_drain_case c =
+  Printf.sprintf "nr_cpus=%d capacity=%d monotone=%b\n%s" c.nr_cpus c.capacity c.monotone
+    (String.concat "\n--- drain ---\n"
+       (List.map
+          (fun ops ->
+            String.concat "\n"
+              (List.map (fun (cpu, d, k) -> Printf.sprintf "cpu %d +%d %s" cpu d (E.name k)) ops))
+          c.rounds))
+
+let prop_drain_matches_sorted_concat c =
+  let tr = Trace.Tracer.create ~capacity:c.capacity ~nr_cpus:c.nr_cpus () in
+  let clock = ref 0 in
+  List.for_all
+    (fun ops ->
+      let kept = Array.make c.nr_cpus [] in
+      List.iter
+        (fun (cpu, d, kind) ->
+          (* monotone: a shared clock stepping by 0..3, so equal timestamps
+             recur across cpus; otherwise the raw step is the timestamp *)
+          let ts =
+            if c.monotone then begin
+              clock := !clock + d;
+              !clock
+            end
+            else d
+          in
+          Trace.Tracer.emit tr ~ts ~cpu kind;
+          if List.length kept.(cpu) < c.capacity then
+            kept.(cpu) <- { E.ts; cpu; kind } :: kept.(cpu))
+        ops;
+      let expected =
+        Array.to_list kept
+        |> List.concat_map List.rev
+        |> List.stable_sort (fun (a : E.t) (b : E.t) -> Int.compare a.ts b.ts)
+      in
+      let got = Trace.Tracer.events tr in
+      if got <> expected then
+        QCheck.Test.fail_reportf "drain:\n%s\nexpected:\n%s" (print_events got)
+          (print_events expected);
+      Trace.Tracer.buffered tr = 0)
+    c.rounds
+
 (* ---------- derived spans ---------- *)
 
 let ev ts cpu kind = { Trace.Event.ts; cpu; kind }
@@ -312,6 +426,215 @@ let test_format_of_string_roundtrip () =
   check Alcotest.bool "chrome" true (Trace.Export.format_of_string "chrome" = Some Trace.Export.Chrome);
   check Alcotest.bool "ftrace" true (Trace.Export.format_of_string "ftrace" = Some Trace.Export.Ftrace);
   check Alcotest.bool "unknown rejected" true (Trace.Export.format_of_string "perf" = None)
+
+(* ---------- writer identity ----------
+
+   The exporters write straight into one buffer; this is the Printf
+   renderer they replaced, kept verbatim (down to its own copy of the
+   payload listing) as the byte-for-byte oracle. *)
+
+module Printf_export = struct
+  let opt_pid = function None -> "idle" | Some p -> string_of_int p
+
+  let args = function
+    | E.Sched_switch { prev; next } -> [ ("prev", opt_pid prev); ("next", opt_pid next) ]
+    | E.Wakeup { pid; waker_cpu; affinity } ->
+      ("pid", string_of_int pid) :: ("waker_cpu", string_of_int waker_cpu)
+      ::
+      (match affinity with
+      | None -> []
+      | Some cpus -> [ ("affinity", String.concat "," (List.map string_of_int cpus)) ])
+    | E.Dispatch { pid } | E.Preempt { pid } | E.Yield { pid } | E.Block { pid } | E.Exit { pid }
+      ->
+      [ ("pid", string_of_int pid) ]
+    | E.Migrate { pid; from_cpu; to_cpu } ->
+      [ ("pid", string_of_int pid); ("from", string_of_int from_cpu); ("to", string_of_int to_cpu) ]
+    | E.Tick | E.Idle -> []
+    | E.Pnt_err { pid; err } -> [ ("pid", string_of_int pid); ("err", err) ]
+    | E.Lock_acquire { lock_id } | E.Lock_release { lock_id } -> [ ("lock", string_of_int lock_id) ]
+    | E.Msg_call { name } -> [ ("call", name) ]
+    | E.Panic { call; reason } -> [ ("call", call); ("reason", reason) ]
+    | E.Failover { fallback } -> [ ("fallback", fallback) ]
+    | E.Overrun { call; charged; budget } ->
+      [ ("call", call); ("charged", string_of_int charged); ("budget", string_of_int budget) ]
+    | E.Watchdog_fire { reason } -> [ ("reason", reason) ]
+    | E.Metric_flush { tick } -> [ ("tick", string_of_int tick) ]
+    | E.Dsq_insert { dsq; pid } -> [ ("dsq", dsq); ("pid", string_of_int pid) ]
+    | E.Dsq_consume { dsq; pid; wait } ->
+      [ ("dsq", dsq); ("pid", string_of_int pid); ("wait", string_of_int wait) ]
+    | E.Fleet_op { host; op } -> [ ("host", string_of_int host); ("op", op) ]
+    | E.Req_enqueue { req; tenant } ->
+      [ ("req", string_of_int req); ("tenant", string_of_int tenant) ]
+    | E.Req_take { req; pid } | E.Req_done { req; pid } ->
+      [ ("req", string_of_int req); ("pid", string_of_int pid) ]
+
+  let json_escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let us_of_ns ns = float_of_int ns /. 1e3
+
+  let json_args kvs =
+    "{"
+    ^ String.concat ","
+        (List.map
+           (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+           kvs)
+    ^ "}"
+
+  let meta_event ~pid ~tid ~name ~value =
+    Printf.sprintf "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
+      name pid tid (json_escape value)
+
+  let instant_event (ev : E.t) =
+    Printf.sprintf
+      "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":%s}"
+      (E.name ev.kind) (us_of_ns ev.ts) ev.cpu
+      (json_args (args ev.kind))
+
+  let complete_event ~name ~cat ~pid ~tid ~start_ns ~stop_ns ~args =
+    Printf.sprintf
+      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":%s}"
+      (json_escape name) cat (us_of_ns start_ns)
+      (us_of_ns (max 0 (stop_ns - start_ns)))
+      pid tid (json_args args)
+
+  let run_slices events =
+    let nr_cpus = List.fold_left (fun acc (ev : E.t) -> max acc (ev.cpu + 1)) 1 events in
+    let open_slice = Array.make nr_cpus None in
+    let slices = ref [] in
+    let close cpu stop_ns =
+      match open_slice.(cpu) with
+      | Some (pid, start_ns) ->
+        open_slice.(cpu) <- None;
+        slices := (cpu, pid, start_ns, stop_ns) :: !slices
+      | None -> ()
+    in
+    List.iter
+      (fun (ev : E.t) ->
+        match ev.kind with
+        | E.Dispatch { pid } ->
+          close ev.cpu ev.ts;
+          open_slice.(ev.cpu) <- Some (pid, ev.ts)
+        | E.Preempt { pid } | E.Yield { pid } | E.Block { pid } | E.Exit { pid } -> (
+          match open_slice.(ev.cpu) with
+          | Some (p, _) when p = pid -> close ev.cpu ev.ts
+          | Some _ | None -> ())
+        | E.Idle | E.Sched_switch { next = None; _ } -> close ev.cpu ev.ts
+        | _ -> ())
+      events;
+    let last_ts = List.fold_left (fun acc (ev : E.t) -> max acc ev.ts) 0 events in
+    Array.iteri (fun cpu _ -> close cpu last_ts) open_slice;
+    (nr_cpus, List.rev !slices)
+
+  let chrome_json ?(spans = true) events =
+    let nr_cpus, slices = run_slices events in
+    let buf = Buffer.create 65536 in
+    Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    let first = ref true in
+    let add line =
+      if !first then first := false else Buffer.add_char buf ',';
+      Buffer.add_string buf line
+    in
+    add (meta_event ~pid:0 ~tid:0 ~name:"process_name" ~value:"machine");
+    for cpu = 0 to nr_cpus - 1 do
+      add (meta_event ~pid:0 ~tid:cpu ~name:"thread_name" ~value:(Printf.sprintf "cpu %d" cpu))
+    done;
+    List.iter
+      (fun (cpu, pid, start_ns, stop_ns) ->
+        add
+          (complete_event
+             ~name:(Printf.sprintf "pid %d" pid)
+             ~cat:"run" ~pid:0 ~tid:cpu ~start_ns ~stop_ns
+             ~args:[ ("pid", string_of_int pid) ]))
+      slices;
+    List.iter (fun ev -> add (instant_event ev)) events;
+    if spans then begin
+      let span_list = Trace.Spans.of_events events in
+      if span_list <> [] then begin
+        add (meta_event ~pid:1 ~tid:0 ~name:"process_name" ~value:"latency spans");
+        add (meta_event ~pid:1 ~tid:0 ~name:"thread_name" ~value:"wakeup_to_dispatch");
+        add (meta_event ~pid:1 ~tid:1 ~name:"thread_name" ~value:"preempt_to_resched");
+        add (meta_event ~pid:1 ~tid:2 ~name:"thread_name" ~value:"migration");
+        add (meta_event ~pid:1 ~tid:3 ~name:"thread_name" ~value:"ingress_wait");
+        List.iter
+          (fun (s : Trace.Spans.t) ->
+            let tid =
+              match s.kind with
+              | Trace.Spans.Wakeup_to_dispatch -> 0
+              | Trace.Spans.Preempt_to_resched -> 1
+              | Trace.Spans.Migration -> 2
+              | Trace.Spans.Ingress_wait -> 3
+            in
+            add
+              (complete_event
+                 ~name:(Printf.sprintf "pid %d" s.pid)
+                 ~cat:"latency" ~pid:1 ~tid ~start_ns:s.start_ts ~stop_ns:s.stop_ts
+                 ~args:[ ("pid", string_of_int s.pid); ("cpu", string_of_int s.cpu) ]))
+          span_list
+      end
+    end;
+    Buffer.add_string buf "]}";
+    Buffer.contents buf
+
+  let ftrace_line (ev : E.t) =
+    let secs = ev.ts / 1_000_000_000 in
+    let usecs = ev.ts mod 1_000_000_000 / 1_000 in
+    let args =
+      match args ev.kind with
+      | [] -> ""
+      | kvs -> " " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
+    in
+    Printf.sprintf "          enoki-%-5s [%03d] %6d.%06d: %s:%s"
+      (match E.pid_of ev.kind with Some p -> string_of_int p | None -> "0")
+      ev.cpu secs usecs (E.name ev.kind) args
+
+  let ftrace events =
+    let buf = Buffer.create 65536 in
+    Buffer.add_string buf "# tracer: schedtrace\n";
+    Buffer.add_string buf "#           TASK-PID    [CPU]  TIMESTAMP: EVENT: ARGS\n";
+    List.iter
+      (fun ev ->
+        Buffer.add_string buf (ftrace_line ev);
+        Buffer.add_char buf '\n')
+      events;
+    Buffer.contents buf
+end
+
+(* mostly small timestamps, so spans and slices have sensible durations,
+   plus the full 0 .. 2^42 ns range for the microsecond formatting *)
+let gen_export_events =
+  let open QCheck.Gen in
+  let ts = frequency [ (3, int_range 0 5_000); (1, int_range 0 (1 lsl 42)) ] in
+  list_size (int_range 0 40)
+    (map3 (fun ts cpu kind -> { E.ts; cpu; kind }) ts (int_range 0 3) gen_kind)
+
+let prop_writers_match_printf events =
+  let same what got expected =
+    if got <> expected then
+      QCheck.Test.fail_reportf "%s differs:\n got: %s\nwant: %s" what got expected
+  in
+  let chrome = Trace.Export.chrome_json events in
+  same "chrome_json" chrome (Printf_export.chrome_json events);
+  same "chrome_json ~spans:false"
+    (Trace.Export.chrome_json ~spans:false events)
+    (Printf_export.chrome_json ~spans:false events);
+  same "ftrace" (Trace.Export.ftrace events) (Printf_export.ftrace events);
+  (try Json_check.validate chrome
+   with Json_check.Bad pos -> QCheck.Test.fail_reportf "invalid JSON at byte %d" pos);
+  true
 
 (* ---------- sanitizer: clean runs for every in-tree scheduler ---------- *)
 
@@ -543,6 +866,9 @@ let test_lock_events_traced_and_balanced () =
   assert_clean "fifo lock pairing" (s, b);
   check Alcotest.bool "lock events observed" true (Trace.Sanitizer.events_seen s > 0)
 
+let qtest ?(count = 100) name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
 let () =
   Alcotest.run "trace"
     [
@@ -550,6 +876,9 @@ let () =
         [
           ("counts, drops, subscribers", `Quick, test_tracer_counts_and_drops);
           ("out-of-range cpu folded", `Quick, test_tracer_folds_out_of_range_cpu);
+          qtest ~count:300 "drain = per-cpu concat, stable-sorted"
+            (QCheck.make ~print:print_drain_case gen_drain_case)
+            prop_drain_matches_sorted_concat;
         ] );
       ( "spans",
         [
@@ -564,6 +893,9 @@ let () =
           ("chrome JSON is valid and multi-cpu", `Quick, test_chrome_export_is_valid_json);
           ("ftrace text format", `Quick, test_ftrace_export_format);
           ("format parsing", `Quick, test_format_of_string_roundtrip);
+          qtest ~count:300 "writers = the Printf renderer, byte for byte"
+            (QCheck.make ~print:print_events gen_export_events)
+            prop_writers_match_printf;
         ] );
       ( "sanitizer-clean",
         [
