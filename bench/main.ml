@@ -915,10 +915,16 @@ let micro () =
   let msg_tests =
     let s = Enoki.Schedulable.Private.create ~pid:1 ~cpu:2 ~gen:3 in
     let call = Enoki.Message.Task_wakeup { pid = 1; runtime = 5000; waker_cpu = 0; sched = s } in
-    let line = Enoki.Message.encode_call call in
+    let buf = Buffer.create 64 in
+    Enoki.Message.put_call buf call;
+    let wire = Buffer.contents buf in
     [
-      Test.make ~name:"message encode" (Staged.stage (fun () -> ignore (Enoki.Message.encode_call call)));
-      Test.make ~name:"message decode" (Staged.stage (fun () -> ignore (Enoki.Message.decode_call line)));
+      Test.make ~name:"message put_call"
+        (Staged.stage (fun () ->
+             Buffer.clear buf;
+             Enoki.Message.put_call buf call));
+      Test.make ~name:"message get_call"
+        (Staged.stage (fun () -> ignore (Enoki.Message.get_call (Enoki.Wire.cursor wire))));
     ]
   in
   let dispatch_test =
@@ -1282,14 +1288,12 @@ let dsq_rows () =
 
 (* ---------- §5.8: record and replay ----------
 
-   Three identical WFQ pipe runs — no recording, the text debug format
-   into memory, and the binary streaming format into a file — measured
-   like the speed suite: simulated elapsed (the record_msg cost model),
-   host wall clock, and Gc.allocated_bytes.  The machine is deterministic,
-   so the allocation delta over the unrecorded run divided by the recorded
-   event count is the record tap's own cost per event, and the text/binary
-   ratio is the headline: the binary streaming path must be >= 3x cheaper.
-   The binary log then replays, validating end to end. *)
+   Two identical WFQ pipe runs — no recording, and the record log streamed
+   into a file — measured like the speed suite: simulated elapsed (the
+   record_msg cost model), host wall clock, and Gc.allocated_bytes.  The
+   machine is deterministic, so the allocation delta over the unrecorded
+   run divided by the recorded event count is the record tap's own cost
+   per event.  The log then replays, validating end to end. *)
 
 type rr_mode = {
   rr_name : string;
@@ -1300,7 +1304,6 @@ type rr_mode = {
   rr_recorded : int; (* record-log events (0 when not recording) *)
   rr_dropped : int;
   rr_wire_bytes : int; (* encoded log size *)
-  rr_log : string option; (* binary log kept for the replay phase *)
 }
 
 let recordreplay () =
@@ -1317,7 +1320,7 @@ let recordreplay () =
     flush ();
     let rr_alloc = Gc.allocated_bytes () -. a0 in
     let rr_wall_s = Unix.gettimeofday () -. t0 in
-    let rr_recorded, rr_dropped, rr_wire_bytes, rr_log = stats () in
+    let rr_recorded, rr_dropped, rr_wire_bytes = stats () in
     {
       rr_name;
       rr_elapsed = r.Workloads.Pipe_bench.elapsed;
@@ -1327,41 +1330,29 @@ let recordreplay () =
       rr_recorded;
       rr_dropped;
       rr_wire_bytes;
-      rr_log;
     }
   in
-  let none = run_one "none" None ~flush:(fun () -> ()) ~stats:(fun () -> (0, 0, 0, None)) in
-  let text =
-    let r = Enoki.Record.create ~format:Enoki.Record.Text () in
-    run_one "text (memory)" (Some r)
-      ~flush:(fun () -> Enoki.Record.drain r)
-      ~stats:(fun () ->
-        let log = Enoki.Record.contents r in
-        (Enoki.Record.length r, Enoki.Record.dropped r, String.length log, None))
-  in
+  let none = run_one "none" None ~flush:(fun () -> ()) ~stats:(fun () -> (0, 0, 0)) in
   let path = Filename.temp_file "enoki-rr" ".rec" in
+  let r = Enoki.Record.create_file ~path () in
   let binary =
-    let r = Enoki.Record.create_file ~path () in
     run_one "binary (file)" (Some r)
       ~flush:(fun () -> Enoki.Record.close r)
       ~stats:(fun () ->
-        let log = Enoki.Record.load_file ~path in
-        (Enoki.Record.length r, Enoki.Record.dropped r, String.length log, Some log))
+        (Enoki.Record.length r, Enoki.Record.dropped r, (Unix.stat path).Unix.st_size))
   in
+  let log = Enoki.Record.load_file ~path in
   Sys.remove path;
   let slowdown m = float_of_int m.rr_elapsed /. float_of_int (max 1 none.rr_elapsed) in
   let alloc_per_event m = m.rr_alloc /. float_of_int (max 1 m.rr_events) in
   (* record-attributable allocation: delta over the unrecorded run, per
      recorded event (the machine's own work cancels out — same event
-     stream in all three runs) *)
+     stream in both runs) *)
   let rec_alloc m = (m.rr_alloc -. none.rr_alloc) /. float_of_int (max 1 m.rr_recorded) in
   let wire_per_event m = float_of_int m.rr_wire_bytes /. float_of_int (max 1 m.rr_recorded) in
-  let alloc_ratio = rec_alloc text /. Float.max 1e-9 (rec_alloc binary) in
-  let wire_ratio = wire_per_event text /. Float.max 1e-9 (wire_per_event binary) in
-  (* replay the binary log end to end *)
+  (* replay the log end to end *)
   let report =
-    Enoki.Replay.run ~allow_drops:(binary.rr_dropped > 0) (module Schedulers.Wfq)
-      ~log:(Option.get binary.rr_log)
+    Enoki.Replay.run ~allow_drops:(binary.rr_dropped > 0) (module Schedulers.Wfq) ~log
   in
   let mode_row m =
     Gate.row
@@ -1385,14 +1376,8 @@ let recordreplay () =
         ])
   in
   let rows =
-    List.map mode_row [ none; text; binary ]
+    List.map mode_row [ none; binary ]
     @ [
-        Gate.row
-          [ ("mode", "text/binary") ]
-          [
-            Gate.float "record_alloc_bytes_per_event" alloc_ratio;
-            Gate.float "wire_bytes_per_event" wire_ratio;
-          ];
         Gate.row
           [ ("replay", "binary log") ]
           [
@@ -1406,8 +1391,6 @@ let recordreplay () =
   Gate.print rows;
   Report.note "paper: record costs ~7.5x in service time on real hardware (replay of 1M";
   Report.note "messages ~180 s); here the record_msg cost model drives the simulated slowdown.";
-  Printf.printf "binary vs text allocation: %.2fx cheaper (target >= 3x): %s\n" alloc_ratio
-    (if alloc_ratio >= 3.0 then "ok" else "SHORTFALL");
   Printf.printf "replay validation: %s\n"
     (match report.Enoki.Replay.mismatches with
     | [] -> "all replies matched"

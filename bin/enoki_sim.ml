@@ -1,14 +1,15 @@
 (* enoki_sim: command-line driver for the simulator.
 
    Runs a (scheduler x workload) combination, optionally recording the
-   scheduler's message log, replaying a log, or live-upgrading mid-run.
+   scheduler's message log; replays a recorded log, or live-upgrades
+   mid-run.
    The --sched vocabulary comes from Schedulers.Registry (run
    `enoki_sim run --help` for the current list).
 
      enoki_sim run --sched wfq --workload pipe
      enoki_sim run --sched shinjuku --workload rocksdb --load 60
      enoki_sim run --sched scx-prio-dq --workload schbench --sanitize
-     enoki_sim record --sched wfq --workload pipe --out /tmp/wfq.rec
+     enoki_sim run --sched wfq --workload pipe --record /tmp/wfq.rec
      enoki_sim replay --sched wfq --log /tmp/wfq.rec
      enoki_sim upgrade --sched scx-simple --workload schbench *)
 
@@ -177,10 +178,26 @@ let watchdog_arg =
           "Arm the recovery watchdog: on panic bursts, call-budget overruns or sanitizer \
            starvation it live-upgrades back to the last-known-good scheduler version.")
 
-(* Shared by the replay subcommand and `run --replay`.  Exit codes: 3 for
-   an incomplete (dropped-events) log, 5 for a divergent replay. *)
+(* Exit codes: 2 for a log that cannot be read or is not a well-formed
+   record log (or a non-Enoki --sched), 3 for an incomplete (dropped-events)
+   log, 5 for a divergent replay. *)
+let replay_exits =
+  Cmd.Exit.info 2
+    ~doc:
+      "on a missing, unreadable or malformed record log, or a $(b,--sched) that is not an \
+       Enoki scheduler."
+  :: Cmd.Exit.info 3
+       ~doc:"on a log whose trailer records ring-overrun drops (see $(b,--allow-drops))."
+  :: Cmd.Exit.info 5 ~doc:"on a replayed reply that diverges from the recorded one."
+  :: Cmd.Exit.defaults
+
 let do_replay (module S : Enoki.Sched_trait.S) ~path ~allow_drops ~bisect ~window =
-  let contents = Enoki.Record.load_file ~path in
+  let contents =
+    try Enoki.Record.load_file ~path
+    with Sys_error msg ->
+      Printf.eprintf "enoki_sim: cannot read record log: %s\n" msg;
+      exit 2
+  in
   let info = Enoki.Replay.info contents in
   if info.Enoki.Replay.truncated then
     print_endline "note: log is cut off mid-frame; replaying the complete prefix";
@@ -259,17 +276,9 @@ let record_path_arg =
     & opt (some string) None
     & info [ "record" ] ~docv:"PATH"
         ~doc:
-          "Stream a binary record log of the scheduler's messages and lock events to $(docv) \
-           while running (bounded memory: the ring drains to the file incrementally).")
-
-let replay_path_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "replay" ] ~docv:"PATH"
-        ~doc:
-          "Instead of running a workload, replay the record log at $(docv) against the \
-           selected scheduler and exit.")
+          "Stream a record log of the scheduler's messages and lock events to $(docv) \
+           while running (bounded memory: the ring drains to the file incrementally); \
+           $(b,enoki_sim replay) replays it.")
 
 let allow_drops_arg =
   Arg.(
@@ -287,18 +296,7 @@ let bisect_arg =
 
 let run_cmd =
   let run sched workload load cores trace_path trace_format sanitize seed fault_plan
-      fault_seed call_budget watchdog metrics_out metrics_interval profile record_path replay_path
-      allow_drops bisect =
-    (match replay_path with
-    | Some path -> (
-      match module_of_sched sched with
-      | None ->
-        prerr_endline "enoki_sim: --replay requires an Enoki scheduler";
-        exit 2
-      | Some m ->
-        do_replay m ~path ~allow_drops ~bisect ~window:3;
-        exit 0)
-    | None -> ());
+      fault_seed call_budget watchdog metrics_out metrics_interval profile record_path =
     let topology = topology_of_cores cores in
     let registry =
       if metrics_out <> None then
@@ -478,51 +476,7 @@ let run_cmd =
       const run $ sched_arg $ workload_arg $ load_arg $ cores_arg $ trace_arg
       $ trace_format_arg $ sanitize_arg $ seed_arg $ fault_plan_arg $ fault_seed_arg
       $ call_budget_arg $ watchdog_arg $ metrics_out_arg $ metrics_interval_arg $ profile_arg
-      $ record_path_arg $ replay_path_arg $ allow_drops_arg $ bisect_arg)
-
-let out_arg =
-  Arg.(
-    value & opt string "enoki.rec"
-    & info [ "out"; "o" ] ~docv:"PATH" ~doc:"Where to save the record log.")
-
-let record_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("binary", Enoki.Record.Binary); ("text", Enoki.Record.Text) ]) Enoki.Record.Binary
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Record log wire format: $(b,binary) (compact frames, the default) or $(b,text) \
-           (the human-readable debug form).")
-
-let record_cmd =
-  let run sched workload load cores out seed format =
-    match module_of_sched sched with
-    | None -> prerr_endline ("record requires " ^ enoki_scheds_hint)
-    | Some m ->
-      (* stream to the file as the ring drains, so memory stays bounded
-         however long the run *)
-      let record = Enoki.Record.create_file ~path:out ~format () in
-      let b =
-        Workloads.Setup.build ~record ~topology:(topology_of_cores cores)
-          (Workloads.Setup.Enoki_sched m)
-      in
-      run_workload b workload ~load ~seed;
-      Enoki.Record.close record;
-      let d = Enoki.Record.dropped record in
-      Printf.printf "recorded %d events to %s%s\n" (Enoki.Record.length record) out
-        (if d > 0 then
-           Printf.sprintf
-             " — WARNING: %d events DROPPED (ring overrun); replay will refuse this log \
-              without --allow-drops"
-             d
-         else " (0 dropped)")
-  in
-  Cmd.v
-    (Cmd.info "record"
-       ~doc:"Run a workload with the record tap on and save the scheduler message log.")
-    Term.(
-      const run $ sched_arg $ workload_arg $ load_arg $ cores_arg $ out_arg $ seed_arg
-      $ record_format_arg)
+      $ record_path_arg)
 
 let log_arg =
   Arg.(
@@ -541,10 +495,16 @@ let replay_cmd =
     | None ->
       prerr_endline ("replay requires " ^ enoki_scheds_hint);
       exit 2
-    | Some m -> do_replay m ~path:log ~allow_drops ~bisect ~window
+    | Some m -> (
+      try do_replay m ~path:log ~allow_drops ~bisect ~window
+      with Enoki.Replay.Malformed_log { pos; reason } ->
+        if pos = 0 then Printf.eprintf "enoki_sim: %s: %s\n" log reason
+        else
+          Printf.eprintf "enoki_sim: %s: malformed record log at frame %d: %s\n" log pos reason;
+        exit 2)
   in
   Cmd.v
-    (Cmd.info "replay"
+    (Cmd.info "replay" ~exits:replay_exits
        ~doc:
          "Replay a recorded message log against the same scheduler code at userspace and \
           validate its replies.")
@@ -947,4 +907,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "enoki_sim" ~doc)
-          [ run_cmd; record_cmd; replay_cmd; upgrade_cmd; fleet_cmd ]))
+          [ run_cmd; replay_cmd; upgrade_cmd; fleet_cmd ]))

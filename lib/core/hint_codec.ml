@@ -11,7 +11,7 @@ let codecs : codec list ref = ref []
 let register ~name ~encode ~decode =
   codecs := { name; enc = encode; dec = decode } :: !codecs
 
-(* The (codec name, raw payload) pair: what the binary record log stores
+(* The (codec name, raw payload) pair: what the record log stores
    length-prefixed and escaping-free. *)
 let encode_parts hint =
   let rec try_codecs = function
@@ -32,17 +32,3 @@ let decode_parts ~name ~payload =
     | c :: rest -> if c.name = name then c.dec payload else find rest
   in
   find !codecs
-
-(* Text form: escape so encoded hints survive the space/newline-delimited
-   debug log. *)
-let encode hint =
-  let name, payload = encode_parts hint in
-  name ^ ":" ^ Str_split.escape payload
-
-let decode s =
-  match String.index_opt s ':' with
-  | None -> Opaque s
-  | Some i ->
-    let name = String.sub s 0 i in
-    let payload = Str_split.unescape (String.sub s (i + 1) (String.length s - i - 1)) in
-    decode_parts ~name ~payload

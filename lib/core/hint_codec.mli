@@ -18,16 +18,10 @@ val register :
   decode:(string -> Kernsim.Task.hint) ->
   unit
 
-(** Always succeeds; unknown hints become ["opaque"] payloads.  The result
-    contains no newlines or spaces (payloads are percent-escaped). *)
-val encode : Kernsim.Task.hint -> string
-
-(** Inverse of {!encode}; unknown codec names decode to {!Opaque}. *)
-val decode : string -> Kernsim.Task.hint
-
-(** [(codec name, raw payload)] — the unescaped pair the binary record log
-    stores length-prefixed, so arbitrary payload bytes round-trip without
-    the text form's percent-escaping. *)
+(** [(codec name, raw payload)]: the pair the record log stores
+    length-prefixed, so arbitrary payload bytes round-trip unescaped.
+    Always succeeds; hints no codec claims become ["opaque"] payloads. *)
 val encode_parts : Kernsim.Task.hint -> string * string
 
+(** Inverse of {!encode_parts}; unknown codec names decode to {!Opaque}. *)
 val decode_parts : name:string -> payload:string -> Kernsim.Task.hint

@@ -2,17 +2,10 @@ type op = Create | Acquire | Release
 
 type event = { lock_id : int; op : op; tid : int }
 
-(* Shared by the record writer (text form) and the replay parser, so the
-   two ends of the log can never drift apart. *)
 let op_name = function Create -> "create" | Acquire -> "acquire" | Release -> "release"
 
-let op_of_name = function
-  | "create" -> Some Create
-  | "acquire" -> Some Acquire
-  | "release" -> Some Release
-  | _ -> None
-
-(* Binary-log counterpart of [op_name]. *)
+(* Shared by the record writer and the replay decoder, so the two ends of
+   the log can never drift apart. *)
 let op_byte = function Create -> 0 | Acquire -> 1 | Release -> 2
 
 let op_of_byte = function

@@ -22,13 +22,11 @@ type op = Create | Acquire | Release
 
 type event = { lock_id : int; op : op; tid : int }
 
-(** Wire names for the record-log text form ([create]/[acquire]/[release]);
-    {!op_of_name} is the inverse used by the replay parser. *)
+(** Printable names ([create]/[acquire]/[release]) for replay context. *)
 val op_name : op -> string
 
-val op_of_name : string -> op option
-
-(** Binary-log counterparts ([Create]=0, [Acquire]=1, [Release]=2). *)
+(** Record-log encoding ([Create]=0, [Acquire]=1, [Release]=2);
+    {!op_of_byte} is the inverse used by the replay decoder. *)
 val op_byte : op -> int
 
 val op_of_byte : int -> op option

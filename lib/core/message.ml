@@ -26,25 +26,15 @@ type reply =
   | R_pid_opt of int option
   | R_sched_opt of Schedulable.t option
 
-(* sched tokens travel as pid.cpu.gen triples; "-" is None *)
+(* ---- human-readable rendering (replay context, mismatch text) ----------
+
+   sched tokens print as pid.cpu.gen triples; "-" is None *)
 let enc_sched s =
   Printf.sprintf "%d.%d.%d" (Schedulable.pid s) (Schedulable.cpu s) (Schedulable.generation s)
 
 let enc_sched_opt = function None -> "-" | Some s -> enc_sched s
 
-let dec_sched s =
-  match String.split_on_char '.' s with
-  | [ pid; cpu; gen ] ->
-    Schedulable.Private.create ~pid:(int_of_string pid) ~cpu:(int_of_string cpu)
-      ~gen:(int_of_string gen)
-  | _ -> failwith ("Message: bad sched " ^ s)
-
-let dec_sched_opt s = if s = "-" then None else Some (dec_sched s)
-
 let enc_ints l = match l with [] -> "-" | l -> String.concat "," (List.map string_of_int l)
-
-let dec_ints s =
-  if s = "-" then [] else List.map int_of_string (String.split_on_char ',' s)
 
 let call_name = function
   | Get_policy -> "get_policy"
@@ -66,19 +56,14 @@ let call_name = function
   | Balance_err _ -> "balance_err"
   | Parse_hint _ -> "parse_hint"
 
-(* [err] strings are usually identifier-ish, but nothing enforces it:
-   percent-escape so spaces, newlines or a " => " in the payload can never
-   break the line-oriented log (and the round trip is exact, where the old
-   [_]-substitution silently corrupted the string). *)
-let enc_str = Str_split.escape
-
-let encode_call c =
+(* free-form payloads (errors, hints) print as OCaml string literals *)
+let string_of_call c =
   match c with
   | Get_policy -> "get_policy"
   | Pick_next_task { cpu; curr; curr_runtime } ->
     Printf.sprintf "pick_next_task %d %s %d" cpu (enc_sched_opt curr) curr_runtime
   | Pnt_err { cpu; pid; err; sched } ->
-    Printf.sprintf "pnt_err %d %d %s %s" cpu pid (enc_str err) (enc_sched_opt sched)
+    Printf.sprintf "pnt_err %d %d %S %s" cpu pid err (enc_sched_opt sched)
   | Task_dead { pid } -> Printf.sprintf "task_dead %d" pid
   | Task_blocked { pid; runtime; cpu } -> Printf.sprintf "task_blocked %d %d %d" pid runtime cpu
   | Task_wakeup { pid; runtime; waker_cpu; sched } ->
@@ -101,59 +86,18 @@ let encode_call c =
   | Balance { cpu } -> Printf.sprintf "balance %d" cpu
   | Balance_err { cpu; pid; sched } ->
     Printf.sprintf "balance_err %d %d %s" cpu pid (enc_sched_opt sched)
-  | Parse_hint { pid; hint } -> Printf.sprintf "parse_hint %d %s" pid (Hint_codec.encode hint)
+  | Parse_hint { pid; hint } ->
+    let name, payload = Hint_codec.encode_parts hint in
+    Printf.sprintf "parse_hint %d %s:%S" pid name payload
 
-let decode_call line =
-  let int = int_of_string in
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "get_policy" ] -> Get_policy
-  | [ "pick_next_task"; cpu; curr; rt ] ->
-    Pick_next_task { cpu = int cpu; curr = dec_sched_opt curr; curr_runtime = int rt }
-  | [ "pnt_err"; cpu; pid; err; sched ] ->
-    Pnt_err { cpu = int cpu; pid = int pid; err = Str_split.unescape err; sched = dec_sched_opt sched }
-  | [ "task_dead"; pid ] -> Task_dead { pid = int pid }
-  | [ "task_blocked"; pid; rt; cpu ] ->
-    Task_blocked { pid = int pid; runtime = int rt; cpu = int cpu }
-  | [ "task_wakeup"; pid; rt; waker; sched ] ->
-    Task_wakeup { pid = int pid; runtime = int rt; waker_cpu = int waker; sched = dec_sched sched }
-  | [ "task_new"; pid; rt; prio; sched ] ->
-    Task_new { pid = int pid; runtime = int rt; prio = int prio; sched = dec_sched sched }
-  | [ "task_preempt"; pid; rt; cpu; sched ] ->
-    Task_preempt { pid = int pid; runtime = int rt; cpu = int cpu; sched = dec_sched sched }
-  | [ "task_yield"; pid; rt; cpu; sched ] ->
-    Task_yield { pid = int pid; runtime = int rt; cpu = int cpu; sched = dec_sched sched }
-  | [ "task_departed"; pid; cpu ] -> Task_departed { pid = int pid; cpu = int cpu }
-  | [ "task_affinity_changed"; pid; allowed ] ->
-    Task_affinity_changed { pid = int pid; allowed = dec_ints allowed }
-  | [ "task_prio_changed"; pid; prio ] -> Task_prio_changed { pid = int pid; prio = int prio }
-  | [ "task_tick"; cpu; queued ] -> Task_tick { cpu = int cpu; queued = bool_of_string queued }
-  | [ "select_task_rq"; pid; waker; allowed ] ->
-    Select_task_rq { pid = int pid; waker_cpu = int waker; allowed = dec_ints allowed }
-  | [ "migrate_task_rq"; pid; from_cpu; sched ] ->
-    Migrate_task_rq { pid = int pid; from_cpu = int from_cpu; sched = dec_sched sched }
-  | [ "balance"; cpu ] -> Balance { cpu = int cpu }
-  | [ "balance_err"; cpu; pid; sched ] ->
-    Balance_err { cpu = int cpu; pid = int pid; sched = dec_sched_opt sched }
-  | [ "parse_hint"; pid; hint ] -> Parse_hint { pid = int pid; hint = Hint_codec.decode hint }
-  | _ -> failwith ("Message: cannot decode call: " ^ line)
-
-let encode_reply = function
+let string_of_reply = function
   | R_unit -> "unit"
   | R_int i -> Printf.sprintf "int %d" i
   | R_pid_opt None -> "pid -"
   | R_pid_opt (Some p) -> Printf.sprintf "pid %d" p
   | R_sched_opt s -> Printf.sprintf "sched %s" (enc_sched_opt s)
 
-let decode_reply s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ "unit" ] -> R_unit
-  | [ "int"; i ] -> R_int (int_of_string i)
-  | [ "pid"; "-" ] -> R_pid_opt None
-  | [ "pid"; p ] -> R_pid_opt (Some (int_of_string p))
-  | [ "sched"; sd ] -> R_sched_opt (dec_sched_opt sd)
-  | _ -> failwith ("Message: cannot decode reply: " ^ s)
-
-(* --- binary wire form ----------------------------------------------------
+(* ---- wire form -----------------------------------------------------------
 
    Length-prefixed (no escaping, no delimiters), so payloads containing
    newlines or " => " can never corrupt the log.  Opcodes are the
@@ -394,7 +338,3 @@ let reply_matches a b =
   | R_sched_opt (Some x), R_sched_opt (Some y) ->
     Schedulable.pid x = Schedulable.pid y && Schedulable.cpu x = Schedulable.cpu y
   | _ -> false
-
-let pp_call fmt c = Format.pp_print_string fmt (encode_call c)
-
-let pp_reply fmt r = Format.pp_print_string fmt (encode_reply r)

@@ -4,9 +4,9 @@
     per-function message (§3): plain data plus Schedulable capabilities —
     never kernel pointers.  Enoki-C calls the module directly and builds
     the message value only for the record tap, which serialises one per
-    call; replay decodes them and feeds the identical call stream through
-    the processing function in libEnoki ({!Lib_enoki}) to the identical
-    scheduler code at userspace. *)
+    call ({!put_call}); replay decodes them ({!get_call}) and feeds the
+    identical call stream through the processing function in libEnoki
+    ({!Lib_enoki}) to the identical scheduler code at userspace. *)
 
 type ns = Kernsim.Time.ns
 
@@ -36,20 +36,9 @@ type reply =
   | R_pid_opt of int option
   | R_sched_opt of Schedulable.t option
 
-(** Single-line, space-free-field wire form. *)
-val encode_call : call -> string
-
-(** Inverse of {!encode_call}; Schedulable fields are re-minted from their
-    recorded pid/cpu/generation.  Raises [Failure] on malformed input. *)
-val decode_call : string -> call
-
-val encode_reply : reply -> string
-
-val decode_reply : string -> reply
-
-(** Binary wire form: length-prefixed varint fields, no escaping, so
-    free-form payloads (errors, hints) round-trip byte-exactly no matter
-    what they contain.  Opcodes follow constructor declaration order.
+(** Wire form: length-prefixed varint fields, no escaping, so free-form
+    payloads (errors, hints) round-trip byte-exactly no matter what they
+    contain.  Opcodes follow constructor declaration order.
     Readers raise {!Wire.Truncated} on short input and [Failure] on
     unknown opcodes. *)
 val put_call : Buffer.t -> call -> unit
@@ -66,6 +55,9 @@ val reply_matches : reply -> reply -> bool
 
 val call_name : call -> string
 
-val pp_call : Format.formatter -> call -> unit
+(** One-line human-readable rendering (replay context, mismatch text);
+    free-form payloads print as OCaml string literals.  Not a codec: the
+    record log uses {!put_call}. *)
+val string_of_call : call -> string
 
-val pp_reply : Format.formatter -> reply -> unit
+val string_of_reply : reply -> string

@@ -9,15 +9,12 @@ type event =
   | Ev_call of { tid : int; call : Message.call; reply : Message.reply }
   | Ev_lock of Lock.event
 
-type format = Binary | Text
-
 type sink =
   | Memory of Buffer.t
   | Channel of out_channel
 
 type t = {
   ring : event Ds.Ring_buffer.t;
-  format : format;
   sink : sink;
   scratch : Buffer.t; (* per-drain staging for Channel sinks; reused, so bounded *)
   frame : Buffer.t; (* per-event staging for length prefixes; reused *)
@@ -25,15 +22,14 @@ type t = {
   mutable closed : bool;
 }
 
-(* Log header for the binary form; the final byte is the format version. *)
+(* Log header; the final byte is the format version. *)
 let magic = "ENOKIREC\x01"
 
 let default_capacity = 65536
 
-let mk ~capacity ~format ~sink =
+let mk ~capacity ~sink =
   {
     ring = Ds.Ring_buffer.create ~capacity;
-    format;
     sink;
     scratch = Buffer.create 4096;
     frame = Buffer.create 256;
@@ -41,13 +37,12 @@ let mk ~capacity ~format ~sink =
     closed = false;
   }
 
-let create ?(capacity = default_capacity) ?(format = Binary) () =
-  mk ~capacity ~format ~sink:(Memory (Buffer.create 4096))
+let create ?(capacity = default_capacity) () = mk ~capacity ~sink:(Memory (Buffer.create 4096))
 
-let create_file ~path ?(capacity = default_capacity) ?(format = Binary) () =
+let create_file ~path ?(capacity = default_capacity) () =
   let oc = open_out_bin path in
-  if format = Binary then output_string oc magic;
-  mk ~capacity ~format ~sink:(Channel oc)
+  output_string oc magic;
+  mk ~capacity ~sink:(Channel oc)
 
 let tap_call t ~tid call reply = ignore (Ds.Ring_buffer.push t.ring (Ev_call { tid; call; reply }))
 
@@ -56,7 +51,7 @@ let tap_lock t (ev : Lock.event) = ignore (Ds.Ring_buffer.push t.ring (Ev_lock e
 let dropped t = Ds.Ring_buffer.dropped t.ring
 
 (* frame = varint payload length, then payload (kind byte + fields) *)
-let encode_binary t buf ev =
+let encode t buf ev =
   Buffer.clear t.frame;
   (match ev with
   | Ev_call { tid; call; reply } ->
@@ -72,15 +67,6 @@ let encode_binary t buf ev =
   Wire.put_uint buf (Buffer.length t.frame);
   Buffer.add_buffer buf t.frame
 
-let encode_text buf ev =
-  (match ev with
-  | Ev_call { tid; call; reply } ->
-    Buffer.add_string buf
-      (Printf.sprintf "C %d %s => %s" tid (Message.encode_call call) (Message.encode_reply reply))
-  | Ev_lock { lock_id; op; tid } ->
-    Buffer.add_string buf (Printf.sprintf "L %d %s %d" tid (Lock.op_name op) lock_id));
-  Buffer.add_char buf '\n'
-
 let drain t =
   if not t.closed then
     match Ds.Ring_buffer.drain t.ring with
@@ -95,9 +81,7 @@ let drain t =
       in
       List.iter
         (fun ev ->
-          (match t.format with
-          | Binary -> encode_binary t buf ev
-          | Text -> encode_text buf ev);
+          encode t buf ev;
           t.events <- t.events + 1)
         evs;
       (match t.sink with Memory _ -> () | Channel oc -> Buffer.output_buffer oc t.scratch)
@@ -107,20 +91,15 @@ let length t =
   t.events
 
 (* The trailer carries the event and drop counts; it sits at the end so
-   entry positions (binary frame index, text line number) are stable
-   whether or not the run completed. *)
+   entry positions (frame indices) are stable whether or not the run
+   completed. *)
 let add_trailer t buf =
-  match t.format with
-  | Binary ->
-    Buffer.clear t.frame;
-    Wire.put_byte t.frame 0x7f;
-    Wire.put_uint t.frame t.events;
-    Wire.put_uint t.frame (dropped t);
-    Wire.put_uint buf (Buffer.length t.frame);
-    Buffer.add_buffer buf t.frame
-  | Text ->
-    Buffer.add_string buf
-      (Printf.sprintf "# enoki-record: events=%d dropped=%d\n" t.events (dropped t))
+  Buffer.clear t.frame;
+  Wire.put_byte t.frame 0x7f;
+  Wire.put_uint t.frame t.events;
+  Wire.put_uint t.frame (dropped t);
+  Wire.put_uint buf (Buffer.length t.frame);
+  Buffer.add_buffer buf t.frame
 
 let close t =
   if not t.closed then begin
@@ -142,7 +121,7 @@ let contents t =
   | Memory b ->
     (* compose without mutating [b], so repeated calls are stable *)
     let out = Buffer.create (Buffer.length b + 64) in
-    if t.format = Binary then Buffer.add_string out magic;
+    Buffer.add_string out magic;
     Buffer.add_buffer out b;
     add_trailer t out;
     Buffer.contents out

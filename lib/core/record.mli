@@ -8,14 +8,10 @@
     dropped and counted, and the count is written into the log trailer so
     replay can refuse (or be told to tolerate) an incomplete recording.
 
-    Two wire formats:
-    - {!Binary} (default): [magic], then one length-prefixed frame per
-      event, then a trailer frame carrying (events, dropped).  Fields are
-      varints and length-prefixed strings ({!Wire}), so free-form payloads
-      round-trip byte-exactly — no escaping, no delimiter corruption.
-    - {!Text}: the human-readable debug form, one event per line
-      ([C <tid> <call> => <reply>] / [L <tid> <op> <lock_id>]), ending with
-      a [# enoki-record: events=N dropped=M] trailer line.
+    The log is [magic], then one length-prefixed frame per event, then a
+    trailer frame carrying (events, dropped).  Fields are varints and
+    length-prefixed strings ({!Wire}), so free-form payloads round-trip
+    byte-exactly — no escaping, no delimiter corruption.
 
     Sinks: {!create} accumulates drained bytes in memory; {!create_file}
     streams them to a file as they drain, keeping the recorder's live heap
@@ -23,17 +19,15 @@
 
 type t
 
-type format = Binary | Text
-
-(** Header of the binary form; the final byte is the format version. *)
+(** Log header; the final byte is the format version. *)
 val magic : string
 
 (** In-memory recorder (default ring capacity 65536 events). *)
-val create : ?capacity:int -> ?format:format -> unit -> t
+val create : ?capacity:int -> unit -> t
 
 (** Streaming recorder: drained events are written to [path] incrementally.
     Call {!close} to flush the ring and write the trailer. *)
-val create_file : path:string -> ?capacity:int -> ?format:format -> unit -> t
+val create_file : path:string -> ?capacity:int -> unit -> t
 
 (** Push one invocation record from kernel context. *)
 val tap_call : t -> tid:int -> Message.call -> Message.reply -> unit

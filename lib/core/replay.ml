@@ -11,7 +11,6 @@ type report = {
 }
 
 type info = {
-  binary : bool;
   recorded_events : int option;
   dropped : int option;
   truncated : bool;
@@ -19,138 +18,94 @@ type info = {
 
 exception Incomplete_log of { dropped : int }
 
+exception Malformed_log of { pos : int; reason : string }
+
 type divergence = { failing_prefix : int; seq : int; detail : string; context : entry list }
 
 let entry_seq = function Call { seq; _ } -> seq | Lock_event { seq; _ } -> seq
 
 let entry_line = function
   | Call { tid; call; reply; _ } ->
-    Printf.sprintf "C %d %s => %s" tid (Message.encode_call call) (Message.encode_reply reply)
+    Printf.sprintf "C %d %s => %s" tid (Message.string_of_call call)
+      (Message.string_of_reply reply)
   | Lock_event { tid; op; lock_id; _ } ->
     Printf.sprintf "L %d %s %d" tid (Lock.op_name op) lock_id
 
-(* ---- text form ---------------------------------------------------------- *)
+(* ---- decoding ----------------------------------------------------------- *)
 
-let parse_line seq line =
-  match String.index_opt line ' ' with
-  | Some 1 when line.[0] = 'C' -> (
-    let body = String.sub line 2 (String.length line - 2) in
-    match String.index_opt body ' ' with
-    | None -> failwith ("Replay: bad call line: " ^ line)
-    | Some i -> (
-      let tid = int_of_string (String.sub body 0 i) in
-      let rest = String.sub body (i + 1) (String.length body - i - 1) in
-      match Str_split.split_arrow rest with
-      | Some (c, r) ->
-        Call { seq; tid; call = Message.decode_call c; reply = Message.decode_reply r }
-      | None -> failwith ("Replay: bad call line: " ^ line)))
-  | Some 1 when line.[0] = 'L' -> (
-    match String.split_on_char ' ' line with
-    | [ "L"; tid; op; lock_id ] ->
+let malformed pos reason = raise (Malformed_log { pos; reason })
+
+(* One frame's payload: kind byte, then fields.  [decode] controls whether
+   non-trailer payloads are parsed at all — [info] skips them, so probing a
+   huge log costs no entry allocations. *)
+let frame_payload cur ~decode ~entry ~seq ~recorded ~dropped =
+  match Wire.get_byte cur with
+  | 0x01 ->
+    incr seq;
+    if decode then begin
+      let tid = Wire.get_uint cur in
+      let call = Message.get_call cur in
+      let reply = Message.get_reply cur in
+      entry (Call { seq = !seq; tid; call; reply })
+    end
+  | 0x02 ->
+    incr seq;
+    if decode then begin
+      let tid = Wire.get_uint cur in
       let op =
-        match Lock.op_of_name op with
+        match Lock.op_of_byte (Wire.get_byte cur) with
         | Some op -> op
-        | None -> failwith ("Replay: bad lock op: " ^ op)
+        | None -> failwith "bad lock op byte"
       in
-      Lock_event { seq; tid = int_of_string tid; op; lock_id = int_of_string lock_id }
-    | _ -> failwith ("Replay: bad lock line: " ^ line))
-  | _ -> failwith ("Replay: unrecognised line: " ^ line)
-
-let parse_text_trailer line =
-  try Scanf.sscanf line "# enoki-record: events=%d dropped=%d" (fun e d -> Some (e, d))
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
-(* [entry] is called per log entry, in order, with seq = file line number
-   (comment lines are skipped but still advance seq, so seq always names
-   the line to open in an editor). *)
-let fold_text log ~entry =
-  let lines = String.split_on_char '\n' log in
-  let recorded = ref None and dropped = ref None in
-  let rec go seq = function
-    | [] -> ()
-    | "" :: rest -> go (seq + 1) rest
-    | line :: rest ->
-      if line.[0] = '#' then begin
-        (match parse_text_trailer line with
-        | Some (e, d) ->
-          recorded := Some e;
-          dropped := Some d
-        | None -> ())
-      end
-      else entry (parse_line seq line);
-      go (seq + 1) rest
-  in
-  go 1 lines;
-  { binary = false; recorded_events = !recorded; dropped = !dropped; truncated = false }
-
-(* ---- binary form -------------------------------------------------------- *)
-
-let is_binary log =
-  String.length log >= String.length Record.magic
-  && String.sub log 0 (String.length Record.magic) = Record.magic
+      let lock_id = Wire.get_uint cur in
+      entry (Lock_event { seq = !seq; tid; op; lock_id })
+    end
+  | 0x7f ->
+    let e = Wire.get_uint cur in
+    let d = Wire.get_uint cur in
+    recorded := Some e;
+    dropped := Some d
+  | k -> failwith (Printf.sprintf "unknown record kind 0x%02x" k)
 
 (* Decodes every complete frame, then stops: a recording cut off mid-frame
    (crash, full disk) salvages everything before the cut and is flagged
-   [truncated] instead of raising.  [decode] controls whether non-trailer
-   payloads are parsed at all — [info] skips them, so probing a huge log
-   costs no entry allocations. *)
-let fold_binary log ~decode ~entry =
-  let cur = Wire.cursor ~pos:(String.length Record.magic) log in
-  let seq = ref 0 in
+   [truncated] instead of raising.  Anything else that fails to decode — no
+   header, an unknown kind or opcode, fields overrunning their frame — is
+   corruption and raises [Malformed_log] naming the 1-based frame index. *)
+let fold log ~decode ~entry =
+  let header = String.length Record.magic in
+  if String.length log < header || String.sub log 0 header <> Record.magic then
+    malformed 0 "not an Enoki record log (missing header)";
+  let cur = Wire.cursor ~pos:header log in
+  let frame = ref 0 and seq = ref 0 in
   let recorded = ref None and dropped = ref None in
   let truncated = ref false in
   (try
      while not (Wire.at_end cur) do
        let len = Wire.get_uint cur in
-       if cur.pos + len > String.length log then raise Wire.Truncated;
+       incr frame;
+       if len < 0 then malformed !frame "bad frame length";
+       if len > String.length log - cur.pos then raise Wire.Truncated;
        let frame_end = cur.pos + len in
-       (match Wire.get_byte cur with
-       | 0x01 ->
-         incr seq;
-         if decode then begin
-           let tid = Wire.get_uint cur in
-           let call = Message.get_call cur in
-           let reply = Message.get_reply cur in
-           entry (Call { seq = !seq; tid; call; reply })
-         end
-       | 0x02 ->
-         incr seq;
-         if decode then begin
-           let tid = Wire.get_uint cur in
-           let op =
-             match Lock.op_of_byte (Wire.get_byte cur) with
-             | Some op -> op
-             | None -> failwith "Replay: bad lock op byte"
-           in
-           let lock_id = Wire.get_uint cur in
-           entry (Lock_event { seq = !seq; tid; op; lock_id })
-         end
-       | 0x7f ->
-         let e = Wire.get_uint cur in
-         let d = Wire.get_uint cur in
-         recorded := Some e;
-         dropped := Some d
-       | k -> failwith (Printf.sprintf "Replay: unknown record kind 0x%02x" k));
+       (* the frame fits in the log, so running out of bytes while decoding
+          it means its fields overran the length, not a cut-off recording *)
+       (match frame_payload cur ~decode ~entry ~seq ~recorded ~dropped with
+       | () -> if cur.pos > frame_end then malformed !frame "fields overrun the frame"
+       | exception Wire.Truncated -> malformed !frame "fields overrun the frame"
+       | exception (Failure reason | Invalid_argument reason) -> malformed !frame reason);
        cur.pos <- frame_end
      done
    with Wire.Truncated -> truncated := true);
-  { binary = true; recorded_events = !recorded; dropped = !dropped; truncated = !truncated }
-
-(* ---- parsing entry points ----------------------------------------------- *)
-
-let fold log ~entry =
-  if is_binary log then fold_binary log ~decode:true ~entry else fold_text log ~entry
+  { recorded_events = !recorded; dropped = !dropped; truncated = !truncated }
 
 let parse_full log =
   let acc = ref [] in
-  let info = fold log ~entry:(fun e -> acc := e :: !acc) in
+  let info = fold log ~decode:true ~entry:(fun e -> acc := e :: !acc) in
   (List.rev !acc, info)
 
 let parse log = fst (parse_full log)
 
-let info log =
-  if is_binary log then fold_binary log ~decode:false ~entry:(fun _ -> ())
-  else fold_text log ~entry:(fun _ -> ())
+let info log = fold log ~decode:false ~entry:(fun _ -> ())
 
 (* ---- replay ------------------------------------------------------------- *)
 
@@ -237,7 +192,7 @@ let run_entries (module S : Sched_trait.S) entries =
                 mismatches :=
                   ( seq,
                     Printf.sprintf "%s: recorded %s, replayed %s" (Message.call_name call)
-                      (Message.encode_reply expected) (Message.encode_reply got) )
+                      (Message.string_of_reply expected) (Message.string_of_reply got) )
                   :: !mismatches;
                 Mutex.unlock mm_mutex;
                 abandon ()
@@ -334,7 +289,7 @@ let pp_report fmt r =
       | _ when n = 0 ->
         Format.fprintf fmt "@\n  ... and %d more" (List.length ms - 5)
       | (seq, detail) :: rest ->
-        Format.fprintf fmt "@\n  line %d: %s" seq detail;
+        Format.fprintf fmt "@\n  entry %d: %s" seq detail;
         show (n - 1) rest
     in
     show 5 ms);

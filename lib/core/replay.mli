@@ -7,11 +7,9 @@
     the recorded acquisition order.  Responses are validated against the
     recorded ones, flagging any divergence to the user.
 
-    Both record formats are accepted — logs starting with {!Record.magic}
-    are decoded as binary frames, anything else as the text form.  Entry
-    [seq] numbers name positions in the source: the file line for text
-    logs (comment lines count, so [seq] is exactly the line to open), the
-    frame index for binary ones. *)
+    The log is {!Record}'s one format: {!Record.magic}, then one frame per
+    entry, then a trailer frame.  Entry [seq] numbers are 1-based frame
+    indices, so they name positions in the log. *)
 
 type entry =
   | Call of { seq : int; tid : int; call : Message.call; reply : Message.reply }
@@ -36,10 +34,9 @@ type report = {
 (** What the log header/trailer says about a recording, without decoding
     entries (cheap even for huge logs). *)
 type info = {
-  binary : bool;
   recorded_events : int option;  (** [None]: no trailer (e.g. cut-off run) *)
   dropped : int option;
-  truncated : bool;  (** binary log ends mid-frame; complete frames salvaged *)
+  truncated : bool;  (** log ends mid-frame; complete frames salvaged *)
 }
 
 (** Raised by {!run} when the log's trailer records ring-overrun drops: the
@@ -47,14 +44,20 @@ type info = {
     [~allow_drops:true] to replay anyway. *)
 exception Incomplete_log of { dropped : int }
 
+(** Raised by every entry point below for input that is not a well-formed
+    record log: no {!Record.magic} header ([pos = 0]), or a frame that
+    does not decode (unknown kind or opcode, bad lock op, fields overrunning
+    the frame length; [pos] is the 1-based frame index).  A log that
+    merely ends mid-frame is not malformed (see {!info}). *)
+exception Malformed_log of { pos : int; reason : string }
+
 (** The result of {!bisect}: [failing_prefix] is the length of the minimal
     diverging prefix, [seq]/[detail] name the first divergent call, and
     [context] is a window of log entries around it. *)
 type divergence = { failing_prefix : int; seq : int; detail : string; context : entry list }
 
-(** Parse a record log of either format.  Malformed text lines and corrupt
-    binary frames raise [Failure]; a binary log that simply ends mid-frame
-    yields the complete frames (see {!info}). *)
+(** Parse a record log.  Raises {!Malformed_log} on corrupt input; a log
+    that simply ends mid-frame yields the complete frames (see {!info}). *)
 val parse : string -> entry list
 
 (** {!parse} plus the header/trailer {!info} from the same pass. *)
@@ -78,7 +81,7 @@ val run_entries : (module Sched_trait.S) -> entry list -> report
     the full log replays clean.  Costs O(log n) replays. *)
 val bisect : ?window:int -> (module Sched_trait.S) -> log:string -> divergence option
 
-(** Render an entry in the text-log form (for context printing). *)
+(** One-line rendering of an entry, for context printing. *)
 val entry_line : entry -> string
 
 (** One-line verdict; on mismatch, also the first few divergences with

@@ -3,10 +3,9 @@
     Integers are LEB128 varints ([put_int] zigzags first, so small negative
     values stay small); strings are length-prefixed raw bytes, which makes
     the format escaping-free: payloads containing newlines, spaces or
-    [" => "] cannot corrupt the framing, unlike the line-oriented debug
-    form.  Readers raise {!Truncated} when the input ends mid-value, which
-    the log decoder uses to salvage every complete frame of a cut-off
-    recording. *)
+    [" => "] cannot corrupt the framing.  Readers raise {!Truncated} when
+    the input ends mid-value, which the log decoder uses to salvage every
+    complete frame of a cut-off recording. *)
 
 exception Truncated
 

@@ -173,8 +173,8 @@ let test_policies_run_sanitizer_clean () =
     dsq_schedulers
 
 let test_record_replay_stream_equivalence () =
-  (* as test_enoki's cross-scheduler check: text and streamed binary logs
-     of the same deterministic run are entry-equal, and the binary log
+  (* as test_enoki's cross-scheduler check: the in-memory and streamed
+     logs of the same deterministic run are byte-identical, and the log
      replays clean against the same policy *)
   List.iter
     (fun (name, sched) ->
@@ -183,28 +183,21 @@ let test_record_replay_stream_equivalence () =
         let b = build_sched ~record sched in
         ignore (Workloads.Pipe_bench.run b ~messages:500 ())
       in
-      let text = Enoki.Record.create ~format:Enoki.Record.Text () in
-      run_with text;
-      let text_log = Enoki.Record.contents text in
+      let mem = Enoki.Record.create () in
+      run_with mem;
+      let mem_log = Enoki.Record.contents mem in
       let path = Filename.temp_file "enoki-dsq" ".rec" in
-      let bin = Enoki.Record.create_file ~path () in
-      run_with bin;
-      Enoki.Record.close bin;
-      let bin_log = Enoki.Record.load_file ~path in
+      let file = Enoki.Record.create_file ~path () in
+      run_with file;
+      Enoki.Record.close file;
+      let file_log = Enoki.Record.load_file ~path in
       Sys.remove path;
-      let t_entries = Enoki.Replay.parse text_log in
-      let b_entries = Enoki.Replay.parse bin_log in
-      check Alcotest.int (name ^ ": entry counts equal") (List.length t_entries)
-        (List.length b_entries);
-      List.iter2
-        (fun a b' ->
-          check Alcotest.string (name ^ ": entries equal") (Enoki.Replay.entry_line a)
-            (Enoki.Replay.entry_line b'))
-        t_entries b_entries;
-      let report = Enoki.Replay.run sched ~log:bin_log in
+      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.parse file_log <> []);
+      check Alcotest.string (name ^ ": memory and file logs byte-identical") mem_log file_log;
+      let report = Enoki.Replay.run sched ~log:file_log in
       check
         Alcotest.(list (pair int string))
-        (name ^ ": binary log replays clean")
+        (name ^ ": streamed log replays clean")
         [] report.Enoki.Replay.mismatches)
     dsq_schedulers
 

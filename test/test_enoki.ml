@@ -23,12 +23,16 @@ let test_schedulable_consume () =
   check Alcotest.bool "describe mentions consumed" true
     (String.length (Sched.describe s) > 0)
 
-(* ---------- Message encode/decode ---------- *)
+(* ---------- Message wire form ---------- *)
 
 let roundtrip_call c =
-  let line = Enoki.Message.encode_call c in
-  let c' = Enoki.Message.decode_call line in
-  check Alcotest.string "call roundtrip" line (Enoki.Message.encode_call c')
+  let buf = Buffer.create 64 in
+  Enoki.Message.put_call buf c;
+  let cur = Enoki.Wire.cursor (Buffer.contents buf) in
+  let c' = Enoki.Message.get_call cur in
+  check Alcotest.bool "call consumed exactly" true (Enoki.Wire.at_end cur);
+  check Alcotest.string "call roundtrip" (Enoki.Message.string_of_call c)
+    (Enoki.Message.string_of_call c')
 
 let test_message_roundtrips () =
   let s = Sched.Private.create ~pid:3 ~cpu:1 ~gen:9 in
@@ -53,15 +57,21 @@ let test_message_roundtrips () =
       Migrate_task_rq { pid = 9; from_cpu = 1; sched = s };
       Balance { cpu = 6 };
       Balance_err { cpu = 6; pid = 9; sched = None };
+      Pnt_err { cpu = 0; pid = 2; err = "bad => cpu\n%"; sched = None };
+      Parse_hint { pid = 4; hint = Enoki.Hint_codec.Opaque "a b\nc" };
     ]
 
 let test_reply_roundtrips () =
   let s = Sched.Private.create ~pid:3 ~cpu:1 ~gen:9 in
   List.iter
     (fun r ->
-      let line = Enoki.Message.encode_reply r in
-      check Alcotest.string "reply roundtrip" line
-        (Enoki.Message.encode_reply (Enoki.Message.decode_reply line)))
+      let buf = Buffer.create 16 in
+      Enoki.Message.put_reply buf r;
+      let cur = Enoki.Wire.cursor (Buffer.contents buf) in
+      let r' = Enoki.Message.get_reply cur in
+      check Alcotest.bool "reply consumed exactly" true (Enoki.Wire.at_end cur);
+      check Alcotest.string "reply roundtrip" (Enoki.Message.string_of_reply r)
+        (Enoki.Message.string_of_reply r'))
     [ R_unit; R_int 5; R_int (-3); R_pid_opt None; R_pid_opt (Some 8); R_sched_opt None;
       R_sched_opt (Some s) ]
 
@@ -77,34 +87,40 @@ let test_reply_matching () =
     (Enoki.Message.reply_matches R_unit (R_int 0))
 
 let test_decode_failure () =
-  (match Enoki.Message.decode_call "nonsense here" with
+  let get f bytes = f (Enoki.Wire.cursor bytes) in
+  (match get Enoki.Message.get_call "\xff" with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected decode failure");
-  match Enoki.Message.decode_reply "what" with
+  | _ -> Alcotest.fail "expected failure on an unknown call opcode");
+  (match get Enoki.Message.get_reply "\x09" with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected reply decode failure"
+  | _ -> Alcotest.fail "expected failure on an unknown reply tag");
+  (* pick_next_task's opcode with its fields missing *)
+  match get Enoki.Message.get_call "\x01" with
+  | exception Enoki.Wire.Truncated -> ()
+  | _ -> Alcotest.fail "expected Truncated on a short call"
 
 (* ---------- Hint codec ---------- *)
 
+let hint_roundtrip h =
+  let name, payload = Enoki.Hint_codec.encode_parts h in
+  Enoki.Hint_codec.decode_parts ~name ~payload
+
 let test_hint_codec () =
   Schedulers.Hints.register_codecs ();
-  let h = Schedulers.Hints.Locality { pid = 12; group = 3 } in
-  let enc = Enoki.Hint_codec.encode h in
-  (match Enoki.Hint_codec.decode enc with
+  (match hint_roundtrip (Schedulers.Hints.Locality { pid = 12; group = 3 }) with
   | Schedulers.Hints.Locality { pid; group } ->
     check Alcotest.int "pid" 12 pid;
     check Alcotest.int "group" 3 group
   | _ -> Alcotest.fail "decoded to wrong constructor");
-  let r = Schedulers.Hints.Core_request { pid = 4; cores = 6 } in
-  (match Enoki.Hint_codec.decode (Enoki.Hint_codec.encode r) with
+  match hint_roundtrip (Schedulers.Hints.Core_request { pid = 4; cores = 6 }) with
   | Schedulers.Hints.Core_request { pid; cores } ->
     check Alcotest.int "pid" 4 pid;
     check Alcotest.int "cores" 6 cores
-  | _ -> Alcotest.fail "core_request roundtrip failed")
+  | _ -> Alcotest.fail "core_request roundtrip failed"
 
 let test_hint_codec_opaque () =
   (* unregistered hints survive as opaque strings *)
-  match Enoki.Hint_codec.decode "nosuchcodec:payload" with
+  match Enoki.Hint_codec.decode_parts ~name:"nosuchcodec" ~payload:"payload" with
   | Enoki.Hint_codec.Opaque s -> check Alcotest.string "payload" "payload" s
   | _ -> Alcotest.fail "expected Opaque"
 
@@ -727,22 +743,20 @@ let test_record_overrun_reported_and_log_usable () =
 
 let test_replay_of_truncated_log_validates () =
   Enoki.Lock.set_passthrough_mode ();
-  let record = Enoki.Record.create ~format:Enoki.Record.Text () in
+  let record = Enoki.Record.create () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:100;
   M.run_for b.machine (Kernsim.Time.ms 200);
   let log = Enoki.Record.contents record in
   check Alcotest.int "full log lost nothing" 0 (Enoki.Record.dropped record);
-  (* keep only the first two thirds of the lines: the log records lock
+  let full = (Enoki.Replay.run (module Schedulers.Fifo_sched) ~log).Enoki.Replay.total_calls in
+  (* keep only the first two thirds of the bytes: the log records lock
      events strictly before the call they bracket, so a prefix cut leaves
      at worst dangling trailing lock entries, never an orphaned call *)
-  let lines = String.split_on_char '\n' log in
-  let keep = List.length lines * 2 / 3 in
-  let truncated = String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) in
+  let truncated = String.sub log 0 (String.length log * 2 / 3) in
   let report = Enoki.Replay.run (module Schedulers.Fifo_sched) ~log:truncated in
   check Alcotest.bool "truncated log replays calls" true
-    (report.Enoki.Replay.total_calls > 0
-    && report.Enoki.Replay.total_calls < List.length lines);
+    (report.Enoki.Replay.total_calls > 0 && report.Enoki.Replay.total_calls < full);
   check
     Alcotest.(list (pair int string))
     "truncated log still validates" [] report.Enoki.Replay.mismatches
@@ -759,7 +773,6 @@ let test_binary_truncation_salvages_frames () =
      what a crash mid-write leaves behind *)
   let cut = String.sub log 0 (String.length log - 1) in
   let entries, info = Enoki.Replay.parse_full cut in
-  check Alcotest.bool "binary detected" true info.Enoki.Replay.binary;
   check Alcotest.bool "truncation flagged" true info.Enoki.Replay.truncated;
   check
     Alcotest.(option int)
@@ -812,7 +825,7 @@ let test_pp_report_names_log_lines () =
     match report.Enoki.Replay.mismatches with (s, _) :: _ -> s | [] -> assert false
   in
   check Alcotest.bool "report names the first mismatch position" true
-    (contains rendered (Printf.sprintf "line %d:" first_seq))
+    (contains rendered (Printf.sprintf "entry %d:" first_seq))
 
 let test_bisect_pinpoints_injected_wrong_reply () =
   Enoki.Lock.set_passthrough_mode ();
@@ -870,9 +883,9 @@ let test_streaming_record_memory_bounded () =
   check Alcotest.bool "log complete" false info.Enoki.Replay.truncated
 
 let test_stream_equivalence_across_schedulers () =
-  (* the same deterministic run recorded through the in-memory text path
-     and the streamed binary-file path must yield byte-equal histories,
-     and the streamed log must replay clean on its own scheduler *)
+  (* the same deterministic run recorded into memory and streamed to a
+     file must yield byte-identical logs, and the log must replay clean on
+     its own scheduler *)
   let scheds : (string * (module Enoki.Sched_trait.S)) list =
     [
       ("fifo", (module Schedulers.Fifo_sched));
@@ -896,30 +909,43 @@ let test_stream_equivalence_across_schedulers () =
         pingpong_workload b ~iters:30;
         M.run_for b.machine (Kernsim.Time.ms 100)
       in
-      let text = Enoki.Record.create ~format:Enoki.Record.Text () in
-      run_with text;
-      let text_log = Enoki.Record.contents text in
+      let mem = Enoki.Record.create () in
+      run_with mem;
+      let mem_log = Enoki.Record.contents mem in
       let path = Filename.temp_file "enoki" ".rec" in
-      let bin = Enoki.Record.create_file ~path () in
-      run_with bin;
-      Enoki.Record.close bin;
-      let bin_log = Enoki.Record.load_file ~path in
+      let file = Enoki.Record.create_file ~path () in
+      run_with file;
+      Enoki.Record.close file;
+      let file_log = Enoki.Record.load_file ~path in
       Sys.remove path;
-      let t_entries = Enoki.Replay.parse text_log in
-      let b_entries = Enoki.Replay.parse bin_log in
-      check Alcotest.int (name ^ ": entry counts equal") (List.length t_entries)
-        (List.length b_entries);
-      List.iter2
-        (fun a b' ->
-          check Alcotest.string (name ^ ": entries equal") (Enoki.Replay.entry_line a)
-            (Enoki.Replay.entry_line b'))
-        t_entries b_entries;
-      let report = Enoki.Replay.run sched ~log:bin_log in
+      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.parse file_log <> []);
+      check Alcotest.string (name ^ ": memory and file logs byte-identical") mem_log file_log;
+      let report = Enoki.Replay.run sched ~log:file_log in
       check
         Alcotest.(list (pair int string))
-        (name ^ ": streamed binary log replays clean")
+        (name ^ ": streamed log replays clean")
         [] report.Enoki.Replay.mismatches)
     scheds
+
+let test_malformed_logs_rejected () =
+  let expect what ~pos log =
+    match Enoki.Replay.parse_full log with
+    | exception Enoki.Replay.Malformed_log { pos = p; reason } ->
+      check Alcotest.int (what ^ ": position") pos p;
+      check Alcotest.bool (what ^ ": reason given") true (reason <> "")
+    | _ -> Alcotest.failf "%s: expected Malformed_log" what
+  in
+  expect "empty" ~pos:0 "";
+  expect "no header" ~pos:0 "hello world";
+  (* one well-formed lock frame, then a frame of unknown kind 0x05 *)
+  let lock_frame = "\x04\x02\x00\x01\x00" in
+  expect "unknown kind" ~pos:2 (Enoki.Record.magic ^ lock_frame ^ "\x01\x05");
+  expect "bad lock op" ~pos:1 (Enoki.Record.magic ^ "\x04\x02\x00\x07\x00");
+  (* a lock frame declaring 2 bytes but carrying 4 fields' worth *)
+  expect "fields overrun" ~pos:1 (Enoki.Record.magic ^ "\x02\x02\x00\x01\x00");
+  (* a frame cut mid-way is truncation, not corruption *)
+  let _, info = Enoki.Replay.parse_full (Enoki.Record.magic ^ lock_frame ^ "\x04\x02") in
+  check Alcotest.bool "cut frame is truncation" true info.Enoki.Replay.truncated
 
 let test_record_save_load () =
   let record = Enoki.Record.create () in
@@ -1003,7 +1029,8 @@ let () =
             test_bisect_pinpoints_injected_wrong_reply;
           Alcotest.test_case "streaming memory bounded" `Quick
             test_streaming_record_memory_bounded;
-          Alcotest.test_case "text/binary stream equivalence" `Quick
+          Alcotest.test_case "memory/file logs byte-identical" `Quick
             test_stream_equivalence_across_schedulers;
+          Alcotest.test_case "malformed logs rejected" `Quick test_malformed_logs_rejected;
         ] );
     ]

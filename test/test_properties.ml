@@ -125,6 +125,13 @@ let prop_record_replay_roundtrip seed =
       | [] -> "");
   report.Enoki.Replay.total_calls > 0
 
+let binary_call_roundtrip c =
+  let buf = Buffer.create 64 in
+  Enoki.Message.put_call buf c;
+  let cur = Enoki.Wire.cursor (Buffer.contents buf) in
+  let c' = Enoki.Message.get_call cur in
+  Enoki.Wire.at_end cur && Enoki.Message.string_of_call c' = Enoki.Message.string_of_call c
+
 let prop_message_fuzz_roundtrip (pid, cpu, gen, runtime) =
   let pid = abs pid and cpu = abs cpu mod 128 and gen = abs gen and runtime = abs runtime in
   let s = Enoki.Schedulable.Private.create ~pid ~cpu ~gen in
@@ -136,20 +143,10 @@ let prop_message_fuzz_roundtrip (pid, cpu, gen, runtime) =
       Enoki.Message.Pick_next_task { cpu; curr = Some s; curr_runtime = runtime };
     ]
   in
-  List.for_all
-    (fun c ->
-      let line = Enoki.Message.encode_call c in
-      Enoki.Message.encode_call (Enoki.Message.decode_call line) = line
-      &&
-      let buf = Buffer.create 64 in
-      Enoki.Message.put_call buf c;
-      let cur = Enoki.Wire.cursor (Buffer.contents buf) in
-      let c' = Enoki.Message.get_call cur in
-      Enoki.Wire.at_end cur && Enoki.Message.encode_call c' = line)
-    calls
+  List.for_all binary_call_roundtrip calls
 
-(* payloads chosen to break a delimiter-based log: the text codec must
-   escape them onto one line, the binary codec must keep them byte-exact *)
+(* payloads chosen to break a delimiter-based log: the length-prefixed
+   wire form must keep them byte-exact *)
 let adversarial_string =
   let gen =
     QCheck.Gen.(
@@ -169,13 +166,6 @@ let adversarial_string =
   in
   QCheck.make ~print:String.escaped gen
 
-let binary_call_roundtrip c =
-  let buf = Buffer.create 64 in
-  Enoki.Message.put_call buf c;
-  let cur = Enoki.Wire.cursor (Buffer.contents buf) in
-  let c' = Enoki.Message.get_call cur in
-  Enoki.Wire.at_end cur && Enoki.Message.encode_call c' = Enoki.Message.encode_call c
-
 let prop_adversarial_payload_roundtrip (err, payload) =
   let s = Enoki.Schedulable.Private.create ~pid:7 ~cpu:1 ~gen:2 in
   let calls =
@@ -187,13 +177,10 @@ let prop_adversarial_payload_roundtrip (err, payload) =
   in
   List.for_all
     (fun c ->
-      let line = Enoki.Message.encode_call c in
-      (* the text form must survive the line-delimited debug log *)
-      (not (String.contains line '\n'))
-      && Enoki.Message.encode_call (Enoki.Message.decode_call line) = line
-      && binary_call_roundtrip c)
+      (* the printed form stays one line: replay context prints one per entry *)
+      (not (String.contains (Enoki.Message.string_of_call c) '\n')) && binary_call_roundtrip c)
     calls
-  (* and the binary form must hand back the payload bytes untouched *)
+  (* and the payload bytes come back untouched *)
   && (let buf = Buffer.create 64 in
       Enoki.Message.put_call buf (Enoki.Message.Parse_hint { pid = 1; hint = Enoki.Hint_codec.Opaque payload });
       match Enoki.Message.get_call (Enoki.Wire.cursor (Buffer.contents buf)) with
@@ -217,8 +204,97 @@ let prop_binary_reply_roundtrip (n, pid) =
       let cur = Enoki.Wire.cursor (Buffer.contents buf) in
       let r' = Enoki.Message.get_reply cur in
       Enoki.Wire.at_end cur
-      && Enoki.Message.encode_reply r' = Enoki.Message.encode_reply r)
+      && Enoki.Message.string_of_reply r' = Enoki.Message.string_of_reply r)
     replies
+
+(* ---- record-log decoder fuzzing ----
+
+   A real log (Locality under schbench with co-location hints, so hint
+   frames are in it too), mutated: 1-4 bytes flipped after the header, or
+   cut at a random length.  The decoder may accept the result or reject it,
+   but only ever with [Malformed_log]; a cut is never corruption. *)
+
+let fuzz_log =
+  lazy
+    (Enoki.Lock.set_passthrough_mode ();
+     let record = Enoki.Record.create ~capacity:(1 lsl 18) () in
+     let b =
+       Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
+         (Workloads.Setup.Enoki_sched (module Schedulers.Locality))
+     in
+     let p =
+       {
+         (Workloads.Schbench.default_params ~seed:1 ()) with
+         locality_hints = true;
+         warmup = Kernsim.Time.ms 5;
+         duration = Kernsim.Time.ms 20;
+       }
+     in
+     ignore (Workloads.Schbench.run b p);
+     Enoki.Record.contents record)
+
+(* byte offsets where a frame ends: cutting there loses no frame *)
+let frame_ends log =
+  let cur = Enoki.Wire.cursor ~pos:(String.length Enoki.Record.magic) log in
+  let ends = ref [ cur.pos ] in
+  while not (Enoki.Wire.at_end cur) do
+    let len = Enoki.Wire.get_uint cur in
+    cur.pos <- cur.pos + len;
+    ends := cur.pos :: !ends
+  done;
+  !ends
+
+type mutation = Flip of (int * int) list | Cut of int
+
+let mutation =
+  let header = String.length Enoki.Record.magic in
+  let gen st =
+    let len = String.length (Lazy.force fuzz_log) in
+    let open QCheck.Gen in
+    if bool st then Cut (int_bound (len - 1) st)
+    else
+      Flip
+        (list_size (int_range 1 4) (pair (int_range header (len - 1)) (int_range 1 255)) st)
+  in
+  let print = function
+    | Cut n -> Printf.sprintf "cut at %d" n
+    | Flip l ->
+      "flip " ^ String.concat ", " (List.map (fun (at, x) -> Printf.sprintf "%d^%d" at x) l)
+  in
+  QCheck.make ~print gen
+
+let prop_mutated_log_rejected_cleanly m =
+  let log = Lazy.force fuzz_log in
+  let mutated =
+    match m with
+    | Cut n -> String.sub log 0 n
+    | Flip l ->
+      let b = Bytes.of_string log in
+      List.iter
+        (fun (at, x) -> Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor x)))
+        l;
+      Bytes.to_string b
+  in
+  match (m, Enoki.Replay.parse_full mutated) with
+  | Cut n, (_, info) ->
+    (* a cut inside the header has no header; anywhere else it is flagged
+       exactly when it falls mid-frame *)
+    n >= String.length Enoki.Record.magic
+    && info.Enoki.Replay.truncated = not (List.mem n (frame_ends log))
+  | Flip _, _ -> true
+  | exception Enoki.Replay.Malformed_log _ -> (
+    match m with Cut n -> n < String.length Enoki.Record.magic | Flip _ -> true)
+
+(* [k] bytes of the header, then anything: near misses included *)
+let prop_headerless_bytes_rejected (k, rest) =
+  let header = Enoki.Record.magic in
+  let s = String.sub header 0 (k mod (String.length header + 1)) ^ rest in
+  QCheck.assume
+    (String.length s < String.length header
+    || String.sub s 0 (String.length header) <> header);
+  match Enoki.Replay.parse_full s with
+  | exception Enoki.Replay.Malformed_log { pos = 0; _ } -> true
+  | _ -> false
 
 let prop_upgrade_preserves_tasks seed =
   let b =
@@ -309,11 +385,16 @@ let () =
         [
           qtest ~count:200 "fuzzed encode/decode" QCheck.(quad int int int int)
             prop_message_fuzz_roundtrip;
-          qtest ~count:200 "adversarial payloads round-trip both codecs"
+          qtest ~count:200 "adversarial payloads round-trip byte-exact"
             QCheck.(pair adversarial_string adversarial_string)
             prop_adversarial_payload_roundtrip;
           qtest ~count:100 "binary replies round-trip" QCheck.(pair int int)
             prop_binary_reply_roundtrip;
+          qtest ~count:2000 "mutated logs decode or raise Malformed_log" mutation
+            prop_mutated_log_rejected_cleanly;
+          qtest ~count:200 "headerless bytes raise Malformed_log"
+            QCheck.(pair small_nat string)
+            prop_headerless_bytes_rejected;
         ] );
       ( "upgrade",
         [
