@@ -474,7 +474,7 @@ let upgrade () =
   Report.note "shape: microsecond-scale pause, growing with machine/task-state size."
 
 (* §5.8 record/replay lives after the speed suite: it shares the
-   Gc.allocated_bytes measurement pattern and the JSON snapshot plumbing. *)
+   Profile.allocated_bytes measurement pattern and the JSON snapshot plumbing. *)
 
 (* ---------- Appendix A.1: WFQ functional equivalence ---------- *)
 
@@ -583,7 +583,11 @@ let ablation () =
   let rows =
     List.map
       (fun slice_us ->
-        let (module S) = Schedulers.Shinjuku.with_slice (Kernsim.Time.us slice_us) in
+        let module S = struct
+          include Schedulers.Shinjuku
+          let name = Printf.sprintf "shinjuku-%dus" slice_us
+          let create ctx = make ctx ~slice:(Kernsim.Time.us slice_us)
+        end in
         let b = build ~topology:one_socket (Workloads.Setup.Enoki_sched (module S)) in
         let r = Workloads.Rocksdb.run b (rocksdb_params ~load_kreqs:55.0 ~with_batch:false) in
         [
@@ -630,7 +634,11 @@ let ablation () =
        unbalanced)
       .Workloads.Apps.score
   in
-  let (module NS) = Schedulers.Wfq.without_steal in
+  let module NS = struct
+    include Schedulers.Wfq
+    let name = "wfq-nosteal"
+    let balance _ ~cpu:_ = None
+  end in
   let nosteal =
     (Workloads.Apps.run
        (build ~topology:one_socket (Workloads.Setup.Enoki_sched (module NS)))
@@ -823,17 +831,10 @@ let chaos () =
         let w =
           Fault.Watchdog.create ~sanitizer:s
             ~action:(fun ~reason:_ ~at:_ ->
-              (* recovery re-enters the scheduler: defer out of the
-                 emitting dispatch; pre-upgrade, last-known-good is the
-                 pristine unwrapped module *)
-              Kernsim.Machine.at b.Workloads.Setup.machine ~delay:0 (fun () ->
-                  match
-                    match Enoki.Enoki_c.previous e with
-                    | Some _ -> Enoki.Enoki_c.rollback e
-                    | None -> Enoki.Enoki_c.upgrade e (module S)
-                  with
-                  | Ok _ -> incr rollbacks
-                  | Error _ -> ()))
+              (* pre-upgrade, last-known-good is the pristine unwrapped module *)
+              Enoki.Enoki_c.restore e ~pristine:(module S) (function
+                | Ok _ -> incr rollbacks
+                | Error _ -> ()))
             ()
         in
         Fault.Watchdog.attach w tracer;
@@ -1075,7 +1076,7 @@ let perf_rows () =
 let cfs_ns_ceiling = 250.
 
 (* WFQ's hooks allocate only the token option the trait forces
-   (~3 B/event).  An absolute ceiling under its Rel drift check means
+   (~19 B/event).  An absolute ceiling under its Rel drift check means
    regenerating the baseline cannot let its hot path start boxing again;
    the other Enoki modules are not there yet. *)
 let wfq_bytes_ceiling = 64.
@@ -1085,26 +1086,33 @@ let bytes_check name = if name = "wfq" then Gate.Both (bytes, Ceiling wfq_bytes_
 (* the wheel must keep beating the heap on deep queues *)
 let deep_speedup_floor = 2.0
 
-(* (events, best wall seconds, bytes per event) *)
-let speed_machine_cell kind =
+(* One pipe-bench measurement, shared by the speed and obs suites:
+   ((events, best wall seconds, bytes per event), the last run's undrained
+   tracer when [tracer] is set).  An untimed warm-up comes first: the first
+   run through a scheduler pays first-touch costs (code paging, heap
+   growth) that would pollute a gated reading.  Events and bytes are
+   identical across runs, so only the wall clock is best-of-[runs]. *)
+let pipe_cell ?(tracer = false) ?(metrics = false) ~runs kind =
   let messages = if !quick then 10_000 else 50_000 in
-  (* untimed warm-up: the first run through a scheduler pays first-touch
-     costs (code paging, heap growth) that would pollute a gated reading *)
-  (let b = Workloads.Setup.build ~topology:one_socket kind in
-   ignore (Workloads.Pipe_bench.run b ~messages:(messages / 4) ()));
-  (* best-of-5 even in quick mode: a small sample is too noisy to hold the
-     CFS ratchet.  Bytes and events are identical across runs. *)
-  let bytes = ref 0. and events = ref 0 in
+  let build () =
+    let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
+    let tracer = if tracer then Some (Trace.Tracer.create ~nr_cpus ()) else None in
+    let registry = if metrics then Some (Metrics.Registry.create ()) else None in
+    (Workloads.Setup.build ?tracer ?registry ~topology:one_socket kind, tracer)
+  in
+  ignore (Workloads.Pipe_bench.run (fst (build ())) ~messages:(messages / 4) ());
+  let bytes = ref 0. and events = ref 0 and kept = ref None in
   let wall =
-    best_of 5 (fun () ->
-        let b = Workloads.Setup.build ~topology:one_socket kind in
-        let a0 = Gc.allocated_bytes () in
+    best_of runs (fun () ->
+        let b, tracer = build () in
+        let a0 = Profile.allocated_bytes () in
         let (), wall = timed (fun () -> ignore (Workloads.Pipe_bench.run b ~messages ())) in
-        bytes := Gc.allocated_bytes () -. a0;
+        bytes := Profile.allocated_bytes () -. a0;
         events := M.events_dispatched b.Workloads.Setup.machine;
+        kept := tracer;
         wall)
   in
-  (!events, wall, !bytes /. float_of_int (max 1 !events))
+  ((!events, wall, !bytes /. float_of_int (max 1 !events)), !kept)
 
 (* Steady-state event loop at fixed queue depth: [depth] self-rescheduling
    events, each firing re-arms itself one horizon ahead, so the queue
@@ -1121,9 +1129,9 @@ let speed_core_cycle backend ~depth ~cycles =
   for i = 1 to depth do
     Kernsim.Sim.at sim ~time:(i * 100) fire
   done;
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Profile.allocated_bytes () in
   let (), wall = timed (fun () -> Kernsim.Sim.run sim) in
-  let bytes = Gc.allocated_bytes () -. a0 in
+  let bytes = Profile.allocated_bytes () -. a0 in
   let n = float_of_int (Kernsim.Sim.dispatched sim) in
   (wall *. 1e9 /. n, bytes /. n)
 
@@ -1137,7 +1145,9 @@ let speed_rows () =
     List.map
       (fun (e : Schedulers.Registry.entry) ->
         let kind = Workloads.Setup.of_registry e in
-        let cell = speed_machine_cell kind in
+        (* best-of-5 even in quick mode: a small sample is too noisy to
+           hold the CFS ratchet *)
+        let cell, _ = pipe_cell ~runs:5 kind in
         let events, _, bpe = cell in
         let ns_check : Gate.check =
           if e.name = "cfs" then
@@ -1145,7 +1155,7 @@ let speed_rows () =
               {
                 limit = cfs_ns_ceiling;
                 better = Lower;
-                remeasure = (fun () -> ns_per_event (speed_machine_cell kind));
+                remeasure = (fun () -> ns_per_event (fst (pipe_cell ~runs:5 kind)));
               }
           else Info
         in
@@ -1290,7 +1300,7 @@ let dsq_rows () =
 
    Two identical WFQ pipe runs — no recording, and the record log streamed
    into a file — measured like the speed suite: simulated elapsed (the
-   record_msg cost model), host wall clock, and Gc.allocated_bytes.  The
+   record_msg cost model), host wall clock, and allocated bytes.  The
    machine is deterministic, so the allocation delta over the unrecorded
    run divided by the recorded event count is the record tap's own cost
    per event.  The log then replays, validating end to end. *)
@@ -1314,11 +1324,11 @@ let recordreplay () =
     let b =
       build ?record ~topology:one_socket (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
     in
-    let a0 = Gc.allocated_bytes () in
+    let a0 = Profile.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
     let r = Workloads.Pipe_bench.run b ~messages () in
     flush ();
-    let rr_alloc = Gc.allocated_bytes () -. a0 in
+    let rr_alloc = Profile.allocated_bytes () -. a0 in
     let rr_wall_s = Unix.gettimeofday () -. t0 in
     let rr_recorded, rr_dropped, rr_wire_bytes = stats () in
     {
@@ -1642,38 +1652,12 @@ let obs_machine_scheds = [ "wfq"; "cfs" ]
 
 let obs_machine_configs = [ "none"; "tracer"; "metrics"; "both" ]
 
-(* (events, best wall seconds, bytes per event), plus the last run's
-   undrained tracer when the config has one *)
-let obs_machine_cell ~sched ~config =
-  let kind = Workloads.Setup.of_registry (List.hd (fleet_entries [ sched ])) in
-  let messages = if !quick then 10_000 else 50_000 in
-  let bytes = ref 0. and events = ref 0 and kept = ref None in
-  let wall =
-    best_of (if !quick then 1 else 3) (fun () ->
-        let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-        let tracer =
-          if config = "tracer" || config = "both" then Some (Trace.Tracer.create ~nr_cpus ())
-          else None
-        in
-        let registry =
-          if config = "metrics" || config = "both" then Some (Metrics.Registry.create ()) else None
-        in
-        let b = Workloads.Setup.build ?tracer ?registry ~topology:one_socket kind in
-        let a0 = Gc.allocated_bytes () in
-        let (), wall = timed (fun () -> ignore (Workloads.Pipe_bench.run b ~messages ())) in
-        bytes := Gc.allocated_bytes () -. a0;
-        events := M.events_dispatched b.Workloads.Setup.machine;
-        kept := tracer;
-        wall)
-  in
-  ((!events, wall, !bytes /. float_of_int (max 1 !events)), !kept)
-
 (* What reading a trace out costs once the run is over: drain the tracer
    and render the Chrome JSON, priced per trace event.  The direct writer
    allocates the event list plus the document's buffer and string, a few
    hundred bytes per event; per-event Printf rendering cost ~2.5 KB. *)
 let obs_trace_export_row tracer =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Profile.allocated_bytes () in
   let (n, json_bytes), wall =
     timed (fun () ->
         let evs = Trace.Tracer.events tracer in
@@ -1686,7 +1670,7 @@ let obs_trace_export_row tracer =
       Gate.int ~check:Exact "trace_events" n;
       Gate.int ~check:Exact "json_bytes" json_bytes;
       Gate.float ~check:(Ceiling 512.) "bytes_per_trace_event"
-        (per_event (Gc.allocated_bytes () -. a0));
+        (per_event (Profile.allocated_bytes () -. a0));
       Gate.float "ns_per_trace_event" (per_event (wall *. 1e9));
     ]
 
@@ -1712,10 +1696,10 @@ let obs_fleet_cells () =
     List.iteri
       (fun i config ->
         let f = obs_fleet_build config in
-        let a0 = Gc.allocated_bytes () in
+        let a0 = Profile.allocated_bytes () in
         let (), wall = timed (fun () -> Cluster.Fleet.run f ~until:(obs_fleet_duration ())) in
         best.(i) <- Float.min best.(i) wall;
-        kept.(i) <- Some (f, Gc.allocated_bytes () -. a0))
+        kept.(i) <- Some (f, Profile.allocated_bytes () -. a0))
       obs_fleet_configs
   done;
   List.mapi
@@ -1736,7 +1720,15 @@ let obs_rows () =
   let machine =
     List.concat_map
       (fun sched ->
-        List.map (fun config -> (sched, config, obs_machine_cell ~sched ~config)) obs_machine_configs)
+        let kind = Workloads.Setup.of_registry (List.hd (fleet_entries [ sched ])) in
+        List.map
+          (fun config ->
+            let on c = config = c || config = "both" in
+            ( sched,
+              config,
+              pipe_cell ~tracer:(on "tracer") ~metrics:(on "metrics")
+                ~runs:(if !quick then 1 else 3) kind ))
+          obs_machine_configs)
       obs_machine_scheds
   in
   let wfq_tracer =

@@ -39,6 +39,21 @@ let enoki_scheds_hint =
   Printf.sprintf "an Enoki scheduler (%s)"
     (String.concat "/" Schedulers.Registry.enoki_names)
 
+(* A flag value the simulator cannot be built from (say [--cores 0])
+   reaches the constructor it configures, which raises [Invalid_argument]:
+   report it in one line and exit 2 instead of dying on an uncaught
+   exception.  [prefix] narrows the catch to the messages of one
+   constructor when [f] does more than validate flags. *)
+let checked ?(prefix = "") f =
+  try f ()
+  with Invalid_argument msg when String.starts_with ~prefix msg ->
+    Printf.eprintf "enoki_sim: %s\n" msg;
+    exit 2
+
+let usage_exits =
+  Cmd.Exit.info 2 ~doc:"on a flag value the command cannot run with (e.g. $(b,--cores) 0)."
+  :: Cmd.Exit.defaults
+
 type workload = Pipe | Schbench | Rocksdb | Memcached
 
 let workload_conv =
@@ -297,11 +312,16 @@ let bisect_arg =
 let run_cmd =
   let run sched workload load cores trace_path trace_format sanitize seed fault_plan
       fault_seed call_budget watchdog metrics_out metrics_interval profile record_path =
-    let topology = topology_of_cores cores in
+    let topology = checked (fun () -> topology_of_cores cores) in
     let registry =
       if metrics_out <> None then
         Some (Metrics.Registry.create ~nr_cpus:(Kernsim.Topology.nr_cpus topology) ())
       else None
+    in
+    let sampler =
+      Option.map
+        (fun reg -> checked (fun () -> Metrics.Sampler.create ~interval:metrics_interval reg))
+        registry
     in
     let prof = if profile then Some (Profile.create ()) else None in
     let tracer =
@@ -350,22 +370,18 @@ let run_cmd =
     let b =
       Workloads.Setup.build ?record ?tracer ?registry ?profile:prof ?call_budget ~topology kind
     in
-    let sampler =
-      Option.map
-        (fun reg ->
-          let smp = Metrics.Sampler.create ~interval:metrics_interval reg in
-          (match tracer with
-          | Some tr ->
-            Metrics.Sampler.on_flush smp (fun ~ts ->
-                Trace.Tracer.emit tr ~ts ~cpu:0
-                  (Trace.Event.Metric_flush { tick = Metrics.Sampler.ticks smp }))
-          | None -> ());
-          Metrics.Sampler.start smp
-            ~now:(fun () -> Kernsim.Machine.now b.machine)
-            ~defer:(fun ~delay f -> Kernsim.Machine.at b.machine ~delay f);
-          smp)
-        registry
-    in
+    Option.iter
+      (fun smp ->
+        (match tracer with
+        | Some tr ->
+          Metrics.Sampler.on_flush smp (fun ~ts ->
+              Trace.Tracer.emit tr ~ts ~cpu:0
+                (Trace.Event.Metric_flush { tick = Metrics.Sampler.ticks smp }))
+        | None -> ());
+        Metrics.Sampler.start smp
+          ~now:(fun () -> Kernsim.Machine.now b.machine)
+          ~defer:(fun ~delay f -> Kernsim.Machine.at b.machine ~delay f))
+      sampler;
     (match plan with
     | Some p -> Printf.printf "fault plan: %s (fault seed %d)\n" (Fault.Plan.to_string p) fault_seed
     | None -> ());
@@ -377,24 +393,14 @@ let run_cmd =
           let w =
             Fault.Watchdog.create ?sanitizer
               ~action:(fun ~reason ~at:_ ->
-                (* recovery re-enters the scheduler: defer it out of the
-                   emitting dispatch to the next simulator step *)
-                Kernsim.Machine.at b.machine ~delay:0 (fun () ->
-                    let r =
-                      (* no upgrade happened yet: "last known good" is the
-                         pristine, unwrapped module *)
-                      match Enoki.Enoki_c.previous e with
-                      | Some _ -> Enoki.Enoki_c.rollback e
-                      | None -> Enoki.Enoki_c.upgrade e m
-                    in
-                    match r with
-                    | Ok s ->
-                      Printf.printf "watchdog: %s -> re-registered %s (pause %s)\n" reason
-                        (Enoki.Enoki_c.scheduler_name e)
-                        (Kernsim.Time.to_string s.Enoki.Upgrade.pause)
-                    | Error exn ->
-                      Printf.printf "watchdog: %s -> rollback failed: %s\n" reason
-                        (Printexc.to_string exn)))
+                Enoki.Enoki_c.restore e ~pristine:m (function
+                  | Ok s ->
+                    Printf.printf "watchdog: %s -> re-registered %s (pause %s)\n" reason
+                      (Enoki.Enoki_c.scheduler_name e)
+                      (Kernsim.Time.to_string s.Enoki.Upgrade.pause)
+                  | Error exn ->
+                    Printf.printf "watchdog: %s -> rollback failed: %s\n" reason
+                      (Printexc.to_string exn)))
               ()
           in
           Fault.Watchdog.attach w tr;
@@ -471,7 +477,9 @@ let run_cmd =
       if not (Trace.Sanitizer.ok s) then exit 3
     | None -> ()
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run a workload under a scheduler and print its metrics.")
+  Cmd.v
+    (Cmd.info "run" ~exits:usage_exits
+       ~doc:"Run a workload under a scheduler and print its metrics.")
     Term.(
       const run $ sched_arg $ workload_arg $ load_arg $ cores_arg $ trace_arg
       $ trace_format_arg $ sanitize_arg $ seed_arg $ fault_plan_arg $ fault_seed_arg
@@ -513,11 +521,12 @@ let replay_cmd =
 let upgrade_cmd =
   let run sched workload load cores seed =
     match module_of_sched sched with
-    | None -> prerr_endline ("upgrade requires " ^ enoki_scheds_hint)
+    | None ->
+      prerr_endline ("upgrade requires " ^ enoki_scheds_hint);
+      exit 2
     | Some m ->
-      let b =
-        Workloads.Setup.build ~topology:(topology_of_cores cores) (Workloads.Setup.Enoki_sched m)
-      in
+      let topology = checked (fun () -> topology_of_cores cores) in
+      let b = Workloads.Setup.build ~topology (Workloads.Setup.Enoki_sched m) in
       let e = Option.get b.enoki in
       Kernsim.Machine.at b.machine ~delay:(Kernsim.Time.ms 100) (fun () ->
           match Enoki.Enoki_c.upgrade e m with
@@ -530,7 +539,8 @@ let upgrade_cmd =
       print_summary b
   in
   Cmd.v
-    (Cmd.info "upgrade" ~doc:"Run a workload and live-upgrade the scheduler 100ms in.")
+    (Cmd.info "upgrade" ~exits:usage_exits
+       ~doc:"Run a workload and live-upgrade the scheduler 100ms in.")
     Term.(const run $ sched_arg $ workload_arg $ load_arg $ cores_arg $ seed_arg)
 
 (* ---------- fleet ---------- *)
@@ -670,9 +680,9 @@ let fleet_cmd =
       match scheds with
       | [] -> (
         match Schedulers.Registry.find "wfq" with
-        | Some e -> List.init hosts (fun _ -> e)
+        | Some e -> List.init (max 0 hosts) (fun _ -> e)
         | None -> assert false)
-      | l -> List.init hosts (fun i -> List.nth l (i mod List.length l))
+      | l -> List.init (max 0 hosts) (fun i -> List.nth l (i mod List.length l))
     in
     let seed = Option.value seed ~default:1 in
     let tenants = Cluster.Traffic.standard_mix ~connections ~flow_len ~load_kreqs:load () in
@@ -689,24 +699,32 @@ let fleet_cmd =
         chaos_victim
     in
     let jobs = if jobs < 0 then Domain.recommended_domain_count () else jobs in
-    if jobs > hosts then
+    if jobs > 1 && jobs > hosts then
       Printf.eprintf
         "enoki_sim: fleet: -j %d exceeds %d hosts; the extra domains will idle\n%!" jobs hosts;
     let pool = if jobs > 1 then Some (Ds.Domain_pool.create ~domains:jobs ()) else None in
+    (* drive epochs by hand so the sampler can tick at fleet scope: the
+       lock-step fleet has no machine-level defer spanning hosts, so the
+       --metrics-interval cadence is applied between epochs *)
+    let topology = checked (fun () -> topology_of_cores cores) in
+    (* [Fleet.create] builds every host: only its own flag checks are usage
+       errors, anything else it raises is an internal fault *)
     let f =
-      Cluster.Fleet.create ~topology:(topology_of_cores cores) ~workers ~queue_cap
-        ~epoch:(Kernsim.Time.us epoch_us) ~warmup:(Kernsim.Time.ms 100) ?upgrade ?chaos ~lb
-        ~anatomy ~anatomy_top ?pool ~seed ~hosts:entries ~tenants ()
+      checked ~prefix:"Fleet.create:" (fun () ->
+          Cluster.Fleet.create ~topology ~workers ~queue_cap ~epoch:(Kernsim.Time.us epoch_us)
+            ~warmup:(Kernsim.Time.ms 100) ?upgrade ?chaos ~lb ~anatomy ~anatomy_top ?pool ~seed
+            ~hosts:entries ~tenants ())
+    in
+    let sampler =
+      Option.map
+        (fun _ ->
+          checked (fun () ->
+              Metrics.Sampler.create ~interval:metrics_interval (Cluster.Fleet.registry f)))
+        metrics_out
     in
     Printf.printf "fleet: %d hosts (%s), lb %s, %.0fk req/s offered, seed %d\n" hosts
       (String.concat "," (List.map (fun (e : Schedulers.Registry.entry) -> e.name) entries))
       (Cluster.Lb.policy_name lb) load seed;
-    (* drive epochs by hand so the sampler can tick at fleet scope: the
-       lock-step fleet has no machine-level defer spanning hosts, so the
-       --metrics-interval cadence is applied between epochs *)
-    let sampler =
-      Option.map (fun _ -> Metrics.Sampler.create ~interval:metrics_interval (Cluster.Fleet.registry f)) metrics_out
-    in
     let next_sample = ref metrics_interval in
     let sample_up_to now =
       match sampler with
@@ -890,7 +908,7 @@ let fleet_cmd =
     then exit 3
   in
   Cmd.v
-    (Cmd.info "fleet"
+    (Cmd.info "fleet" ~exits:usage_exits
        ~doc:
          "Drive a simulated fleet: N hosts behind a load balancer under open-loop multi-tenant \
           traffic, with optional rolling live upgrades and chaos drills.")

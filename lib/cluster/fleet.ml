@@ -165,6 +165,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
     ?(lb = Lb.Least_outstanding) ?upgrade ?chaos ?(anatomy = false) ?(anatomy_top = 8) ?record
     ?(observe = true) ?pool ~seed ~hosts ~tenants () =
   if hosts = [] then invalid_arg "Fleet.create: no hosts";
+  if epoch <= 0 then invalid_arg "Fleet.create: epoch must be positive";
   let entries = Array.of_list hosts in
   let n = Array.length entries in
   (* one root seed, split in fixed order: everything downstream is a pure

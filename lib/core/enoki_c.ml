@@ -184,8 +184,6 @@ let hints_dropped t = Ds.Ring_buffer.dropped t.hint_ring
 
 let upgrades t = t.upgrades
 
-let previous t = match t.history with m :: _ -> Some m | [] -> None
-
 (* ---------- capabilities ---------- *)
 
 let ensure_gens t pid =
@@ -546,10 +544,10 @@ let fallback_exn t =
    flips the class into quarantine: instantiate the built-in CFS fallback,
    re-home the policy's runnable tasks into it from the kernel's own task
    list, charge the failover pause everywhere and kick every cpu.  [skip]
-   is the task the failed hook was about — the caller re-delegates that
-   hook to the fallback, which introduces the task without double-queueing
-   it. *)
-let quarantine t ~cpu ?skip ~call exn =
+   is the pid the failed hook was about (-1 = none) — the caller
+   re-delegates that hook to the fallback, which introduces the task
+   without double-queueing it. *)
+let quarantine t ~cpu ~skip ~call exn =
   let ops = ops_exn t in
   t.panics <- t.panics + 1;
   (match t.obs with Some o -> Metrics.Registry.incr o.o_panics ~cpu | None -> ());
@@ -569,7 +567,7 @@ let quarantine t ~cpu ?skip ~call exn =
        blocked ones at wakeup; CFS tolerates pids it has not seen *)
     List.iter
       (fun (task : Kernsim.Task.t) ->
-        if task.state = Kernsim.Task.Runnable && Some task.pid <> skip then
+        if task.state = Kernsim.Task.Runnable && task.pid <> skip then
           fb.task_new task ~cpu:task.cpu)
       (ops.live_tasks ~policy:t.policy);
     for c = 0 to ops.nr_cpus - 1 do
@@ -577,6 +575,19 @@ let quarantine t ~cpu ?skip ~call exn =
       ops.resched_cpu c
     done;
     fb
+
+(* The isolation boundary around one hook: when quarantined, route
+   straight to the fallback; otherwise run the module path and turn
+   anything it raises into quarantine + failover instead of letting it
+   unwind the core scheduler.  [modul] and [fallback] are closed functions
+   of the hook's arguments, like [cross]'s, so the boundary allocates
+   nothing; [skip] is the pid the hook is about (-1 = none). *)
+let isolated t ~cpu ~skip k modul (fallback : Ops.t -> _) a b c =
+  match t.quarantined with
+  | Some _ -> fallback (fallback_exn t) a b c
+  | None -> (
+    try modul t a b c with exn when t.isolate ->
+      fallback (quarantine t ~cpu ~skip ~call:call_names.(k) exn) a b c)
 
 let rec arm_record_drain t (ops : Ops.kernel_ops) r =
   ops.defer ~delay:(Kernsim.Time.us 100) (fun () ->
@@ -608,85 +619,69 @@ let factory t : Kernsim.Sched_class.factory =
   let (module S : Sched_trait.S) = t.modul in
   let st = S.create (make_ctx t ops) in
   t.packed <- Some (Sched_trait.Packed ((module S), st));
-  (* Every hook runs under the isolation boundary: when quarantined, route
-     straight to the fallback; otherwise run the module and turn anything it
-     raises into quarantine + failover instead of letting it unwind the core
-     scheduler.  [~skip] is the task the failed hook was about. *)
   {
     Kernsim.Sched_class.name = "enoki:" ^ S.name;
     select_task_rq =
       (fun task ~waker_cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).select_task_rq task ~waker_cpu
-        | None -> (
-          try select_task_rq t task ~waker_cpu with exn when t.isolate ->
-            let fb = quarantine t ~cpu:waker_cpu ~skip:task.pid ~call:"select_task_rq" exn in
-            fb.select_task_rq task ~waker_cpu));
+        isolated t ~cpu:waker_cpu ~skip:task.pid k_select
+          (fun t task waker_cpu () -> select_task_rq t task ~waker_cpu)
+          (fun fb task waker_cpu () -> fb.select_task_rq task ~waker_cpu)
+          task waker_cpu ());
     task_new =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_new task ~cpu
-        | None -> (
-          try task_new t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"task_new" exn).task_new task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_new
+          (fun t task cpu () -> task_new t task ~cpu)
+          (fun fb task cpu () -> fb.task_new task ~cpu)
+          task cpu ());
     task_wakeup =
       (fun task ~cpu ~waker_cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_wakeup task ~cpu ~waker_cpu
-        | None -> (
-          try task_wakeup t task ~cpu ~waker_cpu with exn when t.isolate ->
-            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_wakeup" exn in
-            fb.task_wakeup task ~cpu ~waker_cpu));
+        isolated t ~cpu ~skip:task.pid k_wakeup
+          (fun t task cpu waker_cpu -> task_wakeup t task ~cpu ~waker_cpu)
+          (fun fb task cpu waker_cpu -> fb.task_wakeup task ~cpu ~waker_cpu)
+          task cpu waker_cpu);
     task_blocked =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_blocked task ~cpu
-        | None -> (
-          try task_blocked t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"task_blocked" exn).task_blocked task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_blocked
+          (fun t task cpu () -> task_blocked t task ~cpu)
+          (fun fb task cpu () -> fb.task_blocked task ~cpu)
+          task cpu ());
     task_yield =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_yield task ~cpu
-        | None -> (
-          try task_yield t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"task_yield" exn).task_yield task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_yield
+          (fun t task cpu () -> task_yield t task ~cpu)
+          (fun fb task cpu () -> fb.task_yield task ~cpu)
+          task cpu ());
     task_preempt =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_preempt task ~cpu
-        | None -> (
-          try task_preempt t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"task_preempt" exn).task_preempt task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_preempt
+          (fun t task cpu () -> task_preempt t task ~cpu)
+          (fun fb task cpu () -> fb.task_preempt task ~cpu)
+          task cpu ());
     task_dead =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_dead task ~cpu
-        | None -> (
-          try task_dead t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"task_dead" exn).task_dead task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_dead
+          (fun t task cpu () -> task_dead t task ~cpu)
+          (fun fb task cpu () -> fb.task_dead task ~cpu)
+          task cpu ());
     task_departed =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_departed task ~cpu
-        | None -> (
-          try task_departed t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"task_departed" exn).task_departed task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_departed
+          (fun t task cpu () -> task_departed t task ~cpu)
+          (fun fb task cpu () -> fb.task_departed task ~cpu)
+          task cpu ());
     task_tick =
       (fun ~cpu ~queued ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_tick ~cpu ~queued
-        | None -> (
-          try task_tick t ~cpu ~queued with exn when t.isolate ->
-            (quarantine t ~cpu ~call:"task_tick" exn).task_tick ~cpu ~queued));
+        isolated t ~cpu ~skip:(-1) k_tick
+          (fun t cpu queued () -> task_tick t ~cpu ~queued)
+          (fun fb cpu queued () -> fb.task_tick ~cpu ~queued)
+          cpu queued ());
     pick_next_task =
       (fun ~cpu ->
         let picked =
-          match t.quarantined with
-          | Some _ -> (fallback_exn t).pick_next_task ~cpu
-          | None -> (
-            try pick_next_task t ~cpu with exn when t.isolate ->
-              (quarantine t ~cpu ~call:"pick_next_task" exn).pick_next_task ~cpu)
+          isolated t ~cpu ~skip:(-1) k_pick
+            (fun t cpu () () -> pick_next_task t ~cpu)
+            (fun fb cpu () () -> fb.pick_next_task ~cpu)
+            cpu () ()
         in
         (if picked >= 0 then
            match (t.quarantined, t.blackout) with
@@ -697,50 +692,40 @@ let factory t : Kernsim.Sched_class.factory =
         picked);
     balance =
       (fun ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).balance ~cpu
-        | None -> (
-          try balance t ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~call:"balance" exn).balance ~cpu));
+        isolated t ~cpu ~skip:(-1) k_balance
+          (fun t cpu () () -> balance t ~cpu)
+          (fun fb cpu () () -> fb.balance ~cpu) cpu ()
+          ());
     balance_err =
       (fun task ~cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).balance_err task ~cpu
-        | None -> (
-          try balance_err t task ~cpu with exn when t.isolate ->
-            (quarantine t ~cpu ~skip:task.pid ~call:"balance_err" exn).balance_err task ~cpu));
+        isolated t ~cpu ~skip:task.pid k_balance_err
+          (fun t task cpu () -> balance_err t task ~cpu)
+          (fun fb task cpu () -> fb.balance_err task ~cpu)
+          task cpu ());
     migrate_task_rq =
       (fun task ~from_cpu ~to_cpu ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).migrate_task_rq task ~from_cpu ~to_cpu
-        | None -> (
-          try migrate_task_rq t task ~from_cpu ~to_cpu with exn when t.isolate ->
-            let fb = quarantine t ~cpu:to_cpu ~skip:task.pid ~call:"migrate_task_rq" exn in
-            fb.migrate_task_rq task ~from_cpu ~to_cpu));
+        isolated t ~cpu:to_cpu ~skip:task.pid k_migrate
+          (fun t task from_cpu to_cpu -> migrate_task_rq t task ~from_cpu ~to_cpu)
+          (fun fb task from_cpu to_cpu -> fb.migrate_task_rq task ~from_cpu ~to_cpu)
+          task from_cpu to_cpu);
     task_prio_changed =
       (fun task ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_prio_changed task
-        | None -> (
-          try task_prio_changed t task with exn when t.isolate ->
-            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"task_prio_changed" exn in
-            fb.task_prio_changed task));
+        isolated t ~cpu:task.cpu ~skip:task.pid k_prio
+          (fun t task () () -> task_prio_changed t task)
+          (fun fb task () () -> fb.task_prio_changed task)
+          task () ());
     task_affinity_changed =
       (fun task ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).task_affinity_changed task
-        | None -> (
-          try task_affinity_changed t task with exn when t.isolate ->
-            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"task_affinity_changed" exn in
-            fb.task_affinity_changed task));
+        isolated t ~cpu:task.cpu ~skip:task.pid k_affinity
+          (fun t task () () -> task_affinity_changed t task)
+          (fun fb task () () -> fb.task_affinity_changed task)
+          task () ());
     deliver_hint =
       (fun task hint ->
-        match t.quarantined with
-        | Some _ -> (fallback_exn t).deliver_hint task hint
-        | None -> (
-          try deliver_hint t task hint with exn when t.isolate ->
-            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"parse_hint" exn in
-            fb.deliver_hint task hint));
+        isolated t ~cpu:task.cpu ~skip:task.pid k_hint
+          (fun t task hint () -> deliver_hint t task hint)
+          (fun fb task hint () -> fb.deliver_hint task hint)
+          task hint ());
   }
 
 (* ---------- live upgrade (§3.2) ---------- *)
@@ -806,7 +791,7 @@ let upgrade t (module New : Sched_trait.S) =
         (try readopt t ops
          with exn ->
            (* the incoming module panicked during re-adoption *)
-           if t.isolate then ignore (quarantine t ~cpu:0 ~call:"reregister_init" exn)
+           if t.isolate then ignore (quarantine t ~cpu:0 ~skip:(-1) ~call:"reregister_init" exn)
            else raise exn);
         for cpu = 0 to ops.nr_cpus - 1 do
           ops.resched_cpu cpu
@@ -818,18 +803,23 @@ let upgrade t (module New : Sched_trait.S) =
          version stays registered, the write lock is released *)
       Error e)
 
-(* Watchdog-driven recovery: re-register the previous scheduler version.
-   On success both the failed version and its predecessor leave the
-   history (the predecessor is current again). *)
-let rollback t =
-  match t.history with
-  | [] -> Error (Invalid_argument "Enoki_c: no previous scheduler version to roll back to")
-  | m :: rest -> (
-    match upgrade t m with
-    | Ok stats ->
-      t.history <- rest;
-      Ok stats
-    | Error _ as e -> e)
+(* The watchdog's recovery.  It re-enters the scheduler, so it is deferred
+   out of the emitting dispatch to the next simulator step.  There it
+   re-registers the previous version, after which both the failed version
+   and its predecessor leave the history (the predecessor is current
+   again); before any upgrade it re-registers the last known good
+   [pristine] module.  [k] receives the outcome. *)
+let restore t ~pristine k =
+  (ops_exn t).defer ~delay:0 (fun () ->
+      k
+        (match t.history with
+        | [] -> upgrade t pristine
+        | m :: rest -> (
+          match upgrade t m with
+          | Ok _ as ok ->
+            t.history <- rest;
+            ok
+          | Error _ as e -> e)))
 
 (* ---------- fault-isolation counters ---------- *)
 

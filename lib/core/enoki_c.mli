@@ -99,11 +99,11 @@ type failover_stats = {
 
 val failover_stats : t -> failover_stats
 
-(** The scheduler version superseded by the most recent upgrade, if any
-    (the watchdog's rollback target). *)
-val previous : t -> (module Sched_trait.S) option
-
-(** Live-upgrade back to the previous version: the recovery action a
-    watchdog takes when the current module is wedged or panicking.  Like
-    {!upgrade} but pops the version history on success. *)
-val rollback : t -> (Upgrade.stats, exn) result
+(** [restore t ~pristine k] is the watchdog's recovery action.  At the next
+    simulator step (recovery re-enters the scheduler, so it never runs
+    inside the dispatch that detected the fault) it live-upgrades back to
+    the version the most recent upgrade superseded, popping the version
+    history on success; before any upgrade it upgrades to [pristine], the
+    last known good module.  [k] receives the result. *)
+val restore :
+  t -> pristine:(module Sched_trait.S) -> ((Upgrade.stats, exn) result -> unit) -> unit

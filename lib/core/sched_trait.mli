@@ -84,7 +84,9 @@ end
 
 (** No-op implementations of the optional surface, for inclusion:
     [include Sched_trait.Defaults (struct type nonrec t = t end)] then
-    shadow what the scheduler actually implements. *)
+    shadow what the scheduler actually implements.  Every in-tree module
+    (and [Dsq_sched.Make]) includes it, so a hook a module leaves
+    out is a no-op written once, here. *)
 module Defaults (T : sig
   type t
 end) : sig

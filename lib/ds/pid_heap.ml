@@ -6,6 +6,10 @@ let length t = t.len
 
 let top t = if t.len = 0 then -1 else Array.unsafe_get t.slots 0
 
+let nth t i =
+  if i < 0 || i >= t.len then invalid_arg "Pid_heap.nth";
+  Array.unsafe_get t.slots i
+
 (* strict (key, pid) order; pids are unique so this is total *)
 let lt key p q =
   let kp = key.(p) and kq = key.(q) in

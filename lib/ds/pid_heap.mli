@@ -12,7 +12,8 @@
 
     One pair of [key]/[pos] arrays may serve several heaps (one per cpu),
     as long as each pid sits in at most one of them.  Nothing here
-    allocates except growing the slot array. *)
+    allocates except growing the slot array.  Built-in CFS and the WFQ
+    module keep their per-cpu run-queues in these heaps. *)
 
 type t
 
@@ -23,6 +24,12 @@ val length : t -> int
 
 (** The minimum pid, or [-1] when the heap is empty. *)
 val top : t -> int
+
+(** [nth t i] is the pid in slot [i], for [0 <= i < length t]: slot 0 is
+    the minimum and slot [i]'s parent is slot [(i - 1) / 2], so iterating
+    the slots visits every queued pid (in heap order, not sorted).  Raises
+    [Invalid_argument] outside that range. *)
+val nth : t -> int -> int
 
 (** [add t ~key ~pos pid] queues [pid], which must not be queued already
     ([pos.(pid) = -1]). *)

@@ -201,6 +201,8 @@ type Enoki.Upgrade.transfer +=
 module Make (P : POLICY) : Enoki.Sched_trait.S = struct
   type t = { api : Api.t; state : P.state }
 
+  include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
   let name = P.name
 
   let create ctx =
@@ -412,17 +414,11 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
           P.steal t.state api ~cpu
         else None)
 
-  let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
-  let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
   let task_prio_changed t ~pid ~prio =
     with_lock t (fun () ->
         let tk = task_of t.api ~pid ~prio in
         tk.prio <- prio;
         tk.weight <- Kernsim.Cfs.weight_of_nice prio)
-
-  let parse_hint _ ~pid:_ ~hint:_ = ()
 
   let reregister_prepare t =
     Some

@@ -5,8 +5,9 @@
     repeated per-call budget overruns (the wedged-module signature), or
     fresh starvation findings from an attached {!Trace.Sanitizer}.  When
     a trigger trips it emits a [Watchdog_fire] event and invokes the
-    [action] callback — typically scheduling an {!Enoki.Enoki_c.rollback}
-    to the last-known-good scheduler version.
+    [action] callback — typically {!Enoki.Enoki_c.restore}, which defers
+    to a safe point and rolls back to the last-known-good scheduler
+    version.
 
     The callback runs synchronously from inside trace emission, which may
     be the middle of a dispatch; recovery actions that re-enter the

@@ -32,14 +32,15 @@ let weight_of_nice nice =
   let nice = max (-20) (min 19 nice) in
   prio_to_weight.(nice + 20)
 
-(* Per-cpu run-queue: an inline binary min-heap of pids ordered by
+module Heap = Ds.Pid_heap
+
+(* Per-cpu run-queue: the waiting pids in a min-heap ordered by
    (vruntime, pid).  The pid tiebreak keeps equal vruntimes deterministic
    and makes the order total, so the heap minimum coincides with the old
    red-black tree's min binding.  [curr] is -1 when no CFS task is
    dispatched on the cpu. *)
 type cfs_rq = {
-  mutable heap : int array;
-  mutable hlen : int;
+  heap : Heap.t;
   mutable min_vruntime : int;
   mutable load_waiting : int; (* sum of weights in the heap *)
   mutable curr : int; (* pid of the dispatched CFS task, -1 = none *)
@@ -104,79 +105,33 @@ let ensure_ent t (task : Task.t) =
     t.tasks.(pid) <- Some task
   end
 
-(* ---------- heap primitives ---------- *)
+(* ---------- run-queue ---------- *)
 
-(* strict (vruntime, pid) order; pids are unique so this is total *)
+(* strict (vruntime, pid) order, the heap's own *)
 let ent_lt t p q =
   let vp = t.vruntime.(p) and vq = t.vruntime.(q) in
   vp < vq || (vp = vq && p < q)
 
-let rec sift_up t rq i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    let pi = rq.heap.(i) and pp = rq.heap.(parent) in
-    if ent_lt t pi pp then begin
-      rq.heap.(i) <- pp;
-      rq.heap.(parent) <- pi;
-      t.pos.(pp) <- i;
-      t.pos.(pi) <- parent;
-      sift_up t rq parent
-    end
-  end
-
-let rec sift_down t rq i =
-  let l = (2 * i) + 1 in
-  if l < rq.hlen then begin
-    let r = l + 1 in
-    let m = if r < rq.hlen && ent_lt t rq.heap.(r) rq.heap.(l) then r else l in
-    if ent_lt t rq.heap.(m) rq.heap.(i) then begin
-      let a = rq.heap.(i) and b = rq.heap.(m) in
-      rq.heap.(i) <- b;
-      rq.heap.(m) <- a;
-      t.pos.(b) <- i;
-      t.pos.(a) <- m;
-      sift_down t rq m
-    end
-  end
-
 let rq_insert t rq pid =
-  if rq.hlen = Array.length rq.heap then begin
-    let bigger = Array.make (2 * max 4 rq.hlen) (-1) in
-    Array.blit rq.heap 0 bigger 0 rq.hlen;
-    rq.heap <- bigger
-  end;
-  rq.heap.(rq.hlen) <- pid;
-  t.pos.(pid) <- rq.hlen;
-  rq.hlen <- rq.hlen + 1;
   rq.load_waiting <- rq.load_waiting + t.weight.(pid);
   t.nr_waiting_total <- t.nr_waiting_total + 1;
-  sift_up t rq (rq.hlen - 1)
+  Heap.add rq.heap ~key:t.vruntime ~pos:t.pos pid
 
 (* no-op when the pid is not queued, like the old on_rq-guarded removal *)
 let rq_remove t rq pid =
-  let i = t.pos.(pid) in
-  if i >= 0 then begin
+  if t.pos.(pid) >= 0 then begin
     rq.load_waiting <- rq.load_waiting - t.weight.(pid);
     t.nr_waiting_total <- t.nr_waiting_total - 1;
-    t.pos.(pid) <- -1;
-    let last = rq.hlen - 1 in
-    rq.hlen <- last;
-    if i <> last then begin
-      let moved = rq.heap.(last) in
-      rq.heap.(i) <- moved;
-      t.pos.(moved) <- i;
-      sift_up t rq i;
-      if t.pos.(moved) = i then sift_down t rq i
-    end
+    Heap.remove rq.heap ~key:t.vruntime ~pos:t.pos pid
   end
 
 (* ---------- accounting ---------- *)
 
 let curr_weight t rq = if rq.curr >= 0 && has_ent t rq.curr then t.weight.(rq.curr) else 0
 
-let nr_waiting rq = rq.hlen
+let nr_waiting rq = Heap.length rq.heap
 
-let nr_running rq = rq.hlen + if rq.curr < 0 then 0 else 1
+let nr_running rq = nr_waiting rq + if rq.curr < 0 then 0 else 1
 
 let rq_load t rq = rq.load_waiting + curr_weight t rq
 
@@ -184,9 +139,10 @@ let rq_load t rq = rq.load_waiting + curr_weight t rq
 let calc_delta_fair delta weight = delta * nice_0_load / max 1 weight
 
 let update_min_vruntime t rq =
+  let top = Heap.top rq.heap in
   let candidate =
-    if rq.hlen > 0 then begin
-      let v = t.vruntime.(rq.heap.(0)) in
+    if top >= 0 then begin
+      let v = t.vruntime.(top) in
       if rq.curr >= 0 && has_ent t rq.curr then min v t.vruntime.(rq.curr) else v
     end
     else if rq.curr >= 0 && has_ent t rq.curr then t.vruntime.(rq.curr)
@@ -239,7 +195,7 @@ let rec find_idle_in t (task : Task.t) cpus =
   match cpus with
   | [] -> -1
   | c :: tl ->
-    if allowed task c && t.ops.cpu_is_idle c && t.rqs.(c).curr < 0 && t.rqs.(c).hlen = 0
+    if allowed task c && t.ops.cpu_is_idle c && t.rqs.(c).curr < 0 && nr_waiting t.rqs.(c) = 0
     then c
     else find_idle_in t task tl
 
@@ -290,8 +246,8 @@ let select_task_rq t (task : Task.t) ~waker_cpu =
 let steal_candidate t ~from ~to_cpu =
   let rq = t.rqs.(from) in
   let best = ref (-1) in
-  for i = 0 to rq.hlen - 1 do
-    let pid = rq.heap.(i) in
+  for i = 0 to nr_waiting rq - 1 do
+    let pid = Heap.nth rq.heap i in
     match find_ctask t pid with
     | Some task when allowed task to_cpu -> if !best < 0 || ent_lt t !best pid then best := pid
     | Some _ | None -> ()
@@ -354,7 +310,7 @@ let balance t ~cpu =
   let rq = t.rqs.(cpu) in
   (* no waiter anywhere but here => pullable is 0 on every other cpu and
      both busiest scans would come back empty; prove it in O(1) *)
-  if t.nr_waiting_total - rq.hlen = 0 then -1 else balance_scan t ~cpu rq
+  if t.nr_waiting_total - nr_waiting rq = 0 then -1 else balance_scan t ~cpu rq
 
 (* ---------- hooks ---------- *)
 
@@ -420,20 +376,17 @@ let task_yield t (task : Task.t) ~cpu = requeue_preempted t task ~cpu
 
 let pick_next_task t ~cpu =
   let rq = t.rqs.(cpu) in
-  if rq.hlen = 0 then -1
+  let pid = Heap.top rq.heap in
+  if pid < 0 || not (has_ent t pid) then -1
   else begin
-    let pid = rq.heap.(0) in
-    if not (has_ent t pid) then -1
-    else begin
-      rq_remove t rq pid;
-      rq.curr <- pid;
-      (match find_ctask t pid with
-      | Some task ->
-        t.last_sum_exec.(pid) <- task.sum_exec;
-        t.slice_start_exec.(pid) <- task.sum_exec
-      | None -> ());
-      pid
-    end
+    rq_remove t rq pid;
+    rq.curr <- pid;
+    (match find_ctask t pid with
+    | Some task ->
+      t.last_sum_exec.(pid) <- task.sum_exec;
+      t.slice_start_exec.(pid) <- task.sum_exec
+    | None -> ());
+    pid
   end
 
 let task_tick t ~cpu ~queued =
@@ -452,7 +405,7 @@ let task_tick t ~cpu ~queued =
    end);
   (* periodic balancing: a busy cpu observing a big enough imbalance asks
      itself to reschedule, which runs the balance hook *)
-  if rq.curr >= 0 && t.nr_waiting_total - rq.hlen > 0 then begin
+  if rq.curr >= 0 && t.nr_waiting_total - nr_waiting rq > 0 then begin
     let here = nr_running rq in
     let topo = t.ops.topology in
     let b = busiest_cpu t ~among:(Topology.node_cpus topo cpu) ~excluding:cpu in
@@ -488,24 +441,24 @@ let task_prio_changed t (task : Task.t) =
 
 (* Internal consistency check used by tests and while debugging: every
    runnable, non-running task must sit in exactly the heap of its run-queue
-   at its recorded position, and each heap must satisfy the (vruntime, pid)
-   min-heap order. *)
+   at its recorded position, each heap must satisfy the (vruntime, pid)
+   min-heap order, and the waiting total must match the heaps. *)
 let check_consistency t ~hook =
-  let total = Array.fold_left (fun acc rq -> acc + rq.hlen) 0 t.rqs in
+  let total = Array.fold_left (fun acc rq -> acc + Heap.length rq.heap) 0 t.rqs in
   if total <> t.nr_waiting_total then
     failwith
       (Printf.sprintf "cfs[%s]: nr_waiting_total=%d but heaps hold %d" hook
          t.nr_waiting_total total);
   Array.iteri
     (fun cpu rq ->
-      for i = 0 to rq.hlen - 1 do
-        let pid = rq.heap.(i) in
+      for i = 0 to Heap.length rq.heap - 1 do
+        let pid = Heap.nth rq.heap i in
         if t.pos.(pid) <> i then
           failwith
             (Printf.sprintf "cfs[%s]: cpu %d heap slot %d holds pid %d but pos=%d" hook cpu
                i pid t.pos.(pid));
         if i > 0 then begin
-          let parent = rq.heap.((i - 1) / 2) in
+          let parent = Heap.nth rq.heap ((i - 1) / 2) in
           if ent_lt t pid parent then
             failwith
               (Printf.sprintf "cfs[%s]: cpu %d heap order violated at slot %d (pid %d)"
@@ -521,7 +474,7 @@ let check_consistency t ~hook =
       if has_ent t pid then begin
         let in_heap rq =
           let i = t.pos.(pid) in
-          i >= 0 && i < rq.hlen && rq.heap.(i) = pid
+          i >= 0 && i < Heap.length rq.heap && Heap.nth rq.heap i = pid
         in
         let is_curr = Array.exists (fun rq -> rq.curr = pid) t.rqs in
         if task.state = Task.Runnable && not is_curr then begin
@@ -559,13 +512,7 @@ let factory ?(params = default_params) ?(debug_checks = false) () : Sched_class.
       nr_waiting_total = 0;
       rqs =
         Array.init ops.nr_cpus (fun _ ->
-            {
-              heap = Array.make 8 (-1);
-              hlen = 0;
-              min_vruntime = 0;
-              load_waiting = 0;
-              curr = -1;
-            });
+            { heap = Heap.create (); min_vruntime = 0; load_waiting = 0; curr = -1 });
       present = Array.make 64 false;
       vruntime = Array.make 64 0;
       weight = Array.make 64 0;

@@ -2,7 +2,7 @@
     Scheduler, used as the baseline throughout the paper's evaluation.
 
     Implements per-cpu weighted fair queuing over a run-queue keyed by
-    virtual runtime — an inline binary heap of pids over struct-of-arrays
+    virtual runtime — a {!Ds.Pid_heap} of pids over struct-of-arrays
     entity state, picking exactly the task a (vruntime, pid)-ordered tree
     would (§4.2.1 of the paper describes the algorithm):
 

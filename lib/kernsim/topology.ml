@@ -21,7 +21,7 @@ let group_lists size cores =
 
 let create ~cores ~cores_per_llc ~cores_per_node =
   if cores <= 0 || cores_per_llc <= 0 || cores_per_node <= 0 then
-    invalid_arg "Topology.create";
+    invalid_arg "Topology.create: core counts must be positive";
   if cores mod cores_per_llc <> 0 || cores mod cores_per_node <> 0 then
     invalid_arg "Topology.create: cores must divide evenly";
   {

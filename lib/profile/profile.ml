@@ -11,6 +11,15 @@ let create () = { cells = Hashtbl.create 32; total = 0 }
 
 let now_wall () = Unix.gettimeofday () *. 1e9
 
+(* [Gc.minor_words] counts up to the allocation pointer; on OCaml 5.1
+   [Gc.allocated_bytes] and the minor count of [Gc.counters] stop at the
+   last minor collection, so their differences move with where the
+   collections fall.  Promoted words are already minor words, so only the
+   major words allocated directly are added. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 (* The (sched, call) lookup builds a tuple key and hashes two strings, so
    a caller resolves its cell once and then records into it directly. *)
 let cell t ~sched ~call =

@@ -30,6 +30,14 @@ val create : unit -> t
     differences are meaningful). *)
 val now_wall : unit -> float
 
+(** Bytes the calling domain has allocated so far: exact minor-heap
+    allocation plus direct major-heap allocation.  Unlike
+    [Gc.allocated_bytes], the difference of two readings does not depend
+    on where minor collections fall, so a deterministic run reads the same
+    bytes every time.  The bench suites and the allocation tests measure
+    with it. *)
+val allocated_bytes : unit -> float
+
 (** One (scheduler, callback) row's accumulator.  {!cell} finds or makes
     it by name (a tuple key, two string hashes); a caller resolves it once
     and then records every crossing with {!record_cell}, which allocates

@@ -19,6 +19,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "arachne-arbiter"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -184,8 +186,6 @@ let balance t ~cpu =
         | None -> None)
       | None -> None)
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       match find_act t pid with
@@ -194,12 +194,6 @@ let migrate_task_rq t ~pid ~sched =
         act.token <- Some sched;
         old
       | None -> None)
-
-let task_tick _ ~cpu:_ ~queued:_ = ()
-
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
-let task_prio_changed _ ~pid:_ ~prio:_ = ()
 
 let parse_hint t ~pid:_ ~hint =
   match hint with

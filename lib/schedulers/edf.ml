@@ -22,6 +22,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "edf"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -143,8 +145,6 @@ let balance t ~cpu =
           match t.running.(Sched.cpu sched) with Some _ -> Some pid | None -> None)
         | Some _ | None -> None)
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       let old = remove t pid in
@@ -159,10 +159,6 @@ let task_tick t ~cpu ~queued =
         | Some (_, running_dl), Some ((waiting_dl, _), _) when waiting_dl < running_dl ->
           t.ctx.resched ~cpu
         | _ -> ())
-
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
-let task_prio_changed _ ~pid:_ ~prio:_ = ()
 
 let parse_hint t ~pid:_ ~hint =
   match hint with

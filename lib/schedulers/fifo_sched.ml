@@ -7,6 +7,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "fifo"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -123,21 +125,11 @@ let balance t ~cpu =
       end
       else None)
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       let old = remove_everywhere t pid in
       Ds.Deque.push_back t.queues.(Sched.cpu sched) (pid, sched);
       old)
-
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
-let task_prio_changed _ ~pid:_ ~prio:_ = ()
-
-let task_tick _ ~cpu:_ ~queued:_ = ()
-
-let parse_hint _ ~pid:_ ~hint:_ = ()
 
 (* live upgrade: export the queues verbatim *)
 type Enoki.Upgrade.transfer += Fifo_state of (int * Sched.t) Ds.Deque.t array * int option array

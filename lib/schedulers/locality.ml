@@ -16,6 +16,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "locality"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -131,10 +133,6 @@ let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
   | Some tok -> Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid tok)
   | None -> ()
 
-let balance _ ~cpu:_ = None
-
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       let old = drop_everywhere t pid in
@@ -145,10 +143,6 @@ let migrate_task_rq t ~pid ~sched =
 let task_tick t ~cpu ~queued =
   Enoki.Lock.with_lock t.lock (fun () ->
       if queued && Ds.Deque.length t.queues.(cpu) > 0 then t.ctx.resched ~cpu)
-
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
-let task_prio_changed _ ~pid:_ ~prio:_ = ()
 
 let select_group_cpu t =
   (* spread groups across distinct cores *)
@@ -183,18 +177,8 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
   | Some (Locality_state { queues; running; pid_group; group_cpu }) ->
-    {
-      ctx;
-      queues;
-      running;
-      pid_group;
-      pid_cpu = Hashtbl.create 64;
-      group_cpu;
-      next_group_cpu = Hashtbl.length group_cpu mod max 1 ctx.nr_cpus;
-      hints_seen = 0;
-      rng = Stats.Prng.create ~seed:0x10c;
-      lock = Enoki.Lock.create ~name:"locality-rq" ();
-    }
+    let next_group_cpu = Hashtbl.length group_cpu mod max 1 ctx.nr_cpus in
+    { (create ctx) with queues; running; pid_group; group_cpu; next_group_cpu }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "locality: unrecognised transfer state")
 
 let cpu_of_group t ~group = Hashtbl.find_opt t.group_cpu group

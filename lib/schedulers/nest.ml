@@ -14,6 +14,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "nest"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -159,8 +161,6 @@ let balance t ~cpu =
           Option.map (fun (pid, _) -> pid) (Ds.Deque.peek_front t.queues.(other))
         | None -> None)
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       let old = drop t pid in
@@ -170,12 +170,6 @@ let migrate_task_rq t ~pid ~sched =
 let task_tick t ~cpu ~queued =
   Enoki.Lock.with_lock t.lock (fun () ->
       if queued && Ds.Deque.length t.queues.(cpu) > 0 then t.ctx.resched ~cpu)
-
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
-let task_prio_changed _ ~pid:_ ~prio:_ = ()
-
-let parse_hint _ ~pid:_ ~hint:_ = ()
 
 type Enoki.Upgrade.transfer +=
   | Nest_state of {

@@ -20,6 +20,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "rt-fifo"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -159,8 +161,6 @@ let balance t ~cpu =
         Option.map snd !best
       end)
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       let old = remove t pid in
@@ -176,8 +176,6 @@ let task_tick t ~cpu ~queued =
           t.ctx.resched ~cpu
         | _ -> ())
 
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
 let task_prio_changed t ~pid ~prio =
   Enoki.Lock.with_lock t.lock (fun () ->
       match Hashtbl.find_opt t.ents pid with
@@ -192,8 +190,6 @@ let task_prio_changed t ~pid ~prio =
           | None -> e.prio <- prio)
         | None -> e.prio <- prio)
       | None -> ())
-
-let parse_hint _ ~pid:_ ~hint:_ = ()
 
 type Enoki.Upgrade.transfer +=
   | Rt_state of {

@@ -11,6 +11,8 @@ type t = {
   lock : Enoki.Lock.t;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "shinjuku"
 
 let make (ctx : Enoki.Ctx.t) ~slice =
@@ -97,8 +99,6 @@ let balance t ~cpu =
           Some pid
         | Some _ | None -> None)
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       match Ds.Deque.remove_first t.queue ~f:(fun (p, _) -> p = pid) with
@@ -136,12 +136,6 @@ let task_tick t ~cpu ~queued =
       if queued && Ds.Deque.length t.queue > 0 then t.ctx.resched ~cpu;
       if queued then arm t ~cpu)
 
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
-let task_prio_changed _ ~pid:_ ~prio:_ = ()
-
-let parse_hint _ ~pid:_ ~hint:_ = ()
-
 type Enoki.Upgrade.transfer +=
   | Shinjuku_state of (int * Sched.t) Ds.Deque.t * int option array
 
@@ -150,65 +144,7 @@ let reregister_prepare t = Some (Shinjuku_state (t.queue, t.running))
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Shinjuku_state (queue, running)) ->
-    {
-      ctx;
-      slice = default_slice;
-      queue;
-      running;
-      rr_cpu = 0;
-      lock = Enoki.Lock.create ~name:"shinjuku-q" ();
-    }
+  | Some (Shinjuku_state (queue, running)) -> { (create ctx) with queue; running }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "shinjuku: unrecognised transfer state")
 
 let queue_depth t = Ds.Deque.length t.queue
-
-let with_slice slice : (module Enoki.Sched_trait.S) =
-  (module struct
-    type nonrec t = t
-
-    let name = Printf.sprintf "shinjuku-%dus" (slice / 1000)
-
-    let create ctx = make ctx ~slice
-
-    let get_policy = get_policy
-
-    let pick_next_task = pick_next_task
-
-    let pnt_err = pnt_err
-
-    let task_dead = task_dead
-
-    let task_blocked = task_blocked
-
-    let task_wakeup = task_wakeup
-
-    let task_new = task_new
-
-    let task_preempt = task_preempt
-
-    let task_yield = task_yield
-
-    let task_departed = task_departed
-
-    let task_affinity_changed = task_affinity_changed
-
-    let task_prio_changed = task_prio_changed
-
-    let task_tick = task_tick
-
-    let select_task_rq = select_task_rq
-
-    let migrate_task_rq = migrate_task_rq
-
-    let balance = balance
-
-    let balance_err = balance_err
-
-    let reregister_prepare = reregister_prepare
-
-    let reregister_init ctx transfer =
-      match transfer with None -> create ctx | Some _ -> reregister_init ctx transfer
-
-    let parse_hint = parse_hint
-  end)

@@ -10,7 +10,8 @@
     the scheduler; long range-queries therefore cannot starve short GETs,
     which is the whole point of Figure 2.
 
-    Pass a different [slice] via {!create_with_slice} ablations. *)
+    Ablations with another slice build a variant module whose [create] is
+    {!make}. *)
 
 include Enoki.Sched_trait.S
 
@@ -20,5 +21,6 @@ val queue_depth : t -> int
 (** Default preemption slice (10 us, as in §4.2.2). *)
 val default_slice : Kernsim.Time.ns
 
-(** A variant module with a custom preemption slice (ablation benches). *)
-val with_slice : Kernsim.Time.ns -> (module Enoki.Sched_trait.S)
+(** [make ctx ~slice] is [create ctx] with a [slice] preemption timer in
+    place of {!default_slice}. *)
+val make : Enoki.Ctx.t -> slice:Kernsim.Time.ns -> t

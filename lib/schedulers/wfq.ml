@@ -40,6 +40,8 @@ type t = {
   mutable tok : Sched.t option array;
 }
 
+include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
+
 let name = "wfq"
 
 let create (ctx : Enoki.Ctx.t) =
@@ -301,8 +303,6 @@ let balance_locked t cpu () () () =
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
-let balance_err _ ~cpu:_ ~pid:_ ~sched:_ = ()
-
 let slice rq weight =
   let nr = max 1 (nr_running rq) in
   max min_slice (sched_latency * weight / (nice_0_load * nr))
@@ -324,16 +324,12 @@ let task_tick_locked t cpu queued () () =
 
 let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
-let task_affinity_changed _ ~pid:_ ~allowed:_ = ()
-
 (* the weight is not part of the heap key, so a queued pid stays put *)
 let task_prio_changed_locked t pid prio () () =
   if known t pid then t.weight.(pid) <- Kernsim.Cfs.weight_of_nice prio
 
 let task_prio_changed t ~pid ~prio =
   Enoki.Lock.locked t.lock task_prio_changed_locked t pid prio () ()
-
-let parse_hint _ ~pid:_ ~hint:_ = ()
 
 (* ---------- live upgrade ---------- *)
 
@@ -346,55 +342,6 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   | None -> create ctx
   | Some (Wfq_state old) -> { old with ctx; lock = Enoki.Lock.create ~name:"wfq-rq" () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "wfq: unrecognised transfer state")
-
-let without_steal : (module Enoki.Sched_trait.S) =
-  (module struct
-    type nonrec t = t
-
-    let name = "wfq-nosteal"
-
-    let create = create
-
-    let get_policy = get_policy
-
-    let pick_next_task = pick_next_task
-
-    let pnt_err = pnt_err
-
-    let task_dead = task_dead
-
-    let task_blocked = task_blocked
-
-    let task_wakeup = task_wakeup
-
-    let task_new = task_new
-
-    let task_preempt = task_preempt
-
-    let task_yield = task_yield
-
-    let task_departed = task_departed
-
-    let task_affinity_changed = task_affinity_changed
-
-    let task_prio_changed = task_prio_changed
-
-    let task_tick = task_tick
-
-    let select_task_rq = select_task_rq
-
-    let migrate_task_rq = migrate_task_rq
-
-    let balance _ ~cpu:_ = None
-
-    let balance_err = balance_err
-
-    let reregister_prepare = reregister_prepare
-
-    let reregister_init = reregister_init
-
-    let parse_hint = parse_hint
-  end)
 
 let queue_length t ~cpu = nr_queued t.rqs.(cpu)
 

@@ -20,9 +20,3 @@ val queue_length : t -> cpu:int -> int
 
 (** Current vruntime of a task, if known. *)
 val vruntime_of : t -> pid:int -> int option
-
-(** Ablation variant with work stealing disabled: [balance] never pulls,
-    so an idle core stays idle while another's queue is long.  Used by the
-    bench harness to quantify what the paper's "steal from the core with
-    the longest queue" buys. *)
-val without_steal : (module Enoki.Sched_trait.S)

@@ -174,6 +174,18 @@ let test_fleet_deterministic () =
   check Alcotest.bool "same seed, bit-identical results" true (run 5 = run 5);
   check Alcotest.bool "different seed differs" true (run 5 <> run 6)
 
+(* a non-positive epoch could never advance the clock: [step] would spin *)
+let test_fleet_rejects_zero_epoch () =
+  check Alcotest.bool "epoch 0 rejected" true
+    (try
+       ignore
+         (Fleet.create ~epoch:0 ~seed:1
+            ~hosts:(entries [ "wfq" ])
+            ~tenants:(small_mix ~connections:32 ~load:40.0 ())
+            ());
+       false
+     with Invalid_argument _ -> true)
+
 let test_rolling_upgrade_pause_and_blackout () =
   let f =
     (* both hosts need an Enoki module: CFS hosts have nothing to upgrade *)
@@ -465,6 +477,7 @@ let () =
         [
           Alcotest.test_case "bit-for-bit deterministic from seed" `Quick
             test_fleet_deterministic;
+          Alcotest.test_case "zero epoch rejected" `Quick test_fleet_rejects_zero_epoch;
           Alcotest.test_case "rolling upgrade: pause and blackout attribution" `Quick
             test_rolling_upgrade_pause_and_blackout;
           Alcotest.test_case "chaos drill: panic, drain, failover, re-admit" `Quick

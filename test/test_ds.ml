@@ -289,7 +289,9 @@ let test_pid_heap_basic () =
    Adding a queued pid moves it under its new key, as WFQ re-queues.
    After every step: same length, same minimum, and [pos] gives each
    queued pid a distinct slot below the length and -1 to every other
-   pid.  Draining at the end must pop in the model's sorted order. *)
+   pid; reading the slots with [nth] visits exactly the model's pids, each
+   at its [pos], in heap order, and [nth] past the length raises.
+   Draining at the end must pop in the model's sorted order. *)
 let prop_pid_heap_model ops =
   let n = 16 in
   let key = Array.make n 0 and pos = Array.make n (-1) in
@@ -307,9 +309,24 @@ let prop_pid_heap_model ops =
         (List.init n Fun.id)
     in
     let slots = List.sort compare (List.map (fun (_, p) -> pos.(p)) !model) in
+    let nth = List.init (Ph.length h) (Ph.nth h) in
+    let nth_ok =
+      List.sort compare nth = List.sort compare (List.map snd !model)
+      && List.for_all2
+           (fun i p ->
+             let parent = Ph.nth h ((i - 1) / 2) in
+             pos.(p) = i && (i = 0 || compare (key.(parent), parent) (key.(p), p) < 0))
+           (List.init (List.length nth) Fun.id)
+           nth
+      && (try
+            ignore (Ph.nth h (Ph.length h));
+            false
+          with Invalid_argument _ -> true)
+    in
     Ph.length h = List.length !model
     && min_ok && pos_ok
     && slots = List.init (List.length slots) Fun.id
+    && nth_ok
   in
   let drains_sorted () =
     let expected = List.map snd (List.sort compare !model) in

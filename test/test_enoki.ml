@@ -433,8 +433,9 @@ module Null_sched = struct
     | None -> ()
 end
 
-(* Register [e] against an inert 80-cpu kernel and return its class. *)
-let null_class e =
+(* Register [e] against an inert 80-cpu kernel and return its class.
+   [live] is the kernel's task list, the ground truth a failover re-homes. *)
+let null_class ?(live = []) e =
   let topology = Kernsim.Topology.two_socket in
   Enoki.Enoki_c.factory e
     {
@@ -451,7 +452,7 @@ let null_class e =
       current = (fun ~cpu:_ -> None);
       cpu_is_idle = (fun _ -> true);
       find_task = (fun _ -> None);
-      live_tasks = (fun ~policy:_ -> []);
+      live_tasks = (fun ~policy:_ -> live);
     }
 
 let minor_words f =
@@ -487,12 +488,44 @@ let test_crossing_allocates_nothing () =
           for i = 1 to n do
             ignore (Sys.opaque_identity (cls.select_task_rq task ~waker_cpu:(i land 63)))
           done );
+      (* the hooks that mint no Schedulable token: a minted token is the
+         one allocation the boundary makes *)
+      ( "task_blocked",
+        fun () ->
+          for i = 1 to n do
+            cls.task_blocked task ~cpu:(i land 63)
+          done );
+      ( "task_dead",
+        fun () ->
+          for i = 1 to n do
+            cls.task_dead task ~cpu:(i land 63)
+          done );
+      ( "task_departed",
+        fun () ->
+          for i = 1 to n do
+            cls.task_departed task ~cpu:(i land 63)
+          done );
+      ( "balance_err",
+        fun () ->
+          for i = 1 to n do
+            cls.balance_err task ~cpu:(i land 63)
+          done );
+      ( "task_prio_changed",
+        fun () ->
+          for _ = 1 to n do
+            cls.task_prio_changed task
+          done );
+      ( "task_affinity_changed",
+        fun () ->
+          for _ = 1 to n do
+            cls.task_affinity_changed task
+          done );
     ]
   in
   List.iter
     (fun (hook, f) -> check (Alcotest.float 0.0) (hook ^ ": minor words") 0.0 (minor_words f))
     per_hook;
-  check Alcotest.int "every crossing counted" (4 * n) (Enoki.Enoki_c.calls e);
+  check Alcotest.int "every crossing counted" (List.length per_hook * n) (Enoki.Enoki_c.calls e);
   check Alcotest.int "no violations" 0 (Enoki.Enoki_c.violations e)
 
 let test_isolation_semantics () =
@@ -524,6 +557,71 @@ let test_isolation_semantics () =
   let kinds = Enoki.Enoki_c.violation_breakdown e in
   check Alcotest.bool "call_budget violation" true (List.mem_assoc "call_budget" kinds);
   check Alcotest.bool "panic violation" true (List.mem_assoc "panic" kinds)
+
+(* Each of the 16 class hooks, made to raise once through an injected
+   panic: the raise is contained, counts as one panic and one failover,
+   the [Panic] trace event names the hook's call, and the CFS fallback
+   answers the same call.  The kernel lists one runnable task on cpu 2
+   that a failover re-homes, so a fallback pick there returns it. *)
+let test_isolation_every_hook () =
+  let nr_cpus = Kernsim.Topology.nr_cpus Kernsim.Topology.two_socket in
+  let spawn pid = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid ~now:0 in
+  let waiting = spawn 7 in
+  waiting.T.cpu <- 2;
+  let task = spawn 1 in
+  let hooks : (string * (Kernsim.Sched_class.t -> bool)) list =
+    [
+      ( "select_task_rq",
+        fun cls ->
+          let c = cls.select_task_rq task ~waker_cpu:3 in
+          c >= 0 && c < nr_cpus && T.allowed_cpu task c );
+      ("task_new", fun cls -> cls.task_new task ~cpu:2 = ());
+      ("task_wakeup", fun cls -> cls.task_wakeup task ~cpu:2 ~waker_cpu:3 = ());
+      ("task_blocked", fun cls -> cls.task_blocked task ~cpu:2 = ());
+      ("task_yield", fun cls -> cls.task_yield task ~cpu:2 = ());
+      ("task_preempt", fun cls -> cls.task_preempt task ~cpu:2 = ());
+      ("task_dead", fun cls -> cls.task_dead task ~cpu:2 = ());
+      ("task_departed", fun cls -> cls.task_departed task ~cpu:2 = ());
+      ("task_tick", fun cls -> cls.task_tick ~cpu:2 ~queued:true = ());
+      ("pick_next_task", fun cls -> cls.pick_next_task ~cpu:2 = waiting.T.pid);
+      ("balance", fun cls -> cls.balance ~cpu:2 = -1);
+      ("balance_err", fun cls -> cls.balance_err task ~cpu:2 = ());
+      ("migrate_task_rq", fun cls -> cls.migrate_task_rq task ~from_cpu:2 ~to_cpu:3 = ());
+      ("task_prio_changed", fun cls -> cls.task_prio_changed task = ());
+      ("task_affinity_changed", fun cls -> cls.task_affinity_changed task = ());
+      ("parse_hint", fun cls -> cls.deliver_hint task (Enoki.Hint_codec.Opaque "h") = ());
+    ]
+  in
+  check Alcotest.int "every class hook" 16 (List.length hooks);
+  List.iter
+    (fun (call, hook) ->
+      let tracer = Trace.Tracer.create ~nr_cpus () in
+      let plan =
+        match Fault.Plan.parse ("panic@" ^ call ^ ":max=1") with
+        | Ok p -> p
+        | Error m -> Alcotest.fail m
+      in
+      let e =
+        Enoki.Enoki_c.create ~tracer (Fault.Inject.wrap ~seed:1 ~plan (module Null_sched))
+      in
+      let cls = null_class ~live:[ waiting ] e in
+      let answered =
+        match hook cls with
+        | ok -> ok
+        | exception exn -> Alcotest.failf "%s: %s escaped the boundary" call (Printexc.to_string exn)
+      in
+      let f = Enoki.Enoki_c.failover_stats e in
+      check Alcotest.int (call ^ ": one panic") 1 f.panics;
+      check Alcotest.int (call ^ ": one failover") 1 f.failovers;
+      let panics =
+        List.filter_map
+          (fun (ev : Trace.Event.t) ->
+            match ev.kind with Trace.Event.Panic { call; _ } -> Some call | _ -> None)
+          (Trace.Tracer.events tracer)
+      in
+      check Alcotest.(list string) (call ^ ": Panic names the call") [ call ] panics;
+      check Alcotest.bool (call ^ ": the fallback answers") true answered)
+    hooks
 
 (* ---------- live upgrade ---------- *)
 
@@ -1000,6 +1098,7 @@ let () =
             test_schedulable_violation_recovered;
           Alcotest.test_case "crossing allocates nothing" `Quick test_crossing_allocates_nothing;
           Alcotest.test_case "isolation semantics" `Quick test_isolation_semantics;
+          Alcotest.test_case "isolation: every hook" `Quick test_isolation_every_hook;
         ] );
       ( "upgrade",
         [

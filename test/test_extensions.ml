@@ -301,7 +301,11 @@ let test_set_policy_roundtrip () =
 (* ---------- wfq no-steal ablation variant ---------- *)
 
 let test_wfq_nosteal_still_correct () =
-  let (module NS) = Schedulers.Wfq.without_steal in
+  let module NS = struct
+    include Schedulers.Wfq
+    let name = "wfq-nosteal"
+    let balance _ ~cpu:_ = None
+  end in
   let b = build (Workloads.Setup.Enoki_sched (module NS)) in
   let pids =
     List.init 8 (fun i ->

@@ -142,15 +142,9 @@ let test_watchdog_detects_wedged_module () =
   let w =
     Fault.Watchdog.create ~sanitizer:s
       ~action:(fun ~reason:_ ~at:_ ->
-        (* recovery re-enters the scheduler: defer out of the dispatch *)
-        M.at b.Workloads.Setup.machine ~delay:0 (fun () ->
-            match
-              match Enoki.Enoki_c.previous e with
-              | Some _ -> Enoki.Enoki_c.rollback e
-              | None -> Enoki.Enoki_c.upgrade e (module Schedulers.Wfq)
-            with
-            | Ok _ -> incr recovered
-            | Error exn -> raise exn))
+        Enoki.Enoki_c.restore e ~pristine:(module Schedulers.Wfq) (function
+          | Ok _ -> incr recovered
+          | Error exn -> raise exn))
       ()
   in
   Fault.Watchdog.attach w tracer;
@@ -167,7 +161,9 @@ let test_watchdog_detects_wedged_module () =
   check Alcotest.int "no token violation" 0 (count_kind s Trace.Sanitizer.Token_discipline)
 
 (* upgrade to a wedged version mid-run; the watchdog rolls back to the
-   previous (pristine) version through the upgrade history *)
+   previous version through the upgrade history.  The [pristine] module
+   carries its own name, so a restore that skipped the history and
+   re-registered it instead fails the name check. *)
 let test_watchdog_rolls_back_bad_upgrade () =
   let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
   let tracer = Trace.Tracer.create ~nr_cpus () in
@@ -182,13 +178,17 @@ let test_watchdog_rolls_back_bad_upgrade () =
   M.at b.Workloads.Setup.machine ~delay:(Kernsim.Time.ms 10) (fun () ->
       match Enoki.Enoki_c.upgrade e wedged with Ok _ -> () | Error exn -> raise exn);
   let rollbacks = ref 0 in
+  let module Pristine = struct
+    include Schedulers.Wfq
+
+    let name = "wfq-pristine"
+  end in
   let w =
     Fault.Watchdog.create
       ~action:(fun ~reason:_ ~at:_ ->
-        M.at b.Workloads.Setup.machine ~delay:0 (fun () ->
-            match Enoki.Enoki_c.rollback e with
-            | Ok _ -> incr rollbacks
-            | Error exn -> raise exn))
+        Enoki.Enoki_c.restore e ~pristine:(module Pristine) (function
+          | Ok _ -> incr rollbacks
+          | Error exn -> raise exn))
       ()
   in
   Fault.Watchdog.attach w tracer;

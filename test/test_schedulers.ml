@@ -163,8 +163,12 @@ let test_shinjuku_fcfs_order () =
   M.run_for b.machine (Kernsim.Time.ms 5);
   check Alcotest.(list int) "first-come-first-served" [ 1; 2; 3; 4 ] (List.rev !order)
 
-let test_shinjuku_with_slice_variant () =
-  let (module S50) = Schedulers.Shinjuku.with_slice (Kernsim.Time.us 50) in
+let test_shinjuku_slice_variant () =
+  let module S50 = struct
+    include Schedulers.Shinjuku
+    let name = "shinjuku-50us"
+    let create ctx = make ctx ~slice:(Kernsim.Time.us 50)
+  end in
   let b = build (Workloads.Setup.Enoki_sched (module S50)) in
   let pid = spawn_hog b ~name:"x" ~work:(Kernsim.Time.ms 5) () in
   M.run_for b.machine (Kernsim.Time.ms 50);
@@ -397,7 +401,7 @@ let () =
         [
           Alcotest.test_case "preempts long tasks" `Quick test_shinjuku_preempts_long_tasks;
           Alcotest.test_case "fcfs order" `Quick test_shinjuku_fcfs_order;
-          Alcotest.test_case "slice variant" `Quick test_shinjuku_with_slice_variant;
+          Alcotest.test_case "slice variant" `Quick test_shinjuku_slice_variant;
         ] );
       ( "locality",
         [

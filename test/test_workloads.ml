@@ -194,6 +194,13 @@ let test_fairness_placement_stdev () =
 
 (* ---------- setup ---------- *)
 
+let pipe_bytes_per_event ~messages kind =
+  let b = build kind in
+  let before = Profile.allocated_bytes () in
+  ignore (Workloads.Pipe_bench.run b ~messages ());
+  let after = Profile.allocated_bytes () in
+  (after -. before) /. float_of_int (Kernsim.Machine.events_dispatched b.Workloads.Setup.machine)
+
 (* Zero-alloc proof for the event hot path: with tracing and metrics off
    (the default [Setup.build]), a pinned pipe-bench segment must allocate
    (amortised) almost nothing per dispatched event.  The ceiling of 8
@@ -202,14 +209,9 @@ let test_fairness_placement_stdev () =
    any per-event boxing sneaks back in — a single 3-word record per event
    would read as ~24 B/event here. *)
 let check_pipe_bytes_per_event ?(messages = 5_000) kind ~ceiling =
-  let b = build kind in
-  let before = Gc.allocated_bytes () in
-  ignore (Workloads.Pipe_bench.run b ~messages ());
-  let after = Gc.allocated_bytes () in
-  let events = Kernsim.Machine.events_dispatched b.Workloads.Setup.machine in
-  let per_event = (after -. before) /. float_of_int events in
+  let per_event = pipe_bytes_per_event ~messages kind in
   Alcotest.check Alcotest.bool
-    (Printf.sprintf "bytes/event %.2f below %.1f (%d events)" per_event ceiling events)
+    (Printf.sprintf "bytes/event %.2f below %.1f" per_event ceiling)
     true (per_event < ceiling)
 
 let test_pipe_zero_alloc () = check_pipe_bytes_per_event Workloads.Setup.Cfs ~ceiling:8.0
@@ -222,6 +224,17 @@ let test_pipe_wfq_alloc () =
   check_pipe_bytes_per_event ~messages:20_000
     (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
     ~ceiling:32.0
+
+(* The reading is exact, not a snapshot of the last minor collection:
+   identical runs allocate identical bytes wherever the collections fall. *)
+let test_pipe_bytes_repeatable () =
+  let read () =
+    pipe_bytes_per_event ~messages:10_000 (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+  in
+  let first = read () in
+  for _ = 1 to 2 do
+    check (Alcotest.float 0.0) "identical runs, identical bytes/event" first (read ())
+  done
 
 let test_setup_labels () =
   check Alcotest.string "cfs" "cfs" (Workloads.Setup.label Workloads.Setup.Cfs);
@@ -281,5 +294,6 @@ let () =
           Alcotest.test_case "agent core" `Quick test_setup_agent_core;
           Alcotest.test_case "pipe hot path zero-alloc" `Quick test_pipe_zero_alloc;
           Alcotest.test_case "pipe wfq under 32 B/event" `Quick test_pipe_wfq_alloc;
+          Alcotest.test_case "pipe bytes/event repeatable" `Quick test_pipe_bytes_repeatable;
         ] );
     ]
