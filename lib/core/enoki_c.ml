@@ -1,12 +1,11 @@
 module Ops = Kernsim.Sched_class
 
 (* Crossing kinds: indices into [call_names] and [obs.o_per_call].  The
-   names are [Message.call_name]'s, so traces, profiles and metrics name a
-   callback exactly as the record log does. *)
-let call_names =
-  [| "select_task_rq"; "task_new"; "task_wakeup"; "task_blocked"; "task_yield"; "task_preempt";
-     "task_dead"; "task_departed"; "task_tick"; "pick_next_task"; "pnt_err"; "balance";
-     "balance_err"; "migrate_task_rq"; "task_prio_changed"; "task_affinity_changed"; "parse_hint" |]
+   table is the trace's ([Trace.Event.call_names], named as
+   [Message.call_name] names them), so traces, profiles and metrics name a
+   callback exactly as the record log does, and a traced crossing is just
+   its index. *)
+let call_names = Trace.Event.call_names
 
 let k_select = 0 and k_new = 1 and k_wakeup = 2 and k_blocked = 3 and k_yield = 4
 and k_preempt = 5 and k_dead = 6 and k_departed = 7 and k_tick = 8 and k_pick = 9
@@ -261,7 +260,7 @@ let cross t ~cpu k f a b c =
   let ops = ops_exn t in
   ops.charge ~cpu ops.costs.enoki_call;
   (match t.tracer with
-  | Some _ -> emit t ~cpu (Trace.Event.Msg_call { name = call_names.(k) })
+  | Some tr -> Trace.Tracer.emit_msg_call tr ~ts:(ops.now ()) ~cpu ~call:k
   | None -> ());
   t.calls <- t.calls + 1;
   (match t.obs with
@@ -602,13 +601,15 @@ let factory t : Kernsim.Sched_class.factory =
   (* module load: construct the scheduler against the safe context *)
   Lock.reset_ids ();
   (match t.tracer with
-  | Some _ ->
+  | Some tr ->
     Lock.set_trace_tap
       (Some
          (fun op ~lock_id ->
            match op with
-           | Lock.Acquire -> emit t ~cpu:t.current_tid (Trace.Event.Lock_acquire { lock_id })
-           | Lock.Release -> emit t ~cpu:t.current_tid (Trace.Event.Lock_release { lock_id })
+           | Lock.Acquire ->
+             Trace.Tracer.emit_lock_acquire tr ~ts:(ops.now ()) ~cpu:t.current_tid ~lock_id
+           | Lock.Release ->
+             Trace.Tracer.emit_lock_release tr ~ts:(ops.now ()) ~cpu:t.current_tid ~lock_id
            | Lock.Create -> ()))
   | None -> ());
   (match t.record with

@@ -83,14 +83,26 @@ let id t = t.lock_id
 
 let name t = t.lock_name
 
+(* Passthrough runs [f] with no closure built, between the tap's acquire
+   and release when a tap is set. *)
+let passthrough t f s a b c d =
+  match Domain.DLS.get tap_key with
+  | None -> f s a b c d
+  | Some tap -> (
+    tap Acquire ~lock_id:t.lock_id;
+    match f s a b c d with
+    | r ->
+      tap Release ~lock_id:t.lock_id;
+      r
+    | exception e ->
+      tap Release ~lock_id:t.lock_id;
+      raise e)
+
+let run f () () () () = f ()
+
 let with_lock t f =
   match mode () with
-  | Passthrough -> (
-    match Domain.DLS.get tap_key with
-    | None -> f ()
-    | Some _ ->
-      tap Acquire t.lock_id;
-      Fun.protect f ~finally:(fun () -> tap Release t.lock_id))
+  | Passthrough -> passthrough t run f () () () ()
   | Record { sink; tid } ->
     let tid = tid () in
     sink { lock_id = t.lock_id; op = Acquire; tid };
@@ -124,13 +136,12 @@ let with_lock t f =
     in
     Fun.protect f ~finally
 
-(* Passthrough without a tap runs [f] with no closure built; anything that
-   logs, taps or orders acquisitions goes through [with_lock], so lock
-   events are the same whichever form a module uses. *)
+(* Anything that logs or orders acquisitions goes through [with_lock], so
+   lock events are the same whichever form a module uses. *)
 let locked t f s a b c d =
-  match (mode (), Domain.DLS.get tap_key) with
-  | Passthrough, None -> f s a b c d
-  | _ -> with_lock t (fun () -> f s a b c d)
+  match mode () with
+  | Passthrough -> passthrough t f s a b c d
+  | Record _ | Replay _ -> with_lock t (fun () -> f s a b c d)
 
 (* The whole domain-local lock state as a first-class value, so a host's
    lock identity (its mode, tap, id counter and replay-created locks) can

@@ -51,9 +51,10 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** [locked l f s a b c d] is [with_lock l (fun () -> f s a b c d)] without
     the closure: the hot-path form for a module whose [f] is a closed
     (top-level) function of its state and up to four arguments; pad unused
-    ones with [()].  In Passthrough with no trace tap it calls [f] directly
-    and allocates nothing; in every other mode it is exactly [with_lock],
-    so record logs and tapped lock events are identical. *)
+    ones with [()].  In Passthrough it calls [f] directly, between the
+    trace tap's [Acquire] and [Release] when one is set, and allocates
+    nothing itself; in Record and Replay it is exactly [with_lock], so
+    record logs and tapped lock events are identical. *)
 val locked :
   t -> ('s -> 'a -> 'b -> 'c -> 'd -> 'r) -> 's -> 'a -> 'b -> 'c -> 'd -> 'r
 

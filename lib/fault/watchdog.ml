@@ -66,31 +66,32 @@ let fire t ~at ~reason =
 
 let prune t now l = List.filter (fun ts -> now - ts <= t.config.window) l
 
-let feed t (ev : Trace.Event.t) =
-  match ev.kind with
-  | Trace.Event.Panic _ ->
-    t.panic_ts <- ev.ts :: prune t ev.ts t.panic_ts;
+(* The trigger checks, on packed events (see [Trace.Tracer.subscriber]):
+   panics and overruns arrive cold, the starvation poll rides cpu 0's
+   tick. *)
+let step t ~ts ~cpu (tag : Trace.Event.tag) _ _ _ cold =
+  match (tag, cold) with
+  | T_cold, Trace.Event.Panic _ ->
+    t.panic_ts <- ts :: prune t ts t.panic_ts;
     let n = List.length t.panic_ts in
     if n >= t.config.panic_burst then
-      fire t ~at:ev.ts
+      fire t ~at:ts
         ~reason:(Printf.sprintf "panic burst: %d module panics within %dns" n t.config.window)
-  | Trace.Event.Overrun { call; _ } ->
-    t.overrun_ts <- ev.ts :: prune t ev.ts t.overrun_ts;
+  | T_cold, Trace.Event.Overrun { call; _ } ->
+    t.overrun_ts <- ts :: prune t ts t.overrun_ts;
     let n = List.length t.overrun_ts in
     if n >= t.config.overrun_burst then
-      fire t ~at:ev.ts
+      fire t ~at:ts
         ~reason:
           (Printf.sprintf "wedged: %d call-budget overruns within %dns (last: %s)" n
              t.config.window call)
-  | Trace.Event.Tick when ev.cpu = 0 -> (
+  | T_tick, _ when cpu = 0 -> (
     match t.sanitizer with
     | Some s when t.config.starvation ->
-      let starved =
-        List.length (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Starvation)
-      in
+      let starved = Trace.Sanitizer.count_of_kind s Trace.Sanitizer.Starvation in
       if starved > t.starved_seen then begin
         t.starved_seen <- starved;
-        fire t ~at:ev.ts
+        fire t ~at:ts
           ~reason:(Printf.sprintf "sanitizer reported starvation (%d finding%s)" starved
                      (if starved = 1 then "" else "s"))
       end
@@ -99,4 +100,4 @@ let feed t (ev : Trace.Event.t) =
 
 let attach t tracer =
   t.tracer <- Some tracer;
-  Trace.Tracer.subscribe tracer (feed t)
+  Trace.Tracer.subscribe tracer (step t)

@@ -47,8 +47,5 @@ val create :
     [Watchdog_fire] marker back into this tracer. *)
 val attach : t -> Trace.Tracer.t -> unit
 
-(** Feed one event directly (tests). *)
-val feed : t -> Trace.Event.t -> unit
-
 (** Fires so far, oldest first. *)
 val fires : t -> fire list

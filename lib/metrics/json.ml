@@ -11,7 +11,7 @@ type t =
 
 let hex = "0123456789abcdef"
 
-(* a loop, not [String.iter]: the trace exporters call this per field *)
+(* a loop, not [String.iter], so escaping builds no closure *)
 let add_escaped buf s =
   for i = 0 to String.length s - 1 do
     match String.unsafe_get s i with
@@ -26,6 +26,23 @@ let add_escaped buf s =
       Buffer.add_char buf hex.[Char.code c land 15]
     | c -> Buffer.add_char buf c
   done
+
+(* the trace exporters check every string field, so the common case, no
+   byte to escape, allocates nothing *)
+let rec plain s i =
+  i = String.length s
+  ||
+  match String.unsafe_get s i with
+  | '"' | '\\' -> false
+  | c -> Char.code c >= 0x20 && plain s (i + 1)
+
+let escape s =
+  if plain s 0 then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    add_escaped buf s;
+    Buffer.contents buf
+  end
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f

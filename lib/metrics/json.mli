@@ -14,13 +14,13 @@ type t =
 
 val to_string : ?pretty:bool -> t -> string
 
-(** [add_escaped buf s] appends [s] escaped for the inside of a JSON
-    string literal (no surrounding quotes): double quote, backslash,
-    newline, tab and carriage return get their two-character escapes, other
-    control bytes become [u00XX] escapes, and every other byte is copied.
-    The one JSON escape of the tree: the trace and anatomy exporters write
-    through it too. *)
-val add_escaped : Buffer.t -> string -> unit
+(** [escape s] is [s] escaped for the inside of a JSON string literal (no
+    surrounding quotes): double quote, backslash, newline, tab and carriage
+    return get their two-character escapes, other control bytes become
+    [u00XX] escapes, and every other byte is copied.  [s] itself, not a
+    copy, when nothing in it needs escaping.  The one JSON escape of the
+    tree: the trace and anatomy exporters write through it too. *)
+val escape : string -> string
 
 (** Strict parse of a complete document; [Error msg] carries an offset. *)
 val parse : string -> (t, string) result

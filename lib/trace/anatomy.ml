@@ -294,64 +294,63 @@ let lb_pid = 0
 
 let host_pid h = 1 + h
 
-let sep buf first = if !first then first := false else Buffer.add_char buf ','
+let sep d first = if !first then first := false else Export.add_char d ','
 
 (* Chrome collapses zero-width slices; clamp to 1 ns so every phase of an
    exemplar stays clickable. *)
-let slice buf ~first ~name ~cat ~pid ~tid ~start_ns ~stop_ns ~args =
-  sep buf first;
-  Buffer.add_string buf "{\"name\":\"";
-  Metrics.Json.add_escaped buf name;
-  Buffer.add_string buf "\",\"cat\":\"";
-  Buffer.add_string buf cat;
-  Buffer.add_string buf "\",\"ph\":\"X\",\"ts\":";
-  Export.add_us buf start_ns;
-  Buffer.add_string buf ",\"dur\":";
-  Export.add_us buf (max 1 (stop_ns - start_ns));
-  Buffer.add_string buf ",\"pid\":";
-  Export.add_int buf pid;
-  Buffer.add_string buf ",\"tid\":";
-  Export.add_int buf tid;
-  Buffer.add_string buf ",\"args\":{";
+let slice d ~first ~name ~cat ~pid ~tid ~start_ns ~stop_ns ~args =
+  sep d first;
+  Export.add_string d "{\"name\":\"";
+  Export.add_escaped d name;
+  Export.add_string d "\",\"cat\":\"";
+  Export.add_string d cat;
+  Export.add_string d "\",\"ph\":\"X\",\"ts\":";
+  Export.add_us d start_ns;
+  Export.add_string d ",\"dur\":";
+  Export.add_us d (max 1 (stop_ns - start_ns));
+  Export.add_string d ",\"pid\":";
+  Export.add_int d pid;
+  Export.add_string d ",\"tid\":";
+  Export.add_int d tid;
+  Export.add_string d ",\"args\":{";
   List.iteri
     (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Metrics.Json.add_escaped buf k;
-      Buffer.add_string buf "\":\"";
-      Metrics.Json.add_escaped buf v;
-      Buffer.add_char buf '"')
+      if i > 0 then Export.add_char d ',';
+      Export.add_char d '"';
+      Export.add_escaped d k;
+      Export.add_string d "\":\"";
+      Export.add_escaped d v;
+      Export.add_char d '"')
     args;
-  Buffer.add_string buf "}}"
+  Export.add_string d "}}"
 
-let flow buf ~first ~ph ~id ~pid ~tid ~ts =
-  sep buf first;
-  Buffer.add_string buf "{\"name\":\"req ";
-  Export.add_int buf id;
-  Buffer.add_string buf "\",\"cat\":\"anatomy\",\"ph\":\"";
-  Buffer.add_string buf ph;
-  Buffer.add_string buf "\",\"id\":";
-  Export.add_int buf id;
-  Buffer.add_string buf ",\"pid\":";
-  Export.add_int buf pid;
-  Buffer.add_string buf ",\"tid\":";
-  Export.add_int buf tid;
-  Buffer.add_string buf ",\"ts\":";
-  Export.add_us buf ts;
-  if ph = "f" then Buffer.add_string buf ",\"bp\":\"e\"";
-  Buffer.add_char buf '}'
+let flow d ~first ~ph ~id ~pid ~tid ~ts =
+  sep d first;
+  Export.add_string d "{\"name\":\"req ";
+  Export.add_int d id;
+  Export.add_string d "\",\"cat\":\"anatomy\",\"ph\":\"";
+  Export.add_string d ph;
+  Export.add_string d "\",\"id\":";
+  Export.add_int d id;
+  Export.add_string d ",\"pid\":";
+  Export.add_int d pid;
+  Export.add_string d ",\"tid\":";
+  Export.add_int d tid;
+  Export.add_string d ",\"ts\":";
+  Export.add_us d ts;
+  if ph = "f" then Export.add_string d ",\"bp\":\"e\"";
+  Export.add_char d '}'
 
-let meta buf ~first ~pid ~tid ~name ~value =
-  sep buf first;
-  Export.add_meta buf ~pid ~tid ~name ~value
+let meta d ~first ~pid ~tid ~name ~value =
+  sep d first;
+  Export.add_meta d ~pid ~tid ~name ~value
 
-let chrome_buffer t =
+let write_chrome t d =
   let exs = t.exemplars in
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  Export.add_string d "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   let first = ref true in
-  meta buf ~first ~pid:lb_pid ~tid:0 ~name:"process_name" ~value:"load balancer";
-  meta buf ~first ~pid:lb_pid ~tid:0 ~name:"thread_name" ~value:"lb decision";
+  meta d ~first ~pid:lb_pid ~tid:0 ~name:"process_name" ~value:"load balancer";
+  meta d ~first ~pid:lb_pid ~tid:0 ~name:"thread_name" ~value:"lb decision";
   let hosts_seen = Hashtbl.create 8 in
   let workers_seen = Hashtbl.create 8 in
   List.iter
@@ -359,14 +358,14 @@ let chrome_buffer t =
       if not (Hashtbl.mem hosts_seen c.host) then begin
         Hashtbl.replace hosts_seen c.host ();
         let pid = host_pid c.host in
-        meta buf ~first ~pid ~tid:0 ~name:"process_name"
+        meta d ~first ~pid ~tid:0 ~name:"process_name"
           ~value:(Printf.sprintf "host %d" c.host);
-        meta buf ~first ~pid ~tid:0 ~name:"thread_name" ~value:"ingress queue";
-        meta buf ~first ~pid ~tid:1 ~name:"thread_name" ~value:"runqueue"
+        meta d ~first ~pid ~tid:0 ~name:"thread_name" ~value:"ingress queue";
+        meta d ~first ~pid ~tid:1 ~name:"thread_name" ~value:"runqueue"
       end;
       if not (Hashtbl.mem workers_seen (c.host, c.pid)) then begin
         Hashtbl.replace workers_seen (c.host, c.pid) ();
-        meta buf ~first ~pid:(host_pid c.host) ~tid:c.pid ~name:"thread_name"
+        meta d ~first ~pid:(host_pid c.host) ~tid:c.pid ~name:"thread_name"
           ~value:(Printf.sprintf "worker %d" c.pid)
       end)
     exs;
@@ -386,13 +385,13 @@ let chrome_buffer t =
         ]
       in
       let hp = host_pid c.host in
-      slice buf ~first ~name:label ~cat:"anatomy" ~pid:lb_pid ~tid:0 ~start_ns:c.arrived
+      slice d ~first ~name:label ~cat:"anatomy" ~pid:lb_pid ~tid:0 ~start_ns:c.arrived
         ~stop_ns:c.enqueued ~args:(args Lb_decision);
-      slice buf ~first ~name:label ~cat:"anatomy" ~pid:hp ~tid:0 ~start_ns:c.enqueued
+      slice d ~first ~name:label ~cat:"anatomy" ~pid:hp ~tid:0 ~start_ns:c.enqueued
         ~stop_ns:c.woken ~args:(args Ingress_wait);
-      slice buf ~first ~name:label ~cat:"anatomy" ~pid:hp ~tid:1 ~start_ns:c.woken
+      slice d ~first ~name:label ~cat:"anatomy" ~pid:hp ~tid:1 ~start_ns:c.woken
         ~stop_ns:c.taken ~args:(args Rq_wait);
-      slice buf ~first ~name:label ~cat:"anatomy" ~pid:hp ~tid:c.pid ~start_ns:c.taken
+      slice d ~first ~name:label ~cat:"anatomy" ~pid:hp ~tid:c.pid ~start_ns:c.taken
         ~stop_ns:c.completed
         ~args:
           [
@@ -405,16 +404,15 @@ let chrome_buffer t =
             ("migrations", string_of_int c.migrations);
           ];
       (* flow arrows LB -> ingress -> runqueue -> worker *)
-      flow buf ~first ~ph:"s" ~id:c.req ~pid:lb_pid ~tid:0 ~ts:c.arrived;
-      flow buf ~first ~ph:"t" ~id:c.req ~pid:hp ~tid:0 ~ts:c.enqueued;
-      flow buf ~first ~ph:"t" ~id:c.req ~pid:hp ~tid:1 ~ts:c.woken;
-      flow buf ~first ~ph:"f" ~id:c.req ~pid:hp ~tid:c.pid ~ts:c.taken)
+      flow d ~first ~ph:"s" ~id:c.req ~pid:lb_pid ~tid:0 ~ts:c.arrived;
+      flow d ~first ~ph:"t" ~id:c.req ~pid:hp ~tid:0 ~ts:c.enqueued;
+      flow d ~first ~ph:"t" ~id:c.req ~pid:hp ~tid:1 ~ts:c.woken;
+      flow d ~first ~ph:"f" ~id:c.req ~pid:hp ~tid:c.pid ~ts:c.taken)
     exs;
-  Buffer.add_string buf "]}";
-  buf
+  Export.add_string d "]}"
 
-let chrome_json t = Buffer.contents (chrome_buffer t)
+let chrome_json t = Export.document (write_chrome t)
 
 let save_chrome t ~path =
-  let buf = chrome_buffer t in
-  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf)
+  let doc = chrome_json t in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc)

@@ -35,32 +35,42 @@ type kind =
 
 type t = { ts : ns; cpu : int; kind : kind }
 
-let name = function
-  | Sched_switch _ -> "sched_switch"
-  | Wakeup _ -> "wakeup"
-  | Dispatch _ -> "dispatch"
-  | Preempt _ -> "preempt"
-  | Yield _ -> "yield"
-  | Block _ -> "block"
-  | Exit _ -> "exit"
-  | Migrate _ -> "migrate"
-  | Tick -> "tick"
-  | Idle -> "idle"
-  | Pnt_err _ -> "pnt_err"
-  | Lock_acquire _ -> "lock_acquire"
-  | Lock_release _ -> "lock_release"
-  | Msg_call _ -> "msg_call"
-  | Panic _ -> "panic"
-  | Failover _ -> "failover"
-  | Overrun _ -> "overrun"
-  | Watchdog_fire _ -> "watchdog_fire"
-  | Metric_flush _ -> "metric_flush"
-  | Dsq_insert _ -> "dsq_insert"
-  | Dsq_consume _ -> "dsq_consume"
-  | Fleet_op _ -> "fleet_op"
-  | Req_enqueue _ -> "req_enqueue"
-  | Req_take _ -> "req_take"
-  | Req_done _ -> "req_done"
+(* Constructor order; [name] and the exporters' per-kind constants index
+   this table by [index]. *)
+let names =
+  [| "sched_switch"; "wakeup"; "dispatch"; "preempt"; "yield"; "block"; "exit"; "migrate";
+     "tick"; "idle"; "pnt_err"; "lock_acquire"; "lock_release"; "msg_call"; "panic";
+     "failover"; "overrun"; "watchdog_fire"; "metric_flush"; "dsq_insert"; "dsq_consume";
+     "fleet_op"; "req_enqueue"; "req_take"; "req_done" |]
+
+let index = function
+  | Sched_switch _ -> 0
+  | Wakeup _ -> 1
+  | Dispatch _ -> 2
+  | Preempt _ -> 3
+  | Yield _ -> 4
+  | Block _ -> 5
+  | Exit _ -> 6
+  | Migrate _ -> 7
+  | Tick -> 8
+  | Idle -> 9
+  | Pnt_err _ -> 10
+  | Lock_acquire _ -> 11
+  | Lock_release _ -> 12
+  | Msg_call _ -> 13
+  | Panic _ -> 14
+  | Failover _ -> 15
+  | Overrun _ -> 16
+  | Watchdog_fire _ -> 17
+  | Metric_flush _ -> 18
+  | Dsq_insert _ -> 19
+  | Dsq_consume _ -> 20
+  | Fleet_op _ -> 21
+  | Req_enqueue _ -> 22
+  | Req_take _ -> 23
+  | Req_done _ -> 24
+
+let name kind = Array.unsafe_get names (index kind)
 
 let pid_of = function
   | Wakeup { pid; _ }
@@ -80,66 +90,78 @@ let pid_of = function
   | Failover _ | Overrun _ | Watchdog_fire _ | Metric_flush _ | Fleet_op _ | Req_enqueue _ ->
     None
 
+(* Every payload key, named by index in [iter_args] so an exporter can
+   prepare each key's text once. *)
+let arg_keys =
+  [| "prev"; "next"; "pid"; "waker_cpu"; "affinity"; "from"; "to"; "err"; "lock"; "call";
+     "reason"; "fallback"; "charged"; "budget"; "tick"; "dsq"; "wait"; "host"; "op"; "req";
+     "tenant" |]
+
+let k_prev = 0 and k_next = 1 and k_pid = 2 and k_waker_cpu = 3 and k_affinity = 4
+and k_from = 5 and k_to = 6 and k_err = 7 and k_lock = 8 and k_call = 9 and k_reason = 10
+and k_fallback = 11 and k_charged = 12 and k_budget = 13 and k_tick = 14 and k_dsq = 15
+and k_wait = 16 and k_host = 17 and k_op = 18 and k_req = 19 and k_tenant = 20
+
 (* One match names every kind's payload fields, in export order; [args]
    and the exporters' direct writers are both built on it.  [int] and [str]
    get the field's 0-based position so a writer can place separators
-   without per-event state.  A [Sched_switch] side with no task reads
-   "idle". *)
+   without per-event state, and the key's index in [arg_keys].  A
+   [Sched_switch] side with no task reads "idle". *)
 let iter_args kind ~int ~str acc =
   match kind with
   | Sched_switch { prev; next } ->
-    (match prev with Some p -> int acc 0 "prev" p | None -> str acc 0 "prev" "idle");
-    (match next with Some p -> int acc 1 "next" p | None -> str acc 1 "next" "idle")
+    (match prev with Some p -> int acc 0 k_prev p | None -> str acc 0 k_prev "idle");
+    (match next with Some p -> int acc 1 k_next p | None -> str acc 1 k_next "idle")
   | Wakeup { pid; waker_cpu; affinity } -> (
-    int acc 0 "pid" pid;
-    int acc 1 "waker_cpu" waker_cpu;
+    int acc 0 k_pid pid;
+    int acc 1 k_waker_cpu waker_cpu;
     match affinity with
     | None -> ()
-    | Some cpus -> str acc 2 "affinity" (String.concat "," (List.map string_of_int cpus)))
+    | Some cpus -> str acc 2 k_affinity (String.concat "," (List.map string_of_int cpus)))
   | Dispatch { pid } | Preempt { pid } | Yield { pid } | Block { pid } | Exit { pid } ->
-    int acc 0 "pid" pid
+    int acc 0 k_pid pid
   | Migrate { pid; from_cpu; to_cpu } ->
-    int acc 0 "pid" pid;
-    int acc 1 "from" from_cpu;
-    int acc 2 "to" to_cpu
+    int acc 0 k_pid pid;
+    int acc 1 k_from from_cpu;
+    int acc 2 k_to to_cpu
   | Tick | Idle -> ()
   | Pnt_err { pid; err } ->
-    int acc 0 "pid" pid;
-    str acc 1 "err" err
-  | Lock_acquire { lock_id } | Lock_release { lock_id } -> int acc 0 "lock" lock_id
-  | Msg_call { name } -> str acc 0 "call" name
+    int acc 0 k_pid pid;
+    str acc 1 k_err err
+  | Lock_acquire { lock_id } | Lock_release { lock_id } -> int acc 0 k_lock lock_id
+  | Msg_call { name } -> str acc 0 k_call name
   | Panic { call; reason } ->
-    str acc 0 "call" call;
-    str acc 1 "reason" reason
-  | Failover { fallback } -> str acc 0 "fallback" fallback
+    str acc 0 k_call call;
+    str acc 1 k_reason reason
+  | Failover { fallback } -> str acc 0 k_fallback fallback
   | Overrun { call; charged; budget } ->
-    str acc 0 "call" call;
-    int acc 1 "charged" charged;
-    int acc 2 "budget" budget
-  | Watchdog_fire { reason } -> str acc 0 "reason" reason
-  | Metric_flush { tick } -> int acc 0 "tick" tick
+    str acc 0 k_call call;
+    int acc 1 k_charged charged;
+    int acc 2 k_budget budget
+  | Watchdog_fire { reason } -> str acc 0 k_reason reason
+  | Metric_flush { tick } -> int acc 0 k_tick tick
   | Dsq_insert { dsq; pid } ->
-    str acc 0 "dsq" dsq;
-    int acc 1 "pid" pid
+    str acc 0 k_dsq dsq;
+    int acc 1 k_pid pid
   | Dsq_consume { dsq; pid; wait } ->
-    str acc 0 "dsq" dsq;
-    int acc 1 "pid" pid;
-    int acc 2 "wait" wait
+    str acc 0 k_dsq dsq;
+    int acc 1 k_pid pid;
+    int acc 2 k_wait wait
   | Fleet_op { host; op } ->
-    int acc 0 "host" host;
-    str acc 1 "op" op
+    int acc 0 k_host host;
+    str acc 1 k_op op
   | Req_enqueue { req; tenant } ->
-    int acc 0 "req" req;
-    int acc 1 "tenant" tenant
+    int acc 0 k_req req;
+    int acc 1 k_tenant tenant
   | Req_take { req; pid } | Req_done { req; pid } ->
-    int acc 0 "req" req;
-    int acc 1 "pid" pid
+    int acc 0 k_req req;
+    int acc 1 k_pid pid
 
 let args kind =
   let kvs = ref [] in
   iter_args kind
-    ~int:(fun kvs _ k v -> kvs := (k, string_of_int v) :: !kvs)
-    ~str:(fun kvs _ k v -> kvs := (k, v) :: !kvs)
+    ~int:(fun kvs _ k v -> kvs := (arg_keys.(k), string_of_int v) :: !kvs)
+    ~str:(fun kvs _ k v -> kvs := (arg_keys.(k), v) :: !kvs)
     kvs;
   List.rev !kvs
 
@@ -148,3 +170,93 @@ let pp fmt t =
   List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) (args t.kind)
 
 let to_string t = Format.asprintf "%a" pp t
+
+(* ---------- packed form ---------- *)
+
+type tag =
+  | T_switch
+  | T_wakeup
+  | T_dispatch
+  | T_preempt
+  | T_yield
+  | T_block
+  | T_exit
+  | T_migrate
+  | T_tick
+  | T_idle
+  | T_lock_acquire
+  | T_lock_release
+  | T_msg_call
+  | T_cold
+
+(* The Enoki-C crossing kinds, in the boundary's own index order; the names
+   are [Message.call_name]'s. *)
+let call_names =
+  [| "select_task_rq"; "task_new"; "task_wakeup"; "task_blocked"; "task_yield"; "task_preempt";
+     "task_dead"; "task_departed"; "task_tick"; "pick_next_task"; "pnt_err"; "balance";
+     "balance_err"; "migrate_task_rq"; "task_prio_changed"; "task_affinity_changed"; "parse_hint" |]
+
+let call_index name =
+  let rec go i =
+    if i = Array.length call_names then -1
+    else if String.equal call_names.(i) name then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Shared values, so decoding the most frequent packed kinds allocates
+   nothing: one per crossing kind, *)
+let msg_calls = Array.map (fun name -> Msg_call { name }) call_names
+
+(* and one per lock id below 256, room for a lock per cpu on the largest
+   simulated machine *)
+let lock_acquires = Array.init 256 (fun lock_id -> Lock_acquire { lock_id })
+
+let lock_releases = Array.init 256 (fun lock_id -> Lock_release { lock_id })
+
+(* pid fields encode "no task" as -1 (simulator pids are never negative) *)
+let opt_pid = function None -> -1 | Some p -> p
+
+let pid_opt p = if p < 0 then None else Some p
+
+let pack kind k =
+  match kind with
+  | Sched_switch { prev; next } -> k T_switch (opt_pid prev) (opt_pid next) 0 kind
+  | Wakeup { pid; waker_cpu; affinity = None } -> k T_wakeup pid waker_cpu 0 kind
+  | Dispatch { pid } -> k T_dispatch pid 0 0 kind
+  | Preempt { pid } -> k T_preempt pid 0 0 kind
+  | Yield { pid } -> k T_yield pid 0 0 kind
+  | Block { pid } -> k T_block pid 0 0 kind
+  | Exit { pid } -> k T_exit pid 0 0 kind
+  | Migrate { pid; from_cpu; to_cpu } -> k T_migrate pid from_cpu to_cpu kind
+  | Tick -> k T_tick 0 0 0 kind
+  | Idle -> k T_idle 0 0 0 kind
+  | Lock_acquire { lock_id } -> k T_lock_acquire lock_id 0 0 kind
+  | Lock_release { lock_id } -> k T_lock_release lock_id 0 0 kind
+  | Msg_call { name } ->
+    let i = call_index name in
+    if i >= 0 then k T_msg_call i 0 0 kind else k T_cold 0 0 0 kind
+  | Wakeup _ | Pnt_err _ | Panic _ | Failover _ | Overrun _ | Watchdog_fire _ | Metric_flush _
+  | Dsq_insert _ | Dsq_consume _ | Fleet_op _ | Req_enqueue _ | Req_take _ | Req_done _ ->
+    k T_cold 0 0 0 kind
+
+let unpack tag a b c cold =
+  match tag with
+  | T_switch -> Sched_switch { prev = pid_opt a; next = pid_opt b }
+  | T_wakeup -> Wakeup { pid = a; waker_cpu = b; affinity = None }
+  | T_dispatch -> Dispatch { pid = a }
+  | T_preempt -> Preempt { pid = a }
+  | T_yield -> Yield { pid = a }
+  | T_block -> Block { pid = a }
+  | T_exit -> Exit { pid = a }
+  | T_migrate -> Migrate { pid = a; from_cpu = b; to_cpu = c }
+  | T_tick -> Tick
+  | T_idle -> Idle
+  | T_lock_acquire ->
+    if a >= 0 && a < Array.length lock_acquires then lock_acquires.(a)
+    else Lock_acquire { lock_id = a }
+  | T_lock_release ->
+    if a >= 0 && a < Array.length lock_releases then lock_releases.(a)
+    else Lock_release { lock_id = a }
+  | T_msg_call -> msg_calls.(a)
+  | T_cold -> cold

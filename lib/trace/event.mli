@@ -67,8 +67,15 @@ type kind =
 
 type t = { ts : ns; cpu : int; kind : kind }
 
-(** Stable event name ("sched_switch", "wakeup", ...). *)
+(** Stable event name ("sched_switch", "wakeup", ...): [names.(index kind)]. *)
 val name : kind -> string
+
+(** Every kind's name, in constructor order. *)
+val names : string array
+
+(** The kind's position in {!names}, 0 for [Sched_switch] up to 24 for
+    [Req_done]. *)
+val index : kind -> int
 
 (** The subject task, when the event has one. *)
 val pid_of : kind -> int option
@@ -76,18 +83,63 @@ val pid_of : kind -> int option
 (** Key/value payload for exporters. *)
 val args : kind -> (string * string) list
 
+(** Every payload key ("prev", "next", "pid", ...), by index. *)
+val arg_keys : string array
+
 (** [iter_args kind ~int ~str acc] visits the payload {!args} lists, in
     the same order, without building it: [int acc i key v] for an integer
-    field, [str acc i key s] for a string one, [i] counting fields from 0.
-    Allocates nothing beyond what the callbacks do, except for a wakeup
-    carrying an affinity mask. *)
+    field, [str acc i key s] for a string one, [i] counting fields from 0
+    and [key] indexing {!arg_keys}.  Allocates nothing beyond what the
+    callbacks do, except for a wakeup carrying an affinity mask. *)
 val iter_args :
   kind ->
-  int:('a -> int -> string -> int -> unit) ->
-  str:('a -> int -> string -> string -> unit) ->
+  int:('a -> int -> int -> int -> unit) ->
+  str:('a -> int -> int -> string -> unit) ->
   'a ->
   unit
 
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+(** {2 Packed form}
+
+    How the {!Tracer}'s rings and its subscribers carry an event: a tag and
+    three ints, [a], [b], [c], with no boxed value.  Pid fields encode "no
+    task" as [-1].  The kinds the machine and the Enoki-C boundary emit on
+    every dispatch each have a tag; every other kind is [T_cold] and travels
+    as its boxed {!kind}. *)
+type tag =
+  | T_switch  (** [a] = prev, [b] = next *)
+  | T_wakeup  (** an affinity-free wakeup: [a] = pid, [b] = waker cpu *)
+  | T_dispatch  (** [a] = pid, likewise for the four below *)
+  | T_preempt
+  | T_yield
+  | T_block
+  | T_exit
+  | T_migrate  (** [a] = pid, [b] = from cpu, [c] = to cpu *)
+  | T_tick
+  | T_idle
+  | T_lock_acquire  (** [a] = lock id *)
+  | T_lock_release  (** [a] = lock id *)
+  | T_msg_call  (** [a] = index into {!call_names} *)
+  | T_cold  (** any other kind, carried boxed *)
+
+(** The Enoki-C crossing kinds by call index ("select_task_rq",
+    "task_new", ...), named as the record log names them.  The boundary
+    indexes its per-call counters and profile rows by the same index. *)
+val call_names : string array
+
+(** [call_index name] is [name]'s index in {!call_names}, or [-1]. *)
+val call_index : string -> int
+
+(** [pack kind k] is [k tag a b c kind]: the kind's packed fields, and the
+    kind itself for [T_cold].  A [Msg_call] whose name is not in
+    {!call_names} is [T_cold]. *)
+val pack : kind -> (tag -> int -> int -> int -> kind -> 'r) -> 'r
+
+(** [unpack tag a b c cold] is the kind [pack] took apart; [cold] is
+    returned for [T_cold] and ignored otherwise.  A [T_msg_call] decodes to
+    one shared value per call index, and a lock event to one per lock id
+    below 256, so they allocate nothing. *)
+val unpack : tag -> int -> int -> int -> kind -> kind

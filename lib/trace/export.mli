@@ -15,22 +15,39 @@ val format_to_string : format -> string
 
 val format_of_string : string -> format option
 
-(** {2 Buffer writers}
+(** {2 Document writer}
 
-    The exporters write every line straight into one [Buffer.t]; the
+    Every document is written twice by the same code: a sizing pass that
+    only adds up lengths, then a filling pass into one [Bytes] of exactly
+    that size, handed out as the string without a copy.  The
     request-anatomy timeline ({!Anatomy.chrome_json}) shares these. *)
 
-(** [add_int buf n] appends [string_of_int n] without allocating. *)
-val add_int : Buffer.t -> int -> unit
+type doc
 
-(** [add_us buf ns] appends [ns] nanoseconds as microseconds with three
+(** [document write] runs [write] twice, sizing then filling, and returns
+    what the second run wrote.  [write] must write the same text both
+    times. *)
+val document : (doc -> unit) -> string
+
+val add_string : doc -> string -> unit
+
+val add_char : doc -> char -> unit
+
+(** [add_escaped d s] appends [s] escaped for the inside of a JSON string
+    literal ({!Metrics.Json.escape}). *)
+val add_escaped : doc -> string -> unit
+
+(** [add_int d n] appends [string_of_int n] without allocating. *)
+val add_int : doc -> int -> unit
+
+(** [add_us d ns] appends [ns] nanoseconds as microseconds with three
     decimals, exactly as [Printf "%.3f" (float ns /. 1e3)] does for
     [|ns| < 2^52]. *)
-val add_us : Buffer.t -> int -> unit
+val add_us : doc -> int -> unit
 
-(** [add_meta buf ~pid ~tid ~name ~value] appends one metadata ("M")
-    event naming a process or thread; [value] is escaped, [name] is not. *)
-val add_meta : Buffer.t -> pid:int -> tid:int -> name:string -> value:string -> unit
+(** [add_meta d ~pid ~tid ~name ~value] appends one metadata ("M") event
+    naming a process or thread; [value] is escaped, [name] is not. *)
+val add_meta : doc -> pid:int -> tid:int -> name:string -> value:string -> unit
 
 (** {2 Documents} *)
 
@@ -43,6 +60,5 @@ val ftrace : Event.t list -> string
 
 val render : format -> Event.t list -> string
 
-(** Render straight into the file, without building the document as a
-    string first. *)
+(** [render] the document and write it to [path]. *)
 val save : path:string -> format -> Event.t list -> unit

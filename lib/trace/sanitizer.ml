@@ -39,6 +39,19 @@ let default_config =
     disabled = [];
   }
 
+(* The trailing window, packed like the tracer's rings: parallel columns
+   written round-robin, decoded to [Event.t] only when a violation
+   snapshots it. *)
+type window = {
+  w_ts : int array;
+  w_cpu : int array;
+  w_tag : Event.tag array;
+  w_a : int array;
+  w_b : int array;
+  w_c : int array;
+  w_cold : Event.kind array; (* read only where [w_tag] is [T_cold] *)
+}
+
 type t = {
   config : config;
   nr_cpus : int;
@@ -48,13 +61,26 @@ type t = {
   affinity : (int, int list option) Hashtbl.t;
   starved_reported : (int, unit) Hashtbl.t; (* once per runnable episode *)
   wc_reported : bool array; (* once per idle episode, per cpu *)
-  lock_stacks : int list array; (* per logical tid, held lock ids *)
-  recent : Event.t Ds.Ring_buffer.t; (* trailing context, newest kept *)
+  (* per logical tid, held lock ids: stack [c] holds [lock_depth.(c)] ids,
+     the top last *)
+  lock_stacks : int array array;
+  lock_depth : int array;
+  recent : window; (* trailing context, newest kept *)
+  mutable next : int; (* the window slot the next event goes to *)
+  counts : int array; (* violations recorded, by [kind_index] *)
   mutable violations : violation list; (* newest first *)
   mutable events_seen : int;
 }
 
+let kind_index = function
+  | Double_run -> 0
+  | Starvation -> 1
+  | Work_conservation -> 2
+  | Token_discipline -> 3
+  | Lock_imbalance -> 4
+
 let create ?(config = default_config) ~nr_cpus () =
+  let cap = max 1 config.window in
   {
     config;
     nr_cpus;
@@ -64,18 +90,42 @@ let create ?(config = default_config) ~nr_cpus () =
     affinity = Hashtbl.create 64;
     starved_reported = Hashtbl.create 16;
     wc_reported = Array.make nr_cpus false;
-    lock_stacks = Array.make nr_cpus [];
-    recent = Ds.Ring_buffer.create ~capacity:(max 1 config.window);
+    lock_stacks = Array.init nr_cpus (fun _ -> Array.make 8 0);
+    lock_depth = Array.make nr_cpus 0;
+    recent =
+      {
+        w_ts = Array.make cap 0;
+        w_cpu = Array.make cap 0;
+        w_tag = Array.make cap Event.T_tick;
+        w_a = Array.make cap 0;
+        w_b = Array.make cap 0;
+        w_c = Array.make cap 0;
+        w_cold = Array.make cap Event.Tick;
+      };
+    next = 0;
+    counts = Array.make 5 0;
     violations = [];
     events_seen = 0;
   }
 
+(* the newest [capacity] events, oldest first *)
+let window t =
+  let w = t.recent in
+  let cap = Array.length w.w_ts in
+  let rec go acc k i =
+    if k = 0 then acc
+    else
+      let i = if i = 0 then cap - 1 else i - 1 in
+      let kind = Event.unpack w.w_tag.(i) w.w_a.(i) w.w_b.(i) w.w_c.(i) w.w_cold.(i) in
+      go ({ Event.ts = w.w_ts.(i); cpu = w.w_cpu.(i); kind } :: acc) (k - 1) i
+  in
+  go [] (min t.events_seen cap) t.next
+
 let violate t ~at ~cpu vkind detail =
   if not (List.mem vkind t.config.disabled) then begin
-    (* snapshot without consuming: drain then re-push the trailing window *)
-    let ctx = Ds.Ring_buffer.drain t.recent in
-    List.iter (fun ev -> ignore (Ds.Ring_buffer.push t.recent ev)) ctx;
-    t.violations <- { at; cpu; vkind; detail; window = ctx } :: t.violations
+    let k = kind_index vkind in
+    t.counts.(k) <- t.counts.(k) + 1;
+    t.violations <- { at; cpu; vkind; detail; window = window t } :: t.violations
   end
 
 let allowed t pid cpu =
@@ -110,10 +160,12 @@ let check_starvation t now =
       end)
     t.runnable
 
-let check_work_conservation t now =
+(* [waited]: the longest any runnable task has waited; while it is within
+   the grace, no idle cpu has a task to report *)
+let check_work_conservation t now ~waited =
   for cpu = 0 to t.nr_cpus - 1 do
     if t.current.(cpu) < 0 then begin
-      if not t.wc_reported.(cpu) then begin
+      if (not t.wc_reported.(cpu)) && waited > t.config.wc_grace then begin
         let waiting =
           Hashtbl.fold
             (fun pid since acc ->
@@ -136,81 +188,132 @@ let check_work_conservation t now =
     else t.wc_reported.(cpu) <- false
   done
 
-let feed t (ev : Event.t) =
-  t.events_seen <- t.events_seen + 1;
+let remember t ~ts ~cpu tag a b c cold =
+  let w = t.recent in
+  let i = t.next in
+  t.next <- (if i + 1 = Array.length w.w_ts then 0 else i + 1);
+  w.w_ts.(i) <- ts;
+  w.w_cpu.(i) <- cpu;
+  w.w_tag.(i) <- tag;
+  w.w_a.(i) <- a;
+  w.w_b.(i) <- b;
+  w.w_c.(i) <- c;
+  match tag with Event.T_cold -> w.w_cold.(i) <- cold | _ -> ()
+
+let lock_acquire t ~cpu lock_id =
+  if cpu >= 0 && cpu < t.nr_cpus then begin
+    let d = t.lock_depth.(cpu) in
+    let stack = t.lock_stacks.(cpu) in
+    if d = Array.length stack then begin
+      let bigger = Array.make (2 * d) 0 in
+      Array.blit stack 0 bigger 0 d;
+      t.lock_stacks.(cpu) <- bigger
+    end;
+    t.lock_stacks.(cpu).(d) <- lock_id;
+    t.lock_depth.(cpu) <- d + 1
+  end
+
+let lock_release t ~ts ~cpu lock_id =
+  if cpu >= 0 && cpu < t.nr_cpus then begin
+    let d = t.lock_depth.(cpu) in
+    if d = 0 then
+      violate t ~at:ts ~cpu Lock_imbalance
+        (Printf.sprintf "cpu %d released lock %d it never acquired" cpu lock_id)
+    else
+      let top = t.lock_stacks.(cpu).(d - 1) in
+      if top = lock_id then t.lock_depth.(cpu) <- d - 1
+      else
+        violate t ~at:ts ~cpu Lock_imbalance
+          (Printf.sprintf "cpu %d released lock %d but lock %d was acquired last" cpu lock_id
+             top)
+  end
+
+(* The one checker, on packed events (see [Tracer.subscriber]). *)
+let step t ~ts ~cpu tag pid b c cold =
   (* trailing window: keep the newest [config.window] events *)
-  if Ds.Ring_buffer.is_full t.recent then ignore (Ds.Ring_buffer.pop t.recent);
-  ignore (Ds.Ring_buffer.push t.recent ev);
-  let cpu = ev.cpu in
-  match ev.kind with
-  | Event.Wakeup { pid; affinity; _ } ->
-    Hashtbl.replace t.affinity pid affinity;
-    set_runnable t pid ev.ts
-  | Event.Dispatch { pid } ->
-    (match Hashtbl.find_opt t.running pid with
-    | Some other when other <> cpu ->
-      violate t ~at:ev.ts ~cpu Double_run
+  remember t ~ts ~cpu tag pid b c cold;
+  t.events_seen <- t.events_seen + 1;
+  match (tag : Event.tag) with
+  | T_wakeup ->
+    Hashtbl.replace t.affinity pid None;
+    set_runnable t pid ts
+  | T_dispatch ->
+    (match Hashtbl.find t.running pid with
+    | other when other <> cpu ->
+      violate t ~at:ts ~cpu Double_run
         (Printf.sprintf "pid %d dispatched on cpu %d while still running on cpu %d" pid cpu
            other)
-    | Some _ | None -> ());
+    | _ | (exception Not_found) -> ());
     Hashtbl.replace t.running pid cpu;
     t.current.(cpu) <- pid;
     t.wc_reported.(cpu) <- false;
     clear_runnable t pid
-  | Event.Preempt { pid } | Event.Yield { pid } ->
+  | T_preempt | T_yield ->
     stop_running t pid;
-    set_runnable t pid ev.ts
-  | Event.Block { pid } ->
+    set_runnable t pid ts
+  | T_block ->
     stop_running t pid;
     clear_runnable t pid
-  | Event.Exit { pid } ->
+  | T_exit ->
     stop_running t pid;
     clear_runnable t pid;
     Hashtbl.remove t.affinity pid
-  | Event.Idle | Event.Sched_switch { next = None; _ } ->
+  | T_idle ->
     let pid = t.current.(cpu) in
     if pid >= 0 then stop_running t pid
-  | Event.Sched_switch _ | Event.Migrate _ -> ()
-  | Event.Tick ->
+  | T_switch ->
+    (* [b] is the next task, -1 when the cpu goes idle *)
+    if b < 0 then begin
+      let pid = t.current.(cpu) in
+      if pid >= 0 then stop_running t pid
+    end
+  | T_migrate | T_msg_call -> ()
+  | T_tick ->
     (* invariants that need the passage of time are evaluated on the
        periodic tick; run the global scans once per tick wave (cpu 0) *)
     if cpu = 0 then begin
-      check_starvation t ev.ts;
-      check_work_conservation t ev.ts
+      let waited = Hashtbl.fold (fun _ since acc -> max acc (ts - since)) t.runnable 0 in
+      if waited > t.config.starvation_bound then check_starvation t ts;
+      check_work_conservation t ts ~waited
     end
-  | Event.Pnt_err { pid; err } ->
-    violate t ~at:ev.ts ~cpu Token_discipline
-      (Printf.sprintf "Schedulable token for pid %d rejected on cpu %d: %s" pid cpu err)
-  | Event.Lock_acquire { lock_id } ->
-    if cpu >= 0 && cpu < t.nr_cpus then t.lock_stacks.(cpu) <- lock_id :: t.lock_stacks.(cpu)
-  | Event.Lock_release { lock_id } -> (
-    if cpu >= 0 && cpu < t.nr_cpus then
-      match t.lock_stacks.(cpu) with
-      | top :: rest when top = lock_id -> t.lock_stacks.(cpu) <- rest
-      | top :: _ ->
-        violate t ~at:ev.ts ~cpu Lock_imbalance
-          (Printf.sprintf "cpu %d released lock %d but lock %d was acquired last" cpu lock_id
-             top)
-      | [] ->
-        violate t ~at:ev.ts ~cpu Lock_imbalance
-          (Printf.sprintf "cpu %d released lock %d it never acquired" cpu lock_id))
-  | Event.Msg_call _ -> ()
-  | Event.Panic _ | Event.Failover _ | Event.Overrun _ | Event.Watchdog_fire _ ->
-    (* fault-subsystem markers; the watchdog consumes these, the invariant
-       checks above keep deriving state from the scheduling events alone *)
-    ()
-  | Event.Metric_flush _ | Event.Dsq_insert _ | Event.Dsq_consume _ | Event.Fleet_op _
-  | Event.Req_enqueue _ | Event.Req_take _ | Event.Req_done _ ->
-    (* observability markers (metrics sampler, dispatch-queue movements,
-       fleet orchestration, request anatomy): never part of any scheduling
-       invariant *)
-    ()
+  | T_lock_acquire -> lock_acquire t ~cpu pid
+  | T_lock_release -> lock_release t ~ts ~cpu pid
+  | T_cold -> (
+    match cold with
+    | Event.Wakeup { pid; affinity; _ } ->
+      Hashtbl.replace t.affinity pid affinity;
+      set_runnable t pid ts
+    | Event.Pnt_err { pid; err } ->
+      violate t ~at:ts ~cpu Token_discipline
+        (Printf.sprintf "Schedulable token for pid %d rejected on cpu %d: %s" pid cpu err)
+    | Event.Panic _ | Event.Failover _ | Event.Overrun _ | Event.Watchdog_fire _ ->
+      (* fault-subsystem markers; the watchdog consumes these, the
+         invariant checks above keep deriving state from the scheduling
+         events alone *)
+      ()
+    | Event.Metric_flush _ | Event.Dsq_insert _ | Event.Dsq_consume _ | Event.Fleet_op _
+    | Event.Req_enqueue _ | Event.Req_take _ | Event.Req_done _ ->
+      (* observability markers (metrics sampler, dispatch-queue movements,
+         fleet orchestration, request anatomy): never part of any
+         scheduling invariant *)
+      ()
+    | Event.Msg_call _ -> (* a call name outside [Event.call_names] *) ()
+    | Event.Sched_switch _ | Event.Dispatch _ | Event.Preempt _ | Event.Yield _ | Event.Block _
+    | Event.Exit _ | Event.Migrate _ | Event.Tick | Event.Idle | Event.Lock_acquire _
+    | Event.Lock_release _ ->
+      (* the other packed kinds never arrive cold *)
+      ())
 
-let attach t tracer = Tracer.subscribe tracer (feed t)
+let feed t (ev : Event.t) =
+  Event.pack ev.kind (fun tag a b c kind -> step t ~ts:ev.ts ~cpu:ev.cpu tag a b c kind)
+
+let attach t tracer = Tracer.subscribe tracer (step t)
 
 let violations t = List.rev t.violations
 
 let violations_of_kind t k = List.filter (fun v -> v.vkind = k) (violations t)
+
+let count_of_kind t k = t.counts.(kind_index k)
 
 let ok t = t.violations = []
 

@@ -56,16 +56,22 @@ type t
 
 val create : ?config:config -> nr_cpus:int -> unit -> t
 
-(** Feed one event (timestamp order assumed). *)
+(** Feed one event (timestamp order assumed): its packed form goes
+    through the same checker {!attach} subscribes. *)
 val feed : t -> Event.t -> unit
 
-(** Subscribe [t] to every event [tracer] emits. *)
+(** Subscribe [t] to every event [tracer] emits, in packed form: checking
+    allocates only its per-task hash-table entries and what a violation
+    records. *)
 val attach : t -> Tracer.t -> unit
 
 (** All violations, oldest first. *)
 val violations : t -> violation list
 
 val violations_of_kind : t -> violation_kind -> violation list
+
+(** [List.length (violations_of_kind t k)], in constant time. *)
+val count_of_kind : t -> violation_kind -> int
 
 val ok : t -> bool
 

@@ -1,54 +1,44 @@
-(* Per-CPU rings in struct-of-arrays int encoding.  The hot event kinds —
-   everything the machine emits on its dispatch path — carry at most three
-   small ints, so each ring stores five parallel int columns (ts, tag, a,
-   b, c) and the packed [emit_*] entry points write straight into them:
-   no [Event.kind] variant, no option boxing, no record per event.  Cold
-   kinds (string-carrying diagnostics, affinity-masked wakeups) keep their
-   boxed representation in a lazily-allocated side column.  Events are
-   decoded back to [Event.t] only at drain time, or when an online
-   subscriber is attached (subscribers see complete [Event.t] values, so a
-   subscribed tracer pays the boxing — the sanitizer path accepts that).
+(* Per-CPU rings in struct-of-arrays int encoding.  Every kind the machine
+   and the Enoki-C boundary emit per dispatch — scheduling transitions,
+   lock acquire/release, message crossings — is an [Event.tag] plus at most
+   three small ints, so each ring stores parallel columns (ts, tag, a, b,
+   c) and the packed [emit_*] entry points write straight into them: no
+   [Event.kind] variant, no option boxing, no record per event.  Cold kinds
+   (string-carrying diagnostics, affinity-masked wakeups, message names
+   outside [Event.call_names]) keep their boxed representation in a
+   lazily-allocated side column.  Subscribers get the packed fields too;
+   events are decoded back to [Event.t] only at drain time.
 
    Drop discipline is identical to [Ds.Ring_buffer]: a full ring drops the
    {e newest} event and counts it, never blocking the emitter. *)
 
 type ring = {
   r_ts : int array;
-  r_tag : int array;
+  r_tag : Event.tag array;
   r_a : int array;
   r_b : int array;
   r_c : int array;
   (* boxed payloads for cold kinds, parallel to the int columns, only read
-     where [r_tag] = [tag_cold]; allocated on first cold emit because most
-     rings only ever see hot kinds *)
+     where [r_tag] = [T_cold]; allocated on first cold emit because most
+     rings never see one *)
   mutable r_cold : Event.kind array;
   mutable r_head : int; (* next slot to pop *)
   mutable r_len : int;
   mutable r_dropped : int;
 }
 
+type subscriber = ts:int -> cpu:int -> Event.tag -> int -> int -> int -> Event.kind -> unit
+
 type t = {
   rings : ring array;
-  mutable subscribers : (Event.t -> unit) list;
+  mutable subscribers : subscriber list;
   mutable emitted : int;
 }
-
-let tag_switch = 0
-let tag_wakeup = 1 (* affinity-free; a wakeup with an affinity mask goes cold *)
-let tag_dispatch = 2
-let tag_preempt = 3
-let tag_yield = 4
-let tag_block = 5
-let tag_exit = 6
-let tag_migrate = 7
-let tag_tick = 8
-let tag_idle = 9
-let tag_cold = 10
 
 let make_ring capacity =
   {
     r_ts = Array.make capacity 0;
-    r_tag = Array.make capacity 0;
+    r_tag = Array.make capacity Event.T_tick;
     r_a = Array.make capacity 0;
     r_b = Array.make capacity 0;
     r_c = Array.make capacity 0;
@@ -74,32 +64,21 @@ let claim r =
     -1
   end
   else begin
-    let i = (r.r_head + r.r_len) mod cap in
+    let i = r.r_head + r.r_len in
+    let i = if i >= cap then i - cap else i in
     r.r_len <- r.r_len + 1;
     i
   end
 
-(* Decode a hot tag's int payload back into the variant; never [tag_cold]. *)
-let decode_tag tag a b c =
-  match tag with
-  | 0 ->
-    Event.Sched_switch
-      { prev = (if a < 0 then None else Some a); next = (if b < 0 then None else Some b) }
-  | 1 -> Event.Wakeup { pid = a; waker_cpu = b; affinity = None }
-  | 2 -> Event.Dispatch { pid = a }
-  | 3 -> Event.Preempt { pid = a }
-  | 4 -> Event.Yield { pid = a }
-  | 5 -> Event.Block { pid = a }
-  | 6 -> Event.Exit { pid = a }
-  | 7 -> Event.Migrate { pid = a; from_cpu = b; to_cpu = c }
-  | 8 -> Event.Tick
-  | _ -> Event.Idle
+let rec deliver subs ~ts ~cpu tag a b c kind =
+  match subs with
+  | [] -> ()
+  | (f : subscriber) :: rest ->
+    f ~ts ~cpu tag a b c kind;
+    deliver rest ~ts ~cpu tag a b c kind
 
-let deliver t ~ts ~cpu kind =
-  let ev = { Event.ts; cpu; kind } in
-  List.iter (fun f -> f ev) t.subscribers
-
-let emit_packed t ~ts ~cpu ~tag ~a ~b ~c =
+(* [kind] is stored only for [T_cold]; the packed emitters pass [Tick] *)
+let emit_packed t ~ts ~cpu tag a b c kind =
   let cpu = if cpu >= 0 && cpu < Array.length t.rings then cpu else 0 in
   t.emitted <- t.emitted + 1;
   let r = t.rings.(cpu) in
@@ -109,62 +88,35 @@ let emit_packed t ~ts ~cpu ~tag ~a ~b ~c =
     r.r_tag.(i) <- tag;
     r.r_a.(i) <- a;
     r.r_b.(i) <- b;
-    r.r_c.(i) <- c
+    r.r_c.(i) <- c;
+    match tag with
+    | Event.T_cold ->
+      if Array.length r.r_cold = 0 then r.r_cold <- Array.make (Array.length r.r_ts) Event.Tick;
+      r.r_cold.(i) <- kind
+    | _ -> ()
   end;
-  match t.subscribers with
-  | [] -> ()
-  | _ -> deliver t ~ts ~cpu (decode_tag tag a b c)
+  match t.subscribers with [] -> () | subs -> deliver subs ~ts ~cpu tag a b c kind
 
-(* pid columns encode "no task" as -1 (simulator pids are never negative) *)
-let emit_switch t ~ts ~cpu ~prev ~next = emit_packed t ~ts ~cpu ~tag:tag_switch ~a:prev ~b:next ~c:0
-let emit_wakeup t ~ts ~cpu ~pid ~waker_cpu =
-  emit_packed t ~ts ~cpu ~tag:tag_wakeup ~a:pid ~b:waker_cpu ~c:0
-let emit_dispatch t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu ~tag:tag_dispatch ~a:pid ~b:0 ~c:0
-let emit_preempt t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu ~tag:tag_preempt ~a:pid ~b:0 ~c:0
-let emit_yield t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu ~tag:tag_yield ~a:pid ~b:0 ~c:0
-let emit_block t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu ~tag:tag_block ~a:pid ~b:0 ~c:0
-let emit_exit t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu ~tag:tag_exit ~a:pid ~b:0 ~c:0
+let emit_switch t ~ts ~cpu ~prev ~next = emit_packed t ~ts ~cpu T_switch prev next 0 Tick
+let emit_wakeup t ~ts ~cpu ~pid ~waker_cpu = emit_packed t ~ts ~cpu T_wakeup pid waker_cpu 0 Tick
+let emit_dispatch t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu T_dispatch pid 0 0 Tick
+let emit_preempt t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu T_preempt pid 0 0 Tick
+let emit_yield t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu T_yield pid 0 0 Tick
+let emit_block t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu T_block pid 0 0 Tick
+let emit_exit t ~ts ~cpu ~pid = emit_packed t ~ts ~cpu T_exit pid 0 0 Tick
 let emit_migrate t ~ts ~cpu ~pid ~from_cpu ~to_cpu =
-  emit_packed t ~ts ~cpu ~tag:tag_migrate ~a:pid ~b:from_cpu ~c:to_cpu
-let emit_tick t ~ts ~cpu = emit_packed t ~ts ~cpu ~tag:tag_tick ~a:0 ~b:0 ~c:0
-let emit_idle t ~ts ~cpu = emit_packed t ~ts ~cpu ~tag:tag_idle ~a:0 ~b:0 ~c:0
+  emit_packed t ~ts ~cpu T_migrate pid from_cpu to_cpu Tick
+let emit_tick t ~ts ~cpu = emit_packed t ~ts ~cpu T_tick 0 0 0 Tick
+let emit_idle t ~ts ~cpu = emit_packed t ~ts ~cpu T_idle 0 0 0 Tick
+let emit_lock_acquire t ~ts ~cpu ~lock_id = emit_packed t ~ts ~cpu T_lock_acquire lock_id 0 0 Tick
+let emit_lock_release t ~ts ~cpu ~lock_id = emit_packed t ~ts ~cpu T_lock_release lock_id 0 0 Tick
+let emit_msg_call t ~ts ~cpu ~call = emit_packed t ~ts ~cpu T_msg_call call 0 0 Tick
 
-let emit_cold t ~ts ~cpu kind =
-  let cpu = if cpu >= 0 && cpu < Array.length t.rings then cpu else 0 in
-  t.emitted <- t.emitted + 1;
-  let r = t.rings.(cpu) in
-  let i = claim r in
-  if i >= 0 then begin
-    if Array.length r.r_cold = 0 then r.r_cold <- Array.make (Array.length r.r_ts) Event.Tick;
-    r.r_ts.(i) <- ts;
-    r.r_tag.(i) <- tag_cold;
-    r.r_cold.(i) <- kind
-  end;
-  match t.subscribers with [] -> () | _ -> deliver t ~ts ~cpu kind
-
-let opt_pid = function None -> -1 | Some p -> p
-
-(* Boxed entry point, kept for the cold emitters (fleet orchestration,
-   faults, DSQ diagnostics): hot kinds are re-packed into the int columns
-   so storage is uniform regardless of which door an event came in by. *)
+(* Boxed entry point, for the cold emitters (fleet orchestration, faults,
+   DSQ diagnostics): packed kinds go into the int columns, so storage is
+   the same whichever door an event came in by. *)
 let emit t ~ts ~cpu kind =
-  match kind with
-  | Event.Sched_switch { prev; next } ->
-    emit_switch t ~ts ~cpu ~prev:(opt_pid prev) ~next:(opt_pid next)
-  | Event.Wakeup { pid; waker_cpu; affinity = None } -> emit_wakeup t ~ts ~cpu ~pid ~waker_cpu
-  | Event.Dispatch { pid } -> emit_dispatch t ~ts ~cpu ~pid
-  | Event.Preempt { pid } -> emit_preempt t ~ts ~cpu ~pid
-  | Event.Yield { pid } -> emit_yield t ~ts ~cpu ~pid
-  | Event.Block { pid } -> emit_block t ~ts ~cpu ~pid
-  | Event.Exit { pid } -> emit_exit t ~ts ~cpu ~pid
-  | Event.Migrate { pid; from_cpu; to_cpu } -> emit_migrate t ~ts ~cpu ~pid ~from_cpu ~to_cpu
-  | Event.Tick -> emit_tick t ~ts ~cpu
-  | Event.Idle -> emit_idle t ~ts ~cpu
-  | Event.Wakeup _ | Event.Pnt_err _ | Event.Lock_acquire _ | Event.Lock_release _
-  | Event.Msg_call _ | Event.Panic _ | Event.Failover _ | Event.Overrun _
-  | Event.Watchdog_fire _ | Event.Metric_flush _ | Event.Dsq_insert _ | Event.Dsq_consume _
-  | Event.Fleet_op _ | Event.Req_enqueue _ | Event.Req_take _ | Event.Req_done _ ->
-    emit_cold t ~ts ~cpu kind
+  Event.pack kind (fun tag a b c kind -> emit_packed t ~ts ~cpu tag a b c kind)
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
@@ -178,14 +130,13 @@ let buffered t = Array.fold_left (fun acc r -> acc + r.r_len) 0 t.rings
 
 (* Decode slot [i] of [cpu]'s ring, releasing its cold payload. *)
 let take cpu r i =
-  let tag = r.r_tag.(i) in
   let kind =
-    if tag = tag_cold then begin
+    match r.r_tag.(i) with
+    | Event.T_cold ->
       let k = r.r_cold.(i) in
       r.r_cold.(i) <- Event.Tick;
       k
-    end
-    else decode_tag tag r.r_a.(i) r.r_b.(i) r.r_c.(i)
+    | tag -> Event.unpack tag r.r_a.(i) r.r_b.(i) r.r_c.(i) Event.Tick
   in
   { Event.ts = r.r_ts.(i); cpu; kind }
 

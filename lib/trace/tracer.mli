@@ -4,17 +4,20 @@
     the paper): events are pushed from "kernel" context onto fixed-capacity
     per-cpu ring buffers and drained later; overruns drop the newest events
     and are counted, never blocking the emitter.  Subscribers (the online
-    {!Sanitizer}) additionally observe every event at emission time, before
-    any drop, so invariant checking sees the complete stream even when the
-    rings overrun.
+    {!Sanitizer}, the fault watchdog) additionally observe every event at
+    emission time, before any drop, so invariant checking sees the complete
+    stream even when the rings overrun.
 
     Storage is struct-of-arrays int columns, not boxed {!Event.t} values:
-    the hot kinds the machine emits carry at most three small ints, and the
-    packed [emit_*] entry points below write them without constructing a
-    variant or option — tracing-on runs stay allocation-free on the event
-    path.  Cold (string-carrying) kinds fall back to a boxed side column.
-    Decoding back to {!Event.t} happens at {!events}-drain time, or per
-    event when a subscriber is attached.
+    every kind emitted per dispatch — the machine's scheduling transitions,
+    lock acquire/release and Enoki-C message crossings — is an
+    {!Event.tag} and at most three ints, and the packed [emit_*] entry
+    points below write them without constructing a variant or option.
+    Neither storing such an event nor delivering it to subscribers
+    allocates.  Cold (string-carrying) kinds fall back to a boxed side
+    column.
+    Subscribers receive the packed fields; decoding back to {!Event.t}
+    happens only at {!events}-drain time.
 
     When no tracer is attached, emitters skip a single [option] match — the
     zero-cost-when-disabled contract the machine relies on. *)
@@ -29,17 +32,19 @@ val nr_cpus : t -> int
 
 (** [emit t ~ts ~cpu kind] appends an event: pushed onto [cpu]'s ring
     (dropped and counted when full) and delivered to every subscriber.
-    Out-of-range cpus are folded onto cpu 0 rather than lost.  Hot kinds
-    are re-packed into the int columns, so storage and drain order are
-    identical whichever entry point an event came in by. *)
+    Out-of-range cpus are folded onto cpu 0 rather than lost.  Kinds with
+    a packed form ({!Event.pack}) go into the int columns, so storage,
+    subscriber deliveries and drain order are identical whichever entry
+    point an event came in by. *)
 val emit : t -> ts:int -> cpu:int -> Event.kind -> unit
 
 (** {2 Packed emitters}
 
-    Allocation-free equivalents of {!emit} for the machine's hot kinds:
+    Allocation-free equivalents of {!emit} for the per-dispatch kinds:
     the payload travels as ints, [-1] meaning "no task" where a pid is
     optional.  [emit_wakeup] is the affinity-free wakeup; a wakeup
-    carrying an affinity mask must go through {!emit}. *)
+    carrying an affinity mask must go through {!emit}.  [emit_msg_call]
+    takes the crossing's index into {!Event.call_names}. *)
 
 val emit_switch : t -> ts:int -> cpu:int -> prev:int -> next:int -> unit
 val emit_wakeup : t -> ts:int -> cpu:int -> pid:int -> waker_cpu:int -> unit
@@ -51,9 +56,19 @@ val emit_exit : t -> ts:int -> cpu:int -> pid:int -> unit
 val emit_migrate : t -> ts:int -> cpu:int -> pid:int -> from_cpu:int -> to_cpu:int -> unit
 val emit_tick : t -> ts:int -> cpu:int -> unit
 val emit_idle : t -> ts:int -> cpu:int -> unit
+val emit_lock_acquire : t -> ts:int -> cpu:int -> lock_id:int -> unit
+val emit_lock_release : t -> ts:int -> cpu:int -> lock_id:int -> unit
+val emit_msg_call : t -> ts:int -> cpu:int -> call:int -> unit
 
-(** Register an online consumer, called synchronously on every emit. *)
-val subscribe : t -> (Event.t -> unit) -> unit
+(** An online consumer: [f ~ts ~cpu tag a b c kind] gets each event in its
+    packed form ({!Event.pack}).  [kind] is the event itself for
+    [T_cold] and meaningless for any other tag; {!Event.unpack} rebuilds
+    the boxed kind when a consumer needs one. *)
+type subscriber = ts:int -> cpu:int -> Event.tag -> int -> int -> int -> Event.kind -> unit
+
+(** Register an online consumer, called synchronously on every emit (the
+    cpu already folded into range), in subscription order. *)
+val subscribe : t -> subscriber -> unit
 
 (** Total events offered to the tracer (including later drops). *)
 val emitted : t -> int

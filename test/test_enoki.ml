@@ -198,6 +198,22 @@ let test_locked_passthrough_allocates_nothing () =
   check Alcotest.int "body ran every time" ((10_000 * 10_001 / 2) + 30_000) !acc;
   check (Alcotest.float 0.0) "minor words" 0.0 words
 
+(* with a trace tap the body still runs with no closure around it *)
+let test_locked_tap_allocates_nothing () =
+  Enoki.Lock.set_passthrough_mode ();
+  let l = Enoki.Lock.create () in
+  let taps = ref 0 in
+  Enoki.Lock.set_trace_tap (Some (fun _ ~lock_id:_ -> incr taps));
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Enoki.Lock.locked l add_into acc i 1 1 1
+  done;
+  let words = Gc.minor_words () -. before in
+  Enoki.Lock.set_trace_tap None;
+  check Alcotest.int "acquire and release tapped" 20_000 !taps;
+  check (Alcotest.float 0.0) "minor words" 0.0 words
+
 let raise_exit () () () () () = raise Exit
 
 let test_locked_tap_pairs_on_raise () =
@@ -1086,6 +1102,8 @@ let () =
           Alcotest.test_case "replay order" `Quick test_lock_replay_order;
           Alcotest.test_case "locked: passthrough allocates nothing" `Quick
             test_locked_passthrough_allocates_nothing;
+          Alcotest.test_case "locked: tapped allocates nothing" `Quick
+            test_locked_tap_allocates_nothing;
           Alcotest.test_case "locked: tap pairs on raise" `Quick test_locked_tap_pairs_on_raise;
           Alcotest.test_case "locked: records like with_lock" `Quick
             test_locked_records_like_with_lock;

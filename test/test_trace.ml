@@ -146,7 +146,7 @@ end
 let test_tracer_counts_and_drops () =
   let tr = Trace.Tracer.create ~capacity:4 ~nr_cpus:2 () in
   let seen = ref 0 in
-  Trace.Tracer.subscribe tr (fun _ -> incr seen);
+  Trace.Tracer.subscribe tr (fun ~ts:_ ~cpu:_ _ _ _ _ _ -> incr seen);
   for i = 1 to 6 do
     Trace.Tracer.emit tr ~ts:(i * 10) ~cpu:0 Trace.Event.Tick
   done;
@@ -422,6 +422,45 @@ let test_ftrace_export_format () =
          find 0)
        body)
 
+(* [Event.name] reads a table by [Event.index]; both must follow the
+   constructors *)
+let test_event_names () =
+  let named =
+    [
+      (E.Sched_switch { prev = None; next = None }, "sched_switch");
+      (E.Wakeup { pid = 1; waker_cpu = 0; affinity = None }, "wakeup");
+      (E.Dispatch { pid = 1 }, "dispatch");
+      (E.Preempt { pid = 1 }, "preempt");
+      (E.Yield { pid = 1 }, "yield");
+      (E.Block { pid = 1 }, "block");
+      (E.Exit { pid = 1 }, "exit");
+      (E.Migrate { pid = 1; from_cpu = 0; to_cpu = 1 }, "migrate");
+      (E.Tick, "tick");
+      (E.Idle, "idle");
+      (E.Pnt_err { pid = 1; err = "e" }, "pnt_err");
+      (E.Lock_acquire { lock_id = 1 }, "lock_acquire");
+      (E.Lock_release { lock_id = 1 }, "lock_release");
+      (E.Msg_call { name = "balance" }, "msg_call");
+      (E.Panic { call = "c"; reason = "r" }, "panic");
+      (E.Failover { fallback = "cfs" }, "failover");
+      (E.Overrun { call = "c"; charged = 2; budget = 1 }, "overrun");
+      (E.Watchdog_fire { reason = "r" }, "watchdog_fire");
+      (E.Metric_flush { tick = 1 }, "metric_flush");
+      (E.Dsq_insert { dsq = "d"; pid = 1 }, "dsq_insert");
+      (E.Dsq_consume { dsq = "d"; pid = 1; wait = 0 }, "dsq_consume");
+      (E.Fleet_op { host = 0; op = "drain" }, "fleet_op");
+      (E.Req_enqueue { req = 1; tenant = 0 }, "req_enqueue");
+      (E.Req_take { req = 1; pid = 1 }, "req_take");
+      (E.Req_done { req = 1; pid = 1 }, "req_done");
+    ]
+  in
+  List.iteri
+    (fun i (kind, name) ->
+      check Alcotest.string "name" name (E.name kind);
+      check Alcotest.int (name ^ " index") i (E.index kind))
+    named;
+  check Alcotest.int "every kind named" (Array.length E.names) (List.length named)
+
 let test_format_of_string_roundtrip () =
   check Alcotest.bool "chrome" true (Trace.Export.format_of_string "chrome" = Some Trace.Export.Chrome);
   check Alcotest.bool "ftrace" true (Trace.Export.format_of_string "ftrace" = Some Trace.Export.Ftrace);
@@ -429,8 +468,8 @@ let test_format_of_string_roundtrip () =
 
 (* ---------- writer identity ----------
 
-   The exporters write straight into one buffer; this is the Printf
-   renderer they replaced, kept verbatim (down to its own copy of the
+   The exporters write each document with [Export.document]'s direct
+   writers; this is the Printf renderer they replaced, kept verbatim (down to its own copy of the
    payload listing) as the byte-for-byte oracle. *)
 
 module Printf_export = struct
@@ -856,6 +895,116 @@ let test_disabled_silences_only_that_kind () =
   check Alcotest.bool "other kinds still fire" true
     (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Lock_imbalance <> [])
 
+(* the watchdog polls [count_of_kind] on every tick; it must agree with
+   the violation list *)
+let check_counts s =
+  List.iter
+    (fun k ->
+      check Alcotest.int (Trace.Sanitizer.kind_name k)
+        (List.length (Trace.Sanitizer.violations_of_kind s k))
+        (Trace.Sanitizer.count_of_kind s k))
+    Trace.Sanitizer.[ Double_run; Starvation; Work_conservation; Token_discipline; Lock_imbalance ]
+
+let test_counts_match_violations () =
+  let s = broken_run Starve ~hogs:2 ~for_:(Kernsim.Time.ms 300) in
+  check Alcotest.bool "starvation counted" true
+    (Trace.Sanitizer.count_of_kind s Trace.Sanitizer.Starvation > 0);
+  check_counts s;
+  let s = Trace.Sanitizer.create ~nr_cpus:2 () in
+  List.iter (Trace.Sanitizer.feed s)
+    [
+      ev 10 0 (Trace.Event.Lock_acquire { lock_id = 1 });
+      ev 20 0 (Trace.Event.Lock_release { lock_id = 2 });
+      ev 30 1 (Trace.Event.Lock_release { lock_id = 1 });
+    ];
+  check Alcotest.int "lock imbalance counted" 2
+    (Trace.Sanitizer.count_of_kind s Trace.Sanitizer.Lock_imbalance);
+  check_counts s
+
+(* ---------- packed = boxed ----------
+
+   Every kind, through the boxed door ([Tracer.emit]) and through the packed
+   emitters, must drain to the same events and give the sanitizer the same
+   report, trailing windows included; feeding the boxed events straight to
+   [Sanitizer.feed] must too.  Message names come from the crossing table
+   (packed) and from arbitrary strings (boxed); lock ids straddle the
+   shared-value range. *)
+
+let gen_packed_events =
+  let open QCheck.Gen in
+  let kind =
+    frequency
+      [
+        (4, gen_kind);
+        (1, map (fun name -> E.Msg_call { name }) (oneofl (Array.to_list E.call_names)));
+      ]
+  in
+  list_size (int_range 0 60)
+    (map3 (fun ts cpu kind -> { E.ts; cpu; kind }) (int_range 0 2_000) (int_range 0 3) kind)
+
+let emit_packed tr ~ts ~cpu (kind : E.kind) =
+  let module Tr = Trace.Tracer in
+  let pid = function Some p -> p | None -> -1 in
+  match kind with
+  | E.Sched_switch { prev; next } -> Tr.emit_switch tr ~ts ~cpu ~prev:(pid prev) ~next:(pid next)
+  | E.Wakeup { pid; waker_cpu; affinity = None } -> Tr.emit_wakeup tr ~ts ~cpu ~pid ~waker_cpu
+  | E.Dispatch { pid } -> Tr.emit_dispatch tr ~ts ~cpu ~pid
+  | E.Preempt { pid } -> Tr.emit_preempt tr ~ts ~cpu ~pid
+  | E.Yield { pid } -> Tr.emit_yield tr ~ts ~cpu ~pid
+  | E.Block { pid } -> Tr.emit_block tr ~ts ~cpu ~pid
+  | E.Exit { pid } -> Tr.emit_exit tr ~ts ~cpu ~pid
+  | E.Migrate { pid; from_cpu; to_cpu } -> Tr.emit_migrate tr ~ts ~cpu ~pid ~from_cpu ~to_cpu
+  | E.Tick -> Tr.emit_tick tr ~ts ~cpu
+  | E.Idle -> Tr.emit_idle tr ~ts ~cpu
+  | E.Lock_acquire { lock_id } -> Tr.emit_lock_acquire tr ~ts ~cpu ~lock_id
+  | E.Lock_release { lock_id } -> Tr.emit_lock_release tr ~ts ~cpu ~lock_id
+  | E.Msg_call { name } when E.call_index name >= 0 ->
+    Tr.emit_msg_call tr ~ts ~cpu ~call:(E.call_index name)
+  | kind -> Tr.emit tr ~ts ~cpu kind
+
+(* tight bounds and a short window, so short random streams trip every
+   invariant class *)
+let packed_config =
+  { Trace.Sanitizer.starvation_bound = 300; wc_grace = 100; window = 5; disabled = [] }
+
+let prop_packed_matches_boxed evs =
+  let run emit =
+    let tr = Trace.Tracer.create ~capacity:64 ~nr_cpus:4 () in
+    let s = Trace.Sanitizer.create ~config:packed_config ~nr_cpus:4 () in
+    Trace.Sanitizer.attach s tr;
+    List.iter (fun (e : E.t) -> emit tr ~ts:e.ts ~cpu:e.cpu e.kind) evs;
+    (Trace.Tracer.events tr, s)
+  in
+  let boxed_events, boxed = run Trace.Tracer.emit in
+  let packed_events, packed = run emit_packed in
+  let fed = Trace.Sanitizer.create ~config:packed_config ~nr_cpus:4 () in
+  List.iter (Trace.Sanitizer.feed fed) evs;
+  if packed_events <> boxed_events then
+    QCheck.Test.fail_reportf "drains differ:\n%s\nboxed:\n%s" (print_events packed_events)
+      (print_events boxed_events);
+  if List.sort compare boxed_events <> List.sort compare evs then
+    QCheck.Test.fail_reportf "drain is not the emitted events:\n%s" (print_events boxed_events);
+  List.iter
+    (fun (what, s) ->
+      if Trace.Sanitizer.violations s <> Trace.Sanitizer.violations boxed then
+        QCheck.Test.fail_reportf "%s report differs:\n%s\nboxed:\n%s" what
+          (Trace.Sanitizer.report_string s) (Trace.Sanitizer.report_string boxed))
+    [ ("packed", packed); ("fed", fed) ];
+  (* each window is the run of events leading up to its violation *)
+  let rec is_run w l =
+    let rec prefix w l =
+      match (w, l) with [], _ -> true | x :: w, y :: l -> x = y && prefix w l | _ :: _, [] -> false
+    in
+    prefix w l || match l with [] -> false | _ :: l -> is_run w l
+  in
+  List.iter
+    (fun (v : Trace.Sanitizer.violation) ->
+      if not (is_run v.window evs) then
+        QCheck.Test.fail_reportf "window is not a run of the fed events:\n%s"
+          (print_events v.window))
+    (Trace.Sanitizer.violations fed);
+  true
+
 (* ---------- lock events through the real tap ---------- *)
 
 let test_lock_events_traced_and_balanced () =
@@ -893,6 +1042,7 @@ let () =
           ("chrome JSON is valid and multi-cpu", `Quick, test_chrome_export_is_valid_json);
           ("ftrace text format", `Quick, test_ftrace_export_format);
           ("format parsing", `Quick, test_format_of_string_roundtrip);
+          ("event names follow the constructors", `Quick, test_event_names);
           qtest ~count:300 "writers = the Printf renderer, byte for byte"
             (QCheck.make ~print:print_events gen_export_events)
             prop_writers_match_printf;
@@ -920,6 +1070,13 @@ let () =
           ("double run (synthetic)", `Quick, test_sanitizer_catches_double_run);
           ("lock imbalance (synthetic)", `Quick, test_sanitizer_catches_lock_imbalance);
           ("disabled kinds silenced", `Quick, test_disabled_silences_only_that_kind);
+          ("counts match the violation list", `Quick, test_counts_match_violations);
+        ] );
+      ( "packed",
+        [
+          qtest ~count:500 "packed emitters = boxed emit: drain and sanitizer report"
+            (QCheck.make ~print:print_events gen_packed_events)
+            prop_packed_matches_boxed;
         ] );
       ( "lock-tap",
         [ ("lock events traced and balanced", `Quick, test_lock_events_traced_and_balanced) ] );

@@ -194,8 +194,8 @@ let test_fairness_placement_stdev () =
 
 (* ---------- setup ---------- *)
 
-let pipe_bytes_per_event ~messages kind =
-  let b = build kind in
+let pipe_bytes_per_event ?tracer ~messages kind =
+  let b = Workloads.Setup.build ?tracer ~topology:one_socket kind in
   let before = Profile.allocated_bytes () in
   ignore (Workloads.Pipe_bench.run b ~messages ());
   let after = Profile.allocated_bytes () in
@@ -208,8 +208,8 @@ let pipe_bytes_per_event ~messages kind =
    behaviour closures) spread over the run while still failing loudly if
    any per-event boxing sneaks back in — a single 3-word record per event
    would read as ~24 B/event here. *)
-let check_pipe_bytes_per_event ?(messages = 5_000) kind ~ceiling =
-  let per_event = pipe_bytes_per_event ~messages kind in
+let check_pipe_bytes_per_event ?tracer ?(messages = 5_000) kind ~ceiling =
+  let per_event = pipe_bytes_per_event ?tracer ~messages kind in
   Alcotest.check Alcotest.bool
     (Printf.sprintf "bytes/event %.2f below %.1f" per_event ceiling)
     true (per_event < ceiling)
@@ -224,6 +224,17 @@ let test_pipe_wfq_alloc () =
   check_pipe_bytes_per_event ~messages:20_000
     (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
     ~ceiling:32.0
+
+(* Tracing the same segment adds nothing per event: the machine's, the
+   boundary's and the lock tap's events all go into the rings' int
+   columns.  No subscriber is attached, and the rings are allocated before
+   the measurement starts. *)
+let test_pipe_wfq_traced_alloc () =
+  let tracer = Trace.Tracer.create ~nr_cpus:(Kernsim.Topology.nr_cpus one_socket) () in
+  check_pipe_bytes_per_event ~tracer ~messages:20_000
+    (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+    ~ceiling:32.0;
+  check Alcotest.bool "lock and message events traced" true (Trace.Tracer.emitted tracer > 0)
 
 (* The reading is exact, not a snapshot of the last minor collection:
    identical runs allocate identical bytes wherever the collections fall. *)
@@ -294,6 +305,7 @@ let () =
           Alcotest.test_case "agent core" `Quick test_setup_agent_core;
           Alcotest.test_case "pipe hot path zero-alloc" `Quick test_pipe_zero_alloc;
           Alcotest.test_case "pipe wfq under 32 B/event" `Quick test_pipe_wfq_alloc;
+          Alcotest.test_case "pipe wfq traced under 32 B/event" `Quick test_pipe_wfq_traced_alloc;
           Alcotest.test_case "pipe bytes/event repeatable" `Quick test_pipe_bytes_repeatable;
         ] );
     ]
