@@ -1075,14 +1075,16 @@ let perf_rows () =
 
 let cfs_ns_ceiling = 250.
 
-(* WFQ's hooks allocate only the token option the trait forces
-   (~19 B/event), traced or not: the speed rows and all four obs rows.  An
-   absolute ceiling under its Rel drift check means regenerating the
-   baseline cannot let its hot path, or tracing it, start boxing again;
-   the other Enoki modules are not there yet. *)
-let wfq_bytes_ceiling = 64.
+(* WFQ's and Shinjuku's hooks allocate only the token option the trait
+   forces (~19 B/event), traced or not: the speed rows and all four obs
+   rows.  An absolute ceiling under their Rel drift check means
+   regenerating the baseline cannot let a hot path, or tracing it, start
+   boxing again; the other Enoki modules are not there yet. *)
+let token_bytes_ceiling = 64.
 
-let bytes_check name = if name = "wfq" then Gate.Both (bytes, Ceiling wfq_bytes_ceiling) else bytes
+let bytes_check name =
+  if name = "wfq" || name = "shinjuku" then Gate.Both (bytes, Ceiling token_bytes_ceiling)
+  else bytes
 
 (* the wheel must keep beating the heap on deep queues *)
 let deep_speedup_floor = 2.0
@@ -1441,12 +1443,13 @@ let fleet_warmup = Kernsim.Time.ms 100
 (* steady state: 8 heterogeneous hosts, least-outstanding *)
 let fleet_steady_scheds = [ "wfq"; "shinjuku"; "cfs"; "scx-simple" ]
 
-let fleet_steady ?pool () =
+let fleet_steady_create ?pool () =
   let hosts = fleet_entries (List.init 8 (fun i -> List.nth fleet_steady_scheds (i mod 4))) in
-  let f =
-    Cluster.Fleet.create ?pool ~warmup:fleet_warmup ~seed:(fleet_seed ()) ~hosts
-      ~tenants:(fleet_mix ()) ()
-  in
+  Cluster.Fleet.create ?pool ~warmup:fleet_warmup ~seed:(fleet_seed ()) ~hosts
+    ~tenants:(fleet_mix ()) ()
+
+let fleet_steady ?pool () =
+  let f = fleet_steady_create ?pool () in
   Cluster.Fleet.run f ~until:(fleet_duration ());
   f
 
@@ -1576,8 +1579,22 @@ let fleet_chaos_row () =
      ]
     @ List.filter_map op_at [ "drain"; "admit" ])
 
+(* The sequential steady fleet's run (not its build) allocates ~188
+   B/event at --quick: traffic, placement and every host's module, with
+   the DSQ family's scx-simple hosts the largest share.  The ceiling
+   leaves ~35% headroom over that, so regenerating the baseline cannot
+   let the front end start boxing again. *)
+let fleet_bytes_ceiling = 256.
+
 let fleet_rows () =
-  let steady, wall = timed (fun () -> fleet_steady ()) in
+  let (steady, run_bytes), wall =
+    timed (fun () ->
+        let f = fleet_steady_create () in
+        let a0 = Profile.allocated_bytes () in
+        Cluster.Fleet.run f ~until:(fleet_duration ());
+        (f, Profile.allocated_bytes () -. a0))
+  in
+  let events = Cluster.Fleet.events_dispatched steady in
   let tr = Cluster.Fleet.traffic steady in
   let tenants =
     List.map
@@ -1599,11 +1616,15 @@ let fleet_rows () =
     Gate.row
       [ ("jobs", "1") ]
       [
-        Gate.int ~check:Exact "events" (Cluster.Fleet.events_dispatched steady);
+        Gate.int ~check:Exact "events" events;
         Gate.int ~check:Exact "flows" (Cluster.Traffic.flows_completed tr);
         Gate.int ~check:Exact "live_flows" (Cluster.Traffic.live_flows tr);
         Gate.float ~check:Exact "fingerprint" seq_fp;
         Gate.float "wall_s" wall;
+        Gate.float
+          ~check:(Both (bytes, Ceiling fleet_bytes_ceiling))
+          "bytes_per_event"
+          (run_bytes /. float_of_int (max 1 events));
       ]
   in
   (* under -j N the pooled fleet must match the sequential one and clear

@@ -34,6 +34,8 @@ type host = {
   entry : Schedulers.Registry.entry;
   built : Workloads.Setup.built;
   chan : int;  (* ingress doorbell *)
+  arrivals : Traffic.request Queue.t;  (* placed, not yet at the host *)
+  mutable ingress : unit -> unit;  (* admits the oldest arrival *)
   queue : Traffic.request Queue.t;
   tracer : Trace.Tracer.t option;  (* chaos victim only *)
   sanitizer : Trace.Sanitizer.t option;
@@ -158,6 +160,39 @@ let worker_beh t host =
       st := `Take;
       T.Block host.chan
 
+(* A placed request reaches its host at its arrival time.  [place] pushes
+   it on the host's [arrivals] FIFO and schedules the host's one [ingress]
+   callback, which admits the oldest arrival: a host's placements come in
+   arrival order with non-decreasing fire times, and the event core breaks
+   ties first-in first-out, so each callback finds its own request at the
+   head. *)
+let ingress t host () =
+  let req = Queue.take host.arrivals in
+  let m = host.built.Workloads.Setup.machine in
+  if Queue.length host.queue >= t.queue_cap then fx host (Fx_drop { tenant = req.Traffic.tenant })
+  else begin
+    Queue.add req host.queue;
+    host.inflight <- host.inflight + 1;
+    (match host.tracer with
+    | Some tr ->
+      Trace.Tracer.emit tr ~ts:(M.now m) ~cpu:0
+        (Trace.Event.Req_enqueue { req = req.Traffic.req_id; tenant = req.Traffic.tenant })
+    | None -> ());
+    (match t.anat with
+    | Some _ ->
+      fx host
+        (Fx_anat_enq
+           {
+             req = req.Traffic.req_id;
+             tenant = req.Traffic.tenant;
+             arrived = req.Traffic.arrived;
+             service = t.dispatch_overhead + req.Traffic.service;
+             now = M.now m;
+           })
+    | None -> ());
+    M.signal m host.chan
+  end
+
 let host_label (e : Schedulers.Registry.entry) = e.Schedulers.Registry.name
 
 let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap = 4096)
@@ -166,6 +201,11 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
     ?(observe = true) ?pool ~seed ~hosts ~tenants () =
   if hosts = [] then invalid_arg "Fleet.create: no hosts";
   if epoch <= 0 then invalid_arg "Fleet.create: epoch must be positive";
+  if workers < 1 then invalid_arg "Fleet.create: workers must be positive";
+  if queue_cap < 1 then invalid_arg "Fleet.create: queue_cap must be positive";
+  if tenants = [] then invalid_arg "Fleet.create: no tenants";
+  if List.exists (fun (tn : Traffic.tenant) -> tn.connections < 1) tenants then
+    invalid_arg "Fleet.create: connections must be positive";
   let entries = Array.of_list hosts in
   let n = Array.length entries in
   (* one root seed, split in fixed order: everything downstream is a pure
@@ -232,6 +272,8 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       entry;
       built;
       chan;
+      arrivals = Queue.create ();
+      ingress = ignore;
       queue = Queue.create ();
       tracer;
       sanitizer;
@@ -310,6 +352,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
   Array.iter
     (fun host ->
       let m = host.built.Workloads.Setup.machine in
+      host.ingress <- ingress t host;
       (* the server pool *)
       for w = 0 to workers - 1 do
         ignore
@@ -408,32 +451,8 @@ let place t (req : Traffic.request) =
     Lb.dispatch t.lb h;
     let host = t.hosts.(h) in
     let m = host.built.Workloads.Setup.machine in
-    let delay = max 0 (req.Traffic.arrived - M.now m) in
-    M.at m ~delay (fun () ->
-        if Queue.length host.queue >= t.queue_cap then
-          fx host (Fx_drop { tenant = req.Traffic.tenant })
-        else begin
-          Queue.add req host.queue;
-          host.inflight <- host.inflight + 1;
-          (match host.tracer with
-          | Some tr ->
-            Trace.Tracer.emit tr ~ts:(M.now m) ~cpu:0
-              (Trace.Event.Req_enqueue { req = req.Traffic.req_id; tenant = req.Traffic.tenant })
-          | None -> ());
-          (match t.anat with
-          | Some _ ->
-            fx host
-              (Fx_anat_enq
-                 {
-                   req = req.Traffic.req_id;
-                   tenant = req.Traffic.tenant;
-                   arrived = req.Traffic.arrived;
-                   service = t.dispatch_overhead + req.Traffic.service;
-                   now = M.now m;
-                 })
-          | None -> ());
-          M.signal m host.chan
-        end)
+    Queue.add req host.arrivals;
+    M.at m ~delay:(max 0 (req.Traffic.arrived - M.now m)) host.ingress
 
 (* Replay one host's buffered effects on the coordinating domain.  Called
    in host order at the epoch barrier; within a host the buffer replays

@@ -61,9 +61,11 @@ type t
     ingress queue ([queue_cap] deep; overflow counts a drop); each request
     costs [dispatch_overhead] plus its own service time.  Latency
     histograms only record after [warmup].  A chaos victim must be an
-    Enoki-module host.  Raises [Invalid_argument] on an empty [hosts], a
-    non-positive [epoch] (the clock could never advance) or a chaos victim
-    that is out of range or not an Enoki-module host.
+    Enoki-module host.  Raises [Invalid_argument] on an empty [hosts] or
+    [tenants], a non-positive [epoch] (the clock could never advance),
+    [workers] or [queue_cap] (no request could ever complete), a tenant
+    without connections, or a chaos victim that is out of range or not an
+    Enoki-module host; every message starts with ["Fleet.create:"].
 
     [anatomy] switches on the request-anatomy layer ({!Trace.Anatomy}):
     every request's end-to-end latency is decomposed into six exactly

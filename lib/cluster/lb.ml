@@ -38,6 +38,7 @@ type t = {
   wrr : int array;  (* smooth-WRR current weights *)
   ring : (int * int) array;  (* (hash, host), sorted by hash *)
   scratch : int array;  (* tie candidates, reused to avoid allocation *)
+  picked : int option array;  (* [Some i] per host, shared by every pick *)
 }
 
 let create ?weights ~policy ~hosts ~seed () =
@@ -67,6 +68,7 @@ let create ?weights ~policy ~hosts ~seed () =
     wrr = Array.make hosts 0;
     ring;
     scratch = Array.make hosts 0;
+    picked = Array.init hosts Option.some;
   }
 
 let nr_hosts t = t.n
@@ -81,7 +83,7 @@ let pick_rr t =
       let i = (t.rr + k) mod t.n in
       if t.up.(i) then begin
         t.rr <- i;
-        Some i
+        t.picked.(i)
       end
       else go (k + 1)
   in
@@ -102,8 +104,8 @@ let pick_least t =
       end
   done;
   if !ties = 0 then None
-  else if !ties = 1 then Some t.scratch.(0)
-  else Some t.scratch.(Stats.Prng.int t.rng !ties)
+  else if !ties = 1 then t.picked.(t.scratch.(0))
+  else t.picked.(t.scratch.(Stats.Prng.int t.rng !ties))
 
 let pick_weighted t =
   (* nginx smooth weighted round-robin, restricted to up hosts *)
@@ -119,7 +121,7 @@ let pick_weighted t =
   if !best < 0 then None
   else begin
     t.wrr.(!best) <- t.wrr.(!best) - !total;
-    Some !best
+    t.picked.(!best)
   end
 
 let pick_hash t ~key =
@@ -139,7 +141,7 @@ let pick_hash t ~key =
       let _, host = t.ring.((start + k) mod len) in
       if t.up.(host) then host else go (k + 1)
     in
-    Some (go 0)
+    t.picked.(go 0)
   end
 
 let pick t ~key =

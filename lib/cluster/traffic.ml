@@ -72,6 +72,8 @@ let standard_mix ?(connections = 256) ?(flow_len = 8.0) ~load_kreqs () =
    randomness comes from the slot's own stream, so advancing a slot is
    independent of every other slot and of the caller's window size. *)
 type slot = {
+  tenant : int;
+  index : int;  (* within the tenant's pool *)
   rng : Stats.Prng.t;
   mutable next_at : ns;
   mutable remaining : int;  (* requests left in the open flow *)
@@ -80,9 +82,17 @@ type slot = {
   mutable phase_until : ns;
 }
 
+(* Every slot, tenant-major, sits in one persistent binary min-heap kept in
+   two int arrays: [key] (the slot's [next_at]) and [heap] (its index into
+   [slots]), ordered by (key, index).  The index is tenant-major, so that
+   order is exactly (time, tenant, slot).  A window pops the root, emits
+   it, advances that slot and sifts it back down: a k-way merge of the
+   slots' arrival streams, each strictly increasing. *)
 type t = {
   tenants : tenant array;
-  slots : slot array array;  (* .(tenant).(slot) *)
+  slots : slot array;
+  key : int array;
+  heap : int array;
   mutable flows_started : int;
   mutable flows_completed : int;
   mutable requests_emitted : int;
@@ -95,6 +105,7 @@ let exp_gap rng ~rate_per_sec =
   else
     let mean_ns = 1e9 /. rate_per_sec in
     max 1 (int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. mean_ns))
+[@@inline]
 
 (* Geometric-ish flow length with the given mean (>= 1 always). *)
 let flow_len rng ~mean =
@@ -136,6 +147,27 @@ let open_flow t tn slot =
   slot.remaining <- flow_len slot.rng ~mean:tn.flow_len_mean;
   t.flows_started <- t.flows_started + 1
 
+(* (k, s) sorts before (k', s') *)
+let lt (k : int) (s : int) k' s' = k < k' || (k = k' && s < s')
+
+(* Settle slot [s] with key [k] into the hole at heap entry [i], moving
+   smaller children up. *)
+let rec sift_down t i k s =
+  let n = Array.length t.heap in
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < n && lt t.key.(l + 1) t.heap.(l + 1) t.key.(l) t.heap.(l) then l + 1 else l
+  in
+  if c < n && lt t.key.(c) t.heap.(c) k s then begin
+    t.key.(i) <- t.key.(c);
+    t.heap.(i) <- t.heap.(c);
+    sift_down t c k s
+  end
+  else begin
+    t.key.(i) <- k;
+    t.heap.(i) <- s
+  end
+
 let create ~seed ~start tenants =
   if tenants = [] then invalid_arg "Traffic.create: no tenants";
   let root = Stats.Prng.create ~seed in
@@ -144,20 +176,31 @@ let create ~seed ~start tenants =
     {
       tenants;
       slots = [||];
+      key = [||];
+      heap = [||];
       flows_started = 0;
       flows_completed = 0;
       requests_emitted = 0;
     }
   in
   let slots =
-    Array.map
-      (fun tn ->
+    Array.mapi
+      (fun ti tn ->
         if tn.connections <= 0 then invalid_arg "Traffic.create: connections must be positive";
         let tenant_rng = Stats.Prng.split root in
-        Array.init tn.connections (fun _ ->
+        Array.init tn.connections (fun index ->
             let rng = Stats.Prng.split tenant_rng in
             let slot =
-              { rng; next_at = start; remaining = 0; flow_seq = -1; on = false; phase_until = start }
+              {
+                tenant = ti;
+                index;
+                rng;
+                next_at = start;
+                remaining = 0;
+                flow_seq = -1;
+                on = false;
+                phase_until = start;
+              }
             in
             (* stagger the first burst phase boundary so slots drift apart *)
             (match tn.arrival with
@@ -169,47 +212,55 @@ let create ~seed ~start tenants =
             slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:start;
             slot))
       tenants
+    |> Array.to_list |> Array.concat
   in
-  { t with slots }
+  let n = Array.length slots in
+  let t =
+    {
+      t with
+      slots;
+      key = Array.map (fun s -> s.next_at) slots;
+      heap = Array.init n Fun.id;
+    }
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down t i t.key.(i) t.heap.(i)
+  done;
+  t
 
-let next_window t ~until =
-  let acc = ref [] in
-  Array.iteri
-    (fun ti (tn : tenant) ->
-      let slots = t.slots.(ti) in
-      Array.iteri
-        (fun si slot ->
-          while slot.next_at < until do
-            let service =
-              max 1 (int_of_float (Stats.Dist.sample tn.service slot.rng))
-            in
-            let req =
-              {
-                req_id = 0;
-                tenant = ti;
-                flow_key = key ~tenant:ti ~slot:si ~seq:slot.flow_seq;
-                arrived = slot.next_at;
-                service;
-              }
-            in
-            acc := (req.arrived, ti, si, req) :: !acc;
-            t.requests_emitted <- t.requests_emitted + 1;
-            slot.remaining <- slot.remaining - 1;
-            if slot.remaining <= 0 then begin
-              t.flows_completed <- t.flows_completed + 1;
-              open_flow t tn slot
-            end;
-            slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:slot.next_at
-          done)
-        slots)
-    t.tenants;
-  (* request-ids are dense in (time, tenant, slot) order, assigned after
-     the sort: windows partition the stream by arrival time, so the ids a
-     request gets are independent of the caller's window size *)
-  let base = t.requests_emitted - List.length !acc in
-  !acc
-  |> List.sort (fun (a, ta, sa, _) (b, tb, sb, _) -> compare (a, ta, sa) (b, tb, sb))
-  |> List.mapi (fun i (_, _, _, r) -> { r with req_id = base + i })
+(* Emit the root slot's next request, advance the slot and restore the
+   heap; the dense [req_id] is the emission count. *)
+let pop t =
+  let slot = t.slots.(t.heap.(0)) in
+  let tn = t.tenants.(slot.tenant) in
+  let service = max 1 (int_of_float (Stats.Dist.sample tn.service slot.rng)) in
+  let req =
+    {
+      req_id = t.requests_emitted;
+      tenant = slot.tenant;
+      flow_key = key ~tenant:slot.tenant ~slot:slot.index ~seq:slot.flow_seq;
+      arrived = slot.next_at;
+      service;
+    }
+  in
+  t.requests_emitted <- t.requests_emitted + 1;
+  slot.remaining <- slot.remaining - 1;
+  if slot.remaining <= 0 then begin
+    t.flows_completed <- t.flows_completed + 1;
+    open_flow t tn slot
+  end;
+  slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:slot.next_at;
+  sift_down t 0 slot.next_at t.heap.(0);
+  req
+
+(* request-ids are dense in emission order: windows partition the stream
+   by arrival time, so the ids a request gets are independent of the
+   caller's window size *)
+let[@tail_mod_cons] rec next_window t ~until =
+  if t.key.(0) >= until then []
+  else
+    let req = pop t in
+    req :: next_window t ~until
 
 let tenant_name t i = t.tenants.(i).name
 
@@ -221,4 +272,4 @@ let flows_completed t = t.flows_completed
 
 let requests_emitted t = t.requests_emitted
 
-let live_flows t = Array.fold_left (fun n s -> n + Array.length s) 0 t.slots
+let live_flows t = Array.length t.slots

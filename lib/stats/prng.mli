@@ -5,8 +5,10 @@
     whole simulation runs (and therefore record/replay) reproducible.
 
     The generator is xoshiro256** seeded through splitmix64, both from
-    Blackman & Vigna; state fits in four [int64]s and splitting a fresh
-    independent stream is cheap.
+    Blackman & Vigna; splitting a fresh independent stream is cheap.  The
+    four 64-bit state words live in one 32-byte buffer, read and written
+    as raw words, so {!next}, {!int} and {!bool} allocate nothing ({!float}
+    boxes only its result when called from another module).
 
     Domain-safety contract: a [t] is plain mutable state with no global
     backing — safe across domains only with one owner at a time.  Code

@@ -89,6 +89,161 @@ let prop_diurnal_integrates seed =
       (100.0 *. err) n expected seed
   else true
 
+(* A test-local copy of the engine's old window: every slot's arrivals
+   below [until] are gathered, then sorted by (arrived, tenant, slot), and
+   dense request ids are assigned after the sort.  Slot streams are built
+   exactly as the engine builds them (same seed splits, same draws), so the
+   engine's merged window must equal this one request for request. *)
+module Sorted_reference = struct
+  type slot = {
+    rng : Stats.Prng.t;
+    mutable next_at : int;
+    mutable remaining : int;
+    mutable flow_seq : int;
+    mutable on : bool;
+    mutable phase_until : int;
+  }
+
+  let exp_gap rng ~rate_per_sec =
+    if rate_per_sec <= 0.0 then max_int / 4
+    else
+      let mean_ns = 1e9 /. rate_per_sec in
+      max 1 (int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. mean_ns))
+
+  let flow_len rng ~mean =
+    if mean <= 1.0 then 1
+    else 1 + int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. (mean -. 1.0))
+
+  let rec next_arrival arrival ~conns slot ~from =
+    let c = float_of_int conns in
+    match arrival with
+    | Traffic.Poisson { rate } -> from + exp_gap slot.rng ~rate_per_sec:(rate /. c)
+    | Traffic.Diurnal { mean_rate; amplitude; period = _ } ->
+      let peak = mean_rate *. (1.0 +. abs_float amplitude) /. c in
+      let cand = from + exp_gap slot.rng ~rate_per_sec:peak in
+      if Stats.Prng.float slot.rng *. peak <= Traffic.rate_at arrival cand /. c then cand
+      else next_arrival arrival ~conns slot ~from:cand
+    | Traffic.Burst { base_rate; burst_rate; mean_on; mean_off } ->
+      let cand =
+        from + exp_gap slot.rng ~rate_per_sec:((if slot.on then burst_rate else base_rate) /. c)
+      in
+      if cand <= slot.phase_until then cand
+      else begin
+        let resume = slot.phase_until in
+        let dwell = if slot.on then mean_off else mean_on in
+        slot.on <- not slot.on;
+        slot.phase_until <-
+          resume + exp_gap slot.rng ~rate_per_sec:(1e9 /. float_of_int (max 1 dwell));
+        next_arrival arrival ~conns slot ~from:resume
+      end
+
+  type t = { tenants : Traffic.tenant array; slots : slot array array; mutable emitted : int }
+
+  let open_flow (tn : Traffic.tenant) slot =
+    slot.flow_seq <- slot.flow_seq + 1;
+    slot.remaining <- flow_len slot.rng ~mean:tn.flow_len_mean
+
+  let create ~seed tenants =
+    let root = Stats.Prng.create ~seed in
+    let tenants = Array.of_list tenants in
+    let slots =
+      Array.map
+        (fun (tn : Traffic.tenant) ->
+          let tenant_rng = Stats.Prng.split root in
+          Array.init tn.connections (fun _ ->
+              let rng = Stats.Prng.split tenant_rng in
+              let slot =
+                { rng; next_at = 0; remaining = 0; flow_seq = -1; on = false; phase_until = 0 }
+              in
+              (match tn.arrival with
+              | Traffic.Burst { mean_off; _ } ->
+                slot.phase_until <- exp_gap rng ~rate_per_sec:(1e9 /. float_of_int (max 1 mean_off))
+              | _ -> ());
+              open_flow tn slot;
+              slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:0;
+              slot))
+        tenants
+    in
+    { tenants; slots; emitted = 0 }
+
+  let next_window t ~until =
+    let acc = ref [] in
+    Array.iteri
+      (fun ti (tn : Traffic.tenant) ->
+        Array.iteri
+          (fun si slot ->
+            while slot.next_at < until do
+              let service = max 1 (int_of_float (Stats.Dist.sample tn.service slot.rng)) in
+              let flow_key = (ti lsl 54) lor (si lsl 34) lor (slot.flow_seq land 0x3_FFFF_FFFF) in
+              let req =
+                { Traffic.req_id = 0; tenant = ti; flow_key; arrived = slot.next_at; service }
+              in
+              acc := (req.arrived, ti, si, req) :: !acc;
+              slot.remaining <- slot.remaining - 1;
+              if slot.remaining <= 0 then open_flow tn slot;
+              slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:slot.next_at
+            done)
+          t.slots.(ti))
+      t.tenants;
+    let sorted =
+      List.sort (fun (a, ta, sa, _) (b, tb, sb, _) -> compare (a, ta, sa) (b, tb, sb)) !acc
+    in
+    let base = t.emitted in
+    t.emitted <- base + List.length sorted;
+    List.mapi (fun i (_, _, _, r) -> { r with Traffic.req_id = base + i }) sorted
+end
+
+(* A random mix (1-4 tenants of every arrival kind, 1-64 connections
+   each) drained over random window boundaries: the engine's k-way merge
+   must emit exactly the sorted reference's windows. *)
+let prop_merge_equals_sort seed =
+  let rng = Stats.Prng.create ~seed in
+  let pick l = List.nth l (Stats.Prng.int rng (List.length l)) in
+  let rate () = 2_000.0 +. (Stats.Prng.float rng *. 200_000.0) in
+  let tenant i =
+    let arrival =
+      match Stats.Prng.int rng 3 with
+      | 0 -> Traffic.Poisson { rate = rate () }
+      | 1 ->
+        Traffic.Diurnal
+          {
+            mean_rate = rate ();
+            amplitude = Stats.Prng.float rng;
+            period = ms (1 + Stats.Prng.int rng 20);
+          }
+      | _ ->
+        let base = rate () in
+        Traffic.Burst
+          {
+            base_rate = base;
+            burst_rate = 3.0 *. base;
+            mean_on = Kernsim.Time.us (50 + Stats.Prng.int rng 2_000);
+            mean_off = Kernsim.Time.us (50 + Stats.Prng.int rng 5_000);
+          }
+    in
+    {
+      Traffic.name = Printf.sprintf "t%d" i;
+      arrival;
+      service =
+        pick [ Stats.Dist.constant 1_000.0; Stats.Dist.uniform ~lo:500.0 ~hi:20_000.0 ];
+      flow_len_mean = pick [ 1.0; 1.5; 4.0; 8.0 ];
+      connections = 1 + Stats.Prng.int rng 64;
+    }
+  in
+  let mix = List.init (1 + Stats.Prng.int rng 4) tenant in
+  let engine = Traffic.create ~seed ~start:0 mix in
+  let reference = Sorted_reference.create ~seed mix in
+  let until = ref 0 in
+  for w = 1 to 1 + Stats.Prng.int rng 40 do
+    until := !until + Stats.Prng.int rng (Kernsim.Time.us 800);
+    let got = Traffic.next_window engine ~until:!until in
+    let want = Sorted_reference.next_window reference ~until:!until in
+    if got <> want then
+      QCheck.Test.fail_reportf "window %d (until %d) differs: %d vs %d requests (seed %d)" w !until
+        (List.length got) (List.length want) seed
+  done;
+  true
+
 (* ---------- load balancer ---------- *)
 
 (* Draining one host must only remap that host's keys (the classic
@@ -185,6 +340,25 @@ let test_fleet_rejects_zero_epoch () =
             ());
        false
      with Invalid_argument _ -> true)
+
+(* Every input [Fleet.create] cannot build a working fleet from is
+   rejected up front, under the "Fleet.create:" prefix the CLI turns into
+   a usage error. *)
+let test_fleet_rejects_unusable_inputs () =
+  let create ?(workers = 4) ?(queue_cap = 64) ?(connections = 8) () =
+    ignore
+      (Fleet.create ~workers ~queue_cap ~seed:1
+         ~hosts:(entries [ "wfq" ])
+         ~tenants:(small_mix ~connections ())
+         ())
+  in
+  Alcotest.check_raises "no workers" (Invalid_argument "Fleet.create: workers must be positive")
+    (fun () -> create ~workers:0 ());
+  Alcotest.check_raises "no queue" (Invalid_argument "Fleet.create: queue_cap must be positive")
+    (fun () -> create ~queue_cap:0 ());
+  Alcotest.check_raises "no connections"
+    (Invalid_argument "Fleet.create: connections must be positive") (fun () ->
+      create ~connections:0 ())
 
 let test_rolling_upgrade_pause_and_blackout () =
   let f =
@@ -462,6 +636,8 @@ let () =
             test_bounded_live_flows_under_churn;
           qtest ~count:10 "diurnal integrates to mean rate" QCheck.small_nat
             prop_diurnal_integrates;
+          qtest ~count:60 "merged window equals gather-and-sort" QCheck.small_nat
+            prop_merge_equals_sort;
         ] );
       ( "lb",
         [
@@ -478,6 +654,8 @@ let () =
           Alcotest.test_case "bit-for-bit deterministic from seed" `Quick
             test_fleet_deterministic;
           Alcotest.test_case "zero epoch rejected" `Quick test_fleet_rejects_zero_epoch;
+          Alcotest.test_case "workers, queue cap, connections rejected" `Quick
+            test_fleet_rejects_unusable_inputs;
           Alcotest.test_case "rolling upgrade: pause and blackout attribution" `Quick
             test_rolling_upgrade_pause_and_blackout;
           Alcotest.test_case "chaos drill: panic, drain, failover, re-admit" `Quick

@@ -619,6 +619,55 @@ let test_prng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   check Alcotest.(array int) "permutation" (Array.init 50 Fun.id) sorted
 
+(* The first eight draws of each kind at two seeds, fixed when the state
+   moved from four [int64] fields into one buffer: any change to the
+   generator's stream fails here before it shifts a simulation digest. *)
+let prng_golden =
+  [
+    ( 42,
+      [ 386749691100639685; 1747737923241135775; 3136146690562139752; 4264393527295531048;
+        4573888244516329369; 3549796707516437646; 3316994727233550188; 3919972056329453601 ],
+      [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1; 0x1.d9715a8e0766cp-1;
+        0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1; 0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1 ],
+      [ 685; 775; 752; 48; 369; 646; 188; 601 ],
+      [ 2574107853300986132; 296085735183073176; 2064510798331974457; 2627303400978749793;
+        1022545251471924287; 4093548234621554876; 889612671483373947; 3260179609975139861 ] );
+    ( 0x5eed_beef,
+      [ 2032835874673630090; 1756584940548500414; 4226223659060851383; 2083318891309249340;
+        4506407154917519024; 1969162941712855115; 683810891128398301; 3228679872122152191 ],
+      [ 0x1.c36157524979ap-2; 0x1.860a4b25731aap-2; 0x1.d53480361d639p-1; 0x1.ce96f7e665932p-2;
+        0x1.f44fcb7391197p-1; 0x1.b53df432da87p-2; 0x1.2fac4c3d680cp-3; 0x1.667499e63a5b2p-1 ],
+      [ 90; 414; 383; 340; 24; 115; 301; 191 ],
+      [ 1243914798407155987; 2519038342464262072; 114697912089638006; 687330622677809463;
+        2892956678087264123; 2526272237303869415; 198456749935929531; 4564817731310619153 ] );
+  ]
+
+let test_prng_golden () =
+  List.iter
+    (fun (seed, next, float, int, split) ->
+      let draws f = List.init 8 (fun _ -> f ()) in
+      let fresh () = Stats.Prng.create ~seed in
+      let r = fresh () in
+      check Alcotest.(list int) "next" next (draws (fun () -> Stats.Prng.next r));
+      let r = fresh () in
+      check Alcotest.(list (float 0.0)) "float" float (draws (fun () -> Stats.Prng.float r));
+      let r = fresh () in
+      check Alcotest.(list int) "int 1000" int (draws (fun () -> Stats.Prng.int r 1000));
+      let child = Stats.Prng.split (fresh ()) in
+      check Alcotest.(list int) "after split" split (draws (fun () -> Stats.Prng.next child)))
+    prng_golden
+
+let test_prng_no_alloc () =
+  let r = Stats.Prng.create ~seed:9 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc lxor Stats.Prng.next r lxor Stats.Prng.int r 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  check (Alcotest.float 0.0) "minor words over 10k draws" 0.0 words
+
 (* ---------- Stats: Dist ---------- *)
 
 let rng () = Stats.Prng.create ~seed:123
@@ -839,6 +888,8 @@ let () =
           Alcotest.test_case "int range" `Quick test_prng_int_range;
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
+          Alcotest.test_case "golden streams" `Quick test_prng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_no_alloc;
         ] );
       ( "dist",
         [
