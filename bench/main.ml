@@ -898,21 +898,6 @@ let chaos () =
 let micro () =
   Report.section "Microbenchmarks (bechamel, wall clock of hot paths)";
   let open Bechamel in
-  let rb_tests =
-    let module Rb = Ds.Rbtree.Make (Int) in
-    let t = ref Rb.empty in
-    for i = 0 to 1023 do
-      t := Rb.add i i !t
-    done;
-    [
-      Test.make ~name:"rbtree add+remove (1k tree)"
-        (Staged.stage (fun () ->
-             let t' = Rb.add 2000 0 !t in
-             ignore (Rb.remove 2000 t')));
-      Test.make ~name:"rbtree min_binding (1k tree)"
-        (Staged.stage (fun () -> ignore (Rb.min_binding_opt !t)));
-    ]
-  in
   let msg_tests =
     let s = Enoki.Schedulable.Private.create ~pid:1 ~cpu:2 ~gen:3 in
     let call = Enoki.Message.Task_wakeup { pid = 1; runtime = 5000; waker_cpu = 0; sched = s } in
@@ -943,7 +928,7 @@ let micro () =
     let h = Stats.Histogram.create () in
     [ Test.make ~name:"histogram record" (Staged.stage (fun () -> Stats.Histogram.record h 1234)) ]
   in
-  let tests = rb_tests @ msg_tests @ dispatch_test @ hist_test in
+  let tests = msg_tests @ dispatch_test @ hist_test in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
@@ -1075,16 +1060,14 @@ let perf_rows () =
 
 let cfs_ns_ceiling = 250.
 
-(* WFQ's and Shinjuku's hooks allocate only the token option the trait
-   forces (~19 B/event), traced or not: the speed rows and all four obs
-   rows.  An absolute ceiling under their Rel drift check means
-   regenerating the baseline cannot let a hot path, or tracing it, start
-   boxing again; the other Enoki modules are not there yet. *)
+(* Every registry scheduler's hooks allocate only the token option the
+   trait forces (~17-25 B/event; CFS and the ghOSt model ~1), traced or
+   not: the speed rows and all four obs rows.  An absolute ceiling under
+   the Rel drift check means regenerating a baseline cannot let a hot path,
+   or tracing it, start boxing again. *)
 let token_bytes_ceiling = 64.
 
-let bytes_check name =
-  if name = "wfq" || name = "shinjuku" then Gate.Both (bytes, Ceiling token_bytes_ceiling)
-  else bytes
+let bytes_check = Gate.Both (bytes, Ceiling token_bytes_ceiling)
 
 (* the wheel must keep beating the heap on deep queues *)
 let deep_speedup_floor = 2.0
@@ -1166,7 +1149,7 @@ let speed_rows () =
           [
             Gate.int ~check:Exact "events" events;
             Gate.float ~check:ns_check "ns_per_event" (ns_per_event cell);
-            Gate.float ~check:(bytes_check e.name) "bytes_per_event" bpe;
+            Gate.float ~check:bytes_check "bytes_per_event" bpe;
           ])
       (List.filter (fun (e : Schedulers.Registry.entry) -> not e.arbiter) Schedulers.Registry.all)
   in
@@ -1579,12 +1562,12 @@ let fleet_chaos_row () =
      ]
     @ List.filter_map op_at [ "drain"; "admit" ])
 
-(* The sequential steady fleet's run (not its build) allocates ~188
-   B/event at --quick: traffic, placement and every host's module, with
-   the DSQ family's scx-simple hosts the largest share.  The ceiling
-   leaves ~35% headroom over that, so regenerating the baseline cannot
-   let the front end start boxing again. *)
-let fleet_bytes_ceiling = 256.
+(* The sequential steady fleet's run (not its build) allocates ~83
+   B/event at --quick: traffic, placement and every host's module, the
+   traffic front end now the largest share.  The ceiling leaves ~35%
+   headroom over that, so regenerating the baseline cannot let the front
+   end or a module start boxing again. *)
+let fleet_bytes_ceiling = 112.
 
 let fleet_rows () =
   let (steady, run_bytes), wall =
@@ -1777,7 +1760,7 @@ let obs_rows () =
         [
           Gate.int ~check:Exact "events" events;
           Gate.float "ns_per_event" (per_event wall events);
-          Gate.float ~check:(bytes_check sched) "bytes_per_event" bpe;
+          Gate.float ~check:bytes_check "bytes_per_event" bpe;
         ])
     machine
   @ List.map

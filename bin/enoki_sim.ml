@@ -685,6 +685,10 @@ let fleet_cmd =
       | l -> List.init (max 0 hosts) (fun i -> List.nth l (i mod List.length l))
     in
     let seed = Option.value seed ~default:1 in
+    if not (Float.is_finite load && load > 0.0) then begin
+      Printf.eprintf "enoki_sim: fleet: --load must be a positive number of kreq/s (got %g)\n" load;
+      exit 2
+    end;
     let tenants = Cluster.Traffic.standard_mix ~connections ~flow_len ~load_kreqs:load () in
     let upgrade =
       Option.map

@@ -126,6 +126,10 @@ let rec next_arrival arrival ~conns slot ~from =
     let r = rate_at arrival cand /. c in
     if Stats.Prng.float slot.rng *. peak <= r then cand
     else next_arrival arrival ~conns slot ~from:cand
+  | Burst { base_rate; burst_rate; _ } when not (base_rate > 0.0 || burst_rate > 0.0) ->
+    (* neither phase emits: never, rather than stepping across phase
+       boundaries forever *)
+    from + exp_gap slot.rng ~rate_per_sec:0.0
   | Burst { base_rate; burst_rate; mean_on; mean_off } ->
     let rate = (if slot.on then burst_rate else base_rate) /. c in
     let cand = from + exp_gap slot.rng ~rate_per_sec:rate in

@@ -12,6 +12,7 @@ type t = {
   log : string -> unit;
   registry : Metrics.Registry.t option;
   trace : cpu:int -> Trace.Event.kind -> unit;
+  trace_packed : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
 }
 
 let inert ?(nr_cpus = 8) ?(policy = 0) () =
@@ -27,4 +28,5 @@ let inert ?(nr_cpus = 8) ?(policy = 0) () =
     log = (fun _ -> ());
     registry = None;
     trace = (fun ~cpu:_ _ -> ());
+    trace_packed = (fun ~cpu:_ _ _ _ _ -> ());
   }

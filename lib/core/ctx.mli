@@ -31,6 +31,9 @@ type t = {
   trace : cpu:int -> Trace.Event.kind -> unit;
       (** emit a schedtrace event attributed to [cpu] (a no-op when the
           machine has no tracer, and always inert at userspace) *)
+  trace_packed : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
+      (** the same for a kind in its packed form ({!Trace.Tracer.emit_tag}):
+          nothing is boxed, with or without a tracer *)
 }
 
 (** A context whose effects are inert; replay and unit tests construct

@@ -134,6 +134,11 @@ let emit t ~cpu kind =
   | Some tr, Some (ops : Ops.kernel_ops) -> Trace.Tracer.emit tr ~ts:(ops.now ()) ~cpu kind
   | _ -> ()
 
+let emit_tag t ~cpu tag a b c =
+  match (t.tracer, t.ops) with
+  | Some tr, Some (ops : Ops.kernel_ops) -> Trace.Tracer.emit_tag tr ~ts:(ops.now ()) ~cpu tag a b c
+  | _ -> ()
+
 let packed_exn t =
   match t.packed with
   | Some p -> p
@@ -525,6 +530,7 @@ let make_ctx t (ops : Ops.kernel_ops) : Ctx.t =
     log = (fun _ -> ());
     registry = Option.map (fun o -> o.reg) t.obs;
     trace = (fun ~cpu kind -> emit t ~cpu kind);
+    trace_packed = (fun ~cpu tag a b c -> emit_tag t ~cpu tag a b c);
   }
 
 (* ---------- isolation: quarantine and fallback (ghOSt-style) ---------- *)

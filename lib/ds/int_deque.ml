@@ -1,8 +1,8 @@
-(* A deque specialised to non-negative ints (pids, cpu ids).  Unlike the
-   generic {!Deque}, the backing store is a plain [int array]: pushes never
-   box the element in an option cell, so hot queue traffic (machine channel
-   waiters) is allocation-free in steady state.  -1 is reserved as the
-   "empty" sentinel returned by the pop/peek operations. *)
+(* A deque specialised to non-negative ints (pids, cpu ids).  The backing
+   store is a plain [int array]: pushes never box the element, so hot
+   queue traffic (machine channel waiters) is allocation-free in steady
+   state.  -1 is reserved as the "empty" sentinel returned by the pop/peek
+   operations. *)
 
 type t = {
   mutable buf : int array;

@@ -1,8 +1,7 @@
 (** A double-ended queue specialised to non-negative ints.
 
-    The generic {!Deque} stores ['a option] cells, so every push boxes its
-    element; this variant backs onto a plain [int array] and is
-    allocation-free in steady state (it only allocates when the ring
+    The ring is a plain [int array], so a push boxes nothing and the deque
+    is allocation-free in steady state (it only allocates when the ring
     doubles).  Hot machine paths (channel waiter queues) use it for pid
     traffic.
 

@@ -1,19 +1,23 @@
-(** Intrusive binary min-heaps of pids.
+(** Intrusive binary min-heaps of small ints.
 
-    A heap holds small non-negative ints (pids) ordered by
-    [(key.(pid), pid)]: the pid tiebreak makes the order total, so the
-    minimum is the same element a [(key, pid)]-keyed ordered map would
-    return first.  The caller owns both per-pid arrays:
+    A heap holds small non-negative ints ordered by
+    [(key.(x), tie.(x), x)]: the index tiebreak makes the order total, so
+    the minimum is the same element a [(key, tie, x)]-keyed ordered map
+    would return first.  The elements are pids (built-in CFS and WFQ
+    order [(vruntime, pid)], EDF [(deadline, pid)]) or the entry slots of
+    a {!Pid_fifo} (rt-fifo orders [(prio, seq)] over them, and a vtime
+    dispatch queue [(vtime, seq)]), so one pid may sit in a queue twice.
+    A heap that needs no tie column passes [key] as [tie]: equal keys then
+    fall through to the index.  The caller owns the three arrays:
 
-    - [key] supplies the ordering value.  It must not change while the pid
-      is in a heap; remove the pid, update its key, then add it again;
-    - [pos] is maintained by the heap: [pos.(pid)] is the pid's slot while
-      it is queued, and [-1] otherwise.
+    - [key] and [tie] supply the ordering.  They must not change while the
+      element is in a heap; remove it, update them, then add it again;
+    - [pos] is maintained by the heap: [pos.(x)] is the element's slot
+      while it is queued, and [-1] otherwise.
 
-    One pair of [key]/[pos] arrays may serve several heaps (one per cpu),
-    as long as each pid sits in at most one of them.  Nothing here
-    allocates except growing the slot array.  Built-in CFS and the WFQ
-    module keep their per-cpu run-queues in these heaps. *)
+    One set of arrays may serve several heaps (one per cpu), as long as
+    each element sits in at most one of them.  Nothing here allocates
+    except growing the slot array. *)
 
 type t
 
@@ -22,19 +26,19 @@ val create : unit -> t
 
 val length : t -> int
 
-(** The minimum pid, or [-1] when the heap is empty. *)
+(** The minimum element, or [-1] when the heap is empty. *)
 val top : t -> int
 
-(** [nth t i] is the pid in slot [i], for [0 <= i < length t]: slot 0 is
-    the minimum and slot [i]'s parent is slot [(i - 1) / 2], so iterating
-    the slots visits every queued pid (in heap order, not sorted).  Raises
-    [Invalid_argument] outside that range. *)
+(** [nth t i] is the element in slot [i], for [0 <= i < length t]: slot 0
+    is the minimum and slot [i]'s parent is slot [(i - 1) / 2], so
+    iterating the slots visits every queued element (in heap order, not
+    sorted).  Raises [Invalid_argument] outside that range. *)
 val nth : t -> int -> int
 
-(** [add t ~key ~pos pid] queues [pid], which must not be queued already
-    ([pos.(pid) = -1]). *)
-val add : t -> key:int array -> pos:int array -> int -> unit
+(** [add t ~key ~tie ~pos x] queues [x], which must not be queued already
+    ([pos.(x) = -1]). *)
+val add : t -> key:int array -> tie:int array -> pos:int array -> int -> unit
 
-(** [remove t ~key ~pos pid] unqueues [pid] from [t] and sets [pos.(pid)]
-    to [-1]; a no-op when [pos.(pid) < 0]. *)
-val remove : t -> key:int array -> pos:int array -> int -> unit
+(** [remove t ~key ~tie ~pos x] unqueues [x] from [t] and sets [pos.(x)]
+    to [-1]; a no-op when [pos.(x) < 0]. *)
+val remove : t -> key:int array -> tie:int array -> pos:int array -> int -> unit

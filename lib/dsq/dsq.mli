@@ -1,23 +1,29 @@
 (** Dispatch queues — the sched_ext DSQ model inside Enoki.
 
     A [Dsq.t] is a named queue of Schedulable tokens, either FIFO (O(1)
-    insert/consume at both ends) or vtime-ordered (red-black tree keyed by
+    insert/consume at both ends) or vtime-ordered (consumed by least
     [(vtime, insertion seq)], so equal vtimes consume in stable FIFO
-    order).  {!Dsq_sched} builds per-cpu local queues plus whatever
-    shared/global queues a policy asks for, exactly like the kernel's
-    per-cpu [SCX_DSQ_LOCAL] and user-created DSQs.
+    order).  Entries sit in a {!Ds.Pid_fifo} slot pool with per-slot
+    columns, in list order for FIFO and in a {!Ds.Pid_heap} keyed by
+    [(vtime, seq)] for vtime, so steady-state queue traffic allocates
+    nothing beyond the token option an insert stores.  {!Dsq_sched} builds
+    per-cpu local queues plus whatever shared/global queues a policy asks
+    for, exactly like the kernel's per-cpu [SCX_DSQ_LOCAL] and
+    user-created DSQs.
 
     Every queue is {!Enoki.Lock}-guarded, so record/replay reproduces the
     order of queue operations and the sanitizer's lock-pairing check holds.
     With a metrics registry attached ({!Enoki.Ctx.t.registry}) each queue
     exports a depth gauge probe ([dsq_depth_<name>]) and all queues share
     one enqueue-to-dispatch wait histogram ([dsq_dispatch_latency_ns]);
-    inserts and consumes also emit [Dsq_insert]/[Dsq_consume] trace events.
-    Observability reads state only — detached, every probe is a no-op and
-    scheduling behaviour is bit-identical. *)
+    inserts and consumes also emit [Dsq_insert]/[Dsq_consume] trace events,
+    in packed form ({!Enoki.Ctx.t.trace_packed}).  Observability reads state
+    only — detached, every probe is a no-op and scheduling behaviour is
+    bit-identical. *)
 
 type mode = Fifo | Vtime
 
+(** A snapshot of one queued entry ({!to_list}). *)
 type entry = {
   pid : int;
   token : Enoki.Schedulable.t;
@@ -33,6 +39,11 @@ type t
 val create : ?mode:mode -> Enoki.Ctx.t -> string -> t
 
 val name : t -> string
+
+(** The queue's name interned by {!Trace.Event.dsq_index}: a small int,
+    equal for equal names.  {!Dsq_sched} names its queues uniquely and
+    indexes them by it. *)
+val id : t -> int
 
 val mode : t -> mode
 
@@ -50,28 +61,39 @@ val consumes : t -> int
     [Dsq_insert] and stamps the entry for the latency histogram. *)
 val insert : t -> ?vtime:int -> Enoki.Schedulable.t -> unit
 
-(** Dequeue the head (FIFO front, or minimum [(vtime, seq)]).  Emits
-    [Dsq_consume] and records the enqueue-to-consume wait. *)
-val consume : t -> entry option
+(** [insert] for a token already boxed in an option (a scheduler's
+    in-flight token): the queue keeps that box, and {!consume} hands it
+    back, so the insert allocates nothing.  A no-op on [None]. *)
+val insert_held : t -> vtime:int -> Enoki.Schedulable.t option -> unit
+
+(** Dequeue the head (FIFO front, or least [(vtime, seq)]) and return its
+    token.  Emits [Dsq_consume] and records the enqueue-to-consume wait. *)
+val consume : t -> Enoki.Schedulable.t option
 
 (** Silent transfer primitives for the {!Dsq_sched} adapter: queue-to-queue
-    moves keep the original [inserted_at] (latency measures enqueue to the
-    final consume) and emit no events. *)
+    moves keep the original insert stamp (latency measures enqueue to the
+    final consume) and emit no events.  Each takes the source queue's lock,
+    then the destination's. *)
 
-(** Remove the first entry whose token licenses [cpu]. *)
-val take_for : t -> cpu:int -> entry option
+(** [move_for t ~cpu ~into] moves the first entry (in consumption order)
+    whose token licenses [cpu] to the back of [into], under a fresh seq,
+    and returns its pid; [-1] when there is none. *)
+val move_for : t -> cpu:int -> into:t -> int
 
-(** Append an entry moved from another queue (fresh [seq], same stamp). *)
-val put : t -> entry -> unit
+(** Remove a queued task wherever it sits (block/exit/departure): its
+    first entry in consumption order.  Returns the entry's token. *)
+val remove : t -> pid:int -> Enoki.Schedulable.t option
 
-(** Re-insert at the front / at its old vtime position (balance-time
-    migration replaces the head's token without losing its turn). *)
-val put_front : t -> entry -> unit
+(** [requeue t ~pid token ~into ~front] moves the pid's entry to [into],
+    now holding [token] (balance-time migration replaces the token): at
+    the back under a fresh seq, or, with [front], at the front keeping its
+    seq, so a vtime entry keeps its place too.  Returns the old token;
+    [None], and nothing queued, when the pid was not in [t]. *)
+val requeue :
+  t -> pid:int -> Enoki.Schedulable.t -> into:t -> front:bool -> Enoki.Schedulable.t option
 
-(** Remove a queued task wherever it sits (block/exit/departure). *)
-val remove : t -> pid:int -> entry option
-
-val peek : t -> entry option
+(** The head's token. *)
+val peek : t -> Enoki.Schedulable.t option
 
 (** Consumption order. *)
 val to_list : t -> entry list

@@ -19,33 +19,70 @@ let weighted ns ~weight = ns * nice_0_load / max 1 weight
 let slice_ticks = 4
 
 module Api = struct
+  (* A queue's id is its interned name ({!Dsq.id}); [by_id] maps the ids
+     of this scheduler's queues back to them, and [where] gives each queued
+     pid the id of the queue holding it. *)
   type t = {
     ctx : Enoki.Ctx.t;
     locals : Dsq.t array;
     mutable shared : (string * Dsq.t) list; (* creation order *)
+    mutable by_id : Dsq.t option array;
+    mutable local_cpu : int array; (* id -> the cpu a local queue serves, -1 if shared *)
     tasks : (int, task) Hashtbl.t;
-    where : (int, Dsq.t) Hashtbl.t; (* queued pid -> holding queue *)
-    running : int option array; (* pid running per cpu, by our own picks *)
+    mutable where : int array; (* queued pid -> holding queue's id, -1 = none *)
+    running : int array; (* pid running per cpu, by our own picks; -1 = none *)
     ticks : int array; (* ticks since the cpu last dispatched *)
-    mutable pending : Sched.t option; (* token in flight through P.enqueue *)
+    mutable pending : Sched.t option;
+        (* token in flight through P.enqueue, boxed once: the queue keeps
+           the box and pick hands it back *)
     mutable fallback_inserts : int;
     lock : Enoki.Lock.t;
   }
 
-  let make (ctx : Enoki.Ctx.t) =
-    {
-      ctx;
-      locals =
-        Array.init ctx.nr_cpus (fun c -> Dsq.create ctx (Printf.sprintf "local_%d" c));
-      shared = [];
-      tasks = Hashtbl.create 64;
-      where = Hashtbl.create 64;
-      running = Array.make ctx.nr_cpus None;
-      ticks = Array.make ctx.nr_cpus 0;
-      pending = None;
-      fallback_inserts = 0;
-      lock = Enoki.Lock.create ~name:"dsq-sched" ();
-    }
+  let register t d =
+    let id = Dsq.id d in
+    if id >= Array.length t.by_id then begin
+      let n = max (id + 1) (2 * Array.length t.by_id) in
+      t.by_id <- Ds.Column.grow t.by_id n None;
+      t.local_cpu <- Ds.Column.grow t.local_cpu n (-1)
+    end;
+    t.by_id.(id) <- Some d
+
+  (* [locals]/[shared] adopted verbatim, or fresh *)
+  let make ?locals ?(shared = []) ?(tasks = Hashtbl.create 64) ?(where = [||]) ?running
+      (ctx : Enoki.Ctx.t) =
+    (* the adapter's lock is created before the local queues' (lock ids
+       follow creation order, and record logs name locks by id) *)
+    let lock = Enoki.Lock.create ~name:"dsq-sched" () in
+    let locals =
+      match locals with
+      | Some l -> l
+      | None -> Array.init ctx.nr_cpus (fun c -> Dsq.create ctx (Printf.sprintf "local_%d" c))
+    in
+    let t =
+      {
+        ctx;
+        locals;
+        shared;
+        by_id = [||];
+        local_cpu = [||];
+        tasks;
+        where;
+        running =
+          (match running with Some r -> r | None -> Array.make ctx.nr_cpus (-1));
+        ticks = Array.make ctx.nr_cpus 0;
+        pending = None;
+        fallback_inserts = 0;
+        lock;
+      }
+    in
+    Array.iteri
+      (fun cpu d ->
+        register t d;
+        t.local_cpu.(Dsq.id d) <- cpu)
+      locals;
+    List.iter (fun (_, d) -> register t d) shared;
+    t
 
   let nr_cpus t = t.ctx.nr_cpus
 
@@ -55,11 +92,30 @@ module Api = struct
 
   let local t ~cpu = t.locals.(cpu)
 
-  let is_local t d = Array.exists (fun l -> l == d) t.locals
+  let is_local t d =
+    let id = Dsq.id d in
+    id < Array.length t.local_cpu && t.local_cpu.(id) >= 0 && t.locals.(t.local_cpu.(id)) == d
 
   let queued _t dsq = Dsq.length dsq
 
-  let running t ~cpu = t.running.(cpu)
+  let running t ~cpu = if t.running.(cpu) < 0 then None else Some t.running.(cpu)
+
+  let queue t id = match t.by_id.(id) with Some d -> d | None -> assert false
+
+  let where t pid = if pid >= 0 && pid < Array.length t.where then t.where.(pid) else -1
+
+  let set_where t pid d =
+    if pid >= 0 then begin
+      if pid >= Array.length t.where then
+        t.where <- Ds.Column.grow t.where (max (pid + 1) (max 16 (2 * Array.length t.where))) (-1);
+      let id = Dsq.id d in
+      (match if id < Array.length t.by_id then t.by_id.(id) else None with
+      | Some known when known == d -> ()
+      | Some _ | None -> register t d);
+      t.where.(pid) <- id
+    end
+
+  let clear_where t pid = if where t pid >= 0 then t.where.(pid) <- -1
 
   (* get-or-create, so [P.init] finds its queues again (contents intact)
      after a live upgrade adopted them *)
@@ -69,6 +125,7 @@ module Api = struct
     | None ->
       let d = Dsq.create ~mode t.ctx name in
       t.shared <- t.shared @ [ (name, d) ];
+      register t d;
       d
 
   (* scx_bpf_dsq_insert: route the token in flight into [dsq].  A token only
@@ -77,83 +134,73 @@ module Api = struct
   let insert t dsq ?vtime (task : task) =
     match t.pending with
     | None -> invalid_arg "Dsq_sched.Api.insert: no task in flight (call from enqueue only)"
-    | Some token ->
+    | Some token as held ->
       t.pending <- None;
       let dsq =
         let cpu = Sched.cpu token in
         if is_local t dsq && t.locals.(cpu) != dsq then t.locals.(cpu) else dsq
       in
-      Dsq.insert dsq ?vtime token;
-      Hashtbl.replace t.where task.pid dsq
+      Dsq.insert_held dsq ~vtime:(match vtime with Some v -> v | None -> 0) held;
+      set_where t task.pid dsq
 
   (* scx_bpf_dsq_move_to_local: pull the first entry of [dsq] licensed for
      [cpu] into its local queue; says whether the local queue has work. *)
   let move_to_local t ~cpu dsq =
-    if dsq == t.locals.(cpu) then not (Dsq.is_empty dsq)
-    else
-      match Dsq.take_for dsq ~cpu with
-      | Some e ->
-        Dsq.put t.locals.(cpu) e;
-        Hashtbl.replace t.where e.Dsq.pid t.locals.(cpu);
-        true
-      | None -> false
+    let local = t.locals.(cpu) in
+    if dsq == local then not (Dsq.is_empty dsq)
+    else begin
+      let pid = Dsq.move_for dsq ~cpu ~into:local in
+      if pid >= 0 then set_where t pid local;
+      pid >= 0
+    end
+
+  let idle t c =
+    c >= 0 && c < Array.length t.locals && t.running.(c) < 0 && Dsq.is_empty t.locals.(c)
+
+  let rec first_idle t = function [] -> -1 | c :: rest -> if idle t c then c else first_idle t rest
+
+  let load t c = Dsq.length t.locals.(c) + if t.running.(c) < 0 then 0 else 1
+
+  let rec shortest t best best_len = function
+    | [] -> best
+    | c :: rest ->
+      if c >= 0 && c < Array.length t.locals && load t c < best_len then
+        shortest t c (load t c) rest
+      else shortest t best best_len rest
 
   (* placement helper: the previous cpu if idle, else any idle allowed cpu,
      else the allowed cpu with the shortest local queue *)
   let select_idle t ~prev_cpu ~allowed =
-    let idle c =
-      c >= 0 && c < Array.length t.locals && t.running.(c) = None
-      && Dsq.is_empty t.locals.(c)
-    in
-    if List.mem prev_cpu allowed && idle prev_cpu then prev_cpu
+    if List.mem prev_cpu allowed && idle t prev_cpu then prev_cpu
     else
-      match List.find_opt idle allowed with
-      | Some c -> c
-      | None ->
-        let best = ref (match allowed with c :: _ -> c | [] -> 0)
-        and best_len = ref max_int in
-        List.iter
-          (fun c ->
-            if c >= 0 && c < Array.length t.locals then begin
-              let len =
-                Dsq.length t.locals.(c) + if t.running.(c) = None then 0 else 1
-              in
-              if len < !best_len then begin
-                best := c;
-                best_len := len
-              end
-            end)
-          allowed;
-        !best
+      let c = first_idle t allowed in
+      if c >= 0 then c else shortest t (match allowed with c :: _ -> c | [] -> 0) max_int allowed
 
   (* balance-time migration candidate: the head of [dsq], when it is
      licensed for a busy cpu and so cannot drain without help *)
   let steal_head t dsq ~cpu =
     match Dsq.peek dsq with
-    | Some e
-      when Sched.cpu e.Dsq.token <> cpu && t.running.(Sched.cpu e.Dsq.token) <> None ->
-      Some e.Dsq.pid
+    | Some tok when Sched.cpu tok <> cpu && t.running.(Sched.cpu tok) >= 0 -> Some (Sched.pid tok)
     | Some _ | None -> None
+
+  (* the length [other] offers a thief: only a local queue that cannot
+     drain itself promptly gives work away *)
+  let spare t other =
+    let len = Dsq.length t.locals.(other) in
+    if t.running.(other) >= 0 || len >= 2 then len else 0
 
   (* work stealing for local-queue policies: the head of the longest other
      local queue that cannot drain itself promptly *)
   let steal_longest_local t ~cpu =
-    let longest = ref None in
-    Array.iteri
-      (fun other q ->
-        if other <> cpu then
-          let len =
-            if t.running.(other) <> None then Dsq.length q
-            else if Dsq.length q >= 2 then Dsq.length q
-            else 0
-          in
-          match !longest with
-          | Some (_, blen) when blen >= len -> ()
-          | _ -> if len > 0 then longest := Some (other, len))
-      t.locals;
-    match !longest with
-    | Some (other, _) -> Option.map (fun e -> e.Dsq.pid) (Dsq.peek t.locals.(other))
-    | None -> None
+    let longest = ref (-1) and longest_len = ref 0 in
+    for other = 0 to Array.length t.locals - 1 do
+      if other <> cpu && spare t other > !longest_len then begin
+        longest := other;
+        longest_len := spare t other
+      end
+    done;
+    if !longest < 0 then None
+    else match Dsq.peek t.locals.(!longest) with Some tok -> Some (Sched.pid tok) | None -> None
 
   let fallback_inserts t = t.fallback_inserts
 end
@@ -185,17 +232,17 @@ module type POLICY = sig
 end
 
 (* One transfer shape for the whole DSQ family: queue contents, the task
-   table and running set move verbatim; [policy] guards against adopting
-   another policy's queues (their invariants differ even when the shapes
-   agree). *)
+   table, the queue-id-per-pid column and the running set move verbatim;
+   [policy] guards against adopting another policy's queues (their
+   invariants differ even when the shapes agree). *)
 type Enoki.Upgrade.transfer +=
   | Dsq_state of {
       policy : string;
       locals : Dsq.t array;
       shared : (string * Dsq.t) list;
       tasks : (int, task) Hashtbl.t;
-      where : (int, Dsq.t) Hashtbl.t;
-      running : int option array;
+      where : int array;
+      running : int array;
     }
 
 module Make (P : POLICY) : Enoki.Sched_trait.S = struct
@@ -212,9 +259,9 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
   let get_policy t = t.api.Api.ctx.policy
 
   let task_of (api : Api.t) ~pid ~prio =
-    match Hashtbl.find_opt api.tasks pid with
-    | Some tk -> tk
-    | None ->
+    match Hashtbl.find api.tasks pid with
+    | tk -> tk
+    | exception Not_found ->
       let tk =
         {
           pid;
@@ -237,199 +284,227 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     end
     else 0
 
-  let enqueue_via_policy t token tk =
+  let enqueue_via_policy t held tk =
     let api = t.api in
-    api.Api.pending <- Some token;
-    tk.cpu <- Sched.cpu token;
+    api.Api.pending <- held;
+    (match held with Some token -> tk.cpu <- Sched.cpu token | None -> ());
     P.enqueue t.state api tk;
     match api.Api.pending with
     | None -> ()
-    | Some tok ->
+    | Some tok as held ->
       (* the policy dropped the task: the token's local queue is the
          fallback DSQ, so nothing is ever lost *)
       api.Api.pending <- None;
       api.Api.fallback_inserts <- api.Api.fallback_inserts + 1;
-      Dsq.insert api.Api.locals.(Sched.cpu tok) tok;
-      Hashtbl.replace api.Api.where tk.pid api.Api.locals.(Sched.cpu tok)
+      Dsq.insert_held api.Api.locals.(Sched.cpu tok) ~vtime:0 held;
+      Api.set_where api tk.pid api.Api.locals.(Sched.cpu tok)
 
   let remove_queued (api : Api.t) pid =
-    match Hashtbl.find_opt api.where pid with
-    | None -> None
-    | Some d ->
-      Hashtbl.remove api.where pid;
-      Option.map (fun e -> e.Dsq.token) (Dsq.remove d ~pid)
+    let id = Api.where api pid in
+    if id < 0 then None
+    else begin
+      api.where.(pid) <- -1;
+      Dsq.remove (Api.queue api id) ~pid
+    end
 
-  let with_lock t f = Enoki.Lock.with_lock t.api.Api.lock f
+  (* Each hook is a closed [*_locked] function of the state and four
+     arguments (unused ones are [()]) run through [Enoki.Lock.locked], so
+     no closure is built per call. *)
+
+  let task_new_locked t pid runtime prio sched =
+    let tk = task_of t.api ~pid ~prio in
+    tk.prio <- prio;
+    tk.weight <- Kernsim.Cfs.weight_of_nice prio;
+    tk.last_runtime <- runtime;
+    enqueue_via_policy t (Some sched) tk
 
   let task_new t ~pid ~runtime ~prio ~sched =
-    with_lock t (fun () ->
-        let tk = task_of t.api ~pid ~prio in
-        tk.prio <- prio;
-        tk.weight <- Kernsim.Cfs.weight_of_nice prio;
-        tk.last_runtime <- runtime;
-        enqueue_via_policy t sched tk)
+    Enoki.Lock.locked t.api.Api.lock task_new_locked t pid runtime prio sched
+
+  let task_wakeup_locked t pid runtime sched () =
+    let tk = task_of t.api ~pid ~prio:0 in
+    if runtime > tk.last_runtime then tk.last_runtime <- runtime;
+    enqueue_via_policy t (Some sched) tk
 
   let task_wakeup t ~pid ~runtime ~waker_cpu:_ ~sched =
-    with_lock t (fun () ->
-        let tk = task_of t.api ~pid ~prio:0 in
-        if runtime > tk.last_runtime then tk.last_runtime <- runtime;
-        enqueue_via_policy t sched tk)
+    Enoki.Lock.locked t.api.Api.lock task_wakeup_locked t pid runtime sched ()
 
   let clear_running (api : Api.t) ~cpu ~pid =
-    if api.running.(cpu) = Some pid then api.running.(cpu) <- None
+    if api.running.(cpu) = pid then api.running.(cpu) <- -1
 
-  let requeue t ~pid ~runtime ~cpu ~sched =
-    with_lock t (fun () ->
-        let tk = task_of t.api ~pid ~prio:0 in
-        let d = ran tk ~runtime in
-        P.stopping t.state t.api tk ~ran:d ~runnable:true;
-        clear_running t.api ~cpu ~pid;
-        enqueue_via_policy t sched tk)
+  let requeue_locked t pid runtime cpu sched =
+    let tk = task_of t.api ~pid ~prio:0 in
+    let d = ran tk ~runtime in
+    P.stopping t.state t.api tk ~ran:d ~runnable:true;
+    clear_running t.api ~cpu ~pid;
+    enqueue_via_policy t (Some sched) tk
 
-  let task_preempt t ~pid ~runtime ~cpu ~sched = requeue t ~pid ~runtime ~cpu ~sched
+  let task_preempt t ~pid ~runtime ~cpu ~sched =
+    Enoki.Lock.locked t.api.Api.lock requeue_locked t pid runtime cpu sched
 
-  let task_yield t ~pid ~runtime ~cpu ~sched = requeue t ~pid ~runtime ~cpu ~sched
+  let task_yield = task_preempt
+
+  let task_blocked_locked t pid runtime cpu () =
+    let tk = task_of t.api ~pid ~prio:0 in
+    let d = ran tk ~runtime in
+    P.stopping t.state t.api tk ~ran:d ~runnable:false;
+    clear_running t.api ~cpu ~pid;
+    ignore (remove_queued t.api pid)
 
   let task_blocked t ~pid ~runtime ~cpu =
-    with_lock t (fun () ->
-        let tk = task_of t.api ~pid ~prio:0 in
-        let d = ran tk ~runtime in
-        P.stopping t.state t.api tk ~ran:d ~runnable:false;
-        clear_running t.api ~cpu ~pid;
-        ignore (remove_queued t.api pid))
+    Enoki.Lock.locked t.api.Api.lock task_blocked_locked t pid runtime cpu ()
 
-  let task_dead t ~pid =
-    with_lock t (fun () ->
-        Array.iteri
-          (fun cpu r -> if r = Some pid then t.api.Api.running.(cpu) <- None)
-          t.api.Api.running;
-        ignore (remove_queued t.api pid);
-        Hashtbl.remove t.api.Api.tasks pid)
+  let task_dead_locked t pid () () () =
+    for cpu = 0 to Array.length t.api.Api.running - 1 do
+      clear_running t.api ~cpu ~pid
+    done;
+    ignore (remove_queued t.api pid);
+    Hashtbl.remove t.api.Api.tasks pid
+
+  let task_dead t ~pid = Enoki.Lock.locked t.api.Api.lock task_dead_locked t pid () () ()
+
+  let task_departed_locked t pid cpu () () =
+    clear_running t.api ~cpu ~pid;
+    let tok = remove_queued t.api pid in
+    Hashtbl.remove t.api.Api.tasks pid;
+    tok
 
   let task_departed t ~pid ~cpu =
-    with_lock t (fun () ->
-        clear_running t.api ~cpu ~pid;
-        let tok = remove_queued t.api pid in
-        Hashtbl.remove t.api.Api.tasks pid;
-        tok)
+    Enoki.Lock.locked t.api.Api.lock task_departed_locked t pid cpu () ()
+
+  let take_local (api : Api.t) cpu =
+    match Dsq.consume api.locals.(cpu) with
+    | Some tok as held ->
+      Api.clear_where api (Sched.pid tok);
+      held
+    | None -> None
+
+  let pick_next_task_locked t cpu curr curr_runtime () =
+    let api = t.api in
+    let held =
+      match take_local api cpu with
+      | Some _ as held -> held
+      | None ->
+        P.dispatch t.state api ~cpu;
+        take_local api cpu
+    in
+    match held with
+    | Some tok ->
+      let pid = Sched.pid tok in
+      api.Api.ticks.(cpu) <- 0;
+      api.Api.running.(cpu) <- pid;
+      (match curr with
+      | Some c when Sched.pid c <> pid ->
+        (* the displaced current task re-enters through the policy *)
+        let tk = task_of api ~pid:(Sched.pid c) ~prio:0 in
+        let d = ran tk ~runtime:curr_runtime in
+        P.stopping t.state api tk ~ran:d ~runnable:true;
+        enqueue_via_policy t curr tk
+      | Some _ | None -> ());
+      held
+    | None ->
+      api.Api.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
+      curr
 
   let pick_next_task t ~cpu ~curr ~curr_runtime =
-    with_lock t (fun () ->
-        let api = t.api in
-        let take () =
-          match Dsq.consume api.Api.locals.(cpu) with
-          | Some e ->
-            Hashtbl.remove api.Api.where e.Dsq.pid;
-            Some e
-          | None -> None
-        in
-        let entry =
-          match take () with
-          | Some e -> Some e
-          | None ->
-            P.dispatch t.state api ~cpu;
-            take ()
-        in
-        match entry with
-        | Some e ->
-          api.Api.ticks.(cpu) <- 0;
-          api.Api.running.(cpu) <- Some e.Dsq.pid;
-          (match curr with
-          | Some c when Sched.pid c <> e.Dsq.pid ->
-            (* the displaced current task re-enters through the policy *)
-            let tk = task_of api ~pid:(Sched.pid c) ~prio:0 in
-            let d = ran tk ~runtime:curr_runtime in
-            P.stopping t.state api tk ~ran:d ~runnable:true;
-            enqueue_via_policy t c tk
-          | Some _ | None -> ());
-          Some e.Dsq.token
-        | None ->
-          api.Api.running.(cpu) <- Option.map Sched.pid curr;
-          curr)
+    Enoki.Lock.locked t.api.Api.lock pick_next_task_locked t cpu curr curr_runtime ()
+
+  (* ownership returns to us: park the token on its own local queue *)
+  let pnt_err_locked t pid tok held () =
+    let local = t.api.Api.locals.(Sched.cpu tok) in
+    Dsq.insert_held local ~vtime:0 held;
+    Api.set_where t.api pid local
 
   let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
     match sched with
     | None -> ()
-    | Some tok ->
-      with_lock t (fun () ->
-          (* ownership returns to us: park the token on its own local queue *)
-          Dsq.insert t.api.Api.locals.(Sched.cpu tok) tok;
-          Hashtbl.replace t.api.Api.where pid t.api.Api.locals.(Sched.cpu tok))
+    | Some tok -> Enoki.Lock.locked t.api.Api.lock pnt_err_locked t pid tok sched ()
+
+  let rec any_waiting = function
+    | [] -> false
+    | (_, d) :: rest -> (not (Dsq.is_empty d)) || any_waiting rest
 
   let work_waiting (api : Api.t) ~cpu =
-    (not (Dsq.is_empty api.locals.(cpu)))
-    || List.exists (fun (_, d) -> not (Dsq.is_empty d)) api.shared
+    (not (Dsq.is_empty api.locals.(cpu))) || any_waiting api.shared
+
+  let task_tick_locked t cpu queued () () =
+    let api = t.api in
+    api.Api.ticks.(cpu) <- api.Api.ticks.(cpu) + 1;
+    if queued && api.Api.ticks.(cpu) >= slice_ticks && work_waiting api ~cpu then begin
+      api.Api.ticks.(cpu) <- 0;
+      api.Api.ctx.resched ~cpu
+    end;
+    P.tick t.state api ~cpu ~queued
 
   let task_tick t ~cpu ~queued =
-    with_lock t (fun () ->
-        let api = t.api in
-        api.Api.ticks.(cpu) <- api.Api.ticks.(cpu) + 1;
-        if queued && api.Api.ticks.(cpu) >= slice_ticks && work_waiting api ~cpu then begin
-          api.Api.ticks.(cpu) <- 0;
-          api.Api.ctx.resched ~cpu
-        end;
-        P.tick t.state api ~cpu ~queued)
+    Enoki.Lock.locked t.api.Api.lock task_tick_locked t cpu queued () ()
+
+  let select_task_rq_locked t pid waker_cpu allowed () =
+    let tk = task_of t.api ~pid ~prio:0 in
+    let cpu = P.select_cpu t.state t.api tk ~waker_cpu ~allowed in
+    if List.mem cpu allowed then cpu else match allowed with c :: _ -> c | [] -> 0
 
   let select_task_rq t ~pid ~waker_cpu ~allowed =
-    with_lock t (fun () ->
-        let tk = task_of t.api ~pid ~prio:0 in
-        let cpu = P.select_cpu t.state t.api tk ~waker_cpu ~allowed in
-        if List.mem cpu allowed then cpu
-        else match allowed with c :: _ -> c | [] -> 0)
+    Enoki.Lock.locked t.api.Api.lock select_task_rq_locked t pid waker_cpu allowed ()
+
+  let migrate_task_rq_locked t pid sched () () =
+    let api = t.api in
+    let tk = task_of api ~pid ~prio:0 in
+    tk.cpu <- Sched.cpu sched;
+    let local = api.Api.locals.(Sched.cpu sched) in
+    let id = Api.where api pid in
+    let old =
+      if id < 0 then None
+      else begin
+        let d = Api.queue api id in
+        if Api.is_local api d then begin
+          (* local entries follow the task to its new home cpu *)
+          let old = Dsq.requeue d ~pid sched ~into:local ~front:false in
+          (match old with Some _ -> Api.set_where api pid local | None -> ());
+          old
+        end
+        else
+          (* shared entries keep their queue position: balance migrates
+             heads, and losing the turn would starve them *)
+          Dsq.requeue d ~pid sched ~into:d ~front:true
+      end
+    in
+    (match old with
+    | Some _ -> ()
+    | None ->
+      Api.clear_where api pid;
+      Dsq.insert local sched;
+      Api.set_where api pid local);
+    old
 
   let migrate_task_rq t ~pid ~sched =
-    with_lock t (fun () ->
-        let api = t.api in
-        let tk = task_of api ~pid ~prio:0 in
-        tk.cpu <- Sched.cpu sched;
-        match Hashtbl.find_opt api.Api.where pid with
-        | Some d -> (
-          match Dsq.remove d ~pid with
-          | Some e ->
-            let e' = { e with Dsq.token = sched } in
-            if Api.is_local api d then begin
-              (* local entries follow the task to its new home cpu *)
-              Dsq.put api.Api.locals.(Sched.cpu sched) e';
-              Hashtbl.replace api.Api.where pid api.Api.locals.(Sched.cpu sched)
-            end
-            else
-              (* shared entries keep their queue position: balance migrates
-                 heads, and losing the turn would starve them *)
-              Dsq.put_front d e';
-            Some e.Dsq.token
-          | None ->
-            Hashtbl.remove api.Api.where pid;
-            Dsq.insert api.Api.locals.(Sched.cpu sched) sched;
-            Hashtbl.replace api.Api.where pid api.Api.locals.(Sched.cpu sched);
-            None)
-        | None ->
-          Dsq.insert api.Api.locals.(Sched.cpu sched) sched;
-          Hashtbl.replace api.Api.where pid api.Api.locals.(Sched.cpu sched);
-          None)
+    Enoki.Lock.locked t.api.Api.lock migrate_task_rq_locked t pid sched () ()
 
-  let balance t ~cpu =
-    with_lock t (fun () ->
-        let api = t.api in
-        if api.Api.running.(cpu) = None && Dsq.is_empty api.Api.locals.(cpu) then
-          P.steal t.state api ~cpu
-        else None)
+  let balance_locked t cpu () () () =
+    let api = t.api in
+    if api.Api.running.(cpu) < 0 && Dsq.is_empty api.Api.locals.(cpu) then
+      P.steal t.state api ~cpu
+    else None
+
+  let balance t ~cpu = Enoki.Lock.locked t.api.Api.lock balance_locked t cpu () () ()
 
   let task_prio_changed t ~pid ~prio =
-    with_lock t (fun () ->
+    Enoki.Lock.with_lock t.api.Api.lock (fun () ->
         let tk = task_of t.api ~pid ~prio in
         tk.prio <- prio;
         tk.weight <- Kernsim.Cfs.weight_of_nice prio)
 
   let reregister_prepare t =
+    let api = t.api in
     Some
       (Dsq_state
          {
            policy = P.name;
-           locals = t.api.Api.locals;
-           shared = t.api.Api.shared;
-           tasks = t.api.Api.tasks;
-           where = t.api.Api.where;
-           running = t.api.Api.running;
+           locals = api.Api.locals;
+           shared = api.Api.shared;
+           tasks = api.Api.tasks;
+           where = api.Api.where;
+           running = api.Api.running;
          })
 
   let reregister_init (ctx : Enoki.Ctx.t) transfer =
@@ -437,18 +512,8 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     | None -> create ctx
     | Some (Dsq_state s) when s.policy = P.name ->
       let api =
-        {
-          Api.ctx;
-          locals = s.locals;
-          shared = s.shared;
-          tasks = s.tasks;
-          where = s.where;
-          running = s.running;
-          ticks = Array.make ctx.nr_cpus 0;
-          pending = None;
-          fallback_inserts = 0;
-          lock = Enoki.Lock.create ~name:"dsq-sched" ();
-        }
+        Api.make ~locals:s.locals ~shared:s.shared ~tasks:s.tasks ~where:s.where
+          ~running:s.running ctx
       in
       (* P.init re-finds the adopted shared queues by name, contents intact *)
       { api; state = P.init api }

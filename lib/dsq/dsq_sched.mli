@@ -100,8 +100,9 @@ module type POLICY = sig
 end
 
 (** The one transfer shape shared by every DSQ policy: live upgrade moves
-    the queues, task table and running set verbatim between same-policy
-    versions; adopting another policy's queues raises
+    the queues, task table, the id of the queue holding each queued pid
+    ({!Dsq.id}, [-1] = none) and the running set ([-1] = none) verbatim
+    between same-policy versions; adopting another policy's queues raises
     {!Enoki.Upgrade.Incompatible}. *)
 type Enoki.Upgrade.transfer +=
   | Dsq_state of {
@@ -109,8 +110,8 @@ type Enoki.Upgrade.transfer +=
       locals : Dsq.t array;
       shared : (string * Dsq.t) list;
       tasks : (int, task) Hashtbl.t;
-      where : (int, Dsq.t) Hashtbl.t;
-      running : int option array;
+      where : int array;
+      running : int array;
     }
 
 module Make (P : POLICY) : Enoki.Sched_trait.S

@@ -35,9 +35,9 @@ let weight_of_nice nice =
 module Heap = Ds.Pid_heap
 
 (* Per-cpu run-queue: the waiting pids in a min-heap ordered by
-   (vruntime, pid).  The pid tiebreak keeps equal vruntimes deterministic
-   and makes the order total, so the heap minimum coincides with the old
-   red-black tree's min binding.  [curr] is -1 when no CFS task is
+   (vruntime, pid) (the key doubles as the tie column, so equal vruntimes
+   fall through to the pid).  The pid tiebreak keeps equal vruntimes
+   deterministic and makes the order total.  [curr] is -1 when no CFS task is
    dispatched on the cpu. *)
 type cfs_rq = {
   heap : Heap.t;
@@ -115,14 +115,14 @@ let ent_lt t p q =
 let rq_insert t rq pid =
   rq.load_waiting <- rq.load_waiting + t.weight.(pid);
   t.nr_waiting_total <- t.nr_waiting_total + 1;
-  Heap.add rq.heap ~key:t.vruntime ~pos:t.pos pid
+  Heap.add rq.heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid
 
 (* no-op when the pid is not queued, like the old on_rq-guarded removal *)
 let rq_remove t rq pid =
   if t.pos.(pid) >= 0 then begin
     rq.load_waiting <- rq.load_waiting - t.weight.(pid);
     t.nr_waiting_total <- t.nr_waiting_total - 1;
-    Heap.remove rq.heap ~key:t.vruntime ~pos:t.pos pid
+    Heap.remove rq.heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid
   end
 
 (* ---------- accounting ---------- *)

@@ -1,23 +1,29 @@
 module Sched = Enoki.Schedulable
+module Q = Ds.Pid_fifo
+module Heap = Ds.Pid_heap
 
 let default_relative_deadline = Kernsim.Time.ms 10
 
-module Key = struct
-  type t = int * int (* absolute deadline, pid *)
+(* The global EDF order of waiting tasks: one entry per (deadline, pid)
+   binding, its token in a {!Ds.Pid_fifo} slot pool and the slot in a heap
+   ordered by (deadline, pid).  Queuing a binding that exists replaces its
+   token.  A pid normally has one binding; a wakeup while still queued
+   (fault injection) opens a second one under the fresh deadline.
 
-  let compare (d1, p1) (d2, p2) =
-    match Int.compare d1 d2 with 0 -> Int.compare p1 p2 | c -> c
-end
-
-module Tree = Ds.Rbtree.Make (Key)
-
+   Per-pid state is the hinted relative deadline and the absolute deadline
+   of the current window. *)
 type ent = { mutable relative : int; mutable abs_deadline : int }
 
 type t = {
   ctx : Enoki.Ctx.t;
-  mutable queue : Sched.t Tree.t; (* global EDF order of waiting tasks *)
+  pool : Sched.t option Q.t;
+  heap : Heap.t;
+  mutable dl : int array; (* slot -> absolute deadline *)
+  mutable spid : int array; (* slot -> pid *)
+  mutable spos : int array; (* slot -> heap position *)
   ents : (int, ent) Hashtbl.t;
-  running : (int * int) option array; (* per-cpu (pid, abs_deadline) *)
+  run_pid : int array; (* per-cpu running pid, -1 = none *)
+  run_dl : int array; (* and its deadline *)
   mutable misses : int;
   lock : Enoki.Lock.t;
 }
@@ -29,136 +35,202 @@ let name = "edf"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queue = Tree.empty;
+    pool = Q.create ~dummy:None;
+    heap = Heap.create ();
+    dl = [||];
+    spid = [||];
+    spos = [||];
     ents = Hashtbl.create 64;
-    running = Array.make ctx.nr_cpus None;
+    run_pid = Array.make ctx.nr_cpus (-1);
+    run_dl = Array.make ctx.nr_cpus 0;
     misses = 0;
     lock = Enoki.Lock.create ~name:"edf" ();
   }
 
 let get_policy t = t.ctx.policy
 
+(* [Hashtbl.find] rather than [find_opt]: a lookup boxes nothing *)
 let ent_of t pid =
-  match Hashtbl.find_opt t.ents pid with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.ents pid with
+  | e -> e
+  | exception Not_found ->
     let e = { relative = default_relative_deadline; abs_deadline = max_int } in
     Hashtbl.replace t.ents pid e;
     e
 
-let enqueue t ~pid sched ~fresh_deadline =
-  let e = ent_of t pid in
-  if fresh_deadline then e.abs_deadline <- t.ctx.now () + e.relative;
-  t.queue <- Tree.add (e.abs_deadline, pid) sched t.queue
+let rec scan_binding t pid deadline e =
+  if e < 0 then -1
+  else if Q.pid t.pool e = pid && t.dl.(e) = deadline then e
+  else scan_binding t pid deadline (Q.next t.pool e)
+
+(* the slot binding ([deadline], [pid]), or -1 *)
+let binding t pid deadline =
+  let e = Q.find t.pool pid in
+  if e < 0 || Q.count t.pool pid = 1 then (if e >= 0 && t.dl.(e) = deadline then e else -1)
+  else scan_binding t pid deadline e
+
+let unqueue t e =
+  Heap.remove t.heap ~key:t.dl ~tie:t.spid ~pos:t.spos e;
+  Q.take t.pool e
+
+let enqueue t pid held ~fresh_deadline =
+  let ent = ent_of t pid in
+  if fresh_deadline then ent.abs_deadline <- t.ctx.now () + ent.relative;
+  let deadline = ent.abs_deadline in
+  let e = binding t pid deadline in
+  if e >= 0 then Q.set_value t.pool e held
+  else begin
+    Q.push_back t.pool pid held;
+    let e = Q.tail t.pool in
+    let cap = Q.capacity t.pool in
+    if cap > Array.length t.dl then begin
+      t.dl <- Ds.Column.grow t.dl cap 0;
+      t.spid <- Ds.Column.grow t.spid cap 0;
+      t.spos <- Ds.Column.grow t.spos cap (-1)
+    end;
+    t.dl.(e) <- deadline;
+    t.spid.(e) <- pid;
+    Heap.add t.heap ~key:t.dl ~tie:t.spid ~pos:t.spos e
+  end
 
 let remove t pid =
-  match Hashtbl.find_opt t.ents pid with
-  | None -> None
-  | Some e -> (
-    match Tree.find_opt (e.abs_deadline, pid) t.queue with
-    | Some sched ->
-      t.queue <- Tree.remove (e.abs_deadline, pid) t.queue;
-      Some sched
-    | None -> None)
+  match Hashtbl.find t.ents pid with
+  | ent ->
+    let e = binding t pid ent.abs_deadline in
+    if e < 0 then None else unqueue t e
+  | exception Not_found -> None
 
-let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid sched ~fresh_deadline:true)
+let stopped t ~pid ~cpu = if t.run_pid.(cpu) = pid then t.run_pid.(cpu) <- -1
+
+
+(* Each hook is a closed [*_locked] function of the state and four
+   arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
+   closure is built per call. *)
+
+let enqueue_locked t pid held fresh_deadline () = enqueue t pid held ~fresh_deadline
 
 (* each wakeup opens a new deadline window *)
+let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) true ()
+
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid sched ~fresh_deadline:true)
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) true ()
+
+let task_blocked_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  ignore (remove t pid)
 
 let task_blocked t ~pid ~runtime:_ ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (match t.running.(cpu) with Some (p, _) when p = pid -> t.running.(cpu) <- None | _ -> ());
-      ignore (remove t pid))
+  Enoki.Lock.locked t.lock task_blocked_locked t pid cpu () ()
 
 (* preemption keeps the current window: the task goes back in EDF order *)
-let requeue t ~pid ~cpu ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (match t.running.(cpu) with Some (p, _) when p = pid -> t.running.(cpu) <- None | _ -> ());
-      ignore (remove t pid);
-      enqueue t ~pid sched ~fresh_deadline:false)
+let requeue_locked t pid cpu sched () =
+  stopped t ~pid ~cpu;
+  ignore (remove t pid);
+  enqueue t pid (Some sched) ~fresh_deadline:false
 
-let task_preempt t ~pid ~runtime:_ ~cpu ~sched = requeue t ~pid ~cpu ~sched
+let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
+  Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
 
-let task_yield t ~pid ~runtime:_ ~cpu ~sched = requeue t ~pid ~cpu ~sched
+let task_yield = task_preempt
 
-let task_dead t ~pid =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      Array.iteri
-        (fun cpu r -> match r with Some (p, _) when p = pid -> t.running.(cpu) <- None | _ -> ())
-        t.running;
-      ignore (remove t pid);
-      Hashtbl.remove t.ents pid)
+let task_dead_locked t pid () () () =
+  for cpu = 0 to Array.length t.run_pid - 1 do
+    stopped t ~pid ~cpu
+  done;
+  ignore (remove t pid);
+  Hashtbl.remove t.ents pid
 
-let task_departed t ~pid ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (match t.running.(cpu) with Some (p, _) when p = pid -> t.running.(cpu) <- None | _ -> ());
-      let tok = remove t pid in
-      Hashtbl.remove t.ents pid;
-      tok)
+let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
+
+let task_departed_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  let tok = remove t pid in
+  Hashtbl.remove t.ents pid;
+  tok
+
+let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ()
+
+let rec first_idle t waker_cpu = function
+  | [] -> waker_cpu
+  | c :: rest -> if t.run_pid.(c) < 0 then c else first_idle t waker_cpu rest
+
+let select_task_rq_locked t waker_cpu allowed () () =
+  match allowed with
+  | [] -> waker_cpu
+  | c0 :: _ ->
+    let c = first_idle t (-1) allowed in
+    if c >= 0 then c else c0
 
 let select_task_rq t ~pid:_ ~waker_cpu ~allowed =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match List.find_opt (fun c -> t.running.(c) = None) allowed with
-      | Some c -> c
-      | None -> ( match allowed with c :: _ -> c | [] -> waker_cpu))
+  Enoki.Lock.locked t.lock select_task_rq_locked t waker_cpu allowed () ()
+
+let on_cpu t e cpu = match Q.value t.pool e with Some s -> Sched.cpu s = cpu | None -> false
+
+(* (deadline, pid) order between two slots *)
+let before t a b = t.dl.(a) < t.dl.(b) || (t.dl.(a) = t.dl.(b) && t.spid.(a) < t.spid.(b))
+
+let pick_next_task_locked t cpu curr () () =
+  (* earliest-deadline waiting task that already sits on this rq *)
+  let found = ref (-1) in
+  for i = 0 to Heap.length t.heap - 1 do
+    let e = Heap.nth t.heap i in
+    if on_cpu t e cpu && (!found < 0 || before t e !found) then found := e
+  done;
+  let e = !found in
+  if e >= 0 then begin
+    let pid = t.spid.(e) and deadline = t.dl.(e) in
+    let sched = unqueue t e in
+    t.run_pid.(cpu) <- pid;
+    t.run_dl.(cpu) <- deadline;
+    if deadline < t.ctx.now () then t.misses <- t.misses + 1;
+    sched
+  end
+  else begin
+    (match curr with
+    | Some c ->
+      t.run_pid.(cpu) <- Sched.pid c;
+      t.run_dl.(cpu) <- max_int
+    | None -> t.run_pid.(cpu) <- -1);
+    curr
+  end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (* earliest-deadline waiting task that already sits on this rq *)
-      let found = ref None in
-      (try
-         Tree.iter
-           (fun (dl, pid) sched ->
-             if !found = None && Sched.cpu sched = cpu then begin
-               found := Some (dl, pid, sched);
-               raise Exit
-             end)
-           t.queue
-       with Exit -> ());
-      match !found with
-      | Some (dl, pid, sched) ->
-        t.queue <- Tree.remove (dl, pid) t.queue;
-        t.running.(cpu) <- Some (pid, dl);
-        if dl < t.ctx.now () then t.misses <- t.misses + 1;
-        Some sched
-      | None ->
-        t.running.(cpu) <- Option.map (fun c -> (Sched.pid c, max_int)) curr;
-        curr)
+  Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
   match sched with
-  | Some tok ->
-    Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid tok ~fresh_deadline:false)
+  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched false ()
   | None -> ()
 
 (* the global head migrates to any cpu running a later deadline or idling
    behind a busy rq, as Shinjuku's balance does for FCFS order *)
-let balance t ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) <> None then None
-      else
-        match Tree.min_binding_opt t.queue with
-        | Some ((_, pid), sched) when Sched.cpu sched <> cpu -> (
-          match t.running.(Sched.cpu sched) with Some _ -> Some pid | None -> None)
-        | Some _ | None -> None)
+let balance_locked t cpu () () () =
+  let e = Heap.top t.heap in
+  if t.run_pid.(cpu) >= 0 || e < 0 then None
+  else
+    match Q.value t.pool e with
+    | Some sched when Sched.cpu sched <> cpu && t.run_pid.(Sched.cpu sched) >= 0 ->
+      Some t.spid.(e)
+    | Some _ | None -> None
+
+let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
+
+let migrate_task_rq_locked t pid sched () () =
+  let old = remove t pid in
+  enqueue t pid (Some sched) ~fresh_deadline:false;
+  old
 
 let migrate_task_rq t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let old = remove t pid in
-      enqueue t ~pid sched ~fresh_deadline:false;
-      old)
+  Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
 (* preempt whenever a waiting task's deadline beats the running one's *)
-let task_tick t ~cpu ~queued =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if queued then
-        match (t.running.(cpu), Tree.min_binding_opt t.queue) with
-        | Some (_, running_dl), Some ((waiting_dl, _), _) when waiting_dl < running_dl ->
-          t.ctx.resched ~cpu
-        | _ -> ())
+let task_tick_locked t cpu queued () () =
+  let e = Heap.top t.heap in
+  if queued && t.run_pid.(cpu) >= 0 && e >= 0 && t.dl.(e) < t.run_dl.(cpu) then
+    t.ctx.resched ~cpu
+
+let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
 let parse_hint t ~pid:_ ~hint =
   match hint with
@@ -166,20 +238,15 @@ let parse_hint t ~pid:_ ~hint =
     Enoki.Lock.with_lock t.lock (fun () -> (ent_of t pid).relative <- max 1 relative)
   | _ -> ()
 
-type Enoki.Upgrade.transfer +=
-  | Edf_state of {
-      queue : Sched.t Tree.t;
-      ents : (int, ent) Hashtbl.t;
-      running : (int * int) option array;
-    }
+(* live upgrade: the queue and per-pid columns move verbatim *)
+type Enoki.Upgrade.transfer += Edf_state of t
 
-let reregister_prepare t = Some (Edf_state { queue = t.queue; ents = t.ents; running = t.running })
+let reregister_prepare t = Some (Edf_state t)
 
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Edf_state { queue; ents; running }) ->
-    { ctx; queue; ents; running; misses = 0; lock = Enoki.Lock.create ~name:"edf" () }
+  | Some (Edf_state old) -> { old with ctx; misses = 0; lock = Enoki.Lock.create ~name:"edf" () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "edf: unrecognised transfer state")
 
 let deadline_misses t = t.misses

@@ -1,9 +1,10 @@
 module Sched = Enoki.Schedulable
+module Q = Ds.Pid_fifo
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : (int * Sched.t) Ds.Deque.t array; (* per-cpu FCFS of (pid, token) *)
-  running : int option array; (* pid running per cpu, by our own picks *)
+  queues : Sched.t option Q.t array; (* per-cpu FCFS of (pid, token) *)
+  running : int array; (* pid running per cpu, by our own picks; -1 = none *)
   lock : Enoki.Lock.t;
 }
 
@@ -14,125 +15,137 @@ let name = "fifo"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.init ctx.nr_cpus (fun _ -> Ds.Deque.create ());
-    running = Array.make ctx.nr_cpus None;
+    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:None);
+    running = Array.make ctx.nr_cpus (-1);
     lock = Enoki.Lock.create ~name:"fifo-rq" ();
   }
 
 let get_policy t = t.ctx.policy
 
+(* Take the pid's oldest entry from every queue (under fault injection a
+   pid can sit in two); the token is the last one found. *)
 let remove_everywhere t pid =
   let found = ref None in
-  Array.iter
-    (fun q ->
-      match Ds.Deque.remove_first q ~f:(fun (p, _) -> p = pid) with
-      | Some (_, tok) -> found := Some tok
-      | None -> ())
-    t.queues;
+  for cpu = 0 to Array.length t.queues - 1 do
+    match Q.remove t.queues.(cpu) pid with Some _ as tok -> found := tok | None -> ()
+  done;
   !found
 
-let shortest_queue t ~allowed =
-  let best = ref (match allowed with c :: _ -> c | [] -> 0) and best_len = ref max_int in
-  List.iter
-    (fun cpu ->
-      if cpu >= 0 && cpu < Array.length t.queues then begin
-        let len = Ds.Deque.length t.queues.(cpu) + if t.running.(cpu) = None then 0 else 1 in
-        if len < !best_len then begin
-          best := cpu;
-          best_len := len
-        end
-      end)
-    allowed;
-  !best
+let load t cpu = Q.length t.queues.(cpu) + if t.running.(cpu) < 0 then 0 else 1
+
+(* the first allowed cpu with the fewest queued-or-running tasks *)
+let rec shortest t best best_len = function
+  | [] -> best
+  | cpu :: rest ->
+    if cpu >= 0 && cpu < Array.length t.queues && load t cpu < best_len then
+      shortest t cpu (load t cpu) rest
+    else shortest t best best_len rest
+
+let stopped t ~pid ~cpu = if t.running.(cpu) = pid then t.running.(cpu) <- -1
+
+(* Each hook is a closed [*_locked] function of the state and four
+   arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
+   closure is built per call. *)
+
+let select_task_rq_locked t allowed () () () =
+  shortest t (match allowed with c :: _ -> c | [] -> 0) max_int allowed
 
 let select_task_rq t ~pid:_ ~waker_cpu:_ ~allowed =
-  Enoki.Lock.with_lock t.lock (fun () -> shortest_queue t ~allowed)
+  Enoki.Lock.locked t.lock select_task_rq_locked t allowed () () ()
 
-let enqueue t ~cpu ~pid sched =
-  Enoki.Lock.with_lock t.lock (fun () -> Ds.Deque.push_back t.queues.(cpu) (pid, sched))
+let enqueue_locked t cpu pid held () = Q.push_back t.queues.(cpu) pid held
 
-let task_new t ~pid ~runtime:_ ~prio:_ ~sched = enqueue t ~cpu:(Sched.cpu sched) ~pid sched
+let enqueue t ~cpu ~pid held = Enoki.Lock.locked t.lock enqueue_locked t cpu pid held ()
 
-let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched = enqueue t ~cpu:(Sched.cpu sched) ~pid sched
+let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
+  enqueue t ~cpu:(Sched.cpu sched) ~pid (Some sched)
+
+let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
+  enqueue t ~cpu:(Sched.cpu sched) ~pid (Some sched)
+
+let task_preempt_locked t pid cpu sched () =
+  stopped t ~pid ~cpu;
+  Q.push_back t.queues.(cpu) pid (Some sched)
 
 let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      Ds.Deque.push_back t.queues.(cpu) (pid, sched))
+  Enoki.Lock.locked t.lock task_preempt_locked t pid cpu sched ()
 
 let task_yield = task_preempt
 
+let task_departed_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  remove_everywhere t pid
+
 let task_blocked t ~pid ~runtime:_ ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      ignore (remove_everywhere t pid))
+  ignore (Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ())
 
-let task_dead t ~pid =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      Array.iteri (fun cpu r -> if r = Some pid then t.running.(cpu) <- None) t.running;
-      ignore (remove_everywhere t pid))
+let task_dead_locked t pid () () () =
+  for cpu = 0 to Array.length t.running - 1 do
+    stopped t ~pid ~cpu
+  done;
+  ignore (remove_everywhere t pid)
 
-let task_departed t ~pid ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      remove_everywhere t pid)
+let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
+
+let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ()
+
+let pick_next_task_locked t cpu curr () () =
+  let q = t.queues.(cpu) in
+  if Q.is_empty q then begin
+    t.running.(cpu) <- -1;
+    curr
+  end
+  else begin
+    let pid = Q.pid q (Q.head q) in
+    let picked = Q.pop_front q in
+    t.running.(cpu) <- pid;
+    (* if the kernel handed us a still-runnable current task, requeue it *)
+    (match curr with
+    | Some c when Sched.pid c <> pid -> Q.push_back q (Sched.pid c) curr
+    | Some _ | None -> ());
+    picked
+  end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Ds.Deque.pop_front t.queues.(cpu) with
-      | Some (pid, sched) ->
-        t.running.(cpu) <- Some pid;
-        (* if the kernel handed us a still-runnable current task, requeue it *)
-        (match curr with
-        | Some c when Sched.pid c <> pid -> Ds.Deque.push_back t.queues.(cpu) (Sched.pid c, c)
-        | Some _ | None -> ());
-        Some sched
-      | None ->
-        t.running.(cpu) <- None;
-        curr)
+  Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu ~pid ~err:_ ~sched =
   (* ownership of the rejected token returns to us: requeue so the task is
      not lost *)
-  match sched with
-  | Some tok -> enqueue t ~cpu ~pid tok
-  | None -> ()
+  match sched with Some _ -> enqueue t ~cpu ~pid sched | None -> ()
 
-let balance t ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if Ds.Deque.is_empty t.queues.(cpu) && t.running.(cpu) = None then begin
-        (* steal the oldest task from the longest queue *)
-        let longest = ref None in
-        Array.iteri
-          (fun other q ->
-            if other <> cpu then
-              (* only steal from a core that cannot drain itself promptly *)
-              let len =
-                if t.running.(other) <> None then Ds.Deque.length q
-                else if Ds.Deque.length q >= 2 then Ds.Deque.length q
-                else 0
-              in
-              match !longest with
-              | Some (_, blen) when blen >= len -> ()
-              | _ -> if len > 0 then longest := Some (other, len))
-          t.queues;
-        match !longest with
-        | Some (other, _) -> (
-          match Ds.Deque.peek_front t.queues.(other) with
-          | Some (pid, _) -> Some pid
-          | None -> None)
-        | None -> None
+(* the length [other] offers a thief: only a core that cannot drain itself
+   promptly gives work away *)
+let spare t other =
+  let len = Q.length t.queues.(other) in
+  if t.running.(other) >= 0 || len >= 2 then len else 0
+
+let balance_locked t cpu () () () =
+  if Q.is_empty t.queues.(cpu) && t.running.(cpu) < 0 then begin
+    (* steal the oldest task from the longest queue *)
+    let longest = ref (-1) and longest_len = ref 0 in
+    for other = 0 to Array.length t.queues - 1 do
+      if other <> cpu && spare t other > !longest_len then begin
+        longest := other;
+        longest_len := spare t other
       end
-      else None)
+    done;
+    if !longest < 0 then None else Some (Q.pid t.queues.(!longest) (Q.head t.queues.(!longest)))
+  end
+  else None
+
+let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
+
+let migrate_task_rq_locked t pid sched () () =
+  let old = remove_everywhere t pid in
+  Q.push_back t.queues.(Sched.cpu sched) pid (Some sched);
+  old
 
 let migrate_task_rq t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let old = remove_everywhere t pid in
-      Ds.Deque.push_back t.queues.(Sched.cpu sched) (pid, sched);
-      old)
+  Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
 (* live upgrade: export the queues verbatim *)
-type Enoki.Upgrade.transfer += Fifo_state of (int * Sched.t) Ds.Deque.t array * int option array
+type Enoki.Upgrade.transfer += Fifo_state of Sched.t option Q.t array * int array
 
 let reregister_prepare t = Some (Fifo_state (t.queues, t.running))
 
@@ -143,4 +156,4 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
     { ctx; queues; running; lock = Enoki.Lock.create ~name:"fifo-rq" () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "fifo: unrecognised transfer state")
 
-let queue_length t ~cpu = Ds.Deque.length t.queues.(cpu)
+let queue_length t ~cpu = Q.length t.queues.(cpu)

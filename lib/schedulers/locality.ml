@@ -1,12 +1,13 @@
 module Sched = Enoki.Schedulable
+module Q = Ds.Pid_fifo
 
 (* a core with this many runnable tasks stops attracting its group *)
 let overload_threshold = 16
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : (int * Sched.t) Ds.Deque.t array;
-  running : int option array;
+  queues : Sched.t option Q.t array;
+  running : int array; (* -1 = none *)
   pid_group : (int, int) Hashtbl.t;
   pid_cpu : (int, int) Hashtbl.t; (* last placement, for stability *)
   group_cpu : (int, int) Hashtbl.t;
@@ -23,8 +24,8 @@ let name = "locality"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.init ctx.nr_cpus (fun _ -> Ds.Deque.create ());
-    running = Array.make ctx.nr_cpus None;
+    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:None);
+    running = Array.make ctx.nr_cpus (-1);
     pid_group = Hashtbl.create 64;
     pid_cpu = Hashtbl.create 64;
     group_cpu = Hashtbl.create 16;
@@ -36,8 +37,7 @@ let create (ctx : Enoki.Ctx.t) =
 
 let get_policy t = t.ctx.policy
 
-let load_of t cpu =
-  Ds.Deque.length t.queues.(cpu) + if t.running.(cpu) = None then 0 else 1
+let load_of t cpu = Q.length t.queues.(cpu) + if t.running.(cpu) < 0 then 0 else 1
 
 (* random placement with two choices: random enough to be the Table 6
    no-hints baseline, loaded-core-avoiding enough for Table 3 *)
@@ -49,100 +49,124 @@ let random_place t ~allowed =
     let a = List.nth l (Stats.Prng.int t.rng n) and b = List.nth l (Stats.Prng.int t.rng n) in
     if load_of t a <= load_of t b then a else b
 
+(* [Hashtbl.find] rather than [find_opt]: a lookup boxes nothing *)
 let place t ~pid ~allowed =
-  let ok cpu = List.mem cpu allowed in
-  match Hashtbl.find_opt t.pid_group pid with
-  | Some group -> (
-    match Hashtbl.find_opt t.group_cpu group with
-    | Some cpu when ok cpu && load_of t cpu < overload_threshold -> cpu
-    | Some _ | None -> random_place t ~allowed)
-  | None -> (
+  match Hashtbl.find t.pid_group pid with
+  | group -> (
+    match Hashtbl.find t.group_cpu group with
+    | cpu when List.mem cpu allowed && load_of t cpu < overload_threshold -> cpu
+    | _ | (exception Not_found) -> random_place t ~allowed)
+  | exception Not_found -> (
     (* unhinted: stay where we last ran unless that core has work queued *)
-    match Hashtbl.find_opt t.pid_cpu pid with
-    | Some prev when ok prev && load_of t prev = 0 -> prev
-    | Some _ | None -> random_place t ~allowed)
+    match Hashtbl.find t.pid_cpu pid with
+    | prev when List.mem prev allowed && load_of t prev = 0 -> prev
+    | _ | (exception Not_found) -> random_place t ~allowed)
 
-let note_placement t ~pid ~cpu = Hashtbl.replace t.pid_cpu pid cpu
+let stopped t ~pid ~cpu = if t.running.(cpu) = pid then t.running.(cpu) <- -1
 
-let select_task_rq t ~pid ~waker_cpu:_ ~allowed =
-  Enoki.Lock.with_lock t.lock (fun () -> place t ~pid ~allowed)
-
-let enqueue t ~pid sched =
-  note_placement t ~pid ~cpu:(Sched.cpu sched);
-  Ds.Deque.push_back t.queues.(Sched.cpu sched) (pid, sched)
-
-let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid sched)
-
-let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid sched)
+let enqueue t pid held =
+  match held with
+  | Some sched ->
+    let cpu = Sched.cpu sched in
+    Hashtbl.replace t.pid_cpu pid cpu;
+    Q.push_back t.queues.(cpu) pid held
+  | None -> ()
 
 let drop_everywhere t pid =
   let found = ref None in
-  Array.iter
-    (fun q ->
-      match Ds.Deque.remove_first q ~f:(fun (p, _) -> p = pid) with
-      | Some (_, tok) -> found := Some tok
-      | None -> ())
-    t.queues;
+  for cpu = 0 to Array.length t.queues - 1 do
+    match Q.remove t.queues.(cpu) pid with Some _ as tok -> found := tok | None -> ()
+  done;
   !found
 
+(* Each hook is a closed [*_locked] function of the state and four
+   arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
+   closure is built per call. *)
+
+let select_task_rq_locked t pid allowed () () = place t ~pid ~allowed
+
+let select_task_rq t ~pid ~waker_cpu:_ ~allowed =
+  Enoki.Lock.locked t.lock select_task_rq_locked t pid allowed () ()
+
+let enqueue_locked t pid held () () = enqueue t pid held
+
+let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+
+let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+
+let task_blocked_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  ignore (drop_everywhere t pid)
+
 let task_blocked t ~pid ~runtime:_ ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      ignore (drop_everywhere t pid))
+  Enoki.Lock.locked t.lock task_blocked_locked t pid cpu () ()
 
-let requeue t ~pid ~cpu ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      ignore (drop_everywhere t pid);
-      enqueue t ~pid sched)
+let requeue_locked t pid cpu sched () =
+  stopped t ~pid ~cpu;
+  ignore (drop_everywhere t pid);
+  enqueue t pid (Some sched)
 
-let task_preempt t ~pid ~runtime:_ ~cpu ~sched = requeue t ~pid ~cpu ~sched
+let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
+  Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
 
-let task_yield t ~pid ~runtime:_ ~cpu ~sched = requeue t ~pid ~cpu ~sched
+let task_yield = task_preempt
 
-let task_dead t ~pid =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      Array.iteri (fun cpu r -> if r = Some pid then t.running.(cpu) <- None) t.running;
-      ignore (drop_everywhere t pid);
-      Hashtbl.remove t.pid_group pid;
-      Hashtbl.remove t.pid_cpu pid)
+let task_dead_locked t pid () () () =
+  for cpu = 0 to Array.length t.running - 1 do
+    stopped t ~pid ~cpu
+  done;
+  ignore (drop_everywhere t pid);
+  Hashtbl.remove t.pid_group pid;
+  Hashtbl.remove t.pid_cpu pid
 
-let task_departed t ~pid ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      Hashtbl.remove t.pid_group pid;
-      drop_everywhere t pid)
+let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
+
+let task_departed_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  Hashtbl.remove t.pid_group pid;
+  drop_everywhere t pid
+
+let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ()
+
+let pick_next_task_locked t cpu curr () () =
+  let q = t.queues.(cpu) in
+  if Q.is_empty q then begin
+    t.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
+    curr
+  end
+  else begin
+    let pid = Q.pid q (Q.head q) in
+    let picked = Q.pop_front q in
+    t.running.(cpu) <- pid;
+    (match curr with
+    | Some c when Sched.pid c <> pid -> enqueue t (Sched.pid c) curr
+    | Some _ | None -> ());
+    picked
+  end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Ds.Deque.pop_front t.queues.(cpu) with
-      | Some (pid, sched) ->
-        t.running.(cpu) <- Some pid;
-        (match curr with
-        | Some c when Sched.pid c <> pid -> enqueue t ~pid:(Sched.pid c) c
-        | Some _ | None -> ());
-        Some sched
-      | None ->
-        t.running.(cpu) <- Option.map Sched.pid curr;
-        curr)
+  Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
   match sched with
-  | Some tok -> Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid tok)
+  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
   | None -> ()
 
+let migrate_task_rq_locked t pid sched () () =
+  let old = drop_everywhere t pid in
+  enqueue t pid (Some sched);
+  old
+
 let migrate_task_rq t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let old = drop_everywhere t pid in
-      enqueue t ~pid sched;
-      old)
+  Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
 (* round-robin slice so co-located groups share their core fairly *)
-let task_tick t ~cpu ~queued =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if queued && Ds.Deque.length t.queues.(cpu) > 0 then t.ctx.resched ~cpu)
+let task_tick_locked t cpu queued () () =
+  if queued && not (Q.is_empty t.queues.(cpu)) then t.ctx.resched ~cpu
+
+let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
 let select_group_cpu t =
   (* spread groups across distinct cores *)
@@ -162,8 +186,8 @@ let parse_hint t ~pid:_ ~hint =
 
 type Enoki.Upgrade.transfer +=
   | Locality_state of {
-      queues : (int * Sched.t) Ds.Deque.t array;
-      running : int option array;
+      queues : Sched.t option Q.t array;
+      running : int array;
       pid_group : (int, int) Hashtbl.t;
       group_cpu : (int, int) Hashtbl.t;
     }

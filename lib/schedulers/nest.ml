@@ -1,4 +1,5 @@
 module Sched = Enoki.Schedulable
+module Q = Ds.Pid_fifo
 
 let warmth_timeout = Kernsim.Time.ms 20
 
@@ -7,8 +8,8 @@ let spill_threshold = 3
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : (int * Sched.t) Ds.Deque.t array;
-  running : int option array;
+  queues : Sched.t option Q.t array;
+  running : int array; (* -1 = none *)
   last_used : int array; (* per-cpu: last time we placed or ran work there *)
   mutable nest : int list; (* warm cores, most recently used first *)
   lock : Enoki.Lock.t;
@@ -21,8 +22,8 @@ let name = "nest"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.init ctx.nr_cpus (fun _ -> Ds.Deque.create ());
-    running = Array.make ctx.nr_cpus None;
+    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:None);
+    running = Array.make ctx.nr_cpus (-1);
     last_used = Array.make ctx.nr_cpus min_int;
     nest = [ 0 ];
     lock = Enoki.Lock.create ~name:"nest" ();
@@ -30,151 +31,179 @@ let create (ctx : Enoki.Ctx.t) =
 
 let get_policy t = t.ctx.policy
 
-let load_of t cpu = Ds.Deque.length t.queues.(cpu) + if t.running.(cpu) = None then 0 else 1
+let load_of t cpu = Q.length t.queues.(cpu) + if t.running.(cpu) < 0 then 0 else 1
 
 let touch t cpu =
   t.last_used.(cpu) <- t.ctx.now ();
   if not (List.mem cpu t.nest) then t.nest <- cpu :: t.nest
 
+(* the warm cores of [l], sharing [l] itself when none has cooled off, so
+   a steady nest is pruned without allocating *)
+let rec warm t now = function
+  | [] -> []
+  | c :: rest as l ->
+    let rest' = warm t now rest in
+    if load_of t c > 0 || now - t.last_used.(c) < warmth_timeout then
+      if rest' == rest then l else c :: rest'
+    else rest'
+
 (* drop cores that have cooled off *)
-let prune t =
-  let now = t.ctx.now () in
-  t.nest <-
-    (match
-       List.filter
-         (fun c -> load_of t c > 0 || now - t.last_used.(c) < warmth_timeout)
-         t.nest
-     with
-    | [] -> [ 0 ]
-    | l -> l)
+let prune t = t.nest <- (match warm t (t.ctx.now ()) t.nest with [] -> [ 0 ] | l -> l)
+
+(* the first allowed core of [l] with the least load, or -1 *)
+let rec emptiest t allowed best = function
+  | [] -> best
+  | c :: rest ->
+    if List.mem c allowed && (best < 0 || load_of t c < load_of t best) then
+      emptiest t allowed c rest
+    else emptiest t allowed best rest
 
 (* Place onto the emptiest warm core with spare capacity; expand the nest
    with the most recently cooled core only when every warm core is full. *)
 let place t ~allowed =
   prune t;
-  let ok c = List.mem c allowed in
-  let candidates = List.filter ok t.nest in
-  let best =
-    List.fold_left
-      (fun acc c ->
-        match acc with
-        | Some (_, l) when l <= load_of t c -> acc
-        | _ -> Some (c, load_of t c))
-      None candidates
-  in
-  match best with
-  | Some (c, l) when l < spill_threshold -> c
-  | _ -> (
+  let best = emptiest t allowed (-1) t.nest in
+  if best >= 0 && load_of t best < spill_threshold then best
+  else begin
     (* expand: warmest core outside the nest *)
-    let outside =
-      List.filter (fun c -> ok c && not (List.mem c t.nest)) (List.init t.ctx.nr_cpus Fun.id)
-    in
-    match outside with
-    | [] -> ( match best with Some (c, _) -> c | None -> (match allowed with c :: _ -> c | [] -> 0))
-    | l -> List.fold_left (fun a c -> if t.last_used.(c) > t.last_used.(a) then c else a) (List.hd l) l)
+    let warmest = ref (-1) in
+    for c = 0 to t.ctx.nr_cpus - 1 do
+      if List.mem c allowed && (not (List.mem c t.nest))
+         && (!warmest < 0 || t.last_used.(c) > t.last_used.(!warmest))
+      then warmest := c
+    done;
+    if !warmest >= 0 then !warmest
+    else if best >= 0 then best
+    else match allowed with c :: _ -> c | [] -> 0
+  end
 
-let select_task_rq t ~pid:_ ~waker_cpu:_ ~allowed =
-  Enoki.Lock.with_lock t.lock (fun () -> place t ~allowed)
+let stopped t ~pid ~cpu = if t.running.(cpu) = pid then t.running.(cpu) <- -1
 
-let enqueue t ~pid sched =
-  let cpu = Sched.cpu sched in
-  touch t cpu;
-  Ds.Deque.push_back t.queues.(cpu) (pid, sched)
-
-let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid sched)
-
-let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid sched)
+let enqueue t pid held =
+  match held with
+  | Some sched ->
+    let cpu = Sched.cpu sched in
+    touch t cpu;
+    Q.push_back t.queues.(cpu) pid held
+  | None -> ()
 
 let drop t pid =
   let found = ref None in
-  Array.iter
-    (fun q ->
-      match Ds.Deque.remove_first q ~f:(fun (p, _) -> p = pid) with
-      | Some (_, tok) -> found := Some tok
-      | None -> ())
-    t.queues;
+  for cpu = 0 to Array.length t.queues - 1 do
+    match Q.remove t.queues.(cpu) pid with Some _ as tok -> found := tok | None -> ()
+  done;
   !found
 
+(* Each hook is a closed [*_locked] function of the state and four
+   arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
+   closure is built per call. *)
+
+let select_task_rq_locked t allowed () () () = place t ~allowed
+
+let select_task_rq t ~pid:_ ~waker_cpu:_ ~allowed =
+  Enoki.Lock.locked t.lock select_task_rq_locked t allowed () () ()
+
+let enqueue_locked t pid held () () = enqueue t pid held
+
+let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+
+let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+
+let task_blocked_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  ignore (drop t pid)
+
 let task_blocked t ~pid ~runtime:_ ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      ignore (drop t pid))
+  Enoki.Lock.locked t.lock task_blocked_locked t pid cpu () ()
 
-let requeue t ~pid ~cpu ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      ignore (drop t pid);
-      enqueue t ~pid sched)
+let requeue_locked t pid cpu sched () =
+  stopped t ~pid ~cpu;
+  ignore (drop t pid);
+  enqueue t pid (Some sched)
 
-let task_preempt t ~pid ~runtime:_ ~cpu ~sched = requeue t ~pid ~cpu ~sched
+let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
+  Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
 
-let task_yield t ~pid ~runtime:_ ~cpu ~sched = requeue t ~pid ~cpu ~sched
+let task_yield = task_preempt
 
-let task_dead t ~pid =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      Array.iteri (fun cpu r -> if r = Some pid then t.running.(cpu) <- None) t.running;
-      ignore (drop t pid))
+let task_dead_locked t pid () () () =
+  for cpu = 0 to Array.length t.running - 1 do
+    stopped t ~pid ~cpu
+  done;
+  ignore (drop t pid)
 
-let task_departed t ~pid ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) = Some pid then t.running.(cpu) <- None;
-      drop t pid)
+let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
+
+let task_departed_locked t pid cpu () () =
+  stopped t ~pid ~cpu;
+  drop t pid
+
+let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ()
+
+let pick_next_task_locked t cpu curr () () =
+  let q = t.queues.(cpu) in
+  if Q.is_empty q then begin
+    t.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
+    curr
+  end
+  else begin
+    let pid = Q.pid q (Q.head q) in
+    let picked = Q.pop_front q in
+    t.running.(cpu) <- pid;
+    touch t cpu;
+    (match curr with
+    | Some c when Sched.pid c <> pid -> Q.push_back q (Sched.pid c) curr
+    | Some _ | None -> ());
+    picked
+  end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Ds.Deque.pop_front t.queues.(cpu) with
-      | Some (pid, sched) ->
-        t.running.(cpu) <- Some pid;
-        touch t cpu;
-        (match curr with
-        | Some c when Sched.pid c <> pid -> Ds.Deque.push_back t.queues.(cpu) (Sched.pid c, c)
-        | Some _ | None -> ());
-        Some sched
-      | None ->
-        t.running.(cpu) <- Option.map Sched.pid curr;
-        curr)
+  Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
   match sched with
-  | Some tok -> Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~pid tok)
+  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
   | None -> ()
 
 (* work conservation: an idle core may still steal from an overloaded nest
    core — consolidation must not strand runnable work *)
-let balance t ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if load_of t cpu > 0 then None
-      else
-        let victim = ref None in
-        Array.iteri
-          (fun other q ->
-            if other <> cpu && t.running.(other) <> None && Ds.Deque.length q >= spill_threshold
-            then
-              match !victim with
-              | Some (_, n) when n >= Ds.Deque.length q -> ()
-              | _ -> victim := Some (other, Ds.Deque.length q))
-          t.queues;
-        match !victim with
-        | Some (other, _) ->
-          Option.map (fun (pid, _) -> pid) (Ds.Deque.peek_front t.queues.(other))
-        | None -> None)
+let balance_locked t cpu () () () =
+  if load_of t cpu > 0 then None
+  else begin
+    let victim = ref (-1) and victim_len = ref 0 in
+    for other = 0 to Array.length t.queues - 1 do
+      let len = Q.length t.queues.(other) in
+      if other <> cpu && t.running.(other) >= 0 && len >= spill_threshold
+         && (!victim < 0 || len > !victim_len)
+      then begin
+        victim := other;
+        victim_len := len
+      end
+    done;
+    if !victim < 0 then None else Some (Q.pid t.queues.(!victim) (Q.head t.queues.(!victim)))
+  end
+
+let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
+
+let migrate_task_rq_locked t pid sched () () =
+  let old = drop t pid in
+  enqueue t pid (Some sched);
+  old
 
 let migrate_task_rq t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let old = drop t pid in
-      enqueue t ~pid sched;
-      old)
+  Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
-let task_tick t ~cpu ~queued =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if queued && Ds.Deque.length t.queues.(cpu) > 0 then t.ctx.resched ~cpu)
+let task_tick_locked t cpu queued () () =
+  if queued && not (Q.is_empty t.queues.(cpu)) then t.ctx.resched ~cpu
+
+let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
 type Enoki.Upgrade.transfer +=
   | Nest_state of {
-      queues : (int * Sched.t) Ds.Deque.t array;
-      running : int option array;
+      queues : Sched.t option Q.t array;
+      running : int array;
       last_used : int array;
       nest : int list;
     }

@@ -1,21 +1,24 @@
 module Sched = Enoki.Schedulable
+module Q = Ds.Pid_fifo
+module Heap = Ds.Pid_heap
 
-module Key = struct
-  type t = int * int (* priority, arrival sequence *)
-
-  let compare (p1, s1) (p2, s2) =
-    match Int.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c
-end
-
-module Tree = Ds.Rbtree.Make (Key)
-
-type ent = { mutable prio : int; mutable key : (int * int) option (* present in tree *) }
+(* Waiting tasks are entries of one {!Ds.Pid_fifo} slot pool holding their
+   tokens; each cpu's entries sit in a heap ordered by (priority at
+   enqueue, arrival sequence).  Sequence numbers are unique, so an ent's
+   [key_seq] names the pid's latest entry (-1 = none). *)
+type ent = { mutable prio : int; mutable key_seq : int }
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : (int * Sched.t) Tree.t array; (* per-cpu queues of (pid, token) *)
-  running : (int * int) option array; (* per-cpu (pid, prio) *)
+  pool : Sched.t option Q.t;
+  heaps : Heap.t array; (* per-cpu *)
+  mutable sprio : int array; (* slot -> priority it was queued at *)
+  mutable sseq : int array; (* slot -> arrival sequence *)
+  mutable spos : int array; (* slot -> heap position *)
+  mutable scpu : int array; (* slot -> the cpu whose heap holds it *)
   ents : (int, ent) Hashtbl.t;
+  run_pid : int array; (* per-cpu running pid, -1 = none *)
+  run_prio : int array;
   mutable seq : int;
   lock : Enoki.Lock.t;
 }
@@ -27,186 +30,221 @@ let name = "rt-fifo"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.make ctx.nr_cpus Tree.empty;
-    running = Array.make ctx.nr_cpus None;
+    pool = Q.create ~dummy:None;
+    heaps = Array.init ctx.nr_cpus (fun _ -> Heap.create ());
+    sprio = [||];
+    sseq = [||];
+    spos = [||];
+    scpu = [||];
     ents = Hashtbl.create 64;
+    run_pid = Array.make ctx.nr_cpus (-1);
+    run_prio = Array.make ctx.nr_cpus 0;
     seq = 0;
     lock = Enoki.Lock.create ~name:"rt" ();
   }
 
 let get_policy t = t.ctx.policy
 
+(* [Hashtbl.find] rather than [find_opt]: a lookup boxes nothing *)
 let ent_of t pid ~prio =
-  match Hashtbl.find_opt t.ents pid with
-  | Some e -> e
-  | None ->
-    let e = { prio; key = None } in
+  match Hashtbl.find t.ents pid with
+  | e -> e
+  | exception Not_found ->
+    let e = { prio; key_seq = -1 } in
     Hashtbl.replace t.ents pid e;
     e
 
-let enqueue t ~cpu ~pid sched =
-  let e = ent_of t pid ~prio:0 in
+let enqueue t ~cpu pid held =
+  let ent = ent_of t pid ~prio:0 in
   t.seq <- t.seq + 1;
-  let key = (e.prio, t.seq) in
-  e.key <- Some key;
-  t.queues.(cpu) <- Tree.add key (pid, sched) t.queues.(cpu);
+  ent.key_seq <- t.seq;
+  Q.push_back t.pool pid held;
+  let e = Q.tail t.pool in
+  let cap = Q.capacity t.pool in
+  if cap > Array.length t.sprio then begin
+    t.sprio <- Ds.Column.grow t.sprio cap 0;
+    t.sseq <- Ds.Column.grow t.sseq cap 0;
+    t.spos <- Ds.Column.grow t.spos cap (-1);
+    t.scpu <- Ds.Column.grow t.scpu cap 0
+  end;
+  t.sprio.(e) <- ent.prio;
+  t.sseq.(e) <- t.seq;
+  t.scpu.(e) <- cpu;
+  Heap.add t.heaps.(cpu) ~key:t.sprio ~tie:t.sseq ~pos:t.spos e;
   (* strict preemption: an urgent arrival kicks a less urgent runner *)
-  match t.running.(cpu) with
-  | Some (_, running_prio) when e.prio < running_prio -> t.ctx.resched ~cpu
-  | Some _ | None -> ()
+  if t.run_pid.(cpu) >= 0 && ent.prio < t.run_prio.(cpu) then t.ctx.resched ~cpu
+
+let unqueue t e =
+  Heap.remove t.heaps.(t.scpu.(e)) ~key:t.sprio ~tie:t.sseq ~pos:t.spos e;
+  Q.take t.pool e
+
+let rec scan_entry t pid seq e =
+  if e < 0 then -1
+  else if Q.pid t.pool e = pid && t.sseq.(e) = seq then e
+  else scan_entry t pid seq (Q.next t.pool e)
+
+(* the pid's entry with sequence [seq], or -1 *)
+let entry t pid seq = scan_entry t pid seq (Q.find t.pool pid)
 
 let remove t pid =
-  match Hashtbl.find_opt t.ents pid with
-  | Some ({ key = Some key; _ } as e) ->
-    let found = ref None in
-    Array.iteri
-      (fun cpu q ->
-        match Tree.find_opt key q with
-        | Some (p, sched) when p = pid ->
-          t.queues.(cpu) <- Tree.remove key q;
-          found := Some sched
-        | Some _ | None -> ())
-      t.queues;
-    e.key <- None;
-    !found
-  | Some _ | None -> None
-
-let task_new t ~pid ~runtime:_ ~prio ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (ent_of t pid ~prio).prio <- prio;
-      enqueue t ~cpu:(Sched.cpu sched) ~pid sched)
-
-let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~cpu:(Sched.cpu sched) ~pid sched)
+  match Hashtbl.find t.ents pid with
+  | ent when ent.key_seq >= 0 ->
+    let e = entry t pid ent.key_seq in
+    ent.key_seq <- -1;
+    if e < 0 then None else unqueue t e
+  | _ | (exception Not_found) -> None
 
 let clear_running t pid =
-  Array.iteri
-    (fun cpu r -> match r with Some (p, _) when p = pid -> t.running.(cpu) <- None | _ -> ())
-    t.running
+  for cpu = 0 to Array.length t.run_pid - 1 do
+    if t.run_pid.(cpu) = pid then t.run_pid.(cpu) <- -1
+  done
+
+
+(* Each hook is a closed [*_locked] function of the state and four
+   arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
+   closure is built per call. *)
+
+let task_new_locked t pid prio sched () =
+  (ent_of t pid ~prio).prio <- prio;
+  enqueue t ~cpu:(Sched.cpu sched) pid (Some sched)
+
+let task_new t ~pid ~runtime:_ ~prio ~sched =
+  Enoki.Lock.locked t.lock task_new_locked t pid prio sched ()
+
+let enqueue_locked t pid held () () =
+  match held with Some sched -> enqueue t ~cpu:(Sched.cpu sched) pid held | None -> ()
+
+let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
+  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+
+let task_blocked_locked t pid () () () =
+  clear_running t pid;
+  ignore (remove t pid)
 
 let task_blocked t ~pid ~runtime:_ ~cpu:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      clear_running t pid;
-      ignore (remove t pid))
+  Enoki.Lock.locked t.lock task_blocked_locked t pid () () ()
 
-let requeue t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      clear_running t pid;
-      ignore (remove t pid);
-      enqueue t ~cpu:(Sched.cpu sched) ~pid sched)
+let requeue_locked t pid sched () () =
+  clear_running t pid;
+  ignore (remove t pid);
+  enqueue t ~cpu:(Sched.cpu sched) pid (Some sched)
 
-let task_preempt t ~pid ~runtime:_ ~cpu:_ ~sched = requeue t ~pid ~sched
+let task_preempt t ~pid ~runtime:_ ~cpu:_ ~sched =
+  Enoki.Lock.locked t.lock requeue_locked t pid sched () ()
 
-let task_yield t ~pid ~runtime:_ ~cpu:_ ~sched = requeue t ~pid ~sched
+let task_yield = task_preempt
 
-let task_dead t ~pid =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      clear_running t pid;
-      ignore (remove t pid);
-      Hashtbl.remove t.ents pid)
+let task_departed_locked t pid () () () =
+  clear_running t pid;
+  let tok = remove t pid in
+  Hashtbl.remove t.ents pid;
+  tok
 
-let task_departed t ~pid ~cpu:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      clear_running t pid;
-      let tok = remove t pid in
-      Hashtbl.remove t.ents pid;
-      tok)
+let task_dead t ~pid = ignore (Enoki.Lock.locked t.lock task_departed_locked t pid () () ())
+
+let task_departed t ~pid ~cpu:_ = Enoki.Lock.locked t.lock task_departed_locked t pid () () ()
+
+(* lowest-priority-pressure cpu: idle first, else the one whose runner is
+   least urgent *)
+let score t c = if t.run_pid.(c) >= 0 then t.run_prio.(c) else max_int
+
+let rec first_idle t = function
+  | [] -> -1
+  | c :: rest -> if t.run_pid.(c) < 0 then c else first_idle t rest
+
+let rec least_urgent t best = function
+  | [] -> best
+  | c :: rest -> least_urgent t (if score t c > score t best then c else best) rest
+
+let select_task_rq_locked t waker_cpu allowed () () =
+  let c = first_idle t allowed in
+  if c >= 0 then c
+  else match allowed with [] -> waker_cpu | c0 :: _ -> least_urgent t c0 allowed
 
 let select_task_rq t ~pid:_ ~waker_cpu ~allowed =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      (* lowest-priority-pressure cpu: idle first, else the one whose
-         runner is least urgent *)
-      match List.find_opt (fun c -> t.running.(c) = None) allowed with
-      | Some c -> c
-      | None -> (
-        let score c = match t.running.(c) with Some (_, p) -> p | None -> max_int in
-        match allowed with
-        | [] -> waker_cpu
-        | c0 :: _ -> List.fold_left (fun a c -> if score c > score a then c else a) c0 allowed))
+  Enoki.Lock.locked t.lock select_task_rq_locked t waker_cpu allowed () ()
+
+let pick_next_task_locked t cpu curr () () =
+  let e = Heap.top t.heaps.(cpu) in
+  if e >= 0 then begin
+    let pid = Q.pid t.pool e and prio = t.sprio.(e) in
+    let sched = unqueue t e in
+    (match Hashtbl.find t.ents pid with ent -> ent.key_seq <- -1 | exception Not_found -> ());
+    t.run_pid.(cpu) <- pid;
+    t.run_prio.(cpu) <- prio;
+    sched
+  end
+  else begin
+    (match curr with
+    | Some c ->
+      t.run_pid.(cpu) <- Sched.pid c;
+      t.run_prio.(cpu) <- 0
+    | None -> t.run_pid.(cpu) <- -1);
+    curr
+  end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      match Tree.min_binding_opt t.queues.(cpu) with
-      | Some (((prio, _) as key), (pid, sched)) ->
-        t.queues.(cpu) <- Tree.remove key t.queues.(cpu);
-        (match Hashtbl.find_opt t.ents pid with Some e -> e.key <- None | None -> ());
-        t.running.(cpu) <- Some (pid, prio);
-        Some sched
-      | None ->
-        t.running.(cpu) <- Option.map (fun c -> (Sched.pid c, 0)) curr;
-        curr)
+  Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
   match sched with
-  | Some tok ->
-    Enoki.Lock.with_lock t.lock (fun () -> enqueue t ~cpu:(Sched.cpu tok) ~pid tok)
+  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
   | None -> ()
 
-let balance t ~cpu =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if t.running.(cpu) <> None || not (Tree.is_empty t.queues.(cpu)) then None
-      else begin
-        (* pull the most urgent waiter stuck behind a busy cpu *)
-        let best = ref None in
-        Array.iteri
-          (fun other q ->
-            if other <> cpu && t.running.(other) <> None then
-              match Tree.min_binding_opt q with
-              | Some ((prio, _), (pid, _)) -> (
-                match !best with
-                | Some (bp, _) when bp <= prio -> ()
-                | _ -> best := Some (prio, pid))
-              | None -> ())
-          t.queues;
-        Option.map snd !best
-      end)
+(* pull the most urgent waiter stuck behind a busy cpu *)
+let balance_locked t cpu () () () =
+  if t.run_pid.(cpu) >= 0 || Heap.length t.heaps.(cpu) > 0 then None
+  else begin
+    let best = ref (-1) in
+    for other = 0 to Array.length t.heaps - 1 do
+      let e = Heap.top t.heaps.(other) in
+      if other <> cpu && t.run_pid.(other) >= 0 && e >= 0
+         && (!best < 0 || t.sprio.(e) < t.sprio.(!best))
+      then best := e
+    done;
+    if !best < 0 then None else Some (Q.pid t.pool !best)
+  end
+
+let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
+
+let migrate_task_rq_locked t pid sched () () =
+  let old = remove t pid in
+  enqueue t ~cpu:(Sched.cpu sched) pid (Some sched);
+  old
 
 let migrate_task_rq t ~pid ~sched =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      let old = remove t pid in
-      enqueue t ~cpu:(Sched.cpu sched) ~pid sched;
-      old)
+  Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
 (* no time slicing: the tick only matters if a more urgent task waits *)
-let task_tick t ~cpu ~queued =
-  Enoki.Lock.with_lock t.lock (fun () ->
-      if queued then
-        match (t.running.(cpu), Tree.min_binding_opt t.queues.(cpu)) with
-        | Some (_, running_prio), Some ((waiting_prio, _), _) when waiting_prio < running_prio ->
-          t.ctx.resched ~cpu
-        | _ -> ())
+let task_tick_locked t cpu queued () () =
+  let e = Heap.top t.heaps.(cpu) in
+  if queued && t.run_pid.(cpu) >= 0 && e >= 0 && t.sprio.(e) < t.run_prio.(cpu) then
+    t.ctx.resched ~cpu
+
+let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
 let task_prio_changed t ~pid ~prio =
   Enoki.Lock.with_lock t.lock (fun () ->
       match Hashtbl.find_opt t.ents pid with
-      | Some e -> (
-        match e.key with
-        | Some _ -> (
-          (* re-queue under the new priority *)
-          match remove t pid with
-          | Some sched ->
-            e.prio <- prio;
-            enqueue t ~cpu:(Sched.cpu sched) ~pid sched
-          | None -> e.prio <- prio)
-        | None -> e.prio <- prio)
+      | Some ent when ent.key_seq >= 0 -> (
+        (* re-queue under the new priority *)
+        match remove t pid with
+        | Some sched as held ->
+          ent.prio <- prio;
+          enqueue t ~cpu:(Sched.cpu sched) pid held
+        | None -> ent.prio <- prio)
+      | Some ent -> ent.prio <- prio
       | None -> ())
 
-type Enoki.Upgrade.transfer +=
-  | Rt_state of {
-      queues : (int * Sched.t) Tree.t array;
-      running : (int * int) option array;
-      ents : (int, ent) Hashtbl.t;
-      seq : int;
-    }
+(* live upgrade: the queues and per-pid columns move verbatim *)
+type Enoki.Upgrade.transfer += Rt_state of t
 
-let reregister_prepare t =
-  Some (Rt_state { queues = t.queues; running = t.running; ents = t.ents; seq = t.seq })
+let reregister_prepare t = Some (Rt_state t)
 
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Rt_state { queues; running; ents; seq }) ->
-    { ctx; queues; running; ents; seq; lock = Enoki.Lock.create ~name:"rt" () }
+  | Some (Rt_state old) -> { old with ctx; lock = Enoki.Lock.create ~name:"rt" () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "rt-fifo: unrecognised transfer state")
 
-let queue_length t ~cpu = Tree.cardinal t.queues.(cpu)
+let queue_length t ~cpu = Heap.length t.heaps.(cpu)

@@ -33,25 +33,25 @@ module P = struct
   let enqueue st api (task : Dsq_sched.task) =
     A.insert api (if task.prio < high_nice_threshold then st.high else st.low) task
 
+  let try_low st api ~cpu =
+    A.move_to_local api ~cpu st.low
+    && begin
+      st.streak <- 0;
+      true
+    end
+
+  let try_high st api ~cpu ~low_queued =
+    A.move_to_local api ~cpu st.high
+    && begin
+      if low_queued then st.streak <- st.streak + 1;
+      true
+    end
+
   let dispatch st api ~cpu =
     let low_queued = A.queued api st.low > 0 in
-    let try_low () =
-      if A.move_to_local api ~cpu st.low then begin
-        st.streak <- 0;
-        true
-      end
-      else false
-    in
-    let try_high () =
-      if A.move_to_local api ~cpu st.high then begin
-        if low_queued then st.streak <- st.streak + 1;
-        true
-      end
-      else false
-    in
     match pick_source ~streak:st.streak ~low_queued with
-    | `Low -> ignore (try_low () || try_high ())
-    | `High -> ignore (try_high () || try_low ())
+    | `Low -> ignore (try_low st api ~cpu || try_high st api ~cpu ~low_queued)
+    | `High -> ignore (try_high st api ~cpu ~low_queued || try_low st api ~cpu)
 
   let stopping _st _api _task ~ran:_ ~runnable:_ = ()
 

@@ -111,7 +111,7 @@ let update_min t rq =
    token it held. *)
 let dequeue t pid =
   let held = t.tok.(pid) in
-  Heap.remove t.rqs.(t.cpu.(pid)).heap ~key:t.vruntime ~pos:t.pos pid;
+  Heap.remove t.rqs.(t.cpu.(pid)).heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid;
   t.tok.(pid) <- None;
   held
 
@@ -119,7 +119,7 @@ let dequeue t pid =
 let enqueue t ~cpu pid held =
   t.cpu.(pid) <- cpu;
   t.tok.(pid) <- held;
-  Heap.add t.rqs.(cpu).heap ~key:t.vruntime ~pos:t.pos pid
+  Heap.add t.rqs.(cpu).heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid
 
 let nr_queued rq = Heap.length rq.heap
 

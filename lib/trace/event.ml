@@ -187,6 +187,8 @@ type tag =
   | T_lock_acquire
   | T_lock_release
   | T_msg_call
+  | T_dsq_insert
+  | T_dsq_consume
   | T_cold
 
 (* The Enoki-C crossing kinds, in the boundary's own index order; the names
@@ -196,13 +198,13 @@ let call_names =
      "task_dead"; "task_departed"; "task_tick"; "pick_next_task"; "pnt_err"; "balance";
      "balance_err"; "migrate_task_rq"; "task_prio_changed"; "task_affinity_changed"; "parse_hint" |]
 
-let call_index name =
+let find_name names name =
   let rec go i =
-    if i = Array.length call_names then -1
-    else if String.equal call_names.(i) name then i
-    else go (i + 1)
+    if i = Array.length names then -1 else if String.equal names.(i) name then i else go (i + 1)
   in
   go 0
+
+let call_index name = find_name call_names name
 
 (* Shared values, so decoding the most frequent packed kinds allocates
    nothing: one per crossing kind, *)
@@ -213,6 +215,32 @@ let msg_calls = Array.map (fun name -> Msg_call { name }) call_names
 let lock_acquires = Array.init 256 (fun lock_id -> Lock_acquire { lock_id })
 
 let lock_releases = Array.init 256 (fun lock_id -> Lock_release { lock_id })
+
+(* Dispatch-queue names by index, so DSQ events pack to ints.  A queue
+   interns its name once, when it is created, under a mutex; the table only
+   grows, and readers take an immutable snapshot, so any domain decodes an
+   index without locking.  Indices depend on creation order across domains;
+   only the names they decode to are ever observed. *)
+let dsq_table : string array Atomic.t = Atomic.make [||]
+
+let dsq_mutex = Mutex.create ()
+
+let dsq_lookup name = find_name (Atomic.get dsq_table) name
+
+let dsq_index name =
+  let i = dsq_lookup name in
+  if i >= 0 then i
+  else
+    Mutex.protect dsq_mutex (fun () ->
+        let names = Atomic.get dsq_table in
+        let i = find_name names name in
+        if i >= 0 then i
+        else begin
+          Atomic.set dsq_table (Array.append names [| name |]);
+          Array.length names
+        end)
+
+let dsq_name i = (Atomic.get dsq_table).(i)
 
 (* pid fields encode "no task" as -1 (simulator pids are never negative) *)
 let opt_pid = function None -> -1 | Some p -> p
@@ -236,8 +264,14 @@ let pack kind k =
   | Msg_call { name } ->
     let i = call_index name in
     if i >= 0 then k T_msg_call i 0 0 kind else k T_cold 0 0 0 kind
+  | Dsq_insert { dsq; pid } ->
+    let i = dsq_lookup dsq in
+    if i >= 0 then k T_dsq_insert i pid 0 kind else k T_cold 0 0 0 kind
+  | Dsq_consume { dsq; pid; wait } ->
+    let i = dsq_lookup dsq in
+    if i >= 0 then k T_dsq_consume i pid wait kind else k T_cold 0 0 0 kind
   | Wakeup _ | Pnt_err _ | Panic _ | Failover _ | Overrun _ | Watchdog_fire _ | Metric_flush _
-  | Dsq_insert _ | Dsq_consume _ | Fleet_op _ | Req_enqueue _ | Req_take _ | Req_done _ ->
+  | Fleet_op _ | Req_enqueue _ | Req_take _ | Req_done _ ->
     k T_cold 0 0 0 kind
 
 let unpack tag a b c cold =
@@ -259,4 +293,6 @@ let unpack tag a b c cold =
     if a >= 0 && a < Array.length lock_releases then lock_releases.(a)
     else Lock_release { lock_id = a }
   | T_msg_call -> msg_calls.(a)
+  | T_dsq_insert -> Dsq_insert { dsq = dsq_name a; pid = b }
+  | T_dsq_consume -> Dsq_consume { dsq = dsq_name a; pid = b; wait = c }
   | T_cold -> cold

@@ -123,6 +123,8 @@ type tag =
   | T_lock_acquire  (** [a] = lock id *)
   | T_lock_release  (** [a] = lock id *)
   | T_msg_call  (** [a] = index into {!call_names} *)
+  | T_dsq_insert  (** [a] = {!dsq_index} of the queue's name, [b] = pid *)
+  | T_dsq_consume  (** [a] = {!dsq_index}, [b] = pid, [c] = wait *)
   | T_cold  (** any other kind, carried boxed *)
 
 (** The Enoki-C crossing kinds by call index ("select_task_rq",
@@ -133,9 +135,15 @@ val call_names : string array
 (** [call_index name] is [name]'s index in {!call_names}, or [-1]. *)
 val call_index : string -> int
 
+(** [dsq_index name] interns a dispatch-queue name (domain-safe; a queue
+    calls it once, at creation) and returns its index, which {!unpack}
+    decodes back to the name. *)
+val dsq_index : string -> int
+
 (** [pack kind k] is [k tag a b c kind]: the kind's packed fields, and the
     kind itself for [T_cold].  A [Msg_call] whose name is not in
-    {!call_names} is [T_cold]. *)
+    {!call_names}, and a DSQ event whose queue name was never interned
+    with {!dsq_index}, is [T_cold]. *)
 val pack : kind -> (tag -> int -> int -> int -> kind -> 'r) -> 'r
 
 (** [unpack tag a b c cold] is the kind [pack] took apart; [cold] is

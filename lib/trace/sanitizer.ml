@@ -267,7 +267,7 @@ let step t ~ts ~cpu tag pid b c cold =
       let pid = t.current.(cpu) in
       if pid >= 0 then stop_running t pid
     end
-  | T_migrate | T_msg_call -> ()
+  | T_migrate | T_msg_call | T_dsq_insert | T_dsq_consume -> ()
   | T_tick ->
     (* invariants that need the passage of time are evaluated on the
        periodic tick; run the global scans once per tick wave (cpu 0) *)

@@ -112,6 +112,11 @@ let emit_lock_acquire t ~ts ~cpu ~lock_id = emit_packed t ~ts ~cpu T_lock_acquir
 let emit_lock_release t ~ts ~cpu ~lock_id = emit_packed t ~ts ~cpu T_lock_release lock_id 0 0 Tick
 let emit_msg_call t ~ts ~cpu ~call = emit_packed t ~ts ~cpu T_msg_call call 0 0 Tick
 
+let emit_tag t ~ts ~cpu tag a b c =
+  match tag with
+  | Event.T_cold -> invalid_arg "Tracer.emit_tag: a cold kind goes through emit"
+  | _ -> emit_packed t ~ts ~cpu tag a b c Tick
+
 (* Boxed entry point, for the cold emitters (fleet orchestration, faults,
    DSQ diagnostics): packed kinds go into the int columns, so storage is
    the same whichever door an event came in by. *)

@@ -60,6 +60,11 @@ val emit_lock_acquire : t -> ts:int -> cpu:int -> lock_id:int -> unit
 val emit_lock_release : t -> ts:int -> cpu:int -> lock_id:int -> unit
 val emit_msg_call : t -> ts:int -> cpu:int -> call:int -> unit
 
+(** [emit_tag t ~ts ~cpu tag a b c] emits any packed kind from its
+    {!Event.tag} and fields (a DSQ event names its queue by
+    {!Event.dsq_index}).  Raises [Invalid_argument] for [T_cold]. *)
+val emit_tag : t -> ts:int -> cpu:int -> Event.tag -> int -> int -> int -> unit
+
 (** An online consumer: [f ~ts ~cpu tag a b c kind] gets each event in its
     packed form ({!Event.pack}).  [kind] is the event itself for
     [T_cold] and meaningless for any other tag; {!Event.unpack} rebuilds

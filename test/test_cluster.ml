@@ -66,6 +66,30 @@ let test_bounded_live_flows_under_churn () =
   check Alcotest.bool "emitted at least one request per flow" true
     (Traffic.requests_emitted tr >= Traffic.flows_completed tr)
 
+(* A tenant that can never emit — a Burst whose phases both have rate 0,
+   or the whole standard mix at zero load — yields no requests and returns:
+   the Burst arrival clock used to step across phase boundaries forever. *)
+let test_silent_tenants_terminate () =
+  let silent =
+    {
+      Traffic.name = "silent";
+      arrival =
+        Traffic.Burst { base_rate = 0.0; burst_rate = 0.0; mean_on = ms 1; mean_off = ms 1 };
+      service = Stats.Dist.constant 1_000.0;
+      flow_len_mean = 2.0;
+      connections = 4;
+    }
+  in
+  let tr = Traffic.create ~seed:3 ~start:0 [ silent ] in
+  check Alcotest.int "silent burst tenant" 0 (List.length (Traffic.next_window tr ~until:(ms 500)));
+  let tr = Traffic.create ~seed:3 ~start:0 (Traffic.standard_mix ~load_kreqs:0.0 ()) in
+  check Alcotest.int "zero-load standard mix" 0
+    (List.length (Traffic.next_window tr ~until:(ms 500)));
+  (* one phase silent is still a live tenant *)
+  let half = { silent with arrival = Traffic.Burst { base_rate = 0.0; burst_rate = 50_000.0; mean_on = ms 1; mean_off = ms 1 } } in
+  let tr = Traffic.create ~seed:3 ~start:0 [ half ] in
+  check Alcotest.bool "burst-only tenant emits" true (Traffic.next_window tr ~until:(ms 50) <> [])
+
 (* The thinned diurnal process must integrate to its mean rate over whole
    periods (statistical: ~5000 expected arrivals, so 10% is > 4 sigma). *)
 let prop_diurnal_integrates seed =
@@ -638,6 +662,8 @@ let () =
             prop_diurnal_integrates;
           qtest ~count:60 "merged window equals gather-and-sort" QCheck.small_nat
             prop_merge_equals_sort;
+          Alcotest.test_case "silent tenants emit nothing and return" `Quick
+            test_silent_tenants_terminate;
         ] );
       ( "lb",
         [

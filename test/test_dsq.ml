@@ -35,13 +35,12 @@ let test_fifo_basic () =
   check Alcotest.int "inserts counted" 3 (Dsq.inserts q);
   let order = List.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.to_list q) in
   check Alcotest.(list int) "FIFO order" [ 3; 1; 2 ] order;
-  check Alcotest.(option int) "peek is head" (Some 3)
-    (Option.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.peek q));
+  check Alcotest.(option int) "peek is head" (Some 3) (Option.map Sched.pid (Dsq.peek q));
   let consumed = ref [] in
   let rec drain () =
     match Dsq.consume q with
-    | Some e ->
-      consumed := e.Dsq.pid :: !consumed;
+    | Some tok ->
+      consumed := Sched.pid tok :: !consumed;
       drain ()
     | None -> ()
   in
@@ -59,31 +58,56 @@ let test_vtime_ordering () =
   check Alcotest.(list int) "vtime order, stable ties" [ 2; 4; 3; 1 ] order
 
 let test_take_for_and_silent_moves () =
-  let q = inert_queue "cpus" in
+  let q = inert_queue "cpus" and local = inert_queue "local" in
   Dsq.insert q (token ~cpu:0 1);
   Dsq.insert q (token ~cpu:1 2);
   Dsq.insert q (token ~cpu:0 3);
-  (* take_for skips entries licensed for other cpus *)
-  let e = Option.get (Dsq.take_for q ~cpu:1) in
-  check Alcotest.int "took the cpu-1 entry" 2 e.Dsq.pid;
-  check Alcotest.(option Alcotest.int) "no more cpu-1 work" None
-    (Option.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.take_for q ~cpu:1));
-  (* silent transfer: put appends, put_front restores the head, neither
-     counts as an insert *)
+  let stamp = (List.nth (Dsq.to_list q) 1).Dsq.inserted_at in
   let inserts_before = Dsq.inserts q in
-  let local = inert_queue "local" in
-  Dsq.put local e;
-  check Alcotest.int "moved entry keeps its stamp" e.Dsq.inserted_at
-    (Option.get (Dsq.peek local)).Dsq.inserted_at;
-  let head = Option.get (Dsq.consume q) in
-  Dsq.put_front q head;
-  check Alcotest.(option int) "put_front restores the head" (Some head.Dsq.pid)
-    (Option.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.peek q));
+  (* move_for skips entries licensed for other cpus *)
+  check Alcotest.int "moved the cpu-1 entry" 2 (Dsq.move_for q ~cpu:1 ~into:local);
+  check Alcotest.int "no more cpu-1 work" (-1) (Dsq.move_for q ~cpu:1 ~into:local);
+  check Alcotest.int "moved entry keeps its stamp" stamp
+    (List.hd (Dsq.to_list local)).Dsq.inserted_at;
+  (* a front requeue keeps the head's turn under its new token *)
+  check Alcotest.(option int) "requeue hands back the old token" (Some 0)
+    (Option.map Sched.cpu (Dsq.requeue q ~pid:1 (token ~cpu:2 1) ~into:q ~front:true));
+  check Alcotest.(option (pair int int)) "the head keeps its turn" (Some (1, 2))
+    (Option.map (fun tok -> (Sched.pid tok, Sched.cpu tok)) (Dsq.peek q));
+  check Alcotest.(option int) "requeueing an absent pid" None
+    (Option.map Sched.pid (Dsq.requeue q ~pid:9 (token 9) ~into:q ~front:true));
   check Alcotest.int "silent ops are not inserts" inserts_before (Dsq.inserts q);
   (* remove by pid from the middle *)
-  let r = Option.get (Dsq.remove q ~pid:3) in
-  check Alcotest.int "removed pid 3" 3 r.Dsq.pid;
+  check Alcotest.(option int) "removed pid 3" (Some 3) (Option.map Sched.pid (Dsq.remove q ~pid:3));
   check Alcotest.int "one entry left" 1 (Dsq.length q)
+
+(* Steady-state queue traffic allocates nothing: an insert keeps the token
+   box it is handed, consume hands that box back, moves and requeues carry
+   entries through int columns, and the trace events go out packed. *)
+let test_queue_traffic_allocates_nothing () =
+  List.iter
+    (fun mode ->
+      let q = inert_queue ~mode "a" and local = inert_queue ~mode "b" in
+      let held = Array.init 8 (fun pid -> Some (token ~cpu:(pid mod 2) pid)) in
+      let round i =
+        let pid = i mod 8 in
+        Dsq.insert_held q ~vtime:(i mod 5) held.(pid);
+        Dsq.insert_held q ~vtime:(i mod 3) held.((pid + 1) mod 8);
+        ignore (Dsq.move_for q ~cpu:(pid mod 2) ~into:local);
+        ignore (Sys.opaque_identity (Dsq.remove q ~pid));
+        ignore (Sys.opaque_identity (Dsq.consume q));
+        ignore (Sys.opaque_identity (Dsq.consume local))
+      in
+      for i = 1 to 64 do
+        round i
+      done;
+      let before = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        round i
+      done;
+      let words = Gc.minor_words () -. before in
+      check (Alcotest.float 0.0) "minor words over 10k rounds" 0.0 words)
+    [ Dsq.Fifo; Dsq.Vtime ]
 
 (* ---------- queue properties ---------- *)
 
@@ -94,7 +118,7 @@ let prop_fifo_stable n =
     Dsq.insert q (token pid)
   done;
   let rec drain acc =
-    match Dsq.consume q with Some e -> drain (e.Dsq.pid :: acc) | None -> List.rev acc
+    match Dsq.consume q with Some tok -> drain (Sched.pid tok :: acc) | None -> List.rev acc
   in
   drain [] = List.init n Fun.id
 
@@ -102,19 +126,98 @@ let prop_vtime_monotone vtimes =
   let q = inert_queue ~mode:Dsq.Vtime "p" in
   List.iteri (fun pid vt -> Dsq.insert q ~vtime:vt (token pid)) vtimes;
   let rec drain acc =
-    match Dsq.consume q with Some e -> drain (e :: acc) | None -> List.rev acc
+    match Dsq.consume q with Some tok -> drain (Sched.pid tok :: acc) | None -> List.rev acc
   in
   let out = drain [] in
   List.length out = List.length vtimes
   &&
+  let vt = Array.of_list vtimes in
   let rec sorted = function
-    | (a : Dsq.entry) :: (b : Dsq.entry) :: rest ->
+    | a :: b :: rest ->
       (* consume order is non-decreasing vtime, insertion order on ties *)
-      (a.Dsq.vtime < b.Dsq.vtime || (a.Dsq.vtime = b.Dsq.vtime && a.Dsq.pid < b.Dsq.pid))
-      && sorted (b :: rest)
+      (vt.(a) < vt.(b) || (vt.(a) = vt.(b) && a < b)) && sorted (b :: rest)
     | _ -> true
   in
   sorted out
+
+(* A reference model of the queue as it was built on a deque and a
+   persistent red-black tree: a list of entries in FIFO order, read in
+   (vtime, seq) order for a vtime queue.  Every operation is the old
+   entry-record one: [take_for] + [put] for a move, [remove] + [put] or
+   [put_front] for a requeue. *)
+module Ref = struct
+  type e = { pid : int; cpu : int; vtime : int; seq : int }
+
+  type q = { vtime_mode : bool; mutable es : e list; mutable seq : int }
+
+  let create vtime_mode = { vtime_mode; es = []; seq = 0 }
+
+  let order q =
+    if q.vtime_mode then List.stable_sort (fun a b -> compare (a.vtime, a.seq) (b.vtime, b.seq)) q.es
+    else q.es
+
+  let take q f =
+    match List.find_opt f (order q) with
+    | None -> None
+    | Some e ->
+      q.es <- List.filter (fun x -> x != e) q.es;
+      Some e
+
+  let put q e =
+    q.es <- q.es @ [ { e with seq = q.seq } ];
+    q.seq <- q.seq + 1
+
+  let insert q ~pid ~cpu ~vtime = put q { pid; cpu; vtime; seq = 0 }
+
+  let put_front q e = q.es <- e :: q.es
+end
+
+(* Random insert / consume / move / remove / requeue sequences over two
+   queues of one mode, with pids queued twice: consumption order, the
+   entries handed back and each queue's contents must match the model. *)
+let prop_dsq_matches_reference vtime_mode ops =
+  let mode = if vtime_mode then Dsq.Vtime else Dsq.Fifo in
+  let qs = [| inert_queue ~mode "a"; inert_queue ~mode "b" |] in
+  let rs = [| Ref.create vtime_mode; Ref.create vtime_mode |] in
+  let got tok = Option.map (fun t -> (Sched.pid t, Sched.cpu t)) tok in
+  let want e = Option.map (fun (e : Ref.e) -> (e.pid, e.cpu)) e in
+  let contents i =
+    List.map (fun (e : Dsq.entry) -> (e.Dsq.pid, Sched.cpu e.Dsq.token, e.Dsq.vtime)) (Dsq.to_list qs.(i))
+    = List.map (fun (e : Ref.e) -> (e.pid, e.cpu, e.vtime)) (Ref.order rs.(i))
+  in
+  List.for_all
+    (fun (op, (pid, cpu, vtime)) ->
+      let i = op mod 2 and pid = pid mod 6 and cpu = cpu mod 3 and vtime = vtime mod 5 in
+      let j = 1 - i in
+      let ok =
+        match op / 2 mod 6 with
+        | 0 | 1 ->
+          Dsq.insert qs.(i) ~vtime (token ~cpu pid);
+          Ref.insert rs.(i) ~pid ~cpu ~vtime;
+          true
+        | 2 -> got (Dsq.consume qs.(i)) = want (Ref.take rs.(i) (fun _ -> true))
+        | 3 ->
+          let moved = Ref.take rs.(i) (fun e -> e.cpu = cpu) in
+          Option.iter (Ref.put rs.(j)) moved;
+          Dsq.move_for qs.(i) ~cpu ~into:qs.(j)
+          = (match moved with Some e -> e.pid | None -> -1)
+        | 4 -> got (Dsq.remove qs.(i) ~pid) = want (Ref.take rs.(i) (fun e -> e.pid = pid))
+        | _ ->
+          let front = vtime mod 2 = 0 in
+          let old = Ref.take rs.(i) (fun e -> e.pid = pid) in
+          Option.iter
+            (fun e ->
+              let e = { e with Ref.cpu } in
+              if front then Ref.put_front rs.(i) e else Ref.put rs.(j) e)
+            old;
+          got
+            (Dsq.requeue qs.(i) ~pid (token ~cpu pid)
+               ~into:(if front then qs.(i) else qs.(j))
+               ~front)
+          = want old
+      in
+      ok && contents 0 && contents 1)
+    ops
 
 (* The dual-queue promotion bound, on the pure decision function: replay
    the adapter's streak updates over an arbitrary low_queued history and
@@ -288,7 +391,15 @@ let () =
           Alcotest.test_case "fifo basics" `Quick test_fifo_basic;
           Alcotest.test_case "vtime ordering" `Quick test_vtime_ordering;
           Alcotest.test_case "take_for and silent moves" `Quick test_take_for_and_silent_moves;
+          Alcotest.test_case "queue traffic allocates nothing" `Quick
+            test_queue_traffic_allocates_nothing;
           qtest "FIFO consume order is insert order" QCheck.small_nat prop_fifo_stable;
+          qtest ~count:300 "FIFO queue matches the reference model"
+            QCheck.(list (pair small_nat (triple small_nat small_nat small_nat)))
+            (prop_dsq_matches_reference false);
+          qtest ~count:300 "vtime queue matches the reference model"
+            QCheck.(list (pair small_nat (triple small_nat small_nat small_nat)))
+            (prop_dsq_matches_reference true);
           qtest "vtime consume order is monotone, ties stable"
             QCheck.(list small_nat)
             prop_vtime_monotone;

@@ -384,6 +384,134 @@ let prop_cfs_random_workloads_consistent seed =
 let qtest ?(count = 30) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
+(* ---------- golden digests ---------- *)
+
+(* md5s of deterministic artefacts for every registry scheduler: the
+   ftrace export of a short pipe and a short schbench run, the record log
+   of the schbench run (Enoki-routed schedulers), and the ftrace export of
+   a pipe run under the [panic] and [chaos] fault plans (Enoki modules).
+   They pin the exact decision stream, so a refactor of a module's data
+   structures must leave every one unchanged.  A deliberate behaviour
+   change regenerates them: the failure message prints the new digest. *)
+
+let short_schbench =
+  {
+    (Workloads.Schbench.default_params ()) with
+    warmup = Kernsim.Time.ms 20;
+    duration = Kernsim.Time.ms 100;
+  }
+
+let ftrace_digest ?record kind run =
+  let tracer = Trace.Tracer.create ~nr_cpus:(Kernsim.Topology.nr_cpus Kernsim.Topology.one_socket) () in
+  let b = Workloads.Setup.build ?record ~tracer ~topology:Kernsim.Topology.one_socket kind in
+  run b;
+  Digest.to_hex (Digest.string (Trace.Export.ftrace (Trace.Tracer.events tracer)))
+
+let pipe b = ignore (Workloads.Pipe_bench.run b ~messages:1_000 ())
+
+let schbench b = ignore (Workloads.Schbench.run b short_schbench)
+
+let golden_runs (e : Schedulers.Registry.entry) =
+  let kind = Workloads.Setup.of_registry e in
+  let base = [ ("pipe", ftrace_digest kind pipe); ("schbench", ftrace_digest kind schbench) ] in
+  match Schedulers.Registry.enoki_module e with
+  | None -> base
+  | Some m ->
+    let record = Enoki.Record.create () in
+    ignore (ftrace_digest ~record kind schbench);
+    let faulted preset =
+      let plan = List.assoc preset Fault.Plan.presets in
+      ftrace_digest (Workloads.Setup.Enoki_sched (Fault.Inject.wrap ~seed:11 ~plan m)) pipe
+    in
+    base
+    @ [
+        ("record", Digest.to_hex (Digest.string (Enoki.Record.contents record)));
+        ("panic", faulted "panic");
+        ("chaos", faulted "chaos");
+      ]
+
+let golden =
+  [
+    ("cfs/pipe", "c1973124b4821cb8e90855d4eb6bc626");
+    ("cfs/schbench", "e0cfd1268054501e7c88409d33b99ff9");
+    ("fifo/pipe", "604a728b211efb227247e75f5ce5e19d");
+    ("fifo/schbench", "128ef7927b7731698aad6728e1659004");
+    ("fifo/record", "cbcb32a04986f18d54b292d902a39407");
+    ("fifo/panic", "903e0aa6b16200716ac1bf3a0efcaf58");
+    ("fifo/chaos", "f7333208962d9543a5e7e2cf3b9a3622");
+    ("wfq/pipe", "5e2cda63bdefc61a579baa17f350374f");
+    ("wfq/schbench", "bfb80a8db2c2611375115efa8b9dd369");
+    ("wfq/record", "0b80fb84e1004ccfdf258ed6a83b0166");
+    ("wfq/panic", "1136819548b6030310d8733a616dfff1");
+    ("wfq/chaos", "e9aa78ed54602b173af5597e7e0c3e54");
+    ("shinjuku/pipe", "ba1793002ed67121918faf7c2986af93");
+    ("shinjuku/schbench", "414fdf5a6bc3319c9ea90931feff16b2");
+    ("shinjuku/record", "0536dc62c62504b1a0bbd3a0b3b6b4ae");
+    ("shinjuku/panic", "df847da7d5747efbcd3721ea1590867e");
+    ("shinjuku/chaos", "402599d1acc2bcc949925ca1420f45b3");
+    ("locality/pipe", "06899849a5f0b686d44cd18504fa6dd5");
+    ("locality/schbench", "132fe4877ddeb265605771372059a58f");
+    ("locality/record", "eb1161f0745105949409f496b5d64f62");
+    ("locality/panic", "ae6f01d5d748deb95ff710d5280f5f84");
+    ("locality/chaos", "4d9e3c7846639aecb6972a7532a9ec0e");
+    ("arachne/pipe", "eabd12cf99d1906dc7245179ba7d24d2");
+    ("arachne/schbench", "89911c4ca55600a9fea436e24f116511");
+    ("arachne/record", "040ce67ffdc329ad245c2627cd008861");
+    ("arachne/panic", "eabd12cf99d1906dc7245179ba7d24d2");
+    ("arachne/chaos", "748f98905f6eb2100339aa40b0ceec8b");
+    ("edf/pipe", "49a0e733fb61e2fb332bb22d4c1b1acb");
+    ("edf/schbench", "72df836bf39490075c1c7d96a2cb8446");
+    ("edf/record", "df0733041fd4dd8721d7b3a9fd9e6f8f");
+    ("edf/panic", "3cf49ad539da1a5942fdc0b621bd5f9c");
+    ("edf/chaos", "f84b76026823b5e6fa64792ea1be17f1");
+    ("nest/pipe", "41a83e059562e1873227b22d2b5518cc");
+    ("nest/schbench", "1cf60239f319f347cb5b9dfc03b67fec");
+    ("nest/record", "e1c129eabf6d54d1c98fdc14b40fe52b");
+    ("nest/panic", "d76d091d8a923044d701e02a8cc59450");
+    ("nest/chaos", "83e65010cef998b63eec3a59320ade94");
+    ("rt-fifo/pipe", "49a0e733fb61e2fb332bb22d4c1b1acb");
+    ("rt-fifo/schbench", "9f6b3ef5f2e5f98449ab5b30978fc690");
+    ("rt-fifo/record", "5ce2824351bf935e5407c32474725850");
+    ("rt-fifo/panic", "3cf49ad539da1a5942fdc0b621bd5f9c");
+    ("rt-fifo/chaos", "4415f7dd79e6a21216353d37a843c236");
+    ("scx-simple/pipe", "3f9071015bd7b163b64470c0d8d59638");
+    ("scx-simple/schbench", "cb8825ee9e65562af79cde0a867a7735");
+    ("scx-simple/record", "3d23b949d7153d27818a49fc33418fcd");
+    ("scx-simple/panic", "b4724a87687c06016d7a3bda685b5882");
+    ("scx-simple/chaos", "1eb10d74e30ab9565760afe45152495b");
+    ("scx-rr/pipe", "8142452a8467d186ca4506a775e92aec");
+    ("scx-rr/schbench", "8a18e26fc717ec1a4880884455f76683");
+    ("scx-rr/record", "bb8703213fc8afbe4ba133c14bffe26a");
+    ("scx-rr/panic", "3622c207b0d8f69c2c0fca1a50341b44");
+    ("scx-rr/chaos", "7283efb2ca0b32dc0e644409508e15ca");
+    ("scx-prio-dq/pipe", "110635e91a46df5e57ad5b704f944195");
+    ("scx-prio-dq/schbench", "b3c75e5ba39f3134473f93b651817b80");
+    ("scx-prio-dq/record", "a3080591b618415822157546b2ae68e3");
+    ("scx-prio-dq/panic", "eed5b76a86dc8d133441c2b03de9a8ec");
+    ("scx-prio-dq/chaos", "fe350fa41edec2f14c789836b5615c48");
+    ("ghost-sol/pipe", "72f146fed464db40f25a4726c3af08e7");
+    ("ghost-sol/schbench", "212561a5cd695a6306ab557dccb19307");
+    ("ghost-fifo/pipe", "7f0a37123950462da3f9e716500ed736");
+    ("ghost-fifo/schbench", "132e8832bd432a5709ccae0ef918608b");
+    ("ghost-shinjuku/pipe", "949cb421238aa0fd633e0e1d2664afad");
+    ("ghost-shinjuku/schbench", "91b126a211824476a9c91f5bd3d256f6");
+  ]
+
+let test_golden_digests () =
+  let missing = ref [] in
+  List.iter
+    (fun (e : Schedulers.Registry.entry) ->
+      List.iter
+        (fun (run, got) ->
+          let label = e.name ^ "/" ^ run in
+          match List.assoc_opt label golden with
+          | Some want -> check Alcotest.string label want got
+          | None -> missing := Printf.sprintf "    (%S, %S);" label got :: !missing)
+        (golden_runs e))
+    Schedulers.Registry.all;
+  if !missing <> [] then
+    Alcotest.failf "no golden digest for:\n%s" (String.concat "\n" (List.rev !missing))
+
 let () =
   Alcotest.run "schedulers"
     [
@@ -416,6 +544,8 @@ let () =
           Alcotest.test_case "agent core" `Quick test_ghost_agent_core_reserved;
           Alcotest.test_case "slower than cfs on pipe" `Quick test_ghost_slower_than_cfs_on_pipe;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "digests unchanged, every scheduler" `Quick test_golden_digests ] );
       ( "cfs-stress",
         [
           Alcotest.test_case "consistent under stress" `Quick test_cfs_consistent_under_stress;

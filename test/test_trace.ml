@@ -927,16 +927,21 @@ let test_counts_match_violations () =
    emitters, must drain to the same events and give the sanitizer the same
    report, trailing windows included; feeding the boxed events straight to
    [Sanitizer.feed] must too.  Message names come from the crossing table
-   (packed) and from arbitrary strings (boxed); lock ids straddle the
-   shared-value range. *)
+   (packed) and from arbitrary strings (boxed), and likewise dispatch-queue
+   names (interned or not); lock ids straddle the shared-value range. *)
+
+let dsq_names = List.map (fun name -> ignore (E.dsq_index name); name) [ "local_0"; "global" ]
 
 let gen_packed_events =
   let open QCheck.Gen in
+  let dsq = oneofl dsq_names and pid = int_range 0 5 in
   let kind =
     frequency
       [
         (4, gen_kind);
         (1, map (fun name -> E.Msg_call { name }) (oneofl (Array.to_list E.call_names)));
+        (1, map2 (fun dsq pid -> E.Dsq_insert { dsq; pid }) dsq pid);
+        (1, map3 (fun dsq pid wait -> E.Dsq_consume { dsq; pid; wait }) dsq pid (int_range 0 99));
       ]
   in
   list_size (int_range 0 60)
@@ -960,6 +965,10 @@ let emit_packed tr ~ts ~cpu (kind : E.kind) =
   | E.Lock_release { lock_id } -> Tr.emit_lock_release tr ~ts ~cpu ~lock_id
   | E.Msg_call { name } when E.call_index name >= 0 ->
     Tr.emit_msg_call tr ~ts ~cpu ~call:(E.call_index name)
+  | E.Dsq_insert { dsq; pid } when List.mem dsq dsq_names ->
+    Tr.emit_tag tr ~ts ~cpu E.T_dsq_insert (E.dsq_index dsq) pid 0
+  | E.Dsq_consume { dsq; pid; wait } when List.mem dsq dsq_names ->
+    Tr.emit_tag tr ~ts ~cpu E.T_dsq_consume (E.dsq_index dsq) pid wait
   | kind -> Tr.emit tr ~ts ~cpu kind
 
 (* tight bounds and a short window, so short random streams trip every
