@@ -1048,15 +1048,15 @@ let perf_rows () =
 
    - machine rows: the full machine running pipe-bench per scheduler
      (best-of-N wall clock; bytes and event counts are deterministic);
-   - core rows: the bare event loop at fixed queue depth, timer wheel vs
-     the reference heap.  The heap degrades with depth (O(log n) sift),
-     the wheel stays flat, so deep queues are where the wheel wins; at
-     depth 1 the heap's tiny constant wins.
+   - core rows: the bare event loop at fixed queue depth, the default
+     slot queue (int slots in a [Ds.Pid_heap]) vs the boxed reference
+     heap.  Both are O(log n); the slot queue must allocate nothing at
+     any depth.
 
    The built-in CFS row's ns/event is a wall ratchet: the seed sat at
-   ~510 ns/event; the SoA task table, int-encoded events and batched wheel
-   expiry brought it to ~220 ns, and the 250 ns ceiling keeps a hot-path
-   slow path from creeping back in. *)
+   ~510 ns/event; the SoA task table and int-encoded events brought it to
+   ~220 ns, and the 250 ns ceiling keeps a hot-path slow path from
+   creeping back in. *)
 
 let cfs_ns_ceiling = 250.
 
@@ -1069,8 +1069,9 @@ let token_bytes_ceiling = 64.
 
 let bytes_check = Gate.Both (bytes, Ceiling token_bytes_ceiling)
 
-(* the wheel must keep beating the heap on deep queues *)
-let deep_speedup_floor = 2.0
+(* the default event queue allocates nothing in steady state, at any
+   depth (the slack covers the measurement's own few words) *)
+let core_bytes_ceiling = 0.01
 
 (* One pipe-bench measurement, shared by the speed and obs suites:
    ((events, best wall seconds, bytes per event), the last run's undrained
@@ -1161,35 +1162,24 @@ let speed_rows () =
            both backends alike *)
         let best = ref (infinity, 0., infinity, 0.) in
         for _ = 1 to if !quick then 1 else 3 do
-          let w_ns, w_b = speed_core_cycle `Wheel ~depth ~cycles in
+          let p_ns, p_b = speed_core_cycle `Pid_heap ~depth ~cycles in
           let h_ns, h_b = speed_core_cycle `Heap ~depth ~cycles in
-          let bw, _, bh, _ = !best in
-          best := (Float.min bw w_ns, w_b, Float.min bh h_ns, h_b)
+          let bp, _, bh, _ = !best in
+          best := (Float.min bp p_ns, p_b, Float.min bh h_ns, h_b)
         done;
-        let w_ns, w_b, h_ns, h_b = !best in
-        (depth, w_ns, w_b, h_ns, h_b))
-      speed_core_depths
-  in
-  let deep =
-    List.fold_left
-      (fun acc (depth, w_ns, _, h_ns, _) ->
-        if depth >= 512 then Float.max acc (h_ns /. w_ns) else acc)
-      0. core
-  in
-  machine
-  @ List.map
-      (fun (depth, w_ns, w_b, h_ns, h_b) ->
+        let p_ns, p_b, h_ns, h_b = !best in
         Gate.row
           [ ("depth", string_of_int depth) ]
           [
-            Gate.float "wheel_ns_per_event" w_ns;
+            Gate.float "pid_heap_ns_per_event" p_ns;
             Gate.float "heap_ns_per_event" h_ns;
-            Gate.float "wheel_bytes_per_event" w_b;
+            Gate.float ~check:(Ceiling core_bytes_ceiling) "pid_heap_bytes_per_event" p_b;
             Gate.float "heap_bytes_per_event" h_b;
-            Gate.float "speedup" (h_ns /. w_ns);
+            Gate.float "speedup" (h_ns /. p_ns);
           ])
-      core
-  @ [ Gate.row [ ("depth", ">=512") ] [ Gate.float "speedup" deep ~check:(Floor deep_speedup_floor) ] ]
+      speed_core_depths
+  in
+  machine @ core
 
 (* ---------- dsq: the DSQ scheduler family vs built-in CFS ----------
 
@@ -1832,8 +1822,8 @@ let suites =
       notes =
         [ "scheduler rows: full machine + scheduler running pipe-bench; ns/event is host";
           "wall clock (ratcheted on cfs), events and bytes/event are deterministic.";
-          "depth rows: bare event loop at steady queue depth, wheel vs heap; heap ns/ev";
-          "grows with depth (log n sift), the wheel stays flat." ];
+          "depth rows: bare event loop at steady queue depth, the default slot queue";
+          "(pid_heap) vs the boxed reference heap; both grow with depth (log n sift)." ];
     };
     {
       name = "dsq";

@@ -50,6 +50,14 @@ let checked ?(prefix = "") f =
     Printf.eprintf "enoki_sim: %s\n" msg;
     exit 2
 
+(* [--load] is the rate of an open-loop arrival process: one that is not a
+   positive number cannot be simulated. *)
+let check_load cmd load =
+  if not (Float.is_finite load && load > 0.0) then begin
+    Printf.eprintf "enoki_sim: %s: --load must be a positive number of kreq/s (got %g)\n" cmd load;
+    exit 2
+  end
+
 let usage_exits =
   Cmd.Exit.info 2 ~doc:"on a flag value the command cannot run with (e.g. $(b,--cores) 0)."
   :: Cmd.Exit.defaults
@@ -257,6 +265,10 @@ let print_summary (b : Workloads.Setup.built) =
     (Kernsim.Accounting.migrations mets);
   Report.kv (Workloads.Setup.enoki_summary b)
 
+(* only the server workloads read [--load] *)
+let check_workload_load cmd workload load =
+  match workload with Rocksdb | Memcached -> check_load cmd load | Pipe | Schbench -> ()
+
 let run_workload (b : Workloads.Setup.built) workload ~load ~seed =
   match workload with
   | Pipe ->
@@ -312,6 +324,12 @@ let bisect_arg =
 let run_cmd =
   let run sched workload load cores trace_path trace_format sanitize seed fault_plan
       fault_seed call_budget watchdog metrics_out metrics_interval profile record_path =
+    check_workload_load "run" workload load;
+    (match call_budget with
+    | Some ns when ns < 0 ->
+      Printf.eprintf "enoki_sim: run: --call-budget must be non-negative (got %d)\n" ns;
+      exit 2
+    | _ -> ());
     let topology = checked (fun () -> topology_of_cores cores) in
     let registry =
       if metrics_out <> None then
@@ -520,6 +538,7 @@ let replay_cmd =
 
 let upgrade_cmd =
   let run sched workload load cores seed =
+    check_workload_load "upgrade" workload load;
     match module_of_sched sched with
     | None ->
       prerr_endline ("upgrade requires " ^ enoki_scheds_hint);
@@ -685,10 +704,7 @@ let fleet_cmd =
       | l -> List.init (max 0 hosts) (fun i -> List.nth l (i mod List.length l))
     in
     let seed = Option.value seed ~default:1 in
-    if not (Float.is_finite load && load > 0.0) then begin
-      Printf.eprintf "enoki_sim: fleet: --load must be a positive number of kreq/s (got %g)\n" load;
-      exit 2
-    end;
+    check_load "fleet" load;
     let tenants = Cluster.Traffic.standard_mix ~connections ~flow_len ~load_kreqs:load () in
     let upgrade =
       Option.map

@@ -206,6 +206,16 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
   if tenants = [] then invalid_arg "Fleet.create: no tenants";
   if List.exists (fun (tn : Traffic.tenant) -> tn.connections < 1) tenants then
     invalid_arg "Fleet.create: connections must be positive";
+  let flow_len_ok (tn : Traffic.tenant) =
+    tn.flow_len_mean >= 1.0 && Float.is_finite tn.flow_len_mean
+  in
+  if not (List.for_all flow_len_ok tenants) then
+    invalid_arg "Fleet.create: flow length must be a finite mean >= 1";
+  (match upgrade with
+  | Some u when u.at < 0 || u.stagger < 0 ->
+    invalid_arg "Fleet.create: upgrade time and stagger must be non-negative"
+  | _ -> ());
+  if anatomy_top < 1 then invalid_arg "Fleet.create: anatomy_top must be positive";
   let entries = Array.of_list hosts in
   let n = Array.length entries in
   (* one root seed, split in fixed order: everything downstream is a pure

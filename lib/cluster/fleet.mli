@@ -64,7 +64,9 @@ type t
     Enoki-module host.  Raises [Invalid_argument] on an empty [hosts] or
     [tenants], a non-positive [epoch] (the clock could never advance),
     [workers] or [queue_cap] (no request could ever complete), a tenant
-    without connections, or a chaos victim that is out of range or not an
+    without connections or with a flow length that is not a finite mean
+    [>= 1], a negative upgrade time or stagger, a non-positive
+    [anatomy_top], or a chaos victim that is out of range or not an
     Enoki-module host; every message starts with ["Fleet.create:"].
 
     [anatomy] switches on the request-anatomy layer ({!Trace.Anatomy}):

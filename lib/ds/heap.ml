@@ -57,21 +57,6 @@ let add t x =
 
 let peek t = if t.len = 0 then None else Some t.data.(0)
 
-(* Non-allocating variants of [peek]/[pop] for hot dispatch loops: the
-   option box of a [Some] costs two words per call, which adds up at
-   millions of events per second. *)
-let top_exn t = if t.len = 0 then invalid_arg "Heap.top_exn: empty" else t.data.(0)
-
-let pop_exn t =
-  if t.len = 0 then invalid_arg "Heap.pop_exn: empty";
-  let top = t.data.(0) in
-  t.len <- t.len - 1;
-  if t.len > 0 then begin
-    set t 0 t.data.(t.len);
-    sift_down t 0
-  end;
-  top
-
 let pop t =
   if t.len = 0 then None
   else begin

@@ -1,10 +1,10 @@
 (** Mutable binary min-heaps.
 
-    Used for the simulator's event queue and the timer wheel's far-future
-    overflow tier ({!Kernsim.Sim}, {!Ds.Timer_wheel}).  The comparison is
-    supplied at creation; ties are broken by insertion order only if the
-    caller encodes a sequence number into the element (the simulator does,
-    to keep runs deterministic). *)
+    Used for the simulator's reference event queue ({!Kernsim.Sim}'s
+    [`Heap] backend, the test oracle for its default slot queue).  The
+    comparison is supplied at creation; ties are broken by insertion order
+    only if the caller encodes a sequence number into the element (the
+    simulator does, to keep runs deterministic). *)
 
 type 'a t
 
@@ -26,14 +26,6 @@ val peek : 'a t -> 'a option
 
 (** Remove and return the smallest element. *)
 val pop : 'a t -> 'a option
-
-(** Smallest element without removing it; allocation-free.
-    Raises [Invalid_argument] if the heap is empty. *)
-val top_exn : 'a t -> 'a
-
-(** Remove and return the smallest element; allocation-free.
-    Raises [Invalid_argument] if the heap is empty. *)
-val pop_exn : 'a t -> 'a
 
 (** [remove_at t i] removes and returns the element currently at index
     [i] (as reported by [on_move]) in O(log n).  Raises

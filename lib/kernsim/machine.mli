@@ -27,7 +27,8 @@ type ns = Time.ns
     wakeup-latency histogram, and runqueue-depth / busy-idle gauge probes
     in it — recording never charges simulated time, so an attached
     registry cannot change scheduling decisions.  [sim_backend] selects
-    the event-queue backend (default: the timer wheel); both backends
+    the event-queue backend (default: [`Pid_heap], int event slots in a
+    {!Ds.Pid_heap}; [`Heap] is the boxed reference heap); both backends
     dispatch identical event streams (see [test_core_equiv]). *)
 val create :
   ?costs:Costs.t ->

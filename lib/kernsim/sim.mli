@@ -5,17 +5,20 @@
     increasing sequence number breaks ties), which makes whole simulations
     deterministic.
 
-    Two interchangeable queue backends exist: the default hierarchical
-    {!Ds.Timer_wheel} (O(1) insert/pop/cancel near the cursor, pooled
-    nodes) and the original binary heap, kept as the semantic reference —
-    both dispatch the exact same event stream for the same calls (see
-    [test_core_equiv]). *)
+    Two interchangeable queue backends exist.  The default, [`Pid_heap],
+    keeps each event in a small-int slot (time, sequence number, heap
+    position and callback columns) ordered by a {!Ds.Pid_heap}, the
+    primitive under every run queue: O(log n) insert, pop and cancel,
+    and no allocation once the slot columns have grown to the peak queue
+    depth.  [`Heap] is the original boxed binary heap, kept as the
+    semantic reference: both dispatch the exact same event stream for the
+    same calls (see [test_core_equiv]). *)
 
 type t
 
-type backend = [ `Heap | `Wheel ]
+type backend = [ `Heap | `Pid_heap ]
 
-(** [create ()] uses the timer-wheel backend; pass [~backend:`Heap] for
+(** [create ()] uses the [`Pid_heap] backend; pass [~backend:`Heap] for
     the reference heap. *)
 val create : ?backend:backend -> unit -> t
 
@@ -33,14 +36,17 @@ val at : t -> time:Time.ns -> (unit -> unit) -> unit
     Zero is legal. *)
 val after : t -> delay:Time.ns -> (unit -> unit) -> unit
 
-(** A reusable cancellable event cell.  One allocation at {!timer} time;
-    re-arming and firing are allocation-free on the wheel backend, and
-    {!cancel} actually removes the event instead of leaving a tombstone
-    to be dead-dispatched. *)
+(** A reusable cancellable event cell.  One allocation at {!timer} time
+    (on the default backend the timer owns one slot for life);
+    re-arming and firing are allocation-free there, and {!cancel}
+    actually removes the event instead of leaving a tombstone to be
+    dead-dispatched. *)
 type timer
 
 (** [timer t f] makes a detached timer that runs [f] when it fires.
-    The cell is tied to [t]'s backend. *)
+    The cell is tied to [t]: arming or cancelling it on another
+    simulator is a bug, which raises [Invalid_argument] on the default
+    backend and across backends. *)
 val timer : t -> (unit -> unit) -> timer
 
 (** Arm (or re-arm, replacing the previous arm) at an absolute time,

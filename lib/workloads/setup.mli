@@ -50,8 +50,8 @@ val register_tracer_probes :
     machine and the Enoki-C boundary (and, when a tracer is also given,
     registers ring drop/emit probes); [profile] arms the Enoki-C
     self-profiler.  [sim_backend] selects the machine's event-queue
-    backend (timer wheel by default, [`Heap] for the reference heap) —
-    both produce the same event stream. *)
+    backend ([`Pid_heap] slots by default, [`Heap] for the boxed
+    reference heap) — both produce the same event stream. *)
 val build :
   ?costs:Kernsim.Costs.t ->
   ?record:Enoki.Record.t ->

@@ -369,11 +369,12 @@ let test_fleet_rejects_zero_epoch () =
    rejected up front, under the "Fleet.create:" prefix the CLI turns into
    a usage error. *)
 let test_fleet_rejects_unusable_inputs () =
-  let create ?(workers = 4) ?(queue_cap = 64) ?(connections = 8) () =
+  let create ?(workers = 4) ?(queue_cap = 64) ?(connections = 8) ?(flow_len = 4.0) ?upgrade
+      ?(anatomy_top = 8) () =
     ignore
-      (Fleet.create ~workers ~queue_cap ~seed:1
+      (Fleet.create ~workers ~queue_cap ?upgrade ~anatomy:true ~anatomy_top ~seed:1
          ~hosts:(entries [ "wfq" ])
-         ~tenants:(small_mix ~connections ())
+         ~tenants:(Traffic.standard_mix ~connections ~flow_len ~load_kreqs:20.0 ())
          ())
   in
   Alcotest.check_raises "no workers" (Invalid_argument "Fleet.create: workers must be positive")
@@ -382,7 +383,22 @@ let test_fleet_rejects_unusable_inputs () =
     (fun () -> create ~queue_cap:0 ());
   Alcotest.check_raises "no connections"
     (Invalid_argument "Fleet.create: connections must be positive") (fun () ->
-      create ~connections:0 ())
+      create ~connections:0 ());
+  List.iter
+    (fun flow_len ->
+      Alcotest.check_raises "flow length"
+        (Invalid_argument "Fleet.create: flow length must be a finite mean >= 1") (fun () ->
+          create ~flow_len ()))
+    [ 0.0; -2.0; Float.nan; Float.infinity ];
+  List.iter
+    (fun (at, stagger) ->
+      Alcotest.check_raises "upgrade schedule"
+        (Invalid_argument "Fleet.create: upgrade time and stagger must be non-negative")
+        (fun () -> create ~upgrade:{ Fleet.at; stagger } ()))
+    [ (-10, 0); (ms 10, -ms 10) ];
+  Alcotest.check_raises "no exemplars"
+    (Invalid_argument "Fleet.create: anatomy_top must be positive") (fun () ->
+      create ~anatomy_top:0 ())
 
 let test_rolling_upgrade_pause_and_blackout () =
   let f =

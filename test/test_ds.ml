@@ -518,91 +518,123 @@ let test_pid_fifo_no_alloc () =
   ignore (Sys.opaque_identity !acc);
   check (Alcotest.float 0.0) "minor words over 10k rounds" 0.0 words
 
-(* ---------- Timer wheel ---------- *)
+(* ---------- Event queue ----------
 
-module W = Ds.Timer_wheel
+   The simulator's default event queue (int slots in a [Ds.Pid_heap]),
+   driven through [Kernsim.Sim].  The group keeps the name of the timing
+   wheel it replaced; the horizon and boundary cases still pin order
+   across the times where the wheel changed tiers. *)
+
+module S = Kernsim.Sim
+
+(* [at sim time v] logs [v] into [log] when it fires *)
+let logged () =
+  let sim = S.create () and log = ref [] in
+  (sim, log, fun ~time v -> S.at sim ~time (fun () -> log := v :: !log))
+
+let fired log =
+  let l = List.rev !log in
+  log := [];
+  l
 
 let test_wheel_fifo_ties () =
-  let w = W.create ~dummy:(-1) () in
-  List.iteri (fun i v -> W.add w ~time:100 ~seq:i v) [ 10; 11; 12 ];
-  W.add w ~time:50 ~seq:3 9;
-  let out = List.init 4 (fun _ -> W.pop_exn w) in
-  check Alcotest.(list int) "fifo at equal time" [ 9; 10; 11; 12 ] out;
-  check Alcotest.bool "empty" true (W.is_empty w)
+  let sim, log, at = logged () in
+  List.iter (fun v -> at ~time:100 v) [ 10; 11; 12 ];
+  at ~time:50 9;
+  S.run sim;
+  check Alcotest.(list int) "fifo at equal time" [ 9; 10; 11; 12 ] (fired log);
+  check Alcotest.int "empty" 0 (S.pending sim)
 
 let test_wheel_cancel () =
-  let w = W.create ~dummy:(-1) () in
-  let t1 = W.make_timer w 1 in
-  let t2 = W.make_timer w 2 in
-  W.arm w t1 ~time:10 ~seq:0;
-  W.arm w t2 ~time:20 ~seq:1;
-  check Alcotest.bool "t1 pending" true (W.pending t1);
-  W.cancel w t1;
-  check Alcotest.bool "t1 cancelled" false (W.pending t1);
-  check Alcotest.int "one left" 1 (W.length w);
-  check Alcotest.int "t2 pops" 2 (W.pop_exn w);
-  check Alcotest.bool "fired timer not pending" false (W.pending t2);
+  let sim, log, _ = logged () in
+  let t1 = S.timer sim (fun () -> log := 1 :: !log) in
+  let t2 = S.timer sim (fun () -> log := 2 :: !log) in
+  S.arm_at sim t1 ~time:10;
+  S.arm_at sim t2 ~time:20;
+  check Alcotest.bool "t1 pending" true (S.timer_pending t1);
+  S.cancel sim t1;
+  check Alcotest.bool "t1 cancelled" false (S.timer_pending t1);
+  check Alcotest.int "one left" 1 (S.pending sim);
+  S.run sim;
+  check Alcotest.(list int) "t2 fires" [ 2 ] (fired log);
+  check Alcotest.bool "fired timer not pending" false (S.timer_pending t2);
   (* cancel after fire and double-cancel are no-ops *)
-  W.cancel w t2;
-  W.cancel w t1;
-  check Alcotest.bool "empty" true (W.is_empty w)
+  S.cancel sim t2;
+  S.cancel sim t1;
+  check Alcotest.int "empty" 0 (S.pending sim);
+  check Alcotest.int "one dispatch" 1 (S.dispatched sim);
+  Alcotest.check_raises "a timer belongs to its simulator"
+    (Invalid_argument "Sim.cancel: timer from another simulator") (fun () ->
+      S.cancel (S.create ()) t1)
 
 let test_wheel_rearm_replaces () =
-  let w = W.create ~dummy:(-1) () in
-  let t1 = W.make_timer w 7 in
-  W.arm w t1 ~time:500 ~seq:0;
+  let sim, log, at = logged () in
+  let t1 = S.timer sim (fun () -> log := 7 :: !log) in
+  S.arm_at sim t1 ~time:500;
   (* re-arming replaces the previous arm entirely *)
-  W.arm w t1 ~time:5 ~seq:1;
-  W.add w ~time:50 ~seq:2 8;
-  check Alcotest.int "rearmed fires at new time" 7 (W.pop_exn w);
-  check Alcotest.int "then the one-shot" 8 (W.pop_exn w);
-  check Alcotest.bool "nothing at the old time" true (W.is_empty w)
+  S.arm_at sim t1 ~time:5;
+  at ~time:50 8;
+  check Alcotest.int "two pending" 2 (S.pending sim);
+  S.run sim;
+  check Alcotest.(list int) "rearmed fires at new time, then the one-shot" [ 7; 8 ] (fired log);
+  check Alcotest.int "nothing at the old time" 50 (S.now sim)
 
 let test_wheel_overflow () =
-  (* events beyond the 2^32 horizon land in the overflow heap and still
-     pop in global (time, seq) order *)
-  let w = W.create ~dummy:(-1) () in
-  let far = 1 lsl 33 in
-  W.add w ~time:far ~seq:0 1;
-  W.add w ~time:5 ~seq:1 2;
-  W.add w ~time:(far + 1) ~seq:2 3;
-  W.add w ~time:far ~seq:3 4;
-  check Alcotest.int "near first" 2 (W.pop_exn w);
-  check Alcotest.int "far" 1 (W.pop_exn w);
-  check Alcotest.int "far ties fifo" 4 (W.pop_exn w);
-  check Alcotest.int "far+1" 3 (W.pop_exn w)
+  (* times past 2^32 and past the old wheel's 2^36 horizon still pop in
+     global (time, seq) order *)
+  let sim, log, at = logged () in
+  let far = 1 lsl 33 and farther = 1 lsl 37 in
+  at ~time:farther 5;
+  at ~time:far 1;
+  at ~time:5 2;
+  at ~time:(far + 1) 3;
+  at ~time:far 4;
+  at ~time:(farther - 1) 6;
+  S.run sim;
+  check Alcotest.(list int) "near, far, far ties fifo, far+1, past 2^36" [ 2; 1; 4; 3; 6; 5 ]
+    (fired log);
+  check Alcotest.int "clock at the last event" farther (S.now sim)
 
 let test_wheel_cascade_boundaries () =
-  (* times straddling every level boundary (2^8, 2^16, 2^24) pop sorted:
-     cascading from upper levels re-files into lower slots correctly *)
+  (* times straddling the old wheel's level boundaries (2^8, 2^16, 2^24,
+     2^32, 2^36) pop sorted *)
   let times =
-    [ 254; 255; 256; 257; 65535; 65536; 65537; 16777215; 16777216; 16777217; 511; 1 ]
+    [ 254; 255; 256; 257; 65535; 65536; 65537; 16777215; 16777216; 16777217; 511; 1;
+      (1 lsl 32) + 1; 1 lsl 32; (1 lsl 32) - 1; (1 lsl 36) + 1; 1 lsl 36; (1 lsl 36) - 1 ]
   in
-  let w = W.create ~dummy:(-1) () in
-  List.iteri (fun i t -> W.add w ~time:t ~seq:i t) times;
-  let rec drain acc = if W.is_empty w then List.rev acc else drain (W.pop_exn w :: acc) in
-  check Alcotest.(list int) "sorted across boundaries" (List.sort Int.compare times) (drain [])
+  let sim, log, at = logged () in
+  List.iter (fun t -> at ~time:t t) times;
+  S.run sim;
+  check Alcotest.(list int) "sorted across boundaries" (List.sort Int.compare times) (fired log)
 
 let test_wheel_next_before () =
-  let w = W.create ~dummy:(-1) () in
-  W.add w ~time:1000 ~seq:0 1;
-  (* probing below the earliest event must not move the cursor past it *)
-  check Alcotest.int "nothing before 500" max_int (W.next_before w ~until:500);
-  W.add w ~time:400 ~seq:1 2;
-  check Alcotest.int "new earlier event visible" 400 (W.next_before w ~until:2000);
-  check Alcotest.int "earlier event pops first" 2 (W.pop_exn w);
-  check Alcotest.int "then the original" 1 (W.pop_exn w)
+  let sim, log, at = logged () in
+  at ~time:1000 1;
+  (* a bounded run below the earliest event fires nothing and stops the
+     clock at the bound, so a later insert before the event keeps its time *)
+  S.run_until sim ~until:500;
+  check Alcotest.(list int) "nothing before 500" [] (fired log);
+  check Alcotest.int "clock at the bound" 500 (S.now sim);
+  at ~time:700 2;
+  at ~time:100 3;
+  S.run_until sim ~until:700;
+  check Alcotest.(list int) "past time clamps to now; the bound fires" [ 3; 2 ] (fired log);
+  S.run_until sim ~until:2000;
+  check Alcotest.(list int) "then the original" [ 1 ] (fired log);
+  check Alcotest.int "clock at the bound" 2000 (S.now sim)
 
-(* The wheel against a sorted-list model, under random interleavings of
+(* The queue against a sorted-list model, under random interleavings of
    one-shot inserts, pops, timer arms, re-arms, and cancels — including
-   far-future times that exercise the overflow heap. *)
+   far-future times past 2^32.  A pop runs the simulator up to the model's
+   minimum time, which must fire exactly the model's events at that time
+   in insertion order. *)
 let prop_wheel_model ops =
-  let w = W.create ~dummy:(-1) () in
-  let timers = Array.init 4 (fun i -> W.make_timer w (1000 + i)) in
+  let sim, log, at = logged () in
+  let timers = Array.init 4 (fun i -> S.timer sim (fun () -> log := (1000 + i) :: !log)) in
   let timer_seq = Array.make 4 None in
   (* model: (time, seq, v) list, min by (time, seq) *)
   let model = ref [] in
-  let seq = ref 0 and clock = ref 0 and next_v = ref 0 and ok = ref true in
+  let seq = ref 0 and next_v = ref 0 and ok = ref true in
   let fresh_seq () =
     let s = !seq in
     incr seq;
@@ -615,60 +647,51 @@ let prop_wheel_model ops =
   let m_insert time s v = model := (time, s, v) :: !model in
   let m_remove_seq s = model := List.filter (fun (_, s', _) -> s' <> s) !model in
   let pop_both () =
-    let m = List.fold_left (fun acc e -> if acc <= e then acc else e) (max_int, max_int, 0) !model in
-    if m = (max_int, max_int, 0) && !model = [] then begin
-      if not (W.is_empty w) then ok := false
-    end
-    else begin
-      let ((t, s, v) as e) = m in
-      model := List.filter (fun e' -> e' <> e) !model;
-      clock := t;
-      let got = W.pop_exn w in
-      if got <> v then ok := false;
-      ignore s;
-      if v >= 1000 then timer_seq.(v - 1000) <- None
-    end
+    match List.sort compare !model with
+    | [] -> if S.pending sim <> 0 then ok := false
+    | (t, _, _) :: _ as sorted ->
+      let due, rest = List.partition (fun (t', _, _) -> t' = t) sorted in
+      model := rest;
+      S.run_until sim ~until:t;
+      if fired log <> List.map (fun (_, _, v) -> v) due then ok := false;
+      List.iter (fun (_, _, v) -> if v >= 1000 then timer_seq.(v - 1000) <- None) due
+  in
+  let arm i time =
+    (match timer_seq.(i) with Some s -> m_remove_seq s | None -> ());
+    let s = fresh_seq () in
+    S.arm_at sim timers.(i) ~time;
+    m_insert time s (1000 + i);
+    timer_seq.(i) <- Some s
   in
   List.iter
     (fun (k, arg) ->
       match k mod 5 with
       | 0 | 1 ->
         let s = fresh_seq () in
-        let time = !clock + offset arg in
+        let time = S.now sim + offset arg in
         let v = !next_v in
         next_v := (!next_v + 1) mod 1000;
-        W.add w ~time ~seq:s v;
+        at ~time v;
         m_insert time s v
       | 2 -> pop_both ()
-      | 3 ->
+      | 3 -> (
         (* toggle: cancel when pending, arm when idle *)
         let i = arg mod 4 in
-        (match timer_seq.(i) with
+        match timer_seq.(i) with
         | Some s ->
-          W.cancel w timers.(i);
+          S.cancel sim timers.(i);
           m_remove_seq s;
           timer_seq.(i) <- None
-        | None ->
-          let s = fresh_seq () in
-          let time = !clock + offset arg in
-          W.arm w timers.(i) ~time ~seq:s;
-          m_insert time s (1000 + i);
-          timer_seq.(i) <- Some s)
+        | None -> arm i (S.now sim + offset arg))
       | _ ->
         (* unconditional (re-)arm: replaces any previous arm *)
-        let i = arg mod 4 in
-        (match timer_seq.(i) with Some s -> m_remove_seq s | None -> ());
-        let s = fresh_seq () in
-        let time = !clock + offset arg in
-        W.arm w timers.(i) ~time ~seq:s;
-        m_insert time s (1000 + i);
-        timer_seq.(i) <- Some s)
+        arm (arg mod 4) (S.now sim + offset arg))
     ops;
-  if W.length w <> List.length !model then ok := false;
+  if S.pending sim <> List.length !model then ok := false;
   while !model <> [] do
     pop_both ()
   done;
-  !ok && W.is_empty w
+  !ok && S.pending sim = 0
 
 (* ---------- Int deque ---------- *)
 

@@ -68,19 +68,27 @@ let test_sim_negative_delay () =
       Kernsim.Sim.run sim;
       check Alcotest.int "zero-delay events fired" 2 !fired;
       check Alcotest.int "clock unmoved" 0 (Kernsim.Sim.now sim))
-    [ `Wheel; `Heap ]
+    [ `Pid_heap; `Heap ]
 
 (* Both Sim backends must produce bit-identical dispatch orders under
    arbitrary arm -> re-arm -> cancel interleavings, including operations
    performed from inside event callbacks and across run_until segment
    boundaries.  The script is generated once from the seed and replayed
-   against each backend. *)
+   against each backend.  Every script also carries:
+   - a flood of one-shots deeper than 4096 pending events;
+   - delays past 2^36;
+   - callbacks that arm a timer at the current time, or schedule a
+     same-time event that cancels one. *)
 let prop_sim_backend_equiv seed =
+  let rng = Stats.Prng.create ~seed in
   let script =
-    let rng = Stats.Prng.create ~seed in
     List.init 64 (fun _ ->
-        (Stats.Prng.int rng 400, Stats.Prng.int rng 8, Stats.Prng.int rng 3, Stats.Prng.int rng 600))
+        let at = Stats.Prng.int rng 400 and j = Stats.Prng.int rng 8 in
+        let action = Stats.Prng.int rng 5 in
+        let far = if Stats.Prng.int rng 8 = 0 then 1 lsl 36 else 0 in
+        (at, j, action, far + Stats.Prng.int rng 600))
   in
+  let flood = List.init 4200 (fun _ -> Stats.Prng.int rng 1000) in
   let run backend =
     let sim = Kernsim.Sim.create ~backend () in
     let log = ref [] in
@@ -92,20 +100,60 @@ let prop_sim_backend_equiv seed =
             match action with
             | 0 -> Kernsim.Sim.arm_after sim timers.(j) ~delay:d
             | 1 -> Kernsim.Sim.cancel sim timers.(j)
-            | _ -> Kernsim.Sim.after sim ~delay:d (fun () -> log := (2000 + k) :: !log)))
+            | 2 -> Kernsim.Sim.after sim ~delay:d (fun () -> log := (2000 + k) :: !log)
+            | 3 -> Kernsim.Sim.arm_after sim timers.(j) ~delay:0
+            | _ ->
+              Kernsim.Sim.after sim ~delay:0 (fun () ->
+                  log := (3000 + k) :: !log;
+                  Kernsim.Sim.cancel sim timers.(j))))
       script;
+    List.iteri
+      (fun k at -> Kernsim.Sim.at sim ~time:at (fun () -> log := (10_000 + k) :: !log))
+      flood;
+    let deepest = Kernsim.Sim.pending sim in
     (* chunked bounded runs exercise the until-gating, then drain *)
     Kernsim.Sim.run_until sim ~until:300;
     Kernsim.Sim.run_until sim ~until:700;
+    Kernsim.Sim.run_until sim ~until:((1 lsl 36) + 300);
     Kernsim.Sim.run sim;
-    (List.rev !log, Kernsim.Sim.now sim, Kernsim.Sim.dispatched sim)
+    (List.rev !log, Kernsim.Sim.now sim, Kernsim.Sim.dispatched sim, deepest)
   in
-  let w = run `Wheel and h = run `Heap in
-  if w <> h then
-    QCheck.Test.fail_reportf "backends diverged on seed %d (wheel %d events, heap %d events)" seed
-      (match w with _, _, n -> n)
-      (match h with _, _, n -> n);
-  true
+  let s = run `Pid_heap and h = run `Heap in
+  if s <> h then
+    QCheck.Test.fail_reportf "backends diverged on seed %d (slots %d events, heap %d events)" seed
+      (match s with _, _, n, _ -> n)
+      (match h with _, _, n, _ -> n);
+  let _, _, _, deepest = s in
+  deepest > 4096
+
+(* The default queue allocates nothing once its slot columns have grown:
+   one-shots fired and re-scheduled from their own callbacks, and a timer
+   armed, cancelled, re-armed and fired, over more than 10k dispatches.
+   Counted with [Profile.allocated_bytes], which adds the direct major
+   allocations a grown column would make to the exact minor words;
+   [empty] is the reading's own cost. *)
+let test_sim_no_alloc () =
+  let sim = Kernsim.Sim.create () in
+  let tm = Kernsim.Sim.timer sim ignore in
+  let rec tick () =
+    Kernsim.Sim.arm_at sim tm ~time:(Kernsim.Sim.now sim + 50);
+    Kernsim.Sim.cancel sim tm;
+    Kernsim.Sim.arm_at sim tm ~time:(Kernsim.Sim.now sim);
+    Kernsim.Sim.after sim ~delay:10 tick
+  in
+  for i = 0 to 63 do
+    Kernsim.Sim.at sim ~time:i tick
+  done;
+  Kernsim.Sim.run_until sim ~until:1_000;
+  let empty =
+    let a = Profile.allocated_bytes () in
+    Profile.allocated_bytes () -. a
+  in
+  let n0 = Kernsim.Sim.dispatched sim and before = Profile.allocated_bytes () in
+  Kernsim.Sim.run_until sim ~until:3_000;
+  let bytes = Profile.allocated_bytes () -. before -. empty in
+  check Alcotest.bool "rounds ran" true (Kernsim.Sim.dispatched sim - n0 > 10_000);
+  check (Alcotest.float 0.0) "bytes allocated" 0.0 bytes
 
 let test_single_task_runs_and_exits () =
   let m = make_machine () in
@@ -377,6 +425,7 @@ let () =
             (QCheck.Test.make ~count:100 ~name:"backend equivalence under arm/re-arm/cancel"
                QCheck.(int_bound 1_000_000)
                prop_sim_backend_equiv);
+          Alcotest.test_case "steady state allocates nothing" `Quick test_sim_no_alloc;
         ] );
       ( "machine",
         [

@@ -198,8 +198,8 @@ let test_format_of_path () =
 
 (* ---------- sampler ---------- *)
 
-(* Drive the sampler with a toy agenda standing in for the machine's timer
-   wheel: ticks fire every [interval], hooks observe the tick timestamp,
+(* Drive the sampler with a toy agenda standing in for the machine's event
+   queue: ticks fire every [interval], hooks observe the tick timestamp,
    and snapshots capture counters as they grow. *)
 let test_sampler_ticks () =
   let reg = R.create ~nr_cpus:1 () in
