@@ -145,7 +145,10 @@ let finish_tracing () =
           if List.length entries = 1 then base else Printf.sprintf "%s.%d-%s" base i label
         in
         let events = Trace.Tracer.events tracer in
-        Trace.Export.save ~path !trace_format events;
+        (try Trace.Export.save ~path !trace_format events
+         with Sys_error msg ->
+           Printf.eprintf "cannot write trace: %s\n" msg;
+           exit 2);
         Printf.printf "trace: %s -> %s (%d events, %d dropped)\n" label path
           (List.length events) (Trace.Tracer.dropped tracer))
       entries);
@@ -1926,7 +1929,7 @@ let () =
       let i = String.index arg '=' in
       let v = String.sub arg (i + 1) (String.length arg - i - 1) in
       (match String.sub arg 0 i with
-      | "--trace" -> trace_path := Some v
+      | "--trace" -> if v = "" then bad "empty trace path" else trace_path := Some v
       | "--trace-format" -> (
         match Trace.Export.format_of_string v with
         | Some f -> trace_format := f

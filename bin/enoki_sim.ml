@@ -50,13 +50,19 @@ let checked ?(prefix = "") f =
     Printf.eprintf "enoki_sim: %s\n" msg;
     exit 2
 
+(* A flag value outside the range [cmd] can run with: one line, exit 2. *)
+let usage_error cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "enoki_sim: %s: %s\n" cmd msg;
+      exit 2)
+    fmt
+
 (* [--load] is the rate of an open-loop arrival process: one that is not a
    positive number cannot be simulated. *)
 let check_load cmd load =
-  if not (Float.is_finite load && load > 0.0) then begin
-    Printf.eprintf "enoki_sim: %s: --load must be a positive number of kreq/s (got %g)\n" cmd load;
-    exit 2
-  end
+  if not (Float.is_finite load && load > 0.0) then
+    usage_error cmd "--load must be a positive number of kreq/s (got %g)" load
 
 let usage_exits =
   Cmd.Exit.info 2 ~doc:"on a flag value the command cannot run with (e.g. $(b,--cores) 0)."
@@ -326,9 +332,7 @@ let run_cmd =
       fault_seed call_budget watchdog metrics_out metrics_interval profile record_path =
     check_workload_load "run" workload load;
     (match call_budget with
-    | Some ns when ns < 0 ->
-      Printf.eprintf "enoki_sim: run: --call-budget must be non-negative (got %d)\n" ns;
-      exit 2
+    | Some ns when ns < 0 -> usage_error "run" "--call-budget must be non-negative (got %d)" ns
     | _ -> ());
     let topology = checked (fun () -> topology_of_cores cores) in
     let registry =
@@ -517,6 +521,7 @@ let window_arg =
 
 let replay_cmd =
   let run sched log allow_drops bisect window =
+    if window < 0 then usage_error "replay" "--window must be non-negative (got %d)" window;
     match module_of_sched sched with
     | None ->
       prerr_endline ("replay requires " ^ enoki_scheds_hint);
@@ -705,6 +710,11 @@ let fleet_cmd =
     in
     let seed = Option.value seed ~default:1 in
     check_load "fleet" load;
+    if duration <= 0 then
+      usage_error "fleet" "--duration must be a positive number of ms (got %d)" duration;
+    (match flows with
+    | Some n when n <= 0 -> usage_error "fleet" "--flows must be positive (got %d)" n
+    | _ -> ());
     let tenants = Cluster.Traffic.standard_mix ~connections ~flow_len ~load_kreqs:load () in
     let upgrade =
       Option.map

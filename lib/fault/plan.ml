@@ -88,16 +88,16 @@ let parse_rule item =
       | Some n -> Ok n
       | None -> Error (Printf.sprintf "bad value %S for %s" v key))
   in
+  (* call counts and durations: a negative one cannot be honoured *)
+  let count key default =
+    let* n = num int_of_string_opt key default in
+    if n < 0 then Error (Printf.sprintf "%s=%d must be non-negative" key n) else Ok n
+  in
   let* prob = num float_of_string_opt "p" 1.0 in
-  let* after = num int_of_string_opt "after" 0 in
-  let* max_fires = num int_of_string_opt "max" max_int in
+  let* after = count "after" 0 in
+  let* max_fires = count "max" max_int in
   let* ns_opt =
-    match List.assoc_opt "ns" kvs with
-    | None -> Ok None
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n -> Ok (Some n)
-      | None -> Error (Printf.sprintf "bad value %S for ns" v))
+    if List.mem_assoc "ns" kvs then Result.map Option.some (count "ns" 0) else Ok None
   in
   let* kind =
     match kind_s with
@@ -109,7 +109,8 @@ let parse_rule item =
     | "wedge" -> Ok (Wedge (Option.value ns_opt ~default:default_wedge))
     | s -> Error (Printf.sprintf "unknown fault kind %S" s)
   in
-  if prob < 0.0 || prob > 1.0 then Error (Printf.sprintf "p=%g out of [0,1]" prob)
+  (* written so that nan fails it too *)
+  if not (prob >= 0.0 && prob <= 1.0) then Error (Printf.sprintf "p=%g out of [0,1]" prob)
   else
     match (ns_opt, kind) with
     | Some _, (Panic | Wrong_reply | Bad_select | Corrupt_hint) ->

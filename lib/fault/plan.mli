@@ -17,6 +17,7 @@
     matching call, default 1.0), [after] (arm only after that many
     matching calls, default 0), [max] (total fires allowed, default
     unlimited), and [ns] (simulated nanoseconds for [latency]/[wedge]).
+    [p] must lie between 0 and 1; [after], [max] and [ns] must be non-negative.
 
     [wrong-reply], [bad-select] and [corrupt-hint] only make sense on
     [pick_next_task], [select_task_rq] and [parse_hint] respectively and

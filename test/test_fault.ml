@@ -37,7 +37,18 @@ let test_plan_parse_errors () =
       match Fault.Plan.parse spec with
       | Ok _ -> Alcotest.failf "%S must not parse" spec
       | Error _ -> ())
-    [ ""; "frobnicate"; "panic:p=nope"; "latency:bogus=3"; "panic@" ]
+    [
+      "";
+      "frobnicate";
+      "panic:p=nope";
+      "latency:bogus=3";
+      "panic@";
+      "panic:p=nan";
+      "panic:p=inf";
+      "latency:ns=-100000";
+      "panic:max=-1";
+      "wedge:after=-1";
+    ]
 
 let test_presets_parse () =
   List.iter
