@@ -640,7 +640,7 @@ let ablation () =
   let module NS = struct
     include Schedulers.Wfq
     let name = "wfq-nosteal"
-    let balance _ ~cpu:_ = None
+    let balance _ ~cpu:_ = -1
   end in
   let nosteal =
     (Workloads.Apps.run
@@ -1063,12 +1063,13 @@ let perf_rows () =
 
 let cfs_ns_ceiling = 250.
 
-(* Every registry scheduler's hooks allocate only the token option the
-   trait forces (~17-25 B/event; CFS and the ghOSt model ~1), traced or
-   not: the speed rows and all four obs rows.  An absolute ceiling under
-   the Rel drift check means regenerating a baseline cannot let a hot path,
-   or tracing it, start boxing again. *)
-let token_bytes_ceiling = 64.
+(* Schedulable tokens are immediate ints, so no registry scheduler's hooks
+   allocate per event: every speed row reads ~0.4-1.5 B/event (the
+   machine's own residue, as CFS shows), traced or not, and the obs rows
+   with metrics ~1.3.  An absolute ceiling under the Rel drift check, on
+   the speed rows and all four obs rows, means regenerating a baseline
+   cannot let a token, a hot path or tracing it start boxing again. *)
+let token_bytes_ceiling = 4.
 
 let bytes_check = Gate.Both (bytes, Ceiling token_bytes_ceiling)
 
@@ -1555,12 +1556,12 @@ let fleet_chaos_row () =
      ]
     @ List.filter_map op_at [ "drain"; "admit" ])
 
-(* The sequential steady fleet's run (not its build) allocates ~83
-   B/event at --quick: traffic, placement and every host's module, the
-   traffic front end now the largest share.  The ceiling leaves ~35%
-   headroom over that, so regenerating the baseline cannot let the front
-   end or a module start boxing again. *)
-let fleet_bytes_ceiling = 112.
+(* The sequential steady fleet's run (not its build) allocates ~75
+   B/event at --quick: traffic, placement, effect replay and the hosts'
+   machines, the traffic front end the largest share.  The ceiling leaves
+   ~35% headroom over that, so regenerating the baseline cannot let the
+   front end or a module start boxing again. *)
+let fleet_bytes_ceiling = 100.
 
 let fleet_rows () =
   let (steady, run_bytes), wall =

@@ -155,7 +155,7 @@ let fault_plan_arg =
         ~doc:
           "Inject faults into the scheduler module: a preset ($(b,panic), $(b,wrong-reply), \
            $(b,bad-select), $(b,latency), $(b,wedge), $(b,chaos)) or a rule spec like \
-           $(b,panic\\@pick_next_task:p=0.01,after=1000).  Requires an Enoki scheduler.")
+           $(b,panic@pick_next_task:p=0.01,after=1000).  Requires an Enoki scheduler.")
 
 let fault_seed_arg =
   Arg.(

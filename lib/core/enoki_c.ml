@@ -35,8 +35,10 @@ type t = {
   mutable all_cpus : int list; (* the [allowed] of an unpinned task, built at registration *)
   (* pid -> latest Schedulable generation, dense (pids are small and
      contiguous).  0 means "no outstanding capability"; minted generations
-     start at 1.  [ngens] counts live (non-zero) entries. *)
+     start at 1.  [ngens] counts live (non-zero) entries.  [consumed] holds
+     the generation of the pid's last token returned to us, 0 = none. *)
   mutable gens : int array;
+  mutable consumed : int array;
   mutable ngens : int;
   hint_ring : (int * Kernsim.Task.hint) Ds.Ring_buffer.t;
   record : Record.t option;
@@ -96,6 +98,7 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
     ops = None;
     all_cpus = [];
     gens = Array.make 64 0;
+    consumed = Array.make 64 0;
     ngens = 0;
     hint_ring = Ds.Ring_buffer.create ~capacity:hint_capacity;
     record;
@@ -155,10 +158,11 @@ let calls t = t.calls
 
 let violations t = t.violations
 
+(* [Hashtbl.find] rather than [find_opt]: a repeat violation boxes nothing *)
 let count_violation t kind =
   t.violations <- t.violations + 1;
   Hashtbl.replace t.violation_kinds kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.violation_kinds kind));
+    (1 + match Hashtbl.find t.violation_kinds kind with n -> n | exception Not_found -> 0);
   match t.obs with Some o -> Metrics.Registry.incr o.o_violations ~cpu:0 | None -> ()
 
 let per_call_counter o k =
@@ -193,9 +197,9 @@ let upgrades t = t.upgrades
 let ensure_gens t pid =
   let n = Array.length t.gens in
   if pid >= n then begin
-    let a = Array.make (max (n * 2) (pid + 1)) 0 in
-    Array.blit t.gens 0 a 0 n;
-    t.gens <- a
+    let n' = max (n * 2) (pid + 1) in
+    t.gens <- Ds.Column.grow t.gens n' 0;
+    t.consumed <- Ds.Column.grow t.consumed n' 0
   end
 
 (* Bump pid's generation; both minting and invalidation go through here
@@ -204,29 +208,40 @@ let bump_gen t pid =
   ensure_gens t pid;
   let g = Array.unsafe_get t.gens pid in
   if g = 0 then t.ngens <- t.ngens + 1;
-  Array.unsafe_set t.gens pid (g + 1);
-  g + 1
+  let g' = Schedulable.Private.next_generation g in
+  Array.unsafe_set t.gens pid g';
+  g'
 
 let forget_gen t pid =
   if pid < Array.length t.gens then begin
     if Array.unsafe_get t.gens pid <> 0 then t.ngens <- t.ngens - 1;
-    Array.unsafe_set t.gens pid 0
+    Array.unsafe_set t.gens pid 0;
+    Array.unsafe_set t.consumed pid 0
   end
 
-let mint t ~pid ~cpu =
-  let gen = bump_gen t pid in
-  Schedulable.Private.create ~pid ~cpu ~gen
+let mint t ~pid ~cpu = Schedulable.Private.create ~pid ~cpu ~gen:(bump_gen t pid)
 
 (* Any kernel state transition supersedes outstanding tokens. *)
 let invalidate t ~pid = ignore (bump_gen t pid)
 
-let token_valid t token ~cpu =
-  Schedulable.is_live token
-  && Schedulable.cpu token = cpu
-  &&
+(* A token came back to us: a later return of it reads as consumed.  A
+   pid past the table was never minted a token, so there is nothing to
+   mark (and a forged pid cannot grow the table). *)
+let consume t token =
   let pid = Schedulable.pid token in
-  pid < Array.length t.gens
-  && Array.unsafe_get t.gens pid = Schedulable.generation token
+  if pid >= 0 && pid < Array.length t.consumed then
+    Array.unsafe_set t.consumed pid (Schedulable.generation token)
+
+(* Why [token] may not run on [cpu], or "" when it may: returned already,
+   then the wrong core, then superseded.  Minted generations start at 1,
+   so a forged generation 0 reads as stale even for a pid holding none. *)
+let token_fault t token ~cpu =
+  let pid = Schedulable.pid token and gen = Schedulable.generation token in
+  let known = gen <> 0 && pid < Array.length t.gens in
+  if known && Array.unsafe_get t.consumed pid = gen then "consumed"
+  else if Schedulable.cpu token <> cpu then "wrong_cpu"
+  else if known && Array.unsafe_get t.gens pid = gen then ""
+  else "stale_generation"
 
 (* ---------- crossing ---------- *)
 
@@ -374,7 +389,6 @@ let task_preempt t (task : Kernsim.Task.t) ~cpu =
   | None -> ()
 
 let task_dead t (task : Kernsim.Task.t) ~cpu =
-  invalidate t ~pid:task.pid;
   forget_gen t task.pid;
   cross t ~cpu k_dead
     (fun (Packed ((module S), st)) pid () () -> S.task_dead st ~pid)
@@ -390,9 +404,7 @@ let task_departed t (task : Kernsim.Task.t) ~cpu =
   (match t.record with
   | Some r -> tap t r ~cpu (Task_departed { pid = task.pid; cpu }) (R_sched_opt held)
   | None -> ());
-  (* the scheduler returns whatever token it held; consume it *)
-  Option.iter Schedulable.Private.consume held;
-  invalidate t ~pid:task.pid;
+  (* whatever token the scheduler held dies with the pid's table entry *)
   forget_gen t task.pid
 
 let task_tick t ~cpu ~queued =
@@ -406,13 +418,14 @@ let task_tick t ~cpu ~queued =
 let reject_pick t ~cpu token err =
   let pid = Schedulable.pid token in
   count_violation t err;
-  emit t ~cpu (Trace.Event.Pnt_err { pid; err });
+  (* the event is built only for a tracer, so a rejection allocates nothing *)
+  (match t.tracer with Some _ -> emit t ~cpu (Trace.Event.Pnt_err { pid; err }) | None -> ());
   cross t ~cpu k_pnt_err
     (fun (Packed ((module S), st)) cpu err tok ->
-      S.pnt_err st ~cpu ~pid:(Schedulable.pid tok) ~err ~sched:(Some tok))
+      S.pnt_err st ~cpu ~pid:(Schedulable.pid tok) ~err ~sched:tok)
     cpu err token;
   (match t.record with
-  | Some r -> tap t r ~cpu (Pnt_err { cpu; pid; err; sched = Some token }) R_unit
+  | Some r -> tap t r ~cpu (Pnt_err { cpu; pid; err; sched = token }) R_unit
   | None -> ());
   -1
 
@@ -421,47 +434,44 @@ let pick_next_task t ~cpu =
   let picked =
     cross t ~cpu k_pick
       (fun (Packed ((module S), st)) cpu () () ->
-        S.pick_next_task st ~cpu ~curr:None ~curr_runtime:0)
+        S.pick_next_task st ~cpu ~curr:Schedulable.none ~curr_runtime:0)
       cpu () ()
   in
   (match t.record with
   | Some r ->
-    tap t r ~cpu (Pick_next_task { cpu; curr = None; curr_runtime = 0 }) (R_sched_opt picked)
+    tap t r ~cpu
+      (Pick_next_task { cpu; curr = Schedulable.none; curr_runtime = 0 })
+      (R_sched_opt picked)
   | None -> ());
-  match picked with
-  | None -> -1
-  | Some token ->
-    if token_valid t token ~cpu then begin
-      let pid = Schedulable.pid token in
+  if Schedulable.is_none picked then -1
+  else
+    match token_fault t picked ~cpu with
+    | "" -> (
+      let pid = Schedulable.pid picked in
       (* the token checks out against our generation table; re-validate
          against the kernel's own task state before letting the pid reach
          the core scheduler, so a bogus reply can never crash the machine *)
       match (ops_exn t).find_task pid with
       | Some task when task.state = Kernsim.Task.Runnable && task.cpu = cpu ->
-        Schedulable.Private.consume token;
+        consume t picked;
         invalidate t ~pid;
         pid
-      | Some _ | None -> reject_pick t ~cpu token "not_runnable"
-    end
-    else
-      reject_pick t ~cpu token
-        (if not (Schedulable.is_live token) then "consumed"
-         else if Schedulable.cpu token <> cpu then "wrong_cpu"
-         else "stale_generation")
+      | Some _ | None -> reject_pick t ~cpu picked "not_runnable")
+    | err -> reject_pick t ~cpu picked err
 
 let balance t ~cpu =
   let pid =
     cross t ~cpu k_balance (fun (Packed ((module S), st)) cpu () () -> S.balance st ~cpu) cpu () ()
   in
   (match t.record with Some r -> tap t r ~cpu (Balance { cpu }) (R_pid_opt pid) | None -> ());
-  match pid with Some p -> p | None -> -1
+  pid
 
 let balance_err t (task : Kernsim.Task.t) ~cpu =
   cross t ~cpu k_balance_err
-    (fun (Packed ((module S), st)) cpu pid () -> S.balance_err st ~cpu ~pid ~sched:None)
+    (fun (Packed ((module S), st)) cpu pid () -> S.balance_err st ~cpu ~pid ~sched:Schedulable.none)
     cpu task.pid ();
   match t.record with
-  | Some r -> tap t r ~cpu (Balance_err { cpu; pid = task.pid; sched = None }) R_unit
+  | Some r -> tap t r ~cpu (Balance_err { cpu; pid = task.pid; sched = Schedulable.none }) R_unit
   | None -> ()
 
 let migrate_task_rq t (task : Kernsim.Task.t) ~from_cpu ~to_cpu =
@@ -476,7 +486,7 @@ let migrate_task_rq t (task : Kernsim.Task.t) ~from_cpu ~to_cpu =
     tap t r ~cpu:to_cpu (Migrate_task_rq { pid = task.pid; from_cpu; sched }) (R_sched_opt old)
   | None -> ());
   (* the scheduler returns the superseded token; consume whatever it gave *)
-  Option.iter Schedulable.Private.consume old
+  consume t old
 
 let task_prio_changed t (task : Kernsim.Task.t) =
   let cpu = task.cpu in

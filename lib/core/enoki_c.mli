@@ -2,9 +2,11 @@
 
     Sits between the core scheduling code ({!Kernsim.Machine}) and a loaded
     scheduler module.  Each scheduler-class hook calls the module's matching
-    {!Sched_trait.S} function directly with plain data; a crossing allocates
-    nothing beyond the {!Schedulable} token it mints.  Enoki-C mints and
-    validates those capabilities, tracks task runtimes on the scheduler's
+    {!Sched_trait.S} function directly with plain data, and a crossing
+    allocates nothing: the {!Schedulable} tokens it mints are immediate
+    ints.  Enoki-C mints and validates those capabilities against its own
+    per-pid table (current and last returned generation), tracks task
+    runtimes on the scheduler's
     behalf, manages the user/kernel hint rings, charges the framework's
     per-invocation overhead in simulated time, and implements live upgrade
     behind a quiescing read-write lock (§3, §3.2).  The {!Message} form of a

@@ -2,8 +2,8 @@ type ns = Kernsim.Time.ns
 
 type call =
   | Get_policy
-  | Pick_next_task of { cpu : int; curr : Schedulable.t option; curr_runtime : ns }
-  | Pnt_err of { cpu : int; pid : int; err : string; sched : Schedulable.t option }
+  | Pick_next_task of { cpu : int; curr : Schedulable.t; curr_runtime : ns }
+  | Pnt_err of { cpu : int; pid : int; err : string; sched : Schedulable.t }
   | Task_dead of { pid : int }
   | Task_blocked of { pid : int; runtime : ns; cpu : int }
   | Task_wakeup of { pid : int; runtime : ns; waker_cpu : int; sched : Schedulable.t }
@@ -17,22 +17,22 @@ type call =
   | Select_task_rq of { pid : int; waker_cpu : int; allowed : int list }
   | Migrate_task_rq of { pid : int; from_cpu : int; sched : Schedulable.t }
   | Balance of { cpu : int }
-  | Balance_err of { cpu : int; pid : int; sched : Schedulable.t option }
+  | Balance_err of { cpu : int; pid : int; sched : Schedulable.t }
   | Parse_hint of { pid : int; hint : Kernsim.Task.hint }
 
 type reply =
   | R_unit
   | R_int of int
-  | R_pid_opt of int option
-  | R_sched_opt of Schedulable.t option
+  | R_pid_opt of int (* a pid, or -1 *)
+  | R_sched_opt of Schedulable.t (* [Schedulable.none] when no token *)
 
 (* ---- human-readable rendering (replay context, mismatch text) ----------
 
-   sched tokens print as pid.cpu.gen triples; "-" is None *)
+   sched tokens print as pid.cpu.gen triples; "-" is [Schedulable.none] *)
 let enc_sched s =
   Printf.sprintf "%d.%d.%d" (Schedulable.pid s) (Schedulable.cpu s) (Schedulable.generation s)
 
-let enc_sched_opt = function None -> "-" | Some s -> enc_sched s
+let enc_sched_opt s = if Schedulable.is_none s then "-" else enc_sched s
 
 let enc_ints l = match l with [] -> "-" | l -> String.concat "," (List.map string_of_int l)
 
@@ -93,8 +93,8 @@ let string_of_call c =
 let string_of_reply = function
   | R_unit -> "unit"
   | R_int i -> Printf.sprintf "int %d" i
-  | R_pid_opt None -> "pid -"
-  | R_pid_opt (Some p) -> Printf.sprintf "pid %d" p
+  | R_pid_opt p when p < 0 -> "pid -"
+  | R_pid_opt p -> Printf.sprintf "pid %d" p
   | R_sched_opt s -> Printf.sprintf "sched %s" (enc_sched_opt s)
 
 (* ---- wire form -----------------------------------------------------------
@@ -109,11 +109,13 @@ let put_sched buf s =
   Wire.put_uint buf (Schedulable.cpu s);
   Wire.put_uint buf (Schedulable.generation s)
 
-let put_sched_opt buf = function
-  | None -> Wire.put_byte buf 0
-  | Some s ->
+(* [none] travels as byte 0, a token as byte 1 and its fields *)
+let put_sched_opt buf s =
+  if Schedulable.is_none s then Wire.put_byte buf 0
+  else begin
     Wire.put_byte buf 1;
     put_sched buf s
+  end
 
 let get_sched cur =
   let pid = Wire.get_uint cur in
@@ -121,8 +123,7 @@ let get_sched cur =
   let gen = Wire.get_uint cur in
   Schedulable.Private.create ~pid ~cpu ~gen
 
-let get_sched_opt cur =
-  match Wire.get_byte cur with 0 -> None | _ -> Some (get_sched cur)
+let get_sched_opt cur = match Wire.get_byte cur with 0 -> Schedulable.none | _ -> get_sched cur
 
 let put_ints buf l =
   Wire.put_uint buf (List.length l);
@@ -307,10 +308,10 @@ let put_reply buf = function
   | R_int i ->
     Wire.put_byte buf 1;
     Wire.put_int buf i
-  | R_pid_opt None ->
+  | R_pid_opt p when p < 0 ->
     Wire.put_byte buf 2;
     Wire.put_byte buf 0
-  | R_pid_opt (Some p) ->
+  | R_pid_opt p ->
     Wire.put_byte buf 2;
     Wire.put_byte buf 1;
     Wire.put_uint buf p
@@ -324,8 +325,11 @@ let get_reply cur =
   | 1 -> R_int (Wire.get_int cur)
   | 2 -> (
     match Wire.get_byte cur with
-    | 0 -> R_pid_opt None
-    | _ -> R_pid_opt (Some (Wire.get_uint cur)))
+    | 0 -> R_pid_opt (-1)
+    | _ ->
+      let p = Wire.get_uint cur in
+      if p < 0 then failwith "Message: pid reply out of range";
+      R_pid_opt p)
   | 3 -> R_sched_opt (get_sched_opt cur)
   | tag -> failwith (Printf.sprintf "Message: unknown reply tag %d" tag)
 
@@ -333,8 +337,8 @@ let reply_matches a b =
   match (a, b) with
   | R_unit, R_unit -> true
   | R_int x, R_int y -> x = y
-  | R_pid_opt x, R_pid_opt y -> x = y
-  | R_sched_opt None, R_sched_opt None -> true
-  | R_sched_opt (Some x), R_sched_opt (Some y) ->
+  | R_pid_opt x, R_pid_opt y -> x = y || (x < 0 && y < 0)
+  | R_sched_opt x, R_sched_opt y ->
+    (* pid and cpu (an absent token's are -1); the generation may differ *)
     Schedulable.pid x = Schedulable.pid y && Schedulable.cpu x = Schedulable.cpu y
   | _ -> false

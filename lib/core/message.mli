@@ -12,8 +12,8 @@ type ns = Kernsim.Time.ns
 
 type call =
   | Get_policy
-  | Pick_next_task of { cpu : int; curr : Schedulable.t option; curr_runtime : ns }
-  | Pnt_err of { cpu : int; pid : int; err : string; sched : Schedulable.t option }
+  | Pick_next_task of { cpu : int; curr : Schedulable.t; curr_runtime : ns }
+  | Pnt_err of { cpu : int; pid : int; err : string; sched : Schedulable.t }
   | Task_dead of { pid : int }
   | Task_blocked of { pid : int; runtime : ns; cpu : int }
   | Task_wakeup of { pid : int; runtime : ns; waker_cpu : int; sched : Schedulable.t }
@@ -27,14 +27,14 @@ type call =
   | Select_task_rq of { pid : int; waker_cpu : int; allowed : int list }
   | Migrate_task_rq of { pid : int; from_cpu : int; sched : Schedulable.t }
   | Balance of { cpu : int }
-  | Balance_err of { cpu : int; pid : int; sched : Schedulable.t option }
+  | Balance_err of { cpu : int; pid : int; sched : Schedulable.t }
   | Parse_hint of { pid : int; hint : Kernsim.Task.hint }
 
 type reply =
   | R_unit
   | R_int of int
-  | R_pid_opt of int option
-  | R_sched_opt of Schedulable.t option
+  | R_pid_opt of int  (** a pid, or [-1] for none *)
+  | R_sched_opt of Schedulable.t  (** {!Schedulable.none} for none *)
 
 (** Wire form: length-prefixed varint fields, no escaping, so free-form
     payloads (errors, hints) round-trip byte-exactly no matter what they

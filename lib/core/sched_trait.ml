@@ -10,9 +10,9 @@ module type S = sig
   val get_policy : t -> int
 
   val pick_next_task :
-    t -> cpu:int -> curr:Schedulable.t option -> curr_runtime:ns -> Schedulable.t option
+    t -> cpu:int -> curr:Schedulable.t -> curr_runtime:ns -> Schedulable.t
 
-  val pnt_err : t -> cpu:int -> pid:int -> err:string -> sched:Schedulable.t option -> unit
+  val pnt_err : t -> cpu:int -> pid:int -> err:string -> sched:Schedulable.t -> unit
 
   val task_dead : t -> pid:int -> unit
 
@@ -26,7 +26,7 @@ module type S = sig
 
   val task_yield : t -> pid:int -> runtime:ns -> cpu:int -> sched:Schedulable.t -> unit
 
-  val task_departed : t -> pid:int -> cpu:int -> Schedulable.t option
+  val task_departed : t -> pid:int -> cpu:int -> Schedulable.t
 
   val task_affinity_changed : t -> pid:int -> allowed:int list -> unit
 
@@ -36,11 +36,11 @@ module type S = sig
 
   val select_task_rq : t -> pid:int -> waker_cpu:int -> allowed:int list -> int
 
-  val migrate_task_rq : t -> pid:int -> sched:Schedulable.t -> Schedulable.t option
+  val migrate_task_rq : t -> pid:int -> sched:Schedulable.t -> Schedulable.t
 
-  val balance : t -> cpu:int -> int option
+  val balance : t -> cpu:int -> int
 
-  val balance_err : t -> cpu:int -> pid:int -> sched:Schedulable.t option -> unit
+  val balance_err : t -> cpu:int -> pid:int -> sched:Schedulable.t -> unit
 
   val reregister_prepare : t -> Upgrade.transfer option
 
@@ -63,7 +63,7 @@ struct
 
   let task_tick (_ : T.t) ~cpu:_ ~queued:_ = ()
 
-  let balance (_ : T.t) ~cpu:_ = None
+  let balance (_ : T.t) ~cpu:_ = -1
 
   let balance_err (_ : T.t) ~cpu:_ ~pid:_ ~sched:_ = ()
 

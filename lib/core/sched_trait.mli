@@ -7,7 +7,10 @@
 
     Schedulables passed in carry ownership; [pick_next_task] returns one as
     proof of a safe placement, and [migrate_task_rq] / [task_departed]
-    return the superseded token.  Shared mutable state inside the scheduler
+    return the superseded token.  A token is an immediate int, and
+    {!Schedulable.none} stands for "no token" wherever one is optional, so
+    a module can store, pass and return tokens without allocating.
+    Shared mutable state inside the scheduler
     must be guarded with {!Lock} so record/replay can reproduce
     concurrency (§3.4). *)
 
@@ -24,14 +27,16 @@ module type S = sig
   (** The policy number user tasks use to attach to this scheduler. *)
   val get_policy : t -> int
 
-  (** Pick the next task for [cpu].  [curr] is the (still runnable) current
-      task's fresh token when there is one. *)
+  (** Pick the next task for [cpu]; {!Schedulable.none} when there is
+      nothing to run.  [curr] is the (still runnable) current task's fresh
+      token, or {!Schedulable.none}. *)
   val pick_next_task :
-    t -> cpu:int -> curr:Schedulable.t option -> curr_runtime:ns -> Schedulable.t option
+    t -> cpu:int -> curr:Schedulable.t -> curr_runtime:ns -> Schedulable.t
 
   (** The chosen task could not be scheduled; ownership of the rejected
-      token returns to the scheduler. *)
-  val pnt_err : t -> cpu:int -> pid:int -> err:string -> sched:Schedulable.t option -> unit
+      token returns to the scheduler ([sched] is never {!Schedulable.none}
+      when Enoki-C calls it). *)
+  val pnt_err : t -> cpu:int -> pid:int -> err:string -> sched:Schedulable.t -> unit
 
   val task_dead : t -> pid:int -> unit
 
@@ -45,8 +50,9 @@ module type S = sig
 
   val task_yield : t -> pid:int -> runtime:ns -> cpu:int -> sched:Schedulable.t -> unit
 
-  (** A task left this scheduler; return the token it held, if any. *)
-  val task_departed : t -> pid:int -> cpu:int -> Schedulable.t option
+  (** A task left this scheduler; return the token it held, or
+      {!Schedulable.none}. *)
+  val task_departed : t -> pid:int -> cpu:int -> Schedulable.t
 
   val task_affinity_changed : t -> pid:int -> allowed:int list -> unit
 
@@ -61,14 +67,16 @@ module type S = sig
   val select_task_rq : t -> pid:int -> waker_cpu:int -> allowed:int list -> int
 
   (** The kernel moved [pid] to a new run-queue; [sched] is the token for
-      the new cpu.  Return the old token (ownership discipline: the
-      scheduler should hold validation for at most one cpu). *)
-  val migrate_task_rq : t -> pid:int -> sched:Schedulable.t -> Schedulable.t option
+      the new cpu.  Return the old token, or {!Schedulable.none}
+      (ownership discipline: the scheduler should hold validation for at
+      most one cpu). *)
+  val migrate_task_rq : t -> pid:int -> sched:Schedulable.t -> Schedulable.t
 
-  (** Offer a task to migrate to [cpu] for load balancing. *)
-  val balance : t -> cpu:int -> int option
+  (** Offer a task (its pid) to migrate to [cpu] for load balancing, or
+      [-1] for none. *)
+  val balance : t -> cpu:int -> int
 
-  val balance_err : t -> cpu:int -> pid:int -> sched:Schedulable.t option -> unit
+  val balance_err : t -> cpu:int -> pid:int -> sched:Schedulable.t -> unit
 
   (** Live upgrade (§3.2): export state to the next version... *)
   val reregister_prepare : t -> Upgrade.transfer option
@@ -90,7 +98,7 @@ end
 module Defaults (T : sig
   type t
 end) : sig
-  val pnt_err : T.t -> cpu:int -> pid:int -> err:string -> sched:Schedulable.t option -> unit
+  val pnt_err : T.t -> cpu:int -> pid:int -> err:string -> sched:Schedulable.t -> unit
 
   val task_yield : T.t -> pid:int -> runtime:ns -> cpu:int -> sched:Schedulable.t -> unit
 
@@ -100,9 +108,9 @@ end) : sig
 
   val task_tick : T.t -> cpu:int -> queued:bool -> unit
 
-  val balance : T.t -> cpu:int -> int option
+  val balance : T.t -> cpu:int -> int
 
-  val balance_err : T.t -> cpu:int -> pid:int -> sched:Schedulable.t option -> unit
+  val balance_err : T.t -> cpu:int -> pid:int -> sched:Schedulable.t -> unit
 
   val reregister_prepare : T.t -> Upgrade.transfer option
 

@@ -16,7 +16,7 @@ type t = {
   name : string;
   id : int; (* [Trace.Event.dsq_index name] *)
   mode : mode;
-  pool : Sched.t option Q.t;
+  pool : Sched.t Q.t;
   heap : Heap.t; (* Vtime only *)
   mutable vtime : int array; (* slot -> vtime *)
   mutable seq_of : int array; (* slot -> insertion seq *)
@@ -32,7 +32,7 @@ type t = {
   (* the entry a silent move carries between the source queue's critical
      section and the destination's *)
   mutable out_pid : int;
-  mutable out_token : Sched.t option;
+  mutable out_token : Sched.t;
   mutable out_vtime : int;
   mutable out_seq : int;
   mutable out_stamp : int;
@@ -57,7 +57,7 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
       name;
       id = Trace.Event.dsq_index name;
       mode;
-      pool = Q.create ~dummy:None;
+      pool = Q.create ~dummy:Sched.none;
       heap = Heap.create ();
       vtime = [||];
       seq_of = [||];
@@ -71,7 +71,7 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
       inserts = 0;
       consumes = 0;
       out_pid = -1;
-      out_token = None;
+      out_token = Sched.none;
       out_vtime = 0;
       out_seq = 0;
       out_stamp = 0;
@@ -102,8 +102,8 @@ let consumes t = t.consumes
 
 (* Queue an entry: at the back, or at the front (a vtime queue orders by
    its key either way). *)
-let push t ~front pid held ~vtime ~seq ~stamp =
-  if front then Q.push_front t.pool pid held else Q.push_back t.pool pid held;
+let push t ~front pid token ~vtime ~seq ~stamp =
+  if front then Q.push_front t.pool pid token else Q.push_back t.pool pid token;
   let e = if front then Q.head t.pool else Q.tail t.pool in
   let cap = Q.capacity t.pool in
   if cap > Array.length t.vtime then begin
@@ -131,7 +131,7 @@ let head t = match t.mode with Fifo -> Q.head t.pool | Vtime -> Heap.top t.heap
 let before t a b =
   t.vtime.(a) < t.vtime.(b) || (t.vtime.(a) = t.vtime.(b) && t.seq_of.(a) < t.seq_of.(b))
 
-let licenses t e cpu = match Q.value t.pool e with Some s -> Sched.cpu s = cpu | None -> false
+let licenses t e cpu = Sched.cpu (Q.value t.pool e) = cpu
 
 (* The first entry in consumption order whose token licenses [cpu], or -1:
    a walk of the list, or a scan of the heap's slots keeping the least
@@ -166,41 +166,33 @@ let first_of t pid =
       !best
     end
 
-let insert_locked t vtime held () () =
-  match held with
-  | Some token ->
-    let pid = Sched.pid token in
-    push t ~front:false pid held ~vtime ~seq:t.seq ~stamp:(t.now ());
-    t.seq <- t.seq + 1;
-    t.inserts <- t.inserts + 1;
-    t.trace ~cpu:(Sched.cpu token) Trace.Event.T_dsq_insert t.id pid 0
-  | None -> ()
+let insert_locked t vtime token () () =
+  let pid = Sched.pid token in
+  push t ~front:false pid token ~vtime ~seq:t.seq ~stamp:(t.now ());
+  t.seq <- t.seq + 1;
+  t.inserts <- t.inserts + 1;
+  t.trace ~cpu:(Sched.cpu token) Trace.Event.T_dsq_insert t.id pid 0
 
-let insert_held t ~vtime held = Enoki.Lock.locked t.lock insert_locked t vtime held () ()
-
-let insert t ?(vtime = 0) token = insert_held t ~vtime (Some token)
+let insert t ~vtime token = Enoki.Lock.locked t.lock insert_locked t vtime token () ()
 
 let consume_locked t () () () () =
   let e = head t in
-  if e < 0 then None
+  if e < 0 then Sched.none
   else begin
     let pid = Q.pid t.pool e and stamp = t.stamp.(e) in
-    let held = take t e in
+    let token = take t e in
     t.consumes <- t.consumes + 1;
     let wait = max 0 (t.now () - stamp) in
-    (match held with
-    | Some token ->
-      t.observe_wait ~cpu:(Sched.cpu token) wait;
-      t.trace ~cpu:(Sched.cpu token) Trace.Event.T_dsq_consume t.id pid wait
-    | None -> ());
-    held
+    t.observe_wait ~cpu:(Sched.cpu token) wait;
+    t.trace ~cpu:(Sched.cpu token) Trace.Event.T_dsq_consume t.id pid wait;
+    token
   end
 
 let consume t = Enoki.Lock.locked t.lock consume_locked t () () () ()
 
 let peek t =
   let e = head t in
-  if e < 0 then None else Q.value t.pool e
+  if e < 0 then Sched.none else Q.value t.pool e
 
 (* Silent movement for [Dsq_sched]: a shared-to-local move and a
    balance-time migration are internal queue transfers, not dispatches, so
@@ -223,24 +215,21 @@ let take_for_locked t cpu () () () =
 
 let remove_locked t pid () () () =
   let e = first_of t pid in
-  if e < 0 then None
+  if e < 0 then Sched.none
   else begin
     take_out t e;
-    let held = t.out_token in
-    t.out_token <- None;
-    held
+    t.out_token
   end
 
 let remove t ~pid = Enoki.Lock.locked t.lock remove_locked t pid () () ()
 
-(* Queue [src]'s outgoing entry in [t], holding [held]: at the back with a
+(* Queue [src]'s outgoing entry in [t], holding [token]: at the back with a
    fresh seq, or at the front keeping its seq (so a vtime entry keeps its
    place). *)
-let put_locked t (src : t) held front () =
+let put_locked t (src : t) token front () =
   let seq = if front then src.out_seq else t.seq in
-  push t ~front src.out_pid held ~vtime:src.out_vtime ~seq ~stamp:src.out_stamp;
-  if not front then t.seq <- t.seq + 1;
-  src.out_token <- None
+  push t ~front src.out_pid token ~vtime:src.out_vtime ~seq ~stamp:src.out_stamp;
+  if not front then t.seq <- t.seq + 1
 
 let move_for t ~cpu ~into =
   if Enoki.Lock.locked t.lock take_for_locked t cpu () () () then begin
@@ -251,19 +240,18 @@ let move_for t ~cpu ~into =
 
 let requeue t ~pid token ~into ~front =
   let old = remove t ~pid in
-  (match old with
-  | Some _ ->
-    t.out_token <- old;
-    Enoki.Lock.locked into.lock put_locked into t (Some token) front ()
-  | None -> ());
+  if not (Sched.is_none old) then Enoki.Lock.locked into.lock put_locked into t token front ();
   old
 
 let to_list t =
   let entry e : entry =
-    match Q.value t.pool e with
-    | Some token ->
-      { pid = Q.pid t.pool e; token; vtime = t.vtime.(e); seq = t.seq_of.(e); inserted_at = t.stamp.(e) }
-    | None -> assert false
+    {
+      pid = Q.pid t.pool e;
+      token = Q.value t.pool e;
+      vtime = t.vtime.(e);
+      seq = t.seq_of.(e);
+      inserted_at = t.stamp.(e);
+    }
   in
   match t.mode with
   | Fifo ->

@@ -5,8 +5,8 @@
     [(vtime, insertion seq)], so equal vtimes consume in stable FIFO
     order).  Entries sit in a {!Ds.Pid_fifo} slot pool with per-slot
     columns, in list order for FIFO and in a {!Ds.Pid_heap} keyed by
-    [(vtime, seq)] for vtime, so steady-state queue traffic allocates
-    nothing beyond the token option an insert stores.  {!Dsq_sched} builds
+    [(vtime, seq)] for vtime.  Tokens are immediate ints, so steady-state
+    queue traffic allocates nothing.  {!Dsq_sched} builds
     per-cpu local queues plus whatever shared/global queues a policy asks
     for, exactly like the kernel's per-cpu [SCX_DSQ_LOCAL] and
     user-created DSQs.
@@ -58,17 +58,14 @@ val inserts : t -> int
 val consumes : t -> int
 
 (** Enqueue a token ([vtime] ignored for ordering in [Fifo] mode).  Emits
-    [Dsq_insert] and stamps the entry for the latency histogram. *)
-val insert : t -> ?vtime:int -> Enoki.Schedulable.t -> unit
-
-(** [insert] for a token already boxed in an option (a scheduler's
-    in-flight token): the queue keeps that box, and {!consume} hands it
-    back, so the insert allocates nothing.  A no-op on [None]. *)
-val insert_held : t -> vtime:int -> Enoki.Schedulable.t option -> unit
+    [Dsq_insert] and stamps the entry for the latency histogram.  The
+    token is never {!Enoki.Schedulable.none}. *)
+val insert : t -> vtime:int -> Enoki.Schedulable.t -> unit
 
 (** Dequeue the head (FIFO front, or least [(vtime, seq)]) and return its
-    token.  Emits [Dsq_consume] and records the enqueue-to-consume wait. *)
-val consume : t -> Enoki.Schedulable.t option
+    token, or {!Enoki.Schedulable.none} when empty.  Emits [Dsq_consume]
+    and records the enqueue-to-consume wait. *)
+val consume : t -> Enoki.Schedulable.t
 
 (** Silent transfer primitives for the {!Dsq_sched} adapter: queue-to-queue
     moves keep the original insert stamp (latency measures enqueue to the
@@ -81,19 +78,20 @@ val consume : t -> Enoki.Schedulable.t option
 val move_for : t -> cpu:int -> into:t -> int
 
 (** Remove a queued task wherever it sits (block/exit/departure): its
-    first entry in consumption order.  Returns the entry's token. *)
-val remove : t -> pid:int -> Enoki.Schedulable.t option
+    first entry in consumption order.  Returns the entry's token, or
+    {!Enoki.Schedulable.none} when the pid is not queued. *)
+val remove : t -> pid:int -> Enoki.Schedulable.t
 
 (** [requeue t ~pid token ~into ~front] moves the pid's entry to [into],
     now holding [token] (balance-time migration replaces the token): at
     the back under a fresh seq, or, with [front], at the front keeping its
     seq, so a vtime entry keeps its place too.  Returns the old token;
-    [None], and nothing queued, when the pid was not in [t]. *)
-val requeue :
-  t -> pid:int -> Enoki.Schedulable.t -> into:t -> front:bool -> Enoki.Schedulable.t option
+    {!Enoki.Schedulable.none}, and nothing queued, when the pid was not in
+    [t]. *)
+val requeue : t -> pid:int -> Enoki.Schedulable.t -> into:t -> front:bool -> Enoki.Schedulable.t
 
-(** The head's token. *)
-val peek : t -> Enoki.Schedulable.t option
+(** The head's token, or {!Enoki.Schedulable.none} when empty. *)
+val peek : t -> Enoki.Schedulable.t
 
 (** Consumption order. *)
 val to_list : t -> entry list

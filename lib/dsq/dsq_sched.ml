@@ -32,9 +32,7 @@ module Api = struct
     mutable where : int array; (* queued pid -> holding queue's id, -1 = none *)
     running : int array; (* pid running per cpu, by our own picks; -1 = none *)
     ticks : int array; (* ticks since the cpu last dispatched *)
-    mutable pending : Sched.t option;
-        (* token in flight through P.enqueue, boxed once: the queue keeps
-           the box and pick hands it back *)
+    mutable pending : Sched.t; (* token in flight through P.enqueue, or none *)
     mutable fallback_inserts : int;
     lock : Enoki.Lock.t;
   }
@@ -71,7 +69,7 @@ module Api = struct
         running =
           (match running with Some r -> r | None -> Array.make ctx.nr_cpus (-1));
         ticks = Array.make ctx.nr_cpus 0;
-        pending = None;
+        pending = Sched.none;
         fallback_inserts = 0;
         lock;
       }
@@ -128,20 +126,20 @@ module Api = struct
       register t d;
       d
 
-  (* scx_bpf_dsq_insert: route the token in flight into [dsq].  A token only
-     licenses its own cpu, so an insert aimed at another cpu's local queue is
-     redirected to the token's own. *)
-  let insert t dsq ?vtime (task : task) =
-    match t.pending with
-    | None -> invalid_arg "Dsq_sched.Api.insert: no task in flight (call from enqueue only)"
-    | Some token as held ->
-      t.pending <- None;
-      let dsq =
-        let cpu = Sched.cpu token in
-        if is_local t dsq && t.locals.(cpu) != dsq then t.locals.(cpu) else dsq
-      in
-      Dsq.insert_held dsq ~vtime:(match vtime with Some v -> v | None -> 0) held;
-      set_where t task.pid dsq
+  (* scx_bpf_dsq_insert: route the token in flight into [dsq] at the task's
+     vtime.  A token only licenses its own cpu, so an insert aimed at another
+     cpu's local queue is redirected to the token's own. *)
+  let insert t dsq (task : task) =
+    let token = t.pending in
+    if Sched.is_none token then
+      invalid_arg "Dsq_sched.Api.insert: no task in flight (call from enqueue only)";
+    t.pending <- Sched.none;
+    let dsq =
+      let cpu = Sched.cpu token in
+      if is_local t dsq && t.locals.(cpu) != dsq then t.locals.(cpu) else dsq
+    in
+    Dsq.insert dsq ~vtime:task.vtime token;
+    set_where t task.pid dsq
 
   (* scx_bpf_dsq_move_to_local: pull the first entry of [dsq] licensed for
      [cpu] into its local queue; says whether the local queue has work. *)
@@ -179,9 +177,10 @@ module Api = struct
   (* balance-time migration candidate: the head of [dsq], when it is
      licensed for a busy cpu and so cannot drain without help *)
   let steal_head t dsq ~cpu =
-    match Dsq.peek dsq with
-    | Some tok when Sched.cpu tok <> cpu && t.running.(Sched.cpu tok) >= 0 -> Some (Sched.pid tok)
-    | Some _ | None -> None
+    let tok = Dsq.peek dsq in
+    if (not (Sched.is_none tok)) && Sched.cpu tok <> cpu && t.running.(Sched.cpu tok) >= 0 then
+      Sched.pid tok
+    else -1
 
   (* the length [other] offers a thief: only a local queue that cannot
      drain itself promptly gives work away *)
@@ -199,8 +198,7 @@ module Api = struct
         longest_len := spare t other
       end
     done;
-    if !longest < 0 then None
-    else match Dsq.peek t.locals.(!longest) with Some tok -> Some (Sched.pid tok) | None -> None
+    if !longest < 0 then -1 else Sched.pid (Dsq.peek t.locals.(!longest))
 
   let fallback_inserts t = t.fallback_inserts
 end
@@ -225,8 +223,8 @@ module type POLICY = sig
   (** The task came off a cpu having run [ran] more ns (weight-unscaled). *)
   val stopping : state -> Api.t -> task -> ran:int -> runnable:bool -> unit
 
-  (** An idle cpu asks for a cross-cpu migration candidate (pid). *)
-  val steal : state -> Api.t -> cpu:int -> int option
+  (** An idle cpu asks for a cross-cpu migration candidate (pid, or -1). *)
+  val steal : state -> Api.t -> cpu:int -> int
 
   val tick : state -> Api.t -> cpu:int -> queued:bool -> unit
 end
@@ -284,24 +282,24 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     end
     else 0
 
-  let enqueue_via_policy t held tk =
+  let enqueue_via_policy t token tk =
     let api = t.api in
-    api.Api.pending <- held;
-    (match held with Some token -> tk.cpu <- Sched.cpu token | None -> ());
+    api.Api.pending <- token;
+    tk.cpu <- Sched.cpu token;
     P.enqueue t.state api tk;
-    match api.Api.pending with
-    | None -> ()
-    | Some tok as held ->
+    let tok = api.Api.pending in
+    if not (Sched.is_none tok) then begin
       (* the policy dropped the task: the token's local queue is the
          fallback DSQ, so nothing is ever lost *)
-      api.Api.pending <- None;
+      api.Api.pending <- Sched.none;
       api.Api.fallback_inserts <- api.Api.fallback_inserts + 1;
-      Dsq.insert_held api.Api.locals.(Sched.cpu tok) ~vtime:0 held;
+      Dsq.insert api.Api.locals.(Sched.cpu tok) ~vtime:0 tok;
       Api.set_where api tk.pid api.Api.locals.(Sched.cpu tok)
+    end
 
   let remove_queued (api : Api.t) pid =
     let id = Api.where api pid in
-    if id < 0 then None
+    if id < 0 then Sched.none
     else begin
       api.where.(pid) <- -1;
       Dsq.remove (Api.queue api id) ~pid
@@ -316,7 +314,7 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     tk.prio <- prio;
     tk.weight <- Kernsim.Cfs.weight_of_nice prio;
     tk.last_runtime <- runtime;
-    enqueue_via_policy t (Some sched) tk
+    enqueue_via_policy t sched tk
 
   let task_new t ~pid ~runtime ~prio ~sched =
     Enoki.Lock.locked t.api.Api.lock task_new_locked t pid runtime prio sched
@@ -324,7 +322,7 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
   let task_wakeup_locked t pid runtime sched () =
     let tk = task_of t.api ~pid ~prio:0 in
     if runtime > tk.last_runtime then tk.last_runtime <- runtime;
-    enqueue_via_policy t (Some sched) tk
+    enqueue_via_policy t sched tk
 
   let task_wakeup t ~pid ~runtime ~waker_cpu:_ ~sched =
     Enoki.Lock.locked t.api.Api.lock task_wakeup_locked t pid runtime sched ()
@@ -337,7 +335,7 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     let d = ran tk ~runtime in
     P.stopping t.state t.api tk ~ran:d ~runnable:true;
     clear_running t.api ~cpu ~pid;
-    enqueue_via_policy t (Some sched) tk
+    enqueue_via_policy t sched tk
 
   let task_preempt t ~pid ~runtime ~cpu ~sched =
     Enoki.Lock.locked t.api.Api.lock requeue_locked t pid runtime cpu sched
@@ -373,52 +371,50 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     Enoki.Lock.locked t.api.Api.lock task_departed_locked t pid cpu () ()
 
   let take_local (api : Api.t) cpu =
-    match Dsq.consume api.locals.(cpu) with
-    | Some tok as held ->
-      Api.clear_where api (Sched.pid tok);
-      held
-    | None -> None
+    let tok = Dsq.consume api.locals.(cpu) in
+    if not (Sched.is_none tok) then Api.clear_where api (Sched.pid tok);
+    tok
 
   let pick_next_task_locked t cpu curr curr_runtime () =
     let api = t.api in
-    let held =
-      match take_local api cpu with
-      | Some _ as held -> held
-      | None ->
+    let tok =
+      let tok = take_local api cpu in
+      if Sched.is_none tok then begin
         P.dispatch t.state api ~cpu;
         take_local api cpu
+      end
+      else tok
     in
-    match held with
-    | Some tok ->
+    if Sched.is_none tok then begin
+      api.Api.running.(cpu) <- Sched.pid curr;
+      curr
+    end
+    else begin
       let pid = Sched.pid tok in
       api.Api.ticks.(cpu) <- 0;
       api.Api.running.(cpu) <- pid;
-      (match curr with
-      | Some c when Sched.pid c <> pid ->
+      if (not (Sched.is_none curr)) && Sched.pid curr <> pid then begin
         (* the displaced current task re-enters through the policy *)
-        let tk = task_of api ~pid:(Sched.pid c) ~prio:0 in
+        let tk = task_of api ~pid:(Sched.pid curr) ~prio:0 in
         let d = ran tk ~runtime:curr_runtime in
         P.stopping t.state api tk ~ran:d ~runnable:true;
         enqueue_via_policy t curr tk
-      | Some _ | None -> ());
-      held
-    | None ->
-      api.Api.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
-      curr
+      end;
+      tok
+    end
 
   let pick_next_task t ~cpu ~curr ~curr_runtime =
     Enoki.Lock.locked t.api.Api.lock pick_next_task_locked t cpu curr curr_runtime ()
 
   (* ownership returns to us: park the token on its own local queue *)
-  let pnt_err_locked t pid tok held () =
+  let pnt_err_locked t pid tok () () =
     let local = t.api.Api.locals.(Sched.cpu tok) in
-    Dsq.insert_held local ~vtime:0 held;
+    Dsq.insert local ~vtime:0 tok;
     Api.set_where t.api pid local
 
   let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
-    match sched with
-    | None -> ()
-    | Some tok -> Enoki.Lock.locked t.api.Api.lock pnt_err_locked t pid tok sched ()
+    if not (Sched.is_none sched) then
+      Enoki.Lock.locked t.api.Api.lock pnt_err_locked t pid sched () ()
 
   let rec any_waiting = function
     | [] -> false
@@ -454,13 +450,13 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     let local = api.Api.locals.(Sched.cpu sched) in
     let id = Api.where api pid in
     let old =
-      if id < 0 then None
+      if id < 0 then Sched.none
       else begin
         let d = Api.queue api id in
         if Api.is_local api d then begin
           (* local entries follow the task to its new home cpu *)
           let old = Dsq.requeue d ~pid sched ~into:local ~front:false in
-          (match old with Some _ -> Api.set_where api pid local | None -> ());
+          if not (Sched.is_none old) then Api.set_where api pid local;
           old
         end
         else
@@ -469,12 +465,11 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
           Dsq.requeue d ~pid sched ~into:d ~front:true
       end
     in
-    (match old with
-    | Some _ -> ()
-    | None ->
+    if Sched.is_none old then begin
       Api.clear_where api pid;
-      Dsq.insert local sched;
-      Api.set_where api pid local);
+      Dsq.insert local ~vtime:0 sched;
+      Api.set_where api pid local
+    end;
     old
 
   let migrate_task_rq t ~pid ~sched =
@@ -484,7 +479,7 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
     let api = t.api in
     if api.Api.running.(cpu) < 0 && Dsq.is_empty api.Api.locals.(cpu) then
       P.steal t.state api ~cpu
-    else None
+    else -1
 
   let balance t ~cpu = Enoki.Lock.locked t.api.Api.lock balance_locked t cpu () () ()
 

@@ -12,8 +12,8 @@
     canonical ~40-line policy. *)
 
 (** Per-task bookkeeping the adapter maintains and hands to every policy
-    hook.  [vtime] is policy-owned scratch (carried across live upgrades);
-    the rest is kernel-reported. *)
+    hook.  [vtime] is policy-owned (carried across live upgrades), and
+    {!Api.insert} queues the task at it; the rest is kernel-reported. *)
 type task = {
   pid : int;
   mutable prio : int;  (** nice value from the last task_new/prio_changed *)
@@ -49,10 +49,10 @@ module Api : sig
 
   val running : t -> cpu:int -> int option
 
-  (** Route the task in flight (inside [enqueue] only) into [dsq]; inserts
-      aimed at another cpu's local queue are redirected to the token's
-      own. *)
-  val insert : t -> Dsq.t -> ?vtime:int -> task -> unit
+  (** Route the task in flight (inside [enqueue] only) into [dsq] at
+      [task.vtime] (its key in a {!Dsq.Vtime} queue); inserts aimed at
+      another cpu's local queue are redirected to the token's own. *)
+  val insert : t -> Dsq.t -> task -> unit
 
   (** Pull the first entry of [dsq] licensed for [cpu] into its local
       queue; returns whether the local queue now has work. *)
@@ -62,11 +62,11 @@ module Api : sig
       else the shortest allowed local queue. *)
   val select_idle : t -> prev_cpu:int -> allowed:int list -> int
 
-  (** Balance helpers (both return a migration candidate pid). *)
+  (** Balance helpers (both return a migration candidate pid, or -1). *)
 
-  val steal_head : t -> Dsq.t -> cpu:int -> int option
+  val steal_head : t -> Dsq.t -> cpu:int -> int
 
-  val steal_longest_local : t -> cpu:int -> int option
+  val steal_longest_local : t -> cpu:int -> int
 
   (** Times a policy forgot to insert an enqueued task and the adapter
       parked it on the fallback (local) queue. *)
@@ -93,8 +93,8 @@ module type POLICY = sig
   (** The task came off a cpu having run [ran] more ns (weight-unscaled). *)
   val stopping : state -> Api.t -> task -> ran:int -> runnable:bool -> unit
 
-  (** An idle cpu asks for a cross-cpu migration candidate (pid). *)
-  val steal : state -> Api.t -> cpu:int -> int option
+  (** An idle cpu asks for a cross-cpu migration candidate (pid, or -1). *)
+  val steal : state -> Api.t -> cpu:int -> int
 
   val tick : state -> Api.t -> cpu:int -> queued:bool -> unit
 end

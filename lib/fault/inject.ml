@@ -78,10 +78,10 @@ let wrap ?tally ~seed ~(plan : Plan.t) (module S : Enoki.Sched_trait.S) :
        boundary's validation must catch it *)
     let forge t ~cpu =
       match t.pids with
-      | [] -> None
+      | [] -> Enoki.Schedulable.none
       | pids ->
         let pid = List.nth pids (Stats.Prng.int t.rng (List.length pids)) in
-        Some (Enoki.Schedulable.Private.create ~pid ~cpu ~gen:0)
+        Enoki.Schedulable.Private.create ~pid ~cpu ~gen:0
 
     let pick_next_task t ~cpu ~curr ~curr_runtime =
       match pre t ~call:"pick_next_task" ~cpu with

@@ -6,7 +6,7 @@ let first_managed_cpu = 1
 type activation = {
   slot : int;
   pid : int;
-  mutable token : Sched.t option; (* held while the activation is runnable *)
+  mutable token : Sched.t; (* held while the activation is runnable, else none *)
   mutable cpu : int option; (* granted core *)
 }
 
@@ -89,14 +89,14 @@ let reconcile t =
 let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       let slot = List.length t.activations in
-      t.activations <- t.activations @ [ { slot; pid; token = Some sched; cpu = None } ];
+      t.activations <- t.activations @ [ { slot; pid; token = sched; cpu = None } ];
       reconcile t)
 
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       match find_act t pid with
       | Some act ->
-        act.token <- Some sched;
+        act.token <- sched;
         (match act.cpu with Some cpu -> t.ctx.resched ~cpu | None -> reconcile t)
       | None -> ())
 
@@ -104,7 +104,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu:_ =
   Enoki.Lock.with_lock t.lock (fun () ->
       match find_act t pid with
       | Some act ->
-        act.token <- None;
+        act.token <- Sched.none;
         (* a parked activation frees its core for regranting *)
         (match act.cpu with
         | Some cpu ->
@@ -116,7 +116,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu:_ =
 
 let task_preempt t ~pid ~runtime:_ ~cpu:_ ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
-      match find_act t pid with Some act -> act.token <- Some sched | None -> ())
+      match find_act t pid with Some act -> act.token <- sched | None -> ())
 
 let task_yield = task_preempt
 
@@ -137,7 +137,7 @@ let task_departed t ~pid ~cpu:_ =
       match find_act t pid with
       | Some act ->
         let tok = act.token in
-        act.token <- None;
+        act.token <- Sched.none;
         (match act.cpu with
         | Some cpu ->
           t.assigned.(cpu) <- None;
@@ -145,7 +145,7 @@ let task_departed t ~pid ~cpu:_ =
         | None -> ());
         t.activations <- List.filter (fun a -> a.pid <> pid) t.activations;
         tok
-      | None -> None)
+      | None -> Sched.none)
 
 let select_task_rq t ~pid ~waker_cpu:_ ~allowed =
   Enoki.Lock.with_lock t.lock (fun () ->
@@ -159,13 +159,11 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
       match t.assigned.(cpu) with
       | Some slot -> (
         match find_slot t slot with
-        | Some act -> (
-          match act.token with
-          | Some tok when Sched.cpu tok = cpu ->
-            act.token <- None;
-            Some tok
-          | Some _ | None -> curr)
-        | None -> curr)
+        | Some act when Sched.cpu act.token = cpu ->
+          let tok = act.token in
+          act.token <- Sched.none;
+          tok
+        | Some _ | None -> curr)
       | None -> curr)
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
@@ -179,21 +177,18 @@ let balance t ~cpu =
       match t.assigned.(cpu) with
       | Some slot -> (
         match find_slot t slot with
-        | Some act -> (
-          match act.token with
-          | Some tok when Sched.cpu tok <> cpu -> Some act.pid
-          | Some _ | None -> None)
-        | None -> None)
-      | None -> None)
+        | Some act when (not (Sched.is_none act.token)) && Sched.cpu act.token <> cpu -> act.pid
+        | Some _ | None -> -1)
+      | None -> -1)
 
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.with_lock t.lock (fun () ->
       match find_act t pid with
       | Some act ->
         let old = act.token in
-        act.token <- Some sched;
+        act.token <- sched;
         old
-      | None -> None)
+      | None -> Sched.none)
 
 let parse_hint t ~pid:_ ~hint =
   match hint with

@@ -16,7 +16,7 @@ type ent = { mutable relative : int; mutable abs_deadline : int }
 
 type t = {
   ctx : Enoki.Ctx.t;
-  pool : Sched.t option Q.t;
+  pool : Sched.t Q.t;
   heap : Heap.t;
   mutable dl : int array; (* slot -> absolute deadline *)
   mutable spid : int array; (* slot -> pid *)
@@ -35,7 +35,7 @@ let name = "edf"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    pool = Q.create ~dummy:None;
+    pool = Q.create ~dummy:Sched.none;
     heap = Heap.create ();
     dl = [||];
     spid = [||];
@@ -73,14 +73,14 @@ let unqueue t e =
   Heap.remove t.heap ~key:t.dl ~tie:t.spid ~pos:t.spos e;
   Q.take t.pool e
 
-let enqueue t pid held ~fresh_deadline =
+let enqueue t pid sched ~fresh_deadline =
   let ent = ent_of t pid in
   if fresh_deadline then ent.abs_deadline <- t.ctx.now () + ent.relative;
   let deadline = ent.abs_deadline in
   let e = binding t pid deadline in
-  if e >= 0 then Q.set_value t.pool e held
+  if e >= 0 then Q.set_value t.pool e sched
   else begin
-    Q.push_back t.pool pid held;
+    Q.push_back t.pool pid sched;
     let e = Q.tail t.pool in
     let cap = Q.capacity t.pool in
     if cap > Array.length t.dl then begin
@@ -97,8 +97,8 @@ let remove t pid =
   match Hashtbl.find t.ents pid with
   | ent ->
     let e = binding t pid ent.abs_deadline in
-    if e < 0 then None else unqueue t e
-  | exception Not_found -> None
+    if e < 0 then Sched.none else unqueue t e
+  | exception Not_found -> Sched.none
 
 let stopped t ~pid ~cpu = if t.run_pid.(cpu) = pid then t.run_pid.(cpu) <- -1
 
@@ -107,14 +107,14 @@ let stopped t ~pid ~cpu = if t.run_pid.(cpu) = pid then t.run_pid.(cpu) <- -1
    arguments (unused ones are [()]) run through [Enoki.Lock.locked], so no
    closure is built per call. *)
 
-let enqueue_locked t pid held fresh_deadline () = enqueue t pid held ~fresh_deadline
+let enqueue_locked t pid sched fresh_deadline () = enqueue t pid sched ~fresh_deadline
 
 (* each wakeup opens a new deadline window *)
 let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) true ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched true ()
 
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) true ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched true ()
 
 let task_blocked_locked t pid cpu () () =
   stopped t ~pid ~cpu;
@@ -127,7 +127,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu =
 let requeue_locked t pid cpu sched () =
   stopped t ~pid ~cpu;
   ignore (remove t pid);
-  enqueue t pid (Some sched) ~fresh_deadline:false
+  enqueue t pid sched ~fresh_deadline:false
 
 let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
   Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
@@ -165,7 +165,7 @@ let select_task_rq_locked t waker_cpu allowed () () =
 let select_task_rq t ~pid:_ ~waker_cpu ~allowed =
   Enoki.Lock.locked t.lock select_task_rq_locked t waker_cpu allowed () ()
 
-let on_cpu t e cpu = match Q.value t.pool e with Some s -> Sched.cpu s = cpu | None -> false
+let on_cpu t e cpu = Sched.cpu (Q.value t.pool e) = cpu
 
 (* (deadline, pid) order between two slots *)
 let before t a b = t.dl.(a) < t.dl.(b) || (t.dl.(a) = t.dl.(b) && t.spid.(a) < t.spid.(b))
@@ -187,11 +187,8 @@ let pick_next_task_locked t cpu curr () () =
     sched
   end
   else begin
-    (match curr with
-    | Some c ->
-      t.run_pid.(cpu) <- Sched.pid c;
-      t.run_dl.(cpu) <- max_int
-    | None -> t.run_pid.(cpu) <- -1);
+    t.run_pid.(cpu) <- Sched.pid curr;
+    if not (Sched.is_none curr) then t.run_dl.(cpu) <- max_int;
     curr
   end
 
@@ -199,26 +196,22 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
   Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
-  match sched with
-  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched false ()
-  | None -> ()
+  if not (Sched.is_none sched) then Enoki.Lock.locked t.lock enqueue_locked t pid sched false ()
 
 (* the global head migrates to any cpu running a later deadline or idling
    behind a busy rq, as Shinjuku's balance does for FCFS order *)
 let balance_locked t cpu () () () =
   let e = Heap.top t.heap in
-  if t.run_pid.(cpu) >= 0 || e < 0 then None
+  if t.run_pid.(cpu) >= 0 || e < 0 then -1
   else
-    match Q.value t.pool e with
-    | Some sched when Sched.cpu sched <> cpu && t.run_pid.(Sched.cpu sched) >= 0 ->
-      Some t.spid.(e)
-    | Some _ | None -> None
+    let sched = Q.value t.pool e in
+    if Sched.cpu sched <> cpu && t.run_pid.(Sched.cpu sched) >= 0 then t.spid.(e) else -1
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
 let migrate_task_rq_locked t pid sched () () =
   let old = remove t pid in
-  enqueue t pid (Some sched) ~fresh_deadline:false;
+  enqueue t pid sched ~fresh_deadline:false;
   old
 
 let migrate_task_rq t ~pid ~sched =

@@ -3,7 +3,7 @@ module Q = Ds.Pid_fifo
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : Sched.t option Q.t array; (* per-cpu FCFS of (pid, token) *)
+  queues : Sched.t Q.t array; (* per-cpu FCFS of (pid, token) *)
   running : int array; (* pid running per cpu, by our own picks; -1 = none *)
   lock : Enoki.Lock.t;
 }
@@ -15,7 +15,7 @@ let name = "fifo"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:None);
+    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:Sched.none);
     running = Array.make ctx.nr_cpus (-1);
     lock = Enoki.Lock.create ~name:"fifo-rq" ();
   }
@@ -25,9 +25,10 @@ let get_policy t = t.ctx.policy
 (* Take the pid's oldest entry from every queue (under fault injection a
    pid can sit in two); the token is the last one found. *)
 let remove_everywhere t pid =
-  let found = ref None in
+  let found = ref Sched.none in
   for cpu = 0 to Array.length t.queues - 1 do
-    match Q.remove t.queues.(cpu) pid with Some _ as tok -> found := tok | None -> ()
+    let tok = Q.remove t.queues.(cpu) pid in
+    if not (Sched.is_none tok) then found := tok
   done;
   !found
 
@@ -53,19 +54,17 @@ let select_task_rq_locked t allowed () () () =
 let select_task_rq t ~pid:_ ~waker_cpu:_ ~allowed =
   Enoki.Lock.locked t.lock select_task_rq_locked t allowed () () ()
 
-let enqueue_locked t cpu pid held () = Q.push_back t.queues.(cpu) pid held
+let enqueue_locked t cpu pid sched () = Q.push_back t.queues.(cpu) pid sched
 
-let enqueue t ~cpu ~pid held = Enoki.Lock.locked t.lock enqueue_locked t cpu pid held ()
+let enqueue t ~cpu ~pid sched = Enoki.Lock.locked t.lock enqueue_locked t cpu pid sched ()
 
-let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  enqueue t ~cpu:(Sched.cpu sched) ~pid (Some sched)
+let task_new t ~pid ~runtime:_ ~prio:_ ~sched = enqueue t ~cpu:(Sched.cpu sched) ~pid sched
 
-let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  enqueue t ~cpu:(Sched.cpu sched) ~pid (Some sched)
+let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched = enqueue t ~cpu:(Sched.cpu sched) ~pid sched
 
 let task_preempt_locked t pid cpu sched () =
   stopped t ~pid ~cpu;
-  Q.push_back t.queues.(cpu) pid (Some sched)
+  Q.push_back t.queues.(cpu) pid sched
 
 let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
   Enoki.Lock.locked t.lock task_preempt_locked t pid cpu sched ()
@@ -100,9 +99,7 @@ let pick_next_task_locked t cpu curr () () =
     let picked = Q.pop_front q in
     t.running.(cpu) <- pid;
     (* if the kernel handed us a still-runnable current task, requeue it *)
-    (match curr with
-    | Some c when Sched.pid c <> pid -> Q.push_back q (Sched.pid c) curr
-    | Some _ | None -> ());
+    if (not (Sched.is_none curr)) && Sched.pid curr <> pid then Q.push_back q (Sched.pid curr) curr;
     picked
   end
 
@@ -112,7 +109,7 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
 let pnt_err t ~cpu ~pid ~err:_ ~sched =
   (* ownership of the rejected token returns to us: requeue so the task is
      not lost *)
-  match sched with Some _ -> enqueue t ~cpu ~pid sched | None -> ()
+  if not (Sched.is_none sched) then enqueue t ~cpu ~pid sched
 
 (* the length [other] offers a thief: only a core that cannot drain itself
    promptly gives work away *)
@@ -130,22 +127,22 @@ let balance_locked t cpu () () () =
         longest_len := spare t other
       end
     done;
-    if !longest < 0 then None else Some (Q.pid t.queues.(!longest) (Q.head t.queues.(!longest)))
+    if !longest < 0 then -1 else Q.pid t.queues.(!longest) (Q.head t.queues.(!longest))
   end
-  else None
+  else -1
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
 let migrate_task_rq_locked t pid sched () () =
   let old = remove_everywhere t pid in
-  Q.push_back t.queues.(Sched.cpu sched) pid (Some sched);
+  Q.push_back t.queues.(Sched.cpu sched) pid sched;
   old
 
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
 (* live upgrade: export the queues verbatim *)
-type Enoki.Upgrade.transfer += Fifo_state of Sched.t option Q.t array * int array
+type Enoki.Upgrade.transfer += Fifo_state of Sched.t Q.t array * int array
 
 let reregister_prepare t = Some (Fifo_state (t.queues, t.running))
 

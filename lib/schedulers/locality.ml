@@ -6,7 +6,7 @@ let overload_threshold = 16
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : Sched.t option Q.t array;
+  queues : Sched.t Q.t array;
   running : int array; (* -1 = none *)
   pid_group : (int, int) Hashtbl.t;
   pid_cpu : (int, int) Hashtbl.t; (* last placement, for stability *)
@@ -24,7 +24,7 @@ let name = "locality"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:None);
+    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:Sched.none);
     running = Array.make ctx.nr_cpus (-1);
     pid_group = Hashtbl.create 64;
     pid_cpu = Hashtbl.create 64;
@@ -64,18 +64,16 @@ let place t ~pid ~allowed =
 
 let stopped t ~pid ~cpu = if t.running.(cpu) = pid then t.running.(cpu) <- -1
 
-let enqueue t pid held =
-  match held with
-  | Some sched ->
-    let cpu = Sched.cpu sched in
-    Hashtbl.replace t.pid_cpu pid cpu;
-    Q.push_back t.queues.(cpu) pid held
-  | None -> ()
+let enqueue t pid sched =
+  let cpu = Sched.cpu sched in
+  Hashtbl.replace t.pid_cpu pid cpu;
+  Q.push_back t.queues.(cpu) pid sched
 
 let drop_everywhere t pid =
-  let found = ref None in
+  let found = ref Sched.none in
   for cpu = 0 to Array.length t.queues - 1 do
-    match Q.remove t.queues.(cpu) pid with Some _ as tok -> found := tok | None -> ()
+    let tok = Q.remove t.queues.(cpu) pid in
+    if not (Sched.is_none tok) then found := tok
   done;
   !found
 
@@ -88,13 +86,13 @@ let select_task_rq_locked t pid allowed () () = place t ~pid ~allowed
 let select_task_rq t ~pid ~waker_cpu:_ ~allowed =
   Enoki.Lock.locked t.lock select_task_rq_locked t pid allowed () ()
 
-let enqueue_locked t pid held () () = enqueue t pid held
+let enqueue_locked t pid sched () () = enqueue t pid sched
 
 let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 let task_blocked_locked t pid cpu () () =
   stopped t ~pid ~cpu;
@@ -106,7 +104,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu =
 let requeue_locked t pid cpu sched () =
   stopped t ~pid ~cpu;
   ignore (drop_everywhere t pid);
-  enqueue t pid (Some sched)
+  enqueue t pid sched
 
 let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
   Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
@@ -133,16 +131,14 @@ let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t 
 let pick_next_task_locked t cpu curr () () =
   let q = t.queues.(cpu) in
   if Q.is_empty q then begin
-    t.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
+    t.running.(cpu) <- Sched.pid curr;
     curr
   end
   else begin
     let pid = Q.pid q (Q.head q) in
     let picked = Q.pop_front q in
     t.running.(cpu) <- pid;
-    (match curr with
-    | Some c when Sched.pid c <> pid -> enqueue t (Sched.pid c) curr
-    | Some _ | None -> ());
+    if (not (Sched.is_none curr)) && Sched.pid curr <> pid then enqueue t (Sched.pid curr) curr;
     picked
   end
 
@@ -150,13 +146,11 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
   Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
-  match sched with
-  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
-  | None -> ()
+  if not (Sched.is_none sched) then Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 let migrate_task_rq_locked t pid sched () () =
   let old = drop_everywhere t pid in
-  enqueue t pid (Some sched);
+  enqueue t pid sched;
   old
 
 let migrate_task_rq t ~pid ~sched =
@@ -186,7 +180,7 @@ let parse_hint t ~pid:_ ~hint =
 
 type Enoki.Upgrade.transfer +=
   | Locality_state of {
-      queues : Sched.t option Q.t array;
+      queues : Sched.t Q.t array;
       running : int array;
       pid_group : (int, int) Hashtbl.t;
       group_cpu : (int, int) Hashtbl.t;

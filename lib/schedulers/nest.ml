@@ -8,7 +8,7 @@ let spill_threshold = 3
 
 type t = {
   ctx : Enoki.Ctx.t;
-  queues : Sched.t option Q.t array;
+  queues : Sched.t Q.t array;
   running : int array; (* -1 = none *)
   last_used : int array; (* per-cpu: last time we placed or ran work there *)
   mutable nest : int list; (* warm cores, most recently used first *)
@@ -22,7 +22,7 @@ let name = "nest"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:None);
+    queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:Sched.none);
     running = Array.make ctx.nr_cpus (-1);
     last_used = Array.make ctx.nr_cpus min_int;
     nest = [ 0 ];
@@ -79,18 +79,16 @@ let place t ~allowed =
 
 let stopped t ~pid ~cpu = if t.running.(cpu) = pid then t.running.(cpu) <- -1
 
-let enqueue t pid held =
-  match held with
-  | Some sched ->
-    let cpu = Sched.cpu sched in
-    touch t cpu;
-    Q.push_back t.queues.(cpu) pid held
-  | None -> ()
+let enqueue t pid sched =
+  let cpu = Sched.cpu sched in
+  touch t cpu;
+  Q.push_back t.queues.(cpu) pid sched
 
 let drop t pid =
-  let found = ref None in
+  let found = ref Sched.none in
   for cpu = 0 to Array.length t.queues - 1 do
-    match Q.remove t.queues.(cpu) pid with Some _ as tok -> found := tok | None -> ()
+    let tok = Q.remove t.queues.(cpu) pid in
+    if not (Sched.is_none tok) then found := tok
   done;
   !found
 
@@ -103,13 +101,13 @@ let select_task_rq_locked t allowed () () () = place t ~allowed
 let select_task_rq t ~pid:_ ~waker_cpu:_ ~allowed =
   Enoki.Lock.locked t.lock select_task_rq_locked t allowed () () ()
 
-let enqueue_locked t pid held () () = enqueue t pid held
+let enqueue_locked t pid sched () () = enqueue t pid sched
 
 let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 let task_blocked_locked t pid cpu () () =
   stopped t ~pid ~cpu;
@@ -121,7 +119,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu =
 let requeue_locked t pid cpu sched () =
   stopped t ~pid ~cpu;
   ignore (drop t pid);
-  enqueue t pid (Some sched)
+  enqueue t pid sched
 
 let task_preempt t ~pid ~runtime:_ ~cpu ~sched =
   Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
@@ -145,7 +143,7 @@ let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t 
 let pick_next_task_locked t cpu curr () () =
   let q = t.queues.(cpu) in
   if Q.is_empty q then begin
-    t.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
+    t.running.(cpu) <- Sched.pid curr;
     curr
   end
   else begin
@@ -153,9 +151,7 @@ let pick_next_task_locked t cpu curr () () =
     let picked = Q.pop_front q in
     t.running.(cpu) <- pid;
     touch t cpu;
-    (match curr with
-    | Some c when Sched.pid c <> pid -> Q.push_back q (Sched.pid c) curr
-    | Some _ | None -> ());
+    if (not (Sched.is_none curr)) && Sched.pid curr <> pid then Q.push_back q (Sched.pid curr) curr;
     picked
   end
 
@@ -163,14 +159,12 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
   Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
-  match sched with
-  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
-  | None -> ()
+  if not (Sched.is_none sched) then Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 (* work conservation: an idle core may still steal from an overloaded nest
    core — consolidation must not strand runnable work *)
 let balance_locked t cpu () () () =
-  if load_of t cpu > 0 then None
+  if load_of t cpu > 0 then -1
   else begin
     let victim = ref (-1) and victim_len = ref 0 in
     for other = 0 to Array.length t.queues - 1 do
@@ -182,14 +176,14 @@ let balance_locked t cpu () () () =
         victim_len := len
       end
     done;
-    if !victim < 0 then None else Some (Q.pid t.queues.(!victim) (Q.head t.queues.(!victim)))
+    if !victim < 0 then -1 else Q.pid t.queues.(!victim) (Q.head t.queues.(!victim))
   end
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
 let migrate_task_rq_locked t pid sched () () =
   let old = drop t pid in
-  enqueue t pid (Some sched);
+  enqueue t pid sched;
   old
 
 let migrate_task_rq t ~pid ~sched =
@@ -202,7 +196,7 @@ let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu q
 
 type Enoki.Upgrade.transfer +=
   | Nest_state of {
-      queues : Sched.t option Q.t array;
+      queues : Sched.t Q.t array;
       running : int array;
       last_used : int array;
       nest : int list;

@@ -10,7 +10,7 @@ type ent = { mutable prio : int; mutable key_seq : int }
 
 type t = {
   ctx : Enoki.Ctx.t;
-  pool : Sched.t option Q.t;
+  pool : Sched.t Q.t;
   heaps : Heap.t array; (* per-cpu *)
   mutable sprio : int array; (* slot -> priority it was queued at *)
   mutable sseq : int array; (* slot -> arrival sequence *)
@@ -30,7 +30,7 @@ let name = "rt-fifo"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    pool = Q.create ~dummy:None;
+    pool = Q.create ~dummy:Sched.none;
     heaps = Array.init ctx.nr_cpus (fun _ -> Heap.create ());
     sprio = [||];
     sseq = [||];
@@ -54,11 +54,11 @@ let ent_of t pid ~prio =
     Hashtbl.replace t.ents pid e;
     e
 
-let enqueue t ~cpu pid held =
+let enqueue t ~cpu pid sched =
   let ent = ent_of t pid ~prio:0 in
   t.seq <- t.seq + 1;
   ent.key_seq <- t.seq;
-  Q.push_back t.pool pid held;
+  Q.push_back t.pool pid sched;
   let e = Q.tail t.pool in
   let cap = Q.capacity t.pool in
   if cap > Array.length t.sprio then begin
@@ -91,8 +91,8 @@ let remove t pid =
   | ent when ent.key_seq >= 0 ->
     let e = entry t pid ent.key_seq in
     ent.key_seq <- -1;
-    if e < 0 then None else unqueue t e
-  | _ | (exception Not_found) -> None
+    if e < 0 then Sched.none else unqueue t e
+  | _ | (exception Not_found) -> Sched.none
 
 let clear_running t pid =
   for cpu = 0 to Array.length t.run_pid - 1 do
@@ -106,16 +106,15 @@ let clear_running t pid =
 
 let task_new_locked t pid prio sched () =
   (ent_of t pid ~prio).prio <- prio;
-  enqueue t ~cpu:(Sched.cpu sched) pid (Some sched)
+  enqueue t ~cpu:(Sched.cpu sched) pid sched
 
 let task_new t ~pid ~runtime:_ ~prio ~sched =
   Enoki.Lock.locked t.lock task_new_locked t pid prio sched ()
 
-let enqueue_locked t pid held () () =
-  match held with Some sched -> enqueue t ~cpu:(Sched.cpu sched) pid held | None -> ()
+let enqueue_locked t pid sched () () = enqueue t ~cpu:(Sched.cpu sched) pid sched
 
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched =
-  Enoki.Lock.locked t.lock enqueue_locked t pid (Some sched) () ()
+  Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 let task_blocked_locked t pid () () () =
   clear_running t pid;
@@ -127,7 +126,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu:_ =
 let requeue_locked t pid sched () () =
   clear_running t pid;
   ignore (remove t pid);
-  enqueue t ~cpu:(Sched.cpu sched) pid (Some sched)
+  enqueue t ~cpu:(Sched.cpu sched) pid sched
 
 let task_preempt t ~pid ~runtime:_ ~cpu:_ ~sched =
   Enoki.Lock.locked t.lock requeue_locked t pid sched () ()
@@ -175,11 +174,8 @@ let pick_next_task_locked t cpu curr () () =
     sched
   end
   else begin
-    (match curr with
-    | Some c ->
-      t.run_pid.(cpu) <- Sched.pid c;
-      t.run_prio.(cpu) <- 0
-    | None -> t.run_pid.(cpu) <- -1);
+    t.run_pid.(cpu) <- Sched.pid curr;
+    if not (Sched.is_none curr) then t.run_prio.(cpu) <- 0;
     curr
   end
 
@@ -187,13 +183,11 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
   Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
-  match sched with
-  | Some _ -> Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
-  | None -> ()
+  if not (Sched.is_none sched) then Enoki.Lock.locked t.lock enqueue_locked t pid sched () ()
 
 (* pull the most urgent waiter stuck behind a busy cpu *)
 let balance_locked t cpu () () () =
-  if t.run_pid.(cpu) >= 0 || Heap.length t.heaps.(cpu) > 0 then None
+  if t.run_pid.(cpu) >= 0 || Heap.length t.heaps.(cpu) > 0 then -1
   else begin
     let best = ref (-1) in
     for other = 0 to Array.length t.heaps - 1 do
@@ -202,14 +196,14 @@ let balance_locked t cpu () () () =
          && (!best < 0 || t.sprio.(e) < t.sprio.(!best))
       then best := e
     done;
-    if !best < 0 then None else Some (Q.pid t.pool !best)
+    if !best < 0 then -1 else Q.pid t.pool !best
   end
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
 let migrate_task_rq_locked t pid sched () () =
   let old = remove t pid in
-  enqueue t ~cpu:(Sched.cpu sched) pid (Some sched);
+  enqueue t ~cpu:(Sched.cpu sched) pid sched;
   old
 
 let migrate_task_rq t ~pid ~sched =
@@ -228,11 +222,9 @@ let task_prio_changed t ~pid ~prio =
       match Hashtbl.find_opt t.ents pid with
       | Some ent when ent.key_seq >= 0 -> (
         (* re-queue under the new priority *)
-        match remove t pid with
-        | Some sched as held ->
-          ent.prio <- prio;
-          enqueue t ~cpu:(Sched.cpu sched) pid held
-        | None -> ent.prio <- prio)
+        let sched = remove t pid in
+        ent.prio <- prio;
+        if not (Sched.is_none sched) then enqueue t ~cpu:(Sched.cpu sched) pid sched)
       | Some ent -> ent.prio <- prio
       | None -> ())
 

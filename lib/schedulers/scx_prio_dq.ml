@@ -56,9 +56,8 @@ module P = struct
   let stopping _st _api _task ~ran:_ ~runnable:_ = ()
 
   let steal st api ~cpu =
-    match A.steal_head api st.high ~cpu with
-    | Some pid -> Some pid
-    | None -> A.steal_head api st.low ~cpu
+    let pid = A.steal_head api st.high ~cpu in
+    if pid >= 0 then pid else A.steal_head api st.low ~cpu
 
   let tick _st _api ~cpu:_ ~queued:_ = ()
 end

@@ -19,7 +19,7 @@ module P = struct
 
   let enqueue st api (task : Dsq_sched.task) =
     if task.vtime < st.vtime_now - slice_ns then task.vtime <- st.vtime_now - slice_ns;
-    A.insert api st.q ~vtime:task.vtime task
+    A.insert api st.q task
 
   let dispatch st api ~cpu = ignore (A.move_to_local api ~cpu st.q)
 

@@ -2,15 +2,14 @@ module Sched = Enoki.Schedulable
 
 let default_slice = Kernsim.Time.us 10
 
-(* The global FCFS queue holds (pid, token) entries: the [Some] stored at
-   enqueue is the one the hooks hand back, so a queued task costs one
-   option box and no hook allocates anything else. *)
+(* The global FCFS queue holds (pid, token) entries; tokens are immediate,
+   so no hook allocates. *)
 module Q = Ds.Pid_fifo
 
 type t = {
   ctx : Enoki.Ctx.t;
   slice : Kernsim.Time.ns;
-  q : Sched.t option Q.t;
+  q : Sched.t Q.t;
   running : int array; (* per-cpu running pid (our picks), -1 = none *)
   mutable rr_cpu : int; (* round-robin pointer for initial placement *)
   lock : Enoki.Lock.t;
@@ -24,7 +23,7 @@ let make (ctx : Enoki.Ctx.t) ~slice =
   {
     ctx;
     slice;
-    q = Q.create ~dummy:None;
+    q = Q.create ~dummy:Sched.none;
     running = Array.make ctx.nr_cpus (-1);
     rr_cpu = 0;
     lock = Enoki.Lock.create ~name:"shinjuku-q" ();
@@ -34,7 +33,7 @@ let create ctx = make ctx ~slice:default_slice
 
 let get_policy t = t.ctx.policy
 
-let on_cpu q e cpu = match Q.value q e with Some s -> Sched.cpu s = cpu | None -> false
+let on_cpu q e cpu = Sched.cpu (Q.value q e) = cpu
 
 let rec scan_cpu q cpu e = if e < 0 || on_cpu q e cpu then e else scan_cpu q cpu (Q.next q e)
 
@@ -51,13 +50,13 @@ let arm t ~cpu = t.ctx.set_timer ~cpu t.slice
 
 let stopped t ~pid ~cpu = if t.running.(cpu) = pid then t.running.(cpu) <- -1
 
-let task_new_locked t pid sched () () = Q.push_back t.q pid (Some sched)
+let task_new_locked t pid sched () () = Q.push_back t.q pid sched
 
 let task_new t ~pid ~runtime:_ ~prio:_ ~sched =
   Enoki.Lock.locked t.lock task_new_locked t pid sched () ()
 
 let task_wakeup_locked t pid waker_cpu sched () =
-  Q.push_back t.q pid (Some sched);
+  Q.push_back t.q pid sched;
   arm t ~cpu:waker_cpu
 
 let task_wakeup t ~pid ~runtime:_ ~waker_cpu ~sched =
@@ -73,7 +72,7 @@ let task_blocked t ~pid ~runtime:_ ~cpu =
 let requeue_locked t pid cpu sched () =
   stopped t ~pid ~cpu;
   ignore (Q.remove t.q pid);
-  Q.push_back t.q pid (Some sched)
+  Q.push_back t.q pid sched
 
 let requeue t ~pid ~runtime:_ ~cpu ~sched =
   Enoki.Lock.locked t.lock requeue_locked t pid cpu sched ()
@@ -118,25 +117,21 @@ let select_task_rq t ~pid:_ ~waker_cpu:_ ~allowed =
    first *)
 let balance_locked t cpu () () () =
   let q = t.q in
-  if t.running.(cpu) >= 0 || Q.is_empty q then None
+  if t.running.(cpu) >= 0 || Q.is_empty q then -1
   else
-    match Q.value q (Q.head q) with
-    | Some sched when Sched.cpu sched <> cpu && t.running.(Sched.cpu sched) >= 0 ->
+    let sched = Q.value q (Q.head q) in
+    if Sched.cpu sched <> cpu && t.running.(Sched.cpu sched) >= 0 then
       (* the head is stuck behind a busy core; pull it here *)
-      Some (Q.pid q (Q.head q))
-    | Some _ | None -> None
+      Q.pid q (Q.head q)
+    else -1
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
 let migrate_task_rq_locked t pid sched () () =
-  match Q.remove t.q pid with
-  | Some _ as old ->
-    (* keep queue position at the front: migration happens for the head *)
-    Q.push_front t.q pid (Some sched);
-    old
-  | None ->
-    Q.push_back t.q pid (Some sched);
-    None
+  let old = Q.remove t.q pid in
+  (* keep queue position at the front: migration happens for the head *)
+  if Sched.is_none old then Q.push_back t.q pid sched else Q.push_front t.q pid sched;
+  old
 
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
@@ -149,25 +144,22 @@ let pick_next_task_locked t cpu curr () () =
     let pid = Q.pid t.q e in
     let picked = Q.take t.q e in
     t.running.(cpu) <- pid;
-    (match curr with
-    | Some c when Sched.pid c <> pid -> Q.push_back t.q (Sched.pid c) curr
-    | Some _ | None -> ());
+    if (not (Sched.is_none curr)) && Sched.pid curr <> pid then
+      Q.push_back t.q (Sched.pid curr) curr;
     picked
   end
   else begin
-    t.running.(cpu) <- (match curr with Some c -> Sched.pid c | None -> -1);
+    t.running.(cpu) <- Sched.pid curr;
     curr
   end
 
 let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
   Enoki.Lock.locked t.lock pick_next_task_locked t cpu curr () ()
 
-let pnt_err_locked t pid held () () = Q.push_back t.q pid held
+let pnt_err_locked t pid sched () () = Q.push_back t.q pid sched
 
 let pnt_err t ~cpu:_ ~pid ~err:_ ~sched =
-  match sched with
-  | Some _ -> Enoki.Lock.locked t.lock pnt_err_locked t pid sched () ()
-  | None -> ()
+  if not (Sched.is_none sched) then Enoki.Lock.locked t.lock pnt_err_locked t pid sched () ()
 
 (* the preemption timer: if anything is waiting, preempt the current task *)
 let task_tick_locked t cpu queued () () =
@@ -176,7 +168,7 @@ let task_tick_locked t cpu queued () () =
 
 let task_tick t ~cpu ~queued = Enoki.Lock.locked t.lock task_tick_locked t cpu queued () ()
 
-type Enoki.Upgrade.transfer += Shinjuku_state of Sched.t option Q.t * int array
+type Enoki.Upgrade.transfer += Shinjuku_state of Sched.t Q.t * int array
 
 let reregister_prepare t = Some (Shinjuku_state (t.q, t.running))
 

@@ -22,9 +22,8 @@ type rq = {
 
 (* Entity state lives in pid-indexed arrays (machine pids are small and
    contiguous), grown on the first task rather than at [create].  A pid is
-   queued iff [pos.(pid) >= 0], and then [tok.(pid)] holds its token: the
-   [Some] stored at enqueue is the one [pick_next_task] hands back, so a
-   queued task costs one option box and a hook allocates nothing else.
+   queued iff [pos.(pid) >= 0], and then [tok.(pid)] holds its token
+   ([Sched.none] otherwise), so no hook allocates.
    A pid's vruntime never changes while it is queued: every hook that
    moves it unqueues the pid first. *)
 type t = {
@@ -37,7 +36,7 @@ type t = {
   mutable last_runtime : int array; (* kernel-supplied runtime at last message *)
   mutable cpu : int array; (* the rq the pid was last queued on *)
   mutable pos : int array; (* heap slot, -1 = not queued *)
-  mutable tok : Sched.t option array;
+  mutable tok : Sched.t array;
 }
 
 include Enoki.Sched_trait.Defaults (struct type nonrec t = t end)
@@ -79,7 +78,7 @@ let ensure_cap t pid =
     t.last_runtime <- grow t.last_runtime 0;
     t.cpu <- grow t.cpu 0;
     t.pos <- grow t.pos (-1);
-    t.tok <- grow t.tok None
+    t.tok <- grow t.tok Sched.none
   end
 
 (* Make [pid] known, fresh at vruntime 0 if it was not. *)
@@ -112,13 +111,13 @@ let update_min t rq =
 let dequeue t pid =
   let held = t.tok.(pid) in
   Heap.remove t.rqs.(t.cpu.(pid)).heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid;
-  t.tok.(pid) <- None;
+  t.tok.(pid) <- Sched.none;
   held
 
-(* Queue a known, unqueued pid on [cpu] holding [held]. *)
-let enqueue t ~cpu pid held =
+(* Queue a known, unqueued pid on [cpu] holding [sched]. *)
+let enqueue t ~cpu pid sched =
   t.cpu.(pid) <- cpu;
-  t.tok.(pid) <- held;
+  t.tok.(pid) <- sched;
   Heap.add t.rqs.(cpu).heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid
 
 let nr_queued rq = Heap.length rq.heap
@@ -138,7 +137,7 @@ let task_new_locked t pid runtime prio sched =
   t.weight.(pid) <- Kernsim.Cfs.weight_of_nice prio;
   t.last_runtime.(pid) <- runtime;
   t.vruntime.(pid) <- t.rqs.(cpu).min_vruntime;
-  enqueue t ~cpu pid (Some sched)
+  enqueue t ~cpu pid sched
 
 let task_new t ~pid ~runtime ~prio ~sched =
   Enoki.Lock.locked t.lock task_new_locked t pid runtime prio sched
@@ -150,7 +149,7 @@ let task_wakeup_locked t pid runtime sched () =
   advance_vruntime t pid runtime;
   let floor_v = t.rqs.(cpu).min_vruntime - calc_delta wakeup_thresh t.weight.(pid) in
   if t.vruntime.(pid) < floor_v then t.vruntime.(pid) <- floor_v;
-  enqueue t ~cpu pid (Some sched)
+  enqueue t ~cpu pid sched
 
 let task_wakeup t ~pid ~runtime ~waker_cpu:_ ~sched =
   Enoki.Lock.locked t.lock task_wakeup_locked t pid runtime sched ()
@@ -173,7 +172,7 @@ let requeue_locked t pid runtime cpu sched =
   advance_vruntime t pid runtime;
   let rq = t.rqs.(cpu) in
   if rq.running = pid then rq.running <- -1;
-  enqueue t ~cpu pid (Some sched);
+  enqueue t ~cpu pid sched;
   update_min t rq
 
 let requeue t ~pid ~runtime ~cpu ~sched =
@@ -199,7 +198,7 @@ let task_dead_locked t pid () () () =
 let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
 
 let task_departed_locked t pid cpu () () =
-  let held = if known t pid then drop t pid else None in
+  let held = if known t pid then drop t pid else Sched.none in
   let rq = t.rqs.(cpu) in
   if rq.running = pid then rq.running <- -1;
   held
@@ -218,7 +217,7 @@ let pick_next_task_locked t cpu curr () () =
     held
   end
   else begin
-    rq.running <- (match curr with Some s -> Sched.pid s | None -> -1);
+    rq.running <- Sched.pid curr;
     curr
   end
 
@@ -233,9 +232,7 @@ let pnt_err_locked t cpu pid held () =
   enqueue t ~cpu pid held
 
 let pnt_err t ~cpu ~pid ~err:_ ~sched =
-  match sched with
-  | None -> ()
-  | Some _ -> Enoki.Lock.locked t.lock pnt_err_locked t cpu pid sched ()
+  if not (Sched.is_none sched) then Enoki.Lock.locked t.lock pnt_err_locked t cpu pid sched ()
 
 let in_range t cpu = cpu >= 0 && cpu < Array.length t.rqs
 
@@ -264,15 +261,15 @@ let migrate_task_rq_locked t pid sched () () =
   let to_cpu = Sched.cpu sched in
   if not (known t pid) then begin
     adopt t pid 0;
-    enqueue t ~cpu:to_cpu pid (Some sched);
-    None
+    enqueue t ~cpu:to_cpu pid sched;
+    Sched.none
   end
   else begin
     let old = dequeue t pid in
     let from_rq = t.rqs.(t.cpu.(pid)) and to_rq = t.rqs.(to_cpu) in
     if from_rq.running = pid then from_rq.running <- -1;
     t.vruntime.(pid) <- t.vruntime.(pid) - from_rq.min_vruntime + to_rq.min_vruntime;
-    enqueue t ~cpu:to_cpu pid (Some sched);
+    enqueue t ~cpu:to_cpu pid sched;
     old
   end
 
@@ -282,7 +279,7 @@ let migrate_task_rq t ~pid ~sched =
 (* steal from the longest queue only when this core is about to idle *)
 let balance_locked t cpu () () () =
   let rq = t.rqs.(cpu) in
-  if nr_queued rq > 0 || rq.running >= 0 then None
+  if nr_queued rq > 0 || rq.running >= 0 then -1
   else begin
     (* first longest wins; only steal from a core that cannot drain itself
        promptly (something running, or at least two waiting) *)
@@ -298,7 +295,7 @@ let balance_locked t cpu () () () =
         end
       end
     done;
-    if !best >= 0 then Some (Heap.top t.rqs.(!best).heap) else None
+    if !best >= 0 then Heap.top t.rqs.(!best).heap else -1
   end
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()

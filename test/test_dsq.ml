@@ -25,20 +25,23 @@ let inert_queue ?mode name =
 
 let token ?(cpu = 0) pid = Sched.Private.create ~pid ~cpu ~gen:1
 
+(* a queue's answer as an option: [Sched.none] is "nothing" *)
+let opt tok = if Sched.is_none tok then None else Some tok
+
 (* ---------- queue unit tests ---------- *)
 
 let test_fifo_basic () =
   let q = inert_queue "t" in
   check Alcotest.bool "empty" true (Dsq.is_empty q);
-  List.iter (fun pid -> Dsq.insert q (token pid)) [ 3; 1; 2 ];
+  List.iter (fun pid -> Dsq.insert q ~vtime:0 (token pid)) [ 3; 1; 2 ];
   check Alcotest.int "length" 3 (Dsq.length q);
   check Alcotest.int "inserts counted" 3 (Dsq.inserts q);
   let order = List.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.to_list q) in
   check Alcotest.(list int) "FIFO order" [ 3; 1; 2 ] order;
-  check Alcotest.(option int) "peek is head" (Some 3) (Option.map Sched.pid (Dsq.peek q));
+  check Alcotest.(option int) "peek is head" (Some 3) (Option.map Sched.pid (opt (Dsq.peek q)));
   let consumed = ref [] in
   let rec drain () =
-    match Dsq.consume q with
+    match opt (Dsq.consume q) with
     | Some tok ->
       consumed := Sched.pid tok :: !consumed;
       drain ()
@@ -59,9 +62,9 @@ let test_vtime_ordering () =
 
 let test_take_for_and_silent_moves () =
   let q = inert_queue "cpus" and local = inert_queue "local" in
-  Dsq.insert q (token ~cpu:0 1);
-  Dsq.insert q (token ~cpu:1 2);
-  Dsq.insert q (token ~cpu:0 3);
+  Dsq.insert q ~vtime:0 (token ~cpu:0 1);
+  Dsq.insert q ~vtime:0 (token ~cpu:1 2);
+  Dsq.insert q ~vtime:0 (token ~cpu:0 3);
   let stamp = (List.nth (Dsq.to_list q) 1).Dsq.inserted_at in
   let inserts_before = Dsq.inserts q in
   (* move_for skips entries licensed for other cpus *)
@@ -71,28 +74,30 @@ let test_take_for_and_silent_moves () =
     (List.hd (Dsq.to_list local)).Dsq.inserted_at;
   (* a front requeue keeps the head's turn under its new token *)
   check Alcotest.(option int) "requeue hands back the old token" (Some 0)
-    (Option.map Sched.cpu (Dsq.requeue q ~pid:1 (token ~cpu:2 1) ~into:q ~front:true));
+    (Option.map Sched.cpu (opt (Dsq.requeue q ~pid:1 (token ~cpu:2 1) ~into:q ~front:true)));
   check Alcotest.(option (pair int int)) "the head keeps its turn" (Some (1, 2))
-    (Option.map (fun tok -> (Sched.pid tok, Sched.cpu tok)) (Dsq.peek q));
+    (Option.map (fun tok -> (Sched.pid tok, Sched.cpu tok)) (opt (Dsq.peek q)));
   check Alcotest.(option int) "requeueing an absent pid" None
-    (Option.map Sched.pid (Dsq.requeue q ~pid:9 (token 9) ~into:q ~front:true));
+    (Option.map Sched.pid (opt (Dsq.requeue q ~pid:9 (token 9) ~into:q ~front:true)));
   check Alcotest.int "silent ops are not inserts" inserts_before (Dsq.inserts q);
   (* remove by pid from the middle *)
-  check Alcotest.(option int) "removed pid 3" (Some 3) (Option.map Sched.pid (Dsq.remove q ~pid:3));
+  check Alcotest.(option int) "removed pid 3" (Some 3)
+    (Option.map Sched.pid (opt (Dsq.remove q ~pid:3)));
   check Alcotest.int "one entry left" 1 (Dsq.length q)
 
-(* Steady-state queue traffic allocates nothing: an insert keeps the token
-   box it is handed, consume hands that box back, moves and requeues carry
-   entries through int columns, and the trace events go out packed. *)
+(* Steady-state queue traffic allocates nothing: tokens are immediate ints,
+   moves and requeues carry entries through int columns, and the trace
+   events go out packed. *)
 let test_queue_traffic_allocates_nothing () =
   List.iter
     (fun mode ->
       let q = inert_queue ~mode "a" and local = inert_queue ~mode "b" in
-      let held = Array.init 8 (fun pid -> Some (token ~cpu:(pid mod 2) pid)) in
       let round i =
         let pid = i mod 8 in
-        Dsq.insert_held q ~vtime:(i mod 5) held.(pid);
-        Dsq.insert_held q ~vtime:(i mod 3) held.((pid + 1) mod 8);
+        let next = (pid + 1) mod 8 in
+        Dsq.insert q ~vtime:(i mod 5) (token ~cpu:(pid mod 2) pid);
+        Dsq.insert q ~vtime:(i mod 3) (token ~cpu:(next mod 2) next);
+        ignore (Sys.opaque_identity (Dsq.requeue q ~pid:next (token ~cpu:1 next) ~into:q ~front:true));
         ignore (Dsq.move_for q ~cpu:(pid mod 2) ~into:local);
         ignore (Sys.opaque_identity (Dsq.remove q ~pid));
         ignore (Sys.opaque_identity (Dsq.consume q));
@@ -115,10 +120,10 @@ let prop_fifo_stable n =
   let n = n mod 100 in
   let q = inert_queue "p" in
   for pid = 0 to n - 1 do
-    Dsq.insert q (token pid)
+    Dsq.insert q ~vtime:0 (token pid)
   done;
   let rec drain acc =
-    match Dsq.consume q with Some tok -> drain (Sched.pid tok :: acc) | None -> List.rev acc
+    match opt (Dsq.consume q) with Some tok -> drain (Sched.pid tok :: acc) | None -> List.rev acc
   in
   drain [] = List.init n Fun.id
 
@@ -126,7 +131,7 @@ let prop_vtime_monotone vtimes =
   let q = inert_queue ~mode:Dsq.Vtime "p" in
   List.iteri (fun pid vt -> Dsq.insert q ~vtime:vt (token pid)) vtimes;
   let rec drain acc =
-    match Dsq.consume q with Some tok -> drain (Sched.pid tok :: acc) | None -> List.rev acc
+    match opt (Dsq.consume q) with Some tok -> drain (Sched.pid tok :: acc) | None -> List.rev acc
   in
   let out = drain [] in
   List.length out = List.length vtimes
@@ -179,7 +184,7 @@ let prop_dsq_matches_reference vtime_mode ops =
   let mode = if vtime_mode then Dsq.Vtime else Dsq.Fifo in
   let qs = [| inert_queue ~mode "a"; inert_queue ~mode "b" |] in
   let rs = [| Ref.create vtime_mode; Ref.create vtime_mode |] in
-  let got tok = Option.map (fun t -> (Sched.pid t, Sched.cpu t)) tok in
+  let got tok = Option.map (fun t -> (Sched.pid t, Sched.cpu t)) (opt tok) in
   let want e = Option.map (fun (e : Ref.e) -> (e.pid, e.cpu)) e in
   let contents i =
     List.map (fun (e : Dsq.entry) -> (e.Dsq.pid, Sched.cpu e.Dsq.token, e.Dsq.vtime)) (Dsq.to_list qs.(i))

@@ -14,14 +14,29 @@ let test_schedulable_fields () =
   check Alcotest.int "pid" 7 (Sched.pid s);
   check Alcotest.int "cpu" 2 (Sched.cpu s);
   check Alcotest.int "gen" 5 (Sched.generation s);
-  check Alcotest.bool "live" true (Sched.is_live s)
-
-let test_schedulable_consume () =
-  let s = Sched.Private.create ~pid:1 ~cpu:0 ~gen:1 in
-  Sched.Private.consume s;
-  check Alcotest.bool "dead after consume" false (Sched.is_live s);
-  check Alcotest.bool "describe mentions consumed" true
-    (String.length (Sched.describe s) > 0)
+  check Alcotest.bool "a token is not none" false (Sched.is_none s);
+  check Alcotest.string "describe" "sched(pid=7 cpu=2 gen=5)" (Sched.describe s);
+  check Alcotest.bool "none" true (Sched.is_none Sched.none);
+  check Alcotest.(list int) "none's fields" [ -1; -1; -1 ]
+    Sched.[ pid none; cpu none; generation none ];
+  check Alcotest.string "describe none" "sched(none)" (Sched.describe Sched.none);
+  (* a field that does not fit is rejected, never packed into another token *)
+  List.iter
+    (fun (what, pid, cpu, gen) ->
+      match Sched.Private.create ~pid ~cpu ~gen with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("pid too large", Sched.max_pid + 1, 0, 1);
+      ("negative pid", -1, 0, 1);
+      ("cpu too large", 1, Sched.max_cpu + 1, 1);
+      ("negative cpu", 1, -1, 1);
+      ("generation too large", 1, 0, Sched.max_generation + 1);
+      ("negative generation", 1, 0, -1);
+    ];
+  (* a generation overflowing its width wraps back to 1, never to 0 *)
+  check Alcotest.int "next generation" 8 (Sched.Private.next_generation 7);
+  check Alcotest.int "generation wraps" 1 (Sched.Private.next_generation Sched.max_generation)
 
 (* ---------- Message wire form ---------- *)
 
@@ -39,9 +54,9 @@ let test_message_roundtrips () =
   List.iter roundtrip_call
     [
       Get_policy;
-      Pick_next_task { cpu = 2; curr = None; curr_runtime = 0 };
-      Pick_next_task { cpu = 2; curr = Some s; curr_runtime = 123 };
-      Pnt_err { cpu = 1; pid = 3; err = "wrong_cpu"; sched = Some s };
+      Pick_next_task { cpu = 2; curr = Sched.none; curr_runtime = 0 };
+      Pick_next_task { cpu = 2; curr = s; curr_runtime = 123 };
+      Pnt_err { cpu = 1; pid = 3; err = "wrong_cpu"; sched = s };
       Task_dead { pid = 42 };
       Task_blocked { pid = 1; runtime = 555; cpu = 3 };
       Task_wakeup { pid = 1; runtime = 10; waker_cpu = 0; sched = s };
@@ -56,8 +71,8 @@ let test_message_roundtrips () =
       Select_task_rq { pid = 9; waker_cpu = 4; allowed = [ 0; 1 ] };
       Migrate_task_rq { pid = 9; from_cpu = 1; sched = s };
       Balance { cpu = 6 };
-      Balance_err { cpu = 6; pid = 9; sched = None };
-      Pnt_err { cpu = 0; pid = 2; err = "bad => cpu\n%"; sched = None };
+      Balance_err { cpu = 6; pid = 9; sched = Sched.none };
+      Pnt_err { cpu = 0; pid = 2; err = "bad => cpu\n%"; sched = Sched.none };
       Parse_hint { pid = 4; hint = Enoki.Hint_codec.Opaque "a b\nc" };
     ]
 
@@ -72,17 +87,21 @@ let test_reply_roundtrips () =
       check Alcotest.bool "reply consumed exactly" true (Enoki.Wire.at_end cur);
       check Alcotest.string "reply roundtrip" (Enoki.Message.string_of_reply r)
         (Enoki.Message.string_of_reply r'))
-    [ R_unit; R_int 5; R_int (-3); R_pid_opt None; R_pid_opt (Some 8); R_sched_opt None;
-      R_sched_opt (Some s) ]
+    [ R_unit; R_int 5; R_int (-3); R_pid_opt (-1); R_pid_opt 8; R_sched_opt Sched.none;
+      R_sched_opt s ]
 
 let test_reply_matching () =
   let s1 = Sched.Private.create ~pid:3 ~cpu:1 ~gen:9 in
   let s2 = Sched.Private.create ~pid:3 ~cpu:1 ~gen:22 in
   let s3 = Sched.Private.create ~pid:4 ~cpu:1 ~gen:9 in
   check Alcotest.bool "same pid+cpu matches despite gen" true
-    (Enoki.Message.reply_matches (R_sched_opt (Some s1)) (R_sched_opt (Some s2)));
+    (Enoki.Message.reply_matches (R_sched_opt s1) (R_sched_opt s2));
   check Alcotest.bool "different pid mismatch" false
-    (Enoki.Message.reply_matches (R_sched_opt (Some s1)) (R_sched_opt (Some s3)));
+    (Enoki.Message.reply_matches (R_sched_opt s1) (R_sched_opt s3));
+  check Alcotest.bool "none vs a token mismatch" false
+    (Enoki.Message.reply_matches (R_sched_opt Sched.none) (R_sched_opt s1));
+  check Alcotest.bool "none matches none" true
+    (Enoki.Message.reply_matches (R_sched_opt Sched.none) (R_sched_opt Sched.none));
   check Alcotest.bool "unit vs int mismatch" false
     (Enoki.Message.reply_matches R_unit (R_int 0))
 
@@ -94,6 +113,10 @@ let test_decode_failure () =
   (match get Enoki.Message.get_reply "\x09" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on an unknown reply tag");
+  (* a pid reply whose varint overflows to a negative int *)
+  (match get Enoki.Message.get_reply "\x02\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f" with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected failure on a negative pid reply");
   (* pick_next_task's opcode with its fields missing *)
   match get Enoki.Message.get_call "\x01" with
   | exception Enoki.Wire.Truncated -> ()
@@ -315,35 +338,41 @@ module Bad_sched = struct
   type t = {
     inner : Schedulers.Fifo_sched.t;
     mutable sabotage_left : int;
-    mutable stash : Sched.t option; (* the real token kept during sabotage *)
+    mutable stash : Sched.t; (* the real token kept during sabotage, or none *)
     mutable pnt_errs : int;
   }
 
   let name = "bad"
 
   let create ctx =
-    { inner = Schedulers.Fifo_sched.create ctx; sabotage_left = 1; stash = None; pnt_errs = 0 }
+    {
+      inner = Schedulers.Fifo_sched.create ctx;
+      sabotage_left = 1;
+      stash = Sched.none;
+      pnt_errs = 0;
+    }
 
   let get_policy t = Schedulers.Fifo_sched.get_policy t.inner
 
   let pick_next_task t ~cpu ~curr ~curr_runtime =
-    match Schedulers.Fifo_sched.pick_next_task t.inner ~cpu ~curr ~curr_runtime with
-    | Some tok when t.sabotage_left > 0 && Sched.cpu tok = cpu ->
+    let tok = Schedulers.Fifo_sched.pick_next_task t.inner ~cpu ~curr ~curr_runtime in
+    if t.sabotage_left > 0 && Sched.cpu tok = cpu then begin
       t.sabotage_left <- t.sabotage_left - 1;
-      t.stash <- Some tok;
+      t.stash <- tok;
       (* forge a token claiming a different core: must be rejected *)
-      Some (Sched.Private.create ~pid:(Sched.pid tok) ~cpu:(cpu + 1) ~gen:(Sched.generation tok))
-    | r -> r
+      Sched.Private.create ~pid:(Sched.pid tok) ~cpu:(cpu + 1) ~gen:(Sched.generation tok)
+    end
+    else tok
 
   let pnt_err t ~cpu ~pid ~err ~sched =
     t.pnt_errs <- t.pnt_errs + 1;
     ignore (err, sched);
     (* recover: hand the stashed real token back to the queue *)
-    match t.stash with
-    | Some tok ->
-      t.stash <- None;
-      Schedulers.Fifo_sched.pnt_err t.inner ~cpu ~pid ~err:"recovered" ~sched:(Some tok)
-    | None -> ()
+    let tok = t.stash in
+    if not (Sched.is_none tok) then begin
+      t.stash <- Sched.none;
+      Schedulers.Fifo_sched.pnt_err t.inner ~cpu ~pid ~err:"recovered" ~sched:tok
+    end
 
   let task_dead t = Schedulers.Fifo_sched.task_dead t.inner
 
@@ -403,10 +432,15 @@ let test_schedulable_violation_recovered () =
 
 (* A module that allocates nothing: every callback returns a constant or
    one of its arguments.  While [tick_panic] is [Some ns], [task_tick]
-   charges [ns] through the context and then raises. *)
+   charges [ns] through the context and then raises.  [pick_next_task]
+   returns [pick_reply], and [held] is the last token any hook handed it. *)
 exception Boom
 
 let tick_panic = ref None
+
+let pick_reply = ref Sched.none
+
+let held = ref Sched.none
 
 module Null_sched = struct
   type t = { ctx : Enoki.Ctx.t }
@@ -421,23 +455,27 @@ module Null_sched = struct
 
   let get_policy _ = 0
 
-  let pick_next_task _ ~cpu:_ ~curr:_ ~curr_runtime:_ = None
+  let pick_next_task _ ~cpu:_ ~curr:_ ~curr_runtime:_ = !pick_reply
 
   let task_dead _ ~pid:_ = ()
 
   let task_blocked _ ~pid:_ ~runtime:_ ~cpu:_ = ()
 
-  let task_wakeup _ ~pid:_ ~runtime:_ ~waker_cpu:_ ~sched:_ = ()
+  let task_wakeup _ ~pid:_ ~runtime:_ ~waker_cpu:_ ~sched = held := sched
 
-  let task_new _ ~pid:_ ~runtime:_ ~prio:_ ~sched:_ = ()
+  let task_new _ ~pid:_ ~runtime:_ ~prio:_ ~sched = held := sched
 
-  let task_preempt _ ~pid:_ ~runtime:_ ~cpu:_ ~sched:_ = ()
+  let task_preempt _ ~pid:_ ~runtime:_ ~cpu:_ ~sched = held := sched
 
-  let task_departed _ ~pid:_ ~cpu:_ = None
+  let task_yield _ ~pid:_ ~runtime:_ ~cpu:_ ~sched = held := sched
+
+  let task_departed _ ~pid:_ ~cpu:_ = Sched.none
 
   let select_task_rq _ ~pid:_ ~waker_cpu ~allowed:_ = waker_cpu
 
-  let migrate_task_rq _ ~pid:_ ~sched:_ = None
+  let migrate_task_rq _ ~pid:_ ~sched =
+    held := sched;
+    Sched.none
 
   let reregister_init ctx _ = create ctx
 
@@ -449,8 +487,13 @@ module Null_sched = struct
     | None -> ()
 end
 
+let rec find_live pid = function
+  | [] -> None
+  | (task : T.t) :: rest -> if task.pid = pid then Some task else find_live pid rest
+
 (* Register [e] against an inert 80-cpu kernel and return its class.
-   [live] is the kernel's task list, the ground truth a failover re-homes. *)
+   [live] is the kernel's task list, the ground truth a failover re-homes
+   and a pick is checked against. *)
 let null_class ?(live = []) e =
   let topology = Kernsim.Topology.two_socket in
   Enoki.Enoki_c.factory e
@@ -467,7 +510,7 @@ let null_class ?(live = []) e =
       send_user = (fun ~pid:_ _ -> ());
       current = (fun ~cpu:_ -> None);
       cpu_is_idle = (fun _ -> true);
-      find_task = (fun _ -> None);
+      find_task = (fun pid -> find_live pid live);
       live_tasks = (fun ~policy:_ -> live);
     }
 
@@ -476,12 +519,53 @@ let minor_words f =
   f ();
   Gc.minor_words () -. before
 
+(* Through Enoki-C, a module returning a token it already gave back, a
+   token on the wrong core and a superseded token is told so by three
+   distinct [pnt_err] reasons, and a forged generation-0 token reads as
+   stale. *)
+let test_schedulable_consume () =
+  let e = Enoki.Enoki_c.create (module Null_sched) in
+  let task = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid:1 ~now:0 in
+  task.T.state <- T.Runnable;
+  task.T.cpu <- 2;
+  let cls = null_class ~live:[ task ] e in
+  let pick token ~cpu =
+    pick_reply := token;
+    Fun.protect ~finally:(fun () -> pick_reply := Sched.none) (fun () -> cls.pick_next_task ~cpu)
+  in
+  cls.task_new task ~cpu:2;
+  let first = !held in
+  check Alcotest.int "a valid token runs" 1 (pick first ~cpu:2);
+  check Alcotest.int "returned again" (-1) (pick first ~cpu:2);
+  cls.task_wakeup task ~cpu:2 ~waker_cpu:0;
+  let woken = !held in
+  check Alcotest.int "on another core" (-1) (pick woken ~cpu:3);
+  cls.task_preempt task ~cpu:2;
+  check Alcotest.int "superseded" (-1) (pick woken ~cpu:2);
+  let sorted = List.sort compare in
+  check
+    Alcotest.(list (pair string int))
+    "one of each reason"
+    [ ("consumed", 1); ("stale_generation", 1); ("wrong_cpu", 1) ]
+    (sorted (Enoki.Enoki_c.violation_breakdown e));
+  check Alcotest.int "a forged generation 0" (-1)
+    (pick (Sched.Private.create ~pid:1 ~cpu:2 ~gen:0) ~cpu:2);
+  check
+    Alcotest.(list (pair string int))
+    "reads as stale"
+    [ ("consumed", 1); ("stale_generation", 2); ("wrong_cpu", 1) ]
+    (sorted (Enoki.Enoki_c.violation_breakdown e));
+  check Alcotest.int "the live token still runs" 1 (pick !held ~cpu:2)
+
 let test_crossing_allocates_nothing () =
   let e = Enoki.Enoki_c.create (module Null_sched) in
   let cls = null_class e in
   let task = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid:1 ~now:0 in
   check Alcotest.bool "unpinned task" true (task.T.affinity = None);
   let n = 10_000 in
+  (* a stale reply: each pick crosses twice, into pick_next_task and back
+     through pnt_err *)
+  let forged = Sched.Private.create ~pid:1 ~cpu:0 ~gen:0 in
   let per_hook =
     [
       ( "pick_next_task",
@@ -504,8 +588,31 @@ let test_crossing_allocates_nothing () =
           for i = 1 to n do
             ignore (Sys.opaque_identity (cls.select_task_rq task ~waker_cpu:(i land 63)))
           done );
-      (* the hooks that mint no Schedulable token: a minted token is the
-         one allocation the boundary makes *)
+      ( "task_new",
+        fun () ->
+          for i = 1 to n do
+            cls.task_new task ~cpu:(i land 63)
+          done );
+      ( "task_wakeup",
+        fun () ->
+          for i = 1 to n do
+            cls.task_wakeup task ~cpu:(i land 63) ~waker_cpu:0
+          done );
+      ( "task_preempt",
+        fun () ->
+          for i = 1 to n do
+            cls.task_preempt task ~cpu:(i land 63)
+          done );
+      ( "task_yield",
+        fun () ->
+          for i = 1 to n do
+            cls.task_yield task ~cpu:(i land 63)
+          done );
+      ( "migrate_task_rq",
+        fun () ->
+          for i = 1 to n do
+            cls.migrate_task_rq task ~from_cpu:0 ~to_cpu:(i land 63)
+          done );
       ( "task_blocked",
         fun () ->
           for i = 1 to n do
@@ -542,7 +649,20 @@ let test_crossing_allocates_nothing () =
     (fun (hook, f) -> check (Alcotest.float 0.0) (hook ^ ": minor words") 0.0 (minor_words f))
     per_hook;
   check Alcotest.int "every crossing counted" (List.length per_hook * n) (Enoki.Enoki_c.calls e);
-  check Alcotest.int "no violations" 0 (Enoki.Enoki_c.violations e)
+  check Alcotest.int "no violations" 0 (Enoki.Enoki_c.violations e);
+  pick_reply := forged;
+  let words =
+    Fun.protect
+      ~finally:(fun () -> pick_reply := Sched.none)
+      (fun () ->
+        ignore (cls.pick_next_task ~cpu:0);
+        minor_words (fun () ->
+            for _ = 1 to n do
+              ignore (Sys.opaque_identity (cls.pick_next_task ~cpu:0))
+            done))
+  in
+  check (Alcotest.float 0.0) "pnt_err: minor words" 0.0 words;
+  check Alcotest.int "every rejection counted" (n + 1) (Enoki.Enoki_c.violations e)
 
 let test_isolation_semantics () =
   let panicking ?call_budget ~isolate charge =

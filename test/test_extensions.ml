@@ -304,7 +304,7 @@ let test_wfq_nosteal_still_correct () =
   let module NS = struct
     include Schedulers.Wfq
     let name = "wfq-nosteal"
-    let balance _ ~cpu:_ = None
+    let balance _ ~cpu:_ = -1
   end in
   let b = build (Workloads.Setup.Enoki_sched (module NS)) in
   let pids =

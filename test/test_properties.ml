@@ -133,17 +133,41 @@ let binary_call_roundtrip c =
   Enoki.Wire.at_end cur && Enoki.Message.string_of_call c' = Enoki.Message.string_of_call c
 
 let prop_message_fuzz_roundtrip (pid, cpu, gen, runtime) =
-  let pid = abs pid and cpu = abs cpu mod 128 and gen = abs gen and runtime = abs runtime in
-  let s = Enoki.Schedulable.Private.create ~pid ~cpu ~gen in
+  let module S = Enoki.Schedulable in
+  let pid = abs pid mod (S.max_pid + 1)
+  and cpu = abs cpu mod 128
+  and gen = abs gen mod (S.max_generation + 1)
+  and runtime = abs runtime in
+  let s = S.Private.create ~pid ~cpu ~gen in
   let calls =
     [
       Enoki.Message.Task_wakeup { pid; runtime; waker_cpu = cpu; sched = s };
       Enoki.Message.Task_blocked { pid; runtime; cpu };
       Enoki.Message.Select_task_rq { pid; waker_cpu = cpu; allowed = [ cpu; cpu + 1 ] };
-      Enoki.Message.Pick_next_task { cpu; curr = Some s; curr_runtime = runtime };
+      Enoki.Message.Pick_next_task { cpu; curr = s; curr_runtime = runtime };
     ]
   in
   List.for_all binary_call_roundtrip calls
+
+(* Packing a token and reading it back gives every field unchanged, over
+   each field's whole range: the generator mixes uniform draws with the
+   boundary values 0, 1, max-1 and max of each field. *)
+let token_fields =
+  let module S = Enoki.Schedulable in
+  let field max =
+    QCheck.Gen.(oneof [ int_bound max; oneofl [ 0; 1; max - 1; max ] ])
+  in
+  QCheck.make
+    ~print:(fun (pid, cpu, gen) -> Printf.sprintf "pid %d cpu %d gen %d" pid cpu gen)
+    QCheck.Gen.(triple (field S.max_pid) (field S.max_cpu) (field S.max_generation))
+
+let prop_token_pack_roundtrip (pid, cpu, gen) =
+  let module S = Enoki.Schedulable in
+  let s = S.Private.create ~pid ~cpu ~gen in
+  S.pid s = pid && S.cpu s = cpu && S.generation s = gen
+  && (not (S.is_none s))
+  && S.is_none S.none
+  && (S.pid S.none, S.cpu S.none, S.generation S.none) = (-1, -1, -1)
 
 (* payloads chosen to break a delimiter-based log: the length-prefixed
    wire form must keep them byte-exact *)
@@ -170,8 +194,8 @@ let prop_adversarial_payload_roundtrip (err, payload) =
   let s = Enoki.Schedulable.Private.create ~pid:7 ~cpu:1 ~gen:2 in
   let calls =
     [
-      Enoki.Message.Pnt_err { cpu = 1; pid = 7; err; sched = Some s };
-      Enoki.Message.Pnt_err { cpu = 0; pid = 3; err; sched = None };
+      Enoki.Message.Pnt_err { cpu = 1; pid = 7; err; sched = s };
+      Enoki.Message.Pnt_err { cpu = 0; pid = 3; err; sched = Enoki.Schedulable.none };
       Enoki.Message.Parse_hint { pid = 7; hint = Enoki.Hint_codec.Opaque payload };
     ]
   in
@@ -188,13 +212,14 @@ let prop_adversarial_payload_roundtrip (err, payload) =
       | _ -> false)
 
 let prop_binary_reply_roundtrip (n, pid) =
-  let s = Enoki.Schedulable.Private.create ~pid:(abs pid) ~cpu:0 ~gen:1 in
+  let pid = abs pid mod (Enoki.Schedulable.max_pid + 1) in
+  let s = Enoki.Schedulable.Private.create ~pid ~cpu:0 ~gen:1 in
   let replies =
     [
       Enoki.Message.R_unit;
       Enoki.Message.R_int n;
-      Enoki.Message.R_pid_opt (if pid mod 2 = 0 then Some (abs pid) else None);
-      Enoki.Message.R_sched_opt (if pid mod 3 = 0 then Some s else None);
+      Enoki.Message.R_pid_opt (if pid mod 2 = 0 then pid else -1);
+      Enoki.Message.R_sched_opt (if pid mod 3 = 0 then s else Enoki.Schedulable.none);
     ]
   in
   List.for_all
@@ -284,6 +309,59 @@ let prop_mutated_log_rejected_cleanly m =
   | Flip _, _ -> true
   | exception Enoki.Replay.Malformed_log _ -> (
     match m with Cut n -> n < String.length Enoki.Record.magic | Flip _ -> true)
+
+(* A log whose token does not fit the packing is rejected in one
+   [Malformed_log] naming the field, never read as another token: one
+   task_wakeup frame, its token's pid, cpu or generation one past the
+   limit, or a varint overflowing to a negative value. *)
+let test_out_of_range_token_rejected () =
+  let module S = Enoki.Schedulable in
+  (* LEB128 of the raw bit pattern, as the decoder reads it back *)
+  let rec put_bits buf n =
+    if n lsr 7 = 0 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+      put_bits buf (n lsr 7)
+    end
+  in
+  let log ~pid ~cpu ~gen =
+    let payload = Buffer.create 32 in
+    Enoki.Wire.put_byte payload 0x01 (* a call *);
+    Enoki.Wire.put_uint payload 0 (* tid *);
+    Enoki.Wire.put_byte payload 5 (* task_wakeup *);
+    List.iter (Enoki.Wire.put_uint payload) [ 1; 0; 0 ] (* pid, runtime, waker_cpu *);
+    put_bits payload pid;
+    put_bits payload cpu;
+    put_bits payload gen;
+    Enoki.Wire.put_byte payload 0 (* R_unit *);
+    let b = Buffer.create 64 in
+    Buffer.add_string b Enoki.Record.magic;
+    Enoki.Wire.put_uint b (Buffer.length payload);
+    Buffer.add_buffer b payload;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (field, pid, cpu, gen) ->
+      match Enoki.Replay.parse (log ~pid ~cpu ~gen) with
+      | _ -> Alcotest.failf "%s: decoded" field
+      | exception Enoki.Replay.Malformed_log { pos; reason } ->
+        Alcotest.(check int) (field ^ ": first frame") 1 pos;
+        Alcotest.(check bool)
+          (field ^ ": names the field in " ^ reason)
+          true
+          (String.starts_with ~prefix:("Schedulable: " ^ field ^ " ") reason))
+    [
+      ("pid", S.max_pid + 1, 0, 1);
+      ("cpu", 1, S.max_cpu + 1, 1);
+      ("generation", 1, 0, S.max_generation + 1);
+      ("pid", -1, 0, 1);
+    ];
+  (* the limits themselves decode *)
+  match Enoki.Replay.parse (log ~pid:S.max_pid ~cpu:S.max_cpu ~gen:S.max_generation) with
+  | [ Call { call = Task_wakeup { sched; _ }; _ } ] ->
+    Alcotest.(check (list int)) "max fields" [ S.max_pid; S.max_cpu; S.max_generation ]
+      [ S.pid sched; S.cpu sched; S.generation sched ]
+  | _ -> Alcotest.fail "expected one task_wakeup"
 
 (* [k] bytes of the header, then anything: near misses included *)
 let prop_headerless_bytes_rejected (k, rest) =
@@ -395,6 +473,10 @@ let () =
           qtest ~count:200 "headerless bytes raise Malformed_log"
             QCheck.(pair small_nat string)
             prop_headerless_bytes_rejected;
+          qtest ~count:1000 "token pack/unpack round-trips over the field ranges" token_fields
+            prop_token_pack_roundtrip;
+          Alcotest.test_case "out-of-range token fields raise Malformed_log" `Quick
+            test_out_of_range_token_rejected;
         ] );
       ( "upgrade",
         [

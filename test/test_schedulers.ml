@@ -94,13 +94,14 @@ let test_wfq_requeue_moves_single_entry () =
   (* the pid ran in between, so the second wakeup moves its vruntime *)
   W.task_wakeup w ~pid:3 ~runtime:(Kernsim.Time.ms 5) ~waker_cpu:0 ~sched:t2;
   check Alcotest.int "second wakeup: one entry" 1 (W.queue_length w ~cpu:0);
-  W.pnt_err w ~cpu:0 ~pid:3 ~err:"test" ~sched:(Some t3);
+  W.pnt_err w ~cpu:0 ~pid:3 ~err:"test" ~sched:t3;
   check Alcotest.int "pnt_err: one entry" 1 (W.queue_length w ~cpu:0);
-  (match W.pick_next_task w ~cpu:0 ~curr:None ~curr_runtime:0 with
-  | Some t -> check Alcotest.bool "picked with the newest token" true (t == t3)
-  | None -> Alcotest.fail "queued pid not picked");
+  let none = Enoki.Schedulable.none in
+  let t = W.pick_next_task w ~cpu:0 ~curr:none ~curr_runtime:0 in
+  check Alcotest.bool "queued pid picked" false (Enoki.Schedulable.is_none t);
+  check Alcotest.int "picked with the newest token" 3 (Enoki.Schedulable.generation t);
   check Alcotest.bool "picked exactly once" true
-    (Option.is_none (W.pick_next_task w ~cpu:0 ~curr:None ~curr_runtime:0));
+    (Enoki.Schedulable.is_none (W.pick_next_task w ~cpu:0 ~curr:none ~curr_runtime:0));
   check Alcotest.int "queue drained" 0 (W.queue_length w ~cpu:0)
 
 (* ---------- Shinjuku ---------- *)

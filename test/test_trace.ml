@@ -730,34 +730,35 @@ let sabotage_mode = ref Starve
 module Broken_sched = struct
   module F = Schedulers.Fifo_sched
 
-  type t = { inner : F.t; mode : sabotage; mutable stash : Sched.t option }
+  type t = { inner : F.t; mode : sabotage; mutable stash : Sched.t (* or none *) }
 
   let name = "broken"
 
-  let create ctx = { inner = F.create ctx; mode = !sabotage_mode; stash = None }
+  let create ctx = { inner = F.create ctx; mode = !sabotage_mode; stash = Sched.none }
 
   let get_policy t = F.get_policy t.inner
 
   let pick_next_task t ~cpu ~curr ~curr_runtime =
     match t.mode with
-    | Starve -> None (* never dispatch anything: starves every runnable task *)
+    | Starve -> Sched.none (* never dispatch anything: starves every runnable task *)
     | Pin_cpu0 ->
-      if cpu = 0 then F.pick_next_task t.inner ~cpu ~curr ~curr_runtime else None
-    | Forge_token -> (
-      match F.pick_next_task t.inner ~cpu ~curr ~curr_runtime with
-      | Some tok when t.stash = None && Sched.cpu tok = cpu ->
-        t.stash <- Some tok;
+      if cpu = 0 then F.pick_next_task t.inner ~cpu ~curr ~curr_runtime else Sched.none
+    | Forge_token ->
+      let tok = F.pick_next_task t.inner ~cpu ~curr ~curr_runtime in
+      if Sched.is_none t.stash && Sched.cpu tok = cpu then begin
+        t.stash <- tok;
         (* forge a token claiming another core: Enoki-C must reject it *)
-        Some (Sched.Private.create ~pid:(Sched.pid tok) ~cpu:(cpu + 1) ~gen:(Sched.generation tok))
-      | r -> r)
+        Sched.Private.create ~pid:(Sched.pid tok) ~cpu:(cpu + 1) ~gen:(Sched.generation tok)
+      end
+      else tok
 
   let pnt_err t ~cpu ~pid ~err ~sched =
     ignore (err, sched);
-    match t.stash with
-    | Some tok ->
-      t.stash <- None;
-      F.pnt_err t.inner ~cpu ~pid ~err:"recovered" ~sched:(Some tok)
-    | None -> ()
+    let tok = t.stash in
+    if not (Sched.is_none tok) then begin
+      t.stash <- Sched.none;
+      F.pnt_err t.inner ~cpu ~pid ~err:"recovered" ~sched:tok
+    end
 
   let select_task_rq t ~pid ~waker_cpu ~allowed =
     match t.mode with
@@ -765,7 +766,7 @@ module Broken_sched = struct
     | Starve | Forge_token -> F.select_task_rq t.inner ~pid ~waker_cpu ~allowed
 
   let balance t ~cpu =
-    match t.mode with Pin_cpu0 | Starve -> None | Forge_token -> F.balance t.inner ~cpu
+    match t.mode with Pin_cpu0 | Starve -> -1 | Forge_token -> F.balance t.inner ~cpu
 
   let task_dead t = F.task_dead t.inner
 
