@@ -13,30 +13,71 @@ type chaos = { victim : int; after_calls : int; recovery : ns }
    Under `-j N` the hosts of one epoch run concurrently, so anything that
    touches fleet-shared state (the balancer, per-tenant counters, shared
    histograms, the anatomy aggregator, the oplog) is not applied inline:
-   the advancing host buffers it here — with every input value captured at
-   emission time — and the coordinating domain replays the buffers in
-   fixed host order at the epoch barrier.  Sequential runs go through the
-   same buffers, and the replay order (host 0's effects, then host 1's,
-   each host chronological) is exactly the order the old sequential loop
-   produced them in, which is why `-j N` is byte-identical to `-j 1`. *)
-type fx =
-  | Fx_done of { tenant : int; lat : ns; measured : bool; blackout : bool }
-  | Fx_drop of { tenant : int }
-  | Fx_anat_enq of { req : int; tenant : int; arrived : ns; service : ns; now : ns }
-  | Fx_anat_take of { req : int; pid : int; last_wake : ns; migrations : int; now : ns }
-  | Fx_anat_done of { req : int; migrations : int; now : ns }
-  | Fx_oplog of { ts : ns; name : string }
-  | Fx_upgraded of { pause : ns }
-  | Fx_upgrade_failed
+   the advancing host appends it to its own buffer — with every input
+   value captured at emission time — and the coordinating domain replays
+   the buffers in fixed host order at the epoch barrier.  Sequential runs
+   go through the same buffers, and the replay order (host 0's effects,
+   then host 1's, each host chronological) is exactly the order the old
+   sequential loop produced them in, which is why `-j N` is byte-identical
+   to `-j 1`.
+
+   An effect is packed as [fx_stride] ints: a tag, then up to five
+   arguments, named after each tag below.  The buffer is one int array
+   that grows by doubling and is reused every epoch, so buffering an
+   effect allocates nothing. *)
+type fx = { mutable buf : int array; mutable len : int  (* effects, not ints *) }
+
+let fx_stride = 6
+
+let fx_done = 0 (* tenant, lat, measured (0/1), blackout (0/1) *)
+
+let fx_drop = 1 (* tenant *)
+
+let fx_anat_enq = 2 (* req, tenant, arrived, service, now *)
+
+let fx_anat_take = 3 (* req, pid, last_wake, migrations, now *)
+
+let fx_anat_done = 4 (* req, migrations, now *)
+
+let fx_upgrade_op = 5 (* ts: the oplog's "upgrade" entry *)
+
+let fx_upgraded = 6 (* pause *)
+
+let fx_upgrade_failed = 7
+
+let fx_add b tag a0 a1 a2 a3 a4 =
+  let o = b.len * fx_stride in
+  if o = Array.length b.buf then b.buf <- Ds.Column.grow b.buf (2 * o) 0;
+  let buf = b.buf in
+  buf.(o) <- tag;
+  buf.(o + 1) <- a0;
+  buf.(o + 2) <- a1;
+  buf.(o + 3) <- a2;
+  buf.(o + 4) <- a3;
+  buf.(o + 5) <- a4;
+  b.len <- b.len + 1
+
+(* A host's request FIFOs hold each request as four consecutive ints —
+   id, tenant, arrival, service — in one [Ds.Int_deque], so queueing a
+   request allocates nothing once the ring has grown to the host's working
+   depth.  Readers pop the four in the same order. *)
+let req_ints = 4
+
+let push_req q ~id ~tenant ~arrived ~service =
+  Ds.Int_deque.push_back q id;
+  Ds.Int_deque.push_back q tenant;
+  Ds.Int_deque.push_back q arrived;
+  Ds.Int_deque.push_back q service
 
 type host = {
   id : int;
   entry : Schedulers.Registry.entry;
   built : Workloads.Setup.built;
   chan : int;  (* ingress doorbell *)
-  arrivals : Traffic.request Queue.t;  (* placed, not yet at the host *)
+  block : T.action;  (* [Block chan], built once *)
+  arrivals : Ds.Int_deque.t;  (* placed, not yet at the host *)
   mutable ingress : unit -> unit;  (* admits the oldest arrival *)
-  queue : Traffic.request Queue.t;
+  queue : Ds.Int_deque.t;
   tracer : Trace.Tracer.t option;  (* chaos victim only *)
   sanitizer : Trace.Sanitizer.t option;
   hist : Reg.histogram;
@@ -45,7 +86,7 @@ type host = {
      including host 0's record stream — travels with the host, whichever
      domain runs it *)
   mutable lock_ctx : Enoki.Lock.ctx;
-  mutable fx : fx list;  (* newest first; deferred to the epoch barrier *)
+  fx : fx;  (* chronological; deferred to the epoch barrier *)
   mutable inflight : int;  (* queued + executing *)
   mutable completed : int;
   mutable pending_drain : string option;  (* set by the watchdog *)
@@ -81,8 +122,6 @@ type t = {
   mutable upgrade_failures : int;
 }
 
-let fx host e = host.fx <- e :: host.fx
-
 let op t host ~ts name =
   t.oplog <- (ts, host.id, name) :: t.oplog;
   match host.tracer with
@@ -95,70 +134,61 @@ let op t host ~ts name =
    requests, so a woken worker always finds work.  Runs inside the host's
    machine, possibly on a pool domain: host-local state (queue, inflight,
    the host's own histogram, its tracer) is touched directly; everything
-   fleet-shared goes through the [fx] buffer. *)
+   fleet-shared goes through the [fx] buffer.  The request in service is
+   three ints ([req] is -1 between requests), so a step allocates only
+   its [Compute]. *)
 let worker_beh t host =
-  let st = ref `Take in
+  let req = ref (-1) and tenant = ref 0 and arrived = ref 0 in
+  let machine = host.built.Workloads.Setup.machine in
   fun (ctx : T.ctx) ->
-    match !st with
-    | `Take -> (
-      match Queue.take_opt host.queue with
-      | None -> T.Block host.chan
-      | Some req ->
-        st := `Done req;
+    if !req < 0 then begin
+      let q = host.queue in
+      if Ds.Int_deque.is_empty q then host.block
+      else begin
+        req := Ds.Int_deque.pop_front q;
+        tenant := Ds.Int_deque.pop_front q;
+        arrived := Ds.Int_deque.pop_front q;
+        let service = Ds.Int_deque.pop_front q in
         (* request-context markers ride the host tracer whenever one exists,
            independent of the anatomy switch — so toggling anatomy cannot
            change any event stream (the zero-perturbation contract) *)
         (match host.tracer with
         | Some tr ->
           Trace.Tracer.emit tr ~ts:ctx.T.now ~cpu:ctx.T.cpu
-            (Trace.Event.Req_take { req = req.Traffic.req_id; pid = ctx.T.self })
+            (Trace.Event.Req_take { req = !req; pid = ctx.T.self })
         | None -> ());
         (match t.anat with
         | Some _ -> (
-          match M.find_task host.built.Workloads.Setup.machine ctx.T.self with
+          match M.find_task machine ctx.T.self with
           | Some task ->
-            fx host
-              (Fx_anat_take
-                 {
-                   req = req.Traffic.req_id;
-                   pid = ctx.T.self;
-                   last_wake = task.T.last_wake;
-                   migrations = task.T.migrations;
-                   now = ctx.T.now;
-                 })
+            fx_add host.fx fx_anat_take !req ctx.T.self task.T.last_wake task.T.migrations
+              ctx.T.now
           | None -> ())
         | None -> ());
-        T.Compute (t.dispatch_overhead + req.Traffic.service))
-    | `Done req ->
-      let lat = ctx.T.now - req.Traffic.arrived in
+        T.Compute (t.dispatch_overhead + service)
+      end
+    end
+    else begin
+      let lat = ctx.T.now - !arrived in
       host.inflight <- host.inflight - 1;
       host.completed <- host.completed + 1;
       if t.measuring then Reg.observe host.hist ~cpu:0 lat;
-      fx host
-        (Fx_done
-           {
-             tenant = req.Traffic.tenant;
-             lat;
-             measured = t.measuring;
-             blackout =
-               host.bl_from >= 0 && ctx.T.now >= host.bl_from && ctx.T.now <= host.bl_until;
-           });
+      let blackout = host.bl_from >= 0 && ctx.T.now >= host.bl_from && ctx.T.now <= host.bl_until in
+      fx_add host.fx fx_done !tenant lat (Bool.to_int t.measuring) (Bool.to_int blackout) 0;
       (match host.tracer with
       | Some tr ->
         Trace.Tracer.emit tr ~ts:ctx.T.now ~cpu:ctx.T.cpu
-          (Trace.Event.Req_done { req = req.Traffic.req_id; pid = ctx.T.self })
+          (Trace.Event.Req_done { req = !req; pid = ctx.T.self })
       | None -> ());
       (match t.anat with
       | Some _ -> (
-        match M.find_task host.built.Workloads.Setup.machine ctx.T.self with
-        | Some task ->
-          fx host
-            (Fx_anat_done
-               { req = req.Traffic.req_id; migrations = task.T.migrations; now = ctx.T.now })
+        match M.find_task machine ctx.T.self with
+        | Some task -> fx_add host.fx fx_anat_done !req task.T.migrations ctx.T.now 0 0
         | None -> ())
       | None -> ());
-      st := `Take;
-      T.Block host.chan
+      req := -1;
+      host.block
+    end
 
 (* A placed request reaches its host at its arrival time.  [place] pushes
    it on the host's [arrivals] FIFO and schedules the host's one [ingress]
@@ -167,28 +197,24 @@ let worker_beh t host =
    ties first-in first-out, so each callback finds its own request at the
    head. *)
 let ingress t host () =
-  let req = Queue.take host.arrivals in
+  let a = host.arrivals in
+  let req = Ds.Int_deque.pop_front a in
+  let tenant = Ds.Int_deque.pop_front a in
+  let arrived = Ds.Int_deque.pop_front a in
+  let service = Ds.Int_deque.pop_front a in
   let m = host.built.Workloads.Setup.machine in
-  if Queue.length host.queue >= t.queue_cap then fx host (Fx_drop { tenant = req.Traffic.tenant })
+  if Ds.Int_deque.length host.queue >= t.queue_cap * req_ints then
+    fx_add host.fx fx_drop tenant 0 0 0 0
   else begin
-    Queue.add req host.queue;
+    push_req host.queue ~id:req ~tenant ~arrived ~service;
     host.inflight <- host.inflight + 1;
     (match host.tracer with
     | Some tr ->
-      Trace.Tracer.emit tr ~ts:(M.now m) ~cpu:0
-        (Trace.Event.Req_enqueue { req = req.Traffic.req_id; tenant = req.Traffic.tenant })
+      Trace.Tracer.emit tr ~ts:(M.now m) ~cpu:0 (Trace.Event.Req_enqueue { req; tenant })
     | None -> ());
     (match t.anat with
     | Some _ ->
-      fx host
-        (Fx_anat_enq
-           {
-             req = req.Traffic.req_id;
-             tenant = req.Traffic.tenant;
-             arrived = req.Traffic.arrived;
-             service = t.dispatch_overhead + req.Traffic.service;
-             now = M.now m;
-           })
+      fx_add host.fx fx_anat_enq req tenant arrived (t.dispatch_overhead + service) (M.now m)
     | None -> ());
     M.signal m host.chan
   end
@@ -282,14 +308,15 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       entry;
       built;
       chan;
-      arrivals = Queue.create ();
+      block = T.Block chan;
+      arrivals = Ds.Int_deque.create ();
       ingress = ignore;
-      queue = Queue.create ();
+      queue = Ds.Int_deque.create ();
       tracer;
       sanitizer;
       hist;
       lock_ctx;
-      fx = [];
+      fx = { buf = Array.make (16 * fx_stride) 0; len = 0 };
       inflight = 0;
       completed = 0;
       pending_drain = None;
@@ -412,7 +439,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
           ~delay:(u.at + (host.id * u.stagger))
           (fun () ->
             let now = M.now host.built.Workloads.Setup.machine in
-            fx host (Fx_oplog { ts = now; name = "upgrade" });
+            fx_add host.fx fx_upgrade_op now 0 0 0 0;
             (match host.tracer with
             | Some tr ->
               Trace.Tracer.emit tr ~ts:now ~cpu:0
@@ -422,8 +449,8 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
             | Ok (s : Enoki.Upgrade.stats) ->
               host.bl_from <- now;
               host.bl_until <- now + s.Enoki.Upgrade.pause + t.epoch;
-              fx host (Fx_upgraded { pause = s.Enoki.Upgrade.pause })
-            | Error _ -> fx host Fx_upgrade_failed)
+              fx_add host.fx fx_upgraded s.Enoki.Upgrade.pause 0 0 0 0
+            | Error _ -> fx_add host.fx fx_upgrade_failed 0 0 0 0 0)
       | _ -> ())
     hosts;
   t
@@ -454,15 +481,15 @@ let poll_drills t =
       end)
     t.hosts
 
-let place t (req : Traffic.request) =
-  match Lb.pick t.lb ~key:req.Traffic.flow_key with
-  | None -> t.rejected.(req.Traffic.tenant) <- t.rejected.(req.Traffic.tenant) + 1
+let place t ~req_id ~tenant ~flow_key ~arrived ~service =
+  match Lb.pick t.lb ~key:flow_key with
+  | None -> t.rejected.(tenant) <- t.rejected.(tenant) + 1
   | Some h ->
     Lb.dispatch t.lb h;
     let host = t.hosts.(h) in
     let m = host.built.Workloads.Setup.machine in
-    Queue.add req host.arrivals;
-    M.at m ~delay:(max 0 (req.Traffic.arrived - M.now m)) host.ingress
+    push_req host.arrivals ~id:req_id ~tenant ~arrived ~service;
+    M.at m ~delay:(max 0 (arrived - M.now m)) host.ingress
 
 (* Replay one host's buffered effects on the coordinating domain.  Called
    in host order at the epoch barrier; within a host the buffer replays
@@ -471,52 +498,60 @@ let place t (req : Traffic.request) =
    outstanding counts, tenant counters, shared histograms, anatomy, the
    oplog) ends every epoch bit-identical for any [-j]. *)
 let apply_fx t host =
-  List.iter
-    (fun e ->
-      match e with
-      | Fx_done { tenant; lat; measured; blackout } ->
-        Lb.complete t.lb host.id;
-        t.completed.(tenant) <- t.completed.(tenant) + 1;
-        if measured then Reg.observe t.tenant_hist.(tenant) ~cpu:0 lat;
-        if blackout then Reg.observe t.blackout_h ~cpu:0 lat
-      | Fx_drop { tenant } ->
-        t.dropped.(tenant) <- t.dropped.(tenant) + 1;
-        Lb.complete t.lb host.id
-      | Fx_anat_enq { req; tenant; arrived; service; now } -> (
-        match t.anat with
-        | Some a -> Trace.Anatomy.enqueue a ~req ~tenant ~host:host.id ~arrived ~service ~now
-        | None -> ())
-      | Fx_anat_take { req; pid; last_wake; migrations; now } -> (
-        match t.anat with
-        | Some a -> Trace.Anatomy.take a ~req ~pid ~last_wake ~migrations ~now
-        | None -> ())
-      | Fx_anat_done { req; migrations; now } -> (
-        match t.anat with
-        | Some a -> Trace.Anatomy.complete a ~req ~migrations ~now
-        | None -> ())
-      | Fx_oplog { ts; name } -> t.oplog <- (ts, host.id, name) :: t.oplog
-      | Fx_upgraded { pause } -> t.upgrades_done <- (host.id, pause) :: t.upgrades_done
-      | Fx_upgrade_failed -> t.upgrade_failures <- t.upgrade_failures + 1)
-    (List.rev host.fx);
-  host.fx <- []
+  let buf = host.fx.buf in
+  for e = 0 to host.fx.len - 1 do
+    let o = e * fx_stride in
+    let tag = buf.(o) in
+    let a0 = buf.(o + 1) and a1 = buf.(o + 2) and a2 = buf.(o + 3) in
+    let a3 = buf.(o + 4) and a4 = buf.(o + 5) in
+    if tag = fx_done then begin
+      Lb.complete t.lb host.id;
+      t.completed.(a0) <- t.completed.(a0) + 1;
+      if a2 <> 0 then Reg.observe t.tenant_hist.(a0) ~cpu:0 a1;
+      if a3 <> 0 then Reg.observe t.blackout_h ~cpu:0 a1
+    end
+    else if tag = fx_drop then begin
+      t.dropped.(a0) <- t.dropped.(a0) + 1;
+      Lb.complete t.lb host.id
+    end
+    else if tag = fx_upgrade_op then t.oplog <- (a0, host.id, "upgrade") :: t.oplog
+    else if tag = fx_upgraded then t.upgrades_done <- (host.id, a0) :: t.upgrades_done
+    else if tag = fx_upgrade_failed then t.upgrade_failures <- t.upgrade_failures + 1
+    else
+      match t.anat with
+      | None -> ()
+      | Some a ->
+        if tag = fx_anat_enq then
+          Trace.Anatomy.enqueue a ~req:a0 ~tenant:a1 ~host:host.id ~arrived:a2 ~service:a3 ~now:a4
+        else if tag = fx_anat_take then
+          Trace.Anatomy.take a ~req:a0 ~pid:a1 ~last_wake:a2 ~migrations:a3 ~now:a4
+        else Trace.Anatomy.complete a ~req:a0 ~migrations:a1 ~now:a2
+  done;
+  host.fx.len <- 0
+
+(* a live upgrade may have reinstalled the host's tap/record mode *)
+let leave_host host outer =
+  host.lock_ctx <- Enoki.Lock.capture_ctx ();
+  Enoki.Lock.install_ctx outer
 
 (* Advance one host's machine to the epoch boundary under the host's own
    lock context.  Safe on any domain: everything it mutates is host-local
-   or buffered in [host.fx]. *)
+   or buffered in [host.fx].  One [match ... with exception] restores the
+   context on return and on raise, without [Fun.protect]'s closures. *)
 let advance_host host ~until =
   let outer = Enoki.Lock.capture_ctx () in
   Enoki.Lock.install_ctx host.lock_ctx;
-  Fun.protect
-    (fun () -> M.run_until host.built.Workloads.Setup.machine until)
-    ~finally:(fun () ->
-      (* a live upgrade may have reinstalled the host's tap/record mode *)
-      host.lock_ctx <- Enoki.Lock.capture_ctx ();
-      Enoki.Lock.install_ctx outer)
+  match M.run_until host.built.Workloads.Setup.machine until with
+  | () -> leave_host host outer
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    leave_host host outer;
+    Printexc.raise_with_backtrace e bt
 
 let step t ~limit =
   let until = min (t.clock + t.epoch) limit in
   if t.observe && (not t.measuring) && t.clock >= t.warmup then t.measuring <- true;
-  List.iter (place t) (Traffic.next_window t.traffic ~until);
+  Traffic.iter_window t.traffic ~until (place t);
   (* the epoch is a conservative-lookahead barrier: no host-to-host event
      crosses it (LB and ingress happen above, at epoch edges), so the
      hosts advance independently — in parallel when a pool is attached *)

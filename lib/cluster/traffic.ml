@@ -7,11 +7,14 @@ type arrival =
 
 let pi = 4.0 *. atan 1.0
 
+(* inlined into the thinning step, so the rate is never boxed *)
+let[@inline] diurnal_rate ~mean_rate ~amplitude ~period t =
+  mean_rate *. (1.0 +. (amplitude *. sin (2.0 *. pi *. float_of_int t /. float_of_int period)))
+
 let rate_at a t =
   match a with
   | Poisson { rate } -> rate
-  | Diurnal { mean_rate; amplitude; period } ->
-    mean_rate *. (1.0 +. (amplitude *. sin (2.0 *. pi *. float_of_int t /. float_of_int period)))
+  | Diurnal { mean_rate; amplitude; period } -> diurnal_rate ~mean_rate ~amplitude ~period t
   | Burst { base_rate; burst_rate; mean_on; mean_off } ->
     let on = float_of_int mean_on and off = float_of_int mean_off in
     ((base_rate *. off) +. (burst_rate *. on)) /. (on +. off)
@@ -98,19 +101,23 @@ type t = {
   mutable requests_emitted : int;
 }
 
+(* [Stats.Prng.float], scaled here: a float returned from another module
+   is boxed, one computed in place is not *)
+let[@inline] unit_float rng = float_of_int (Stats.Prng.bits53 rng) *. 0x1p-53
+
 (* Exponential gap in ns for a per-slot rate in req/s; rates <= 0 mean "not
    in this phase", pushed effectively to infinity. *)
 let exp_gap rng ~rate_per_sec =
   if rate_per_sec <= 0.0 then max_int / 4
   else
     let mean_ns = 1e9 /. rate_per_sec in
-    max 1 (int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. mean_ns))
+    max 1 (int_of_float (-.log (1.0 -. unit_float rng) *. mean_ns))
 [@@inline]
 
 (* Geometric-ish flow length with the given mean (>= 1 always). *)
 let flow_len rng ~mean =
   if mean <= 1.0 then 1
-  else 1 + int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. (mean -. 1.0))
+  else 1 + int_of_float (-.log (1.0 -. unit_float rng) *. (mean -. 1.0))
 
 (* Advance [slot]'s arrival clock past [from] under [arrival] split over
    [conns] slots.  Diurnal uses thinning against the peak rate, so the
@@ -120,11 +127,11 @@ let rec next_arrival arrival ~conns slot ~from =
   let c = float_of_int conns in
   match arrival with
   | Poisson { rate } -> from + exp_gap slot.rng ~rate_per_sec:(rate /. c)
-  | Diurnal { mean_rate; amplitude; period = _ } ->
+  | Diurnal { mean_rate; amplitude; period } ->
     let peak = mean_rate *. (1.0 +. abs_float amplitude) /. c in
     let cand = from + exp_gap slot.rng ~rate_per_sec:peak in
-    let r = rate_at arrival cand /. c in
-    if Stats.Prng.float slot.rng *. peak <= r then cand
+    let r = diurnal_rate ~mean_rate ~amplitude ~period cand /. c in
+    if unit_float slot.rng *. peak <= r then cand
     else next_arrival arrival ~conns slot ~from:cand
   | Burst { base_rate; burst_rate; _ } when not (base_rate > 0.0 || burst_rate > 0.0) ->
     (* neither phase emits: never, rather than stepping across phase
@@ -232,39 +239,40 @@ let create ~seed ~start tenants =
   done;
   t
 
-(* Emit the root slot's next request, advance the slot and restore the
-   heap; the dense [req_id] is the emission count. *)
-let pop t =
-  let slot = t.slots.(t.heap.(0)) in
+(* Emit the root slot's next request through [emit], after advancing the
+   slot and restoring the heap; the dense [req_id] is the emission count.
+   Everything is an int, so a request costs no allocation. *)
+let pop t emit =
+  let s = t.heap.(0) in
+  let slot = t.slots.(s) in
   let tn = t.tenants.(slot.tenant) in
-  let service = max 1 (int_of_float (Stats.Dist.sample tn.service slot.rng)) in
-  let req =
-    {
-      req_id = t.requests_emitted;
-      tenant = slot.tenant;
-      flow_key = key ~tenant:slot.tenant ~slot:slot.index ~seq:slot.flow_seq;
-      arrived = slot.next_at;
-      service;
-    }
-  in
-  t.requests_emitted <- t.requests_emitted + 1;
+  let service = max 1 (Stats.Dist.sample_int tn.service slot.rng) in
+  let req_id = t.requests_emitted in
+  let flow_key = key ~tenant:slot.tenant ~slot:slot.index ~seq:slot.flow_seq in
+  let arrived = slot.next_at in
+  t.requests_emitted <- req_id + 1;
   slot.remaining <- slot.remaining - 1;
   if slot.remaining <= 0 then begin
     t.flows_completed <- t.flows_completed + 1;
     open_flow t tn slot
   end;
-  slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:slot.next_at;
-  sift_down t 0 slot.next_at t.heap.(0);
-  req
+  slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:arrived;
+  sift_down t 0 slot.next_at s;
+  emit ~req_id ~tenant:slot.tenant ~flow_key ~arrived ~service
 
 (* request-ids are dense in emission order: windows partition the stream
    by arrival time, so the ids a request gets are independent of the
    caller's window size *)
-let[@tail_mod_cons] rec next_window t ~until =
-  if t.key.(0) >= until then []
-  else
-    let req = pop t in
-    req :: next_window t ~until
+let iter_window t ~until emit =
+  while t.key.(0) < until do
+    pop t emit
+  done
+
+let next_window t ~until =
+  let acc = ref [] in
+  iter_window t ~until (fun ~req_id ~tenant ~flow_key ~arrived ~service ->
+      acc := { req_id; tenant; flow_key; arrived; service } :: !acc);
+  List.rev !acc
 
 let tenant_name t i = t.tenants.(i).name
 

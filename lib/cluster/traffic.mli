@@ -64,8 +64,18 @@ type t
     first arrivals fall after [start]. *)
 val create : seed:int -> start:ns -> tenant list -> t
 
-(** All requests with [arrived < until], in (time, tenant, slot) order;
-    each call resumes where the previous one stopped. *)
+(** [iter_window t ~until emit] emits every request with [arrived < until]
+    through [emit], in (time, tenant, slot) order; each call resumes where
+    the previous one stopped.  The request travels as five ints, so the
+    engine allocates nothing per request: a caller that keeps one [emit]
+    closure (the fleet's placement) drains the stream allocation-free. *)
+val iter_window :
+  t ->
+  until:ns ->
+  (req_id:int -> tenant:int -> flow_key:int -> arrived:ns -> service:ns -> unit) ->
+  unit
+
+(** The same window as a list of {!request} records. *)
 val next_window : t -> until:ns -> request list
 
 val tenant_name : t -> int -> string

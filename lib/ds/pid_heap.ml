@@ -11,8 +11,10 @@ let nth t i =
   Array.unsafe_get t.slots i
 
 (* strict (key, tie, index) order; indices are unique so this is total.
-   The tie column is read only when two keys are equal. *)
-let lt key tie p q =
+   The tie column is read only when two keys are equal.  The columns are
+   annotated: left polymorphic, every comparison below would be a call to
+   the generic compare. *)
+let lt (key : int array) (tie : int array) p q =
   let kp = key.(p) and kq = key.(q) in
   kp < kq
   || kp = kq

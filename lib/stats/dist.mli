@@ -1,13 +1,18 @@
 (** Sampling from the distributions the workload generators need.
 
-    A distribution is represented as a sampler closure over a {!Prng.t}
-    supplied at sample time, so a single distribution value can drive many
+    A distribution is a plain value sampled against a {!Prng.t} supplied
+    at sample time, so a single distribution value can drive many
     independent streams. *)
 
 type t
 
 (** Draw one sample. *)
 val sample : t -> Prng.t -> float
+
+(** [int_of_float (sample t rng)], bit for bit, with nothing allocated:
+    the float never leaves the draw, so it is never boxed.  Hot paths that
+    want an integer (a service time in ns) draw with this. *)
+val sample_int : t -> Prng.t -> int
 
 (** Always [v]. *)
 val constant : float -> t

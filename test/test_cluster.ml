@@ -90,6 +90,41 @@ let test_silent_tenants_terminate () =
   let tr = Traffic.create ~seed:3 ~start:0 [ half ] in
   check Alcotest.bool "burst-only tenant emits" true (Traffic.next_window tr ~until:(ms 50) <> [])
 
+(* Requests leave the engine as five ints through one callback, so
+   draining the standard mix (Poisson, diurnal thinning, bursts; uniform,
+   log-normal and Pareto services) allocates nothing per request once the
+   callback exists.  The count starts after a first window. *)
+let test_traffic_callback_allocates_nothing () =
+  let tr = Traffic.create ~seed:11 ~start:0 (small_mix ~connections:32 ~load:200.0 ()) in
+  let n = ref 0 and sum = ref 0 in
+  let emit ~req_id ~tenant ~flow_key ~arrived ~service =
+    incr n;
+    sum := !sum + req_id + tenant + flow_key + arrived + service
+  in
+  Traffic.iter_window tr ~until:(ms 1) emit;
+  let from = !n and t = ref (ms 1) in
+  (* the reading's own cost *)
+  let empty =
+    let a = Profile.allocated_bytes () in
+    Profile.allocated_bytes () -. a
+  in
+  let before = Profile.allocated_bytes () in
+  while !n - from < 10_000 do
+    t := !t + ms 1;
+    Traffic.iter_window tr ~until:!t emit
+  done;
+  let bytes = Profile.allocated_bytes () -. before -. empty in
+  ignore (Sys.opaque_identity !sum);
+  check (Alcotest.float 0.0) "bytes over 10k requests" 0.0 bytes;
+  (* the list view is the same stream *)
+  let a = Traffic.create ~seed:11 ~start:0 (small_mix ()) in
+  let b = Traffic.create ~seed:11 ~start:0 (small_mix ()) in
+  let via_cb = ref [] in
+  Traffic.iter_window a ~until:(ms 20) (fun ~req_id ~tenant ~flow_key ~arrived ~service ->
+      via_cb := { Traffic.req_id; tenant; flow_key; arrived; service } :: !via_cb);
+  check Alcotest.bool "next_window = callback stream" true
+    (List.rev !via_cb = Traffic.next_window b ~until:(ms 20))
+
 (* The thinned diurnal process must integrate to its mean rate over whole
    periods (statistical: ~5000 expected arrivals, so 10% is > 4 sigma). *)
 let prop_diurnal_integrates seed =
@@ -425,6 +460,32 @@ let test_rolling_upgrade_pause_and_blackout () =
   in
   check Alcotest.(list int) "oplog: staggered host order" [ 0; 1 ] (op_hosts "upgrade")
 
+(* A steady fleet's run allocates ~6.7 B per simulated event here: per
+   request only the worker's [Compute] action (~3 B/event), per epoch the
+   barrier's bookkeeping, and the hosts' machines' own ~1 B/event.  Boxed
+   requests, per-request queue cells and a list of effect records read
+   ~74; one more 16-B box per request would read ~9.8, over the ceiling.
+   The columns grow during a first run. *)
+let fleet_bytes_per_event_ceiling = 9.
+
+let test_fleet_steady_bytes_per_event () =
+  let f =
+    Fleet.create ~workers:4 ~warmup:(ms 20) ~seed:5
+      ~hosts:(entries [ "wfq"; "cfs"; "shinjuku"; "scx-simple" ])
+      ~tenants:(small_mix ~connections:32 ~load:40.0 ())
+      ()
+  in
+  Fleet.run f ~until:(ms 50);
+  let e0 = Fleet.events_dispatched f and before = Profile.allocated_bytes () in
+  Fleet.run f ~until:(ms 250);
+  let bytes = Profile.allocated_bytes () -. before in
+  let events = Fleet.events_dispatched f - e0 in
+  let per_event = bytes /. float_of_int events in
+  if events < 10_000 then Alcotest.failf "only %d events: not a steady run" events;
+  if per_event > fleet_bytes_per_event_ceiling then
+    Alcotest.failf "%.1f B/event over %d events (ceiling %.0f)" per_event events
+      fleet_bytes_per_event_ceiling
+
 let test_chaos_drill_converges () =
   let f =
     Fleet.create
@@ -505,6 +566,44 @@ let prop_fleet_parallel_deterministic (seed, nhosts_r, lb_ix, k_r) =
   else if snd seq <> snd par then
     QCheck.Test.fail_reportf "record log not byte-identical at -j %d (seed %d)" k seed
   else true
+
+(* Every packed effect kind replays through the barrier under a pool:
+   rolling upgrades (oplog and upgraded effects), a two-deep host queue
+   (drops), anatomy (enqueue, take and done) and completions, sequential
+   vs -j 2, on the fingerprint and host 0's record log. *)
+let test_every_effect_kind_parallel_identical () =
+  let run pool =
+    let record = Enoki.Record.create () in
+    let f =
+      Fleet.create ?pool
+        ~upgrade:{ Fleet.at = ms 60; stagger = ms 15 }
+        ~queue_cap:2 ~workers:2 ~warmup:(ms 20) ~anatomy:true ~record ~seed:13
+        ~hosts:(entries [ "wfq"; "shinjuku"; "scx-simple" ])
+        ~tenants:(small_mix ~connections:32 ~load:120.0 ())
+        ()
+    in
+    Fleet.run f ~until:(ms 150);
+    (f, fleet_fingerprint f, Enoki.Record.contents record)
+  in
+  let f, seq_fp, seq_log = run None in
+  let pool = Ds.Domain_pool.create ~domains:2 () in
+  let _, par_fp, par_log =
+    Fun.protect (fun () -> run (Some pool)) ~finally:(fun () -> Ds.Domain_pool.shutdown pool)
+  in
+  let dropped = List.fold_left (fun n (s : Fleet.tenant_stat) -> n + s.dropped) 0 (Fleet.tenant_stats f) in
+  let completed =
+    List.fold_left (fun n (s : Fleet.tenant_stat) -> n + s.completed) 0 (Fleet.tenant_stats f)
+  in
+  check Alcotest.bool "drops replayed" true (dropped > 0);
+  check Alcotest.bool "completions replayed" true (completed > 0);
+  check Alcotest.int "every host upgraded" 3 (List.length (Fleet.upgrades f));
+  check Alcotest.int "upgrade ops logged" 3
+    (List.length (List.filter (fun (_, _, op) -> op = "upgrade") (Fleet.oplog f)));
+  (match Fleet.anatomy f with
+  | Some a -> check Alcotest.bool "anatomy completions" true (Trace.Anatomy.completions a > 0)
+  | None -> Alcotest.fail "anatomy off");
+  check Alcotest.bool "fingerprint identical sequential vs -j 2" true (seq_fp = par_fp);
+  check Alcotest.bool "record log byte-identical sequential vs -j 2" true (seq_log = par_log)
 
 (* Chaos drills are the most side-effectful path (panic injection, drain /
    admit oplog writes, sanitizer over the victim's trace): the drill must
@@ -680,6 +779,8 @@ let () =
             prop_merge_equals_sort;
           Alcotest.test_case "silent tenants emit nothing and return" `Quick
             test_silent_tenants_terminate;
+          Alcotest.test_case "callback drain allocates nothing" `Quick
+            test_traffic_callback_allocates_nothing;
         ] );
       ( "lb",
         [
@@ -702,6 +803,8 @@ let () =
             test_rolling_upgrade_pause_and_blackout;
           Alcotest.test_case "chaos drill: panic, drain, failover, re-admit" `Quick
             test_chaos_drill_converges;
+          Alcotest.test_case "steady run under a bytes/event ceiling" `Quick
+            test_fleet_steady_bytes_per_event;
         ] );
       ( "parallel",
         [
@@ -710,6 +813,8 @@ let () =
             prop_fleet_parallel_deterministic;
           Alcotest.test_case "chaos drill under parallelism: identical" `Quick
             test_chaos_drill_parallel_identical;
+          Alcotest.test_case "every packed effect kind: -j 2 identical" `Quick
+            test_every_effect_kind_parallel_identical;
         ] );
       ( "anatomy",
         [

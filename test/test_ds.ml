@@ -909,6 +909,119 @@ let test_dist_lognormal_positive () =
     if Stats.Dist.sample d r <= 0.0 then Alcotest.fail "lognormal must be positive"
   done
 
+(* A test-local copy of the closure-based sampler the distributions used
+   to be: every draw of the data-based one must match it bit for bit, and
+   [sample_int] must be its truncation. *)
+module Closure_reference = struct
+  let uniform ~lo ~hi rng = lo +. ((hi -. lo) *. Stats.Prng.float rng)
+
+  let exponential ~mean rng =
+    let u = 1.0 -. Stats.Prng.float rng in
+    -.mean *. log u
+
+  let pareto ~alpha ~lo ~hi =
+    let la = lo ** alpha and ha = hi ** alpha in
+    fun rng ->
+      let u = Stats.Prng.float rng in
+      (-.((u *. ha) -. u -. ha) /. (ha *. la)) ** (-1.0 /. alpha)
+
+  let lognormal ~mu ~sigma rng =
+    let u1 = 1.0 -. Stats.Prng.float rng in
+    let u2 = Stats.Prng.float rng in
+    let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
+    exp (mu +. (sigma *. z))
+
+  let mixture parts =
+    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 parts in
+    fun rng ->
+      let x = Stats.Prng.float rng *. total in
+      let rec pick acc = function
+        | [ (_, d) ] -> d rng
+        | (w, d) :: rest -> if x < acc +. w then d rng else pick (acc +. w) rest
+        | [] -> assert false
+      in
+      pick 0.0 parts
+
+  let zipf ~n ~s =
+    let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** s)) in
+    let total = Array.fold_left ( +. ) 0.0 weights in
+    let cdf = Array.make n 0.0 in
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun i w ->
+        acc := !acc +. (w /. total);
+        cdf.(i) <- !acc)
+      weights;
+    fun rng ->
+      let u = Stats.Prng.float rng in
+      let rec search lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if cdf.(mid) < u then search (mid + 1) hi else search lo mid
+      in
+      float_of_int (search 0 (n - 1))
+end
+
+let dist_cases =
+  let module D = Stats.Dist in
+  let module R = Closure_reference in
+  [
+    ("constant", D.constant 7.5, fun _ -> 7.5);
+    ("uniform", D.uniform ~lo:5_000.0 ~hi:25_000.0, R.uniform ~lo:5_000.0 ~hi:25_000.0);
+    ("exponential", D.exponential ~mean:1e6, R.exponential ~mean:1e6);
+    ( "pareto",
+      D.pareto ~alpha:1.3 ~lo:20_000.0 ~hi:2_000_000.0,
+      R.pareto ~alpha:1.3 ~lo:20_000.0 ~hi:2_000_000.0 );
+    ( "lognormal",
+      D.lognormal ~mu:(log 12_000.0) ~sigma:0.5,
+      R.lognormal ~mu:(log 12_000.0) ~sigma:0.5 );
+    ( "mixture",
+      D.mixture
+        [
+          (0.5, D.uniform ~lo:1.0 ~hi:2.0);
+          (0.3, D.mixture [ (1.0, D.constant 9.0); (2.0, D.exponential ~mean:50.0) ]);
+          (0.2, D.pareto ~alpha:1.1 ~lo:10.0 ~hi:1e4);
+        ],
+      R.mixture
+        [
+          (0.5, R.uniform ~lo:1.0 ~hi:2.0);
+          (0.3, R.mixture [ (1.0, fun _ -> 9.0); (2.0, R.exponential ~mean:50.0) ]);
+          (0.2, R.pareto ~alpha:1.1 ~lo:10.0 ~hi:1e4);
+        ] );
+    ("zipf", D.zipf ~n:100 ~s:1.2, R.zipf ~n:100 ~s:1.2);
+  ]
+
+let test_dist_matches_closure_reference () =
+  List.iter
+    (fun (name, d, reference) ->
+      let a = Stats.Prng.create ~seed:31 and b = Stats.Prng.create ~seed:31 in
+      let c = Stats.Prng.create ~seed:31 in
+      for i = 1 to 2_000 do
+        let x = Stats.Dist.sample d a and y = reference b in
+        if Int64.bits_of_float x <> Int64.bits_of_float y then
+          Alcotest.failf "%s draw %d: %h, reference %h" name i x y;
+        let n = Stats.Dist.sample_int d c in
+        if n <> int_of_float y then
+          Alcotest.failf "%s draw %d: sample_int %d, truncated reference %d" name i n
+            (int_of_float y)
+      done)
+    dist_cases
+
+let test_dist_sample_int_no_alloc () =
+  List.iter
+    (fun (name, d, _) ->
+      let r = Stats.Prng.create ~seed:5 in
+      let acc = ref 0 in
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        acc := !acc lxor Stats.Dist.sample_int d r
+      done;
+      let words = Gc.minor_words () -. before in
+      ignore (Sys.opaque_identity !acc);
+      check (Alcotest.float 0.0) (name ^ ": minor words over 10k draws") 0.0 words)
+    dist_cases
+
 (* ---------- Stats: Histogram ---------- *)
 
 let test_hist_empty () =
@@ -1098,6 +1211,9 @@ let () =
           Alcotest.test_case "mixture weights" `Quick test_dist_mixture_weights;
           Alcotest.test_case "zipf skew" `Quick test_dist_zipf_skew;
           Alcotest.test_case "lognormal positive" `Quick test_dist_lognormal_positive;
+          Alcotest.test_case "draws match the closure reference" `Quick
+            test_dist_matches_closure_reference;
+          Alcotest.test_case "sample_int allocates nothing" `Quick test_dist_sample_int_no_alloc;
         ] );
       ( "histogram",
         [
