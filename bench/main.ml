@@ -1701,6 +1701,37 @@ let obs_trace_export_row tracer =
       Gate.float "ns_per_trace_event" (per_event (wall *. 1e9));
     ]
 
+(* This process's resident set in kB ([VmRSS]), or 0 where
+   /proc/self/status cannot be read. *)
+let rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> 0
+  | status ->
+    List.fold_left
+      (fun acc line ->
+        match String.split_on_char ':' line with
+        | [ "VmRSS"; v ] -> (
+          match String.split_on_char ' ' (String.trim v) with
+          | kb :: _ -> Option.value (int_of_string_opt kb) ~default:acc
+          | [] -> acc)
+        | _ -> acc)
+      0
+      (String.split_on_char '\n' status)
+
+(* What attaching a tracer costs before it records anything: the resident
+   memory an 80-cpu tracer at the default capacity adds.  Its rings are
+   reserved, not filled, so they stay off the resident set until written;
+   filled, they would be 80 x 65536 slots x 40 B = 210 MB. *)
+let obs_trace_reserve_row () =
+  Gc.full_major ();
+  let before = rss_kb () in
+  let tracer = Trace.Tracer.create ~nr_cpus:80 () in
+  let after = rss_kb () in
+  ignore (Sys.opaque_identity tracer);
+  Gate.row
+    [ ("trace", "reserve") ]
+    [ Gate.float ~check:(Ceiling 8.) "rss_mb" (float_of_int (after - before) /. 1024.) ]
+
 let obs_fleet_configs = [ "baseline"; "metrics"; "anatomy" ]
 
 let obs_fleet_build config =
@@ -1744,6 +1775,8 @@ let obs_fastpath_ceiling = 1.05
 let obs_exemplar_path = "obs-exemplars.trace.json"
 
 let obs_rows () =
+  (* first, while the heap holds little a collection could hand back *)
+  let reserve = obs_trace_reserve_row () in
   let machine =
     List.concat_map
       (fun sched ->
@@ -1810,6 +1843,7 @@ let obs_rows () =
             ]))
       fleet
   @ List.map obs_trace_export_row (Option.to_list wfq_tracer)
+  @ [ reserve ]
   @ List.map
       (fun sched ->
         spread ("machine/" ^ sched)

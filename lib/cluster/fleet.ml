@@ -86,6 +86,9 @@ type host = {
      including host 0's record stream — travels with the host, whichever
      domain runs it *)
   mutable lock_ctx : Enoki.Lock.ctx;
+  (* the advancing domain's own context, restored after each advance;
+     kept so a steady epoch re-captures both without allocating *)
+  mutable outer_ctx : Enoki.Lock.ctx;
   fx : fx;  (* chronological; deferred to the epoch barrier *)
   mutable inflight : int;  (* queued + executing *)
   mutable completed : int;
@@ -316,6 +319,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       sanitizer;
       hist;
       lock_ctx;
+      outer_ctx;
       fx = { buf = Array.make (16 * fx_stride) 0; len = 0 };
       inflight = 0;
       completed = 0;
@@ -531,7 +535,7 @@ let apply_fx t host =
 
 (* a live upgrade may have reinstalled the host's tap/record mode *)
 let leave_host host outer =
-  host.lock_ctx <- Enoki.Lock.capture_ctx ();
+  host.lock_ctx <- Enoki.Lock.recapture_ctx host.lock_ctx;
   Enoki.Lock.install_ctx outer
 
 (* Advance one host's machine to the epoch boundary under the host's own
@@ -539,7 +543,8 @@ let leave_host host outer =
    or buffered in [host.fx].  One [match ... with exception] restores the
    context on return and on raise, without [Fun.protect]'s closures. *)
 let advance_host host ~until =
-  let outer = Enoki.Lock.capture_ctx () in
+  let outer = Enoki.Lock.recapture_ctx host.outer_ctx in
+  host.outer_ctx <- outer;
   Enoki.Lock.install_ctx host.lock_ctx;
   match M.run_until host.built.Workloads.Setup.machine until with
   | () -> leave_host host outer

@@ -168,6 +168,18 @@ let capture_ctx () =
     ctx_replay_locks = Domain.DLS.get replay_locks_key;
   }
 
+(* [capture_ctx] without the allocation when nothing changed since [held]
+   was captured: the fleet re-captures two contexts per host per epoch, and
+   in a steady epoch every field is the one it held. *)
+let recapture_ctx held =
+  if
+    Domain.DLS.get mode_key == held.ctx_mode
+    && Domain.DLS.get tap_key == held.ctx_tap
+    && Domain.DLS.get next_id_key == held.ctx_ids
+    && Domain.DLS.get replay_locks_key == held.ctx_replay_locks
+  then held
+  else capture_ctx ()
+
 let install_ctx c =
   Domain.DLS.set mode_key c.ctx_mode;
   Domain.DLS.set tap_key c.ctx_tap;

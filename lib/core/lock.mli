@@ -106,6 +106,11 @@ val fresh_ctx : unit -> ctx
     the same context. *)
 val capture_ctx : unit -> ctx
 
+(** [recapture_ctx held] is [capture_ctx ()], except that it returns
+    [held] itself, allocating nothing, when each of the calling domain's
+    lock fields is physically equal to [held]'s. *)
+val recapture_ctx : ctx -> ctx
+
 (** Make [ctx] the calling domain's lock state.  Callers are expected to
     capture the previous context first and restore it after — see
     [Cluster.Fleet]'s host advance for the pattern. *)

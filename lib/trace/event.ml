@@ -191,6 +191,34 @@ type tag =
   | T_dsq_consume
   | T_cold
 
+let tags =
+  [| T_switch; T_wakeup; T_dispatch; T_preempt; T_yield; T_block; T_exit; T_migrate; T_tick;
+     T_idle; T_lock_acquire; T_lock_release; T_msg_call; T_dsq_insert; T_dsq_consume; T_cold |]
+
+let tag_index = function
+  | T_switch -> 0
+  | T_wakeup -> 1
+  | T_dispatch -> 2
+  | T_preempt -> 3
+  | T_yield -> 4
+  | T_block -> 5
+  | T_exit -> 6
+  | T_migrate -> 7
+  | T_tick -> 8
+  | T_idle -> 9
+  | T_lock_acquire -> 10
+  | T_lock_release -> 11
+  | T_msg_call -> 12
+  | T_dsq_insert -> 13
+  | T_dsq_consume -> 14
+  | T_cold -> 15
+
+let nr_tags = Array.length tags
+
+let tag_of_index i =
+  if i < 0 || i >= nr_tags then invalid_arg "Event.tag_of_index: no such tag";
+  Array.unsafe_get tags i
+
 (* The Enoki-C crossing kinds, in the boundary's own index order; the names
    are [Message.call_name]'s. *)
 let call_names =

@@ -127,6 +127,17 @@ type tag =
   | T_dsq_consume  (** [a] = {!dsq_index}, [b] = pid, [c] = wait *)
   | T_cold  (** any other kind, carried boxed *)
 
+(** [tag_index tag] numbers the tags [0 .. nr_tags - 1] in declaration
+    order, for storing a tag as an int. *)
+val tag_index : tag -> int
+
+(** The number of tags. *)
+val nr_tags : int
+
+(** [tag_of_index i] is the tag [tag_index] numbered [i].  Raises
+    [Invalid_argument] when [i] is outside [0 .. nr_tags - 1]. *)
+val tag_of_index : int -> tag
+
 (** The Enoki-C crossing kinds by call index ("select_task_rq",
     "task_new", ...), named as the record log names them.  The boundary
     indexes its per-call counters and profile rows by the same index. *)

@@ -39,19 +39,6 @@ let default_config =
     disabled = [];
   }
 
-(* The trailing window, packed like the tracer's rings: parallel columns
-   written round-robin, decoded to [Event.t] only when a violation
-   snapshots it. *)
-type window = {
-  w_ts : int array;
-  w_cpu : int array;
-  w_tag : Event.tag array;
-  w_a : int array;
-  w_b : int array;
-  w_c : int array;
-  w_cold : Event.kind array; (* read only where [w_tag] is [T_cold] *)
-}
-
 type t = {
   config : config;
   nr_cpus : int;
@@ -65,7 +52,7 @@ type t = {
      the top last *)
   lock_stacks : int array array;
   lock_depth : int array;
-  recent : window; (* trailing context, newest kept *)
+  recent : Slots.t; (* trailing context, newest kept, packed like the tracer's rings *)
   mutable next : int; (* the window slot the next event goes to *)
   counts : int array; (* violations recorded, by [kind_index] *)
   mutable violations : violation list; (* newest first *)
@@ -92,16 +79,7 @@ let create ?(config = default_config) ~nr_cpus () =
     wc_reported = Array.make nr_cpus false;
     lock_stacks = Array.init nr_cpus (fun _ -> Array.make 8 0);
     lock_depth = Array.make nr_cpus 0;
-    recent =
-      {
-        w_ts = Array.make cap 0;
-        w_cpu = Array.make cap 0;
-        w_tag = Array.make cap Event.T_tick;
-        w_a = Array.make cap 0;
-        w_b = Array.make cap 0;
-        w_c = Array.make cap 0;
-        w_cold = Array.make cap Event.Tick;
-      };
+    recent = Slots.create cap;
     next = 0;
     counts = Array.make 5 0;
     violations = [];
@@ -111,13 +89,12 @@ let create ?(config = default_config) ~nr_cpus () =
 (* the newest [capacity] events, oldest first *)
 let window t =
   let w = t.recent in
-  let cap = Array.length w.w_ts in
+  let cap = Slots.capacity w in
   let rec go acc k i =
     if k = 0 then acc
     else
       let i = if i = 0 then cap - 1 else i - 1 in
-      let kind = Event.unpack w.w_tag.(i) w.w_a.(i) w.w_b.(i) w.w_c.(i) w.w_cold.(i) in
-      go ({ Event.ts = w.w_ts.(i); cpu = w.w_cpu.(i); kind } :: acc) (k - 1) i
+      go (Slots.get w i :: acc) (k - 1) i
   in
   go [] (min t.events_seen cap) t.next
 
@@ -189,16 +166,9 @@ let check_work_conservation t now ~waited =
   done
 
 let remember t ~ts ~cpu tag a b c cold =
-  let w = t.recent in
   let i = t.next in
-  t.next <- (if i + 1 = Array.length w.w_ts then 0 else i + 1);
-  w.w_ts.(i) <- ts;
-  w.w_cpu.(i) <- cpu;
-  w.w_tag.(i) <- tag;
-  w.w_a.(i) <- a;
-  w.w_b.(i) <- b;
-  w.w_c.(i) <- c;
-  match tag with Event.T_cold -> w.w_cold.(i) <- cold | _ -> ()
+  t.next <- (if i + 1 = Slots.capacity t.recent then 0 else i + 1);
+  Slots.set t.recent i ~ts ~cpu tag a b c cold
 
 let lock_acquire t ~cpu lock_id =
   if cpu >= 0 && cpu < t.nr_cpus then begin

@@ -1,27 +1,22 @@
-(* Per-CPU rings in struct-of-arrays int encoding.  Every kind the machine
-   and the Enoki-C boundary emit per dispatch — scheduling transitions,
-   lock acquire/release, message crossings — is an [Event.tag] plus at most
-   three small ints, so each ring stores parallel columns (ts, tag, a, b,
-   c) and the packed [emit_*] entry points write straight into them: no
-   [Event.kind] variant, no option boxing, no record per event.  Cold kinds
-   (string-carrying diagnostics, affinity-masked wakeups, message names
-   outside [Event.call_names]) keep their boxed representation in a
-   lazily-allocated side column.  Subscribers get the packed fields too;
-   events are decoded back to [Event.t] only at drain time.
+(* Per-CPU rings of packed events.  Every kind the machine and the Enoki-C
+   boundary emit per dispatch — scheduling transitions, lock
+   acquire/release, message crossings — is an [Event.tag] plus at most
+   three small ints, so a ring is a [Slots.t] of 64-bit words (ts, cpu and
+   tag, a, b, c) and the packed [emit_*] entry points write straight into
+   it: no [Event.kind] variant, no option boxing, no record per event.
+   Cold kinds (string-carrying diagnostics, affinity-masked wakeups,
+   message names outside [Event.call_names]) keep their boxed
+   representation in the slots' side column.  Subscribers get the packed
+   fields too; events are decoded back to [Event.t] only at drain time.
+
+   A ring's buffer is reserved, not filled, so its memory becomes resident
+   only as slots are written; only slots in [head, head + len) are read.
 
    Drop discipline is identical to [Ds.Ring_buffer]: a full ring drops the
    {e newest} event and counts it, never blocking the emitter. *)
 
 type ring = {
-  r_ts : int array;
-  r_tag : Event.tag array;
-  r_a : int array;
-  r_b : int array;
-  r_c : int array;
-  (* boxed payloads for cold kinds, parallel to the int columns, only read
-     where [r_tag] = [T_cold]; allocated on first cold emit because most
-     rings never see one *)
-  mutable r_cold : Event.kind array;
+  slots : Slots.t;
   mutable r_head : int; (* next slot to pop *)
   mutable r_len : int;
   mutable r_dropped : int;
@@ -35,22 +30,15 @@ type t = {
   mutable emitted : int;
 }
 
-let make_ring capacity =
-  {
-    r_ts = Array.make capacity 0;
-    r_tag = Array.make capacity Event.T_tick;
-    r_a = Array.make capacity 0;
-    r_b = Array.make capacity 0;
-    r_c = Array.make capacity 0;
-    r_cold = [||];
-    r_head = 0;
-    r_len = 0;
-    r_dropped = 0;
-  }
+let make_ring capacity = { slots = Slots.create capacity; r_head = 0; r_len = 0; r_dropped = 0 }
 
 let create ?(capacity = 65536) ~nr_cpus () =
   if nr_cpus <= 0 then invalid_arg "Tracer.create: nr_cpus must be positive";
   if capacity <= 0 then invalid_arg "Tracer.create: capacity must be positive";
+  if capacity > Slots.max_capacity then
+    invalid_arg
+      (Printf.sprintf "Tracer.create: capacity %d exceeds the largest ring (%d slots)" capacity
+         Slots.max_capacity);
   { rings = Array.init nr_cpus (fun _ -> make_ring capacity); subscribers = []; emitted = 0 }
 
 let nr_cpus t = Array.length t.rings
@@ -58,7 +46,7 @@ let nr_cpus t = Array.length t.rings
 (* Claim the next write slot, or -1 when the ring is full — the newest
    event is the one dropped, matching [Ring_buffer.push]. *)
 let claim r =
-  let cap = Array.length r.r_ts in
+  let cap = Slots.capacity r.slots in
   if r.r_len = cap then begin
     r.r_dropped <- r.r_dropped + 1;
     -1
@@ -83,18 +71,7 @@ let emit_packed t ~ts ~cpu tag a b c kind =
   t.emitted <- t.emitted + 1;
   let r = t.rings.(cpu) in
   let i = claim r in
-  if i >= 0 then begin
-    r.r_ts.(i) <- ts;
-    r.r_tag.(i) <- tag;
-    r.r_a.(i) <- a;
-    r.r_b.(i) <- b;
-    r.r_c.(i) <- c;
-    match tag with
-    | Event.T_cold ->
-      if Array.length r.r_cold = 0 then r.r_cold <- Array.make (Array.length r.r_ts) Event.Tick;
-      r.r_cold.(i) <- kind
-    | _ -> ()
-  end;
+  if i >= 0 then Slots.set r.slots i ~ts ~cpu tag a b c kind;
   match t.subscribers with [] -> () | subs -> deliver subs ~ts ~cpu tag a b c kind
 
 let emit_switch t ~ts ~cpu ~prev ~next = emit_packed t ~ts ~cpu T_switch prev next 0 Tick
@@ -118,7 +95,7 @@ let emit_tag t ~ts ~cpu tag a b c =
   | _ -> emit_packed t ~ts ~cpu tag a b c Tick
 
 (* Boxed entry point, for the cold emitters (fleet orchestration, faults,
-   DSQ diagnostics): packed kinds go into the int columns, so storage is
+   DSQ diagnostics): packed kinds are stored packed, so storage is
    the same whichever door an event came in by. *)
 let emit t ~ts ~cpu kind =
   Event.pack kind (fun tag a b c kind -> emit_packed t ~ts ~cpu tag a b c kind)
@@ -133,28 +110,16 @@ let dropped t = Array.fold_left (fun acc r -> acc + r.r_dropped) 0 t.rings
 
 let buffered t = Array.fold_left (fun acc r -> acc + r.r_len) 0 t.rings
 
-(* Decode slot [i] of [cpu]'s ring, releasing its cold payload. *)
-let take cpu r i =
-  let kind =
-    match r.r_tag.(i) with
-    | Event.T_cold ->
-      let k = r.r_cold.(i) in
-      r.r_cold.(i) <- Event.Tick;
-      k
-    | tag -> Event.unpack tag r.r_a.(i) r.r_b.(i) r.r_c.(i) Event.Tick
-  in
-  { Event.ts = r.r_ts.(i); cpu; kind }
-
 (* The merge keys an event by one int, [ts lsl bits lor cpu], so [ts] must
    fit in the bits the cpu number leaves: a ring is mergeable when its
    timestamps never step backwards (an emitter with its own clock could
    break that) and lie in [0, limit]. *)
 let ring_mergeable r ~limit =
-  let cap = Array.length r.r_ts in
+  let cap = Slots.capacity r.slots in
   let rec go left i prev =
     left = 0
     ||
-    let ts = r.r_ts.(i) in
+    let ts = Slots.ts r.slots i in
     ts >= prev && ts <= limit && go (left - 1) (if i + 1 = cap then 0 else i + 1) ts
   in
   go r.r_len r.r_head 0
@@ -162,20 +127,20 @@ let ring_mergeable r ~limit =
 (* Fallback for unmergeable rings: drain everything in ring order, then a
    stable sort on the timestamp. *)
 let events_sorted t =
-  let drain cpu r =
-    let cap = Array.length r.r_ts in
+  let drain r =
+    let cap = Slots.capacity r.slots in
     let rec go acc =
       if r.r_len = 0 then List.rev acc
       else begin
         let i = r.r_head in
         r.r_head <- (i + 1) mod cap;
         r.r_len <- r.r_len - 1;
-        go (take cpu r i :: acc)
+        go (Slots.take r.slots i :: acc)
       end
     in
     go []
   in
-  Array.to_list (Array.mapi drain t.rings)
+  Array.to_list (Array.map drain t.rings)
   |> List.concat
   |> List.stable_sort (fun (a : Event.t) (b : Event.t) -> Int.compare a.ts b.ts)
 
@@ -214,12 +179,12 @@ let events_merged t ~bits =
   for cpu = 0 to k - 1 do
     let r = rings.(cpu) in
     if r.r_len > 0 then begin
-      let cap = Array.length r.r_ts in
+      let cap = Slots.capacity r.slots in
       let last = (r.r_head + r.r_len - 1) mod cap in
       tail.(cpu) <- last;
       (* where a front-to-back drain would leave the head *)
       r.r_head <- (last + 1) mod cap;
-      sift_up heap !n ((r.r_ts.(last) lsl bits) lor cpu);
+      sift_up heap !n ((Slots.ts r.slots last lsl bits) lor cpu);
       incr n
     end
   done;
@@ -228,16 +193,16 @@ let events_merged t ~bits =
     let cpu = heap.(0) land mask in
     let r = rings.(cpu) in
     let i = tail.(cpu) in
-    acc := take cpu r i :: !acc;
+    acc := Slots.take r.slots i :: !acc;
     r.r_len <- r.r_len - 1;
     if r.r_len = 0 then begin
       decr n;
       sift_down heap !n 0 heap.(!n)
     end
     else begin
-      let prev = if i = 0 then Array.length r.r_ts - 1 else i - 1 in
+      let prev = if i = 0 then Slots.capacity r.slots - 1 else i - 1 in
       tail.(cpu) <- prev;
-      sift_down heap !n 0 ((r.r_ts.(prev) lsl bits) lor cpu)
+      sift_down heap !n 0 ((Slots.ts r.slots prev lsl bits) lor cpu)
     end
   done;
   !acc

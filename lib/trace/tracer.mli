@@ -8,14 +8,14 @@
     emission time, before any drop, so invariant checking sees the complete
     stream even when the rings overrun.
 
-    Storage is struct-of-arrays int columns, not boxed {!Event.t} values:
-    every kind emitted per dispatch — the machine's scheduling transitions,
-    lock acquire/release and Enoki-C message crossings — is an
-    {!Event.tag} and at most three ints, and the packed [emit_*] entry
-    points below write them without constructing a variant or option.
-    Neither storing such an event nor delivering it to subscribers
-    allocates.  Cold (string-carrying) kinds fall back to a boxed side
-    column.
+    Storage is packed {!Slots}, not boxed {!Event.t} values: every kind
+    emitted per dispatch — the machine's scheduling transitions, lock
+    acquire/release and Enoki-C message crossings — is an {!Event.tag}
+    and at most three ints, and the packed [emit_*] entry points below
+    write them as five 64-bit words of the cpu's ring without
+    constructing a variant or option.  Neither storing such an event nor
+    delivering it to subscribers allocates.  Cold (string-carrying) kinds
+    fall back to a boxed side column.
     Subscribers receive the packed fields; decoding back to {!Event.t}
     happens only at {!events}-drain time.
 
@@ -25,7 +25,14 @@
 type t
 
 (** [create ~nr_cpus ()] makes one ring of [capacity] (default 65536)
-    events per cpu. *)
+    events per cpu.  Capacity is reserved address space
+    ([Slots.slot_bytes] = 40 bytes a slot), not filled memory: a ring's
+    resident memory follows the slots written, so an 80-cpu tracer at the
+    default capacity reserves 210 MB and adds under 1 MB to the resident
+    set until it records.  Raises [Invalid_argument "Tracer.create: ..."]
+    for a non-positive [nr_cpus] or [capacity], and for a [capacity]
+    above {!Slots.max_capacity}, whose ring would not fit in one
+    string. *)
 val create : ?capacity:int -> nr_cpus:int -> unit -> t
 
 val nr_cpus : t -> int
@@ -33,7 +40,7 @@ val nr_cpus : t -> int
 (** [emit t ~ts ~cpu kind] appends an event: pushed onto [cpu]'s ring
     (dropped and counted when full) and delivered to every subscriber.
     Out-of-range cpus are folded onto cpu 0 rather than lost.  Kinds with
-    a packed form ({!Event.pack}) go into the int columns, so storage,
+    a packed form ({!Event.pack}) are stored packed, so storage,
     subscriber deliveries and drain order are identical whichever entry
     point an event came in by. *)
 val emit : t -> ts:int -> cpu:int -> Event.kind -> unit

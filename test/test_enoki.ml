@@ -279,6 +279,29 @@ let test_locked_records_like_with_lock () =
     Alcotest.(pair int (list (triple string int int)))
     "same result, same log" via_with_lock via_locked
 
+(* a steady re-capture is the held context itself, with no allocation;
+   any changed field makes a fresh one that installs like [capture_ctx] *)
+let test_recapture_ctx () =
+  let saved = Enoki.Lock.capture_ctx () in
+  Enoki.Lock.install_ctx (Enoki.Lock.fresh_ctx ());
+  let held = Enoki.Lock.capture_ctx () in
+  let before = Gc.minor_words () in
+  let same = ref true in
+  for _ = 1 to 10_000 do
+    same := !same && Enoki.Lock.recapture_ctx held == held
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "unchanged: the held context" true !same;
+  check (Alcotest.float 0.0) "minor words" 0.0 words;
+  Enoki.Lock.set_trace_tap (Some (fun _ ~lock_id:_ -> ()));
+  let tapped = Enoki.Lock.recapture_ctx held in
+  check Alcotest.bool "tap changed: a fresh context" false (tapped == held);
+  check Alcotest.bool "which is then held" true (Enoki.Lock.recapture_ctx tapped == tapped);
+  Enoki.Lock.install_ctx held;
+  check Alcotest.bool "reinstalled: the held context again" true
+    (Enoki.Lock.recapture_ctx held == held);
+  Enoki.Lock.install_ctx saved
+
 (* ---------- Enoki_c end-to-end on a machine ---------- *)
 
 let build_fifo ?record () =
@@ -1227,6 +1250,8 @@ let () =
           Alcotest.test_case "locked: tap pairs on raise" `Quick test_locked_tap_pairs_on_raise;
           Alcotest.test_case "locked: records like with_lock" `Quick
             test_locked_records_like_with_lock;
+          Alcotest.test_case "recapture_ctx: steady is the held context" `Quick
+            test_recapture_ctx;
         ] );
       ( "enoki_c",
         [

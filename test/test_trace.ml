@@ -175,6 +175,59 @@ let test_tracer_folds_out_of_range_cpu () =
     check Alcotest.int "negative folded too" 0 b.Trace.Event.cpu
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
 
+(* A ring of 4 drained of 3 events restarts at slot 3, so the next round's
+   cold payloads go to slots 3, 0, 1 and 2 (the fifth is dropped), and are
+   released as they drain. *)
+let test_tracer_cold_kinds_wrap () =
+  let tr = Trace.Tracer.create ~capacity:4 ~nr_cpus:1 () in
+  let cold i = Trace.Event.Fleet_op { host = i; op = "drain" } in
+  for i = 1 to 3 do
+    Trace.Tracer.emit_tick tr ~ts:i ~cpu:0
+  done;
+  check Alcotest.int "first round" 3 (List.length (Trace.Tracer.events tr));
+  let round = List.init 5 (fun i -> { Trace.Event.ts = 10 + i; cpu = 0; kind = cold i }) in
+  List.iter (fun (e : Trace.Event.t) -> Trace.Tracer.emit tr ~ts:e.ts ~cpu:0 e.kind) round;
+  check Alcotest.int "the fifth is dropped" 1 (Trace.Tracer.dropped tr);
+  check Alcotest.bool "wrapped cold payloads drain intact" true
+    (Trace.Tracer.events tr = List.filteri (fun i _ -> i < 4) round);
+  Trace.Tracer.emit_dispatch tr ~ts:20 ~cpu:0 ~pid:3;
+  check Alcotest.bool "a packed kind over a released cold slot" true
+    (Trace.Tracer.events tr = [ { Trace.Event.ts = 20; cpu = 0; kind = Dispatch { pid = 3 } } ])
+
+(* a ring's bytes must fit in one string; sizes past that are refused up
+   front rather than overflowing the byte count *)
+let test_tracer_rejects_oversized_capacity () =
+  List.iter
+    (fun capacity ->
+      match Trace.Tracer.create ~capacity ~nr_cpus:1 () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument msg ->
+        check Alcotest.bool
+          (Printf.sprintf "%d: %s" capacity msg)
+          true
+          (String.starts_with ~prefix:"Tracer.create: " msg))
+    [ Trace.Slots.max_capacity + 1; max_int / Trace.Slots.slot_bytes + 1; max_int; 0; -1 ]
+
+let test_tag_index_roundtrip () =
+  let module E = Trace.Event in
+  let tags =
+    E.
+      [ T_switch; T_wakeup; T_dispatch; T_preempt; T_yield; T_block; T_exit; T_migrate; T_tick;
+        T_idle; T_lock_acquire; T_lock_release; T_msg_call; T_dsq_insert; T_dsq_consume; T_cold ]
+  in
+  check Alcotest.int "every tag listed" E.nr_tags (List.length tags);
+  List.iteri
+    (fun i tag ->
+      check Alcotest.int "declaration order" i (E.tag_index tag);
+      check Alcotest.bool "round trip" true (E.tag_of_index (E.tag_index tag) = tag))
+    tags;
+  List.iter
+    (fun i ->
+      match E.tag_of_index i with
+      | _ -> Alcotest.failf "index %d decoded" i
+      | exception Invalid_argument _ -> ())
+    [ -1; E.nr_tags; E.nr_tags + 1; 255; min_int; max_int ]
+
 (* ---------- event generators (all 25 kinds) ---------- *)
 
 module E = Trace.Event
@@ -228,8 +281,10 @@ let print_events evs = String.concat "\n" (List.map E.to_string evs)
    The tracer's merged drain against a reference model: each cpu keeps the
    first [capacity] events offered since its last drain (a full ring drops
    the newest), and the drain is the per-cpu concatenation stably sorted on
-   the timestamp.  Two rounds per case, so the second round's rings start
-   mid-array and wrap. *)
+   the timestamp.  Four to six rounds per case of up to one and a half
+   rings' worth of events each: every drain leaves a ring's head where its
+   last event was, so later rounds start mid-buffer and wrap past the end,
+   cold kinds (about half of [gen_kind]) landing in wrapped slots too. *)
 
 type drain_case = {
   nr_cpus : int;
@@ -241,10 +296,13 @@ type drain_case = {
 let gen_drain_case =
   let open QCheck.Gen in
   let* nr_cpus = int_range 1 5 in
-  let* capacity = int_range 1 6 in
+  let* capacity = frequency [ (1, int_range 1 6); (1, int_range 7 64) ] in
   let* monotone = frequency [ (4, return true); (1, return false) ] in
   let op = triple (int_range 0 (nr_cpus - 1)) (int_range 0 3) gen_kind in
-  let+ rounds = list_repeat 2 (list_size (int_range 0 30) op) in
+  let* nr_rounds = int_range 4 6 in
+  let+ rounds =
+    list_repeat nr_rounds (list_size (int_range 0 ((capacity * nr_cpus * 3 / 2) + 4)) op)
+  in
   { nr_cpus; capacity; monotone; rounds }
 
 let print_drain_case c =
@@ -1035,6 +1093,9 @@ let () =
         [
           ("counts, drops, subscribers", `Quick, test_tracer_counts_and_drops);
           ("out-of-range cpu folded", `Quick, test_tracer_folds_out_of_range_cpu);
+          ("cold kinds in wrapped slots", `Quick, test_tracer_cold_kinds_wrap);
+          ("oversized capacity rejected", `Quick, test_tracer_rejects_oversized_capacity);
+          ("tag index round trip", `Quick, test_tag_index_roundtrip);
           qtest ~count:300 "drain = per-cpu concat, stable-sorted"
             (QCheck.make ~print:print_drain_case gen_drain_case)
             prop_drain_matches_sorted_concat;
