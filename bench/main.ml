@@ -1067,8 +1067,9 @@ let cfs_ns_ceiling = 250.
    allocate per event: every speed row reads ~0.4-1.5 B/event (the
    machine's own residue, as CFS shows), traced or not, and the obs rows
    with metrics ~1.3.  An absolute ceiling under the Rel drift check, on
-   the speed rows and all four obs rows, means regenerating a baseline
-   cannot let a token, a hot path or tracing it start boxing again. *)
+   the speed rows and every obs machine row, means regenerating a baseline
+   cannot let a token, a hot path, tracing it or profiling it start boxing
+   again. *)
 let token_bytes_ceiling = 4.
 
 let bytes_check = Gate.Both (bytes, Ceiling token_bytes_ceiling)
@@ -1092,13 +1093,14 @@ let core_speedup_floor = 1.5
    run through a scheduler pays first-touch costs (code paging, heap
    growth) that would pollute a gated reading.  Events and bytes are
    identical across runs, so only the wall clock is best-of-[runs]. *)
-let pipe_cell ?(tracer = false) ?(metrics = false) ~runs kind =
+let pipe_cell ?(tracer = false) ?(metrics = false) ?(profile = false) ~runs kind =
   let messages = if !quick then 10_000 else 50_000 in
   let build () =
     let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
     let tracer = if tracer then Some (Trace.Tracer.create ~nr_cpus ()) else None in
     let registry = if metrics then Some (Metrics.Registry.create ()) else None in
-    (Workloads.Setup.build ?tracer ?registry ~topology:one_socket kind, tracer)
+    let profile = if profile then Some (Profile.create ()) else None in
+    (Workloads.Setup.build ?tracer ?registry ?profile ~topology:one_socket kind, tracer)
   in
   ignore (Workloads.Pipe_bench.run (fst (build ())) ~messages:(messages / 4) ());
   let bytes = ref 0. and events = ref 0 and kept = ref None in
@@ -1662,8 +1664,10 @@ let fleet_rows () =
    How much does watching cost?  `obs` prices each observability layer in
    host ns/event and allocated bytes/event, at two scales:
 
-   - machine rows: pipe-bench per scheduler under four configurations —
-     no observability, schedtrace tracer, metrics registry, both;
+   - machine rows: pipe-bench per scheduler under five configurations —
+     no observability, schedtrace tracer, metrics registry, both, and the
+     boundary self-profiler (which reads the host clock twice per Enoki-C
+     crossing, and so has nothing to time on CFS);
    - fleet rows: the cluster tier with observability off
      ([observe:false], the no-observability baseline), the default
      metrics pipeline, and the full request-anatomy decomposition.
@@ -1677,19 +1681,18 @@ let fleet_rows () =
 
 let obs_machine_scheds = [ "wfq"; "cfs" ]
 
-let obs_machine_configs = [ "none"; "tracer"; "metrics"; "both" ]
+let obs_machine_configs = [ "none"; "tracer"; "metrics"; "both"; "profile" ]
 
 (* What reading a trace out costs once the run is over: drain the tracer
-   and render the Chrome JSON, priced per trace event.  All it should
-   allocate is the event list and the document itself, written once at
-   its exact size: under 200 bytes per event. *)
+   and render the Chrome JSON, priced per trace event, each half on its own
+   so a regression names the half it is in.  All it should allocate is the
+   event list and the document itself, written once at its exact size:
+   under 200 bytes per event. *)
 let obs_trace_export_row tracer =
   let a0 = Profile.allocated_bytes () in
-  let (n, json_bytes), wall =
-    timed (fun () ->
-        let evs = Trace.Tracer.events tracer in
-        (List.length evs, String.length (Trace.Export.chrome_json evs)))
-  in
+  let evs, drain = timed (fun () -> Trace.Tracer.events tracer) in
+  let json_bytes, export = timed (fun () -> String.length (Trace.Export.chrome_json evs)) in
+  let n = List.length evs in
   let per_event x = x /. float_of_int (max 1 n) in
   Gate.row
     [ ("trace", "export") ]
@@ -1698,7 +1701,8 @@ let obs_trace_export_row tracer =
       Gate.int ~check:Exact "json_bytes" json_bytes;
       Gate.float ~check:(Ceiling 256.) "bytes_per_trace_event"
         (per_event (Profile.allocated_bytes () -. a0));
-      Gate.float "ns_per_trace_event" (per_event (wall *. 1e9));
+      Gate.float "drain_ns_per_trace_event" (per_event (drain *. 1e9));
+      Gate.float "export_ns_per_trace_event" (per_event (export *. 1e9));
     ]
 
 (* This process's resident set in kB ([VmRSS]), or 0 where
@@ -1721,7 +1725,7 @@ let rss_kb () =
 (* What attaching a tracer costs before it records anything: the resident
    memory an 80-cpu tracer at the default capacity adds.  Its rings are
    reserved, not filled, so they stay off the resident set until written;
-   filled, they would be 80 x 65536 slots x 40 B = 210 MB. *)
+   filled, they would be 80 x 65536 slots x 32 B = 168 MB. *)
 let obs_trace_reserve_row () =
   Gc.full_major ();
   let before = rss_kb () in
@@ -1786,7 +1790,7 @@ let obs_rows () =
             let on c = config = c || config = "both" in
             ( sched,
               config,
-              pipe_cell ~tracer:(on "tracer") ~metrics:(on "metrics")
+              pipe_cell ~tracer:(on "tracer") ~metrics:(on "metrics") ~profile:(config = "profile")
                 ~runs:(if !quick then 1 else 3) kind ))
           obs_machine_configs)
       obs_machine_scheds

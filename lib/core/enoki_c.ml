@@ -261,7 +261,7 @@ let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
   (match t.profile with
   | Some p ->
     Profile.record_cell p (profile_cell t p k) ~sim_ns:(ops.costs.enoki_call + charged)
-      ~wall_ns:(Profile.now_wall () -. wall0)
+      ~wall_ns:(Profile.now_ns () - wall0)
   | None -> ());
   match t.call_budget with
   | Some budget when charged > budget ->
@@ -292,7 +292,7 @@ let cross t ~cpu k f a b c =
   t.readers <- t.readers + 1;
   let saved_charge = t.charged_in_call in
   t.charged_in_call <- 0;
-  let wall0 = match t.profile with Some _ -> Profile.now_wall () | None -> 0.0 in
+  let wall0 = match t.profile with Some _ -> Profile.now_ns () | None -> 0 in
   match f (packed_exn t) a b c with
   | r ->
     leave t ops ~cpu k saved_charge wall0;

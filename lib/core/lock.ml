@@ -30,29 +30,32 @@ type mode =
 
 (* Mode, tap and the id counter are domain-local, not process-global:
    the bench harness runs independent machines in parallel domains, and
-   each domain's machine must see only its own tap and id sequence. *)
-let mode_key = Domain.DLS.new_key (fun () -> Passthrough)
+   each domain's machine must see only its own tap and id sequence.  They
+   share one record, so a lock operation reads the domain state once. *)
+type state = {
+  mutable mode : mode;
+  (* tracing tap, orthogonal to record/replay: fires in every mode so the
+     sanitizer can check acquire/release pairing online *)
+  mutable tap : (op -> lock_id:int -> unit) option;
+  mutable ids : int ref;
+  (* locks created while in replay mode, so the replay harness can release
+     the recorded admission order on all of them at once when the replayed
+     scheduler has diverged (see [abandon_replay_order]) *)
+  mutable replay_locks : t list ref;
+}
 
-let mode () = Domain.DLS.get mode_key
+let state_key =
+  Domain.DLS.new_key (fun () -> { mode = Passthrough; tap = None; ids = ref 0; replay_locks = ref [] })
 
-(* Tracing tap, orthogonal to record/replay: fires in every mode so the
-   sanitizer can check acquire/release pairing online. *)
-let tap_key : (op -> lock_id:int -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let state () = Domain.DLS.get state_key
 
-let set_trace_tap f = Domain.DLS.set tap_key f
+let mode () = (state ()).mode
 
-let tap op lock_id =
-  match Domain.DLS.get tap_key with None -> () | Some f -> f op ~lock_id
+let set_trace_tap f = (state ()).tap <- f
 
-(* Locks created while in replay mode, so the replay harness can release
-   the recorded admission order on all of them at once when the replayed
-   scheduler has diverged (see [abandon_replay_order]). *)
-let replay_locks_key : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+let tap op lock_id = match (state ()).tap with None -> () | Some f -> f op ~lock_id
 
-let next_id_key = Domain.DLS.new_key (fun () -> ref 0)
-
-let next_id () = Domain.DLS.get next_id_key
+let next_id () = (state ()).ids
 
 let reset_ids () = next_id () := 0
 
@@ -73,7 +76,7 @@ let create ?(name = "lock") () =
   (match mode () with
   | Record { sink; tid } -> sink { lock_id; op = Create; tid = tid () }
   | Replay _ ->
-    let locks = Domain.DLS.get replay_locks_key in
+    let locks = (state ()).replay_locks in
     locks := t :: !locks
   | Passthrough -> ());
   tap Create lock_id;
@@ -85,8 +88,8 @@ let name t = t.lock_name
 
 (* Passthrough runs [f] with no closure built, between the tap's acquire
    and release when a tap is set. *)
-let passthrough t f s a b c d =
-  match Domain.DLS.get tap_key with
+let passthrough t tap f s a b c d =
+  match tap with
   | None -> f s a b c d
   | Some tap -> (
     tap Acquire ~lock_id:t.lock_id;
@@ -101,8 +104,9 @@ let passthrough t f s a b c d =
 let run f () () () () = f ()
 
 let with_lock t f =
-  match mode () with
-  | Passthrough -> passthrough t run f () () () ()
+  let st = state () in
+  match st.mode with
+  | Passthrough -> passthrough t st.tap run f () () () ()
   | Record { sink; tid } ->
     let tid = tid () in
     sink { lock_id = t.lock_id; op = Acquire; tid };
@@ -139,8 +143,9 @@ let with_lock t f =
 (* Anything that logs or orders acquisitions goes through [with_lock], so
    lock events are the same whichever form a module uses. *)
 let locked t f s a b c d =
-  match mode () with
-  | Passthrough -> passthrough t f s a b c d
+  let st = state () in
+  match st.mode with
+  | Passthrough -> passthrough t st.tap f s a b c d
   | Record _ | Replay _ -> with_lock t (fun () -> f s a b c d)
 
 (* The whole domain-local lock state as a first-class value, so a host's
@@ -161,38 +166,37 @@ type ctx = {
 let fresh_ctx () = { ctx_mode = Passthrough; ctx_tap = None; ctx_ids = ref 0; ctx_replay_locks = ref [] }
 
 let capture_ctx () =
-  {
-    ctx_mode = Domain.DLS.get mode_key;
-    ctx_tap = Domain.DLS.get tap_key;
-    ctx_ids = Domain.DLS.get next_id_key;
-    ctx_replay_locks = Domain.DLS.get replay_locks_key;
-  }
+  let st = state () in
+  { ctx_mode = st.mode; ctx_tap = st.tap; ctx_ids = st.ids; ctx_replay_locks = st.replay_locks }
 
 (* [capture_ctx] without the allocation when nothing changed since [held]
    was captured: the fleet re-captures two contexts per host per epoch, and
    in a steady epoch every field is the one it held. *)
 let recapture_ctx held =
+  let st = state () in
   if
-    Domain.DLS.get mode_key == held.ctx_mode
-    && Domain.DLS.get tap_key == held.ctx_tap
-    && Domain.DLS.get next_id_key == held.ctx_ids
-    && Domain.DLS.get replay_locks_key == held.ctx_replay_locks
+    st.mode == held.ctx_mode
+    && st.tap == held.ctx_tap
+    && st.ids == held.ctx_ids
+    && st.replay_locks == held.ctx_replay_locks
   then held
   else capture_ctx ()
 
 let install_ctx c =
-  Domain.DLS.set mode_key c.ctx_mode;
-  Domain.DLS.set tap_key c.ctx_tap;
-  Domain.DLS.set next_id_key c.ctx_ids;
-  Domain.DLS.set replay_locks_key c.ctx_replay_locks
+  let st = state () in
+  st.mode <- c.ctx_mode;
+  st.tap <- c.ctx_tap;
+  st.ids <- c.ctx_ids;
+  st.replay_locks <- c.ctx_replay_locks
 
-let set_record_mode ~sink ~tid = Domain.DLS.set mode_key (Record { sink; tid })
+let set_record_mode ~sink ~tid = (state ()).mode <- Record { sink; tid }
 
 let set_replay_mode ~order ~tid =
-  Domain.DLS.get replay_locks_key := [];
-  Domain.DLS.set mode_key (Replay { order; tid })
+  let st = state () in
+  st.replay_locks := [];
+  st.mode <- Replay { order; tid }
 
-let set_passthrough_mode () = Domain.DLS.set mode_key Passthrough
+let set_passthrough_mode () = (state ()).mode <- Passthrough
 
 (* A replay whose scheduler has diverged from the recording may acquire
    locks a different number of times (or in a different nesting) than the
@@ -208,4 +212,4 @@ let abandon_replay_order () =
       t.expected_loaded <- true;
       Condition.broadcast t.cond;
       Mutex.unlock t.mutex)
-    !(Domain.DLS.get replay_locks_key)
+    !((state ()).replay_locks)

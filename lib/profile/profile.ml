@@ -1,4 +1,5 @@
-type cell = { mutable count : int; mutable sim_ns : int; mutable wall_ns : float }
+(* every field an int: a float field would box on each crossing *)
+type cell = { mutable count : int; mutable sim_ns : int; mutable wall_ns : int }
 
 type t = {
   cells : (string * string, cell) Hashtbl.t; (* (sched, call) -> totals *)
@@ -9,7 +10,9 @@ type row = { sched : string; call : string; count : int; sim_ns : int; wall_ns :
 
 let create () = { cells = Hashtbl.create 32; total = 0 }
 
-let now_wall () = Unix.gettimeofday () *. 1e9
+(* [Monotonic_clock.now]'s external is unboxed and [@@noalloc], and it is
+   inlined here, so a reading is an int and allocates nothing. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* [Gc.minor_words] counts up to the allocation pointer; on OCaml 5.1
    [Gc.allocated_bytes] and the minor count of [Gc.counters] stop at the
@@ -26,14 +29,14 @@ let cell t ~sched ~call =
   match Hashtbl.find_opt t.cells (sched, call) with
   | Some c -> c
   | None ->
-    let c = { count = 0; sim_ns = 0; wall_ns = 0.0 } in
+    let c = { count = 0; sim_ns = 0; wall_ns = 0 } in
     Hashtbl.add t.cells (sched, call) c;
     c
 
 let record_cell t (cell : cell) ~sim_ns ~wall_ns =
   cell.count <- cell.count + 1;
   cell.sim_ns <- cell.sim_ns + sim_ns;
-  cell.wall_ns <- cell.wall_ns +. Float.max 0.0 wall_ns;
+  cell.wall_ns <- cell.wall_ns + Stdlib.max 0 wall_ns;
   t.total <- t.total + 1
 
 let crossings t = t.total
@@ -42,7 +45,9 @@ let rows t =
   Hashtbl.fold
     (fun (sched, call) (c : cell) acc ->
       if c.count = 0 then acc
-      else { sched; call; count = c.count; sim_ns = c.sim_ns; wall_ns = c.wall_ns } :: acc)
+      else
+        { sched; call; count = c.count; sim_ns = c.sim_ns; wall_ns = float_of_int c.wall_ns }
+        :: acc)
     t.cells []
   |> List.sort (fun a b ->
          match String.compare a.sched b.sched with
@@ -77,6 +82,6 @@ let clear t =
     (fun _ (c : cell) ->
       c.count <- 0;
       c.sim_ns <- 0;
-      c.wall_ns <- 0.0)
+      c.wall_ns <- 0)
     t.cells;
   t.total <- 0

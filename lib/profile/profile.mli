@@ -26,9 +26,9 @@ type row = {
 
 val create : unit -> t
 
-(** Host wall clock in nanoseconds (monotonicity not guaranteed; only
-    differences are meaningful). *)
-val now_wall : unit -> float
+(** Host monotonic clock in nanoseconds; only differences are meaningful.
+    A reading allocates nothing. *)
+val now_ns : unit -> int
 
 (** Bytes the calling domain has allocated so far: exact minor-heap
     allocation plus direct major-heap allocation.  Unlike
@@ -46,7 +46,9 @@ type cell
 
 val cell : t -> sched:string -> call:string -> cell
 
-val record_cell : t -> cell -> sim_ns:int -> wall_ns:float -> unit
+(** [record_cell t cell ~sim_ns ~wall_ns] adds one crossing; a negative
+    [wall_ns] counts as 0. *)
+val record_cell : t -> cell -> sim_ns:int -> wall_ns:int -> unit
 
 (** Total boundary crossings across all callbacks and modules. *)
 val crossings : t -> int

@@ -22,3 +22,18 @@ val duration : t -> int
 val kind_name : kind -> string
 
 val of_events : Event.t list -> t list
+
+(** {2 Incremental}
+
+    [of_events events] is [finish] of a [builder] that was given each
+    event in turn with [add]: the form an exporter uses to derive spans in
+    a walk it already makes. *)
+
+type builder
+
+val builder : unit -> builder
+
+val add : builder -> Event.t -> unit
+
+(** The spans so far, in the order they closed. *)
+val finish : builder -> t list

@@ -45,7 +45,7 @@ let nr_cpus t = Array.length t.rings
 
 (* Claim the next write slot, or -1 when the ring is full — the newest
    event is the one dropped, matching [Ring_buffer.push]. *)
-let claim r =
+let[@inline] claim r =
   let cap = Slots.capacity r.slots in
   if r.r_len = cap then begin
     r.r_dropped <- r.r_dropped + 1;
@@ -65,8 +65,9 @@ let rec deliver subs ~ts ~cpu tag a b c kind =
     f ~ts ~cpu tag a b c kind;
     deliver rest ~ts ~cpu tag a b c kind
 
-(* [kind] is stored only for [T_cold]; the packed emitters pass [Tick] *)
-let emit_packed t ~ts ~cpu tag a b c kind =
+(* [kind] is stored only for [T_cold]; the packed emitters pass [Tick].
+   Inlined into each of them, so an emit is one call into this module. *)
+let[@inline] emit_packed t ~ts ~cpu tag a b c kind =
   let cpu = if cpu >= 0 && cpu < Array.length t.rings then cpu else 0 in
   t.emitted <- t.emitted + 1;
   let r = t.rings.(cpu) in
@@ -167,7 +168,8 @@ let rec sift_up (heap : int array) i key =
    its newest undrained event; the largest (ts, cpu) comes off first, so
    among equal timestamps the higher cpu is consed first and the lower cpu
    ends up ahead — the order a stable sort of the per-cpu concatenation
-   gives. *)
+   gives.  The top ring gives up a whole run at a time: every event that
+   still beats the best other ring's key, found and decoded in [Slots]. *)
 let events_merged t ~bits =
   let rings = t.rings in
   let k = Array.length rings in
@@ -193,14 +195,25 @@ let events_merged t ~bits =
     let cpu = heap.(0) land mask in
     let r = rings.(cpu) in
     let i = tail.(cpu) in
-    acc := Slots.take r.slots i :: !acc;
-    r.r_len <- r.r_len - 1;
+    (* keys are never negative: -1 when no other ring is left *)
+    let other = if !n = 1 then -1 else if !n = 2 then heap.(1) else Int.max heap.(1) heap.(2) in
+    let run =
+      if other < 0 then r.r_len
+      else
+        (* beating (ts', cpu') takes a later ts, or the same ts on a higher cpu *)
+        let ts' = other lsr bits in
+        Slots.count_back r.slots i r.r_len
+          ~min_ts:(if cpu > other land mask then ts' else ts' + 1)
+    in
+    acc := Slots.take_back r.slots i run !acc;
+    r.r_len <- r.r_len - run;
     if r.r_len = 0 then begin
       decr n;
       sift_down heap !n 0 heap.(!n)
     end
     else begin
-      let prev = if i = 0 then Slots.capacity r.slots - 1 else i - 1 in
+      let cap = Slots.capacity r.slots in
+      let prev = if i >= run then i - run else i - run + cap in
       tail.(cpu) <- prev;
       sift_down heap !n 0 ((Slots.ts r.slots prev lsl bits) lor cpu)
     end

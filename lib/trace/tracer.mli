@@ -12,7 +12,7 @@
     emitted per dispatch — the machine's scheduling transitions, lock
     acquire/release and Enoki-C message crossings — is an {!Event.tag}
     and at most three ints, and the packed [emit_*] entry points below
-    write them as five 64-bit words of the cpu's ring without
+    write them as four 64-bit words of the cpu's ring without
     constructing a variant or option.  Neither storing such an event nor
     delivering it to subscribers allocates.  Cold (string-carrying) kinds
     fall back to a boxed side column.
@@ -26,9 +26,9 @@ type t
 
 (** [create ~nr_cpus ()] makes one ring of [capacity] (default 65536)
     events per cpu.  Capacity is reserved address space
-    ([Slots.slot_bytes] = 40 bytes a slot), not filled memory: a ring's
+    ([Slots.slot_bytes] = 32 bytes a slot), not filled memory: a ring's
     resident memory follows the slots written, so an 80-cpu tracer at the
-    default capacity reserves 210 MB and adds under 1 MB to the resident
+    default capacity reserves 168 MB and adds under 1 MB to the resident
     set until it records.  Raises [Invalid_argument "Tracer.create: ..."]
     for a non-positive [nr_cpus] or [capacity], and for a [capacity]
     above {!Slots.max_capacity}, whose ring would not fit in one
@@ -49,7 +49,8 @@ val emit : t -> ts:int -> cpu:int -> Event.kind -> unit
 
     Allocation-free equivalents of {!emit} for the per-dispatch kinds:
     the payload travels as ints, [-1] meaning "no task" where a pid is
-    optional.  [emit_wakeup] is the affinity-free wakeup; a wakeup
+    optional.  A field too wide for a slot's packed word (see {!Slots})
+    is stored boxed instead, the one case where they allocate.  [emit_wakeup] is the affinity-free wakeup; a wakeup
     carrying an affinity mask must go through {!emit}.  [emit_msg_call]
     takes the crossing's index into {!Event.call_names}. *)
 
@@ -74,7 +75,7 @@ val emit_tag : t -> ts:int -> cpu:int -> Event.tag -> int -> int -> int -> unit
 
 (** An online consumer: [f ~ts ~cpu tag a b c kind] gets each event in its
     packed form ({!Event.pack}).  [kind] is the event itself for
-    [T_cold] and meaningless for any other tag; {!Event.unpack} rebuilds
+    [T_cold] and meaningless for any other tag; {!Slots.unpack} rebuilds
     the boxed kind when a consumer needs one. *)
 type subscriber = ts:int -> cpu:int -> Event.tag -> int -> int -> int -> Event.kind -> unit
 

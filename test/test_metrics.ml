@@ -333,9 +333,9 @@ let record p ~sched ~call = Profile.record_cell p (Profile.cell p ~sched ~call)
 
 let test_profile_rows () =
   let p = Profile.create () in
-  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:100 ~wall_ns:5.0;
-  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:50 ~wall_ns:3.0;
-  record p ~sched:"wfq" ~call:"task_wakeup" ~sim_ns:10 ~wall_ns:1.0;
+  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:100 ~wall_ns:5;
+  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:50 ~wall_ns:3;
+  record p ~sched:"wfq" ~call:"task_wakeup" ~sim_ns:10 ~wall_ns:1;
   check Alcotest.int "crossings" 3 (Profile.crossings p);
   let rows = Profile.rows p in
   check Alcotest.int "one row per (sched, call)" 2 (List.length rows);
@@ -357,8 +357,8 @@ let test_profile_rows () =
 let test_profile_cells () =
   let p = Profile.create () in
   let c = Profile.cell p ~sched:"wfq" ~call:"pick_next_task" in
-  Profile.record_cell p c ~sim_ns:100 ~wall_ns:0.0;
-  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:20 ~wall_ns:0.0;
+  Profile.record_cell p c ~sim_ns:100 ~wall_ns:0;
+  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:20 ~wall_ns:0;
   (match Profile.rows p with
   | [ r ] ->
     check Alcotest.int "one row" 2 r.Profile.count;
@@ -366,12 +366,37 @@ let test_profile_cells () =
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
   Profile.clear p;
   check Alcotest.int "cleared table is empty" 0 (List.length (Profile.rows p));
-  Profile.record_cell p c ~sim_ns:5 ~wall_ns:0.0;
+  Profile.record_cell p c ~sim_ns:5 ~wall_ns:0;
   match Profile.rows p with
   | [ r ] ->
     check Alcotest.string "cell still live after clear" "pick_next_task" r.Profile.call;
     check Alcotest.int "counted from zero" 1 r.Profile.count
   | rows -> Alcotest.failf "expected one row after clear, got %d" (List.length rows)
+
+(* The boundary profiler reads an int clock and adds ints into resolved
+   cells, so what a profiled run allocates beyond the same run without a
+   profile is the cells' one-time registration: the same for a short run
+   as for one ten times longer, nothing per crossing. *)
+let test_profile_allocates_nothing_per_crossing () =
+  let run ~messages profile =
+    let b =
+      Workloads.Setup.build ?profile ~topology:one_socket
+        (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+    in
+    let a0 = Profile.allocated_bytes () in
+    ignore (Workloads.Pipe_bench.run b ~messages ());
+    Profile.allocated_bytes () -. a0
+  in
+  let excess ~messages =
+    let plain = run ~messages None in
+    let p = Profile.create () in
+    let profiled = run ~messages (Some p) in
+    (Profile.crossings p, profiled -. plain)
+  in
+  let short_crossings, short = excess ~messages:2_000 in
+  let long_crossings, long = excess ~messages:20_000 in
+  check Alcotest.bool "the longer run crosses more" true (long_crossings > 5 * short_crossings);
+  check (Alcotest.float 0.0) "excess bytes independent of the crossings" short long
 
 (* ---------- end to end: wiring and zero perturbation ---------- *)
 
@@ -512,6 +537,8 @@ let () =
         [
           Alcotest.test_case "row aggregation" `Quick test_profile_rows;
           Alcotest.test_case "resolved cells" `Quick test_profile_cells;
+          Alcotest.test_case "no allocation per crossing" `Quick
+            test_profile_allocates_nothing_per_crossing;
         ] );
       ( "zero-perturbation",
         [
