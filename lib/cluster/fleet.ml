@@ -571,11 +571,6 @@ let step t ~limit =
 
 let run t ~until = while t.clock < until do step t ~limit:until done
 
-let run_flows t ~flows ~max_time =
-  while Traffic.flows_completed t.traffic < flows && t.clock < max_time do
-    step t ~limit:max_time
-  done
-
 let clock t = t.clock
 
 let nr_hosts t = Array.length t.hosts

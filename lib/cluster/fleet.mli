@@ -118,10 +118,6 @@ val step : t -> limit:ns -> unit
 (** Advance the whole fleet to simulated time [until]. *)
 val run : t -> until:ns -> unit
 
-(** Advance until the traffic engine has churned through [flows] complete
-    flows (the bounded-memory acceptance run), or [max_time] is reached. *)
-val run_flows : t -> flows:int -> max_time:ns -> unit
-
 val clock : t -> ns
 
 val nr_hosts : t -> int

@@ -19,26 +19,52 @@ let format_of_string = function
 type doc = {
   bytes : Bytes.t;
   mutable pos : int;
+  limit : int; (* the end of the stretch this cursor may write *)
   fill : bool;
   mutable args : int; (* members written into the open instant's args *)
 }
 
-(* a cursor writing [bytes] from [pos] *)
-let cursor bytes ~fill ~pos = { bytes; pos; fill; args = 0 }
+let sizing () = { bytes = Bytes.empty; pos = 0; limit = 0; fill = false; args = 0 }
 
-let sizing () = cursor Bytes.empty ~fill:false ~pos:0
-
-(* The filling pass, into a document of the [size] a sizing pass added up. *)
-let fill size write =
-  let d = cursor (Bytes.create size) ~fill:true ~pos:0 in
+(* A filling cursor for the stretch [pos, stop) of [bytes], [write]
+   through it, checked to end at [stop]. *)
+let stretch bytes ~pos ~stop write =
+  let d = { bytes; pos; limit = stop; fill = true; args = 0 } in
   write d;
-  if d.pos <> size then invalid_arg "Export.document: the two passes wrote different sizes";
-  Bytes.unsafe_to_string d.bytes
+  if d.pos <> stop then invalid_arg "Export.document: the two passes wrote different sizes"
+
+(* [f] on a helper domain where the machine has a second core, and the
+   function that joins it; on one core, [f] itself, run when joined. *)
+let start f =
+  if Domain.recommended_domain_count () > 1 then begin
+    let helper = Domain.spawn f in
+    fun () -> Domain.join helper
+  end
+  else f
+
+(* The filling pass: one [Bytes] of the [size] a sizing pass added up,
+   written by [parts], each filling its own stretches of it.  The first
+   part runs on the caller, the others [start]ed beside it; every helper
+   is joined before this returns or raises, and the first failure is
+   raised. *)
+let fill size parts =
+  let bytes = Bytes.create size in
+  let run = List.map (fun part () -> part bytes) parts in
+  let joins = match run with [] -> [] | first :: rest -> first :: List.map start rest in
+  let failure = ref None in
+  List.iter
+    (fun join ->
+      try join ()
+      with e -> if Option.is_none !failure then failure := Some (e, Printexc.get_raw_backtrace ()))
+    joins;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
+  Bytes.unsafe_to_string bytes
 
 let document write =
   let s = sizing () in
   write s;
-  fill s.pos write
+  let size = s.pos in
+  fill size [ (fun bytes -> stretch bytes ~pos:0 ~stop:size write) ]
 
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 external get32u : string -> int -> int32 = "%caml_string_get32u"
@@ -48,10 +74,10 @@ external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
 external set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
 
 (* The filling pass checks each write's bounds once, then stores
-   unchecked; a pass that writes more than the sizing pass counted stops
-   here. *)
+   unchecked; a pass that writes more than the sizing pass counted for its
+   stretch stops here. *)
 let[@inline] reserve d n =
-  if d.pos + n > Bytes.length d.bytes then invalid_arg "Export.document: the passes disagree"
+  if d.pos + n > d.limit then invalid_arg "Export.document: the passes disagree"
 
 (* [n] bytes of [s] into [b] at [pos], a word at a time, the last word
    overlapping the one before: the constants written per event are short *)
@@ -92,7 +118,10 @@ let[@inline] add_char d c =
 
 let add_fill d c k =
   if k > 0 then begin
-    if d.fill then Bytes.fill d.bytes d.pos k c;
+    if d.fill then begin
+      reserve d k;
+      Bytes.fill d.bytes d.pos k c
+    end;
     d.pos <- d.pos + k
   end
 
@@ -430,11 +459,13 @@ let add_spans d span_list =
       add_string d "\"}}")
     span_list
 
-(* The sizing walk, one event at a time.  No run slice or span opens or
-   closes on a lock, crossing or tick event (most of a trace), so those
-   are only sized: [Spans.add] is a call into another module. *)
-let rec scan slices r sp instants st ~spans ~nr_cpus ~last_ts = function
-  | [] -> ()
+(* The sizing walk over the first [n] events, one at a time; what is left
+   of the list after them.  No run slice or span opens or closes on a lock,
+   crossing or tick event (most of a trace), so those are only sized:
+   [Spans.add] is a call into another module. *)
+let rec scan slices r sp instants st ~spans ~nr_cpus ~last_ts n = function
+  | [] -> []
+  | rest when n = 0 -> rest
   | (ev : Event.t) :: rest ->
     if ev.cpu >= !nr_cpus then nr_cpus := ev.cpu + 1;
     if ev.ts > !last_ts then last_ts := ev.ts;
@@ -444,29 +475,38 @@ let rec scan slices r sp instants st ~spans ~nr_cpus ~last_ts = function
       add_run_step slices r ev;
       if spans then Spans.add sp ev);
     add_instant instants st ev;
-    scan slices r sp instants st ~spans ~nr_cpus ~last_ts rest
+    scan slices r sp instants st ~spans ~nr_cpus ~last_ts (n - 1) rest
 
-(* The filling walk: each event's instant, and the run slices it closes
-   through the second cursor [s]. *)
-let rec write s r d st = function
-  | [] -> ()
-  | (ev : Event.t) :: rest ->
+(* The filling walk over the first [n] events: each event's instant, and
+   the run slices it closes through the second cursor [s]. *)
+let rec write s r d st n = function
+  | (ev : Event.t) :: rest when n > 0 ->
     add_run_step s r ev;
     add_instant d st ev;
-    write s r d st rest
+    write s r d st (n - 1) rest
+  | _ -> ()
 
 (* The run slices precede the instants in the document but come out of
    the same events, so each pass makes one walk that writes both: the
    slices through a second cursor into their own stretch of the document.
-   The sizing walk also finds the cpu count and the last timestamp and
-   derives the spans; the head and tail are sized after it, by the same
-   writers the filling pass uses. *)
+   The sizing walk also finds the cpu count and the last timestamp, derives
+   the spans, and notes where the middle event's slices and instant go;
+   the head and tail are sized after it, by the same writers the filling
+   pass uses.  The filling pass writes the halves in two parts, the second
+   beside the caller on a helper domain (see [fill]), and the spans tail
+   with whichever half is shorter. *)
 let chrome_json ?(spans = true) events =
   let slices = sizing () and instants = sizing () in
   let r = runs () in
-  let sp = Spans.builder () in
+  let sp = Spans.builder () and st = stamp () in
   let nr_cpus = ref 1 and last_ts = ref 0 in
-  scan slices r sp instants (stamp ()) ~spans ~nr_cpus ~last_ts events;
+  let mid = List.length events / 2 in
+  let second = scan slices r sp instants st ~spans ~nr_cpus ~last_ts mid events in
+  (* where the second half starts: its open run slices and both cursors' offsets *)
+  let second_runs = { open_pid = Array.copy r.open_pid; open_ts = Array.copy r.open_ts }
+  and slices_mid = slices.pos
+  and instants_mid = instants.pos in
+  ignore (scan slices r sp instants st ~spans ~nr_cpus ~last_ts max_int second : Event.t list);
   let nr_cpus = !nr_cpus and last_ts = !last_ts in
   close_runs slices r ~last_ts;
   let span_list = Spans.finish sp in
@@ -485,14 +525,35 @@ let chrome_json ?(spans = true) events =
   let h = sizing () and t = sizing () in
   head h;
   tail t;
-  fill (h.pos + slices.pos + instants.pos + t.pos) (fun d ->
-      head d;
-      let s = cursor d.bytes ~fill:true ~pos:d.pos and r = runs () in
-      d.pos <- d.pos + slices.pos;
-      write s r d (stamp ()) events;
-      close_runs s r ~last_ts;
-      if s.pos <> h.pos + slices.pos then invalid_arg "Export.document: the passes disagree";
-      tail d)
+  (* the document: head, slices, instants, tail *)
+  let slices_0 = h.pos in
+  let instants_0 = slices_0 + slices.pos in
+  let tail_0 = instants_0 + instants.pos in
+  let size = tail_0 + t.pos in
+  let walk bytes r events n ~slices:(s0, s1) ~instants:(i0, i1) ~close =
+    stretch bytes ~pos:s0 ~stop:s1 (fun s ->
+        stretch bytes ~pos:i0 ~stop:i1 (fun d -> write s r d (stamp ()) n events);
+        if close then close_runs s r ~last_ts)
+  in
+  let first_len = slices_0 + slices_mid + instants_mid in
+  let tail_first = first_len <= tail_0 - first_len in
+  let write_tail bytes = stretch bytes ~pos:tail_0 ~stop:size tail in
+  fill size
+    [
+      (fun bytes ->
+        stretch bytes ~pos:0 ~stop:slices_0 head;
+        walk bytes (runs ()) events mid
+          ~slices:(slices_0, slices_0 + slices_mid)
+          ~instants:(instants_0, instants_0 + instants_mid)
+          ~close:false;
+        if tail_first then write_tail bytes);
+      (fun bytes ->
+        walk bytes second_runs second max_int
+          ~slices:(slices_0 + slices_mid, instants_0)
+          ~instants:(instants_0 + instants_mid, tail_0)
+          ~close:true;
+        if not tail_first then write_tail bytes);
+    ]
 
 (* ---------- ftrace-style text ---------- *)
 

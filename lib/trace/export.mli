@@ -52,7 +52,10 @@ val add_meta : doc -> pid:int -> tid:int -> name:string -> value:string -> unit
 (** {2 Documents} *)
 
 (** Full Chrome trace-event JSON document ([{"traceEvents": [...]}]).
-    [spans] (default true) includes the derived latency spans. *)
+    [spans] (default true) includes the derived latency spans.  Where
+    [Domain.recommended_domain_count ()] is above 1, a helper domain writes
+    the second half of the document beside the caller, and is joined
+    before this returns or raises; the bytes do not depend on it. *)
 val chrome_json : ?spans:bool -> Event.t list -> string
 
 (** Ftrace-style text. *)

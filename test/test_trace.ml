@@ -800,6 +800,52 @@ let gen_export_events =
     (frequency [ (2, int_range 0 40); (1, int_range 41 500) ])
     (map3 (fun ts cpu kind -> { E.ts; cpu; kind }) ts cpu gen_kind)
 
+(* Traces built around the event at [List.length / 2], where the Chrome
+   export splits its filling walk in two: [k] events, then run slices
+   opened on several cpus, the middle event, then as many events again (or
+   one fewer).  The middle event closes a slice (preempt or block of the
+   running pid, idle, a switch to idle), opens one, or is any kind at all;
+   it often shares its timestamp with the instant before it.  Also the
+   0-, 1- and 2-event traces. *)
+let gen_split_events =
+  let open QCheck.Gen in
+  let* nr_cpus = int_range 1 8 in
+  let step = frequency [ (3, return 0); (2, int_range 1 50) ] in
+  let event ts cpu kind = { E.ts; cpu; kind } in
+  let any = map2 (event 0) (int_range 0 (nr_cpus - 1)) gen_kind in
+  let* tiny = frequency [ (1, return true); (5, return false) ] in
+  if tiny then list_size (int_range 0 2) any
+  else
+    let* before = list_size (int_range 0 20) any in
+    let* running = list_repeat nr_cpus (int_range 0 5) in
+    let* cpu = int_range 0 (nr_cpus - 1) in
+    let pid = List.nth running cpu in
+    let* middle =
+      oneof
+        [
+          return (E.Preempt { pid });
+          return (E.Block { pid });
+          return E.Idle;
+          map (fun prev -> E.Sched_switch { prev; next = None }) (opt (int_range 0 5));
+          map (fun pid -> E.Dispatch { pid }) (int_range 0 5);
+          gen_kind;
+        ]
+    in
+    let prefix = before @ List.mapi (fun cpu pid -> event 0 cpu (E.Dispatch { pid })) running in
+    let k = List.length prefix in
+    let* after = list_repeat k any in
+    let* after = if k > 0 then oneofl [ after; List.tl after ] else return after in
+    (* nondecreasing timestamps, a step of 0 sharing the one before *)
+    let* steps = list_repeat (k + 1 + List.length after) step in
+    let ts = ref 0 in
+    return
+      (List.map2
+         (fun (ev : E.t) step ->
+           ts := !ts + step;
+           { ev with ts = !ts })
+         (prefix @ (event 0 cpu middle :: after))
+         steps)
+
 let prop_writers_match_printf events =
   let same what got expected =
     if got <> expected then
@@ -1197,8 +1243,9 @@ let () =
           ("ftrace text format", `Quick, test_ftrace_export_format);
           ("format parsing", `Quick, test_format_of_string_roundtrip);
           ("event names follow the constructors", `Quick, test_event_names);
-          qtest ~count:300 "writers = the Printf renderer, byte for byte"
-            (QCheck.make ~print:print_events gen_export_events)
+          qtest ~count:600 "writers = the Printf renderer, byte for byte"
+            (QCheck.make ~print:print_events
+               (QCheck.Gen.frequency [ (1, gen_export_events); (1, gen_split_events) ]))
             prop_writers_match_printf;
         ] );
       ( "sanitizer-clean",
