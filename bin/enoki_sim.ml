@@ -324,8 +324,8 @@ let bisect_arg =
     value & flag
     & info [ "bisect" ]
         ~doc:
-          "On divergence, binary-search the log for the minimal failing prefix and show the \
-           first divergent call with surrounding context.")
+          "On divergence, report the minimal failing prefix of the log and show the first \
+           divergent call with surrounding context.")
 
 let run_cmd =
   let run sched workload load cores trace_path trace_format sanitize seed fault_plan

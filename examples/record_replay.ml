@@ -1,9 +1,12 @@
 (* Record and replay (§3.4): stream a binary record log of a run to disk,
-   replay it against the identical scheduler code at "userspace" — on real
-   OS threads, with every lock admitting threads in the recorded order —
-   and validate the replies.  A wrong-scheduler replay diverges, and
-   bisection pinpoints the first divergent call; a recording with ring
-   drops is refused instead of silently validating against holes.
+   replay it against the identical scheduler code at "userspace" and
+   validate the replies.  The simulator makes one module call at a time,
+   so the log is one total order that agrees with every lock's recorded
+   acquisition order: the replay feeds the calls back in log order, on one
+   thread, and gives the same verdict every run.  A wrong-scheduler replay
+   diverges, and bisection pinpoints the first divergent call; a recording
+   with ring drops is refused instead of silently validating against
+   holes.
 
      dune exec examples/record_replay.exe *)
 

@@ -4,17 +4,21 @@
     safe Rust (here: OCaml), the only nondeterminism left is timing (which
     the kernel supplies in messages, so it is recorded) and the order of
     lock acquisitions.  LibEnoki therefore shims the kernel lock API to log
-    create/acquire/release events; replay re-runs the same scheduler code on
-    real OS threads, with each lock admitting threads in the recorded
-    order.
+    create/acquire/release events.  The paper replays on one OS thread per
+    kernel thread, each lock admitting threads in the recorded order,
+    because real kernel calls overlap.  The simulator makes every call on
+    one thread, one at a time, so the record log is already one total
+    order that agrees with every lock's acquisition order: {!Replay} feeds
+    the calls back in log order under [Passthrough], and the lock events
+    stay in the log as the record of that interleaving.
 
     Scheduler modules must guard all shared state with these locks (as the
     paper's schedulers guard theirs with the kernel spinlock wrappers).
 
-    Modes are domain-local: the simulator runs in [Passthrough] (or
-    [Record]); the replay harness switches to [Replay].  Each domain has
-    its own mode, trace tap, and lock-id sequence, so the bench harness
-    can run independent machines in parallel domains. *)
+    Modes are domain-local: the simulator and the replay run in
+    [Passthrough], a recorded run in [Record].  Each domain has its own
+    mode, trace tap, and lock-id sequence, so the bench harness can run
+    independent machines in parallel domains. *)
 
 type t
 
@@ -32,8 +36,8 @@ val op_byte : op -> int
 val op_of_byte : int -> op option
 
 (** [create ()] allocates a lock.  Ids are assigned in creation order,
-    which is how replay pairs locks with their recorded history (the paper
-    assumes locks are created in the same order during replay). *)
+    which is how a log's lock events name their locks (the paper assumes
+    locks are created in the same order during replay). *)
 val create : ?name:string -> unit -> t
 
 val id : t -> int
@@ -42,10 +46,7 @@ val name : t -> string
 
 (** [with_lock l f] runs [f] holding [l].
     - Passthrough: runs [f] directly (the simulator is single-threaded).
-    - Record: logs acquire/release events around [f].
-    - Replay: blocks the calling OS thread until it is this thread's turn
-      per the recorded acquisition order, then runs [f] under a real
-      mutex. *)
+    - Record: logs acquire/release events around [f]. *)
 val with_lock : t -> (unit -> 'a) -> 'a
 
 (** [locked l f s a b c d] is [with_lock l (fun () -> f s a b c d)] without
@@ -53,8 +54,8 @@ val with_lock : t -> (unit -> 'a) -> 'a
     (top-level) function of its state and up to four arguments; pad unused
     ones with [()].  In Passthrough it calls [f] directly, between the
     trace tap's [Acquire] and [Release] when one is set, and allocates
-    nothing itself; in Record and Replay it is exactly [with_lock], so
-    record logs and tapped lock events are identical. *)
+    nothing itself; in Record it is exactly [with_lock], so record logs
+    and tapped lock events are identical. *)
 val locked :
   t -> ('s -> 'a -> 'b -> 'c -> 'd -> 'r) -> 's -> 'a -> 'b -> 'c -> 'd -> 'r
 
@@ -66,27 +67,13 @@ val reset_ids : unit -> unit
     logical kernel-thread id of the current context. *)
 val set_record_mode : sink:(event -> unit) -> tid:(unit -> int) -> unit
 
-(** Enter replay mode: [order] lists, per lock id, the tids in acquisition
-    order; [tid] maps the calling OS thread to its logical tid. *)
-val set_replay_mode : order:(int -> int list) -> tid:(unit -> int) -> unit
-
 val set_passthrough_mode : unit -> unit
 
-(** Release the recorded admission order on every lock created since
-    {!set_replay_mode}: all waiting threads are admitted freely from here
-    on.  The replay harness calls this once a replayed scheduler has
-    diverged from the recording (first reply mismatch, or a stall), since
-    a divergent scheduler may acquire locks a different number of times
-    than the log says and wedge every thread on a turn that never comes. *)
-val abandon_replay_order : unit -> unit
+(** The domain-local lock state (mode, trace tap, id counter) as a
+    first-class value.
 
-(** The domain-local lock state (mode, trace tap, id counter, replay-created
-    locks) as a first-class value.
-
-    Domain-safety contract: {!t} values themselves are plain mutable
-    structures — a given lock must be used from one domain at a time
-    (Passthrough/Record; Replay uses a real mutex and is thread-safe by
-    construction).  The {e ambient} state ({!set_record_mode}, the tap, the
+    Domain-safety contract: a given lock must be used from one domain at a
+    time.  The {e ambient} state ({!set_record_mode}, the tap, the
     id counter) is domain-local, which is right when one domain owns one
     machine for its whole life (the bench pool) but wrong when a machine
     may advance on a different domain each step: the fleet tier captures a
@@ -100,10 +87,10 @@ type ctx
     mode/tap of a previously built machine in the same domain. *)
 val fresh_ctx : unit -> ctx
 
-(** Snapshot the calling domain's current lock state.  The id counter and
-    replay-lock list are aliased, not copied: lock creations that happen
-    while a captured context is installed persist into later installs of
-    the same context. *)
+(** Snapshot the calling domain's current lock state.  The id counter is
+    aliased, not copied: lock creations that happen while a captured
+    context is installed persist into later installs of the same
+    context. *)
 val capture_ctx : unit -> ctx
 
 (** [recapture_ctx held] is [capture_ctx ()], except that it returns
@@ -116,9 +103,9 @@ val recapture_ctx : ctx -> ctx
     [Cluster.Fleet]'s host advance for the pattern. *)
 val install_ctx : ctx -> unit
 
-(** Tracing tap, orthogonal to the record/replay mode: when set, every
-    {!with_lock} reports [Acquire] before running the body and [Release]
-    after (and {!create} reports [Create]), in all three modes.  The
+(** Tracing tap, orthogonal to the mode: when set, every {!with_lock}
+    reports [Acquire] before running the body and [Release] after (and
+    {!create} reports [Create]), in both modes.  The
     schedtrace subsystem uses this to emit lock events the sanitizer
     checks for pairing; [None] (the default) restores the zero-cost path. *)
 val set_trace_tap : (op -> lock_id:int -> unit) option -> unit

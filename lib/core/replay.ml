@@ -7,7 +7,6 @@ type report = {
   threads : int;
   mismatches : (int * string) list;
   wall_seconds : float;
-  order_abandoned : bool;
 }
 
 type info = {
@@ -109,169 +108,88 @@ let info log = fold log ~decode:false ~entry:(fun _ -> ())
 
 (* ---- replay ------------------------------------------------------------- *)
 
-let run_entries (module S : Sched_trait.S) entries =
-  (* per-lock acquisition order, and per-thread call streams *)
-  let lock_order : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let calls_by_tid : (int, (int * Message.call * Message.reply) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun entry ->
-      match entry with
-      | Lock_event { tid; op = Lock.Acquire; lock_id; _ } ->
-        let r =
-          match Hashtbl.find_opt lock_order lock_id with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.add lock_order lock_id r;
-            r
-        in
-        r := tid :: !r
-      | Lock_event _ -> ()
-      | Call { seq; tid; call; reply } ->
-        let r =
-          match Hashtbl.find_opt calls_by_tid tid with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.add calls_by_tid tid r;
-            r
-        in
-        r := (seq, call, reply) :: !r)
-    entries;
-  let order lock_id =
-    match Hashtbl.find_opt lock_order lock_id with Some r -> List.rev !r | None -> []
-  in
-  (* map OS threads to recorded kernel-thread ids *)
-  let tid_table : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let tid_mutex = Mutex.create () in
-  let my_tid () =
-    Mutex.lock tid_mutex;
-    let tid = try Hashtbl.find tid_table (Thread.id (Thread.self ())) with Not_found -> -1 in
-    Mutex.unlock tid_mutex;
-    tid
-  in
-  Lock.reset_ids ();
-  Lock.set_replay_mode ~order ~tid:my_tid;
-  let started = Unix.gettimeofday () in
-  let result =
-    Fun.protect ~finally:Lock.set_passthrough_mode (fun () ->
-        (* identical scheduler code, now constructed at userspace *)
-        let st = S.create (Ctx.inert ()) in
-        let packed = Sched_trait.Packed ((module S), st) in
-        let mismatches = ref [] in
-        let mm_mutex = Mutex.create () in
-        let total = ref 0 in
-        (* A diverged scheduler may acquire locks out of step with the
-           recording, which would wedge the strict admission order forever.
-           Two triggers release the order: the first reply mismatch
-           (divergence proven), and a stall watchdog for wedges that bite
-           before any reply differs.  Honest replays hit neither. *)
-        let abandoned = ref false in
-        let progress = Atomic.make 0 in
-        let finished = Atomic.make false in
-        let abandon () =
-          Mutex.lock mm_mutex;
-          if not !abandoned then begin
-            abandoned := true;
-            Lock.abandon_replay_order ()
-          end;
-          Mutex.unlock mm_mutex
-        in
-        let run_thread (tid, calls) () =
-          Mutex.lock tid_mutex;
-          Hashtbl.replace tid_table (Thread.id (Thread.self ())) tid;
-          Mutex.unlock tid_mutex;
-          List.iter
-            (fun (seq, call, expected) ->
-              let got = Lib_enoki.process packed call in
-              Atomic.incr progress;
-              if not (Message.reply_matches expected got) then begin
-                Mutex.lock mm_mutex;
-                mismatches :=
-                  ( seq,
-                    Printf.sprintf "%s: recorded %s, replayed %s" (Message.call_name call)
-                      (Message.string_of_reply expected) (Message.string_of_reply got) )
-                  :: !mismatches;
-                Mutex.unlock mm_mutex;
-                abandon ()
-              end)
-            calls
-        in
-        let streams =
-          Hashtbl.fold (fun tid r acc -> (tid, List.rev !r) :: acc) calls_by_tid []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        in
-        List.iter (fun (_, calls) -> total := !total + List.length calls) streams;
-        let threads = List.map (fun s -> Thread.create (run_thread s) ()) streams in
-        let watchdog =
-          Thread.create
-            (fun () ->
-              let last = ref (-1) in
-              let stalled = ref 0 in
-              while not (Atomic.get finished) do
-                Thread.delay 0.05;
-                let p = Atomic.get progress in
-                if p = !last then begin
-                  incr stalled;
-                  if !stalled >= 10 then begin
-                    (* half a second with zero calls completing: wedged *)
-                    abandon ();
-                    stalled := 0
-                  end
-                end
-                else begin
-                  last := p;
-                  stalled := 0
-                end
-              done)
-            ()
-        in
-        List.iter Thread.join threads;
-        Atomic.set finished true;
-        Thread.join watchdog;
-        (!total, List.length streams, List.sort compare !mismatches, !abandoned))
-  in
-  let total_calls, threads, mismatches, order_abandoned = result in
-  { total_calls; threads; mismatches; wall_seconds = Unix.gettimeofday () -. started;
-    order_abandoned }
+(* The largest cpu id a call names, or -1: its cpu fields and its allowed
+   masks, so a replay is sized for the machine that was recorded. *)
+let max_cpu : Message.call -> int = function
+  | Pick_next_task { cpu; _ }
+  | Pnt_err { cpu; _ }
+  | Task_blocked { cpu; _ }
+  | Task_preempt { cpu; _ }
+  | Task_yield { cpu; _ }
+  | Task_departed { cpu; _ }
+  | Task_tick { cpu; _ }
+  | Balance { cpu }
+  | Balance_err { cpu; _ } -> cpu
+  | Task_wakeup { waker_cpu; _ } -> waker_cpu
+  | Migrate_task_rq { from_cpu; _ } -> from_cpu
+  | Select_task_rq { waker_cpu; allowed; _ } -> List.fold_left Int.max waker_cpu allowed
+  | Task_affinity_changed { allowed; _ } -> List.fold_left Int.max (-1) allowed
+  | Get_policy | Task_dead _ | Task_new _ | Task_prio_changed _ | Parse_hint _ -> -1
 
+let mismatch call ~expected got =
+  Printf.sprintf "%s: recorded %s, replayed %s" (Message.call_name call)
+    (Message.string_of_reply expected) got
+
+(* The simulator makes every call on one thread, one at a time, so the
+   log is one total order that already agrees with every lock's recorded
+   acquisition order: feeding the calls back in log order replays the
+   recorded interleaving exactly, and the lock events need no action.  A
+   first pass reads the trailer, so a log with drops is refused before
+   anything runs, and sizes the inert context from the cpus the log names;
+   the second feeds each call to the module straight from the decoder. *)
 let run ?(allow_drops = false) (module S : Sched_trait.S) ~log =
-  let entries, info = parse_full log in
+  let started = Profile.now_ns () in
+  let top = ref 0 in
+  let info =
+    fold log ~decode:true ~entry:(function
+      | Call { tid; call; _ } -> top := Int.max !top (Int.max tid (max_cpu call))
+      | Lock_event { tid; _ } -> top := Int.max !top tid)
+  in
   (match info.dropped with
   | Some d when d > 0 && not allow_drops -> raise (Incomplete_log { dropped = d })
   | _ -> ());
-  run_entries (module S) entries
+  let nr_cpus = !top + 1 in
+  let outer = Lock.capture_ctx () in
+  Lock.install_ctx (Lock.fresh_ctx ());
+  Fun.protect ~finally:(fun () -> Lock.install_ctx outer) @@ fun () ->
+  let packed = Sched_trait.Packed ((module S), S.create (Ctx.inert ~nr_cpus ())) in
+  let seen = Array.make nr_cpus false in
+  let threads = ref 0 and total = ref 0 and mismatches = ref [] in
+  let replay_call = function
+    | Lock_event _ -> ()
+    | Call { seq; tid; call; reply = expected } -> (
+      incr total;
+      if not seen.(tid) then begin
+        seen.(tid) <- true;
+        incr threads
+      end;
+      (* a raising call is that call's mismatch; the replay goes on *)
+      match Lib_enoki.process packed call with
+      | got ->
+        if not (Message.reply_matches expected got) then
+          mismatches := (seq, mismatch call ~expected (Message.string_of_reply got)) :: !mismatches
+      | exception e ->
+        mismatches := (seq, mismatch call ~expected ("raised " ^ Printexc.to_string e)) :: !mismatches)
+  in
+  ignore (fold log ~decode:true ~entry:replay_call);
+  {
+    total_calls = !total;
+    threads = !threads;
+    mismatches = List.rev !mismatches;
+    wall_seconds = float_of_int (Profile.now_ns () - started) *. 1e-9;
+  }
 
 (* ---- divergence bisection ----------------------------------------------- *)
 
-let bisect ?(window = 3) (module S : Sched_trait.S) ~log =
-  let entries, _ = parse_full log in
-  let arr = Array.of_list entries in
-  let n = Array.length arr in
-  let prefix k = Array.to_list (Array.sub arr 0 k) in
-  let fails k = (run_entries (module S) (prefix k)).mismatches <> [] in
-  if n = 0 || not (fails n) then None
-  else begin
-    (* binary search for the smallest failing prefix: replay is
-       deterministic (recorded inputs, recorded lock order), so
-       fails is monotone in the prefix length *)
-    let lo = ref 1 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fails mid then hi := mid else lo := mid + 1
-    done;
-    let k = !lo in
-    let seq, detail =
-      match (run_entries (module S) (prefix k)).mismatches with
-      | (seq, detail) :: _ -> (seq, detail)
-      | [] -> (entry_seq arr.(k - 1), "first divergent entry (mismatch details unavailable)")
-    in
-    let lo_i = max 0 (k - 1 - window) and hi_i = min (n - 1) (k - 1 + window) in
-    let context = Array.to_list (Array.sub arr lo_i (hi_i - lo_i + 1)) in
-    Some { failing_prefix = k; seq; detail; context }
-  end
+(* A serial replay of a prefix does exactly what the full replay does up to
+   its end, so the first mismatch of one full replay ends the minimal
+   failing prefix. *)
+let bisect ?(window = 3) sched ~log =
+  match (run ~allow_drops:true sched ~log).mismatches with
+  | [] -> None
+  | (seq, detail) :: _ ->
+    let context = List.filter (fun e -> abs (entry_seq e - seq) <= window) (parse log) in
+    Some { failing_prefix = seq; seq; detail; context }
 
 (* ---- reporting ---------------------------------------------------------- *)
 
@@ -292,6 +210,4 @@ let pp_report fmt r =
         Format.fprintf fmt "@\n  entry %d: %s" seq detail;
         show (n - 1) rest
     in
-    show 5 ms);
-  if r.order_abandoned then
-    Format.fprintf fmt "@\n  (recorded lock order released after divergence to keep replay live)"
+    show 5 ms)

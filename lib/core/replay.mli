@@ -1,11 +1,14 @@
 (** The replay half of record-and-replay (§3.4).
 
     Replay consumes a record log and drives the {e same scheduler code} that
-    ran in the kernel, now at userspace, sending the recorded messages in
-    per-kernel-thread order: one real OS thread is created per recorded
-    kernel thread, and {!Lock} admits threads into each critical section in
-    the recorded acquisition order.  Responses are validated against the
-    recorded ones, flagging any divergence to the user.
+    ran in the kernel, now at userspace, and validates each reply against
+    the recorded one, flagging any divergence to the user.  The paper runs
+    one OS thread per recorded kernel thread, with each lock admitting
+    threads in the recorded order, because real kernel calls overlap.  The
+    simulator makes every call on one thread, one at a time, so the log is
+    already one total order that agrees with every lock's recorded
+    acquisition order: replay feeds the calls to one module instance in
+    log order, which is the recorded interleaving, and is deterministic.
 
     The log is {!Record}'s one format: {!Record.magic}, then one frame per
     entry, then a trailer frame.  Entry [seq] numbers are 1-based frame
@@ -17,18 +20,13 @@ type entry =
 
 type report = {
   total_calls : int;
-  threads : int;
+  threads : int;  (** recorded kernel threads (distinct tids) that made calls *)
   mismatches : (int * string) list;
       (** (log position, description) for every reply diverging from the
-          recording, in log order.  The first mismatch is produced under
-          the recorded lock order and is authoritative; once divergence is
-          established the order is released (see [order_abandoned]), so
-          later mismatches are advisory. *)
+          recording, in log order; a call that raised is a mismatch whose
+          description names the exception.  Later mismatches may follow
+          from the first, since the module's state has diverged. *)
   wall_seconds : float;
-  order_abandoned : bool;
-      (** the replayed scheduler diverged far enough (reply mismatch or a
-          lock-admission wedge) that the recorded lock order was released
-          to keep the replay live *)
 }
 
 (** What the log header/trailer says about a recording, without decoding
@@ -52,8 +50,9 @@ exception Incomplete_log of { dropped : int }
 exception Malformed_log of { pos : int; reason : string }
 
 (** The result of {!bisect}: [failing_prefix] is the length of the minimal
-    diverging prefix, [seq]/[detail] name the first divergent call, and
-    [context] is a window of log entries around it. *)
+    diverging prefix, [seq]/[detail] name the first divergent call (so
+    [failing_prefix = seq]), and [context] is a window of log entries
+    around it. *)
 type divergence = { failing_prefix : int; seq : int; detail : string; context : entry list }
 
 (** Parse a record log.  Raises {!Malformed_log} on corrupt input; a log
@@ -67,18 +66,17 @@ val parse_full : string -> entry list * info
 val info : string -> info
 
 (** [run (module S) ~log] replays the log against a fresh instance of [S]
-    built with an inert context.  Raises {!Incomplete_log} if the trailer
-    records dropped events, unless [allow_drops] is set. *)
+    built with an inert context of [1 +] the largest cpu id the log names
+    (in its tids, or in its calls' cpu fields and allowed masks).  The
+    replay runs under a fresh Passthrough {!Lock} context; the caller's is
+    restored after.  Raises {!Incomplete_log}, before anything runs, if
+    the trailer records dropped events, unless [allow_drops] is set. *)
 val run : ?allow_drops:bool -> (module Sched_trait.S) -> log:string -> report
 
-(** Replay an already-parsed entry list (no drop check — the caller has the
-    {!info} if it wants one). *)
-val run_entries : (module Sched_trait.S) -> entry list -> report
-
-(** [bisect (module S) ~log] delta-debugs a diverging log: binary-searches
-    for the minimal failing prefix and reports the first divergent call
-    with [window] entries of context either side (default 3).  [None] if
-    the full log replays clean.  Costs O(log n) replays. *)
+(** [bisect (module S) ~log] finds the minimal failing prefix of a
+    diverging log: one replay (without the drop check), whose first
+    mismatch ends it, reported with [window] entries of context either
+    side (default 3).  [None] if the full log replays clean. *)
 val bisect : ?window:int -> (module Sched_trait.S) -> log:string -> divergence option
 
 (** One-line rendering of an entry, for context printing. *)

@@ -47,13 +47,20 @@ let get_byte c =
   c.pos <- c.pos + 1;
   b
 
+(* The rest of a varint whose bits below [shift] are in [acc]. *)
+let rec get_uint_from c shift acc =
+  let b = get_byte c in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else get_uint_from c (shift + 7) acc
+
+(* Most fields (tids, cpus, pids, opcodes) fit in one byte, which is read
+   here, [get_byte] written out, with no call and no closure: decoding a
+   record log is mostly this function. *)
 let get_uint c =
-  let rec go shift acc =
-    let b = get_byte c in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+  if c.pos >= String.length c.src then raise Truncated;
+  let b = Char.code (String.unsafe_get c.src c.pos) in
+  c.pos <- c.pos + 1;
+  if b land 0x80 = 0 then b else get_uint_from c 7 (b land 0x7f)
 
 let get_int c =
   let n = get_uint c in

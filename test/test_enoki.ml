@@ -173,37 +173,43 @@ let test_lock_record_events () =
     check Alcotest.int "tid recorded" 3 b.Enoki.Lock.tid
   | _ -> Alcotest.fail "expected 3 events")
 
+(* [balance] answers the cpu of the previous [balance] call (-1 for the
+   first), so a replay's replies match the recording only if its calls
+   run in the order they were recorded *)
+module Last_balancer = struct
+  include Schedulers.Fifo_sched
+
+  let order = ref []
+
+  let create ctx =
+    order := [];
+    Schedulers.Fifo_sched.create ctx
+
+  let balance _ ~cpu =
+    let prev = match !order with c :: _ -> c | [] -> -1 in
+    order := cpu :: !order;
+    prev
+end
+
 let test_lock_replay_order () =
-  (* two threads must acquire in the recorded order 2;1;2 *)
-  Enoki.Lock.reset_ids ();
-  let table = Hashtbl.create 4 in
-  let table_mu = Mutex.create () in
-  let my_tid () =
-    Mutex.lock table_mu;
-    let v = try Hashtbl.find table (Thread.id (Thread.self ())) with Not_found -> -1 in
-    Mutex.unlock table_mu;
-    v
-  in
-  Enoki.Lock.set_replay_mode ~order:(fun _ -> [ 2; 1; 2 ]) ~tid:my_tid;
-  let l = Enoki.Lock.create () in
-  let log = ref [] and log_mu = Mutex.create () in
-  let work tid n () =
-    Mutex.lock table_mu;
-    Hashtbl.replace table (Thread.id (Thread.self ())) tid;
-    Mutex.unlock table_mu;
-    for _ = 1 to n do
-      Enoki.Lock.with_lock l (fun () ->
-          Mutex.lock log_mu;
-          log := tid :: !log;
-          Mutex.unlock log_mu)
-    done
-  in
-  let t1 = Thread.create (work 1 1) () in
-  let t2 = Thread.create (work 2 2) () in
-  Thread.join t1;
-  Thread.join t2;
-  Enoki.Lock.set_passthrough_mode ();
-  check Alcotest.(list int) "recorded order enforced" [ 2; 1; 2 ] (List.rev !log)
+  (* kernel threads 2 and 1 take one lock in the order 2;1;2: a log-order
+     replay runs their calls in that order, with no admission machinery *)
+  let record = Enoki.Record.create () in
+  let tap op tid = Enoki.Record.tap_lock record { Enoki.Lock.lock_id = 0; op; tid } in
+  tap Enoki.Lock.Create 0;
+  ignore
+    (List.fold_left
+       (fun prev tid ->
+         tap Enoki.Lock.Acquire tid;
+         Enoki.Record.tap_call record ~tid (Enoki.Message.Balance { cpu = tid })
+           (Enoki.Message.R_pid_opt prev);
+         tap Enoki.Lock.Release tid;
+         tid)
+       (-1) [ 2; 1; 2 ]);
+  let report = Enoki.Replay.run (module Last_balancer) ~log:(Enoki.Record.contents record) in
+  check Alcotest.(list (pair int string)) "replies matched" [] report.Enoki.Replay.mismatches;
+  check Alcotest.int "two kernel threads" 2 report.Enoki.Replay.threads;
+  check Alcotest.(list int) "recorded order replayed" [ 2; 1; 2 ] (List.rev !Last_balancer.order)
 
 (* [Lock.locked] with a closed function: no closure, no allocation *)
 let add_into acc a b c d = acc := !acc + a + b + c + d
@@ -1113,6 +1119,66 @@ let test_bisect_pinpoints_injected_wrong_reply () =
     check Alcotest.bool "minimal failing prefix found" true (d.Enoki.Replay.failing_prefix >= 1);
     check Alcotest.bool "context window populated" true (d.Enoki.Replay.context <> [])
 
+let record_wfq_pingpong () =
+  Enoki.Lock.set_passthrough_mode ();
+  let record = Enoki.Record.create () in
+  let b =
+    Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
+      (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+  in
+  pingpong_workload b ~iters:100;
+  M.run_for b.machine (Kernsim.Time.ms 200);
+  Enoki.Record.contents record
+
+let test_replay_sized_from_log () =
+  (* a 16-cpu recording names cpus past the inert context's default of 8 *)
+  Enoki.Lock.set_passthrough_mode ();
+  let record = Enoki.Record.create ~capacity:(1 lsl 18) () in
+  let b =
+    Workloads.Setup.build ~record
+      ~topology:(Kernsim.Topology.create ~cores:16 ~cores_per_llc:16 ~cores_per_node:16)
+      (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+  in
+  let p =
+    {
+      (Workloads.Schbench.default_params ~seed:1 ()) with
+      warmup = Kernsim.Time.ms 5;
+      duration = Kernsim.Time.ms 20;
+    }
+  in
+  ignore (Workloads.Schbench.run b p);
+  check Alcotest.int "nothing dropped" 0 (Enoki.Record.dropped record);
+  let report = Enoki.Replay.run (module Schedulers.Wfq) ~log:(Enoki.Record.contents record) in
+  check Alcotest.bool "calls from cpus past 8" true (report.Enoki.Replay.threads > 8);
+  check Alcotest.(list (pair int string)) "all replies matched" [] report.Enoki.Replay.mismatches
+
+let test_replay_reports_raising_call () =
+  let log = record_wfq_pingpong () in
+  let clean = Enoki.Replay.run (module Schedulers.Wfq) ~log in
+  check Alcotest.(list (pair int string)) "clean replay" [] clean.Enoki.Replay.mismatches;
+  let plan =
+    match Fault.Plan.parse "panic@task_wakeup:after=20,max=1" with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let report = Enoki.Replay.run (Fault.Inject.wrap ~seed:7 ~plan (module Schedulers.Wfq)) ~log in
+  check Alcotest.int "every call replayed" clean.Enoki.Replay.total_calls
+    report.Enoki.Replay.total_calls;
+  match report.Enoki.Replay.mismatches with
+  | [] -> Alcotest.fail "a panicking module replayed clean"
+  | (_, detail) :: _ ->
+    check Alcotest.bool
+      (Printf.sprintf "first mismatch names the exception: %s" detail)
+      true
+      (contains detail "replayed raised Fault.Plan.Injected")
+
+let test_diverging_replay_deterministic () =
+  let log = record_wfq_pingpong () in
+  let mismatches () = (Enoki.Replay.run (module Schedulers.Shinjuku) ~log).Enoki.Replay.mismatches in
+  let first = mismatches () in
+  check Alcotest.bool "diverges" true (first <> []);
+  check Alcotest.(list (pair int string)) "same mismatches twice" first (mismatches ())
+
 let test_streaming_record_memory_bounded () =
   let path = Filename.temp_file "enoki" ".rec" in
   let record = Enoki.Record.create_file ~path ~capacity:4096 () in
@@ -1294,5 +1360,10 @@ let () =
           Alcotest.test_case "memory/file logs byte-identical" `Quick
             test_stream_equivalence_across_schedulers;
           Alcotest.test_case "malformed logs rejected" `Quick test_malformed_logs_rejected;
+          Alcotest.test_case "replay sized from the log" `Quick test_replay_sized_from_log;
+          Alcotest.test_case "raising call is its mismatch" `Quick
+            test_replay_reports_raising_call;
+          Alcotest.test_case "diverging replay is deterministic" `Quick
+            test_diverging_replay_deterministic;
         ] );
     ]
