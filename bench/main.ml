@@ -1118,24 +1118,45 @@ let pipe_cell ?(tracer = false) ?(metrics = false) ?(profile = false) ~runs kind
 
 (* Steady-state event loop at fixed queue depth: [depth] self-rescheduling
    events, each firing re-arms itself one horizon ahead, so the queue
-   holds exactly [depth] events throughout. *)
-let speed_core_cycle backend ~depth ~cycles =
-  let sim = Kernsim.Sim.create ~backend () in
+   holds exactly [depth] events throughout.  A functor over the queue
+   would call it indirectly, so the reference copy below is written out:
+   both time direct calls. *)
+let per_event run dispatched =
+  let a0 = Profile.allocated_bytes () in
+  let (), wall = timed run in
+  let bytes = Profile.allocated_bytes () -. a0 in
+  let n = float_of_int (dispatched ()) in
+  (wall *. 1e9 /. n, bytes /. n)
+
+let speed_core_cycle ~depth ~cycles =
+  let module S = Kernsim.Sim in
+  let sim = S.create () in
   let remaining = ref cycles in
   let rec fire () =
     if !remaining > 0 then begin
       decr remaining;
-      Kernsim.Sim.after sim ~delay:(depth * 100) fire
+      S.after sim ~delay:(depth * 100) fire
     end
   in
   for i = 1 to depth do
-    Kernsim.Sim.at sim ~time:(i * 100) fire
+    S.at sim ~time:(i * 100) fire
   done;
-  let a0 = Profile.allocated_bytes () in
-  let (), wall = timed (fun () -> Kernsim.Sim.run sim) in
-  let bytes = Profile.allocated_bytes () -. a0 in
-  let n = float_of_int (Kernsim.Sim.dispatched sim) in
-  (wall *. 1e9 /. n, bytes /. n)
+  per_event (fun () -> S.run sim) (fun () -> S.dispatched sim)
+
+let reference_core_cycle ~depth ~cycles =
+  let module S = Reference.Sim in
+  let sim = S.create () in
+  let remaining = ref cycles in
+  let rec fire () =
+    if !remaining > 0 then begin
+      decr remaining;
+      S.after sim ~delay:(depth * 100) fire
+    end
+  in
+  for i = 1 to depth do
+    S.at sim ~time:(i * 100) fire
+  done;
+  per_event (fun () -> S.run sim) (fun () -> S.dispatched sim)
 
 let speed_core_depths = [ 1; 64; 512; 4096; 32768 ]
 
@@ -1171,12 +1192,12 @@ let speed_rows () =
   in
   let cycles = if !quick then 200_000 else 1_000_000 in
   (* interleaved pairs, best of each, so transient host noise hits both
-     backends alike *)
+     queues alike *)
   let measure depth =
     let best = ref (infinity, 0., infinity, 0.) in
     for _ = 1 to if !quick then 1 else 3 do
-      let p_ns, p_b = speed_core_cycle `Pid_heap ~depth ~cycles in
-      let h_ns, h_b = speed_core_cycle `Heap ~depth ~cycles in
+      let p_ns, p_b = speed_core_cycle ~depth ~cycles in
+      let h_ns, h_b = reference_core_cycle ~depth ~cycles in
       let bp, _, bh, _ = !best in
       best := (Float.min bp p_ns, p_b, Float.min bh h_ns, h_b)
     done;

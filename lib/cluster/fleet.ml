@@ -100,11 +100,14 @@ type host = {
   mutable bl_until : ns;
 }
 
+(* what a server task spends taking a request off the ingress queue,
+   before the request's own service time *)
+let dispatch_overhead = Kernsim.Time.us 2
+
 type t = {
   epoch : ns;
   warmup : ns;
   queue_cap : int;
-  dispatch_overhead : ns;
   recovery : ns;
   observe : bool;  (* false = never measure: the no-observability baseline *)
   pool : Ds.Domain_pool.t option;  (* epoch-parallel host advance *)
@@ -168,7 +171,7 @@ let worker_beh t host =
               ctx.T.now
           | None -> ())
         | None -> ());
-        T.Compute (t.dispatch_overhead + service)
+        T.Compute (dispatch_overhead + service)
       end
     end
     else begin
@@ -217,7 +220,7 @@ let ingress t host () =
     | None -> ());
     (match t.anat with
     | Some _ ->
-      fx_add host.fx fx_anat_enq req tenant arrived (t.dispatch_overhead + service) (M.now m)
+      fx_add host.fx fx_anat_enq req tenant arrived (dispatch_overhead + service) (M.now m)
     | None -> ());
     M.signal m host.chan
   end
@@ -225,7 +228,7 @@ let ingress t host () =
 let host_label (e : Schedulers.Registry.entry) = e.Schedulers.Registry.name
 
 let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap = 4096)
-    ?(epoch = Kernsim.Time.ms 1) ?(warmup = 0) ?(dispatch_overhead = Kernsim.Time.us 2) ?weights
+    ?(epoch = Kernsim.Time.ms 1) ?(warmup = 0) ?weights
     ?(lb = Lb.Least_outstanding) ?upgrade ?chaos ?(anatomy = false) ?(anatomy_top = 8) ?record
     ?(observe = true) ?pool ~seed ~hosts ~tenants () =
   if hosts = [] then invalid_arg "Fleet.create: no hosts";
@@ -358,7 +361,6 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       epoch;
       warmup;
       queue_cap;
-      dispatch_overhead;
       recovery = (match chaos with Some c -> c.recovery | None -> Kernsim.Time.ms 10);
       observe;
       pool;
@@ -573,8 +575,6 @@ let run t ~until = while t.clock < until do step t ~limit:until done
 
 let clock t = t.clock
 
-let nr_hosts t = Array.length t.hosts
-
 let registry t = t.reg
 
 let anatomy t = t.anat
@@ -583,8 +583,6 @@ let events_dispatched t =
   Array.fold_left (fun n h -> n + M.events_dispatched h.built.Workloads.Setup.machine) 0 t.hosts
 
 let traffic t = t.traffic
-
-let lb t = t.lb
 
 type tenant_stat = {
   tenant : string;

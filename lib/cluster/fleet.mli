@@ -59,7 +59,7 @@ type t
     is split (in fixed order) into the traffic, balancer and fault-plan
     streams.  [workers] server tasks per host pull requests off the host's
     ingress queue ([queue_cap] deep; overflow counts a drop); each request
-    costs [dispatch_overhead] plus its own service time.  Latency
+    costs a 2 us dispatch overhead plus its own service time.  Latency
     histograms only record after [warmup].  A chaos victim must be an
     Enoki-module host.  Raises [Invalid_argument] on an empty [hosts] or
     [tenants], a non-positive [epoch] (the clock could never advance),
@@ -92,7 +92,6 @@ val create :
   ?queue_cap:int ->
   ?epoch:ns ->
   ?warmup:ns ->
-  ?dispatch_overhead:ns ->
   ?weights:int array ->
   ?lb:Lb.policy ->
   ?upgrade:upgrade ->
@@ -120,8 +119,6 @@ val run : t -> until:ns -> unit
 
 val clock : t -> ns
 
-val nr_hosts : t -> int
-
 (** The fleet-level metrics registry (per-tenant / per-host labelled
     series), for export. *)
 val registry : t -> Metrics.Registry.t
@@ -134,8 +131,6 @@ val anatomy : t -> Trace.Anatomy.t option
 val events_dispatched : t -> int
 
 val traffic : t -> Traffic.t
-
-val lb : t -> Lb.t
 
 (** Per-tenant results: total completions/drops/rejects and
     measured-window latency percentiles. *)

@@ -71,8 +71,6 @@ let create ?weights ~policy ~hosts ~seed () =
     picked = Array.init hosts Option.some;
   }
 
-let nr_hosts t = t.n
-
 let any_up t = Array.exists Fun.id t.up
 
 let pick_rr t =
@@ -176,3 +174,7 @@ let admit t i =
 let drained t i =
   check t i "drained";
   not t.up.(i)
+
+module Private = struct
+  let outstanding = outstanding
+end

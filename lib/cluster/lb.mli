@@ -26,8 +26,6 @@ type t
 (** [weights] (default all-1) only matters for [Weighted]. *)
 val create : ?weights:int array -> policy:policy -> hosts:int -> seed:int -> unit -> t
 
-val nr_hosts : t -> int
-
 (** Choose a host for a request with affinity key [key]; [None] iff all
     hosts are drained.  Does not bump the outstanding count — callers pair
     it with {!dispatch}. *)
@@ -38,11 +36,14 @@ val dispatch : t -> int -> unit
 
 val complete : t -> int -> unit
 
-val outstanding : t -> int -> int
-
 (** Take a host out of / back into rotation. *)
 val drain : t -> int -> unit
 
 val admit : t -> int -> unit
 
 val drained : t -> int -> bool
+
+(** For the tests only. *)
+module Private : sig
+  val outstanding : t -> int -> int
+end

@@ -19,11 +19,6 @@ let rate_at a t =
     let on = float_of_int mean_on and off = float_of_int mean_off in
     ((base_rate *. off) +. (burst_rate *. on)) /. (on +. off)
 
-let mean_rate = function
-  | Poisson { rate } -> rate
-  | Diurnal { mean_rate; _ } -> mean_rate
-  | (Burst _) as b -> rate_at b 0
-
 type tenant = {
   name : string;
   arrival : arrival;
@@ -96,7 +91,6 @@ type t = {
   slots : slot array;
   key : int array;
   heap : int array;
-  mutable flows_started : int;
   mutable flows_completed : int;
   mutable requests_emitted : int;
 }
@@ -153,10 +147,9 @@ let rec next_arrival arrival ~conns slot ~from =
    window sizes (nothing global), unique across the run. *)
 let key ~tenant ~slot ~seq = (tenant lsl 54) lor (slot lsl 34) lor (seq land 0x3_FFFF_FFFF)
 
-let open_flow t tn slot =
+let open_flow tn slot =
   slot.flow_seq <- slot.flow_seq + 1;
-  slot.remaining <- flow_len slot.rng ~mean:tn.flow_len_mean;
-  t.flows_started <- t.flows_started + 1
+  slot.remaining <- flow_len slot.rng ~mean:tn.flow_len_mean
 
 (* (k, s) sorts before (k', s') *)
 let lt (k : int) (s : int) k' s' = k < k' || (k = k' && s < s')
@@ -189,7 +182,6 @@ let create ~seed ~start tenants =
       slots = [||];
       key = [||];
       heap = [||];
-      flows_started = 0;
       flows_completed = 0;
       requests_emitted = 0;
     }
@@ -219,7 +211,7 @@ let create ~seed ~start tenants =
               slot.phase_until <-
                 start + exp_gap rng ~rate_per_sec:(1e9 /. float_of_int (max 1 mean_off))
             | _ -> ());
-            open_flow t tn slot;
+            open_flow tn slot;
             slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:start;
             slot))
       tenants
@@ -254,7 +246,7 @@ let pop t emit =
   slot.remaining <- slot.remaining - 1;
   if slot.remaining <= 0 then begin
     t.flows_completed <- t.flows_completed + 1;
-    open_flow t tn slot
+    open_flow tn slot
   end;
   slot.next_at <- next_arrival tn.arrival ~conns:tn.connections slot ~from:arrived;
   sift_down t 0 slot.next_at s;
@@ -278,10 +270,12 @@ let tenant_name t i = t.tenants.(i).name
 
 let nr_tenants t = Array.length t.tenants
 
-let flows_started t = t.flows_started
-
 let flows_completed t = t.flows_completed
 
 let requests_emitted t = t.requests_emitted
 
 let live_flows t = Array.length t.slots
+
+module Private = struct
+  let rate_at = rate_at
+end

@@ -29,13 +29,6 @@ type arrival =
           during exponential on-phases of mean [mean_on], [base_rate]
           otherwise *)
 
-(** Instantaneous rate (req/s) at simulated time [t] — test hook for the
-    diurnal-integral property.  [Burst] reports its time-average. *)
-val rate_at : arrival -> ns -> float
-
-(** Time-average rate in req/s. *)
-val mean_rate : arrival -> float
-
 type tenant = {
   name : string;
   arrival : arrival;
@@ -82,9 +75,6 @@ val tenant_name : t -> int -> string
 
 val nr_tenants : t -> int
 
-(** Flows opened / fully emitted so far. *)
-val flows_started : t -> int
-
 val flows_completed : t -> int
 
 val requests_emitted : t -> int
@@ -92,3 +82,10 @@ val requests_emitted : t -> int
 (** Flows currently open — always exactly the total connection-slot count,
     whatever the churn: the bounded-memory invariant. *)
 val live_flows : t -> int
+
+(** For the tests only. *)
+module Private : sig
+  (** Instantaneous rate (req/s) at simulated time [t] — test hook for the
+      diurnal-integral property.  [Burst] reports its time-average. *)
+  val rate_at : arrival -> ns -> float
+end

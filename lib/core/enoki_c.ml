@@ -857,3 +857,7 @@ let failover_stats (t : t) =
     quarantined = t.quarantined;
     blackout = t.blackout;
   }
+
+module Private = struct
+  let hints_dropped = hints_dropped
+end

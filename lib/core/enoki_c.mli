@@ -81,9 +81,6 @@ val violations : t -> int
     "bad_select_cpu"), most frequent first. *)
 val violation_breakdown : t -> (string * int) list
 
-(** Hints dropped because the user-to-kernel ring was full. *)
-val hints_dropped : t -> int
-
 (** Upgrades performed, most recent first. *)
 val upgrades : t -> Upgrade.stats list
 
@@ -109,3 +106,9 @@ val failover_stats : t -> failover_stats
     last known good module.  [k] receives the result. *)
 val restore :
   t -> pristine:(module Sched_trait.S) -> ((Upgrade.stats, exn) result -> unit) -> unit
+
+(** For the tests only. *)
+module Private : sig
+  (** Hints dropped because the user-to-kernel ring was full. *)
+  val hints_dropped : t -> int
+end

@@ -14,7 +14,7 @@ let op_of_byte = function
   | 2 -> Some Release
   | _ -> None
 
-type t = { lock_id : int; lock_name : string }
+type t = { lock_id : int }
 
 type mode = Passthrough | Record of { sink : event -> unit; tid : unit -> int }
 
@@ -44,7 +44,7 @@ let next_id () = (state ()).ids
 
 let reset_ids () = next_id () := 0
 
-let create ?(name = "lock") () =
+let create () =
   let ids = next_id () in
   let lock_id = !ids in
   incr ids;
@@ -52,11 +52,9 @@ let create ?(name = "lock") () =
   | Record { sink; tid } -> sink { lock_id; op = Create; tid = tid () }
   | Passthrough -> ());
   tap Create lock_id;
-  { lock_id; lock_name = name }
+  { lock_id }
 
 let id t = t.lock_id
-
-let name t = t.lock_name
 
 (* Passthrough runs [f] with no closure built, between the tap's acquire
    and release when a tap is set. *)
@@ -131,3 +129,7 @@ let install_ctx c =
 let set_record_mode ~sink ~tid = (state ()).mode <- Record { sink; tid }
 
 let set_passthrough_mode () = (state ()).mode <- Passthrough
+
+module Private = struct
+  let id = id
+end

@@ -38,11 +38,7 @@ val op_of_byte : int -> op option
 (** [create ()] allocates a lock.  Ids are assigned in creation order,
     which is how a log's lock events name their locks (the paper assumes
     locks are created in the same order during replay). *)
-val create : ?name:string -> unit -> t
-
-val id : t -> int
-
-val name : t -> string
+val create : unit -> t
 
 (** [with_lock l f] runs [f] holding [l].
     - Passthrough: runs [f] directly (the simulator is single-threaded).
@@ -109,3 +105,8 @@ val install_ctx : ctx -> unit
     schedtrace subsystem uses this to emit lock events the sanitizer
     checks for pairing; [None] (the default) restores the zero-cost path. *)
 val set_trace_tap : (op -> lock_id:int -> unit) option -> unit
+
+(** For the tests only. *)
+module Private : sig
+  val id : t -> int
+end

@@ -105,7 +105,7 @@ let close t =
   if not t.closed then begin
     drain t;
     (match t.sink with
-    | Memory _ -> () (* trailer is composed by [contents]/[save] *)
+    | Memory _ -> () (* trailer is composed by [contents] *)
     | Channel oc ->
       Buffer.clear t.scratch;
       add_trailer t t.scratch;
@@ -125,11 +125,6 @@ let contents t =
     Buffer.add_buffer out b;
     add_trailer t out;
     Buffer.contents out
-
-let save t ~path =
-  let data = contents t in
-  let oc = open_out_bin path in
-  Fun.protect (fun () -> output_string oc data) ~finally:(fun () -> close_out oc)
 
 let load_file ~path =
   let ic = open_in_bin path in

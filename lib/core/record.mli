@@ -55,7 +55,4 @@ val close : t -> unit
     those and use {!load_file}. *)
 val contents : t -> string
 
-(** Write {!contents} to [path] (in-memory recorders only). *)
-val save : t -> path:string -> unit
-
 val load_file : path:string -> string

@@ -211,3 +211,9 @@ let pp_report fmt r =
         show (n - 1) rest
     in
     show 5 ms)
+
+module Private = struct
+  let parse = parse
+
+  let parse_full = parse_full
+end

@@ -55,13 +55,6 @@ exception Malformed_log of { pos : int; reason : string }
     around it. *)
 type divergence = { failing_prefix : int; seq : int; detail : string; context : entry list }
 
-(** Parse a record log.  Raises {!Malformed_log} on corrupt input; a log
-    that simply ends mid-frame yields the complete frames (see {!info}). *)
-val parse : string -> entry list
-
-(** {!parse} plus the header/trailer {!info} from the same pass. *)
-val parse_full : string -> entry list * info
-
 (** Header/trailer inspection only — entries are scanned, not decoded. *)
 val info : string -> info
 
@@ -85,3 +78,13 @@ val entry_line : entry -> string
 (** One-line verdict; on mismatch, also the first few divergences with
     their log positions. *)
 val pp_report : Format.formatter -> report -> unit
+
+(** For the tests only. *)
+module Private : sig
+  (** Parse a record log.  Raises {!Malformed_log} on corrupt input; a log
+      that simply ends mid-frame yields the complete frames (see {!info}). *)
+  val parse : string -> entry list
+
+  (** {!parse} plus the header/trailer {!info} from the same pass. *)
+  val parse_full : string -> entry list * info
+end

@@ -25,13 +25,17 @@ let cpu t = if t < 0 then -1 else t land max_cpu
 
 let generation t = if t < 0 then -1 else t lsr (cpu_bits + pid_bits)
 
-let describe t =
-  if t < 0 then "sched(none)"
-  else Printf.sprintf "sched(pid=%d cpu=%d gen=%d)" (pid t) (cpu t) (generation t)
-
-let pp fmt t = Format.pp_print_string fmt (describe t)
-
 module Private = struct
+  let max_pid = max_pid
+
+  let max_cpu = max_cpu
+
+  let max_generation = max_generation
+
+  let describe t =
+    if t < 0 then "sched(none)"
+    else Printf.sprintf "sched(pid=%d cpu=%d gen=%d)" (pid t) (cpu t) (generation t)
+
   let check field v max bits =
     if v < 0 || v > max then
       invalid_arg (Printf.sprintf "Schedulable: %s %d does not fit in %d bits" field v bits)

@@ -39,22 +39,20 @@ val cpu : t -> int
 (** Generation stamp; a newer token for the same pid supersedes this one. *)
 val generation : t -> int
 
-(** Field limits: the largest pid, cpu and generation a token holds. *)
-
-val max_pid : int
-
-val max_cpu : int
-
-val max_generation : int
-
-(** [sched(pid=P cpu=C gen=G)], or [sched(none)]. *)
-val describe : t -> string
-
-val pp : Format.formatter -> t -> unit
-
 (** Framework-internal operations.  Scheduler modules must not call these;
     doing so is the moral equivalent of [unsafe] in the paper's Rust. *)
 module Private : sig
+  (** Field limits: the largest pid, cpu and generation a token holds. *)
+
+  val max_pid : int
+
+  val max_cpu : int
+
+  val max_generation : int
+
+  (** [sched(pid=P cpu=C gen=G)], or [sched(none)]. *)
+  val describe : t -> string
+
   (** Pack a token.  Raises [Invalid_argument] naming the field when a pid,
       cpu or generation is negative or above its limit, so an out-of-range
       value is rejected and never aliases another token. *)

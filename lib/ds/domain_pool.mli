@@ -47,10 +47,6 @@ val size : t -> int
     the remaining tasks still run. *)
 val run : t -> (unit -> unit) array -> unit
 
-(** [map t xs ~f] runs [f] on every element as one batch and returns the
-    results in input order (claim order does not leak). *)
-val map : t -> 'a array -> f:('a -> 'b) -> 'b array
-
 val map_list : t -> 'a list -> f:('a -> 'b) -> 'b list
 
 (** Cumulative [Gc.allocated_bytes] measured inside batch drains across

@@ -1,8 +1,7 @@
 (* A deque specialised to non-negative ints (pids, cpu ids).  The backing
    store is a plain [int array]: pushes never box the element, so hot
    queue traffic (machine channel waiters) is allocation-free in steady
-   state.  -1 is reserved as the "empty" sentinel returned by the pop/peek
-   operations. *)
+   state.  -1 is reserved as the "empty" sentinel returned by [pop_front]. *)
 
 type t = {
   mutable buf : int array;
@@ -36,13 +35,6 @@ let push_back t x =
   t.buf.(index t t.len) <- x;
   t.len <- t.len + 1
 
-let push_front t x =
-  if x < 0 then invalid_arg "Int_deque.push_front: negative element";
-  grow t;
-  t.head <- (t.head - 1) land (Array.length t.buf - 1);
-  t.buf.(t.head) <- x;
-  t.len <- t.len + 1
-
 (* -1 when empty *)
 let pop_front t =
   if t.len = 0 then -1
@@ -52,23 +44,3 @@ let pop_front t =
     t.len <- t.len - 1;
     x
   end
-
-let pop_back t =
-  if t.len = 0 then -1
-  else begin
-    t.len <- t.len - 1;
-    t.buf.(index t t.len)
-  end
-
-let peek_front t = if t.len = 0 then -1 else t.buf.(t.head)
-
-let peek_back t = if t.len = 0 then -1 else t.buf.(index t (t.len - 1))
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.buf.(index t i)
-  done
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0

@@ -182,40 +182,40 @@ module Make (Key : ORDERED) = struct
 
   let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
 
-  let of_list l = List.fold_left (fun t (k, v) -> add k v t) empty l
-
   let nth t i =
     if i < 0 || i >= t.size then invalid_arg "Rbtree.nth";
     match List.nth_opt (to_list t) i with
     | Some kv -> kv
     | None -> invalid_arg "Rbtree.nth"
 
-  let rec no_red_red = function
-    | E | EE -> true
-    | T (R, T (R, _, _, _), _, _) | T (R, _, _, T (R, _, _, _)) -> false
-    | T (_, l, _, r) -> no_red_red l && no_red_red r
+  module Private = struct
+    let rec no_red_red = function
+      | E | EE -> true
+      | T (R, T (R, _, _, _), _, _) | T (R, _, _, T (R, _, _, _)) -> false
+      | T (_, l, _, r) -> no_red_red l && no_red_red r
 
-  let invariant_no_red_red t = no_red_red t.tree
+    let invariant_no_red_red t = no_red_red t.tree
 
-  (* Black height of every path, or None when paths disagree or a transient
-     colour leaked out of deletion. *)
-  let rec black_height = function
-    | E -> Some 1
-    | EE -> None
-    | T (c, l, _, r) -> (
-      match (black_height l, black_height r) with
-      | Some hl, Some hr when hl = hr -> (
-        match c with R -> Some hl | B -> Some (hl + 1) | BB -> None)
-      | _ -> None)
+    (* Black height of every path, or None when paths disagree or a transient
+       colour leaked out of deletion. *)
+    let rec black_height = function
+      | E -> Some 1
+      | EE -> None
+      | T (c, l, _, r) -> (
+        match (black_height l, black_height r) with
+        | Some hl, Some hr when hl = hr -> (
+          match c with R -> Some hl | B -> Some (hl + 1) | BB -> None)
+        | _ -> None)
 
-  let invariant_black_height t = Option.is_some (black_height t.tree)
+    let invariant_black_height t = Option.is_some (black_height t.tree)
 
-  let invariant_ordered t =
-    let l = to_list t in
-    let rec sorted = function
-      | (k1, _) :: ((k2, _) :: _ as rest) ->
-        Key.compare k1 k2 < 0 && sorted rest
-      | [ _ ] | [] -> true
-    in
-    sorted l
+    let invariant_ordered t =
+      let l = to_list t in
+      let rec sorted = function
+        | (k1, _) :: ((k2, _) :: _ as rest) ->
+          Key.compare k1 k2 < 0 && sorted rest
+        | [ _ ] | [] -> true
+      in
+      sorted l
+  end
 end

@@ -50,17 +50,16 @@ module Make (Key : ORDERED) : sig
 
   val to_list : 'a t -> (key * 'a) list
 
-  val of_list : (key * 'a) list -> 'a t
-
   (** [nth t i] is the [i]-th smallest binding; O(n). Raises
       [Invalid_argument] when out of range. *)
   val nth : 'a t -> int -> key * 'a
 
-  (** Internal invariant checks, exposed for the property-based tests. *)
+  (** Internal invariant checks, for the property-based tests. *)
+  module Private : sig
+    val invariant_no_red_red : 'a t -> bool
 
-  val invariant_no_red_red : 'a t -> bool
+    val invariant_black_height : 'a t -> bool
 
-  val invariant_black_height : 'a t -> bool
-
-  val invariant_ordered : 'a t -> bool
+    val invariant_ordered : 'a t -> bool
+  end
 end

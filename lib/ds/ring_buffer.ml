@@ -9,16 +9,8 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring_buffer.create";
   { buf = Array.make capacity None; head = 0; len = 0; dropped = 0 }
 
-let capacity t = Array.length t.buf
-
-let length t = t.len
-
-let is_empty t = t.len = 0
-
-let is_full t = t.len = Array.length t.buf
-
 let push t x =
-  if is_full t then begin
+  if t.len = Array.length t.buf then begin
     t.dropped <- t.dropped + 1;
     false
   end
@@ -39,19 +31,8 @@ let pop t =
     x
   end
 
-let peek t = if t.len = 0 then None else t.buf.(t.head)
-
 let dropped t = t.dropped
 
 let drain t =
   let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in
   go []
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.len <- 0;
-  (* a cleared ring is as-new: stale drop counts from a previous life
-     (e.g. the hint ring surviving a live upgrade) must not leak into the
-     next consumer's accounting *)
-  t.dropped <- 0

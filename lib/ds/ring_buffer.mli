@@ -12,31 +12,11 @@ type 'a t
     elements.  Raises [Invalid_argument] if [capacity <= 0]. *)
 val create : capacity:int -> 'a t
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val is_full : 'a t -> bool
-
 (** [push t x] enqueues [x]; returns [false] (and counts a drop) when full. *)
 val push : 'a t -> 'a -> bool
-
-(** [pop t] dequeues the oldest element. *)
-val pop : 'a t -> 'a option
-
-(** Oldest element without removing it. *)
-val peek : 'a t -> 'a option
 
 (** Number of pushes rejected because the ring was full. *)
 val dropped : 'a t -> int
 
 (** Drain everything currently queued, oldest first. *)
 val drain : 'a t -> 'a list
-
-(** [clear t] empties the ring {e and} resets the drop counter: a cleared
-    ring is indistinguishable from a freshly created one.  Consumers that
-    reuse a ring across epochs (the hint ring across live upgrades, a
-    record ring across runs) rely on [dropped] restarting from zero. *)
-val clear : 'a t -> unit

@@ -2,8 +2,6 @@ type 'a t = { items : 'a array; head : int Atomic.t }
 
 let of_array items = { items; head = Atomic.make 0 }
 
-let of_list xs = of_array (Array.of_list xs)
-
 (* Claim-by-index: one fetch-and-add both picks the slot and publishes the
    claim, so consumers never hand out the same item twice and never spin.
    Indices past the end are burned (the counter keeps growing on empty
@@ -11,13 +9,3 @@ let of_list xs = of_array (Array.of_list xs)
 let pop t =
   let i = Atomic.fetch_and_add t.head 1 in
   if i < Array.length t.items then Some t.items.(i) else None
-
-let pop_index t =
-  let i = Atomic.fetch_and_add t.head 1 in
-  if i < Array.length t.items then Some (i, t.items.(i)) else None
-
-let length t = Array.length t.items
-
-let remaining t = max 0 (Array.length t.items - Atomic.get t.head)
-
-let exhausted t = Atomic.get t.head >= Array.length t.items

@@ -20,20 +20,6 @@ type 'a t
     not copied — the caller must not mutate it afterwards. *)
 val of_array : 'a array -> 'a t
 
-val of_list : 'a list -> 'a t
-
 (** Claim the next item, or [None] once the batch is exhausted.  Safe from
     any domain; each item is handed out exactly once. *)
 val pop : 'a t -> 'a option
-
-(** [pop] that also reports the claimed index (the item's slot in the
-    original batch — useful for writing results into a parallel array). *)
-val pop_index : 'a t -> (int * 'a) option
-
-(** Batch size. *)
-val length : 'a t -> int
-
-(** Items not yet claimed (racy snapshot, for progress reporting). *)
-val remaining : 'a t -> int
-
-val exhausted : 'a t -> bool

@@ -13,7 +13,6 @@ type entry = { pid : int; token : Sched.t; vtime : int; seq : int; inserted_at :
    FIFO, mirroring how the kernel's vtime DSQs are rbtree-backed while FIFO
    DSQs are lists.  The pool's pid index finds a task's entry in O(1). *)
 type t = {
-  name : string;
   id : int; (* [Trace.Event.dsq_index name] *)
   mode : mode;
   pool : Sched.t Q.t;
@@ -54,7 +53,6 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
   in
   let t =
     {
-      name;
       id = Trace.Event.dsq_index name;
       mode;
       pool = Q.create ~dummy:Sched.none;
@@ -63,7 +61,7 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
       seq_of = [||];
       stamp = [||];
       hpos = [||];
-      lock = Enoki.Lock.create ~name:("dsq-" ^ name) ();
+      lock = Enoki.Lock.create ();
       now = ctx.now;
       observe_wait;
       trace = ctx.trace_packed;
@@ -85,8 +83,6 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
       ("dsq_depth_" ^ name) (fun () -> float_of_int (Q.length t.pool))
   | None -> ());
   t
-
-let name t = t.name
 
 let id t = t.id
 
@@ -260,3 +256,11 @@ let to_list t =
   | Vtime ->
     List.init (Heap.length t.heap) (fun i -> entry (Heap.nth t.heap i))
     |> List.sort (fun (a : entry) (b : entry) -> compare (a.vtime, a.seq) (b.vtime, b.seq))
+
+module Private = struct
+  let inserts = inserts
+
+  let consumes = consumes
+
+  let to_list = to_list
+end

@@ -38,8 +38,6 @@ type t
     registry and trace sink (all inert under {!Enoki.Ctx.inert}). *)
 val create : ?mode:mode -> Enoki.Ctx.t -> string -> t
 
-val name : t -> string
-
 (** The queue's name interned by {!Trace.Event.dsq_index}: a small int,
     equal for equal names.  {!Dsq_sched} names its queues uniquely and
     indexes them by it. *)
@@ -52,10 +50,6 @@ val length : t -> int
 val is_empty : t -> bool
 
 (** Lifetime insert/consume counts (trace-visible operations only). *)
-
-val inserts : t -> int
-
-val consumes : t -> int
 
 (** Enqueue a token ([vtime] ignored for ordering in [Fifo] mode).  Emits
     [Dsq_insert] and stamps the entry for the latency histogram.  The
@@ -93,5 +87,12 @@ val requeue : t -> pid:int -> Enoki.Schedulable.t -> into:t -> front:bool -> Eno
 (** The head's token, or {!Enoki.Schedulable.none} when empty. *)
 val peek : t -> Enoki.Schedulable.t
 
-(** Consumption order. *)
-val to_list : t -> entry list
+(** For the tests only. *)
+module Private : sig
+  val inserts : t -> int
+
+  val consumes : t -> int
+
+  (** Consumption order. *)
+  val to_list : t -> entry list
+end

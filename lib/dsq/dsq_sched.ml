@@ -33,7 +33,6 @@ module Api = struct
     running : int array; (* pid running per cpu, by our own picks; -1 = none *)
     ticks : int array; (* ticks since the cpu last dispatched *)
     mutable pending : Sched.t; (* token in flight through P.enqueue, or none *)
-    mutable fallback_inserts : int;
     lock : Enoki.Lock.t;
   }
 
@@ -51,7 +50,7 @@ module Api = struct
       (ctx : Enoki.Ctx.t) =
     (* the adapter's lock is created before the local queues' (lock ids
        follow creation order, and record logs name locks by id) *)
-    let lock = Enoki.Lock.create ~name:"dsq-sched" () in
+    let lock = Enoki.Lock.create () in
     let locals =
       match locals with
       | Some l -> l
@@ -70,7 +69,6 @@ module Api = struct
           (match running with Some r -> r | None -> Array.make ctx.nr_cpus (-1));
         ticks = Array.make ctx.nr_cpus 0;
         pending = Sched.none;
-        fallback_inserts = 0;
         lock;
       }
     in
@@ -82,12 +80,6 @@ module Api = struct
     List.iter (fun (_, d) -> register t d) shared;
     t
 
-  let nr_cpus t = t.ctx.nr_cpus
-
-  let now t = t.ctx.now ()
-
-  let kick t ~cpu = t.ctx.resched ~cpu
-
   let local t ~cpu = t.locals.(cpu)
 
   let is_local t d =
@@ -95,8 +87,6 @@ module Api = struct
     id < Array.length t.local_cpu && t.local_cpu.(id) >= 0 && t.locals.(t.local_cpu.(id)) == d
 
   let queued _t dsq = Dsq.length dsq
-
-  let running t ~cpu = if t.running.(cpu) < 0 then None else Some t.running.(cpu)
 
   let queue t id = match t.by_id.(id) with Some d -> d | None -> assert false
 
@@ -200,7 +190,6 @@ module Api = struct
     done;
     if !longest < 0 then -1 else Sched.pid (Dsq.peek t.locals.(!longest))
 
-  let fallback_inserts t = t.fallback_inserts
 end
 
 module type POLICY = sig
@@ -292,7 +281,6 @@ module Make (P : POLICY) : Enoki.Sched_trait.S = struct
       (* the policy dropped the task: the token's local queue is the
          fallback DSQ, so nothing is ever lost *)
       api.Api.pending <- Sched.none;
-      api.Api.fallback_inserts <- api.Api.fallback_inserts + 1;
       Dsq.insert api.Api.locals.(Sched.cpu tok) ~vtime:0 tok;
       Api.set_where api tk.pid api.Api.locals.(Sched.cpu tok)
     end

@@ -23,20 +23,11 @@ type task = {
   mutable cpu : int;  (** cpu of the task's current/last token *)
 }
 
-val nice_0_load : int
-
 (** [weighted ns ~weight] is [ns] scaled as CFS scales vruntime. *)
 val weighted : int -> weight:int -> int
 
 module Api : sig
   type t
-
-  val nr_cpus : t -> int
-
-  val now : t -> int
-
-  (** Ask the kernel to re-run pick on [cpu] soon. *)
-  val kick : t -> cpu:int -> unit
 
   val local : t -> cpu:int -> Dsq.t
 
@@ -46,8 +37,6 @@ module Api : sig
   val shared_dsq : t -> ?mode:Dsq.mode -> string -> Dsq.t
 
   val queued : t -> Dsq.t -> int
-
-  val running : t -> cpu:int -> int option
 
   (** Route the task in flight (inside [enqueue] only) into [dsq] at
       [task.vtime] (its key in a {!Dsq.Vtime} queue); inserts aimed at
@@ -68,9 +57,6 @@ module Api : sig
 
   val steal_longest_local : t -> cpu:int -> int
 
-  (** Times a policy forgot to insert an enqueued task and the adapter
-      parked it on the fallback (local) queue. *)
-  val fallback_inserts : t -> int
 end
 
 module type POLICY = sig

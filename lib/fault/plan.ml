@@ -151,10 +151,6 @@ let preset_specs =
     );
   ]
 
-let force = function Ok t -> t | Error e -> invalid_arg ("Fault.Plan preset: " ^ e)
-
-let presets = List.map (fun (name, spec) -> (name, force (parse_spec spec))) preset_specs
-
 let parse spec =
   match List.assoc_opt (String.trim spec) preset_specs with
   | Some canned -> parse_spec canned
@@ -181,3 +177,9 @@ let rule_to_string r =
   Buffer.contents buf
 
 let to_string t = String.concat ";" (List.map rule_to_string t)
+
+module Private = struct
+  let presets () =
+    let force = function Ok t -> t | Error e -> invalid_arg ("Fault.Plan preset: " ^ e) in
+    List.map (fun (name, spec) -> (name, force (parse_spec spec))) preset_specs
+end

@@ -60,6 +60,10 @@ val parse : string -> (t, string) result
 (** Round-trips through {!parse}. *)
 val to_string : t -> string
 
-(** Named canned plans ([panic], [wrong-reply], [bad-select], [latency],
-    [wedge], [chaos]) for the CLI and the chaos bench sweep. *)
-val presets : (string * t) list
+(** For the tests only. *)
+module Private : sig
+  (** The named canned plans ([panic], [wrong-reply], [bad-select],
+      [latency], [wedge], [chaos]) that {!parse} accepts by name, each
+      parsed from its spec. *)
+  val presets : unit -> (string * t) list
+end

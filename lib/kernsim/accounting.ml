@@ -1,17 +1,13 @@
-(* Resolved handles for one group: callers on hot paths (the machine's
-   per-segment accounting) resolve once and skip the string hash. [reset]
-   clears cell contents in place, so cached handles stay live across
-   metric-window resets. *)
-type cells = { c_busy : int ref; c_wake : Stats.Histogram.t }
+(* A group's resolved handle is its busy counter itself: callers on hot
+   paths (the machine's per-segment accounting) resolve once and skip the
+   string hash.  [reset] zeroes counters in place, so cached handles stay
+   live across metric-window resets. *)
+type cells = int ref
 
 type t = {
   wakeup : Stats.Histogram.t;
-  wakeup_by_group : (string, Stats.Histogram.t) Hashtbl.t;
   busy_cpu : int array;
   busy_group : (string, int ref) Hashtbl.t;
-  (* one record per group, interned: repeated [cells] resolutions return
-     the same block instead of allocating a fresh pair of handles *)
-  cells_by_group : (string, cells) Hashtbl.t;
   mutable schedules : int;
   mutable migrations : int;
   mutable pick_violations : int;
@@ -21,60 +17,33 @@ type t = {
 let create ~nr_cpus =
   {
     wakeup = Stats.Histogram.create ();
-    wakeup_by_group = Hashtbl.create 16;
     busy_cpu = Array.make nr_cpus 0;
     busy_group = Hashtbl.create 16;
-    cells_by_group = Hashtbl.create 16;
     schedules = 0;
     migrations = 0;
     pick_violations = 0;
     context_switches = 0;
   }
 
-(* Detached handles recording nowhere visible: the machine's group memo
-   starts out pointing here so the hot path never matches an option. *)
-let null_cells () = { c_busy = ref 0; c_wake = Stats.Histogram.create () }
+(* A detached counter: the machine's group memo starts out pointing here
+   so the hot path never matches an option. *)
+let null_cells () = ref 0
 
 let cells t ~group =
-  match Hashtbl.find_opt t.cells_by_group group with
-  | Some c -> c
+  match Hashtbl.find_opt t.busy_group group with
+  | Some r -> r
   | None ->
-    let c_busy =
-      match Hashtbl.find_opt t.busy_group group with
-      | Some r -> r
-      | None ->
-        let r = ref 0 in
-        Hashtbl.add t.busy_group group r;
-        r
-    in
-    let c_wake =
-      match Hashtbl.find_opt t.wakeup_by_group group with
-      | Some h -> h
-      | None ->
-        let h = Stats.Histogram.create () in
-        Hashtbl.add t.wakeup_by_group group h;
-        h
-    in
-    let c = { c_busy; c_wake } in
-    Hashtbl.add t.cells_by_group group c;
-    c
+    let r = ref 0 in
+    Hashtbl.add t.busy_group group r;
+    r
 
-let record_wakeup_fast t c lat =
-  Stats.Histogram.record t.wakeup lat;
-  Stats.Histogram.record c.c_wake lat
+let record_wakeup t lat = Stats.Histogram.record t.wakeup lat
 
-let add_busy_fast t c ~cpu ns =
+let add_busy t c ~cpu ns =
   t.busy_cpu.(cpu) <- t.busy_cpu.(cpu) + ns;
-  let r = c.c_busy in
-  r := !r + ns
-
-let record_wakeup_latency t ~group lat = record_wakeup_fast t (cells t ~group) lat
+  c := !c + ns
 
 let wakeup_latency t = t.wakeup
-
-let wakeup_latency_of_group t group = Hashtbl.find_opt t.wakeup_by_group group
-
-let add_busy t ~cpu ~group ns = add_busy_fast t (cells t ~group) ~cpu ns
 
 let busy_of_cpu t cpu = t.busy_cpu.(cpu)
 
@@ -101,9 +70,8 @@ let context_switches t = t.context_switches
 
 let reset t =
   Stats.Histogram.clear t.wakeup;
-  (* clear in place, not [Hashtbl.reset]: cached {!cells} stay attached *)
-  Hashtbl.iter (fun _ h -> Stats.Histogram.clear h) t.wakeup_by_group;
   Array.fill t.busy_cpu 0 (Array.length t.busy_cpu) 0;
+  (* zero in place, not [Hashtbl.reset]: cached {!cells} stay attached *)
   Hashtbl.iter (fun _ r -> r := 0) t.busy_group;
   t.schedules <- 0;
   t.migrations <- 0;

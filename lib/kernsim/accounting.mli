@@ -7,14 +7,9 @@ type t
 
 val create : nr_cpus:int -> t
 
-(** Wakeup latency: time from a task's wakeup to its next dispatch
-    (what schbench reports). *)
-
-val record_wakeup_latency : t -> group:string -> Time.ns -> unit
-
-(** Resolved per-group handles for hot paths: one string hash at
-    resolution, none per record.  Handles stay attached across {!reset}
-    (reset clears their contents in place). *)
+(** Resolved per-group busy-time handles for hot paths: one string hash
+    at resolution, none per record.  Handles stay attached across
+    {!reset} (reset zeroes them in place). *)
 type cells
 
 val cells : t -> group:string -> cells
@@ -24,18 +19,16 @@ val cells : t -> group:string -> cells
     Records into it are lost by design. *)
 val null_cells : unit -> cells
 
-val record_wakeup_fast : t -> cells -> Time.ns -> unit
+(** Record a wakeup latency: time from a task's wakeup to its next
+    dispatch (what schbench reports). *)
+val record_wakeup : t -> Time.ns -> unit
 
-val add_busy_fast : t -> cells -> cpu:int -> Time.ns -> unit
+(** Charge [ns] of busy time to [cpu] and to the group behind the handle. *)
+val add_busy : t -> cells -> cpu:int -> Time.ns -> unit
 
 val wakeup_latency : t -> Stats.Histogram.t
 
-val wakeup_latency_of_group : t -> string -> Stats.Histogram.t option
-
 (** Busy time per cpu and per accounting group. *)
-
-val add_busy : t -> cpu:int -> group:string -> Time.ns -> unit
-
 val busy_of_cpu : t -> int -> Time.ns
 
 val busy_of_group : t -> string -> Time.ns
@@ -61,6 +54,6 @@ val count_context_switch : t -> unit
 
 val context_switches : t -> int
 
-(** Reset latency histograms and counters but keep identities — used to
-    discard warmup. *)
+(** Reset the latency histogram and counters but keep identities — used
+    to discard warmup. *)
 val reset : t -> unit

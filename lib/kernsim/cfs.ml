@@ -1,17 +1,16 @@
-type params = {
-  sched_latency : Time.ns;
-  min_granularity : Time.ns;
-  wakeup_granularity : Time.ns;
-  numa_imbalance_threshold : int;
-}
+(* Tunables: the Linux values the paper cites. *)
 
-let default_params =
-  {
-    sched_latency = Time.us 6_000;
-    min_granularity = Time.us 750;
-    wakeup_granularity = Time.ms 1;
-    numa_imbalance_threshold = 2;
-  }
+(* target preemption period *)
+let sched_latency = Time.us 6_000
+
+(* minimum slice *)
+let min_granularity = Time.us 750
+
+(* wakeup preemption threshold *)
+let wakeup_granularity = Time.ms 1
+
+(* minimum waiting-task surplus before stealing across NUMA nodes *)
+let numa_imbalance_threshold = 2
 
 (* Linux's sched_prio_to_weight: weight for nice -20 .. 19. *)
 let prio_to_weight =
@@ -52,7 +51,6 @@ type cfs_rq = {
    an unboxed array load, and adopting a task allocates nothing. *)
 type t = {
   ops : Sched_class.kernel_ops;
-  params : params;
   rqs : cfs_rq array;
   (* waiting tasks across every rq: lets [balance] prove "nothing to pull
      anywhere" in O(1) instead of walking the topology's cpu lists on every
@@ -168,23 +166,23 @@ let update_curr t rq (task : Task.t) =
 let sched_slice t rq pid =
   let nr = max 1 (nr_running rq) in
   let period =
-    if nr > t.params.sched_latency / t.params.min_granularity then
-      nr * t.params.min_granularity
-    else t.params.sched_latency
+    if nr > sched_latency / min_granularity then
+      nr * min_granularity
+    else sched_latency
   in
   let load = max 1 (rq_load t rq) in
-  max t.params.min_granularity (period * t.weight.(pid) / load)
+  max min_granularity (period * t.weight.(pid) / load)
 
 let place_entity t rq pid ~newly_woken =
   let floor_v =
     if newly_woken then
-      rq.min_vruntime - calc_delta_fair (t.params.sched_latency / 2) t.weight.(pid)
+      rq.min_vruntime - calc_delta_fair (sched_latency / 2) t.weight.(pid)
     else rq.min_vruntime
   in
   if t.vruntime.(pid) < floor_v then t.vruntime.(pid) <- floor_v;
   (* also bound the deficit: queues whose min_vruntime raced ahead (e.g.
      under a lone low-weight task) must not exile this entity for seconds *)
-  let ceiling = rq.min_vruntime + t.params.sched_latency in
+  let ceiling = rq.min_vruntime + sched_latency in
   if t.vruntime.(pid) > ceiling then t.vruntime.(pid) <- ceiling
 
 (* ---------- placement ---------- *)
@@ -290,7 +288,7 @@ let try_pull t src ~to_cpu ~here ~threshold =
 let remote_pull t ~cpu ~here =
   try_pull t
     (busiest_cpu t ~among:(Topology.all_cpus t.ops.topology) ~excluding:cpu)
-    ~to_cpu:cpu ~here ~threshold:t.params.numa_imbalance_threshold
+    ~to_cpu:cpu ~here ~threshold:numa_imbalance_threshold
 
 let balance_scan t ~cpu rq =
   let topo = t.ops.topology in
@@ -335,7 +333,7 @@ let task_wakeup t (task : Task.t) ~cpu ~waker_cpu =
   (* wakeup preemption: granularity scales with the woken entity's weight,
      as in wakeup_gran() — heavy (high-priority) wakers preempt sooner *)
   if rq.curr >= 0 && has_ent t rq.curr then begin
-    let gran = calc_delta_fair t.params.wakeup_granularity t.weight.(pid) in
+    let gran = calc_delta_fair wakeup_granularity t.weight.(pid) in
     if t.vruntime.(pid) + gran < t.vruntime.(rq.curr) then t.ops.resched_cpu cpu
   end
 
@@ -422,7 +420,7 @@ let migrate_task_rq t (task : Task.t) ~from_cpu ~to_cpu =
      most one latency period of credit or debt: min_vruntime diverges wildly
      between queues dominated by different weights, and letting the raw
      offset travel can exile a task behind a low-weight hog for seconds *)
-  let cap = t.params.sched_latency in
+  let cap = sched_latency in
   let offset = max (-cap) (min cap (t.vruntime.(pid) - from_rq.min_vruntime)) in
   t.vruntime.(pid) <- to_rq.min_vruntime + offset;
   t.rq_cpu.(pid) <- to_cpu;
@@ -503,12 +501,11 @@ let check_consistency t ~hook =
                task.cpu
                (if c >= 0 then string_of_int c else "none")))
 
-let factory ?(params = default_params) ?(debug_checks = false) () : Sched_class.factory =
+let factory ?(debug_checks = false) () : Sched_class.factory =
  fun ops ->
   let t =
     {
       ops;
-      params;
       nr_waiting_total = 0;
       rqs =
         Array.init ops.nr_cpus (fun _ ->

@@ -19,22 +19,16 @@
       busiest run-queue, crossing NUMA nodes only past an imbalance
       threshold.
 
+    The tunables are the Linux values the paper cites: a 6 ms target
+    preemption period, a 0.75 ms minimum slice, a 1 ms wakeup preemption
+    threshold, and a surplus of 2 waiting tasks before a steal crosses NUMA
+    nodes.
+
     This class runs "in the kernel": it pays no Enoki dispatch overhead. *)
-
-(** Tunables, defaulting to the Linux values the paper cites. *)
-type params = {
-  sched_latency : Time.ns;  (** target preemption period, 6 ms *)
-  min_granularity : Time.ns;  (** minimum slice, 0.75 ms *)
-  wakeup_granularity : Time.ns;  (** wakeup preemption threshold, 1 ms *)
-  numa_imbalance_threshold : int;
-      (** minimum waiting-task surplus before stealing across NUMA nodes *)
-}
-
-val default_params : params
 
 (** CFS weight for a nice level in [-20, 19] (NICE_0 = 1024). *)
 val weight_of_nice : int -> int
 
 (** [debug_checks] verifies run-queue/tree consistency after every hook
     (slow; used by the test suite). *)
-val factory : ?params:params -> ?debug_checks:bool -> unit -> Sched_class.factory
+val factory : ?debug_checks:bool -> unit -> Sched_class.factory

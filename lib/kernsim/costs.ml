@@ -44,5 +44,3 @@ let default =
     upgrade_per_task = 3;
     failover = 1_500;
   }
-
-let with_record t = { t with record_msg = (if t.record_msg = 0 then 3_800 else t.record_msg) }

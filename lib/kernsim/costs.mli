@@ -41,6 +41,3 @@ type t = {
 }
 
 val default : t
-
-(** Default costs with the record tap enabled (nonzero [record_msg]). *)
-val with_record : t -> t

@@ -93,8 +93,6 @@ let now t = Sim.now t.sim
 
 let metrics t = t.metrics
 
-let sim_backend t = Sim.backend t.sim
-
 let events_dispatched t = Sim.dispatched t.sim
 
 let find_task t pid =
@@ -158,8 +156,6 @@ let chan t id =
   if id < 0 || id >= t.nr_chans then invalid_arg "Machine: bad channel id";
   t.chans.(id)
 
-let chan_count t id = (chan t id).count
-
 let chan_waiters t id = Ds.Int_deque.length (chan t id).waiters
 
 (* ---------- charging & resched ---------- *)
@@ -207,7 +203,7 @@ let sync_curr t core =
       core.seg_run_start <- now_
     end;
     if now_ > core.seg_busy_from then begin
-      Accounting.add_busy_fast t.metrics (group_cells t task) ~cpu:core.id
+      Accounting.add_busy t.metrics (group_cells t task) ~cpu:core.id
         (now_ - core.seg_busy_from);
       core.seg_busy_from <- now_
     end
@@ -460,7 +456,7 @@ and dispatch t core (task : Task.t) ~prev =
   let run_start = now_ + overhead in
   if task.wake_pending then begin
     task.wake_pending <- false;
-    Accounting.record_wakeup_fast t.metrics (group_cells t task) (run_start - task.last_wake);
+    Accounting.record_wakeup t.metrics (run_start - task.last_wake);
     obs_observe t ~cpu (fun o -> o.o_wakeup_lat) (run_start - task.last_wake)
   end;
   (* the behaviour advances only once the dispatch costs have elapsed;
@@ -560,7 +556,7 @@ let tick t =
 
 (* ---------- construction ---------- *)
 
-let create ?(costs = Costs.default) ?registry ?tracer ?sim_backend ~topology ~classes () =
+let create ?(costs = Costs.default) ?registry ?tracer ~topology ~classes () =
   let nr = Topology.nr_cpus topology in
   let obs =
     Option.map
@@ -579,7 +575,7 @@ let create ?(costs = Costs.default) ?registry ?tracer ?sim_backend ~topology ~cl
         })
       registry
   in
-  let sim = Sim.create ?backend:sim_backend () in
+  let sim = Sim.create () in
   (* placeholder cell, replaced per core below; never armed *)
   let dummy_tm = Sim.timer sim nothing in
   let cores =
@@ -744,15 +740,6 @@ let tasks t =
   in
   collect t (t.next_pid - 1) []
 
-let alive_tasks t =
-  let n = ref 0 in
-  for pid = 1 to t.next_pid - 1 do
-    match Array.unsafe_get t.task_arr pid with
-    | Some (task : Task.t) -> if task.state <> Task.Dead then incr n
-    | None -> ()
-  done;
-  !n
-
 let set_nice t ~pid ~nice =
   let task = get_task t pid in
   task.nice <- nice;
@@ -820,16 +807,14 @@ let run_until t until = Sim.run_until t.sim ~until
 
 let run_for t d = Sim.run_until t.sim ~until:(Sim.now t.sim + d)
 
-let run_to_completion t = Sim.run t.sim
-
 let spawn = spawn
 
 let new_chan = new_chan
 
-let chan_count = chan_count
-
 let chan_waiters = chan_waiters
 
-let cpu_idle = cpu_idle
+module Private = struct
+  let set_nice = set_nice
 
-let class_of_policy = class_of_policy
+  let set_policy = set_policy
+end

@@ -10,7 +10,10 @@
     Scheduler classes are given in priority order: the first class with a
     runnable task for a cpu wins the pick, which is how an Enoki scheduler
     coexists with (and cedes idle cycles to) CFS, as in §5.4's co-location
-    experiment.  A task's [policy] field is an index into this list. *)
+    experiment.  A task's [policy] field is an index into this list.
+
+    Every event of a machine (segment ends, timers, wakeups, ticks) runs
+    on one {!Sim}, which owns the machine's clock. *)
 
 type t
 
@@ -26,24 +29,17 @@ type ns = Time.ns
     machine then keeps schedule/context-switch/migration counters, a
     wakeup-latency histogram, and runqueue-depth / busy-idle gauge probes
     in it — recording never charges simulated time, so an attached
-    registry cannot change scheduling decisions.  [sim_backend] selects
-    the event-queue backend (default: [`Pid_heap], int event slots in a
-    {!Ds.Pid_heap}; [`Heap] is the boxed reference heap); both backends
-    dispatch identical event streams (see [test_core_equiv]). *)
+    registry cannot change scheduling decisions. *)
 val create :
   ?costs:Costs.t ->
   ?registry:Metrics.Registry.t ->
   ?tracer:Trace.Tracer.t ->
-  ?sim_backend:Sim.backend ->
   topology:Topology.t ->
   classes:Sched_class.factory list ->
   unit ->
   t
 
 val topology : t -> Topology.t
-
-(** Which event-queue backend this machine's simulator runs on. *)
-val sim_backend : t -> Sim.backend
 
 (** Simulator events dispatched so far — the denominator for the
     events/sec and bytes/event figures in [bench speed]. *)
@@ -57,9 +53,6 @@ val metrics : t -> Accounting.t
 
 (** Allocate a wait channel (counting semaphore) for task behaviours. *)
 val new_chan : t -> int
-
-(** Pending un-consumed signals on a channel. *)
-val chan_count : t -> int -> int
 
 (** Tasks currently blocked on a channel. *)
 val chan_waiters : t -> int -> int
@@ -80,18 +73,8 @@ val find_task : t -> int -> Task.t option
 (** All tasks ever spawned, in pid order. *)
 val tasks : t -> Task.t list
 
-val alive_tasks : t -> int
-
-(** Renice a live task; forwards [task_prio_changed] to its class. *)
-val set_nice : t -> pid:int -> nice:int -> unit
-
 (** Change a live task's allowed cpus; forwards [task_affinity_changed]. *)
 val set_affinity : t -> pid:int -> int list option -> unit
-
-(** Move a task to another scheduler class: the old class gets
-    [task_departed] (returning any Schedulable it held, in the Enoki case)
-    and the new class adopts the task through [task_new]. *)
-val set_policy : t -> pid:int -> policy:int -> unit
 
 (** Schedule an arbitrary callback into the simulation (used by benches to
     trigger live upgrades or metric-window resets mid-run). *)
@@ -103,11 +86,13 @@ val run_until : t -> ns -> unit
 (** [run_for t d] advances by [d] from the current clock. *)
 val run_for : t -> ns -> unit
 
-(** Run until no events remain (all tasks exited or blocked forever). *)
-val run_to_completion : t -> unit
+(** For the tests only. *)
+module Private : sig
+  (** Renice a live task; forwards [task_prio_changed] to its class. *)
+  val set_nice : t -> pid:int -> nice:int -> unit
 
-(** The instantiated class for a policy id. *)
-val class_of_policy : t -> int -> Sched_class.t
-
-(** Per-cpu idle check (true when nothing is dispatched on the cpu). *)
-val cpu_idle : t -> int -> bool
+  (** Move a task to another scheduler class: the old class gets
+      [task_departed] (returning any Schedulable it held, in the Enoki case)
+      and the new class adopts the task through [task_new]. *)
+  val set_policy : t -> pid:int -> policy:int -> unit
+end

@@ -5,24 +5,17 @@
     increasing sequence number breaks ties), which makes whole simulations
     deterministic.
 
-    Two interchangeable queue backends exist.  The default, [`Pid_heap],
-    keeps each event in a small-int slot (time, sequence number, heap
-    position and callback columns) ordered by a {!Ds.Pid_heap}, the
-    primitive under every run queue: O(log n) insert, pop and cancel,
-    and no allocation once the slot columns have grown to the peak queue
-    depth.  [`Heap] is the original boxed binary heap, kept as the
-    semantic reference: both dispatch the exact same event stream for the
-    same calls (see [test_core_equiv]). *)
+    Each event is a small-int slot (time, sequence number, heap position
+    and callback columns) ordered by a {!Ds.Pid_heap}, the primitive
+    under every run queue: O(log n) insert, pop and cancel, and no
+    allocation once the slot columns have grown to the peak queue depth.
+    The tests hold the dispatch order equal to a boxed binary heap kept
+    under [test/reference/] on generated scripts, and the golden digests
+    pin every registry scheduler's full event stream. *)
 
 type t
 
-type backend = [ `Heap | `Pid_heap ]
-
-(** [create ()] uses the [`Pid_heap] backend; pass [~backend:`Heap] for
-    the reference heap. *)
-val create : ?backend:backend -> unit -> t
-
-val backend : t -> backend
+val create : unit -> t
 
 val now : t -> Time.ns
 
@@ -37,16 +30,15 @@ val at : t -> time:Time.ns -> (unit -> unit) -> unit
 val after : t -> delay:Time.ns -> (unit -> unit) -> unit
 
 (** A reusable cancellable event cell.  One allocation at {!timer} time
-    (on the default backend the timer owns one slot for life);
-    re-arming and firing are allocation-free there, and {!cancel}
+    (the timer owns one slot for life); re-arming and firing are
+    allocation-free, and {!cancel}
     actually removes the event instead of leaving a tombstone to be
     dead-dispatched. *)
 type timer
 
 (** [timer t f] makes a detached timer that runs [f] when it fires.
     The cell is tied to [t]: arming or cancelling it on another
-    simulator is a bug, which raises [Invalid_argument] on the default
-    backend and across backends. *)
+    simulator is a bug, which raises [Invalid_argument]. *)
 val timer : t -> (unit -> unit) -> timer
 
 (** Arm (or re-arm, replacing the previous arm) at an absolute time,
@@ -61,9 +53,6 @@ val arm_after : t -> timer -> delay:Time.ns -> unit
 (** Disarm; no-op when not armed. *)
 val cancel : t -> timer -> unit
 
-(** True while armed and not yet fired. *)
-val timer_pending : timer -> bool
-
 (** Run events until the clock passes [until] or the queue empties.
     Events scheduled exactly at [until] are executed. *)
 val run_until : t -> until:Time.ns -> unit
@@ -71,8 +60,15 @@ val run_until : t -> until:Time.ns -> unit
 (** Run until the event queue is empty. *)
 val run : t -> unit
 
-val pending : t -> int
-
 (** Number of events dispatched so far — the denominator for events/sec
     and bytes/event in [bench speed]. *)
 val dispatched : t -> int
+
+(** Queue state, for the tests only. *)
+module Private : sig
+  (** True while armed and not yet fired. *)
+  val timer_pending : timer -> bool
+
+  (** Events queued. *)
+  val pending : t -> int
+end

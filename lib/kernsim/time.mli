@@ -19,7 +19,4 @@ val to_ms : ns -> float
 
 val to_sec : ns -> float
 
-(** Human-readable rendering with an adaptive unit (e.g. "3.6us"). *)
-val pp : Format.formatter -> ns -> unit
-
 val to_string : ns -> string

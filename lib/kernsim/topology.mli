@@ -18,18 +18,10 @@ val two_socket : t
 
 val nr_cpus : t -> int
 
-val node_of : t -> int -> int
-
-val llc_of : t -> int -> int
-
 (** All cpus in the same NUMA node as [cpu], including [cpu]. *)
 val node_cpus : t -> int -> int list
 
 (** All cpus sharing [cpu]'s last-level cache, including [cpu]. *)
 val llc_cpus : t -> int -> int list
-
-val same_node : t -> int -> int -> bool
-
-val same_llc : t -> int -> int -> bool
 
 val all_cpus : t -> int list

@@ -83,8 +83,7 @@ let csv_cell s =
   end
 
 (* Inverse of one row of [csv]: split a line into cells, honouring
-   RFC-4180 quoting.  Used by the round-trip tests and any downstream
-   tooling that wants the labelled column names back. *)
+   RFC-4180 quoting.  Used by the round-trip tests. *)
 let csv_split line =
   let n = String.length line in
   let cells = ref [] in
@@ -165,7 +164,7 @@ let percentiles_json h =
       ("p999", p 99.9);
     ]
 
-let json_summary ?(extra = []) reg =
+let json_summary reg =
   let counters = ref [] and gauges = ref [] and histograms = ref [] in
   Registry.iter reg (fun ~name ~help:_ v ->
       match v with
@@ -173,12 +172,11 @@ let json_summary ?(extra = []) reg =
       | Registry.Gauge_v g -> gauges := (name, Json.Float g) :: !gauges
       | Registry.Histogram_v h -> histograms := (name, percentiles_json h) :: !histograms);
   Json.Obj
-    (extra
-    @ [
-        ("counters", Json.Obj (List.rev !counters));
-        ("gauges", Json.Obj (List.rev !gauges));
-        ("histograms", Json.Obj (List.rev !histograms));
-      ])
+    [
+      ("counters", Json.Obj (List.rev !counters));
+      ("gauges", Json.Obj (List.rev !gauges));
+      ("histograms", Json.Obj (List.rev !histograms));
+    ]
 
 type format = Prometheus | Csv | Json_summary
 
@@ -199,3 +197,9 @@ let save ~path ?sampler format reg =
   in
   let oc = open_out path in
   Fun.protect (fun () -> output_string oc contents) ~finally:(fun () -> close_out oc)
+
+module Private = struct
+  let csv_cell = csv_cell
+
+  let csv_split = csv_split
+end

@@ -10,26 +10,15 @@
     [_sum]/[_count], the shape [histogram_quantile()] expects. *)
 val prometheus : Registry.t -> string
 
-(** CSV time series of the sampler's snapshots: one row per tick, one
-    column per metric (union across ticks; metrics created mid-run leave
-    early cells empty).  Labelled series names (which embed commas and
-    quotes) are RFC-4180-quoted in the header so they survive as single
-    columns. *)
-val csv : Sampler.t -> string
-
-(** RFC-4180 cell quoting as applied to the CSV header: quotes the cell
-    when it contains a comma, quote, or newline, doubling embedded
-    quotes.  [csv_cell "n{a=\"x\"}"] is ["\"n{a=\"\"x\"\"}\""]. *)
-val csv_cell : string -> string
-
-(** Split one CSV line back into cells, honouring {!csv_cell} quoting:
-    [csv_split (String.concat "," (List.map csv_cell cells)) = cells]. *)
-val csv_split : string -> string list
-
-(** JSON summary: every counter and gauge, plus
-    count/min/max/mean/p50/p95/p99/p999 per histogram. *)
-val json_summary : ?extra:(string * Json.t) list -> Registry.t -> Json.t
-
+(** The formats {!save} writes:
+    - [Prometheus]: {!prometheus};
+    - [Csv]: a time series of the sampler's snapshots, one row per tick
+      and one column per metric (union across ticks; metrics created
+      mid-run leave early cells empty).  Labelled series names (which
+      embed commas and quotes) are RFC-4180-quoted in the header so they
+      survive as single columns;
+    - [Json_summary]: every counter and gauge, plus
+      count/min/max/mean/p50/p95/p99/p999 per histogram. *)
 type format = Prometheus | Csv | Json_summary
 
 (** Pick a format from a path extension: [.prom] / [.csv] / anything
@@ -38,3 +27,14 @@ val format_of_path : string -> format
 
 (** Render [format] and write it to [path].  [Csv] requires the sampler. *)
 val save : path:string -> ?sampler:Sampler.t -> format -> Registry.t -> unit
+
+module Private : sig
+  (** RFC-4180 cell quoting as applied to the CSV header: quotes the cell
+      when it contains a comma, quote, or newline, doubling embedded
+      quotes.  [csv_cell "n{a=\"x\"}"] is ["\"n{a=\"\"x\"\"}\""]. *)
+  val csv_cell : string -> string
+
+  (** Split one CSV line back into cells, honouring {!csv_cell} quoting:
+      [csv_split (String.concat "," (List.map csv_cell cells)) = cells]. *)
+  val csv_split : string -> string list
+end

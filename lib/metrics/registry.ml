@@ -1,6 +1,6 @@
 type counter = { c_shards : int array }
 
-type gauge = { mutable g_value : float; mutable g_probe : (unit -> float) option }
+type gauge = { mutable probe : unit -> float }
 
 type histogram = { h_shards : Stats.Histogram.t array }
 
@@ -17,8 +17,6 @@ type t = {
 let create ?(nr_cpus = 1) () =
   if nr_cpus <= 0 then invalid_arg "Registry.create: nr_cpus must be positive";
   { nr = nr_cpus; tbl = Hashtbl.create 64; order = [] }
-
-let nr_cpus t = t.nr
 
 let register t ~help name make shape_name extract =
   match Hashtbl.find_opt t.tbl name with
@@ -128,15 +126,15 @@ let counter t ?(help = "") name =
     "counter"
     (function Counter c -> Some c | _ -> None)
 
-let gauge t ?(help = "") name =
-  register t ~help name
-    (fun () -> Gauge { g_value = 0.0; g_probe = None })
-    "gauge"
-    (function Gauge g -> Some g | _ -> None)
-
-let gauge_probe t ?help name f =
-  let g = gauge t ?help name in
-  g.g_probe <- Some f
+(* re-registering a probe under its name replaces the probe *)
+let gauge_probe t ?(help = "") name f =
+  let g =
+    register t ~help name
+      (fun () -> Gauge { probe = f })
+      "gauge"
+      (function Gauge g -> Some g | _ -> None)
+  in
+  g.probe <- f
 
 let histogram t ?(help = "") name =
   register t ~help name
@@ -152,15 +150,11 @@ let incr c ~cpu =
   let i = shard c.c_shards cpu in
   c.c_shards.(i) <- c.c_shards.(i) + 1
 
-let set g v = g.g_value <- v
-
 let observe h ~cpu v = Stats.Histogram.record h.h_shards.(shard h.h_shards cpu) v
 
 (* ---------- reading ---------- *)
 
 let counter_value c = Array.fold_left ( + ) 0 c.c_shards
-
-let gauge_value g = match g.g_probe with Some f -> f () | None -> g.g_value
 
 let merged h =
   let dst = Stats.Histogram.create () in
@@ -174,14 +168,15 @@ type value =
 
 let value_of = function
   | Counter c -> Counter_v (counter_value c)
-  | Gauge g -> Gauge_v (gauge_value g)
+  | Gauge g -> Gauge_v (g.probe ())
   | Histogram h -> Histogram_v (merged h)
 
 let iter t f =
   List.iter (fun e -> f ~name:e.name ~help:e.help (value_of e.metric)) (List.rev t.order)
 
-let find_counter t name =
-  match Hashtbl.find_opt t.tbl name with Some { metric = Counter c; _ } -> Some c | _ -> None
-
 let find_histogram t name =
   match Hashtbl.find_opt t.tbl name with Some { metric = Histogram h; _ } -> Some h | _ -> None
+
+module Private = struct
+  let split = split
+end

@@ -7,8 +7,8 @@
     - {b counters}: monotonically increasing integers, sharded per cpu so
       hot paths touch only their own slot (context switches, migrations,
       boundary crossings, panics);
-    - {b gauges}: point-in-time floats, either set explicitly or computed
-      by a probe at read time (runqueue depth, tracer ring drops);
+    - {b gauges}: point-in-time floats computed by a probe at read time
+      (runqueue depth, tracer ring drops);
     - {b histograms}: per-cpu-sharded log-linear latency histograms
       (reusing {!Stats.Histogram}) merged at read time (wakeup latency,
       per-callback latency, request latency).
@@ -32,13 +32,9 @@ type t
 
 type counter
 
-type gauge
-
 type histogram
 
 val create : ?nr_cpus:int -> unit -> t
-
-val nr_cpus : t -> int
 
 (** Get-or-create by name.  Re-registering an existing name returns the
     existing metric; a name registered under a different shape raises
@@ -56,18 +52,10 @@ val labeled : string -> (string * string) list -> string
 (** The name with any label block stripped: [base_name (labeled n ls) = n]. *)
 val base_name : string -> string
 
-(** Inverse of {!labeled}: [split (labeled n ls) = (n, ls)], unescaping the
-    label values.  A name without a block splits to [(name, [])]; a
-    malformed block degrades to the stripped base name with no labels
-    rather than raising.  Exporters use this for label parity across the
-    Prometheus, CSV and JSON paths. *)
-val split : string -> string * (string * string) list
-
 val counter : t -> ?help:string -> string -> counter
 
-val gauge : t -> ?help:string -> string -> gauge
-
-(** A gauge evaluated on demand: the probe runs at sample/export time. *)
+(** A gauge evaluated on demand: the probe runs at sample/export time.
+    Registering a probe again under its name replaces the probe. *)
 val gauge_probe : t -> ?help:string -> string -> (unit -> float) -> unit
 
 val histogram : t -> ?help:string -> string -> histogram
@@ -78,15 +66,9 @@ val histogram : t -> ?help:string -> string -> histogram
 
 val incr : counter -> cpu:int -> unit
 
-val set : gauge -> float -> unit
-
 val observe : histogram -> cpu:int -> int -> unit
 
 (** Reading. *)
-
-val counter_value : counter -> int
-
-val gauge_value : gauge -> float
 
 (** Merge the per-cpu shards into a fresh histogram (the shards are
     untouched). *)
@@ -100,6 +82,13 @@ type value =
 (** Iterate name/help/current value in registration order. *)
 val iter : t -> (name:string -> help:string -> value -> unit) -> unit
 
-val find_counter : t -> string -> counter option
-
 val find_histogram : t -> string -> histogram option
+
+module Private : sig
+  (** Inverse of {!labeled}: [split (labeled n ls) = (n, ls)], unescaping the
+      label values.  A name without a block splits to [(name, [])]; a
+      malformed block degrades to the stripped base name with no labels
+      rather than raising.  Exporters use this for label parity across the
+      Prometheus, CSV and JSON paths. *)
+  val split : string -> string * (string * string) list
+end

@@ -14,8 +14,6 @@ let create ?(interval = default_interval) reg =
   if interval <= 0 then invalid_arg "Sampler.create: interval must be positive";
   { reg; ival = interval; samples = []; ticks = 0; hooks = [] }
 
-let interval t = t.ival
-
 let on_flush t f = t.hooks <- t.hooks @ [ f ]
 
 let snapshot reg =

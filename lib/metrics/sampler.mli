@@ -16,7 +16,6 @@ val create : ?interval:int -> Registry.t -> t
 (** Default interval when [create] is not given one: 10 ms. *)
 val default_interval : int
 
-val interval : t -> int
 
 (** Run [f ~ts] at every sampler tick, after the snapshot is taken. *)
 val on_flush : t -> (ts:int -> unit) -> unit

@@ -75,13 +75,3 @@ let table_rows t =
       ])
     rs
 
-(* Zero the cells in place rather than dropping them, so cells a caller
-   resolved with [cell] stay live; [rows] skips the empty ones. *)
-let clear t =
-  Hashtbl.iter
-    (fun _ (c : cell) ->
-      c.count <- 0;
-      c.sim_ns <- 0;
-      c.wall_ns <- 0)
-    t.cells;
-  t.total <- 0

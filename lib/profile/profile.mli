@@ -41,7 +41,7 @@ val allocated_bytes : unit -> float
 (** One (scheduler, callback) row's accumulator.  {!cell} finds or makes
     it by name (a tuple key, two string hashes); a caller resolves it once
     and then records every crossing with {!record_cell}, which allocates
-    nothing.  A cell stays valid across {!clear}. *)
+    nothing. *)
 type cell
 
 val cell : t -> sched:string -> call:string -> cell
@@ -62,6 +62,3 @@ val rows : t -> row list
 val table_header : string list
 
 val table_rows : t -> string list list
-
-(** Reset every row to zero crossings. *)
-val clear : t -> unit

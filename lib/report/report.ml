@@ -67,8 +67,6 @@ let kv pairs =
       pairs;
     flush stdout
 
-let fmt_f v = Printf.sprintf "%g" v
-
 let fmt_f1 v = Printf.sprintf "%.1f" v
 
 let fmt_f2 v = Printf.sprintf "%.2f" v

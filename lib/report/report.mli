@@ -16,8 +16,6 @@ val table : header:string list -> string list list -> unit
     of multi-line values stay aligned under the value column. *)
 val kv : (string * string) list -> unit
 
-val fmt_f : float -> string
-
 (** Format with a fixed number of decimals. *)
 val fmt_f1 : float -> string
 

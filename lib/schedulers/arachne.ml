@@ -30,7 +30,7 @@ let create (ctx : Enoki.Ctx.t) =
     assigned = Array.make ctx.nr_cpus None;
     runtime_pid = None;
     desired = 0;
-    lock = Enoki.Lock.create ~name:"arbiter" ();
+    lock = Enoki.Lock.create ();
   }
 
 let get_policy t = t.ctx.policy
@@ -221,9 +221,5 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
   | Some (Arbiter_state { activations; assigned; runtime_pid; desired }) ->
-    { ctx; activations; assigned; runtime_pid; desired; lock = Enoki.Lock.create ~name:"arbiter" () }
+    { ctx; activations; assigned; runtime_pid; desired; lock = Enoki.Lock.create () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "arachne: unrecognised transfer state")
-
-let granted_cores t = Enoki.Lock.with_lock t.lock (fun () -> granted t)
-
-let slot_of_cpu t ~cpu = Enoki.Lock.with_lock t.lock (fun () -> t.assigned.(cpu))

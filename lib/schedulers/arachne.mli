@@ -14,9 +14,3 @@
     when the runtime relays the reclaim. *)
 
 include Enoki.Sched_trait.S
-
-(** Cores currently granted. *)
-val granted_cores : t -> int
-
-(** Activation slot running on a cpu, if any. *)
-val slot_of_cpu : t -> cpu:int -> int option

@@ -24,7 +24,6 @@ type t = {
   ents : (int, ent) Hashtbl.t;
   run_pid : int array; (* per-cpu running pid, -1 = none *)
   run_dl : int array; (* and its deadline *)
-  mutable misses : int;
   lock : Enoki.Lock.t;
 }
 
@@ -43,8 +42,7 @@ let create (ctx : Enoki.Ctx.t) =
     ents = Hashtbl.create 64;
     run_pid = Array.make ctx.nr_cpus (-1);
     run_dl = Array.make ctx.nr_cpus 0;
-    misses = 0;
-    lock = Enoki.Lock.create ~name:"edf" ();
+    lock = Enoki.Lock.create ();
   }
 
 let get_policy t = t.ctx.policy
@@ -183,7 +181,6 @@ let pick_next_task_locked t cpu curr () () =
     let sched = unqueue t e in
     t.run_pid.(cpu) <- pid;
     t.run_dl.(cpu) <- deadline;
-    if deadline < t.ctx.now () then t.misses <- t.misses + 1;
     sched
   end
   else begin
@@ -239,12 +236,14 @@ let reregister_prepare t = Some (Edf_state t)
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Edf_state old) -> { old with ctx; misses = 0; lock = Enoki.Lock.create ~name:"edf" () }
+  | Some (Edf_state old) -> { old with ctx; lock = Enoki.Lock.create () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "edf: unrecognised transfer state")
-
-let deadline_misses t = t.misses
 
 let relative_deadline_of t ~pid =
   match Hashtbl.find_opt t.ents pid with
   | Some e when e.relative <> default_relative_deadline -> Some e.relative
   | Some _ | None -> None
+
+module Private = struct
+  let relative_deadline_of = relative_deadline_of
+end

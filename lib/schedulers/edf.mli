@@ -13,11 +13,8 @@
 
 include Enoki.Sched_trait.S
 
-val default_relative_deadline : Kernsim.Time.ns
-
-(** Completed dispatches whose deadline had already passed when the task
-    got the cpu. *)
-val deadline_misses : t -> int
-
-(** The relative deadline currently registered for a task, if hinted. *)
-val relative_deadline_of : t -> pid:int -> Kernsim.Time.ns option
+(** For the tests only. *)
+module Private : sig
+  (** The relative deadline currently registered for a task, if hinted. *)
+  val relative_deadline_of : t -> pid:int -> Kernsim.Time.ns option
+end

@@ -7,6 +7,3 @@
     scheduler the quickstart example builds. *)
 
 include Enoki.Sched_trait.S
-
-(** Queue length on one cpu (tests observe placement through this). *)
-val queue_length : t -> cpu:int -> int

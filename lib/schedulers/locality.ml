@@ -12,7 +12,6 @@ type t = {
   pid_cpu : (int, int) Hashtbl.t; (* last placement, for stability *)
   group_cpu : (int, int) Hashtbl.t;
   mutable next_group_cpu : int;
-  mutable hints_seen : int;
   rng : Stats.Prng.t;
   lock : Enoki.Lock.t;
 }
@@ -30,9 +29,8 @@ let create (ctx : Enoki.Ctx.t) =
     pid_cpu = Hashtbl.create 64;
     group_cpu = Hashtbl.create 16;
     next_group_cpu = 0;
-    hints_seen = 0;
     rng = Stats.Prng.create ~seed:0x10c;
-    lock = Enoki.Lock.create ~name:"locality-rq" ();
+    lock = Enoki.Lock.create ();
   }
 
 let get_policy t = t.ctx.policy
@@ -172,7 +170,6 @@ let parse_hint t ~pid:_ ~hint =
   match hint with
   | Hints.Locality { pid; group } ->
     Enoki.Lock.with_lock t.lock (fun () ->
-        t.hints_seen <- t.hints_seen + 1;
         Hashtbl.replace t.pid_group pid group;
         if not (Hashtbl.mem t.group_cpu group) then
           Hashtbl.replace t.group_cpu group (select_group_cpu t))
@@ -198,7 +195,3 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
     let next_group_cpu = Hashtbl.length group_cpu mod max 1 ctx.nr_cpus in
     { (create ctx) with queues; running; pid_group; group_cpu; next_group_cpu }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "locality: unrecognised transfer state")
-
-let cpu_of_group t ~group = Hashtbl.find_opt t.group_cpu group
-
-let hints_seen t = t.hints_seen

@@ -10,9 +10,3 @@
     Table 6. *)
 
 include Enoki.Sched_trait.S
-
-(** Core currently hosting a locality group, if assigned. *)
-val cpu_of_group : t -> group:int -> int option
-
-(** Number of hints applied so far. *)
-val hints_seen : t -> int

@@ -26,7 +26,7 @@ let create (ctx : Enoki.Ctx.t) =
     running = Array.make ctx.nr_cpus (-1);
     last_used = Array.make ctx.nr_cpus min_int;
     nest = [ 0 ];
-    lock = Enoki.Lock.create ~name:"nest" ();
+    lock = Enoki.Lock.create ();
   }
 
 let get_policy t = t.ctx.policy
@@ -209,7 +209,11 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
   | Some (Nest_state { queues; running; last_used; nest }) ->
-    { ctx; queues; running; last_used; nest; lock = Enoki.Lock.create ~name:"nest" () }
+    { ctx; queues; running; last_used; nest; lock = Enoki.Lock.create () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "nest: unrecognised transfer state")
 
 let nest_cpus t = Enoki.Lock.with_lock t.lock (fun () -> List.sort_uniq Int.compare t.nest)
+
+module Private = struct
+  let nest_cpus = nest_cpus
+end

@@ -15,8 +15,8 @@
 
 include Enoki.Sched_trait.S
 
-(** Cores currently in the primary nest. *)
-val nest_cpus : t -> int list
-
-(** How long an unused core stays warm before leaving the nest. *)
-val warmth_timeout : Kernsim.Time.ns
+(** For the tests only. *)
+module Private : sig
+  (** Cores currently in the primary nest. *)
+  val nest_cpus : t -> int list
+end

@@ -40,7 +40,7 @@ let create (ctx : Enoki.Ctx.t) =
     run_pid = Array.make ctx.nr_cpus (-1);
     run_prio = Array.make ctx.nr_cpus 0;
     seq = 0;
-    lock = Enoki.Lock.create ~name:"rt" ();
+    lock = Enoki.Lock.create ();
   }
 
 let get_policy t = t.ctx.policy
@@ -236,7 +236,5 @@ let reregister_prepare t = Some (Rt_state t)
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Rt_state old) -> { old with ctx; lock = Enoki.Lock.create ~name:"rt" () }
+  | Some (Rt_state old) -> { old with ctx; lock = Enoki.Lock.create () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "rt-fifo: unrecognised transfer state")
-
-let queue_length t ~cpu = Heap.length t.heaps.(cpu)

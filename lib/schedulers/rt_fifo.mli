@@ -10,6 +10,3 @@
     the test suite asserts that, since it is the defining behaviour. *)
 
 include Enoki.Sched_trait.S
-
-(** Waiting tasks on one cpu. *)
-val queue_length : t -> cpu:int -> int

@@ -63,3 +63,9 @@ module P = struct
 end
 
 include Dsq_sched.Make (P)
+
+module Private = struct
+  let promote_after = promote_after
+
+  let pick_source = pick_source
+end

@@ -26,7 +26,7 @@ let make (ctx : Enoki.Ctx.t) ~slice =
     q = Q.create ~dummy:Sched.none;
     running = Array.make ctx.nr_cpus (-1);
     rr_cpu = 0;
-    lock = Enoki.Lock.create ~name:"shinjuku-q" ();
+    lock = Enoki.Lock.create ();
   }
 
 let create ctx = make ctx ~slice:default_slice
@@ -177,5 +177,3 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   | None -> create ctx
   | Some (Shinjuku_state (q, running)) -> { (create ctx) with q; running }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "shinjuku: unrecognised transfer state")
-
-let queue_depth t = Q.length t.q

@@ -15,9 +15,6 @@
 
 include Enoki.Sched_trait.S
 
-(** Global queue depth. *)
-val queue_depth : t -> int
-
 (** Default preemption slice (10 us, as in §4.2.2). *)
 val default_slice : Kernsim.Time.ns
 

@@ -46,7 +46,7 @@ let name = "wfq"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    lock = Enoki.Lock.create ~name:"wfq-rq" ();
+    lock = Enoki.Lock.create ();
     rqs =
       Array.init ctx.nr_cpus (fun _ ->
           { heap = Heap.create (); min_vruntime = 0; running = -1; ticks_since_dispatch = 0 });
@@ -337,9 +337,15 @@ let reregister_prepare t = Some (Wfq_state t)
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Wfq_state old) -> { old with ctx; lock = Enoki.Lock.create ~name:"wfq-rq" () }
+  | Some (Wfq_state old) -> { old with ctx; lock = Enoki.Lock.create () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "wfq: unrecognised transfer state")
 
 let queue_length t ~cpu = nr_queued t.rqs.(cpu)
 
 let vruntime_of t ~pid = if known t pid then Some t.vruntime.(pid) else None
+
+module Private = struct
+  let queue_length = queue_length
+
+  let vruntime_of = vruntime_of
+end

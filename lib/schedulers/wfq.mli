@@ -15,8 +15,11 @@
 
 include Enoki.Sched_trait.S
 
-(** Waiting tasks queued on one cpu (tests observe stealing through it). *)
-val queue_length : t -> cpu:int -> int
+(** For the tests only. *)
+module Private : sig
+  (** Waiting tasks queued on one cpu (tests observe stealing through it). *)
+  val queue_length : t -> cpu:int -> int
 
-(** Current vruntime of a task, if known. *)
-val vruntime_of : t -> pid:int -> int option
+  (** Current vruntime of a task, if known. *)
+  val vruntime_of : t -> pid:int -> int option
+end

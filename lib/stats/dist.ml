@@ -8,7 +8,6 @@ type t =
   | Pareto of { alpha : float; la : float; ha : float }
   | Lognormal of { mu : float; sigma : float }
   | Mixture of { weights : float array; parts : t array; total : float }
-  | Zipf of { cdf : float array }
 
 (* [Prng.float], scaled here so the float stays local *)
 let[@inline] unit_float rng = float_of_int (Prng.bits53 rng) *. 0x1p-53
@@ -49,15 +48,6 @@ let[@inline] draw t rng =
     let u2 = unit_float rng in
     let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
     exp (mu +. (sigma *. z))
-  | Zipf { cdf } ->
-    let u = unit_float rng in
-    (* binary search for the first cdf entry >= u *)
-    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) < u then lo := mid + 1 else hi := mid
-    done;
-    float_of_int !lo
   | Mixture _ -> assert false
 
 let sample t rng = draw (leaf t rng) rng
@@ -93,26 +83,6 @@ let mixture parts =
       total;
     }
 
-let discrete pairs = mixture (List.map (fun (w, v) -> (w, constant v)) pairs)
-
-let zipf ~n ~s =
-  if n <= 0 then invalid_arg "Dist.zipf";
-  (* Precomputed inverse-CDF table; exact for the modest n workloads use. *)
-  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** s)) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let cdf = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i w ->
-      acc := !acc +. (w /. total);
-      cdf.(i) <- !acc)
-    weights;
-  Zipf { cdf }
-
-let mean_of_samples t rng ~n =
-  if n <= 0 then invalid_arg "Dist.mean_of_samples";
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. sample t rng
-  done;
-  !acc /. float_of_int n
+module Private = struct
+  let constant = constant
+end

@@ -14,9 +14,6 @@ val sample : t -> Prng.t -> float
     want an integer (a service time in ns) draw with this. *)
 val sample_int : t -> Prng.t -> int
 
-(** Always [v]. *)
-val constant : float -> t
-
 (** Uniform on [lo, hi). *)
 val uniform : lo:float -> hi:float -> t
 
@@ -36,12 +33,8 @@ val lognormal : mu:float -> sigma:float -> t
 (** Discrete mixture: [(weight, dist)] pairs, weights need not sum to 1. *)
 val mixture : (float * t) list -> t
 
-(** Finite empirical distribution given as [(weight, value)] pairs. *)
-val discrete : (float * float) list -> t
-
-(** Zipf-like rank distribution over [n] items with skew [s]; samples a rank
-    in [0, n). Uses the rejection-inversion method. *)
-val zipf : n:int -> s:float -> t
-
-(** Mean of [n] samples — test helper. *)
-val mean_of_samples : t -> Prng.t -> n:int -> float
+(** For the tests only. *)
+module Private : sig
+  (** Always [v]. *)
+  val constant : float -> t
+end

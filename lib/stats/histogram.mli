@@ -13,9 +13,6 @@ val create : unit -> t
 
 val record : t -> int -> unit
 
-(** [record_n t v n] records [v] [n] times. *)
-val record_n : t -> int -> int -> unit
-
 val count : t -> int
 
 val min : t -> int

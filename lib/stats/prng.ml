@@ -58,13 +58,3 @@ let float t = float_of_int (bits53 t) *. 0x1p-53
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
   next t mod bound
-
-let bool t = Int64.logand (next64 t) 1L = 1L
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

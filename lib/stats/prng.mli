@@ -42,9 +42,3 @@ val bits53 : t -> int
 
 (** [int t bound] is uniform in [0, bound). Raises when [bound <= 0]. *)
 val int : t -> int -> int
-
-(** [bool t] is a fair coin. *)
-val bool : t -> bool
-
-(** Fisher-Yates shuffle in place. *)
-val shuffle : t -> 'a array -> unit

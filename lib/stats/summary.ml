@@ -20,7 +20,3 @@ let geomean = function
 
 let percent_diff ~baseline ~value =
   if baseline = 0.0 then 0.0 else (baseline -. value) /. baseline *. 100.0
-
-let min = function [] -> 0.0 | x :: xs -> List.fold_left Float.min x xs
-
-let max = function [] -> 0.0 | x :: xs -> List.fold_left Float.max x xs

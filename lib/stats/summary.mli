@@ -12,7 +12,3 @@ val geomean : float list -> float
     [baseline] in percent (positive = slower), for higher-is-better
     metrics. *)
 val percent_diff : baseline:float -> value:float -> float
-
-val min : float list -> float
-
-val max : float list -> float

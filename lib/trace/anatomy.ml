@@ -95,8 +95,6 @@ type t = {
   tenant_phase_sum : int array array; (* tenant -> phase -> total ns *)
   tenant_count : int array;
   tenant_e2e_sum : int array;
-  host_phase_sum : int array array; (* host -> phase -> total ns *)
-  host_count : int array;
   mutable completions : int;
   mutable orphans : int;
   mutable max_sum_error : int;
@@ -143,8 +141,6 @@ let create ?(top_k = 8) ?registry ~migration_cost ~tenants ~hosts () =
     tenant_phase_sum = Array.init nt (fun _ -> Array.make nr_phases 0);
     tenant_count = Array.make nt 0;
     tenant_e2e_sum = Array.make nt 0;
-    host_phase_sum = Array.init hosts (fun _ -> Array.make nr_phases 0);
-    host_count = Array.make hosts 0;
     completions = 0;
     orphans = 0;
     max_sum_error = 0;
@@ -252,9 +248,6 @@ let complete t ~req ~migrations ~now =
       end
     end;
     if h >= 0 && h < t.hosts then begin
-      t.host_count.(h) <- t.host_count.(h) + 1;
-      let sums = t.host_phase_sum.(h) in
-      Array.iteri (fun i d -> sums.(i) <- sums.(i) + d) durations;
       if Array.length t.host_phase_hist > 0 then
         let hists = t.host_phase_hist.(h) in
         Array.iteri (fun i d -> Metrics.Registry.observe hists.(i) ~cpu:0 d) durations
@@ -266,8 +259,6 @@ let complete t ~req ~migrations ~now =
 
 let completions t = t.completions
 
-let inflight t = Hashtbl.length t.inflight
-
 let orphans t = t.orphans
 
 let max_sum_error t = t.max_sum_error
@@ -276,17 +267,11 @@ let exemplars t = t.exemplars
 
 let tenant_names t = t.tenants
 
-let nr_hosts t = t.hosts
-
 let tenant_count t tn = t.tenant_count.(tn)
 
 let tenant_phase_sum t tn ph = t.tenant_phase_sum.(tn).(phase_index ph)
 
 let tenant_e2e_sum t tn = t.tenant_e2e_sum.(tn)
-
-let host_count t h = t.host_count.(h)
-
-let host_phase_sum t h ph = t.host_phase_sum.(h).(phase_index ph)
 
 (* ---------- Chrome-trace flow export for the exemplar ring ---------- *)
 
@@ -416,3 +401,9 @@ let chrome_json t = Export.document (write_chrome t)
 let save_chrome t ~path =
   let doc = chrome_json t in
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc)
+
+module Private = struct
+  let on_complete = on_complete
+
+  let chrome_json = chrome_json
+end

@@ -42,8 +42,6 @@ type phase =
 (** All phases in [durations]-index order. *)
 val phases : phase list
 
-val nr_phases : int
-
 val phase_index : phase -> int
 
 (** Stable name ("lb_decision", "ingress_wait", ...). *)
@@ -94,13 +92,7 @@ val take : t -> req:int -> pid:int -> last_wake:int -> migrations:int -> now:int
     at completion (the delta since take is charged to the request). *)
 val complete : t -> req:int -> migrations:int -> now:int -> unit
 
-(** Hook invoked with each completion after aggregation (tests, CLI). *)
-val on_complete : t -> (completion -> unit) -> unit
-
 val completions : t -> int
-
-(** Requests enqueued but not yet completed. *)
-val inflight : t -> int
 
 (** Take/complete calls whose request-id was unknown (dropped requests). *)
 val orphans : t -> int
@@ -114,22 +106,22 @@ val exemplars : t -> completion list
 
 val tenant_names : t -> string array
 
-val nr_hosts : t -> int
-
 val tenant_count : t -> int -> int
 
 val tenant_phase_sum : t -> int -> phase -> int
 
 val tenant_e2e_sum : t -> int -> int
 
-val host_count : t -> int -> int
-
-val host_phase_sum : t -> int -> phase -> int
-
-(** Chrome trace-event JSON for the exemplar ring: one process per host
-    plus a "load balancer" process, per-phase slices, and flow arrows
-    following each request across tracks.  Load into Perfetto /
-    [chrome://tracing]. *)
-val chrome_json : t -> string
-
 val save_chrome : t -> path:string -> unit
+
+(** For the tests only. *)
+module Private : sig
+  (** Hook invoked with each completion after aggregation (tests, CLI). *)
+  val on_complete : t -> (completion -> unit) -> unit
+
+  (** Chrome trace-event JSON for the exemplar ring: one process per host
+      plus a "load balancer" process, per-phase slices, and flow arrows
+      following each request across tracks.  Load into Perfetto /
+      [chrome://tracing]. *)
+  val chrome_json : t -> string
+end

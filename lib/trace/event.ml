@@ -271,3 +271,9 @@ let pack kind k =
   | Wakeup _ | Pnt_err _ | Panic _ | Failover _ | Overrun _ | Watchdog_fire _ | Metric_flush _
   | Fleet_op _ | Req_enqueue _ | Req_take _ | Req_done _ ->
     k T_cold 0 0 0 kind
+
+module Private = struct
+  let nr_tags = nr_tags
+
+  let call_index = call_index
+end

@@ -80,9 +80,6 @@ val index : kind -> int
 (** The subject task, when the event has one. *)
 val pid_of : kind -> int option
 
-(** Key/value payload for exporters. *)
-val args : kind -> (string * string) list
-
 (** Every payload key ("prev", "next", "pid", ...), by index. *)
 val arg_keys : string array
 
@@ -97,8 +94,6 @@ val iter_args :
   str:('a -> int -> int -> string -> unit) ->
   'a ->
   unit
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
@@ -135,16 +130,10 @@ external tag_index : tag -> int = "%identity"
 (** Every tag, by {!tag_index}: [tags.(tag_index tag) = tag]. *)
 val tags : tag array
 
-(** The number of tags. *)
-val nr_tags : int
-
 (** The Enoki-C crossing kinds by call index ("select_task_rq",
     "task_new", ...), named as the record log names them.  The boundary
     indexes its per-call counters and profile rows by the same index. *)
 val call_names : string array
-
-(** [call_index name] is [name]'s index in {!call_names}, or [-1]. *)
-val call_index : string -> int
 
 (** [dsq_index name] interns a dispatch-queue name (domain-safe; a queue
     calls it once, at creation) and returns its index, which {!dsq_name}
@@ -159,3 +148,12 @@ val dsq_name : int -> string
     {!call_names}, and a DSQ event whose queue name was never interned
     with {!dsq_index}, is [T_cold].  {!Slots.unpack} is the inverse. *)
 val pack : kind -> (tag -> int -> int -> int -> kind -> 'r) -> 'r
+
+(** For the tests only. *)
+module Private : sig
+  (** The number of tags. *)
+  val nr_tags : int
+
+  (** [call_index name] is [name]'s index in {!call_names}, or [-1]. *)
+  val call_index : string -> int
+end

@@ -463,7 +463,7 @@ let add_spans d span_list =
    of the list after them.  No run slice or span opens or closes on a lock,
    crossing or tick event (most of a trace), so those are only sized:
    [Spans.add] is a call into another module. *)
-let rec scan slices r sp instants st ~spans ~nr_cpus ~last_ts n = function
+let rec scan slices r sp instants st ~nr_cpus ~last_ts n = function
   | [] -> []
   | rest when n = 0 -> rest
   | (ev : Event.t) :: rest ->
@@ -473,9 +473,9 @@ let rec scan slices r sp instants st ~spans ~nr_cpus ~last_ts n = function
     | Event.Lock_acquire _ | Event.Lock_release _ | Event.Msg_call _ | Event.Tick -> ()
     | _ ->
       add_run_step slices r ev;
-      if spans then Spans.add sp ev);
+      Spans.add sp ev);
     add_instant instants st ev;
-    scan slices r sp instants st ~spans ~nr_cpus ~last_ts (n - 1) rest
+    scan slices r sp instants st ~nr_cpus ~last_ts (n - 1) rest
 
 (* The filling walk over the first [n] events: each event's instant, and
    the run slices it closes through the second cursor [s]. *)
@@ -495,18 +495,18 @@ let rec write s r d st n = function
    pass uses.  The filling pass writes the halves in two parts, the second
    beside the caller on a helper domain (see [fill]), and the spans tail
    with whichever half is shorter. *)
-let chrome_json ?(spans = true) events =
+let chrome_json events =
   let slices = sizing () and instants = sizing () in
   let r = runs () in
   let sp = Spans.builder () and st = stamp () in
   let nr_cpus = ref 1 and last_ts = ref 0 in
   let mid = List.length events / 2 in
-  let second = scan slices r sp instants st ~spans ~nr_cpus ~last_ts mid events in
+  let second = scan slices r sp instants st ~nr_cpus ~last_ts mid events in
   (* where the second half starts: its open run slices and both cursors' offsets *)
   let second_runs = { open_pid = Array.copy r.open_pid; open_ts = Array.copy r.open_ts }
   and slices_mid = slices.pos
   and instants_mid = instants.pos in
-  ignore (scan slices r sp instants st ~spans ~nr_cpus ~last_ts max_int second : Event.t list);
+  ignore (scan slices r sp instants st ~nr_cpus ~last_ts max_int second : Event.t list);
   let nr_cpus = !nr_cpus and last_ts = !last_ts in
   close_runs slices r ~last_ts;
   let span_list = Spans.finish sp in

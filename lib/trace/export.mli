@@ -51,17 +51,12 @@ val add_meta : doc -> pid:int -> tid:int -> name:string -> value:string -> unit
 
 (** {2 Documents} *)
 
-(** Full Chrome trace-event JSON document ([{"traceEvents": [...]}]).
-    [spans] (default true) includes the derived latency spans.  Where
+(** Full Chrome trace-event JSON document ([{"traceEvents": [...]}]),
+    with the derived latency spans ({!Spans}) after the events.  Where
     [Domain.recommended_domain_count ()] is above 1, a helper domain writes
     the second half of the document beside the caller, and is joined
     before this returns or raises; the bytes do not depend on it. *)
-val chrome_json : ?spans:bool -> Event.t list -> string
+val chrome_json : Event.t list -> string
 
-(** Ftrace-style text. *)
-val ftrace : Event.t list -> string
-
-val render : format -> Event.t list -> string
-
-(** [render] the document and write it to [path]. *)
+(** Render the document in [format] and write it to [path]. *)
 val save : path:string -> format -> Event.t list -> unit

@@ -281,8 +281,6 @@ let attach t tracer = Tracer.subscribe tracer (step t)
 
 let violations t = List.rev t.violations
 
-let violations_of_kind t k = List.filter (fun v -> v.vkind = k) (violations t)
-
 let count_of_kind t k = t.counts.(kind_index k)
 
 let ok t = t.violations = []
@@ -315,3 +313,9 @@ let pp_report fmt t =
   Format.fprintf fmt "@]"
 
 let report_string t = Format.asprintf "%a" pp_report t
+
+module Private = struct
+  let kind_name = kind_name
+
+  let feed = feed
+end

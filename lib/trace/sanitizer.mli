@@ -28,8 +28,6 @@ type violation_kind =
   | Token_discipline
   | Lock_imbalance
 
-val kind_name : violation_kind -> string
-
 type violation = {
   at : int;  (** simulated time of detection *)
   cpu : int;  (** cpu involved, [-1] for global checks *)
@@ -56,10 +54,6 @@ type t
 
 val create : ?config:config -> nr_cpus:int -> unit -> t
 
-(** Feed one event (timestamp order assumed): its packed form goes
-    through the same checker {!attach} subscribes. *)
-val feed : t -> Event.t -> unit
-
 (** Subscribe [t] to every event [tracer] emits, in packed form: checking
     allocates only its per-task hash-table entries and what a violation
     records. *)
@@ -68,8 +62,6 @@ val attach : t -> Tracer.t -> unit
 (** All violations, oldest first. *)
 val violations : t -> violation list
 
-val violations_of_kind : t -> violation_kind -> violation list
-
 (** [List.length (violations_of_kind t k)], in constant time. *)
 val count_of_kind : t -> violation_kind -> int
 
@@ -77,8 +69,13 @@ val ok : t -> bool
 
 val events_seen : t -> int
 
-val pp_violation : Format.formatter -> violation -> unit
-
-val pp_report : Format.formatter -> t -> unit
-
 val report_string : t -> string
+
+(** For the tests only. *)
+module Private : sig
+  val kind_name : violation_kind -> string
+
+  (** Feed one event (timestamp order assumed): its packed form goes
+      through the same checker {!attach} subscribes. *)
+  val feed : t -> Event.t -> unit
+end

@@ -154,3 +154,7 @@ let take_back t i n acc =
   check t i;
   if n > t.capacity then invalid_arg "Slots.take_back: more slots than the capacity";
   take_from t i n acc
+
+module Private = struct
+  let slot_bytes = slot_bytes
+end

@@ -20,9 +20,6 @@
 
 type t
 
-(** Bytes per slot: four 64-bit words. *)
-val slot_bytes : int
-
 (** The largest capacity whose buffer fits in [Sys.max_string_length]. *)
 val max_capacity : int
 
@@ -61,8 +58,8 @@ val count_back : t -> int -> int -> min_ts:int -> int
     oldest first, followed by [acc]. *)
 val take_back : t -> int -> int -> Event.t list -> Event.t list
 
-(** [unpack tag a b c cold] is the kind {!Event.pack} took apart; [cold] is
-    returned for [T_cold] and ignored otherwise.  A [T_msg_call] decodes to
-    one shared value per call index, and a lock event to one per lock id
-    below 256, so they allocate nothing. *)
-val unpack : Event.tag -> int -> int -> int -> Event.kind -> Event.kind
+(** For the tests only. *)
+module Private : sig
+  (** Bytes per slot: four 64-bit words. *)
+  val slot_bytes : int
+end

@@ -2,14 +2,6 @@ type kind = Wakeup_to_dispatch | Preempt_to_resched | Migration | Ingress_wait
 
 type t = { pid : int; cpu : int; kind : kind; start_ts : int; stop_ts : int }
 
-let duration s = s.stop_ts - s.start_ts
-
-let kind_name = function
-  | Wakeup_to_dispatch -> "wakeup_to_dispatch"
-  | Preempt_to_resched -> "preempt_to_resched"
-  | Migration -> "migration"
-  | Ingress_wait -> "ingress_wait"
-
 (* pending starts, keyed by pid or request id *)
 type builder = {
   pending_wake : (int, int) Hashtbl.t;
@@ -80,3 +72,7 @@ let of_events events =
   let b = builder () in
   List.iter (add b) events;
   finish b
+
+module Private = struct
+  let of_events = of_events
+end

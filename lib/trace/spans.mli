@@ -17,12 +17,6 @@ type kind = Wakeup_to_dispatch | Preempt_to_resched | Migration | Ingress_wait
 
 type t = { pid : int; cpu : int; kind : kind; start_ts : int; stop_ts : int }
 
-val duration : t -> int
-
-val kind_name : kind -> string
-
-val of_events : Event.t list -> t list
-
 (** {2 Incremental}
 
     [of_events events] is [finish] of a [builder] that was given each
@@ -37,3 +31,8 @@ val add : builder -> Event.t -> unit
 
 (** The spans so far, in the order they closed. *)
 val finish : builder -> t list
+
+(** For the tests only. *)
+module Private : sig
+  val of_events : Event.t list -> t list
+end

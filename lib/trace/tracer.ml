@@ -41,8 +41,6 @@ let create ?(capacity = 65536) ~nr_cpus () =
          Slots.max_capacity);
   { rings = Array.init nr_cpus (fun _ -> make_ring capacity); subscribers = []; emitted = 0 }
 
-let nr_cpus t = Array.length t.rings
-
 (* Claim the next write slot, or -1 when the ring is full — the newest
    event is the one dropped, matching [Ring_buffer.push]. *)
 let[@inline] claim r =
@@ -225,3 +223,7 @@ let events t =
   let bits = width 0 in
   let limit = max_int lsr bits in
   if Array.for_all (ring_mergeable ~limit) t.rings then events_merged t ~bits else events_sorted t
+
+module Private = struct
+  let dropped_of_cpu = dropped_of_cpu
+end

@@ -35,8 +35,6 @@ type t
     string. *)
 val create : ?capacity:int -> nr_cpus:int -> unit -> t
 
-val nr_cpus : t -> int
-
 (** [emit t ~ts ~cpu kind] appends an event: pushed onto [cpu]'s ring
     (dropped and counted when full) and delivered to every subscriber.
     Out-of-range cpus are folded onto cpu 0 rather than lost.  Kinds with
@@ -89,8 +87,6 @@ val emitted : t -> int
 (** Events rejected because a ring was full. *)
 val dropped : t -> int
 
-val dropped_of_cpu : t -> int -> int
-
 (** Events currently queued across all rings. *)
 val buffered : t -> int
 
@@ -101,3 +97,8 @@ val buffered : t -> int
     then k-way merged in one linear pass; a ring whose timestamps step
     backwards falls back to a stable sort, with the same result. *)
 val events : t -> Event.t list
+
+(** For the tests only. *)
+module Private : sig
+  val dropped_of_cpu : t -> int -> int
+end

@@ -61,8 +61,7 @@ let register_tracer_probes ?(labels = []) reg tracer =
   Metrics.Registry.gauge_probe reg ~help:"trace events currently buffered"
     (name "trace_buffered") (fun () -> float_of_int (Trace.Tracer.buffered tracer))
 
-let build ?costs ?record ?tracer ?registry ?profile ?isolate ?call_budget ?sim_backend ~topology
-    kind =
+let build ?costs ?record ?tracer ?registry ?profile ?call_budget ~topology kind =
   Schedulers.Hints.register_codecs ();
   (* the lock tap is process-global: clear any tap a previous machine
      installed so its (now stale) tracer stops receiving events *)
@@ -73,23 +72,23 @@ let build ?costs ?record ?tracer ?registry ?profile ?isolate ?call_budget ?sim_b
   match kind with
   | Cfs ->
     let machine =
-      Kernsim.Machine.create ?costs ?registry ?tracer ?sim_backend ~topology
+      Kernsim.Machine.create ?costs ?registry ?tracer ~topology
         ~classes:[ Kernsim.Cfs.factory () ] ()
     in
     { machine; policy = 0; cfs_policy = 0; enoki = None; agent_core = None; registry }
   | Enoki_sched m ->
     let enoki =
-      Enoki.Enoki_c.create ?record ?tracer ?registry ?profile ?isolate ?call_budget ~policy:0 m
+      Enoki.Enoki_c.create ?record ?tracer ?registry ?profile ?call_budget ~policy:0 m
     in
     let machine =
-      Kernsim.Machine.create ?costs ?registry ?tracer ?sim_backend ~topology
+      Kernsim.Machine.create ?costs ?registry ?tracer ~topology
         ~classes:[ Enoki.Enoki_c.factory enoki; Kernsim.Cfs.factory () ]
         ()
     in
     { machine; policy = 0; cfs_policy = 1; enoki = Some enoki; agent_core = None; registry }
   | Ghost policy ->
     let machine =
-      Kernsim.Machine.create ?costs ?registry ?tracer ?sim_backend ~topology
+      Kernsim.Machine.create ?costs ?registry ?tracer ~topology
         ~classes:[ Schedulers.Ghost_sim.factory policy; Kernsim.Cfs.factory () ]
         ()
     in

@@ -3,7 +3,10 @@
     Builds a simulated machine with the scheduler configuration under test.
     Enoki and ghOSt configurations stack their class above native CFS, so
     tasks outside the tested policy (batch apps, background work) fall
-    through to CFS exactly as in the paper's co-location experiments. *)
+    through to CFS exactly as in the paper's co-location experiments.
+    What varies between builds is the scheduler [kind] and the optional
+    observers and costs of {!build}; the event queue ({!Kernsim.Sim}) and
+    Enoki-C's panic boundary are the same in every machine. *)
 
 type kind =
   | Cfs  (** native CFS only *)
@@ -49,18 +52,14 @@ val register_tracer_probes :
     events at a time.  [registry] threads a metrics registry through the
     machine and the Enoki-C boundary (and, when a tracer is also given,
     registers ring drop/emit probes); [profile] arms the Enoki-C
-    self-profiler.  [sim_backend] selects the machine's event-queue
-    backend ([`Pid_heap] slots by default, [`Heap] for the boxed
-    reference heap) — both produce the same event stream. *)
+    self-profiler. *)
 val build :
   ?costs:Kernsim.Costs.t ->
   ?record:Enoki.Record.t ->
   ?tracer:Trace.Tracer.t ->
   ?registry:Metrics.Registry.t ->
   ?profile:Profile.t ->
-  ?isolate:bool ->
   ?call_budget:Kernsim.Time.ns ->
-  ?sim_backend:Kernsim.Sim.backend ->
   topology:Kernsim.Topology.t ->
   kind ->
   built

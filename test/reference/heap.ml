@@ -82,11 +82,7 @@ let remove_at t i =
   end;
   removed
 
-let to_list t = Array.to_list (Array.sub t.data 0 t.len)
-
 let remove_if t f =
-  let kept = List.filter (fun x -> not (f x)) (to_list t) in
+  let kept = List.filter (fun x -> not (f x)) (Array.to_list (Array.sub t.data 0 t.len)) in
   t.len <- 0;
   List.iter (add t) kept
-
-let clear t = t.len <- 0

@@ -1,8 +1,7 @@
 (** Mutable binary min-heaps.
 
-    Used for the simulator's reference event queue ({!Kernsim.Sim}'s
-    [`Heap] backend, the test oracle for its default slot queue).  The
-    comparison is supplied at creation; ties are broken by insertion order
+    The queue under {!Sim}, the reference event queue that the tests hold
+    {!Kernsim.Sim} equal to.  The comparison is supplied at creation; ties are broken by insertion order
     only if the caller encodes a sequence number into the element (the
     simulator does, to keep runs deterministic). *)
 
@@ -36,7 +35,3 @@ val remove_at : 'a t -> int -> 'a
     notify [on_move] for the removed elements, so it must not be mixed
     with index tracking. *)
 val remove_if : 'a t -> ('a -> bool) -> unit
-
-val to_list : 'a t -> 'a list
-
-val clear : 'a t -> unit

@@ -75,7 +75,7 @@ let test_silent_tenants_terminate () =
       Traffic.name = "silent";
       arrival =
         Traffic.Burst { base_rate = 0.0; burst_rate = 0.0; mean_on = ms 1; mean_off = ms 1 };
-      service = Stats.Dist.constant 1_000.0;
+      service = Stats.Dist.Private.constant 1_000.0;
       flow_len_mean = 2.0;
       connections = 4;
     }
@@ -133,7 +133,7 @@ let prop_diurnal_integrates seed =
     {
       Traffic.name = "d";
       arrival = Traffic.Diurnal { mean_rate = 50_000.0; amplitude = 0.7; period };
-      service = Stats.Dist.constant 1_000.0;
+      service = Stats.Dist.Private.constant 1_000.0;
       flow_len_mean = 4.0;
       connections = 64;
     }
@@ -180,7 +180,7 @@ module Sorted_reference = struct
     | Traffic.Diurnal { mean_rate; amplitude; period = _ } ->
       let peak = mean_rate *. (1.0 +. abs_float amplitude) /. c in
       let cand = from + exp_gap slot.rng ~rate_per_sec:peak in
-      if Stats.Prng.float slot.rng *. peak <= Traffic.rate_at arrival cand /. c then cand
+      if Stats.Prng.float slot.rng *. peak <= Traffic.Private.rate_at arrival cand /. c then cand
       else next_arrival arrival ~conns slot ~from:cand
     | Traffic.Burst { base_rate; burst_rate; mean_on; mean_off } ->
       let cand =
@@ -284,7 +284,7 @@ let prop_merge_equals_sort seed =
       Traffic.name = Printf.sprintf "t%d" i;
       arrival;
       service =
-        pick [ Stats.Dist.constant 1_000.0; Stats.Dist.uniform ~lo:500.0 ~hi:20_000.0 ];
+        pick [ Stats.Dist.Private.constant 1_000.0; Stats.Dist.uniform ~lo:500.0 ~hi:20_000.0 ];
       flow_len_mean = pick [ 1.0; 1.5; 4.0; 8.0 ];
       connections = 1 + Stats.Prng.int rng 64;
     }
@@ -346,7 +346,7 @@ let prop_pick_never_drained (policy_ix, ops) =
       match op mod 4 with
       | 0 -> Lb.drain lb h
       | 1 -> Lb.admit lb h
-      | 2 -> if Lb.outstanding lb h > 0 then Lb.complete lb h
+      | 2 -> if Lb.Private.outstanding lb h > 0 then Lb.complete lb h
       | _ -> (
         match Lb.pick lb ~key:arg with
         | None ->
@@ -521,7 +521,7 @@ let fleet_fingerprint f =
       Printf.sprintf "%d|%d|%s"
         (List.length (Trace.Anatomy.exemplars a))
         (Trace.Anatomy.max_sum_error a)
-        (Trace.Anatomy.chrome_json a)
+        (Trace.Anatomy.Private.chrome_json a)
   in
   ( Fleet.tenant_stats f,
     Fleet.host_stats f,
@@ -645,7 +645,7 @@ let assert_exact_sums ?(lb = Lb.Least_outstanding) ~seed ~hosts () =
   in
   let a = Option.get (Fleet.anatomy f) in
   let seen = ref 0 in
-  Anatomy.on_complete a (fun c ->
+  Anatomy.Private.on_complete a (fun c ->
       incr seen;
       let sum = Array.fold_left ( + ) 0 c.Anatomy.durations in
       if sum <> Anatomy.e2e c then
@@ -731,7 +731,7 @@ let test_anatomy_exemplars_deterministic () =
     | _ -> true
   in
   check Alcotest.bool "exemplars worst-first" true (sorted es);
-  let json = Anatomy.chrome_json a in
+  let json = Anatomy.Private.chrome_json a in
   check Alcotest.bool "chrome flow export non-empty" true (String.length json > 2);
   (* every exemplar's flow arrows ride on its request-id *)
   List.iter

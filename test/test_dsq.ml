@@ -35,8 +35,8 @@ let test_fifo_basic () =
   check Alcotest.bool "empty" true (Dsq.is_empty q);
   List.iter (fun pid -> Dsq.insert q ~vtime:0 (token pid)) [ 3; 1; 2 ];
   check Alcotest.int "length" 3 (Dsq.length q);
-  check Alcotest.int "inserts counted" 3 (Dsq.inserts q);
-  let order = List.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.to_list q) in
+  check Alcotest.int "inserts counted" 3 (Dsq.Private.inserts q);
+  let order = List.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.Private.to_list q) in
   check Alcotest.(list int) "FIFO order" [ 3; 1; 2 ] order;
   check Alcotest.(option int) "peek is head" (Some 3) (Option.map Sched.pid (opt (Dsq.peek q)));
   let consumed = ref [] in
@@ -49,14 +49,14 @@ let test_fifo_basic () =
   in
   drain ();
   check Alcotest.(list int) "consume order" [ 3; 1; 2 ] (List.rev !consumed);
-  check Alcotest.int "consumes counted" 3 (Dsq.consumes q)
+  check Alcotest.int "consumes counted" 3 (Dsq.Private.consumes q)
 
 let test_vtime_ordering () =
   let q = inert_queue ~mode:Dsq.Vtime "v" in
   List.iter
     (fun (pid, vt) -> Dsq.insert q ~vtime:vt (token pid))
     [ (1, 30); (2, 10); (3, 20); (4, 10) ];
-  let order = List.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.to_list q) in
+  let order = List.map (fun (e : Dsq.entry) -> e.Dsq.pid) (Dsq.Private.to_list q) in
   (* min vtime first; the two vtime-10 entries keep insertion order *)
   check Alcotest.(list int) "vtime order, stable ties" [ 2; 4; 3; 1 ] order
 
@@ -65,13 +65,13 @@ let test_take_for_and_silent_moves () =
   Dsq.insert q ~vtime:0 (token ~cpu:0 1);
   Dsq.insert q ~vtime:0 (token ~cpu:1 2);
   Dsq.insert q ~vtime:0 (token ~cpu:0 3);
-  let stamp = (List.nth (Dsq.to_list q) 1).Dsq.inserted_at in
-  let inserts_before = Dsq.inserts q in
+  let stamp = (List.nth (Dsq.Private.to_list q) 1).Dsq.inserted_at in
+  let inserts_before = Dsq.Private.inserts q in
   (* move_for skips entries licensed for other cpus *)
   check Alcotest.int "moved the cpu-1 entry" 2 (Dsq.move_for q ~cpu:1 ~into:local);
   check Alcotest.int "no more cpu-1 work" (-1) (Dsq.move_for q ~cpu:1 ~into:local);
   check Alcotest.int "moved entry keeps its stamp" stamp
-    (List.hd (Dsq.to_list local)).Dsq.inserted_at;
+    (List.hd (Dsq.Private.to_list local)).Dsq.inserted_at;
   (* a front requeue keeps the head's turn under its new token *)
   check Alcotest.(option int) "requeue hands back the old token" (Some 0)
     (Option.map Sched.cpu (opt (Dsq.requeue q ~pid:1 (token ~cpu:2 1) ~into:q ~front:true)));
@@ -79,7 +79,7 @@ let test_take_for_and_silent_moves () =
     (Option.map (fun tok -> (Sched.pid tok, Sched.cpu tok)) (opt (Dsq.peek q)));
   check Alcotest.(option int) "requeueing an absent pid" None
     (Option.map Sched.pid (opt (Dsq.requeue q ~pid:9 (token 9) ~into:q ~front:true)));
-  check Alcotest.int "silent ops are not inserts" inserts_before (Dsq.inserts q);
+  check Alcotest.int "silent ops are not inserts" inserts_before (Dsq.Private.inserts q);
   (* remove by pid from the middle *)
   check Alcotest.(option int) "removed pid 3" (Some 3)
     (Option.map Sched.pid (opt (Dsq.remove q ~pid:3)));
@@ -187,7 +187,7 @@ let prop_dsq_matches_reference vtime_mode ops =
   let got tok = Option.map (fun t -> (Sched.pid t, Sched.cpu t)) (opt tok) in
   let want e = Option.map (fun (e : Ref.e) -> (e.pid, e.cpu)) e in
   let contents i =
-    List.map (fun (e : Dsq.entry) -> (e.Dsq.pid, Sched.cpu e.Dsq.token, e.Dsq.vtime)) (Dsq.to_list qs.(i))
+    List.map (fun (e : Dsq.entry) -> (e.Dsq.pid, Sched.cpu e.Dsq.token, e.Dsq.vtime)) (Dsq.Private.to_list qs.(i))
     = List.map (fun (e : Ref.e) -> (e.pid, e.cpu, e.vtime)) (Ref.order rs.(i))
   in
   List.for_all
@@ -232,7 +232,7 @@ let prop_promotion_bound history =
   let streak = ref 0 and waited = ref 0 and ok = ref true in
   List.iter
     (fun low_queued ->
-      match Schedulers.Scx_prio_dq.pick_source ~streak:!streak ~low_queued with
+      match Schedulers.Scx_prio_dq.Private.pick_source ~streak:!streak ~low_queued with
       | `Low ->
         if not low_queued then ok := false;
         streak := 0;
@@ -241,7 +241,7 @@ let prop_promotion_bound history =
         if low_queued then begin
           incr streak;
           incr waited;
-          if !waited > Schedulers.Scx_prio_dq.promote_after then ok := false
+          if !waited > Schedulers.Scx_prio_dq.Private.promote_after then ok := false
         end
         else waited := 0)
     history;
@@ -300,7 +300,7 @@ let test_record_replay_stream_equivalence () =
       Enoki.Record.close file;
       let file_log = Enoki.Record.load_file ~path in
       Sys.remove path;
-      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.parse file_log <> []);
+      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.Private.parse file_log <> []);
       check Alcotest.string (name ^ ": memory and file logs byte-identical") mem_log file_log;
       let report = Enoki.Replay.run sched ~log:file_log in
       check

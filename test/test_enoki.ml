@@ -15,11 +15,11 @@ let test_schedulable_fields () =
   check Alcotest.int "cpu" 2 (Sched.cpu s);
   check Alcotest.int "gen" 5 (Sched.generation s);
   check Alcotest.bool "a token is not none" false (Sched.is_none s);
-  check Alcotest.string "describe" "sched(pid=7 cpu=2 gen=5)" (Sched.describe s);
+  check Alcotest.string "describe" "sched(pid=7 cpu=2 gen=5)" (Sched.Private.describe s);
   check Alcotest.bool "none" true (Sched.is_none Sched.none);
   check Alcotest.(list int) "none's fields" [ -1; -1; -1 ]
     Sched.[ pid none; cpu none; generation none ];
-  check Alcotest.string "describe none" "sched(none)" (Sched.describe Sched.none);
+  check Alcotest.string "describe none" "sched(none)" (Sched.Private.describe Sched.none);
   (* a field that does not fit is rejected, never packed into another token *)
   List.iter
     (fun (what, pid, cpu, gen) ->
@@ -27,16 +27,16 @@ let test_schedulable_fields () =
       | _ -> Alcotest.failf "%s: accepted" what
       | exception Invalid_argument _ -> ())
     [
-      ("pid too large", Sched.max_pid + 1, 0, 1);
+      ("pid too large", Sched.Private.max_pid + 1, 0, 1);
       ("negative pid", -1, 0, 1);
-      ("cpu too large", 1, Sched.max_cpu + 1, 1);
+      ("cpu too large", 1, Sched.Private.max_cpu + 1, 1);
       ("negative cpu", 1, -1, 1);
-      ("generation too large", 1, 0, Sched.max_generation + 1);
+      ("generation too large", 1, 0, Sched.Private.max_generation + 1);
       ("negative generation", 1, 0, -1);
     ];
   (* a generation overflowing its width wraps back to 1, never to 0 *)
   check Alcotest.int "next generation" 8 (Sched.Private.next_generation 7);
-  check Alcotest.int "generation wraps" 1 (Sched.Private.next_generation Sched.max_generation)
+  check Alcotest.int "generation wraps" 1 (Sched.Private.next_generation Sched.Private.max_generation)
 
 (* ---------- Message wire form ---------- *)
 
@@ -151,7 +151,7 @@ let test_hint_codec_opaque () =
 
 let test_lock_passthrough () =
   Enoki.Lock.set_passthrough_mode ();
-  let l = Enoki.Lock.create ~name:"t" () in
+  let l = Enoki.Lock.create () in
   check Alcotest.int "with_lock result" 42 (Enoki.Lock.with_lock l (fun () -> 42))
 
 let test_lock_record_events () =
@@ -260,7 +260,7 @@ let test_locked_tap_pairs_on_raise () =
   check Alcotest.bool "body's exception propagates" true raised;
   check
     Alcotest.(list (pair string int))
-    "acquire then release" [ ("acquire", Enoki.Lock.id l); ("release", Enoki.Lock.id l) ]
+    "acquire then release" [ ("acquire", Enoki.Lock.Private.id l); ("release", Enoki.Lock.Private.id l) ]
     (List.rev !seen)
 
 let sum5 s a b c d = s + a + b + c + d
@@ -903,7 +903,7 @@ let test_hints_reach_scheduler () =
   ignore (M.spawn b.machine { (T.default_spec ~name:"hinter" beh) with T.policy = b.policy });
   M.run_for b.machine (Kernsim.Time.ms 10);
   match b.enoki with
-  | Some e -> check Alcotest.int "no hints dropped" 0 (Enoki.Enoki_c.hints_dropped e)
+  | Some e -> check Alcotest.int "no hints dropped" 0 (Enoki.Enoki_c.Private.hints_dropped e)
   | None -> Alcotest.fail "no enoki"
 
 (* ---------- record / replay ---------- *)
@@ -947,7 +947,7 @@ let test_record_produces_log () =
   check Alcotest.bool "log non-empty" true (Enoki.Record.length record > 100);
   check Alcotest.int "nothing dropped" 0 (Enoki.Record.dropped record);
   (* every line parses *)
-  let entries = Enoki.Replay.parse (Enoki.Record.contents record) in
+  let entries = Enoki.Replay.Private.parse (Enoki.Record.contents record) in
   check Alcotest.bool "entries parsed" true (List.length entries > 100)
 
 let test_record_ring_overrun_drops () =
@@ -1001,7 +1001,7 @@ let test_record_overrun_reported_and_log_usable () =
   (* the tiny ring must overrun, and the drop count must say so *)
   check Alcotest.bool "drops reported" true (Enoki.Record.dropped record > 0);
   (* drops are whole lines, so everything kept still parses *)
-  let entries = Enoki.Replay.parse (Enoki.Record.contents record) in
+  let entries = Enoki.Replay.Private.parse (Enoki.Record.contents record) in
   check Alcotest.bool "surviving lines parse" true (List.length entries > 0)
 
 let test_replay_of_truncated_log_validates () =
@@ -1031,11 +1031,11 @@ let test_binary_truncation_salvages_frames () =
   pingpong_workload b ~iters:100;
   M.run_for b.machine (Kernsim.Time.ms 200);
   let log = Enoki.Record.contents record in
-  let full = Enoki.Replay.parse log in
+  let full = Enoki.Replay.Private.parse log in
   (* chop the final byte: the trailer frame is now cut mid-frame, which is
      what a crash mid-write leaves behind *)
   let cut = String.sub log 0 (String.length log - 1) in
-  let entries, info = Enoki.Replay.parse_full cut in
+  let entries, info = Enoki.Replay.Private.parse_full cut in
   check Alcotest.bool "truncation flagged" true info.Enoki.Replay.truncated;
   check
     Alcotest.(option int)
@@ -1241,7 +1241,7 @@ let test_stream_equivalence_across_schedulers () =
       Enoki.Record.close file;
       let file_log = Enoki.Record.load_file ~path in
       Sys.remove path;
-      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.parse file_log <> []);
+      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.Private.parse file_log <> []);
       check Alcotest.string (name ^ ": memory and file logs byte-identical") mem_log file_log;
       let report = Enoki.Replay.run sched ~log:file_log in
       check
@@ -1252,7 +1252,7 @@ let test_stream_equivalence_across_schedulers () =
 
 let test_malformed_logs_rejected () =
   let expect what ~pos log =
-    match Enoki.Replay.parse_full log with
+    match Enoki.Replay.Private.parse_full log with
     | exception Enoki.Replay.Malformed_log { pos = p; reason } ->
       check Alcotest.int (what ^ ": position") pos p;
       check Alcotest.bool (what ^ ": reason given") true (reason <> "")
@@ -1267,7 +1267,7 @@ let test_malformed_logs_rejected () =
   (* a lock frame declaring 2 bytes but carrying 4 fields' worth *)
   expect "fields overrun" ~pos:1 (Enoki.Record.magic ^ "\x02\x02\x00\x01\x00");
   (* a frame cut mid-way is truncation, not corruption *)
-  let _, info = Enoki.Replay.parse_full (Enoki.Record.magic ^ lock_frame ^ "\x04\x02") in
+  let _, info = Enoki.Replay.Private.parse_full (Enoki.Record.magic ^ lock_frame ^ "\x04\x02") in
   check Alcotest.bool "cut frame is truncation" true info.Enoki.Replay.truncated
 
 let test_record_save_load () =
@@ -1276,7 +1276,8 @@ let test_record_save_load () =
   pingpong_workload b ~iters:20;
   M.run_for b.machine (Kernsim.Time.ms 50);
   let path = Filename.temp_file "enoki" ".rec" in
-  Enoki.Record.save record ~path;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Enoki.Record.contents record));
   let loaded = Enoki.Record.load_file ~path in
   Sys.remove path;
   check Alcotest.string "file roundtrip" (Enoki.Record.contents record) loaded

@@ -93,7 +93,7 @@ let test_nest_work_conserving_under_load () =
 let test_nest_unit_nest_tracking () =
   let ctx = Enoki.Ctx.inert ~nr_cpus:8 () in
   let n = Schedulers.Nest.create ctx in
-  check Alcotest.(list int) "initial nest is core 0" [ 0 ] (Schedulers.Nest.nest_cpus n)
+  check Alcotest.(list int) "initial nest is core 0" [ 0 ] (Schedulers.Nest.Private.nest_cpus n)
 
 (* ---------- EDF ---------- *)
 
@@ -143,11 +143,11 @@ let test_edf_default_deadline_applies () =
   let ctx = Enoki.Ctx.inert () in
   let e = Schedulers.Edf.create ctx in
   check Alcotest.(option int) "no hint, no custom deadline" None
-    (Schedulers.Edf.relative_deadline_of e ~pid:1);
+    (Schedulers.Edf.Private.relative_deadline_of e ~pid:1);
   Schedulers.Edf.parse_hint e ~pid:0
     ~hint:(Schedulers.Hints.Deadline { pid = 1; relative = Kernsim.Time.ms 3 });
   check Alcotest.(option int) "hint registered" (Some (Kernsim.Time.ms 3))
-    (Schedulers.Edf.relative_deadline_of e ~pid:1)
+    (Schedulers.Edf.Private.relative_deadline_of e ~pid:1)
 
 let test_edf_runs_plain_tasks () =
   let b = build (Workloads.Setup.Enoki_sched (module Schedulers.Edf)) in
@@ -271,7 +271,7 @@ let test_set_policy_moves_between_classes () =
   in
   M.run_for m (Kernsim.Time.ms 5);
   (* move it to CFS mid-run: the Enoki class sees task_departed *)
-  M.set_policy m ~pid ~policy:b.cfs_policy;
+  M.Private.set_policy m ~pid ~policy:b.cfs_policy;
   M.run_for m (Kernsim.Time.ms 100);
   let task = Option.get (M.find_task m pid) in
   check Alcotest.int "now on cfs" b.cfs_policy task.T.policy;
@@ -292,7 +292,7 @@ let test_set_policy_roundtrip () =
     M.at m ~delay:(i * Kernsim.Time.ms 8) (fun () ->
         let task = Option.get (M.find_task m pid) in
         if task.T.state <> T.Dead then
-          M.set_policy m ~pid ~policy:(if task.T.policy = 0 then 1 else 0))
+          M.Private.set_policy m ~pid ~policy:(if task.T.policy = 0 then 1 else 0))
   done;
   M.run_for m (Kernsim.Time.ms 200);
   check Alcotest.bool "survived repeated policy flips" true

@@ -57,7 +57,7 @@ let test_presets_parse () =
       match Fault.Plan.parse name with
       | Ok p' -> check Alcotest.string name (Fault.Plan.to_string p) (Fault.Plan.to_string p')
       | Error m -> Alcotest.failf "preset %s: %s" name m)
-    Fault.Plan.presets
+    (Fault.Plan.Private.presets ())
 
 (* ---------- faulted runs ---------- *)
 
@@ -77,7 +77,9 @@ let faulted_run ?call_budget ?config ~plan ~seed () =
 let event_names tracer =
   List.map (fun (e : Trace.Event.t) -> Trace.Event.name e.kind) (Trace.Tracer.events tracer)
 
-let count_kind s k = List.length (Trace.Sanitizer.violations_of_kind s k)
+let count_kind s k =
+  List.length
+    (List.filter (fun (v : Trace.Sanitizer.violation) -> v.vkind = k) (Trace.Sanitizer.violations s))
 
 (* same (plan, seed, workload) -> bit-identical runs *)
 let test_deterministic_replay () =

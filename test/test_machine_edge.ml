@@ -178,7 +178,7 @@ let test_hint_ring_overflow_counted () =
   in
   ignore (M.spawn m { (T.default_spec ~name:"h" beh) with T.policy = 0 });
   M.run_for m (Kernsim.Time.ms 5);
-  check Alcotest.int "no drops with synchronous drain" 0 (Enoki.Enoki_c.hints_dropped enoki)
+  check Alcotest.int "no drops with synchronous drain" 0 (Enoki.Enoki_c.Private.hints_dropped enoki)
 
 let test_reverse_queue_reaches_inbox () =
   (* kernel-to-user messages land in the task inbox at its next action *)
@@ -280,7 +280,7 @@ let test_set_policy_while_blocked () =
   M.run_for m (Kernsim.Time.ms 1);
   check Alcotest.bool "blocked" true ((Option.get (M.find_task m pid)).T.state = T.Blocked);
   (* switch while blocked, then wake: the new class adopts at wakeup *)
-  M.set_policy m ~pid ~policy:b.cfs_policy;
+  M.Private.set_policy m ~pid ~policy:b.cfs_policy;
   let waker =
     let st = ref `Go in
     fun (_ : T.ctx) ->
@@ -315,7 +315,7 @@ let test_record_across_upgrade_is_harmless () =
   M.run_for b.machine (Kernsim.Time.ms 50);
   (* the paper does not support replaying across an upgrade; the log must
      still parse, even if replay semantics are undefined *)
-  let entries = Enoki.Replay.parse (Enoki.Record.contents record) in
+  let entries = Enoki.Replay.Private.parse (Enoki.Record.contents record) in
   check Alcotest.bool "log still parses" true (List.length entries > 0)
 
 let () =

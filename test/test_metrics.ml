@@ -11,6 +11,20 @@ let check = Alcotest.check
 
 let one_socket = Kernsim.Topology.one_socket
 
+(* a counter's value as the exporters read it, -1 when absent *)
+let counter_named reg name =
+  let v = ref (-1) in
+  R.iter reg (fun ~name:n ~help:_ -> function R.Counter_v c when n = name -> v := c | _ -> ());
+  !v
+
+(* what [Export.save] writes for [format] *)
+let saved ?sampler format reg =
+  let path = Filename.temp_file "metrics" ".out" in
+  Metrics.Export.save ~path ?sampler format reg;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
 let expect_invalid name f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
@@ -24,16 +38,17 @@ let test_get_or_create () =
   let b = R.counter reg "x_total" in
   R.incr a ~cpu:0;
   for _ = 1 to 2 do R.incr b ~cpu:0 done;
-  check Alcotest.int "handles alias one metric" 3 (R.counter_value a);
-  check Alcotest.int "second handle agrees" 3 (R.counter_value b);
-  let g = R.gauge reg "g" in
-  R.set g 1.5;
-  check (Alcotest.float 0.0) "gauge set/read" 1.5 (R.gauge_value (R.gauge reg "g"))
+  check Alcotest.int "handles alias one metric" 3 (counter_named reg "x_total");
+  R.gauge_probe reg "g" (fun () -> 1.0);
+  R.gauge_probe reg "g" (fun () -> 1.5);
+  let gauges = ref [] in
+  R.iter reg (fun ~name ~help:_ -> function R.Gauge_v g -> gauges := (name, g) :: !gauges | _ -> ());
+  check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
+    "a re-registered probe replaces the old one" [ ("g", 1.5) ] !gauges
 
 let test_shape_mismatch () =
   let reg = R.create () in
   ignore (R.counter reg "m");
-  expect_invalid "counter as gauge" (fun () -> R.gauge reg "m");
   expect_invalid "counter as histogram" (fun () -> R.histogram reg "m");
   ignore (R.histogram reg "h");
   expect_invalid "histogram as counter" (fun () -> R.counter reg "h");
@@ -41,7 +56,6 @@ let test_shape_mismatch () =
 
 let test_sharding () =
   let reg = R.create ~nr_cpus:4 () in
-  check Alcotest.int "nr_cpus" 4 (R.nr_cpus reg);
   let c = R.counter reg "sharded_total" in
   for cpu = 0 to 3 do
     R.incr c ~cpu
@@ -49,7 +63,7 @@ let test_sharding () =
   (* out-of-range cpus fold onto shard 0 rather than being lost *)
   R.incr c ~cpu:99;
   R.incr c ~cpu:(-1);
-  check Alcotest.int "value sums all shards" 6 (R.counter_value c);
+  check Alcotest.int "value sums all shards" 6 (counter_named reg "sharded_total");
   let h = R.histogram reg "sharded_ns" in
   for i = 1 to 100 do
     R.observe h ~cpu:(i mod 4) (i * 10)
@@ -77,8 +91,8 @@ let test_probe_and_iter () =
   (match List.assoc "depth" seen with
   | R.Gauge_v g -> check (Alcotest.float 0.0) "probe runs at read time" 3.0 g
   | _ -> Alcotest.fail "probe should read as a gauge");
-  check Alcotest.bool "find_counter hit" true (R.find_counter reg "a_total" <> None);
-  check Alcotest.bool "find_counter miss" true (R.find_counter reg "nope" = None);
+  check Alcotest.int "counter read by name" 7 (counter_named reg "a_total");
+  check Alcotest.int "absent counter" (-1) (counter_named reg "nope");
   check Alcotest.bool "find_histogram wrong shape" true (R.find_histogram reg "a_total" = None)
 
 (* ---------- histogram merge: bucket-exact, percentile-bounded ---------- *)
@@ -133,8 +147,7 @@ let sample_registry () =
   let reg = R.create ~nr_cpus:2 () in
   let c = R.counter reg ~help:"total frobs" "frobs_total" in
   for _ = 1 to 5 do R.incr c ~cpu:0 done;
-  let g = R.gauge reg ~help:"queue depth" "depth" in
-  R.set g 2.0;
+  R.gauge_probe reg ~help:"queue depth" "depth" (fun () -> 2.0);
   let h = R.histogram reg ~help:"latency" "lat_ns" in
   List.iter (fun v -> R.observe h ~cpu:0 v) [ 10; 100; 1000; 1000 ];
   reg
@@ -158,13 +171,11 @@ let test_prometheus () =
 
 let test_json_summary_roundtrip () =
   let reg = sample_registry () in
-  let j = Metrics.Export.json_summary ~extra:[ ("suite", Metrics.Json.String "t") ] reg in
   (* the exporter's output must survive our own parser *)
-  match Metrics.Json.parse (Metrics.Json.to_string ~pretty:true j) with
+  match Metrics.Json.parse (saved Metrics.Export.Json_summary reg) with
   | Error e -> Alcotest.failf "summary does not reparse: %s" e
   | Ok j ->
     let member k v = Option.get (Metrics.Json.member k v) in
-    check Alcotest.string "extra field" "t" (Option.get (Metrics.Json.to_str (member "suite" j)));
     let frobs = member "frobs_total" (member "counters" j) in
     check Alcotest.int "counter value" 5 (Option.get (Metrics.Json.to_int frobs));
     check (Alcotest.float 0.0) "gauge value" 2.0
@@ -205,7 +216,6 @@ let test_sampler_ticks () =
   let reg = R.create ~nr_cpus:1 () in
   let c = R.counter reg "work_total" in
   let smp = Metrics.Sampler.create ~interval:100 reg in
-  check Alcotest.int "interval" 100 (Metrics.Sampler.interval smp);
   let hook_ts = ref [] in
   Metrics.Sampler.on_flush smp (fun ~ts -> hook_ts := ts :: !hook_ts);
   let now = ref 0 in
@@ -238,7 +248,7 @@ let test_sampler_ticks () =
         (List.assoc "work_total" s.values))
     samples;
   (* the csv exporter renders one row per tick over these snapshots *)
-  let csv = Metrics.Export.csv smp in
+  let csv = saved ~sampler:smp Metrics.Export.Csv reg in
   let lines = String.split_on_char '\n' (String.trim csv) in
   check Alcotest.int "csv header + one row per tick" 6 (List.length lines);
   (match lines with
@@ -260,7 +270,7 @@ let prop_labeled_split_roundtrip labels =
       labels
   in
   let name = R.labeled "fleet_latency_ns" labels in
-  let base, parsed = R.split name in
+  let base, parsed = R.Private.split name in
   if base <> "fleet_latency_ns" then
     QCheck.Test.fail_reportf "base %S from %S" base name
   else if parsed <> labels then
@@ -272,18 +282,18 @@ let test_split_escapes () =
   let name = R.labeled "m" labels in
   check
     (Alcotest.pair Alcotest.string (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)))
-    "escaped values roundtrip" ("m", labels) (R.split name);
+    "escaped values roundtrip" ("m", labels) (R.Private.split name);
   check
     (Alcotest.pair Alcotest.string (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)))
-    "unlabeled passes through" ("plain", []) (R.split "plain")
+    "unlabeled passes through" ("plain", []) (R.Private.split "plain")
 
 (* csv_split must invert csv_cell for any cell list — this is what keeps a
    labelled series name (embedded commas, quotes) one CSV column. *)
 let prop_csv_cell_roundtrip cells =
   (* an empty line is one empty cell in CSV, so [] cannot roundtrip *)
   let cells = if cells = [] then [ "" ] else cells in
-  let line = String.concat "," (List.map Metrics.Export.csv_cell cells) in
-  let back = Metrics.Export.csv_split line in
+  let line = String.concat "," (List.map Metrics.Export.Private.csv_cell cells) in
+  let back = Metrics.Export.Private.csv_split line in
   if back <> cells then
     QCheck.Test.fail_reportf "cells did not roundtrip through %S" line
   else true
@@ -298,16 +308,16 @@ let test_labeled_csv_roundtrip () =
   for _ = 1 to 3 do R.incr c ~cpu:0 done;
   let smp = Metrics.Sampler.create ~interval:10 reg in
   Metrics.Sampler.flush smp ~ts:10;
-  let csv = Metrics.Export.csv smp in
+  let csv = saved ~sampler:smp Metrics.Export.Csv reg in
   match String.split_on_char '\n' (String.trim csv) with
   | header :: _ :: _ ->
-    (match Metrics.Export.csv_split header with
+    (match Metrics.Export.Private.csv_split header with
     | [ ts; col ] ->
       check Alcotest.string "ts column" "ts_ns" ts;
       check
         (Alcotest.pair Alcotest.string
            (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)))
-        "labelled column survives csv" ("fleet_completed_total", labels) (R.split col)
+        "labelled column survives csv" ("fleet_completed_total", labels) (R.Private.split col)
     | cells -> Alcotest.failf "expected 2 header cells, got %d" (List.length cells))
   | _ -> Alcotest.fail "expected header + row"
 
@@ -318,8 +328,7 @@ let test_labeled_json_roundtrip () =
   let name = R.labeled "fleet_completed_total" [ ("tenant", "we\"b") ] in
   let c = R.counter reg name in
   for _ = 1 to 7 do R.incr c ~cpu:0 done;
-  let j = Metrics.Export.json_summary reg in
-  match Metrics.Json.parse (Metrics.Json.to_string ~pretty:true j) with
+  match Metrics.Json.parse (saved Metrics.Export.Json_summary reg) with
   | Error e -> Alcotest.failf "summary does not reparse: %s" e
   | Ok j ->
     let counters = Option.get (Metrics.Json.member "counters" j) in
@@ -348,30 +357,20 @@ let test_profile_rows () =
   | [] -> ());
   List.iter
     (fun row -> check Alcotest.int "table arity" (List.length Profile.table_header) (List.length row))
-    (Profile.table_rows p);
-  Profile.clear p;
-  check Alcotest.int "clear resets" 0 (Profile.crossings p)
+    (Profile.table_rows p)
 
 (* A cell resolved once collects every crossing in one row, the same row
-   as resolving the names each time, and stays live across [clear]. *)
+   as resolving the names each time. *)
 let test_profile_cells () =
   let p = Profile.create () in
   let c = Profile.cell p ~sched:"wfq" ~call:"pick_next_task" in
   Profile.record_cell p c ~sim_ns:100 ~wall_ns:0;
   record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:20 ~wall_ns:0;
-  (match Profile.rows p with
+  match Profile.rows p with
   | [ r ] ->
     check Alcotest.int "one row" 2 r.Profile.count;
     check Alcotest.int "both crossings' sim ns" 120 r.Profile.sim_ns
-  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
-  Profile.clear p;
-  check Alcotest.int "cleared table is empty" 0 (List.length (Profile.rows p));
-  Profile.record_cell p c ~sim_ns:5 ~wall_ns:0;
-  match Profile.rows p with
-  | [ r ] ->
-    check Alcotest.string "cell still live after clear" "pick_next_task" r.Profile.call;
-    check Alcotest.int "counted from zero" 1 r.Profile.count
-  | rows -> Alcotest.failf "expected one row after clear, got %d" (List.length rows)
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 (* The boundary profiler reads an int clock and adds ints into resolved
    cells, so what a profiled run allocates beyond the same run without a
@@ -438,9 +437,7 @@ let test_zero_perturbation () =
   check Alcotest.bool "profiler recorded crossings" true
     (Profile.crossings (Option.get profile) > 0);
   let reg = Option.get b1.Workloads.Setup.registry in
-  let counter name =
-    match R.find_counter reg name with Some c -> R.counter_value c | None -> -1
-  in
+  let counter = counter_named reg in
   check Alcotest.bool "machine recorded schedules" true (counter "sched_schedules_total" > 0);
   check Alcotest.bool "boundary recorded calls" true (counter "enoki_calls_total" > 0);
   (match R.find_histogram reg "workload_request_latency_ns" with

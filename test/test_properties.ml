@@ -39,7 +39,7 @@ let spawn_random_workload m ~policy ~rng ~tasks =
             | 2 -> T.Sleep (1 + Stats.Prng.int rng 300_000)
             | 3 -> T.Wake ch
             | 4 -> T.Yield
-            | _ -> if Stats.Prng.bool rng then T.Wake ch else T.Block ch
+            | _ -> if Stats.Prng.int rng 2 = 0 then T.Wake ch else T.Block ch
           end
         in
         let affinity = if Stats.Prng.int rng 4 = 0 then Some [ Stats.Prng.int rng 8 ] else None in
@@ -134,9 +134,9 @@ let binary_call_roundtrip c =
 
 let prop_message_fuzz_roundtrip (pid, cpu, gen, runtime) =
   let module S = Enoki.Schedulable in
-  let pid = abs pid mod (S.max_pid + 1)
+  let pid = abs pid mod (S.Private.max_pid + 1)
   and cpu = abs cpu mod 128
-  and gen = abs gen mod (S.max_generation + 1)
+  and gen = abs gen mod (S.Private.max_generation + 1)
   and runtime = abs runtime in
   let s = S.Private.create ~pid ~cpu ~gen in
   let calls =
@@ -159,7 +159,7 @@ let token_fields =
   in
   QCheck.make
     ~print:(fun (pid, cpu, gen) -> Printf.sprintf "pid %d cpu %d gen %d" pid cpu gen)
-    QCheck.Gen.(triple (field S.max_pid) (field S.max_cpu) (field S.max_generation))
+    QCheck.Gen.(triple (field S.Private.max_pid) (field S.Private.max_cpu) (field S.Private.max_generation))
 
 let prop_token_pack_roundtrip (pid, cpu, gen) =
   let module S = Enoki.Schedulable in
@@ -212,7 +212,7 @@ let prop_adversarial_payload_roundtrip (err, payload) =
       | _ -> false)
 
 let prop_binary_reply_roundtrip (n, pid) =
-  let pid = abs pid mod (Enoki.Schedulable.max_pid + 1) in
+  let pid = abs pid mod (Enoki.Schedulable.Private.max_pid + 1) in
   let s = Enoki.Schedulable.Private.create ~pid ~cpu:0 ~gen:1 in
   let replies =
     [
@@ -300,7 +300,7 @@ let prop_mutated_log_rejected_cleanly m =
         l;
       Bytes.to_string b
   in
-  match (m, Enoki.Replay.parse_full mutated) with
+  match (m, Enoki.Replay.Private.parse_full mutated) with
   | Cut n, (_, info) ->
     (* a cut inside the header has no header; anywhere else it is flagged
        exactly when it falls mid-frame *)
@@ -342,7 +342,7 @@ let test_out_of_range_token_rejected () =
   in
   List.iter
     (fun (field, pid, cpu, gen) ->
-      match Enoki.Replay.parse (log ~pid ~cpu ~gen) with
+      match Enoki.Replay.Private.parse (log ~pid ~cpu ~gen) with
       | _ -> Alcotest.failf "%s: decoded" field
       | exception Enoki.Replay.Malformed_log { pos; reason } ->
         Alcotest.(check int) (field ^ ": first frame") 1 pos;
@@ -351,15 +351,15 @@ let test_out_of_range_token_rejected () =
           true
           (String.starts_with ~prefix:("Schedulable: " ^ field ^ " ") reason))
     [
-      ("pid", S.max_pid + 1, 0, 1);
-      ("cpu", 1, S.max_cpu + 1, 1);
-      ("generation", 1, 0, S.max_generation + 1);
+      ("pid", S.Private.max_pid + 1, 0, 1);
+      ("cpu", 1, S.Private.max_cpu + 1, 1);
+      ("generation", 1, 0, S.Private.max_generation + 1);
       ("pid", -1, 0, 1);
     ];
   (* the limits themselves decode *)
-  match Enoki.Replay.parse (log ~pid:S.max_pid ~cpu:S.max_cpu ~gen:S.max_generation) with
+  match Enoki.Replay.Private.parse (log ~pid:S.Private.max_pid ~cpu:S.Private.max_cpu ~gen:S.Private.max_generation) with
   | [ Call { call = Task_wakeup { sched; _ }; _ } ] ->
-    Alcotest.(check (list int)) "max fields" [ S.max_pid; S.max_cpu; S.max_generation ]
+    Alcotest.(check (list int)) "max fields" [ S.Private.max_pid; S.Private.max_cpu; S.Private.max_generation ]
       [ S.pid sched; S.cpu sched; S.generation sched ]
   | _ -> Alcotest.fail "expected one task_wakeup"
 
@@ -370,7 +370,7 @@ let prop_headerless_bytes_rejected (k, rest) =
   QCheck.assume
     (String.length s < String.length header
     || String.sub s 0 (String.length header) <> header);
-  match Enoki.Replay.parse_full s with
+  match Enoki.Replay.Private.parse_full s with
   | exception Enoki.Replay.Malformed_log { pos = 0; _ } -> true
   | _ -> false
 

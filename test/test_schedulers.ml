@@ -78,8 +78,8 @@ let test_wfq_vruntime_visible () =
     let ctx = Enoki.Ctx.inert () in
     let w = Schedulers.Wfq.create ctx in
     check Alcotest.(option int) "unknown pid has no vruntime" None
-      (Schedulers.Wfq.vruntime_of w ~pid);
-    check Alcotest.int "fresh queues empty" 0 (Schedulers.Wfq.queue_length w ~cpu:0))
+      (Schedulers.Wfq.Private.vruntime_of w ~pid);
+    check Alcotest.int "fresh queues empty" 0 (Schedulers.Wfq.Private.queue_length w ~cpu:0))
   | None -> Alcotest.fail "no enoki"
 
 (* Regression: a second wakeup, or a pnt_err, for a pid that is still
@@ -93,16 +93,16 @@ let test_wfq_requeue_moves_single_entry () =
   W.task_new w ~pid:3 ~runtime:0 ~prio:0 ~sched:t1;
   (* the pid ran in between, so the second wakeup moves its vruntime *)
   W.task_wakeup w ~pid:3 ~runtime:(Kernsim.Time.ms 5) ~waker_cpu:0 ~sched:t2;
-  check Alcotest.int "second wakeup: one entry" 1 (W.queue_length w ~cpu:0);
+  check Alcotest.int "second wakeup: one entry" 1 (W.Private.queue_length w ~cpu:0);
   W.pnt_err w ~cpu:0 ~pid:3 ~err:"test" ~sched:t3;
-  check Alcotest.int "pnt_err: one entry" 1 (W.queue_length w ~cpu:0);
+  check Alcotest.int "pnt_err: one entry" 1 (W.Private.queue_length w ~cpu:0);
   let none = Enoki.Schedulable.none in
   let t = W.pick_next_task w ~cpu:0 ~curr:none ~curr_runtime:0 in
   check Alcotest.bool "queued pid picked" false (Enoki.Schedulable.is_none t);
   check Alcotest.int "picked with the newest token" 3 (Enoki.Schedulable.generation t);
   check Alcotest.bool "picked exactly once" true
     (Enoki.Schedulable.is_none (W.pick_next_task w ~cpu:0 ~curr:none ~curr_runtime:0));
-  check Alcotest.int "queue drained" 0 (W.queue_length w ~cpu:0)
+  check Alcotest.int "queue drained" 0 (W.Private.queue_length w ~cpu:0)
 
 (* ---------- Shinjuku ---------- *)
 
@@ -336,7 +336,7 @@ let test_cfs_consistent_under_stress () =
           | 0 -> T.Compute (Stats.Prng.int rng 500_000 + 1)
           | 1 -> T.Sleep (Stats.Prng.int rng 200_000 + 1)
           | 2 -> T.Wake ch
-          | _ -> if Stats.Prng.bool rng then T.Block ch else T.Yield
+          | _ -> if Stats.Prng.int rng 2 = 0 then T.Block ch else T.Yield
         end
     in
     let affinity = if i mod 3 = 0 then Some [ i mod 8 ] else None in
@@ -406,7 +406,11 @@ let ftrace_digest ?record kind run =
   let tracer = Trace.Tracer.create ~nr_cpus:(Kernsim.Topology.nr_cpus Kernsim.Topology.one_socket) () in
   let b = Workloads.Setup.build ?record ~tracer ~topology:Kernsim.Topology.one_socket kind in
   run b;
-  Digest.to_hex (Digest.string (Trace.Export.ftrace (Trace.Tracer.events tracer)))
+  let path = Filename.temp_file "golden" ".txt" in
+  Trace.Export.save ~path Trace.Export.Ftrace (Trace.Tracer.events tracer);
+  let digest = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  digest
 
 let pipe b = ignore (Workloads.Pipe_bench.run b ~messages:1_000 ())
 
@@ -421,7 +425,7 @@ let golden_runs (e : Schedulers.Registry.entry) =
     let record = Enoki.Record.create () in
     ignore (ftrace_digest ~record kind schbench);
     let faulted preset =
-      let plan = List.assoc preset Fault.Plan.presets in
+      let plan = Result.get_ok (Fault.Plan.parse preset) in
       ftrace_digest (Workloads.Setup.Enoki_sched (Fault.Inject.wrap ~seed:11 ~plan m)) pipe
     in
     base

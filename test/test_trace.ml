@@ -8,6 +8,17 @@ module Sched = Enoki.Schedulable
 
 let check = Alcotest.check
 
+(* the ftrace document as [Export.save] writes it *)
+let saved_ftrace events =
+  let path = Filename.temp_file "trace" ".txt" in
+  Trace.Export.save ~path Trace.Export.Ftrace events;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let violations_of_kind s k =
+  List.filter (fun (v : Trace.Sanitizer.violation) -> v.vkind = k) (Trace.Sanitizer.violations s)
+
 let one_socket = Kernsim.Topology.one_socket
 
 (* ---------- a minimal JSON syntax validator ----------
@@ -152,7 +163,7 @@ let test_tracer_counts_and_drops () =
   done;
   Trace.Tracer.emit tr ~ts:5 ~cpu:1 (Trace.Event.Dispatch { pid = 7 });
   check Alcotest.int "emitted counts every offer" 7 (Trace.Tracer.emitted tr);
-  check Alcotest.int "cpu 0 overran by 2" 2 (Trace.Tracer.dropped_of_cpu tr 0);
+  check Alcotest.int "cpu 0 overran by 2" 2 (Trace.Tracer.Private.dropped_of_cpu tr 0);
   check Alcotest.int "total drops" 2 (Trace.Tracer.dropped tr);
   check Alcotest.int "subscriber saw every event pre-drop" 7 !seen;
   check Alcotest.int "buffered = kept events" 5 (Trace.Tracer.buffered tr);
@@ -206,7 +217,7 @@ let test_tracer_rejects_oversized_capacity () =
           (Printf.sprintf "%d: %s" capacity msg)
           true
           (String.starts_with ~prefix:"Tracer.create: " msg))
-    [ Trace.Slots.max_capacity + 1; max_int / Trace.Slots.slot_bytes + 1; max_int; 0; -1 ]
+    [ Trace.Slots.max_capacity + 1; max_int / Trace.Slots.Private.slot_bytes + 1; max_int; 0; -1 ]
 
 (* A field too wide for a slot's packed word (a pid past 31 bits, a cpu
    past 24 or below 0) is stored whole, as a cold slot, and drains intact. *)
@@ -245,7 +256,7 @@ let test_tag_index_roundtrip () =
       [ T_switch; T_wakeup; T_dispatch; T_preempt; T_yield; T_block; T_exit; T_migrate; T_tick;
         T_idle; T_lock_acquire; T_lock_release; T_msg_call; T_dsq_insert; T_dsq_consume; T_cold ]
   in
-  check Alcotest.int "every tag listed" E.nr_tags (List.length tags);
+  check Alcotest.int "every tag listed" E.Private.nr_tags (List.length tags);
   List.iteri
     (fun i tag ->
       check Alcotest.int "declaration order" i (E.tag_index tag);
@@ -256,7 +267,7 @@ let test_tag_index_roundtrip () =
       match E.tags.(i) with
       | _ -> Alcotest.failf "index %d decoded" i
       | exception Invalid_argument _ -> ())
-    [ -1; E.nr_tags; E.nr_tags + 1; 255; min_int; max_int ]
+    [ -1; E.Private.nr_tags; E.Private.nr_tags + 1; 255; min_int; max_int ]
 
 (* ---------- event generators (all 25 kinds) ---------- *)
 
@@ -396,16 +407,16 @@ let test_spans_from_synthetic_stream () =
       ev 90 1 (Trace.Event.Block { pid = 5 });
     ]
   in
-  let spans = Trace.Spans.of_events events in
+  let spans = Trace.Spans.Private.of_events events in
   let wd = List.filter (fun (s : Trace.Spans.t) -> s.kind = Trace.Spans.Wakeup_to_dispatch) spans in
   let pr = List.filter (fun (s : Trace.Spans.t) -> s.kind = Trace.Spans.Preempt_to_resched) spans in
   (match wd with
   | [ s ] ->
-    check Alcotest.int "wakeup->dispatch duration" 20 (Trace.Spans.duration s);
+    check Alcotest.int "wakeup->dispatch duration" 20 (s.stop_ts - s.start_ts);
     check Alcotest.int "span pid" 5 s.pid
   | l -> Alcotest.failf "expected 1 wakeup span, got %d" (List.length l));
   match pr with
-  | [ s ] -> check Alcotest.int "preempt->resched duration" 30 (Trace.Spans.duration s)
+  | [ s ] -> check Alcotest.int "preempt->resched duration" 30 (s.stop_ts - s.start_ts)
   | l -> Alcotest.failf "expected 1 preempt span, got %d" (List.length l)
 
 (* A migration span covers the full off-cpu displacement, first Migrate to
@@ -425,12 +436,12 @@ let test_spans_migration () =
   let mg =
     List.filter
       (fun (s : Trace.Spans.t) -> s.kind = Trace.Spans.Migration)
-      (Trace.Spans.of_events events)
+      (Trace.Spans.Private.of_events events)
   in
   match mg with
   | [ s ] ->
     check Alcotest.int "span pid" 5 s.pid;
-    check Alcotest.int "chained hops measured from the first" 30 (Trace.Spans.duration s);
+    check Alcotest.int "chained hops measured from the first" 30 (s.stop_ts - s.start_ts);
     check Alcotest.int "closed on the dispatching cpu" 2 s.cpu
   | l -> Alcotest.failf "expected 1 migration span, got %d" (List.length l)
 
@@ -456,13 +467,13 @@ let test_spans_ingress_wait_interleaved () =
   let ing =
     List.filter
       (fun (s : Trace.Spans.t) -> s.kind = Trace.Spans.Ingress_wait)
-      (Trace.Spans.of_events events)
+      (Trace.Spans.Private.of_events events)
   in
   match List.sort (fun (a : Trace.Spans.t) b -> compare a.start_ts b.start_ts) ing with
   | [ a; b ] ->
-    check Alcotest.int "req 41 waited enqueue->take" 60 (Trace.Spans.duration a);
+    check Alcotest.int "req 41 waited enqueue->take" 60 (a.stop_ts - a.start_ts);
     check Alcotest.int "req 41 span pid = taker" 8 a.pid;
-    check Alcotest.int "req 42 waited enqueue->take" 30 (Trace.Spans.duration b);
+    check Alcotest.int "req 42 waited enqueue->take" 30 (b.stop_ts - b.start_ts);
     check Alcotest.int "req 42 span pid = taker" 9 b.pid
   | l -> Alcotest.failf "expected 2 ingress spans, got %d" (List.length l)
 
@@ -500,7 +511,7 @@ let test_chrome_export_is_valid_json () =
 
 let test_ftrace_export_format () =
   let events = traced_pipe_run (Workloads.Setup.Enoki_sched (module Schedulers.Fifo_sched)) in
-  let text = Trace.Export.ftrace events in
+  let text = saved_ftrace events in
   let lines = String.split_on_char '\n' text in
   check Alcotest.bool "has header" true
     (match lines with first :: _ -> first = "# tracer: schedtrace" | [] -> false);
@@ -719,7 +730,7 @@ module Printf_export = struct
       events;
     List.rev !spans
 
-  let chrome_json ?(spans = true) events =
+  let chrome_json events =
     let nr_cpus, slices = run_slices events in
     let buf = Buffer.create 65536 in
     Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -741,23 +752,21 @@ module Printf_export = struct
              ~args:[ ("pid", string_of_int pid) ]))
       slices;
     List.iter (fun ev -> add (instant_event ev)) events;
-    if spans then begin
-      let span_list = spans_of events in
-      if span_list <> [] then begin
-        add (meta_event ~pid:1 ~tid:0 ~name:"process_name" ~value:"latency spans");
-        add (meta_event ~pid:1 ~tid:0 ~name:"thread_name" ~value:"wakeup_to_dispatch");
-        add (meta_event ~pid:1 ~tid:1 ~name:"thread_name" ~value:"preempt_to_resched");
-        add (meta_event ~pid:1 ~tid:2 ~name:"thread_name" ~value:"migration");
-        add (meta_event ~pid:1 ~tid:3 ~name:"thread_name" ~value:"ingress_wait");
-        List.iter
-          (fun (pid, cpu, tid, start_ns, stop_ns) ->
-            add
-              (complete_event
-                 ~name:(Printf.sprintf "pid %d" pid)
-                 ~cat:"latency" ~pid:1 ~tid ~start_ns ~stop_ns
-                 ~args:[ ("pid", string_of_int pid); ("cpu", string_of_int cpu) ]))
-          span_list
-      end
+    let span_list = spans_of events in
+    if span_list <> [] then begin
+      add (meta_event ~pid:1 ~tid:0 ~name:"process_name" ~value:"latency spans");
+      add (meta_event ~pid:1 ~tid:0 ~name:"thread_name" ~value:"wakeup_to_dispatch");
+      add (meta_event ~pid:1 ~tid:1 ~name:"thread_name" ~value:"preempt_to_resched");
+      add (meta_event ~pid:1 ~tid:2 ~name:"thread_name" ~value:"migration");
+      add (meta_event ~pid:1 ~tid:3 ~name:"thread_name" ~value:"ingress_wait");
+      List.iter
+        (fun (pid, cpu, tid, start_ns, stop_ns) ->
+          add
+            (complete_event
+               ~name:(Printf.sprintf "pid %d" pid)
+               ~cat:"latency" ~pid:1 ~tid ~start_ns ~stop_ns
+               ~args:[ ("pid", string_of_int pid); ("cpu", string_of_int cpu) ]))
+        span_list
     end;
     Buffer.add_string buf "]}";
     Buffer.contents buf
@@ -853,10 +862,7 @@ let prop_writers_match_printf events =
   in
   let chrome = Trace.Export.chrome_json events in
   same "chrome_json" chrome (Printf_export.chrome_json events);
-  same "chrome_json ~spans:false"
-    (Trace.Export.chrome_json ~spans:false events)
-    (Printf_export.chrome_json ~spans:false events);
-  same "ftrace" (Trace.Export.ftrace events) (Printf_export.ftrace events);
+  same "ftrace" (saved_ftrace events) (Printf_export.ftrace events);
   (try Json_check.validate chrome
    with Json_check.Bad pos -> QCheck.Test.fail_reportf "invalid JSON at byte %d" pos);
   true
@@ -1018,7 +1024,7 @@ let broken_run mode ~hogs ~for_ =
 
 let test_sanitizer_catches_starvation () =
   let s = broken_run Starve ~hogs:2 ~for_:(Kernsim.Time.ms 300) in
-  let vs = Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Starvation in
+  let vs = violations_of_kind s Trace.Sanitizer.Starvation in
   check Alcotest.bool "starvation reported" true (vs <> []);
   check Alcotest.bool "violations carry trailing context" true
     (List.for_all (fun (v : Trace.Sanitizer.violation) -> v.window <> []) vs)
@@ -1026,11 +1032,11 @@ let test_sanitizer_catches_starvation () =
 let test_sanitizer_catches_work_conservation () =
   let s = broken_run Pin_cpu0 ~hogs:4 ~for_:(Kernsim.Time.ms 100) in
   check Alcotest.bool "work conservation violated" true
-    (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Work_conservation <> [])
+    (violations_of_kind s Trace.Sanitizer.Work_conservation <> [])
 
 let test_sanitizer_catches_token_discipline () =
   let s = broken_run Forge_token ~hogs:2 ~for_:(Kernsim.Time.ms 50) in
-  let vs = Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Token_discipline in
+  let vs = violations_of_kind s Trace.Sanitizer.Token_discipline in
   check Alcotest.bool "forged token surfaced as pnt_err violation" true (vs <> [])
 
 (* double-run and lock imbalance cannot be produced through the machine
@@ -1039,26 +1045,26 @@ let test_sanitizer_catches_token_discipline () =
 
 let test_sanitizer_catches_double_run () =
   let s = Trace.Sanitizer.create ~nr_cpus:4 () in
-  Trace.Sanitizer.feed s (ev 10 0 (Trace.Event.Dispatch { pid = 3 }));
-  Trace.Sanitizer.feed s (ev 20 1 (Trace.Event.Dispatch { pid = 3 }));
+  Trace.Sanitizer.Private.feed s (ev 10 0 (Trace.Event.Dispatch { pid = 3 }));
+  Trace.Sanitizer.Private.feed s (ev 20 1 (Trace.Event.Dispatch { pid = 3 }));
   check Alcotest.int "double run detected" 1
-    (List.length (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Double_run));
+    (List.length (violations_of_kind s Trace.Sanitizer.Double_run));
   (* same pid redispatched on the same cpu is not a double-run *)
   let s2 = Trace.Sanitizer.create ~nr_cpus:4 () in
-  Trace.Sanitizer.feed s2 (ev 10 0 (Trace.Event.Dispatch { pid = 3 }));
-  Trace.Sanitizer.feed s2 (ev 20 0 (Trace.Event.Dispatch { pid = 3 }));
+  Trace.Sanitizer.Private.feed s2 (ev 10 0 (Trace.Event.Dispatch { pid = 3 }));
+  Trace.Sanitizer.Private.feed s2 (ev 20 0 (Trace.Event.Dispatch { pid = 3 }));
   check Alcotest.bool "same-cpu redispatch ok" true (Trace.Sanitizer.ok s2)
 
 let test_sanitizer_catches_lock_imbalance () =
   let s = Trace.Sanitizer.create ~nr_cpus:2 () in
-  Trace.Sanitizer.feed s (ev 10 0 (Trace.Event.Lock_acquire { lock_id = 1 }));
-  Trace.Sanitizer.feed s (ev 20 0 (Trace.Event.Lock_release { lock_id = 2 }));
-  Trace.Sanitizer.feed s (ev 30 1 (Trace.Event.Lock_release { lock_id = 1 }));
+  Trace.Sanitizer.Private.feed s (ev 10 0 (Trace.Event.Lock_acquire { lock_id = 1 }));
+  Trace.Sanitizer.Private.feed s (ev 20 0 (Trace.Event.Lock_release { lock_id = 2 }));
+  Trace.Sanitizer.Private.feed s (ev 30 1 (Trace.Event.Lock_release { lock_id = 1 }));
   check Alcotest.int "out-of-order and never-acquired releases flagged" 2
-    (List.length (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Lock_imbalance));
+    (List.length (violations_of_kind s Trace.Sanitizer.Lock_imbalance));
   (* balanced LIFO nesting is clean *)
   let s2 = Trace.Sanitizer.create ~nr_cpus:2 () in
-  List.iter (Trace.Sanitizer.feed s2)
+  List.iter (Trace.Sanitizer.Private.feed s2)
     [
       ev 1 0 (Trace.Event.Lock_acquire { lock_id = 1 });
       ev 2 0 (Trace.Event.Lock_acquire { lock_id = 2 });
@@ -1074,21 +1080,21 @@ let test_disabled_silences_only_that_kind () =
     }
   in
   let s = Trace.Sanitizer.create ~config ~nr_cpus:4 () in
-  Trace.Sanitizer.feed s (ev 10 0 (Trace.Event.Dispatch { pid = 3 }));
-  Trace.Sanitizer.feed s (ev 20 1 (Trace.Event.Dispatch { pid = 3 }));
-  Trace.Sanitizer.feed s (ev 30 0 (Trace.Event.Lock_release { lock_id = 9 }));
+  Trace.Sanitizer.Private.feed s (ev 10 0 (Trace.Event.Dispatch { pid = 3 }));
+  Trace.Sanitizer.Private.feed s (ev 20 1 (Trace.Event.Dispatch { pid = 3 }));
+  Trace.Sanitizer.Private.feed s (ev 30 0 (Trace.Event.Lock_release { lock_id = 9 }));
   check Alcotest.bool "disabled kind silenced" true
-    (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Double_run = []);
+    (violations_of_kind s Trace.Sanitizer.Double_run = []);
   check Alcotest.bool "other kinds still fire" true
-    (Trace.Sanitizer.violations_of_kind s Trace.Sanitizer.Lock_imbalance <> [])
+    (violations_of_kind s Trace.Sanitizer.Lock_imbalance <> [])
 
 (* the watchdog polls [count_of_kind] on every tick; it must agree with
    the violation list *)
 let check_counts s =
   List.iter
     (fun k ->
-      check Alcotest.int (Trace.Sanitizer.kind_name k)
-        (List.length (Trace.Sanitizer.violations_of_kind s k))
+      check Alcotest.int (Trace.Sanitizer.Private.kind_name k)
+        (List.length (violations_of_kind s k))
         (Trace.Sanitizer.count_of_kind s k))
     Trace.Sanitizer.[ Double_run; Starvation; Work_conservation; Token_discipline; Lock_imbalance ]
 
@@ -1098,7 +1104,7 @@ let test_counts_match_violations () =
     (Trace.Sanitizer.count_of_kind s Trace.Sanitizer.Starvation > 0);
   check_counts s;
   let s = Trace.Sanitizer.create ~nr_cpus:2 () in
-  List.iter (Trace.Sanitizer.feed s)
+  List.iter (Trace.Sanitizer.Private.feed s)
     [
       ev 10 0 (Trace.Event.Lock_acquire { lock_id = 1 });
       ev 20 0 (Trace.Event.Lock_release { lock_id = 2 });
@@ -1113,7 +1119,7 @@ let test_counts_match_violations () =
    Every kind, through the boxed door ([Tracer.emit]) and through the packed
    emitters, must drain to the same events and give the sanitizer the same
    report, trailing windows included; feeding the boxed events straight to
-   [Sanitizer.feed] must too.  Message names come from the crossing table
+   [Sanitizer.Private.feed] must too.  Message names come from the crossing table
    (packed) and from arbitrary strings (boxed), and likewise dispatch-queue
    names (interned or not); lock ids straddle the shared-value range. *)
 
@@ -1150,8 +1156,8 @@ let emit_packed tr ~ts ~cpu (kind : E.kind) =
   | E.Idle -> Tr.emit_idle tr ~ts ~cpu
   | E.Lock_acquire { lock_id } -> Tr.emit_lock_acquire tr ~ts ~cpu ~lock_id
   | E.Lock_release { lock_id } -> Tr.emit_lock_release tr ~ts ~cpu ~lock_id
-  | E.Msg_call { name } when E.call_index name >= 0 ->
-    Tr.emit_msg_call tr ~ts ~cpu ~call:(E.call_index name)
+  | E.Msg_call { name } when E.Private.call_index name >= 0 ->
+    Tr.emit_msg_call tr ~ts ~cpu ~call:(E.Private.call_index name)
   | E.Dsq_insert { dsq; pid } when List.mem dsq dsq_names ->
     Tr.emit_tag tr ~ts ~cpu E.T_dsq_insert (E.dsq_index dsq) pid 0
   | E.Dsq_consume { dsq; pid; wait } when List.mem dsq dsq_names ->
@@ -1174,7 +1180,7 @@ let prop_packed_matches_boxed evs =
   let boxed_events, boxed = run Trace.Tracer.emit in
   let packed_events, packed = run emit_packed in
   let fed = Trace.Sanitizer.create ~config:packed_config ~nr_cpus:4 () in
-  List.iter (Trace.Sanitizer.feed fed) evs;
+  List.iter (Trace.Sanitizer.Private.feed fed) evs;
   if packed_events <> boxed_events then
     QCheck.Test.fail_reportf "drains differ:\n%s\nboxed:\n%s" (print_events packed_events)
       (print_events boxed_events);
