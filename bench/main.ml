@@ -1687,8 +1687,10 @@ let fleet_rows () =
 
    - machine rows: pipe-bench per scheduler under five configurations —
      no observability, schedtrace tracer, metrics registry, both, and the
-     boundary self-profiler (which reads the host clock twice per Enoki-C
-     crossing, and so has nothing to time on CFS);
+     boundary self-profiler (which counts every Enoki-C crossing and reads
+     the host clock twice on one in 64, and so has nothing to time on
+     CFS); WFQ's profile row also holds the profiler's wall-clock price,
+     as a ratio to no observability;
    - fleet rows: the cluster tier with observability off
      ([observe:false], the no-observability baseline), the default
      metrics pipeline, and the full request-anatomy decomposition.
@@ -1811,6 +1813,24 @@ let obs_fastpath_ceiling = 1.05
 
 let obs_exemplar_path = "obs-exemplars.trace.json"
 
+(* What the boundary profiler costs WFQ's pipe run: the best profiled run
+   over the best unprofiled one, the two alternating so host noise lands
+   on both alike.  Timing every crossing read ~1.85x; timing one in 64
+   reads ~1.1. *)
+let obs_profile_ratio () =
+  let kind = Workloads.Setup.of_registry (List.hd (fleet_entries [ "wfq" ])) in
+  let best = [| infinity; infinity |] in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun i profile ->
+        let (_, wall, _), _ = pipe_cell ~profile ~runs:1 kind in
+        best.(i) <- Float.min best.(i) wall)
+      [ false; true ]
+  done;
+  best.(1) /. best.(0)
+
+let obs_profile_ceiling = 1.15
+
 let obs_rows () =
   (* first, while the heap holds little a collection could hand back *)
   let reserve = obs_trace_reserve_row () in
@@ -1849,11 +1869,20 @@ let obs_rows () =
     (fun (sched, config, (events, wall, bpe)) ->
       Gate.row
         [ ("scheduler", sched); ("config", config) ]
-        [
-          Gate.int ~check:Exact "events" events;
-          Gate.float "ns_per_event" (per_event wall events);
-          Gate.float ~check:bytes_check "bytes_per_event" bpe;
-        ])
+        ([
+           Gate.int ~check:Exact "events" events;
+           Gate.float "ns_per_event" (per_event wall events);
+           Gate.float ~check:bytes_check "bytes_per_event" bpe;
+         ]
+        @
+        if sched = "wfq" && config = "profile" then
+          [
+            Gate.float "vs_none_wall" (obs_profile_ratio ())
+              ~check:
+                (Wall_ratchet
+                   { limit = obs_profile_ceiling; better = Lower; remeasure = obs_profile_ratio });
+          ]
+        else []))
     machine
   @ List.map
       (fun (config, f, wall, allocated) ->

@@ -176,7 +176,10 @@ let per_call_counter o k =
     o.o_per_call.(k) <- Some c;
     c
 
-let profile_cell t p k =
+(* inlined into [cross] and [leave]: the wfq pipe's profiled run over its
+   unprofiled one (`bench obs` [vs_none_wall]) read 1.10-1.12 with it and
+   1.11-1.14 without, six alternating runs each *)
+let[@inline] profile_cell t p k =
   match Array.unsafe_get t.prof_cells k with
   | Some c -> c
   | None ->
@@ -248,7 +251,8 @@ let token_fault t token ~cpu =
 (* Settle a crossing, on return and on raise alike, so a call that both
    overruns and raises is still surfaced.  The per-call latency is the fixed
    crossing cost plus whatever the module charged; profile rows add the host
-   wall clock.  Neither moves simulated time. *)
+   wall clock when [wall0] is a reading ([-1] when this crossing is not one
+   the profile times).  Neither moves simulated time. *)
 let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
   t.readers <- t.readers - 1;
   (* the wedged-module detector: compare what the module charged via
@@ -261,7 +265,7 @@ let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
   (match t.profile with
   | Some p ->
     Profile.record_cell p (profile_cell t p k) ~sim_ns:(ops.costs.enoki_call + charged)
-      ~wall_ns:(Profile.now_ns () - wall0)
+      ~wall_ns:(if wall0 < 0 then -1 else Profile.now_ns () - wall0)
   | None -> ());
   match t.call_budget with
   | Some budget when charged > budget ->
@@ -292,7 +296,11 @@ let cross t ~cpu k f a b c =
   t.readers <- t.readers + 1;
   let saved_charge = t.charged_in_call in
   t.charged_in_call <- 0;
-  let wall0 = match t.profile with Some _ -> Profile.now_ns () | None -> 0 in
+  let wall0 =
+    match t.profile with
+    | Some p when Profile.timed (profile_cell t p k) -> Profile.now_ns ()
+    | Some _ | None -> -1
+  in
   match f (packed_exn t) a b c with
   | r ->
     leave t ops ~cpu k saved_charge wall0;

@@ -25,11 +25,15 @@ type rq = {
    queued iff [pos.(pid) >= 0], and then [tok.(pid)] holds its token
    ([Sched.none] otherwise), so no hook allocates.
    A pid's vruntime never changes while it is queued: every hook that
-   moves it unqueues the pid first. *)
+   moves it unqueues the pid first.
+   [nr_stealable] counts the run-queues [balance] could steal from (see
+   [stealable]); [enqueue], [dequeue] and [set_running] keep it, so an
+   idle core finds nothing to steal without scanning every queue. *)
 type t = {
   ctx : Enoki.Ctx.t;
   lock : Enoki.Lock.t;
   rqs : rq array;
+  mutable nr_stealable : int;
   mutable present : bool array;
   mutable vruntime : int array;
   mutable weight : int array;
@@ -50,6 +54,7 @@ let create (ctx : Enoki.Ctx.t) =
     rqs =
       Array.init ctx.nr_cpus (fun _ ->
           { heap = Heap.create (); min_vruntime = 0; running = -1; ticks_since_dispatch = 0 });
+    nr_stealable = 0;
     present = [||];
     vruntime = [||];
     weight = [||];
@@ -106,11 +111,30 @@ let update_min t rq =
   let p = Heap.top rq.heap in
   if p >= 0 && t.vruntime.(p) > rq.min_vruntime then rq.min_vruntime <- t.vruntime.(p)
 
+let nr_queued rq = Heap.length rq.heap
+
+(* A core that cannot drain itself promptly, the only kind [balance]
+   steals from: at least two waiting, or one waiting behind a running task. *)
+let stealable rq =
+  let q = nr_queued rq in
+  q >= 2 || (q = 1 && rq.running >= 0)
+
+(* Settle [nr_stealable] after a change to [rq], [was] being whether it
+   was stealable before. *)
+let update_stealable t rq was =
+  let now = stealable rq in
+  if now <> was then t.nr_stealable <- (t.nr_stealable + if now then 1 else -1)
+
 (* Unqueue a known pid (a no-op when it is not queued) and hand back the
    token it held. *)
 let dequeue t pid =
   let held = t.tok.(pid) in
-  Heap.remove t.rqs.(t.cpu.(pid)).heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid;
+  if t.pos.(pid) >= 0 then begin
+    let rq = t.rqs.(t.cpu.(pid)) in
+    let was = stealable rq in
+    Heap.remove rq.heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid;
+    update_stealable t rq was
+  end;
   t.tok.(pid) <- Sched.none;
   held
 
@@ -118,9 +142,16 @@ let dequeue t pid =
 let enqueue t ~cpu pid sched =
   t.cpu.(pid) <- cpu;
   t.tok.(pid) <- sched;
-  Heap.add t.rqs.(cpu).heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid
+  let rq = t.rqs.(cpu) in
+  let was = stealable rq in
+  Heap.add rq.heap ~key:t.vruntime ~tie:t.vruntime ~pos:t.pos pid;
+  update_stealable t rq was
 
-let nr_queued rq = Heap.length rq.heap
+(* Every write of [rq.running] goes through here. *)
+let set_running t rq pid =
+  let was = stealable rq in
+  rq.running <- pid;
+  update_stealable t rq was
 
 let nr_running rq = nr_queued rq + if rq.running < 0 then 0 else 1
 
@@ -159,7 +190,7 @@ let task_blocked_locked t pid runtime cpu () =
     ignore (dequeue t pid);
     advance_vruntime t pid runtime;
     let rq = t.rqs.(cpu) in
-    if rq.running = pid then rq.running <- -1;
+    if rq.running = pid then set_running t rq (-1);
     update_min t rq
   end
 
@@ -171,7 +202,7 @@ let requeue_locked t pid runtime cpu sched =
   ignore (dequeue t pid);
   advance_vruntime t pid runtime;
   let rq = t.rqs.(cpu) in
-  if rq.running = pid then rq.running <- -1;
+  if rq.running = pid then set_running t rq (-1);
   enqueue t ~cpu pid sched;
   update_min t rq
 
@@ -192,7 +223,7 @@ let task_dead_locked t pid () () () =
   if known t pid then begin
     ignore (drop t pid);
     let rq = t.rqs.(t.cpu.(pid)) in
-    if rq.running = pid then rq.running <- -1
+    if rq.running = pid then set_running t rq (-1)
   end
 
 let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
@@ -200,7 +231,7 @@ let task_dead t ~pid = Enoki.Lock.locked t.lock task_dead_locked t pid () () ()
 let task_departed_locked t pid cpu () () =
   let held = if known t pid then drop t pid else Sched.none in
   let rq = t.rqs.(cpu) in
-  if rq.running = pid then rq.running <- -1;
+  if rq.running = pid then set_running t rq (-1);
   held
 
 let task_departed t ~pid ~cpu = Enoki.Lock.locked t.lock task_departed_locked t pid cpu () ()
@@ -211,13 +242,13 @@ let pick_next_task_locked t cpu curr () () =
   if pid >= 0 then begin
     let v = t.vruntime.(pid) in
     let held = dequeue t pid in
-    rq.running <- pid;
+    set_running t rq pid;
     rq.ticks_since_dispatch <- 0;
     if rq.min_vruntime < v then rq.min_vruntime <- v;
     held
   end
   else begin
-    rq.running <- Sched.pid curr;
+    set_running t rq (Sched.pid curr);
     curr
   end
 
@@ -267,7 +298,7 @@ let migrate_task_rq_locked t pid sched () () =
   else begin
     let old = dequeue t pid in
     let from_rq = t.rqs.(t.cpu.(pid)) and to_rq = t.rqs.(to_cpu) in
-    if from_rq.running = pid then from_rq.running <- -1;
+    if from_rq.running = pid then set_running t from_rq (-1);
     t.vruntime.(pid) <- t.vruntime.(pid) - from_rq.min_vruntime + to_rq.min_vruntime;
     enqueue t ~cpu:to_cpu pid sched;
     old
@@ -276,27 +307,26 @@ let migrate_task_rq_locked t pid sched () () =
 let migrate_task_rq t ~pid ~sched =
   Enoki.Lock.locked t.lock migrate_task_rq_locked t pid sched () ()
 
-(* steal from the longest queue only when this core is about to idle *)
+(* The longest stealable queue's first waiting pid, -1 when there is none;
+   the first longest wins. *)
+let steal_scan t =
+  let best = ref (-1) and best_n = ref 0 in
+  for c = 0 to Array.length t.rqs - 1 do
+    let o = t.rqs.(c) in
+    let n = if stealable o then nr_queued o else 0 in
+    if n > !best_n then begin
+      best := c;
+      best_n := n
+    end
+  done;
+  if !best >= 0 then Heap.top t.rqs.(!best).heap else -1
+
+(* steal from the longest queue only when this core is about to idle.  A
+   core that gets this far is not stealable itself, so the scan cannot
+   pick it, and with no stealable queue it would find nothing. *)
 let balance_locked t cpu () () () =
   let rq = t.rqs.(cpu) in
-  if nr_queued rq > 0 || rq.running >= 0 then -1
-  else begin
-    (* first longest wins; only steal from a core that cannot drain itself
-       promptly (something running, or at least two waiting) *)
-    let best = ref (-1) and best_n = ref 0 in
-    for other = 0 to Array.length t.rqs - 1 do
-      if other <> cpu then begin
-        let o = t.rqs.(other) in
-        let q = nr_queued o in
-        let n = if o.running >= 0 || q >= 2 then q else 0 in
-        if n > !best_n then begin
-          best := other;
-          best_n := n
-        end
-      end
-    done;
-    if !best >= 0 then Heap.top t.rqs.(!best).heap else -1
-  end
+  if t.nr_stealable = 0 || nr_queued rq > 0 || rq.running >= 0 then -1 else steal_scan t
 
 let balance t ~cpu = Enoki.Lock.locked t.lock balance_locked t cpu () () ()
 
@@ -337,7 +367,9 @@ let reregister_prepare t = Some (Wfq_state t)
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Wfq_state old) -> { old with ctx; lock = Enoki.Lock.create () }
+  | Some (Wfq_state old) ->
+    (* the run-queues are shared, and [nr_stealable] comes along with them *)
+    { old with ctx; lock = Enoki.Lock.create () }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "wfq: unrecognised transfer state")
 
 let queue_length t ~cpu = nr_queued t.rqs.(cpu)
@@ -348,4 +380,30 @@ module Private = struct
   let queue_length = queue_length
 
   let vruntime_of = vruntime_of
+
+  let nr_stealable t = t.nr_stealable
+
+  let recount_stealable t =
+    Array.fold_left (fun n rq -> if stealable rq then n + 1 else n) 0 t.rqs
+
+  (* the scan as it was before the count, its own code so that it checks
+     [stealable] too *)
+  let balance_by_scan t ~cpu =
+    let rq = t.rqs.(cpu) in
+    if nr_queued rq > 0 || rq.running >= 0 then -1
+    else begin
+      let best = ref (-1) and best_n = ref 0 in
+      for other = 0 to Array.length t.rqs - 1 do
+        if other <> cpu then begin
+          let o = t.rqs.(other) in
+          let q = nr_queued o in
+          let n = if o.running >= 0 || q >= 2 then q else 0 in
+          if n > !best_n then begin
+            best := other;
+            best_n := n
+          end
+        end
+      done;
+      if !best >= 0 then Heap.top t.rqs.(!best).heap else -1
+    end
 end

@@ -22,4 +22,13 @@ module Private : sig
 
   (** Current vruntime of a task, if known. *)
   val vruntime_of : t -> pid:int -> int option
+
+  (** The run-queues [balance] may steal from, as the module keeps count. *)
+  val nr_stealable : t -> int
+
+  (** The same number, counted afresh over every run-queue. *)
+  val recount_stealable : t -> int
+
+  (** [balance] without the count: the scan over every other run-queue. *)
+  val balance_by_scan : t -> cpu:int -> int
 end

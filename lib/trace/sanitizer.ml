@@ -55,6 +55,9 @@ type t = {
   recent : Slots.t; (* trailing context, newest kept, packed like the tracer's rings *)
   mutable next : int; (* the window slot the next event goes to *)
   counts : int array; (* violations recorded, by [kind_index] *)
+  (* a dispatch found its pid running on another cpu, so a pid may sit in
+     two [current] slots: [stop_running] scans them all from then on *)
+  mutable double_ran : bool;
   mutable violations : violation list; (* newest first *)
   mutable events_seen : int;
 }
@@ -82,6 +85,7 @@ let create ?(config = default_config) ~nr_cpus () =
     recent = Slots.create cap;
     next = 0;
     counts = Array.make 5 0;
+    double_ran = false;
     violations = [];
     events_seen = 0;
   }
@@ -116,14 +120,23 @@ let clear_runnable t pid =
   Hashtbl.remove t.runnable pid;
   Hashtbl.remove t.starved_reported pid
 
+(* Until a double run, a [current] slot names a pid only on the cpu
+   [running] maps it to, so that slot is the one to clear.  After one, the
+   pid may also sit on the cpu it was dispatched on first: clear every slot
+   that names it, not just the one [running] names. *)
 let stop_running t pid =
-  Hashtbl.remove t.running pid;
-  (* the pid may have been dispatched elsewhere per our bookkeeping if a
-     double-run slipped through; clear every slot that names it, not just
-     the event's cpu *)
-  for c = 0 to Array.length t.current - 1 do
-    if t.current.(c) = pid then t.current.(c) <- -1
-  done
+  if t.double_ran then begin
+    Hashtbl.remove t.running pid;
+    for c = 0 to Array.length t.current - 1 do
+      if t.current.(c) = pid then t.current.(c) <- -1
+    done
+  end
+  else
+    match Hashtbl.find t.running pid with
+    | cpu ->
+      Hashtbl.remove t.running pid;
+      if t.current.(cpu) = pid then t.current.(cpu) <- -1
+    | exception Not_found -> ()
 
 let check_starvation t now =
   Hashtbl.iter
@@ -210,6 +223,7 @@ let step t ~ts ~cpu tag pid b c cold =
   | T_dispatch ->
     (match Hashtbl.find t.running pid with
     | other when other <> cpu ->
+      t.double_ran <- true;
       violate t ~at:ts ~cpu Double_run
         (Printf.sprintf "pid %d dispatched on cpu %d while still running on cpu %d" pid cpu
            other)
@@ -277,7 +291,12 @@ let step t ~ts ~cpu tag pid b c cold =
 let feed t (ev : Event.t) =
   Event.pack ev.kind (fun tag a b c kind -> step t ~ts:ev.ts ~cpu:ev.cpu tag a b c kind)
 
-let attach t tracer = Tracer.subscribe tracer (step t)
+let attach t tracer =
+  if Tracer.nr_cpus tracer > t.nr_cpus then
+    invalid_arg
+      (Printf.sprintf "Sanitizer.attach: the tracer has %d cpus, the sanitizer only %d"
+         (Tracer.nr_cpus tracer) t.nr_cpus);
+  Tracer.subscribe tracer (step t)
 
 let violations t = List.rev t.violations
 
@@ -318,4 +337,6 @@ module Private = struct
   let kind_name = kind_name
 
   let feed = feed
+
+  let current t ~cpu = t.current.(cpu)
 end

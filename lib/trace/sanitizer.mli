@@ -56,7 +56,9 @@ val create : ?config:config -> nr_cpus:int -> unit -> t
 
 (** Subscribe [t] to every event [tracer] emits, in packed form: checking
     allocates only its per-task hash-table entries and what a violation
-    records. *)
+    records.  Raises [Invalid_argument "Sanitizer.attach: ..."] when the
+    tracer has more cpus than [t], whose per-cpu state could not hold
+    their events. *)
 val attach : t -> Tracer.t -> unit
 
 (** All violations, oldest first. *)
@@ -78,4 +80,7 @@ module Private : sig
   (** Feed one event (timestamp order assumed): its packed form goes
       through the same checker {!attach} subscribes. *)
   val feed : t -> Event.t -> unit
+
+  (** The pid the sanitizer holds dispatched on [cpu], [-1] for none. *)
+  val current : t -> cpu:int -> int
 end

@@ -41,6 +41,8 @@ let create ?(capacity = 65536) ~nr_cpus () =
          Slots.max_capacity);
   { rings = Array.init nr_cpus (fun _ -> make_ring capacity); subscribers = []; emitted = 0 }
 
+let nr_cpus t = Array.length t.rings
+
 (* Claim the next write slot, or -1 when the ring is full — the newest
    event is the one dropped, matching [Ring_buffer.push]. *)
 let[@inline] claim r =

@@ -35,6 +35,9 @@ type t
     string. *)
 val create : ?capacity:int -> nr_cpus:int -> unit -> t
 
+(** The cpus it has a ring for: events name cpus below this. *)
+val nr_cpus : t -> int
+
 (** [emit t ~ts ~cpu kind] appends an event: pushed onto [cpu]'s ring
     (dropped and counted when full) and delivered to every subscriber.
     Out-of-range cpus are folded onto cpu 0 rather than lost.  Kinds with

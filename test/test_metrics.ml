@@ -340,21 +340,73 @@ let test_labeled_json_roundtrip () =
 
 let record p ~sched ~call = Profile.record_cell p (Profile.cell p ~sched ~call)
 
+(* Every crossing counts, with its simulated ns; the wall clock is read on
+   one crossing in each block of 64, at a place hashed from the block's
+   number, and a row's wall ns/call is the mean over those.  Cells of 130,
+   65, 64 and 2 crossings time 2, 1, 1 and 0 of them: blocks 0, 1 and 2
+   time their crossings 40, 60 and 14. *)
 let test_profile_rows () =
+  let record p =
+    let timed_at = Hashtbl.create 8 in
+    let cross ~call n =
+      let c = Profile.cell p ~sched:"wfq" ~call in
+      for i = 0 to n - 1 do
+        let wall_ns =
+          if Profile.timed c then begin
+            Hashtbl.add timed_at call i;
+            10 * (1 + (i / 64))
+          end
+          else -1
+        in
+        Profile.record_cell p c ~sim_ns:(100 + i) ~wall_ns
+      done
+    in
+    cross ~call:"pick_next_task" 130;
+    cross ~call:"task_tick" 65;
+    cross ~call:"task_wakeup" 64;
+    cross ~call:"task_new" 2;
+    fun call -> List.sort compare (Hashtbl.find_all timed_at call)
+  in
   let p = Profile.create () in
-  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:100 ~wall_ns:5;
-  record p ~sched:"wfq" ~call:"pick_next_task" ~sim_ns:50 ~wall_ns:3;
-  record p ~sched:"wfq" ~call:"task_wakeup" ~sim_ns:10 ~wall_ns:1;
-  check Alcotest.int "crossings" 3 (Profile.crossings p);
+  let timed = record p in
+  check Alcotest.int "crossings" 261 (Profile.crossings p);
+  check Alcotest.(list int) "pick: crossings timed" [ 40; 124 ] (timed "pick_next_task");
+  check Alcotest.(list int) "tick: crossings timed" [ 40 ] (timed "task_tick");
+  check Alcotest.(list int) "wakeup: crossings timed" [ 40 ] (timed "task_wakeup");
+  check Alcotest.(list int) "new: no crossing timed" [] (timed "task_new");
+  let again = record (Profile.create ()) in
+  List.iter
+    (fun call -> check Alcotest.(list int) (call ^ ": the same crossings again") (timed call) (again call))
+    [ "pick_next_task"; "task_tick"; "task_wakeup"; "task_new" ];
   let rows = Profile.rows p in
-  check Alcotest.int "one row per (sched, call)" 2 (List.length rows);
-  let r = List.find (fun (r : Profile.row) -> r.call = "pick_next_task") rows in
-  check Alcotest.int "aggregated count" 2 r.Profile.count;
-  check Alcotest.int "aggregated sim ns" 150 r.Profile.sim_ns;
-  check (Alcotest.float 0.001) "aggregated wall ns" 8.0 r.Profile.wall_ns;
-  (match rows with
-  | r0 :: _ -> check Alcotest.string "busiest callback first" "pick_next_task" r0.Profile.call
-  | [] -> ());
+  check
+    Alcotest.(list string)
+    "one row per (sched, call), busiest callback first"
+    [ "pick_next_task"; "task_tick"; "task_wakeup"; "task_new" ]
+    (List.map (fun (r : Profile.row) -> r.call) rows);
+  let expect call ~count ~samples ~wall =
+    let r = List.find (fun (r : Profile.row) -> r.call = call) rows in
+    check Alcotest.int (call ^ " count") count r.count;
+    check Alcotest.int (call ^ " sim ns") ((100 * count) + (count * (count - 1) / 2)) r.sim_ns;
+    check Alcotest.int (call ^ " sample size") samples r.samples;
+    check Alcotest.bool (call ^ " sample size is count/64, rounded either way") true
+      (r.samples = count / 64 || r.samples = (count + 63) / 64);
+    check (Alcotest.float 0.) (call ^ " wall ns/call: the sample mean") wall r.wall_ns_per_call
+  in
+  expect "pick_next_task" ~count:130 ~samples:2 ~wall:15.;
+  expect "task_tick" ~count:65 ~samples:1 ~wall:10.;
+  expect "task_wakeup" ~count:64 ~samples:1 ~wall:10.;
+  expect "task_new" ~count:2 ~samples:0 ~wall:0.;
+  check
+    Alcotest.(list (list string))
+    "table rows"
+    [
+      [ "wfq"; "pick_next_task"; "130"; "164"; "15"; "2"; "49.8%" ];
+      [ "wfq"; "task_tick"; "65"; "132"; "10"; "1"; "24.9%" ];
+      [ "wfq"; "task_wakeup"; "64"; "132"; "10"; "1"; "24.5%" ];
+      [ "wfq"; "task_new"; "2"; "100"; "-"; "0"; "0.8%" ];
+    ]
+    (Profile.table_rows p);
   List.iter
     (fun row -> check Alcotest.int "table arity" (List.length Profile.table_header) (List.length row))
     (Profile.table_rows p)
@@ -371,6 +423,27 @@ let test_profile_cells () =
     check Alcotest.int "one row" 2 r.Profile.count;
     check Alcotest.int "both crossings' sim ns" 120 r.Profile.sim_ns
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
+(* A profiled run counts every crossing the boundary makes, and times
+   one in each block of 64 of each callback's. *)
+let test_profile_counts_every_crossing () =
+  let p = Profile.create () in
+  let b =
+    Workloads.Setup.build ~profile:p ~topology:one_socket
+      (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+  in
+  ignore (Workloads.Pipe_bench.run b ~messages:2_000 ());
+  let rows = Profile.rows p in
+  let calls = Enoki.Enoki_c.calls (Option.get b.Workloads.Setup.enoki) in
+  check Alcotest.bool "the run crossed" true (calls > 1000);
+  check Alcotest.int "row counts sum to Enoki_c.calls" calls
+    (List.fold_left (fun n (r : Profile.row) -> n + r.count) 0 rows);
+  check Alcotest.int "crossings = Enoki_c.calls" calls (Profile.crossings p);
+  List.iter
+    (fun (r : Profile.row) ->
+      check Alcotest.bool (r.call ^ ": timed count/64, rounded either way") true
+        (r.samples = r.count / 64 || r.samples = (r.count + 63) / 64))
+    rows
 
 (* The boundary profiler reads an int clock and adds ints into resolved
    cells, so what a profiled run allocates beyond the same run without a
@@ -534,6 +607,8 @@ let () =
         [
           Alcotest.test_case "row aggregation" `Quick test_profile_rows;
           Alcotest.test_case "resolved cells" `Quick test_profile_cells;
+          Alcotest.test_case "every crossing counted, 1 in 64 timed" `Quick
+            test_profile_counts_every_crossing;
           Alcotest.test_case "no allocation per crossing" `Quick
             test_profile_allocates_nothing_per_crossing;
         ] );

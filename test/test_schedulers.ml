@@ -104,6 +104,90 @@ let test_wfq_requeue_moves_single_entry () =
     (Enoki.Schedulable.is_none (W.pick_next_task w ~cpu:0 ~curr:none ~curr_runtime:0));
   check Alcotest.int "queue drained" 0 (W.Private.queue_length w ~cpu:0)
 
+(* [balance] skips its steal scan when no run-queue is stealable, which
+   it knows from a count the hooks keep.  Random hook sequences, with a
+   live upgrade somewhere in the middle: after every hook the count must
+   equal a recount, and [balance] on every cpu the full scan's answer. *)
+let prop_wfq_stealable_count ~nr_cpus seed =
+  let module W = Schedulers.Wfq in
+  let rng = Stats.Prng.create ~seed in
+  let int n = Stats.Prng.int rng n in
+  (* most traffic on a few cpus, so queues grow long enough to steal from *)
+  let cpu () = if int 4 > 0 then int (min nr_cpus 3) else int nr_cpus in
+  let gen = ref 0 in
+  let tok ~pid ~cpu =
+    incr gen;
+    Enoki.Schedulable.Private.create ~pid ~cpu ~gen:!gen
+  in
+  let ctx = Enoki.Ctx.inert ~nr_cpus () in
+  let w = ref (W.create ctx) in
+  let steps = 300 in
+  let upgrade_at = 50 + int (steps - 100) in
+  let runtime = ref 0 in
+  let check_after step what =
+    let w = !w in
+    let kept = W.Private.nr_stealable w and counted = W.Private.recount_stealable w in
+    if kept <> counted then
+      QCheck.Test.fail_reportf "step %d (%s): nr_stealable %d, recount %d (seed %d, %d cpus)" step
+        what kept counted seed nr_cpus;
+    for c = 0 to nr_cpus - 1 do
+      let fast = W.balance w ~cpu:c and scan = W.Private.balance_by_scan w ~cpu:c in
+      if fast <> scan then
+        QCheck.Test.fail_reportf "step %d (%s): balance on cpu %d gave %d, the scan %d (seed %d)"
+          step what c fast scan seed
+    done
+  in
+  for step = 0 to steps - 1 do
+    if step = upgrade_at then begin
+      w := W.reregister_init (Enoki.Ctx.inert ~nr_cpus ()) (W.reregister_prepare !w);
+      check_after step "upgrade"
+    end;
+    let pid = int 24 in
+    runtime := !runtime + int 2_000_000;
+    let rt = !runtime in
+    let what =
+      match int 12 with
+      | 0 ->
+        let c = cpu () in
+        W.task_new !w ~pid ~runtime:rt ~prio:(int 5) ~sched:(tok ~pid ~cpu:c);
+        "task_new"
+      | 1 | 2 ->
+        let c = cpu () in
+        W.task_wakeup !w ~pid ~runtime:rt ~waker_cpu:(cpu ()) ~sched:(tok ~pid ~cpu:c);
+        "task_wakeup"
+      | 3 ->
+        W.task_blocked !w ~pid ~runtime:rt ~cpu:(cpu ());
+        "task_blocked"
+      | 4 ->
+        let c = cpu () in
+        (if int 2 = 0 then W.task_preempt else W.task_yield)
+          !w ~pid ~runtime:rt ~cpu:c ~sched:(tok ~pid ~cpu:c);
+        "task_preempt/yield"
+      | 5 ->
+        if int 2 = 0 then W.task_dead !w ~pid else ignore (W.task_departed !w ~pid ~cpu:(cpu ()));
+        "task_dead/departed"
+      | 6 | 7 | 8 ->
+        let c = cpu () in
+        let curr = if int 3 = 0 then tok ~pid ~cpu:c else Enoki.Schedulable.none in
+        ignore (W.pick_next_task !w ~cpu:c ~curr ~curr_runtime:rt);
+        "pick_next_task"
+      | 9 ->
+        let c = cpu () in
+        W.pnt_err !w ~cpu:c ~pid ~err:"test" ~sched:(tok ~pid ~cpu:c);
+        "pnt_err"
+      | 10 ->
+        ignore (W.migrate_task_rq !w ~pid ~sched:(tok ~pid ~cpu:(cpu ())));
+        "migrate_task_rq"
+      | _ ->
+        let c = cpu () in
+        ignore (W.select_task_rq !w ~pid ~waker_cpu:c ~allowed:[ c; cpu () ]);
+        W.task_tick !w ~cpu:c ~queued:true;
+        "select_task_rq/task_tick"
+    in
+    check_after step what
+  done;
+  true
+
 (* ---------- Shinjuku ---------- *)
 
 let test_shinjuku_preempts_long_tasks () =
@@ -529,7 +613,14 @@ let () =
           Alcotest.test_case "introspection" `Quick test_wfq_vruntime_visible;
           Alcotest.test_case "re-queue moves the single entry" `Quick
             test_wfq_requeue_moves_single_entry;
-        ] );
+        ]
+        @ List.map
+            (fun nr_cpus ->
+              QCheck_alcotest.to_alcotest
+                (QCheck.Test.make ~count:30
+                   ~name:(Printf.sprintf "stealable count = recount, %d cpus" nr_cpus)
+                   QCheck.small_nat (prop_wfq_stealable_count ~nr_cpus)))
+            [ 1; 8; 80 ] );
       ( "shinjuku",
         [
           Alcotest.test_case "preempts long tasks" `Quick test_shinjuku_preempts_long_tasks;

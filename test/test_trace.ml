@@ -1055,6 +1055,69 @@ let test_sanitizer_catches_double_run () =
   Trace.Sanitizer.Private.feed s2 (ev 20 0 (Trace.Event.Dispatch { pid = 3 }));
   check Alcotest.bool "same-cpu redispatch ok" true (Trace.Sanitizer.ok s2)
 
+(* A double run leaves the pid in two cpus' slots; whatever stops it (a
+   block, an idle on either cpu) must clear both, whether or not the
+   double run is reported.  Without one, stopping a pid leaves the other
+   cpus alone. *)
+let test_sanitizer_double_run_clears_every_cpu () =
+  let current s = List.init 4 (fun cpu -> Trace.Sanitizer.Private.current s ~cpu) in
+  let double_run ?config () =
+    let s = Trace.Sanitizer.create ?config ~nr_cpus:4 () in
+    List.iter (Trace.Sanitizer.Private.feed s)
+      [
+        ev 10 0 (Trace.Event.Dispatch { pid = 3 });
+        ev 15 2 (Trace.Event.Dispatch { pid = 5 });
+        ev 20 1 (Trace.Event.Dispatch { pid = 3 });
+      ];
+    check Alcotest.(list int) "pid 3 on cpus 0 and 1" [ 3; 3; 5; -1 ] (current s);
+    s
+  in
+  let stopped s =
+    check Alcotest.(list int) "every slot naming pid 3 cleared" [ -1; -1; 5; -1 ] (current s)
+  in
+  let s = double_run () in
+  Trace.Sanitizer.Private.feed s (ev 30 1 (Trace.Event.Block { pid = 3 }));
+  stopped s;
+  let s = double_run () in
+  Trace.Sanitizer.Private.feed s (ev 30 1 Trace.Event.Idle);
+  stopped s;
+  let s = double_run () in
+  Trace.Sanitizer.Private.feed s (ev 30 0 Trace.Event.Idle);
+  stopped s;
+  let config =
+    { Trace.Sanitizer.default_config with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Double_run ] }
+  in
+  let s = double_run ~config () in
+  Trace.Sanitizer.Private.feed s (ev 30 0 (Trace.Event.Block { pid = 3 }));
+  check Alcotest.bool "double run not reported" true (Trace.Sanitizer.ok s);
+  stopped s;
+  let s = Trace.Sanitizer.create ~nr_cpus:4 () in
+  List.iter (Trace.Sanitizer.Private.feed s)
+    [
+      ev 10 0 (Trace.Event.Dispatch { pid = 3 });
+      ev 15 1 (Trace.Event.Dispatch { pid = 5 });
+      ev 20 0 (Trace.Event.Dispatch { pid = 7 });
+      ev 30 0 (Trace.Event.Block { pid = 3 });
+      ev 40 1 (Trace.Event.Block { pid = 5 });
+    ];
+  check Alcotest.(list int) "no double run: only the pid's own cpu" [ 7; -1; -1; -1 ] (current s)
+
+(* A sanitizer narrower than its tracer would see events on cpus it keeps
+   no state for: attaching it is refused at once.  A wider one is fine. *)
+let test_sanitizer_attach_checks_width () =
+  let tracer = Trace.Tracer.create ~capacity:16 ~nr_cpus:4 () in
+  (match Trace.Sanitizer.attach (Trace.Sanitizer.create ~nr_cpus:2 ()) tracer with
+  | () -> Alcotest.fail "a 2-cpu sanitizer attached to a 4-cpu tracer"
+  | exception Invalid_argument msg ->
+    check Alcotest.bool ("one-line Sanitizer.attach error: " ^ msg) true
+      (String.starts_with ~prefix:"Sanitizer.attach: " msg && not (String.contains msg '\n')));
+  let s = Trace.Sanitizer.create ~nr_cpus:8 () in
+  Trace.Sanitizer.attach s tracer;
+  Trace.Tracer.emit_dispatch tracer ~ts:10 ~cpu:3 ~pid:1;
+  Trace.Tracer.emit_idle tracer ~ts:20 ~cpu:3;
+  check Alcotest.int "a wider sanitizer checks every event" 2 (Trace.Sanitizer.events_seen s);
+  check Alcotest.bool "and finds nothing wrong" true (Trace.Sanitizer.ok s)
+
 let test_sanitizer_catches_lock_imbalance () =
   let s = Trace.Sanitizer.create ~nr_cpus:2 () in
   Trace.Sanitizer.Private.feed s (ev 10 0 (Trace.Event.Lock_acquire { lock_id = 1 }));
@@ -1275,6 +1338,8 @@ let () =
           ("work conservation", `Quick, test_sanitizer_catches_work_conservation);
           ("token discipline", `Quick, test_sanitizer_catches_token_discipline);
           ("double run (synthetic)", `Quick, test_sanitizer_catches_double_run);
+          ("double run: stopping clears every cpu", `Quick, test_sanitizer_double_run_clears_every_cpu);
+          ("attach refuses a wider tracer", `Quick, test_sanitizer_attach_checks_width);
           ("lock imbalance (synthetic)", `Quick, test_sanitizer_catches_lock_imbalance);
           ("disabled kinds silenced", `Quick, test_disabled_silences_only_that_kind);
           ("counts match the violation list", `Quick, test_counts_match_violations);
