@@ -45,8 +45,7 @@ let memcached_params ~mode ~load_kreqs =
 (* ---------- -j N: the domain pool ----------
 
    Bench cells are independent simulations — each builds its own machine,
-   registry and tracer, and the Lock shim's mode/tap/id state is
-   domain-local — so the matrix experiments (perf, speed, sanity, chaos)
+   registry and tracer, and its module owns its locks — so the matrix experiments (perf, speed, sanity, chaos)
    compute their rows with a small pool of domains and print them in input
    order afterwards.  Tables are byte-identical to a sequential run (the
    simulations are deterministic); only wall clock changes.  Trace export
@@ -64,20 +63,14 @@ let effective_jobs () = if !trace_path <> None then 1 else max 1 !jobs
 let cells_allocated = Atomic.make 0
 
 (* one shared pool for the whole bench run, spawned lazily on the first
-   parallel batch and parked between batches; every cell starts from a
-   fresh Lock context so no mode/tap/id state leaks between cells or from
-   the main domain into a worker *)
+   parallel batch and parked between batches *)
 let the_pool : Ds.Domain_pool.t option ref = ref None
 
 let get_pool () =
   match !the_pool with
   | Some p -> p
   | None ->
-    let p =
-      Ds.Domain_pool.create
-        ~on_task:(fun () -> Enoki.Lock.install_ctx (Enoki.Lock.fresh_ctx ()))
-        ~domains:(effective_jobs ()) ()
-    in
+    let p = Ds.Domain_pool.create ~domains:(effective_jobs ()) () in
     the_pool := Some p;
     p
 
@@ -87,15 +80,8 @@ let parallel_map (xs : 'a list) ~(f : 'a -> 'b) : 'b list =
   if effective_jobs () <= 1 || List.length xs <= 1 then List.map f xs
   else begin
     let pool = get_pool () in
-    (* the main domain claims cells too, and the on_task hook resets its
-       Lock context per cell — restore it once the batch settles *)
-    let ctx = Enoki.Lock.capture_ctx () in
     let a0 = Ds.Domain_pool.allocated_bytes pool in
-    let out =
-      Fun.protect
-        (fun () -> Ds.Domain_pool.map_list pool xs ~f)
-        ~finally:(fun () -> Enoki.Lock.install_ctx ctx)
-    in
+    let out = Ds.Domain_pool.map_list pool xs ~f in
     ignore
       (Atomic.fetch_and_add cells_allocated
          (int_of_float (Ds.Domain_pool.allocated_bytes pool -. a0)));
@@ -1347,7 +1333,6 @@ type rr_mode = {
 let recordreplay () =
   Report.section "Record and replay overhead (5.8)";
   let messages = if !quick then 5_000 else 20_000 in
-  Enoki.Lock.set_passthrough_mode ();
   let run_one rr_name record ~flush ~stats =
     let b =
       build ?record ~topology:one_socket (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))

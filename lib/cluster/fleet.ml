@@ -81,14 +81,6 @@ type host = {
   tracer : Trace.Tracer.t option;  (* chaos victim only *)
   sanitizer : Trace.Sanitizer.t option;
   hist : Reg.histogram;
-  (* the host's domain-local lock state (mode, tap, id counter) as a value:
-     installed around every machine advance so the host's lock identity —
-     including host 0's record stream — travels with the host, whichever
-     domain runs it *)
-  mutable lock_ctx : Enoki.Lock.ctx;
-  (* the advancing domain's own context, restored after each advance;
-     kept so a steady epoch re-captures both without allocating *)
-  mutable outer_ctx : Enoki.Lock.ctx;
   fx : fx;  (* chronological; deferred to the epoch barrier *)
   mutable inflight : int;  (* queued + executing *)
   mutable completed : int;
@@ -294,15 +286,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       Workloads.Setup.register_tracer_probes ~labels:[ ("host", string_of_int id) ] reg tr
     | None -> ());
     let record = if id = 0 then record else None in
-    (* each host builds — and later advances — under its own pristine lock
-       context, so one host's record mode or trace tap can never leak into
-       another host's (previously, whichever host built last owned the
-       whole fleet's ambient lock state) *)
-    let outer_ctx = Enoki.Lock.capture_ctx () in
-    Enoki.Lock.install_ctx (Enoki.Lock.fresh_ctx ());
     let built = Workloads.Setup.build ?record ?tracer ~topology kind in
-    let lock_ctx = Enoki.Lock.capture_ctx () in
-    Enoki.Lock.install_ctx outer_ctx;
     let chan = M.new_chan built.Workloads.Setup.machine in
     let hist =
       Reg.histogram reg ~help:"end-to-end request latency per host (ns)"
@@ -321,8 +305,6 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       tracer;
       sanitizer;
       hist;
-      lock_ctx;
-      outer_ctx;
       fx = { buf = Array.make (16 * fx_stride) 0; len = 0 };
       inflight = 0;
       completed = 0;
@@ -535,25 +517,10 @@ let apply_fx t host =
   done;
   host.fx.len <- 0
 
-(* a live upgrade may have reinstalled the host's tap/record mode *)
-let leave_host host outer =
-  host.lock_ctx <- Enoki.Lock.recapture_ctx host.lock_ctx;
-  Enoki.Lock.install_ctx outer
-
-(* Advance one host's machine to the epoch boundary under the host's own
-   lock context.  Safe on any domain: everything it mutates is host-local
-   or buffered in [host.fx].  One [match ... with exception] restores the
-   context on return and on raise, without [Fun.protect]'s closures. *)
-let advance_host host ~until =
-  let outer = Enoki.Lock.recapture_ctx host.outer_ctx in
-  host.outer_ctx <- outer;
-  Enoki.Lock.install_ctx host.lock_ctx;
-  match M.run_until host.built.Workloads.Setup.machine until with
-  | () -> leave_host host outer
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    leave_host host outer;
-    Printexc.raise_with_backtrace e bt
+(* Advance one host's machine to the epoch boundary.  Safe on any domain:
+   everything it mutates is host-local (its module's locks included) or
+   buffered in [host.fx]. *)
+let advance_host host ~until = M.run_until host.built.Workloads.Setup.machine until
 
 let step t ~limit =
   let until = min (t.clock + t.epoch) limit in

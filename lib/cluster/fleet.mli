@@ -23,10 +23,10 @@
     fixed host order, chronological within a host — exactly the sequential
     order.  Hence the hard contract the tests and `fleetgate` enforce:
     {b a fleet run is byte-identical for any pool size}, down to metric
-    exports, anatomy tables, trace streams, and record-log bytes.  Each
-    host also carries its own {!Enoki.Lock.ctx}, installed around every
-    advance, so lock ids, record streams, and trace taps follow the host
-    rather than whichever domain happens to run it.
+    exports, anatomy tables, trace streams, and record-log bytes.  A
+    host's scheduler module owns its locks ({!Enoki.Ctx.t.locks}), so lock
+    ids, record streams, and lock trace events follow the host rather than
+    whichever domain happens to run it.
 
     Orchestration rides on top:
 

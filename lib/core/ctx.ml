@@ -13,6 +13,7 @@ type t = {
   registry : Metrics.Registry.t option;
   trace : cpu:int -> Trace.Event.kind -> unit;
   trace_packed : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
+  locks : Lock.owner;
 }
 
 let inert ?(nr_cpus = 8) ?(policy = 0) () =
@@ -29,4 +30,5 @@ let inert ?(nr_cpus = 8) ?(policy = 0) () =
     registry = None;
     trace = (fun ~cpu:_ _ -> ());
     trace_packed = (fun ~cpu:_ _ _ _ _ -> ());
+    locks = Lock.owner None;
   }

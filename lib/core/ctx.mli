@@ -34,8 +34,13 @@ type t = {
   trace_packed : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
       (** the same for a kind in its packed form ({!Trace.Tracer.emit_tag}):
           nothing is boxed, with or without a tracer *)
+  locks : Lock.owner;
+      (** the owner of every lock the module creates ([Lock.create
+          ctx.locks]): the loaded instance's lock ids, and its recorder
+          and tracer when the machine has them *)
 }
 
-(** A context whose effects are inert; replay and unit tests construct
-    schedulers against this (timers cannot fire at userspace). *)
+(** A context whose effects are inert, with a fresh lock owner nobody
+    observes; replay and unit tests construct schedulers against this
+    (timers cannot fire at userspace). *)
 val inert : ?nr_cpus:int -> ?policy:int -> unit -> t

@@ -52,6 +52,9 @@ type t = {
   mutable violations : int;
   violation_kinds : (string, int) Hashtbl.t;
   mutable current_tid : int;
+  (* the module's locks: observed at load when there is a recorder or a
+     tracer, shared by every version a live upgrade registers *)
+  mutable locks : Lock.owner;
   mutable upgrades : Upgrade.stats list;
   mutable readers : int; (* quiescing read-write lock: in-flight calls *)
   (* fault isolation (the paper's "kernel survives module bugs" property) *)
@@ -111,6 +114,7 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
     violations = 0;
     violation_kinds = Hashtbl.create 8;
     current_tid = 0;
+    locks = Lock.owner None;
     upgrades = [];
     readers = 0;
     isolate;
@@ -549,6 +553,7 @@ let make_ctx t (ops : Ops.kernel_ops) : Ctx.t =
     registry = Option.map (fun o -> o.reg) t.obs;
     trace = (fun ~cpu kind -> emit t ~cpu kind);
     trace_packed = (fun ~cpu tag a b c -> emit_tag t ~cpu tag a b c);
+    locks = t.locks;
   }
 
 (* ---------- isolation: quarantine and fallback (ghOSt-style) ---------- *)
@@ -617,30 +622,31 @@ let rec arm_record_drain t (ops : Ops.kernel_ops) r =
       Record.drain r;
       arm_record_drain t ops r)
 
+(* The observer of the module's locks: each event goes to the record log
+   and, but for a [Create], to the trace, attributed to the calling cpu. *)
+let observe_lock t (ops : Ops.kernel_ops) op ~lock_id =
+  (match t.record with
+  | Some r -> Record.tap_lock r { Lock.lock_id; op; tid = t.current_tid }
+  | None -> ());
+  match (t.tracer, op) with
+  | Some tr, Lock.Acquire ->
+    Trace.Tracer.emit_lock_acquire tr ~ts:(ops.now ()) ~cpu:t.current_tid ~lock_id
+  | Some tr, Lock.Release ->
+    Trace.Tracer.emit_lock_release tr ~ts:(ops.now ()) ~cpu:t.current_tid ~lock_id
+  | Some _, Lock.Create | None, _ -> ()
+
 let factory t : Kernsim.Sched_class.factory =
  fun ops ->
   if t.ops <> None then invalid_arg "Enoki_c: scheduler already registered";
   t.ops <- Some ops;
   t.all_cpus <- List.init ops.nr_cpus Fun.id;
-  (* module load: construct the scheduler against the safe context *)
-  Lock.reset_ids ();
-  (match t.tracer with
-  | Some tr ->
-    Lock.set_trace_tap
-      (Some
-         (fun op ~lock_id ->
-           match op with
-           | Lock.Acquire ->
-             Trace.Tracer.emit_lock_acquire tr ~ts:(ops.now ()) ~cpu:t.current_tid ~lock_id
-           | Lock.Release ->
-             Trace.Tracer.emit_lock_release tr ~ts:(ops.now ()) ~cpu:t.current_tid ~lock_id
-           | Lock.Create -> ()))
-  | None -> ());
-  (match t.record with
-  | Some r ->
-    Lock.set_record_mode ~sink:(Record.tap_lock r) ~tid:(fun () -> t.current_tid);
-    arm_record_drain t ops r
-  | None -> ());
+  (* module load: the module's locks report to this machine's recorder
+     and tracer, and to no other machine's *)
+  (match (t.record, t.tracer) with
+  | None, None -> ()
+  | _ -> t.locks <- Lock.owner (Some (observe_lock t ops)));
+  (match t.record with Some r -> arm_record_drain t ops r | None -> ());
+  (* construct the scheduler against the safe context *)
   let (module S : Sched_trait.S) = t.modul in
   let st = S.create (make_ctx t ops) in
   t.packed <- Some (Sched_trait.Packed ((module S), st));

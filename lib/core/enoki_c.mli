@@ -25,7 +25,9 @@ type t
     ring.  [record] enables the record tap.  [tracer] attaches a schedtrace
     sink: Enoki-C then emits [Msg_call] at every boundary crossing,
     [Pnt_err] for every rejected Schedulable (and bad [select_task_rq]
-    reply), and lock acquire/release events via {!Lock.set_trace_tap}.
+    reply), and the acquire/release events of the module's locks.  The
+    module's locks ({!Ctx.t.locks}) report to this instance's recorder and
+    tracer only.
 
     [isolate] (default [true]) arms the module-panic boundary: an
     exception raised by the scheduler module out of any hook is caught,

@@ -149,9 +149,6 @@ let run ?(allow_drops = false) (module S : Sched_trait.S) ~log =
   | Some d when d > 0 && not allow_drops -> raise (Incomplete_log { dropped = d })
   | _ -> ());
   let nr_cpus = !top + 1 in
-  let outer = Lock.capture_ctx () in
-  Lock.install_ctx (Lock.fresh_ctx ());
-  Fun.protect ~finally:(fun () -> Lock.install_ctx outer) @@ fun () ->
   let packed = Sched_trait.Packed ((module S), S.create (Ctx.inert ~nr_cpus ())) in
   let seen = Array.make nr_cpus false in
   let threads = ref 0 and total = ref 0 and mismatches = ref [] in

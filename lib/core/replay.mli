@@ -60,9 +60,8 @@ val info : string -> info
 
 (** [run (module S) ~log] replays the log against a fresh instance of [S]
     built with an inert context of [1 +] the largest cpu id the log names
-    (in its tids, or in its calls' cpu fields and allowed masks).  The
-    replay runs under a fresh Passthrough {!Lock} context; the caller's is
-    restored after.  Raises {!Incomplete_log}, before anything runs, if
+    (in its tids, or in its calls' cpu fields and allowed masks), whose
+    lock owner nobody observes.  Raises {!Incomplete_log}, before anything runs, if
     the trailer records dropped events, unless [allow_drops] is set. *)
 val run : ?allow_drops:bool -> (module Sched_trait.S) -> log:string -> report
 

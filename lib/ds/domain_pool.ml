@@ -11,7 +11,6 @@ type t = {
   mutable stop : bool;
   mutable first_exn : (exn * Printexc.raw_backtrace) option;
   mutable allocated : float;
-  on_task : (unit -> unit) option;
   mutable workers : unit Domain.t list;
 }
 
@@ -26,9 +25,7 @@ let drain t (b : batch) =
     match Spmc_queue.pop b.queue with
     | None -> done_count
     | Some task ->
-      (try
-         (match t.on_task with Some f -> f () | None -> ());
-         task ()
+      (try task ()
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          Mutex.lock t.lock;
@@ -66,7 +63,7 @@ let worker_loop t =
   in
   loop 0
 
-let create ?on_task ?(domains = 1) () =
+let create ?(domains = 1) () =
   let t =
     {
       size = max 1 domains;
@@ -79,7 +76,6 @@ let create ?on_task ?(domains = 1) () =
       stop = false;
       first_exn = None;
       allocated = 0.;
-      on_task;
       workers = [];
     }
   in
@@ -92,12 +88,8 @@ let run t tasks =
   let n = Array.length tasks in
   if n = 0 then ()
   else if t.size <= 1 then
-    (* no pool: run in place, same hook semantics, exceptions propagate *)
-    Array.iter
-      (fun task ->
-        (match t.on_task with Some f -> f () | None -> ());
-        task ())
-      tasks
+    (* no pool: run in place, exceptions propagate *)
+    Array.iter (fun task -> task ()) tasks
   else begin
     if t.stop then invalid_arg "Domain_pool.run: pool is shut down";
     let b = { queue = Spmc_queue.of_array tasks } in

@@ -29,14 +29,9 @@
 
 type t
 
-(** [create ?on_task ~domains ()] spawns [domains - 1] worker domains
-    ([domains] counts the caller, which participates in every batch).
-
-    [on_task] runs in the claiming domain immediately before each task —
-    the hook point for resetting domain-local state (e.g. the [Enoki.Lock]
-    mode/tap context) so a task never inherits a predecessor's; exceptions
-    it raises are accounted to the task. *)
-val create : ?on_task:(unit -> unit) -> ?domains:int -> unit -> t
+(** [create ~domains ()] spawns [domains - 1] worker domains
+    ([domains] counts the caller, which participates in every batch). *)
+val create : ?domains:int -> unit -> t
 
 (** Total parallelism, caller included (always >= 1). *)
 val size : t -> int

@@ -61,7 +61,7 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
       seq_of = [||];
       stamp = [||];
       hpos = [||];
-      lock = Enoki.Lock.create ();
+      lock = Enoki.Lock.create ctx.locks;
       now = ctx.now;
       observe_wait;
       trace = ctx.trace_packed;
@@ -85,8 +85,6 @@ let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
   t
 
 let id t = t.id
-
-let mode t = t.mode
 
 let length t = Q.length t.pool
 

@@ -43,8 +43,6 @@ val create : ?mode:mode -> Enoki.Ctx.t -> string -> t
     indexes them by it. *)
 val id : t -> int
 
-val mode : t -> mode
-
 val length : t -> int
 
 val is_empty : t -> bool

@@ -50,7 +50,7 @@ module Api = struct
       (ctx : Enoki.Ctx.t) =
     (* the adapter's lock is created before the local queues' (lock ids
        follow creation order, and record logs name locks by id) *)
-    let lock = Enoki.Lock.create () in
+    let lock = Enoki.Lock.create ctx.locks in
     let locals =
       match locals with
       | Some l -> l

@@ -42,7 +42,7 @@ let create (ctx : Enoki.Ctx.t) =
     ents = Hashtbl.create 64;
     run_pid = Array.make ctx.nr_cpus (-1);
     run_dl = Array.make ctx.nr_cpus 0;
-    lock = Enoki.Lock.create ();
+    lock = Enoki.Lock.create ctx.locks;
   }
 
 let get_policy t = t.ctx.policy
@@ -236,7 +236,7 @@ let reregister_prepare t = Some (Edf_state t)
 let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
-  | Some (Edf_state old) -> { old with ctx; lock = Enoki.Lock.create () }
+  | Some (Edf_state old) -> { old with ctx; lock = Enoki.Lock.create ctx.locks }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "edf: unrecognised transfer state")
 
 let relative_deadline_of t ~pid =

@@ -17,7 +17,7 @@ let create (ctx : Enoki.Ctx.t) =
     ctx;
     queues = Array.init ctx.nr_cpus (fun _ -> Q.create ~dummy:Sched.none);
     running = Array.make ctx.nr_cpus (-1);
-    lock = Enoki.Lock.create ();
+    lock = Enoki.Lock.create ctx.locks;
   }
 
 let get_policy t = t.ctx.policy
@@ -150,5 +150,5 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   match transfer with
   | None -> create ctx
   | Some (Fifo_state (queues, running)) ->
-    { ctx; queues; running; lock = Enoki.Lock.create () }
+    { ctx; queues; running; lock = Enoki.Lock.create ctx.locks }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "fifo: unrecognised transfer state")

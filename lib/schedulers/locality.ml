@@ -30,7 +30,7 @@ let create (ctx : Enoki.Ctx.t) =
     group_cpu = Hashtbl.create 16;
     next_group_cpu = 0;
     rng = Stats.Prng.create ~seed:0x10c;
-    lock = Enoki.Lock.create ();
+    lock = Enoki.Lock.create ctx.locks;
   }
 
 let get_policy t = t.ctx.policy

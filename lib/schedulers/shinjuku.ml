@@ -26,7 +26,7 @@ let make (ctx : Enoki.Ctx.t) ~slice =
     q = Q.create ~dummy:Sched.none;
     running = Array.make ctx.nr_cpus (-1);
     rr_cpu = 0;
-    lock = Enoki.Lock.create ();
+    lock = Enoki.Lock.create ctx.locks;
   }
 
 let create ctx = make ctx ~slice:default_slice

@@ -50,7 +50,7 @@ let name = "wfq"
 let create (ctx : Enoki.Ctx.t) =
   {
     ctx;
-    lock = Enoki.Lock.create ();
+    lock = Enoki.Lock.create ctx.locks;
     rqs =
       Array.init ctx.nr_cpus (fun _ ->
           { heap = Heap.create (); min_vruntime = 0; running = -1; ticks_since_dispatch = 0 });
@@ -369,7 +369,7 @@ let reregister_init (ctx : Enoki.Ctx.t) transfer =
   | None -> create ctx
   | Some (Wfq_state old) ->
     (* the run-queues are shared, and [nr_stealable] comes along with them *)
-    { old with ctx; lock = Enoki.Lock.create () }
+    { old with ctx; lock = Enoki.Lock.create ctx.locks }
   | Some _ -> raise (Enoki.Upgrade.Incompatible "wfq: unrecognised transfer state")
 
 let queue_length t ~cpu = nr_queued t.rqs.(cpu)

@@ -63,9 +63,6 @@ let register_tracer_probes ?(labels = []) reg tracer =
 
 let build ?costs ?record ?tracer ?registry ?profile ?call_budget ~topology kind =
   Schedulers.Hints.register_codecs ();
-  (* the lock tap is process-global: clear any tap a previous machine
-     installed so its (now stale) tracer stops receiving events *)
-  Enoki.Lock.set_trace_tap None;
   (match (registry, tracer) with
   | Some reg, Some tr -> register_tracer_probes reg tr
   | _ -> ());

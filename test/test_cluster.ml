@@ -464,9 +464,8 @@ let test_rolling_upgrade_pause_and_blackout () =
    request only the worker's [Compute] action (~3 B/event), per epoch the
    barrier's bookkeeping, and the hosts' machines' own ~1 B/event.  Boxed
    requests, per-request queue cells and a list of effect records read
-   ~74, and two fresh lock contexts per host per epoch ~6.7; one more
-   16-B box per request would read ~8.3, over the ceiling.  The columns
-   grow during a first run. *)
+   ~74; one more 16-B box per request would read ~8.3, over the ceiling.
+   The columns grow during a first run. *)
 let fleet_bytes_per_event_ceiling = 8.
 
 let test_fleet_steady_bytes_per_event () =

@@ -20,7 +20,6 @@ let dsq_schedulers : (string * (module Enoki.Sched_trait.S)) list =
     Schedulers.Registry.dsq_names
 
 let inert_queue ?mode name =
-  Enoki.Lock.set_passthrough_mode ();
   Dsq.create ?mode (Enoki.Ctx.inert ()) name
 
 let token ?(cpu = 0) pid = Sched.Private.create ~pid ~cpu ~gen:1
@@ -286,7 +285,6 @@ let test_record_replay_stream_equivalence () =
      replays clean against the same policy *)
   List.iter
     (fun (name, sched) ->
-      Enoki.Lock.set_passthrough_mode ();
       let run_with record =
         let b = build_sched ~record sched in
         ignore (Workloads.Pipe_bench.run b ~messages:500 ())

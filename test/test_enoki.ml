@@ -149,20 +149,20 @@ let test_hint_codec_opaque () =
 
 (* ---------- Lock ---------- *)
 
+(* an owner whose observer logs every event as kernel thread [tid] *)
+let logging_owner ~tid =
+  let events = ref [] in
+  let observe op ~lock_id = events := { Enoki.Lock.lock_id; op; tid } :: !events in
+  (Enoki.Lock.owner (Some observe), events)
+
 let test_lock_passthrough () =
-  Enoki.Lock.set_passthrough_mode ();
-  let l = Enoki.Lock.create () in
+  let l = Enoki.Lock.create (Enoki.Lock.owner None) in
   check Alcotest.int "with_lock result" 42 (Enoki.Lock.with_lock l (fun () -> 42))
 
 let test_lock_record_events () =
-  let events = ref [] in
-  Enoki.Lock.reset_ids ();
-  Enoki.Lock.set_record_mode
-    ~sink:(fun e -> events := e :: !events)
-    ~tid:(fun () -> 3);
-  let l = Enoki.Lock.create () in
+  let owner, events = logging_owner ~tid:3 in
+  let l = Enoki.Lock.create owner in
   ignore (Enoki.Lock.with_lock l (fun () -> 1));
-  Enoki.Lock.set_passthrough_mode ();
   let evs = List.rev !events in
   check Alcotest.int "three events" 3 (List.length evs);
   (match evs with
@@ -171,7 +171,12 @@ let test_lock_record_events () =
     check Alcotest.bool "acquire" true (b.Enoki.Lock.op = Enoki.Lock.Acquire);
     check Alcotest.bool "release" true (c.Enoki.Lock.op = Enoki.Lock.Release);
     check Alcotest.int "tid recorded" 3 b.Enoki.Lock.tid
-  | _ -> Alcotest.fail "expected 3 events")
+  | _ -> Alcotest.fail "expected 3 events");
+  (* ids count per owner: another owner's locks do not move them *)
+  let other = Enoki.Lock.owner None in
+  ignore (Enoki.Lock.create other);
+  check Alcotest.(list int) "ids from 0 per owner" [ 1; 1 ]
+    [ Enoki.Lock.Private.id (Enoki.Lock.create owner); Enoki.Lock.Private.id (Enoki.Lock.create other) ]
 
 (* [balance] answers the cpu of the previous [balance] call (-1 for the
    first), so a replay's replies match the recording only if its calls
@@ -215,9 +220,7 @@ let test_lock_replay_order () =
 let add_into acc a b c d = acc := !acc + a + b + c + d
 
 let test_locked_passthrough_allocates_nothing () =
-  Enoki.Lock.set_passthrough_mode ();
-  Enoki.Lock.set_trace_tap None;
-  let l = Enoki.Lock.create () in
+  let l = Enoki.Lock.create (Enoki.Lock.owner None) in
   let acc = ref 0 in
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
@@ -227,36 +230,36 @@ let test_locked_passthrough_allocates_nothing () =
   check Alcotest.int "body ran every time" ((10_000 * 10_001 / 2) + 30_000) !acc;
   check (Alcotest.float 0.0) "minor words" 0.0 words
 
-(* with a trace tap the body still runs with no closure around it *)
+(* with an observer the body still runs with no closure around it *)
 let test_locked_tap_allocates_nothing () =
-  Enoki.Lock.set_passthrough_mode ();
-  let l = Enoki.Lock.create () in
   let taps = ref 0 in
-  Enoki.Lock.set_trace_tap (Some (fun _ ~lock_id:_ -> incr taps));
+  let l = Enoki.Lock.create (Enoki.Lock.owner (Some (fun _ ~lock_id:_ -> incr taps))) in
+  check Alcotest.int "create observed" 1 !taps;
+  taps := 0;
   let acc = ref 0 in
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
     Enoki.Lock.locked l add_into acc i 1 1 1
   done;
   let words = Gc.minor_words () -. before in
-  Enoki.Lock.set_trace_tap None;
   check Alcotest.int "acquire and release tapped" 20_000 !taps;
   check (Alcotest.float 0.0) "minor words" 0.0 words
 
 let raise_exit () () () () () = raise Exit
 
 let test_locked_tap_pairs_on_raise () =
-  Enoki.Lock.set_passthrough_mode ();
-  let l = Enoki.Lock.create () in
   let seen = ref [] in
-  Enoki.Lock.set_trace_tap
-    (Some (fun op ~lock_id -> seen := (Enoki.Lock.op_name op, lock_id) :: !seen));
+  let l =
+    Enoki.Lock.create
+      (Enoki.Lock.owner
+         (Some (fun op ~lock_id -> seen := (Enoki.Lock.op_name op, lock_id) :: !seen)))
+  in
+  seen := [];
   let raised =
     match Enoki.Lock.locked l raise_exit () () () () () with
     | () -> false
     | exception Exit -> true
   in
-  Enoki.Lock.set_trace_tap None;
   check Alcotest.bool "body's exception propagates" true raised;
   check
     Alcotest.(list (pair string int))
@@ -267,12 +270,8 @@ let sum5 s a b c d = s + a + b + c + d
 
 let test_locked_records_like_with_lock () =
   let recorded f =
-    let events = ref [] in
-    Enoki.Lock.reset_ids ();
-    Enoki.Lock.set_record_mode ~sink:(fun e -> events := e :: !events) ~tid:(fun () -> 5);
-    let l = Enoki.Lock.create () in
-    let r = f l in
-    Enoki.Lock.set_passthrough_mode ();
+    let owner, events = logging_owner ~tid:5 in
+    let r = f (Enoki.Lock.create owner) in
     ( r,
       List.rev_map
         (fun (e : Enoki.Lock.event) -> (Enoki.Lock.op_name e.op, e.lock_id, e.tid))
@@ -285,28 +284,43 @@ let test_locked_records_like_with_lock () =
     Alcotest.(pair int (list (triple string int int)))
     "same result, same log" via_with_lock via_locked
 
-(* a steady re-capture is the held context itself, with no allocation;
-   any changed field makes a fresh one that installs like [capture_ctx] *)
-let test_recapture_ctx () =
-  let saved = Enoki.Lock.capture_ctx () in
-  Enoki.Lock.install_ctx (Enoki.Lock.fresh_ctx ());
-  let held = Enoki.Lock.capture_ctx () in
-  let before = Gc.minor_words () in
-  let same = ref true in
-  for _ = 1 to 10_000 do
-    same := !same && Enoki.Lock.recapture_ctx held == held
-  done;
-  let words = Gc.minor_words () -. before in
-  check Alcotest.bool "unchanged: the held context" true !same;
-  check (Alcotest.float 0.0) "minor words" 0.0 words;
-  Enoki.Lock.set_trace_tap (Some (fun _ ~lock_id:_ -> ()));
-  let tapped = Enoki.Lock.recapture_ctx held in
-  check Alcotest.bool "tap changed: a fresh context" false (tapped == held);
-  check Alcotest.bool "which is then held" true (Enoki.Lock.recapture_ctx tapped == tapped);
-  Enoki.Lock.install_ctx held;
-  check Alcotest.bool "reinstalled: the held context again" true
-    (Enoki.Lock.recapture_ctx held == held);
-  Enoki.Lock.install_ctx saved
+(* Two machines in one domain: each module's locks report to its own
+   recorder and tracer, whatever the other machine does. *)
+let wfq_pipe ?record ?tracer () =
+  Workloads.Setup.build ?record ?tracer ~topology:Kernsim.Topology.one_socket
+    (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+
+let run_pipe b = ignore (Workloads.Pipe_bench.run b ~messages:200 ())
+
+let test_record_log_not_grown_by_later_machine () =
+  let solo = Enoki.Record.create () in
+  run_pipe (wfq_pipe ~record:solo ());
+  let record = Enoki.Record.create () in
+  run_pipe (wfq_pipe ~record ());
+  run_pipe (wfq_pipe ());
+  check Alcotest.int "same event count as a solo run" (Enoki.Record.length solo)
+    (Enoki.Record.length record);
+  check Alcotest.bool "same bytes as a solo run" true
+    (String.equal (Enoki.Record.contents solo) (Enoki.Record.contents record))
+
+let lock_acquires tracer =
+  List.length
+    (List.filter
+       (fun (ev : Trace.Event.t) ->
+         match ev.kind with Trace.Event.Lock_acquire _ -> true | _ -> false)
+       (Trace.Tracer.events tracer))
+
+let test_traced_machine_keeps_lock_events () =
+  let nr_cpus = Kernsim.Topology.nr_cpus Kernsim.Topology.one_socket in
+  let solo = Trace.Tracer.create ~nr_cpus () in
+  run_pipe (wfq_pipe ~tracer:solo ());
+  let tracer = Trace.Tracer.create ~nr_cpus () in
+  let traced = wfq_pipe ~tracer () in
+  ignore (wfq_pipe ());
+  run_pipe traced;
+  let expected = lock_acquires solo in
+  check Alcotest.bool "a solo run traces lock acquires" true (expected > 0);
+  check Alcotest.int "same lock acquires as a solo run" expected (lock_acquires tracer)
 
 (* ---------- Enoki_c end-to-end on a machine ---------- *)
 
@@ -800,8 +814,9 @@ let hog ~chunk ~steps =
     end
 
 let test_live_upgrade_same_module () =
+  let record = Enoki.Record.create () in
   let b =
-    Workloads.Setup.build ~topology:Kernsim.Topology.one_socket
+    Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
       (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
   in
   let pids =
@@ -832,7 +847,16 @@ let test_live_upgrade_same_module () =
     (fun pid ->
       check Alcotest.bool "task survived upgrade" true
         ((Option.get (M.find_task b.machine pid)).T.state = T.Dead))
-    pids
+    pids;
+  (* the new version's lock takes the next id of the same owner *)
+  let created =
+    List.filter_map
+      (function
+        | Enoki.Replay.Lock_event { op = Enoki.Lock.Create; lock_id; _ } -> Some lock_id
+        | _ -> None)
+      (Enoki.Replay.Private.parse (Enoki.Record.contents record))
+  in
+  check Alcotest.(list int) "lock ids carry across the upgrade" [ 0; 1 ] created
 
 let test_live_upgrade_incompatible_rejected () =
   let b =
@@ -959,7 +983,6 @@ let test_record_ring_overrun_drops () =
   check Alcotest.bool "drops counted" true (Enoki.Record.dropped record > 0)
 
 let test_replay_matches_record () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:100;
@@ -972,7 +995,6 @@ let test_replay_matches_record () =
   check Alcotest.bool "multiple kernel threads" true (report.Enoki.Replay.threads >= 1)
 
 let test_replay_detects_divergence () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:50;
@@ -993,7 +1015,6 @@ let test_record_length_counts_undrained () =
   check Alcotest.int "no double counting after drain" 2 (Enoki.Record.length record)
 
 let test_record_overrun_reported_and_log_usable () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create ~capacity:64 () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:300;
@@ -1005,7 +1026,6 @@ let test_record_overrun_reported_and_log_usable () =
   check Alcotest.bool "surviving lines parse" true (List.length entries > 0)
 
 let test_replay_of_truncated_log_validates () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:100;
@@ -1025,7 +1045,6 @@ let test_replay_of_truncated_log_validates () =
     "truncated log still validates" [] report.Enoki.Replay.mismatches
 
 let test_binary_truncation_salvages_frames () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:100;
@@ -1050,7 +1069,6 @@ let test_binary_truncation_salvages_frames () =
     "salvaged frames validate" [] report.Enoki.Replay.mismatches
 
 let test_replay_fails_fast_on_drops () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create ~capacity:8 () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:200;
@@ -1075,7 +1093,6 @@ let contains hay needle =
   go 0
 
 let test_pp_report_names_log_lines () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create () in
   let b = build_fifo ~record () in
   pingpong_workload b ~iters:50;
@@ -1091,7 +1108,6 @@ let test_pp_report_names_log_lines () =
     (contains rendered (Printf.sprintf "entry %d:" first_seq))
 
 let test_bisect_pinpoints_injected_wrong_reply () =
-  Enoki.Lock.set_passthrough_mode ();
   let plan =
     match Fault.Plan.parse "wrong-reply:p=0.05" with Ok p -> p | Error e -> failwith e
   in
@@ -1120,7 +1136,6 @@ let test_bisect_pinpoints_injected_wrong_reply () =
     check Alcotest.bool "context window populated" true (d.Enoki.Replay.context <> [])
 
 let record_wfq_pingpong () =
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create () in
   let b =
     Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
@@ -1132,7 +1147,6 @@ let record_wfq_pingpong () =
 
 let test_replay_sized_from_log () =
   (* a 16-cpu recording names cpus past the inert context's default of 8 *)
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create ~capacity:(1 lsl 18) () in
   let b =
     Workloads.Setup.build ~record
@@ -1223,7 +1237,6 @@ let test_stream_equivalence_across_schedulers () =
   in
   List.iter
     (fun (name, sched) ->
-      Enoki.Lock.set_passthrough_mode ();
       let run_with record =
         let b =
           Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
@@ -1317,8 +1330,10 @@ let () =
           Alcotest.test_case "locked: tap pairs on raise" `Quick test_locked_tap_pairs_on_raise;
           Alcotest.test_case "locked: records like with_lock" `Quick
             test_locked_records_like_with_lock;
-          Alcotest.test_case "recapture_ctx: steady is the held context" `Quick
-            test_recapture_ctx;
+          Alcotest.test_case "recorded log: a later machine adds nothing" `Quick
+            test_record_log_not_grown_by_later_machine;
+          Alcotest.test_case "traced machine keeps its lock events" `Quick
+            test_traced_machine_keeps_lock_events;
         ] );
       ( "enoki_c",
         [

@@ -104,7 +104,6 @@ let prop_tasks_finish (name, modul) seed =
 
 let prop_record_replay_roundtrip seed =
   (* record a random workload on WFQ, replay against the same code *)
-  Enoki.Lock.set_passthrough_mode ();
   let record = Enoki.Record.create ~capacity:(1 lsl 18) () in
   let b =
     Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
@@ -241,8 +240,7 @@ let prop_binary_reply_roundtrip (n, pid) =
 
 let fuzz_log =
   lazy
-    (Enoki.Lock.set_passthrough_mode ();
-     let record = Enoki.Record.create ~capacity:(1 lsl 18) () in
+    (let record = Enoki.Record.create ~capacity:(1 lsl 18) () in
      let b =
        Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
          (Workloads.Setup.Enoki_sched (module Schedulers.Locality))

@@ -525,57 +525,57 @@ let golden =
     ("cfs/schbench", "e0cfd1268054501e7c88409d33b99ff9");
     ("fifo/pipe", "604a728b211efb227247e75f5ce5e19d");
     ("fifo/schbench", "128ef7927b7731698aad6728e1659004");
-    ("fifo/record", "cbcb32a04986f18d54b292d902a39407");
+    ("fifo/record", "21af4ad8c5a10a5011808cd5850db9d4");
     ("fifo/panic", "903e0aa6b16200716ac1bf3a0efcaf58");
     ("fifo/chaos", "f7333208962d9543a5e7e2cf3b9a3622");
     ("wfq/pipe", "5e2cda63bdefc61a579baa17f350374f");
     ("wfq/schbench", "bfb80a8db2c2611375115efa8b9dd369");
-    ("wfq/record", "0b80fb84e1004ccfdf258ed6a83b0166");
+    ("wfq/record", "19946ccec52c39b5dcbc9a1ce60352c9");
     ("wfq/panic", "1136819548b6030310d8733a616dfff1");
     ("wfq/chaos", "e9aa78ed54602b173af5597e7e0c3e54");
     ("shinjuku/pipe", "ba1793002ed67121918faf7c2986af93");
     ("shinjuku/schbench", "414fdf5a6bc3319c9ea90931feff16b2");
-    ("shinjuku/record", "0536dc62c62504b1a0bbd3a0b3b6b4ae");
+    ("shinjuku/record", "050a659cf44d4e52cffddbf7825b2693");
     ("shinjuku/panic", "df847da7d5747efbcd3721ea1590867e");
     ("shinjuku/chaos", "402599d1acc2bcc949925ca1420f45b3");
     ("locality/pipe", "06899849a5f0b686d44cd18504fa6dd5");
     ("locality/schbench", "132fe4877ddeb265605771372059a58f");
-    ("locality/record", "eb1161f0745105949409f496b5d64f62");
+    ("locality/record", "a1c62516128046a3a23cd66edf747360");
     ("locality/panic", "ae6f01d5d748deb95ff710d5280f5f84");
     ("locality/chaos", "4d9e3c7846639aecb6972a7532a9ec0e");
     ("arachne/pipe", "eabd12cf99d1906dc7245179ba7d24d2");
     ("arachne/schbench", "89911c4ca55600a9fea436e24f116511");
-    ("arachne/record", "040ce67ffdc329ad245c2627cd008861");
+    ("arachne/record", "75f52eada0ba59a026568ca0ca06c42b");
     ("arachne/panic", "eabd12cf99d1906dc7245179ba7d24d2");
     ("arachne/chaos", "748f98905f6eb2100339aa40b0ceec8b");
     ("edf/pipe", "49a0e733fb61e2fb332bb22d4c1b1acb");
     ("edf/schbench", "72df836bf39490075c1c7d96a2cb8446");
-    ("edf/record", "df0733041fd4dd8721d7b3a9fd9e6f8f");
+    ("edf/record", "a9e32d5e680c123a00a7731fa0dccd39");
     ("edf/panic", "3cf49ad539da1a5942fdc0b621bd5f9c");
     ("edf/chaos", "f84b76026823b5e6fa64792ea1be17f1");
     ("nest/pipe", "41a83e059562e1873227b22d2b5518cc");
     ("nest/schbench", "1cf60239f319f347cb5b9dfc03b67fec");
-    ("nest/record", "e1c129eabf6d54d1c98fdc14b40fe52b");
+    ("nest/record", "62f66cfa5297991ce5f15e3109b87cfb");
     ("nest/panic", "d76d091d8a923044d701e02a8cc59450");
     ("nest/chaos", "83e65010cef998b63eec3a59320ade94");
     ("rt-fifo/pipe", "49a0e733fb61e2fb332bb22d4c1b1acb");
     ("rt-fifo/schbench", "9f6b3ef5f2e5f98449ab5b30978fc690");
-    ("rt-fifo/record", "5ce2824351bf935e5407c32474725850");
+    ("rt-fifo/record", "64d8382a0daca4a4ee4d5fa5fee95704");
     ("rt-fifo/panic", "3cf49ad539da1a5942fdc0b621bd5f9c");
     ("rt-fifo/chaos", "4415f7dd79e6a21216353d37a843c236");
     ("scx-simple/pipe", "3f9071015bd7b163b64470c0d8d59638");
     ("scx-simple/schbench", "cb8825ee9e65562af79cde0a867a7735");
-    ("scx-simple/record", "3d23b949d7153d27818a49fc33418fcd");
+    ("scx-simple/record", "5b555b2dc3a2743e847b9c6b8f2f331c");
     ("scx-simple/panic", "b4724a87687c06016d7a3bda685b5882");
     ("scx-simple/chaos", "1eb10d74e30ab9565760afe45152495b");
     ("scx-rr/pipe", "8142452a8467d186ca4506a775e92aec");
     ("scx-rr/schbench", "8a18e26fc717ec1a4880884455f76683");
-    ("scx-rr/record", "bb8703213fc8afbe4ba133c14bffe26a");
+    ("scx-rr/record", "f05cc3ba75136a31dbf0aeb1e260c2bc");
     ("scx-rr/panic", "3622c207b0d8f69c2c0fca1a50341b44");
     ("scx-rr/chaos", "7283efb2ca0b32dc0e644409508e15ca");
     ("scx-prio-dq/pipe", "110635e91a46df5e57ad5b704f944195");
     ("scx-prio-dq/schbench", "b3c75e5ba39f3134473f93b651817b80");
-    ("scx-prio-dq/record", "a3080591b618415822157546b2ae68e3");
+    ("scx-prio-dq/record", "506b3b2095de6d019446d6cd612a53de");
     ("scx-prio-dq/panic", "eed5b76a86dc8d133441c2b03de9a8ec");
     ("scx-prio-dq/chaos", "fe350fa41edec2f14c789836b5615c48");
     ("ghost-sol/pipe", "72f146fed464db40f25a4726c3af08e7");
