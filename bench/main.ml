@@ -79,13 +79,16 @@ let () = at_exit (fun () -> Option.iter Ds.Domain_pool.shutdown !the_pool)
 let parallel_map (xs : 'a list) ~(f : 'a -> 'b) : 'b list =
   if effective_jobs () <= 1 || List.length xs <= 1 then List.map f xs
   else begin
-    let pool = get_pool () in
-    let a0 = Ds.Domain_pool.allocated_bytes pool in
-    let out = Ds.Domain_pool.map_list pool xs ~f in
-    ignore
-      (Atomic.fetch_and_add cells_allocated
-         (int_of_float (Ds.Domain_pool.allocated_bytes pool -. a0)));
-    out
+    (* each cell reads its own domain's counters *)
+    let measured x =
+      let a0 = Profile.allocated_bytes () in
+      let y = f x in
+      ignore
+        (Atomic.fetch_and_add cells_allocated
+           (int_of_float (Profile.allocated_bytes () -. a0)));
+      y
+    in
+    Ds.Domain_pool.map_list (get_pool ()) xs ~f:measured
   end
 
 (* set when any gate check fails (sanity, chaos, `gate`): the run exits 4 *)
@@ -677,15 +680,15 @@ let ablation () =
         fun (_ : T.ctx) ->
           match !st with
           | `Work ->
-            if !left = 0 then T.Exit
+            if !left = 0 then T.exit
             else begin
               decr left;
               st := `Sleep;
-              T.Compute (Kernsim.Time.us 50)
+              T.compute (Kernsim.Time.us 50)
             end
           | `Sleep ->
             st := `Work;
-            T.Sleep (Kernsim.Time.us 250)
+            T.sleep (Kernsim.Time.us 250)
       in
       ignore
         (M.spawn m
@@ -1037,6 +1040,8 @@ let perf_rows () =
 
    - machine rows: the full machine running pipe-bench per scheduler
      (best-of-N wall clock; bytes and event counts are deterministic);
+   - application rows: memcached and rocksdb, on CFS and on WFQ (one
+     run each; bytes and event counts are deterministic);
    - core rows: the bare event loop at fixed queue depth, the default
      slot queue (int slots in a [Ds.Pid_heap]) vs the boxed reference
      heap.  Both are O(log n); the slot queue must allocate nothing at
@@ -1049,10 +1054,10 @@ let perf_rows () =
 
 let cfs_ns_ceiling = 250.
 
-(* Schedulable tokens are immediate ints, so no registry scheduler's hooks
-   allocate per event: every speed row reads ~0.4-1.5 B/event (the
-   machine's own residue, as CFS shows), traced or not, and the obs rows
-   with metrics ~1.3.  An absolute ceiling under the Rel drift check, on
+(* Schedulable tokens and task actions are immediate ints, so neither a
+   registry scheduler's hooks nor a pipe step allocate per event: every
+   speed row reads ~0.02-0.21 B/event (the machine's own residue, as CFS
+   shows), traced or not, and the obs rows with metrics ~0.36.  An absolute ceiling under the Rel drift check, on
    the speed rows and every obs machine row, means regenerating a baseline
    cannot let a token, a hot path, tracing it or profiling it start boxing
    again. *)
@@ -1146,6 +1151,49 @@ let reference_core_cycle ~depth ~cycles =
 
 let speed_core_depths = [ 1; 64; 512; 4096; 32768 ]
 
+(* The application workloads at --quick load on the 8-cpu box, on CFS and
+   on WFQ, measured around the driver's [run].  With a task action an
+   immediate int they read 27.4-28.6 B/event (36.4-38.1 while every step
+   boxed its action); what is left is the drivers' own request records,
+   states and float draws.  The ceiling sits ~12% over the measured
+   reading, so boxing actions again (~+9 B/event) fails it. *)
+let app_bytes_ceiling = 32.
+
+let app_rows () =
+  let wfq = Workloads.Setup.Enoki_sched (module Schedulers.Wfq) in
+  let memcached b =
+    ignore
+      (Workloads.Memcached.run b
+         (memcached_params ~mode:Workloads.Memcached.Cfs
+            ~load_kreqs:(if !quick then 50. else 100.)))
+  in
+  let rocksdb b =
+    ignore
+      (Workloads.Rocksdb.run b
+         (rocksdb_params ~load_kreqs:(if !quick then 20. else 50.) ~with_batch:false))
+  in
+  List.map
+    (fun (workload, run, sched, kind) ->
+      let b = Workloads.Setup.build ~topology:one_socket kind in
+      let a0 = Profile.allocated_bytes () in
+      let (), wall = timed (fun () -> run b) in
+      let bytes = Profile.allocated_bytes () -. a0 in
+      let events = M.events_dispatched b.Workloads.Setup.machine in
+      let per x = x /. float_of_int (max 1 events) in
+      Gate.row
+        [ ("workload", workload); ("scheduler", sched) ]
+        [
+          Gate.int ~check:Exact "events" events;
+          Gate.float "ns_per_event" (per (wall *. 1e9));
+          Gate.float ~check:(Ceiling app_bytes_ceiling) "bytes_per_event" (per bytes);
+        ])
+    [
+      ("memcached", memcached, "cfs", Workloads.Setup.Cfs);
+      ("memcached", memcached, "wfq", wfq);
+      ("rocksdb", rocksdb, "cfs", Workloads.Setup.Cfs);
+      ("rocksdb", rocksdb, "wfq", wfq);
+    ]
+
 let speed_rows () =
   (* sequential: machine rows are wall-clock measurements too, and
      competing domains would perturb them *)
@@ -1217,7 +1265,7 @@ let speed_rows () =
           ])
       speed_core_depths
   in
-  machine @ core
+  machine @ app_rows () @ core
 
 (* ---------- dsq: the DSQ scheduler family vs built-in CFS ----------
 
@@ -1589,15 +1637,16 @@ let fleet_chaos_row () =
      ]
     @ List.filter_map op_at [ "drain"; "admit" ])
 
-(* The sequential steady fleet's run (not its build) allocates ~7.3
+(* The sequential steady fleet's run (not its build) allocates ~0.12
    B/event at --quick.  Traffic emits requests as ints, hosts keep them
-   in int columns and buffer effects packed, so per request only the
-   worker's [Compute] action (16 B, over ~5 events) remains, next to the
-   per-epoch barrier bookkeeping and the hosts' machines' own ~1 B/event.
-   The ceiling leaves ~35% headroom over that, so regenerating the
-   baseline cannot let the front end, the effect buffer or a module start
-   boxing again (boxed requests read ~75). *)
-let fleet_bytes_ceiling = 10.
+   in int columns and buffer effects packed, the worker's actions are
+   immediate ints, and the epoch barrier reuses what [Fleet.create]
+   built, so what is left is the traffic engine's and the machines' rare
+   growth.  Boxing the worker's action again would add ~3.3 and cross
+   the ceiling, so regenerating the baseline cannot let the front
+   end, the effect buffer, an action or a module start boxing again
+   (boxed requests read ~75). *)
+let fleet_bytes_ceiling = 3.
 
 let fleet_rows () =
   let (steady, run_bytes), wall =
@@ -1939,6 +1988,7 @@ let suites =
       notes =
         [ "scheduler rows: full machine + scheduler running pipe-bench; ns/event is host";
           "wall clock (ratcheted on cfs), events and bytes/event are deterministic.";
+          "workload rows: memcached and rocksdb at the dsq suite's load, one run each.";
           "depth rows: bare event loop at steady queue depth, the default slot queue";
           "(pid_heap) vs the boxed reference heap; both grow with depth (log n sift)." ];
     };

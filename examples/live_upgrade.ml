@@ -34,10 +34,10 @@ let () =
         match !st with
         | `Work ->
           st := `Nap;
-          T.Compute (Kernsim.Time.us 500)
+          T.compute (Kernsim.Time.us 500)
         | `Nap ->
           st := `Work;
-          if i mod 2 = 0 then T.Sleep (Kernsim.Time.us 200) else T.Wake ch
+          if i mod 2 = 0 then T.sleep (Kernsim.Time.us 200) else T.wake ch
     in
     ignore
       (M.spawn machine { (T.default_spec ~name:(Printf.sprintf "load-%d" i) beh) with T.policy = 0 })

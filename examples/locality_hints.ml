@@ -30,26 +30,26 @@ let run ~hints =
         match !st with
         | `Hint ->
           st := `Work;
-          T.Send_hint (Schedulers.Hints.Locality { pid = ctx.T.self; group = pair })
+          T.send_hint ctx (Schedulers.Hints.Locality { pid = ctx.T.self; group = pair })
         | `Work ->
           (* produce the message payload *)
           st := `Send;
-          T.Compute (Kernsim.Time.us 1)
+          T.compute (Kernsim.Time.us 1)
         | `Send ->
           st := `Wait;
-          T.Wake there
+          T.wake there
         | `Wait ->
           st := `Step;
-          T.Block back
+          T.block back
         | `Step ->
           incr n;
           if !n >= messages then begin
             incr done_count;
-            T.Exit
+            T.exit
           end
           else begin
             st := `Send;
-            T.Compute (Kernsim.Time.us 1)
+            T.compute (Kernsim.Time.us 1)
           end
     in
     let consumer =
@@ -58,24 +58,24 @@ let run ~hints =
         match !st with
         | `Hint ->
           st := `Recv;
-          T.Send_hint (Schedulers.Hints.Locality { pid = ctx.T.self; group = pair })
+          T.send_hint ctx (Schedulers.Hints.Locality { pid = ctx.T.self; group = pair })
         | `Recv ->
           if !n >= messages then begin
             incr done_count;
-            T.Exit
+            T.exit
           end
           else begin
             st := `Consume;
-            T.Block there
+            T.block there
           end
         | `Consume ->
           (* handle the message before replying *)
           st := `Reply;
-          T.Compute (Kernsim.Time.us 1)
+          T.compute (Kernsim.Time.us 1)
         | `Reply ->
           incr n;
           st := `Recv;
-          T.Wake back
+          T.wake back
     in
     ignore
       (M.spawn machine

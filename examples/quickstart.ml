@@ -37,10 +37,10 @@ let () =
     M.spawn machine
       {
         (T.default_spec ~name (fun _ ->
-             if !left = 0 then T.Exit
+             if !left = 0 then T.exit
              else begin
                decr left;
-               T.Compute (Kernsim.Time.ms 1)
+               T.compute (Kernsim.Time.ms 1)
              end))
         with
         T.policy = 0;

@@ -19,14 +19,14 @@ let mixed_workload machine =
     let beh =
       let steps = ref 200 in
       fun _ ->
-        if !steps = 0 then T.Exit
+        if !steps = 0 then T.exit
         else begin
           decr steps;
           match !steps mod 4 with
-          | 0 -> T.Compute (Kernsim.Time.us 300)
-          | 1 -> T.Wake ch
-          | 2 -> if i mod 2 = 0 then T.Block ch else T.Yield
-          | _ -> T.Sleep (Kernsim.Time.us 100)
+          | 0 -> T.compute (Kernsim.Time.us 300)
+          | 1 -> T.wake ch
+          | 2 -> if i mod 2 = 0 then T.block ch else T.yield
+          | _ -> T.sleep (Kernsim.Time.us 100)
         end
     in
     ignore

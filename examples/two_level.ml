@@ -27,11 +27,11 @@ let () =
     let beh (_ : T.ctx) =
       if reclaim.(slot) then begin
         reclaim.(slot) <- false;
-        T.Block park.(slot)
+        T.block park.(slot)
       end
       else begin
         work_done.(slot) <- work_done.(slot) + 1;
-        T.Compute (Kernsim.Time.us 100)
+        T.compute (Kernsim.Time.us 100)
       end
     in
     ignore
@@ -57,13 +57,13 @@ let () =
           | _ -> ())
         ctx.T.inbox;
       match !phases with
-      | [] -> T.Exit
+      | [] -> T.exit
       | (want, hold) :: rest ->
         phases := (-want, hold) :: rest;
-        if want > 0 then T.Send_hint (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = want })
+        if want > 0 then T.send_hint ctx (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = want })
         else begin
           phases := rest;
-          T.Sleep hold
+          T.sleep hold
         end
   in
   ignore

@@ -74,7 +74,6 @@ type host = {
   entry : Schedulers.Registry.entry;
   built : Workloads.Setup.built;
   chan : int;  (* ingress doorbell *)
-  block : T.action;  (* [Block chan], built once *)
   arrivals : Ds.Int_deque.t;  (* placed, not yet at the host *)
   mutable ingress : unit -> unit;  (* admits the oldest arrival *)
   queue : Ds.Int_deque.t;
@@ -103,6 +102,10 @@ type t = {
   recovery : ns;
   observe : bool;  (* false = never measure: the no-observability baseline *)
   pool : Ds.Domain_pool.t option;  (* epoch-parallel host advance *)
+  (* built once at [create], so an epoch allocates nothing: *)
+  target : ns ref;  (* the epoch's end, read by [advance] *)
+  advance : (unit -> unit) array;  (* per host: run to [!target] *)
+  place : req_id:int -> tenant:int -> flow_key:int -> arrived:ns -> service:ns -> unit;
   traffic : Traffic.t;
   lb : Lb.t;
   hosts : host array;
@@ -133,15 +136,15 @@ let op t host ~ts name =
    machine, possibly on a pool domain: host-local state (queue, inflight,
    the host's own histogram, its tracer) is touched directly; everything
    fleet-shared goes through the [fx] buffer.  The request in service is
-   three ints ([req] is -1 between requests), so a step allocates only
-   its [Compute]. *)
+   three ints ([req] is -1 between requests) and its actions are
+   immediate, so a step allocates nothing. *)
 let worker_beh t host =
   let req = ref (-1) and tenant = ref 0 and arrived = ref 0 in
   let machine = host.built.Workloads.Setup.machine in
   fun (ctx : T.ctx) ->
     if !req < 0 then begin
       let q = host.queue in
-      if Ds.Int_deque.is_empty q then host.block
+      if Ds.Int_deque.is_empty q then T.block host.chan
       else begin
         req := Ds.Int_deque.pop_front q;
         tenant := Ds.Int_deque.pop_front q;
@@ -163,7 +166,7 @@ let worker_beh t host =
               ctx.T.now
           | None -> ())
         | None -> ());
-        T.Compute (dispatch_overhead + service)
+        T.compute (dispatch_overhead + service)
       end
     end
     else begin
@@ -185,7 +188,7 @@ let worker_beh t host =
         | None -> ())
       | None -> ());
       req := -1;
-      host.block
+      T.block host.chan
     end
 
 (* A placed request reaches its host at its arrival time.  [place] pushes
@@ -216,6 +219,24 @@ let ingress t host () =
     | None -> ());
     M.signal m host.chan
   end
+
+(* The traffic window's callback: pick a host and queue the request on
+   its arrivals, or count a rejection when every host is drained.
+   Partially applied once, at [create]. *)
+let place lb hosts rejected ~req_id ~tenant ~flow_key ~arrived ~service =
+  match Lb.pick lb ~key:flow_key with
+  | None -> rejected.(tenant) <- rejected.(tenant) + 1
+  | Some h ->
+    Lb.dispatch lb h;
+    let host = hosts.(h) in
+    let m = host.built.Workloads.Setup.machine in
+    push_req host.arrivals ~id:req_id ~tenant ~arrived ~service;
+    M.at m ~delay:(max 0 (arrived - M.now m)) host.ingress
+
+(* Advance one host's machine to the epoch boundary.  Safe on any domain:
+   everything it mutates is host-local (its module's locks included) or
+   buffered in [host.fx]. *)
+let advance_host host ~until = M.run_until host.built.Workloads.Setup.machine until
 
 let host_label (e : Schedulers.Registry.entry) = e.Schedulers.Registry.name
 
@@ -298,7 +319,6 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       entry;
       built;
       chan;
-      block = T.Block chan;
       arrivals = Ds.Int_deque.create ();
       ingress = ignore;
       queue = Ds.Int_deque.create ();
@@ -338,6 +358,8 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
            ~tenants:(Array.init nt (Traffic.tenant_name traffic))
            ~hosts:n ())
   in
+  let rejected = Array.make nt 0 in
+  let target = ref 0 in
   let t =
     {
       epoch;
@@ -346,6 +368,9 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       recovery = (match chaos with Some c -> c.recovery | None -> Kernsim.Time.ms 10);
       observe;
       pool;
+      target;
+      advance = Array.map (fun host () -> advance_host host ~until:!target) hosts;
+      place = place balancer hosts rejected;
       traffic;
       lb = balancer;
       hosts;
@@ -355,7 +380,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       anat;
       completed = Array.make nt 0;
       dropped = Array.make nt 0;
-      rejected = Array.make nt 0;
+      rejected;
       clock = 0;
       measuring = observe && warmup <= 0;
       oplog = [];
@@ -391,7 +416,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
       (* a ghOSt global agent really spins on its core *)
       (match host.built.Workloads.Setup.agent_core with
       | Some core ->
-        let spin (_ : T.ctx) = T.Compute (Kernsim.Time.us 100) in
+        let spin (_ : T.ctx) = T.compute (Kernsim.Time.us 100) in
         ignore
           (M.spawn m
              {
@@ -445,39 +470,29 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
 
 let quarantined host =
   match host.built.Workloads.Setup.enoki with
-  | Some e -> (Enoki.Enoki_c.failover_stats e).Enoki.Enoki_c.quarantined <> None
+  | Some e -> Enoki.Enoki_c.quarantined e
   | None -> false
 
 (* The drill state machine, polled once per epoch: quarantine (or a
    watchdog fire) -> LB drain; queue dry + recovery delay -> re-admit. *)
 let poll_drills t =
-  Array.iter
-    (fun host ->
-      if (not host.drilled) && (host.pending_drain <> None || quarantined host) then begin
-        host.drilled <- true;
-        host.drained_at <- t.clock;
-        Lb.drain t.lb host.id;
-        op t host ~ts:t.clock "drain"
-      end
-      else if
-        host.drilled && (not host.readmitted) && host.inflight = 0
-        && t.clock >= host.drained_at + t.recovery
-      then begin
-        host.readmitted <- true;
-        Lb.admit t.lb host.id;
-        op t host ~ts:t.clock "admit"
-      end)
-    t.hosts
-
-let place t ~req_id ~tenant ~flow_key ~arrived ~service =
-  match Lb.pick t.lb ~key:flow_key with
-  | None -> t.rejected.(tenant) <- t.rejected.(tenant) + 1
-  | Some h ->
-    Lb.dispatch t.lb h;
+  for h = 0 to Array.length t.hosts - 1 do
     let host = t.hosts.(h) in
-    let m = host.built.Workloads.Setup.machine in
-    push_req host.arrivals ~id:req_id ~tenant ~arrived ~service;
-    M.at m ~delay:(max 0 (arrived - M.now m)) host.ingress
+    if (not host.drilled) && (host.pending_drain <> None || quarantined host) then begin
+      host.drilled <- true;
+      host.drained_at <- t.clock;
+      Lb.drain t.lb host.id;
+      op t host ~ts:t.clock "drain"
+    end
+    else if
+      host.drilled && (not host.readmitted) && host.inflight = 0
+      && t.clock >= host.drained_at + t.recovery
+    then begin
+      host.readmitted <- true;
+      Lb.admit t.lb host.id;
+      op t host ~ts:t.clock "admit"
+    end
+  done
 
 (* Replay one host's buffered effects on the coordinating domain.  Called
    in host order at the epoch barrier; within a host the buffer replays
@@ -517,24 +532,24 @@ let apply_fx t host =
   done;
   host.fx.len <- 0
 
-(* Advance one host's machine to the epoch boundary.  Safe on any domain:
-   everything it mutates is host-local (its module's locks included) or
-   buffered in [host.fx]. *)
-let advance_host host ~until = M.run_until host.built.Workloads.Setup.machine until
-
 let step t ~limit =
   let until = min (t.clock + t.epoch) limit in
   if t.observe && (not t.measuring) && t.clock >= t.warmup then t.measuring <- true;
-  Traffic.iter_window t.traffic ~until (place t);
+  Traffic.iter_window t.traffic ~until t.place;
   (* the epoch is a conservative-lookahead barrier: no host-to-host event
      crosses it (LB and ingress happen above, at epoch edges), so the
      hosts advance independently — in parallel when a pool is attached *)
+  t.target := until;
   (match t.pool with
-  | Some pool when Ds.Domain_pool.size pool > 1 ->
-    Ds.Domain_pool.run pool (Array.map (fun h () -> advance_host h ~until) t.hosts)
-  | _ -> Array.iter (fun h -> advance_host h ~until) t.hosts);
+  | Some pool when Ds.Domain_pool.size pool > 1 -> Ds.Domain_pool.run pool t.advance
+  | _ ->
+    for h = 0 to Array.length t.hosts - 1 do
+      advance_host t.hosts.(h) ~until
+    done);
   (* deterministic merge: fixed host order, chronological within a host *)
-  Array.iter (apply_fx t) t.hosts;
+  for h = 0 to Array.length t.hosts - 1 do
+    apply_fx t t.hosts.(h)
+  done;
   t.clock <- until;
   poll_drills t
 

@@ -863,6 +863,8 @@ type failover_stats = {
   blackout : Kernsim.Time.ns option;
 }
 
+let quarantined (t : t) = t.quarantined <> None
+
 let failover_stats (t : t) =
   {
     panics = t.panics;

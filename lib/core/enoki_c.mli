@@ -100,6 +100,10 @@ type failover_stats = {
 
 val failover_stats : t -> failover_stats
 
+(** [quarantined t] is [(failover_stats t).quarantined <> None], read
+    without building the record: the fleet polls it every epoch. *)
+val quarantined : t -> bool
+
 (** [restore t ~pristine k] is the watchdog's recovery action.  At the next
     simulator step (recovery re-enters the scheduler, so it never runs
     inside the dispatch that detected the fault) it live-upgrades back to

@@ -1,5 +1,4 @@
-(** A persistent pool of OCaml domains draining batches of tasks off an
-    {!Spmc_queue}.
+(** A persistent pool of OCaml domains running batches of tasks.
 
     This generalizes the bench harness's [-j N] pattern (spawn domains, race
     a shared atomic index over the cell array, join) into a reusable pool
@@ -8,12 +7,15 @@
     at {!create} and parked on a condition variable between batches rather
     than re-spawned per epoch.
 
-    Scheduling is SPMC work-claiming, not work-pushing: every participating
+    Scheduling is work-claiming, not work-pushing: every participating
     domain (the [domains - 1] workers plus the caller of {!run}, which
-    always joins in) claims tasks with one fetch-and-add each, so load
-    balances itself — a domain stuck on a slow task simply claims fewer.
-    Each batch publishes a {e fresh} queue; a straggler domain still
-    draining an old batch can never claim work from the next one.
+    always joins in) claims the batch's tasks by index, with one
+    compare-and-set on a claim word that carries the batch's generation
+    next to the index.  Load balances itself — a domain stuck on a slow
+    task simply claims fewer — and a straggler domain still holding an old
+    batch fails its claim against the next batch's word, so it can never
+    run work of the next one.  A batch over a caller-held array allocates
+    nothing once the pool is warm.
 
     Domain-safety contract: tasks within one batch run concurrently and
     must not contend on shared mutable state (buffer per-task, merge after
@@ -21,7 +23,8 @@
     is a full barrier: every write a task made happens-before [run]'s
     return in the calling domain.  Task execution order within a batch is
     nondeterministic; determinism of results is the {e caller's} job, by
-    making tasks independent and merging in a fixed order.
+    making tasks independent and merging in a fixed order.  The task array
+    must not be mutated while {!run} is in progress.
 
     A pool with [domains <= 1] spawns nothing and runs batches inline in
     the caller — same semantics, no parallelism — so callers can hold one
@@ -39,15 +42,11 @@ val size : t -> int
 (** Run one batch to completion (a full barrier).  The caller's domain
     participates.  If any task raised, the first exception (in claim
     order of detection) is re-raised after the whole batch has settled;
-    the remaining tasks still run. *)
+    the remaining tasks still run.  A batch holds at most [2^30 - 1]
+    tasks. *)
 val run : t -> (unit -> unit) array -> unit
 
 val map_list : t -> 'a list -> f:('a -> 'b) -> 'b list
-
-(** Cumulative [Gc.allocated_bytes] measured inside batch drains across
-    every participating domain (caller included) — the figure the bench
-    footer reports, since [Gc.allocated_bytes] alone is domain-local. *)
-val allocated_bytes : t -> float
 
 (** Stop and join the worker domains.  Idempotent.  [run] after shutdown
     is an error. *)

@@ -209,6 +209,13 @@ let sync_curr t core =
     end
   end
 
+(* A payload action's slot, emptied by the caller before anything else
+   runs a behaviour on the scratch ctx. *)
+let take_payload slot what =
+  match slot with
+  | Some v -> v
+  | None -> invalid_arg ("Machine: " ^ what ^ " action without its payload")
+
 (* ---------- wakeups ---------- *)
 
 let rec wake_task t (task : Task.t) ~waker_cpu =
@@ -258,15 +265,17 @@ and next_actions t core (task : Task.t) =
      | inbox ->
        task.inbox <- [];
        List.rev inbox));
-  match task.behaviour ctx with
-  | Task.Compute d ->
+  let a = task.behaviour ctx in
+  match Task.kind a with
+  | Task.K_compute ->
+    let d = Task.arg a in
     if d > 0 then begin
       t.verdict_ns <- d;
       v_run
     end
     else next_actions t core task
-  | Task.Block ch_id ->
-    let ch = chan t ch_id in
+  | Task.K_block ->
+    let ch = chan t (Task.arg a) in
     if ch.count > 0 then begin
       ch.count <- ch.count - 1;
       next_actions t core task
@@ -275,23 +284,27 @@ and next_actions t core (task : Task.t) =
       Ds.Int_deque.push_back ch.waiters task.pid;
       v_blocked
     end
-  | Task.Wake ch_id ->
-    do_wake_chan t ch_id ~waker_cpu:core.id;
+  | Task.K_wake ->
+    do_wake_chan t (Task.arg a) ~waker_cpu:core.id;
     next_actions t core task
-  | Task.Sleep d ->
-    t.verdict_ns <- d;
+  | Task.K_sleep ->
+    t.verdict_ns <- Task.arg a;
     v_sleep
-  | Task.Yield -> v_yield
-  | Task.Send_hint h ->
+  | Task.K_yield -> v_yield
+  | Task.K_send_hint ->
     (* hint queues are registered per scheduler; any task may write into
        them (the Arachne runtime runs under CFS but talks to the arbiter),
        so the hint is offered to every class *)
+    let h = take_payload ctx.Task.hint_out "send_hint" in
+    ctx.Task.hint_out <- None;
     Array.iter (fun (cl : Sched_class.t) -> cl.deliver_hint task h) t.classes;
     next_actions t core task
-  | Task.Spawn spec ->
+  | Task.K_spawn ->
+    let spec = take_payload ctx.Task.spawn_out "spawn" in
+    ctx.Task.spawn_out <- None;
     ignore (spawn t spec);
     next_actions t core task
-  | Task.Exit -> v_exit
+  | Task.K_exit -> v_exit
 
 (* ---------- task creation ---------- *)
 
@@ -535,15 +548,16 @@ let tick t =
     sync_curr t t.cores.(cpu);
     if t.tr_on then Trace.Tracer.emit_tick (tr_exn t) ~ts:(Sim.now t.sim) ~cpu
   done;
-  Array.iter
-    (fun (cl : Sched_class.t) ->
-      for cpu = 0 to nr - 1 do
-        let prev = t.ctx_cpu in
-        t.ctx_cpu <- cpu;
-        cl.task_tick ~cpu ~queued:(t.cores.(cpu).curr >= 0);
-        t.ctx_cpu <- prev
-      done)
-    t.classes;
+  (* loops, not [Array.iter] over a closure: a tick allocates nothing *)
+  for i = 0 to Array.length t.classes - 1 do
+    let cl = t.classes.(i) in
+    for cpu = 0 to nr - 1 do
+      let prev = t.ctx_cpu in
+      t.ctx_cpu <- cpu;
+      cl.Sched_class.task_tick ~cpu ~queued:(t.cores.(cpu).curr >= 0);
+      t.ctx_cpu <- prev
+    done
+  done;
   (* newidle-style pull for cpus sitting idle between wakeups *)
   for cpu = 0 to nr - 1 do
     if cpu_idle t cpu && not t.cores.(cpu).resched_queued then begin
@@ -616,7 +630,7 @@ let create ?(costs = Costs.default) ?registry ?tracer ~topology ~classes () =
          group equal to the sentinel must still miss on the first lookup *)
       acct_memo_g = String.make 1 '\000';
       acct_memo_c = Accounting.null_cells ();
-      scratch_ctx = { Task.now = 0; self = 0; cpu = 0; inbox = [] };
+      scratch_ctx = Task.make_ctx ();
       verdict_ns = 0;
     }
   in

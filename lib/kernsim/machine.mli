@@ -60,7 +60,7 @@ val chan_waiters : t -> int -> int
 (** [signal t chan] performs a V on [chan] from outside any task — the
     external-ingress doorbell (a NIC interrupt delivering a request into
     the machine).  Wakes one waiter if any, otherwise leaves a credit for
-    the next [Block]; the wakeup path is charged to cpu 0, the IRQ core.
+    the next [Task.block]; the wakeup path is charged to cpu 0, the IRQ core.
     The cluster tier uses this to hand arriving flows to server tasks. *)
 val signal : t -> int -> unit
 

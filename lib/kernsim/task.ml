@@ -2,21 +2,15 @@ type ns = Time.ns
 
 type hint = ..
 
-type action =
-  | Compute of ns
-  | Block of int
-  | Wake of int
-  | Sleep of ns
-  | Yield
-  | Send_hint of hint
-  | Spawn of spec
-  | Exit
+type action = int
 
-and ctx = {
+type ctx = {
   mutable now : ns;
   mutable self : int;
   mutable cpu : int;
   mutable inbox : hint list;
+  mutable hint_out : hint option;
+  mutable spawn_out : spec option;
 }
 
 and behaviour = ctx -> action
@@ -29,6 +23,57 @@ and spec = {
   behaviour : behaviour;
   affinity : int list option;
 }
+
+(* An action is [(arg lsl kind_bits) lor kind]: [asr] reads the argument
+   back with its sign, so a zero or negative duration keeps its meaning. *)
+let kind_bits = 3
+
+let max_arg = max_int asr kind_bits
+
+let min_arg = min_int asr kind_bits
+
+type kind = K_compute | K_block | K_wake | K_sleep | K_yield | K_send_hint | K_spawn | K_exit
+
+let out_of_range arg = invalid_arg (Printf.sprintf "Task: action argument %d does not fit" arg)
+
+let pack kind arg =
+  if arg > max_arg || arg < min_arg then out_of_range arg else (arg lsl kind_bits) lor kind
+
+let compute d = pack 0 d
+
+let block ch = pack 1 ch
+
+let wake ch = pack 2 ch
+
+let sleep d = pack 3 d
+
+let yield = 4
+
+let send_hint ctx h =
+  ctx.hint_out <- Some h;
+  5
+
+let spawn ctx spec =
+  ctx.spawn_out <- Some spec;
+  6
+
+let exit = 7
+
+let kind a =
+  match a land 7 with
+  | 0 -> K_compute
+  | 1 -> K_block
+  | 2 -> K_wake
+  | 3 -> K_sleep
+  | 4 -> K_yield
+  | 5 -> K_send_hint
+  | 6 -> K_spawn
+  | _ -> K_exit
+
+let arg a = a asr kind_bits
+
+let make_ctx () =
+  { now = 0; self = 0; cpu = 0; inbox = []; hint_out = None; spawn_out = None }
 
 type state = Runnable | Running | Blocked | Dead
 
@@ -88,3 +133,9 @@ let pp_state fmt = function
   | Running -> Format.pp_print_string fmt "running"
   | Blocked -> Format.pp_print_string fmt "blocked"
   | Dead -> Format.pp_print_string fmt "dead"
+
+module Private = struct
+  let max_arg = max_arg
+
+  let min_arg = min_arg
+end

@@ -13,24 +13,20 @@ type ns = Time.ns
     hint constructors, mirroring the paper's scheduler-defined hint types. *)
 type hint = ..
 
-(** What a task does next.  Instantaneous actions ([Wake], [Send_hint],
-    [Spawn]) are processed in the task's kernel context and the behaviour is
-    immediately asked for another action. *)
-type action =
-  | Compute of ns  (** run on the cpu for this much time *)
-  | Block of int  (** wait on channel (semantics of a semaphore P) *)
-  | Wake of int  (** signal channel (semaphore V), waking one waiter *)
-  | Sleep of ns  (** block for a fixed duration *)
-  | Yield  (** give up the cpu but stay runnable *)
-  | Send_hint of hint  (** push a hint to this task's scheduler *)
-  | Spawn of spec  (** create a new task *)
-  | Exit  (** terminate *)
+(** What a task does next, as an immediate int: a behaviour step
+    allocates nothing for its answer.  Build one with the functions below.
+    Instantaneous actions ({!wake}, {!send_hint}, {!spawn}) are processed
+    in the task's kernel context and the behaviour is immediately asked for
+    another action. *)
+type action = private int
 
-and ctx = {
+type ctx = {
   mutable now : ns;
   mutable self : int;  (** own pid *)
   mutable cpu : int;  (** cpu the task is currently on *)
   mutable inbox : hint list;  (** kernel-to-user messages since the last action *)
+  mutable hint_out : hint option;  (** written by {!send_hint}, emptied by the machine *)
+  mutable spawn_out : spec option;  (** written by {!spawn}, emptied by the machine *)
 }
 (** The fields are mutable because the machine reuses {e one} scratch
     [ctx] record for every behaviour step (the record would otherwise be
@@ -49,6 +45,52 @@ and spec = {
   affinity : int list option;  (** allowed cpus; [None] = all *)
 }
 
+(** {2 Actions}
+
+    An action packs its kind in the low 3 bits and its argument (ns or
+    channel id) above them.  Every constructor taking an argument raises
+    [Invalid_argument] when it does not fit in the remaining 60 signed
+    bits. *)
+
+(** run on the cpu for this much time; [compute d] with [d <= 0] is
+    skipped and the behaviour asked again *)
+val compute : ns -> action
+
+(** wait on channel (semantics of a semaphore P) *)
+val block : int -> action
+
+(** signal channel (semaphore V), waking one waiter *)
+val wake : int -> action
+
+(** block for a fixed duration *)
+val sleep : ns -> action
+
+(** give up the cpu but stay runnable *)
+val yield : action
+
+(** [send_hint ctx h] pushes [h] to this task's scheduler.  The hint waits
+    in [ctx.hint_out] until the machine takes it, before it runs any other
+    behaviour, so return the action from the same step. *)
+val send_hint : ctx -> hint -> action
+
+(** [spawn ctx spec] creates a new task; [spec] travels in [ctx.spawn_out]
+    as the hint does in {!send_hint}. *)
+val spawn : ctx -> spec -> action
+
+(** terminate *)
+val exit : action
+
+(** An action's kind, as the machine reads it back. *)
+type kind = K_compute | K_block | K_wake | K_sleep | K_yield | K_send_hint | K_spawn | K_exit
+
+val kind : action -> kind
+
+(** the argument of a [compute], [block], [wake] or [sleep]; 0 otherwise *)
+val arg : action -> int
+
+(** A fresh context with empty payload slots. *)
+val make_ctx : unit -> ctx
+
 type state = Runnable | Running | Blocked | Dead
 
 type t = {
@@ -61,7 +103,7 @@ type t = {
   mutable state : state;
   mutable cpu : int;  (** kernel run-queue assignment *)
   mutable affinity : int list option;
-  mutable remaining : ns;  (** left of the current [Compute] *)
+  mutable remaining : ns;  (** left of the current {!compute} *)
   mutable sum_exec : ns;  (** total cpu time consumed *)
   mutable last_wake : ns;
   mutable wake_pending : bool;  (** a wakeup latency sample is outstanding *)
@@ -85,3 +127,10 @@ val is_runnable : t -> bool
 val allowed_cpu : t -> int -> bool
 
 val pp_state : Format.formatter -> state -> unit
+
+module Private : sig
+  (** the argument range of an action, both ends included *)
+  val max_arg : int
+
+  val min_arg : int
+end

@@ -13,7 +13,7 @@
      ingress_wait   = woken - enqueued      (woken clamped into [enqueued, taken])
      rq_wait        = taken - woken
      service        = nominal cpu demand (fleet dispatch overhead + request
-                      service time), exact because a worker's Compute never
+                      service time), exact because a worker's compute never
                       pays a fresh machine dispatch overhead mid-segment
      preempt_stall  = whatever of (completed - taken) - service is not
                       attributed to migrations

@@ -108,18 +108,18 @@ let barrier_worker ~arrive ~release ~chunk ~steps =
   fun (_ : T.ctx) ->
     match !st with
     | `Work ->
-      if !left = 0 then T.Exit
+      if !left = 0 then T.exit
       else begin
         decr left;
         st := `Arrive;
-        T.Compute chunk
+        T.compute chunk
       end
     | `Arrive ->
       st := `Waitrel;
-      T.Wake arrive
+      T.wake arrive
     | `Waitrel ->
       st := `Work;
-      T.Block release
+      T.block release
 
 (* barrier coordinator: collect [n] arrivals, release everyone, repeat *)
 let barrier_master ~arrive ~releases ~n ~steps =
@@ -131,32 +131,32 @@ let barrier_master ~arrive ~releases ~n ~steps =
       if !step >= steps then begin
         (* last release lets workers observe exit condition *)
         st := `Release (releases, true);
-        T.Compute 1
+        T.compute 1
       end
       else begin
         st := `Release (releases, false);
-        T.Compute 1
+        T.compute 1
       end
     | `Collect k ->
       st := `Collect (k - 1);
-      T.Block arrive
+      T.block arrive
     | `Release ([], final) ->
-      if final then T.Exit
+      if final then T.exit
       else begin
         st := `Collect n;
-        T.Compute 1
+        T.compute 1
       end
     | `Release (r :: rest, final) ->
       st := `Release (rest, final);
-      T.Wake r
+      T.wake r
 
 let plain_worker ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let io_worker ~compute ~sleep ~iters ~rng =
@@ -164,66 +164,66 @@ let io_worker ~compute ~sleep ~iters ~rng =
   fun (_ : T.ctx) ->
     match !st with
     | `Work ->
-      if !left = 0 then T.Exit
+      if !left = 0 then T.exit
       else begin
         decr left;
         st := `Sleep;
-        T.Compute compute
+        T.compute compute
       end
     | `Sleep ->
       st := `Work;
       (* jittered I/O wait *)
-      T.Sleep (sleep + Stats.Prng.int rng (max 1 (sleep / 2)))
+      T.sleep (sleep + Stats.Prng.int rng (max 1 (sleep / 2)))
 
 let producer ~items ~work ~chan =
   let left = ref items and st = ref `Work in
   fun (_ : T.ctx) ->
     match !st with
     | `Work ->
-      if !left = 0 then T.Exit
+      if !left = 0 then T.exit
       else begin
         decr left;
         st := `Send;
-        T.Compute work
+        T.compute work
       end
     | `Send ->
       st := `Work;
-      T.Wake chan
+      T.wake chan
 
 let consumer ~items ~work ~chan =
   let left = ref items and st = ref `Recv in
   fun (_ : T.ctx) ->
     match !st with
     | `Recv ->
-      if !left = 0 then T.Exit
+      if !left = 0 then T.exit
       else begin
         decr left;
         st := `Work;
-        T.Block chan
+        T.block chan
       end
     | `Work ->
       st := `Recv;
-      T.Compute work
+      T.compute work
 
 (* wave spawner for fork-join apps *)
 let forker ~waves ~tasks_per_wave ~work ~skew ~rng ~policy =
   let wave = ref 0 and st = ref `Spawn and spawned = ref 0 in
-  fun (_ : T.ctx) ->
+  fun (ctx : T.ctx) ->
     match !st with
     | `Spawn ->
-      if !wave >= waves then T.Exit
+      if !wave >= waves then T.exit
       else if !spawned >= tasks_per_wave then begin
         spawned := 0;
         incr wave;
         st := `Wait;
         (* the parent works while the wave runs *)
-        T.Compute (work / 2)
+        T.compute (work / 2)
       end
       else begin
         incr spawned;
         let jitter = 1.0 +. (skew *. Stats.Prng.float rng) in
         let w = int_of_float (float_of_int work *. jitter) in
-        T.Spawn
+        T.spawn ctx
           {
             (T.default_spec ~name:"wave-task" (plain_worker ~chunk:w ~steps:1)) with
             T.policy;
@@ -232,7 +232,7 @@ let forker ~waves ~tasks_per_wave ~work ~skew ~rng ~policy =
       end
     | `Wait ->
       st := `Spawn;
-      T.Compute 1
+      T.compute 1
 
 (* ---------- work accounting ---------- *)
 

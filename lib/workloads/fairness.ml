@@ -4,10 +4,10 @@ module M = Kernsim.Machine
 let hog ~chunk ~work =
   let left = ref (work / chunk) in
   fun (_ : T.ctx) ->
-    if !left <= 0 then T.Exit
+    if !left <= 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let completion m pid =

@@ -78,16 +78,16 @@ let run (b : Setup.built) (p : params) =
         for _ = 1 to batch do
           gap := !gap +. Stats.Dist.sample gap_dist rng
         done;
-        T.Sleep (max 1 (int_of_float !gap))
+        T.sleep (max 1 (int_of_float !gap))
       | `Emit 0 ->
         st := `Sleep;
-        T.Compute 1
+        T.compute 1
       | `Emit k ->
         st := `Emit (k - 1);
         let service = int_of_float (Stats.Dist.sample service_dist rng) in
         Queue.push { enqueued = ctx.T.now; service } queue;
         incr arrivals;
-        if server_blocks then T.Wake req_chan else T.Compute 1
+        if server_blocks then T.wake req_chan else T.compute 1
   in
   ignore
     (M.spawn m
@@ -114,19 +114,19 @@ let run (b : Setup.built) (p : params) =
           match !st with
           | `Recv ->
             st := `Take;
-            T.Block req_chan
+            T.block req_chan
           | `Take -> (
             match Queue.take_opt queue with
             | None ->
               st := `Recv;
-              T.Compute 1
+              T.compute 1
             | Some req ->
               st := `Done req;
-              T.Compute (req.service + kernel_dispatch_overhead))
+              T.compute (req.service + kernel_dispatch_overhead))
           | `Done req ->
             record ctx req;
             st := `Take;
-            T.Compute 1
+            T.compute 1
       in
       ignore
         (M.spawn m
@@ -148,20 +148,20 @@ let run (b : Setup.built) (p : params) =
           if reclaim_flag.(slot) then begin
             reclaim_flag.(slot) <- false;
             st := `Poll;
-            T.Block park_chans.(slot)
+            T.block park_chans.(slot)
           end
           else (
             match Queue.take_opt queue with
             | Some req ->
               st := `Done req;
-              T.Compute (req.service + user_dispatch_overhead)
+              T.compute (req.service + user_dispatch_overhead)
             | None ->
               (* hold the core and spin for work, Arachne-style *)
-              T.Compute (Kernsim.Time.us 2))
+              T.compute (Kernsim.Time.us 2))
         | `Done req ->
           record ctx req;
           st := `Poll;
-          T.Compute 1
+          T.compute 1
     in
     for slot = 0 to n_activations - 1 do
       ignore
@@ -194,7 +194,7 @@ let run (b : Setup.built) (p : params) =
         match !st with
         | `Sleep ->
           st := `Estimate;
-          T.Sleep interval
+          T.sleep interval
         | `Estimate ->
           let new_arrivals = !arrivals - !last_arrivals in
           last_arrivals := !arrivals;
@@ -204,10 +204,10 @@ let run (b : Setup.built) (p : params) =
               (min n_activations (1 + int_of_float (ceil (rate *. mean_service_ns *. 1.15))))
           in
           st := `Wake_granted want;
-          if p.mode = Arachne_native then T.Compute (socket_round_trip / 2) else T.Compute 1
+          if p.mode = Arachne_native then T.compute (socket_round_trip / 2) else T.compute 1
         | `Wake_granted want ->
           st := `Request want;
-          T.Send_hint (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = want })
+          T.send_hint ctx (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = want })
         | `Request _ ->
           (* wake parked activations that are no longer reclaimed *)
           let to_wake = ref [] in
@@ -217,13 +217,13 @@ let run (b : Setup.built) (p : params) =
                 to_wake := slot :: !to_wake)
             reclaim_flag;
           st := `Waking !to_wake;
-          if p.mode = Arachne_native then T.Compute (socket_round_trip / 2) else T.Compute 1
+          if p.mode = Arachne_native then T.compute (socket_round_trip / 2) else T.compute 1
         | `Waking [] ->
           st := `Sleep;
-          T.Compute 1
+          T.compute 1
         | `Waking (slot :: rest) ->
           st := `Waking rest;
-          T.Wake park_chans.(slot)
+          T.wake park_chans.(slot)
     in
     ignore
       (M.spawn m

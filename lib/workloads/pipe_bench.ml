@@ -24,35 +24,29 @@ let run (b : Setup.built) ?(same_core = false) ?(messages = 50_000) ?(work = def
     (* round-trip stamp: taken when this peer signals, closed when the
        reply wakes it back up *)
     let t0 = ref (-1) in
-    (* the three actions of the message loop, built once per peer: action
-       constructors carry payloads, so building them per step would put
-       ~100 B/message of boxing on the simulator's zero-alloc fast path *)
-    let act_work = T.Compute work in
-    let act_send = T.Wake send in
-    let act_recv = T.Block recv in
     fun (ctx : T.ctx) ->
       match !st with
       | `Recv0 ->
         st := `Work;
-        act_recv
+        T.block recv
       | `Work ->
         st := `Send;
-        act_work
+        T.compute work
       | `Send ->
         st := `Recv;
         t0 := ctx.T.now;
-        act_send
+        T.wake send
       | `Recv ->
         if !t0 >= 0 then observe (ctx.T.now - !t0);
         t0 := -1;
         incr n;
         if !n >= messages then begin
           incr finished;
-          T.Exit
+          T.exit
         end
         else begin
           st := `Work;
-          act_recv
+          T.block recv
         end
   in
   let spec name beh =
@@ -91,10 +85,10 @@ let run_userlevel (b : Setup.built) ?(same_core = true) ?(messages = 50_000) () 
   and per_msg = user_switch_cost + if same_core then 0 else cacheline_bounce in
   let beh =
     fun (_ : T.ctx) ->
-      if !total >= 2 * messages then T.Exit
+      if !total >= 2 * messages then T.exit
       else begin
         incr total;
-        T.Compute per_msg
+        T.compute per_msg
       end
   in
   let spec = { (T.default_spec ~name:"arachne-user" beh) with T.policy = b.policy } in

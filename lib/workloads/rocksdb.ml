@@ -69,17 +69,17 @@ let run (b : Setup.built) (p : params) =
         for _ = 1 to batch do
           gap := !gap +. Stats.Dist.sample gap_dist rng
         done;
-        T.Sleep (max 1 (int_of_float !gap))
+        T.sleep (max 1 (int_of_float !gap))
       | `Emit 0 ->
         st := `Sleep;
-        T.Compute 1
+        T.compute 1
       | `Emit k ->
         st := `Emit (k - 1);
         let service =
           if Stats.Prng.float rng < range_fraction then range_service else get_service
         in
         Queue.push { enqueued = ctx.T.now; service } queue;
-        T.Wake req_chan
+        T.wake req_chan
   in
   ignore
     (M.spawn m
@@ -97,15 +97,15 @@ let run (b : Setup.built) (p : params) =
         match !st with
         | `Recv ->
           st := `Work;
-          T.Block req_chan
+          T.block req_chan
         | `Work -> (
           match Queue.take_opt queue with
           | None ->
             st := `Recv;
-            T.Compute 1
+            T.compute 1
           | Some req ->
             st := `Done req;
-            T.Compute req.service)
+            T.compute req.service)
         | `Done req ->
           if !measuring then begin
             Stats.Histogram.record latencies (ctx.T.now - req.enqueued);
@@ -113,7 +113,7 @@ let run (b : Setup.built) (p : params) =
             incr completed
           end;
           st := `Work;
-          T.Compute 1
+          T.compute 1
     in
     let spec =
       {
@@ -133,10 +133,10 @@ let run (b : Setup.built) (p : params) =
       match !st with
       | `Work ->
         st := `Sleep;
-        T.Compute (Kernsim.Time.us 50)
+        T.compute (Kernsim.Time.us 50)
       | `Sleep ->
         st := `Work;
-        T.Sleep (Kernsim.Time.ms 1)
+        T.sleep (Kernsim.Time.ms 1)
   in
   ignore
     (M.spawn m
@@ -150,7 +150,7 @@ let run (b : Setup.built) (p : params) =
      dedicated core; make it consume the core for real *)
   (match b.agent_core with
   | Some core ->
-    let spin (_ : T.ctx) = T.Compute (Kernsim.Time.us 100) in
+    let spin (_ : T.ctx) = T.compute (Kernsim.Time.us 100) in
     ignore
       (M.spawn m
          {
@@ -164,7 +164,7 @@ let run (b : Setup.built) (p : params) =
   (* the co-located batch application: CFS, lowest priority, free to roam *)
   if p.with_batch then
     for i = 1 to 8 do
-      let hog (_ : T.ctx) = T.Compute (Kernsim.Time.ms 1) in
+      let hog (_ : T.ctx) = T.compute (Kernsim.Time.ms 1) in
       ignore
         (M.spawn m
            {

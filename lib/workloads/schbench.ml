@@ -41,7 +41,7 @@ let worker_beh ~ping ~reply ~work ~stamp ~hist ~measuring ~observe =
     match !st with
     | `Wait ->
       st := `Work;
-      T.Block ping
+      T.block ping
     | `Work ->
       if !measuring && !stamp >= 0 then begin
         Stats.Histogram.record hist (ctx.T.now - !stamp);
@@ -49,10 +49,10 @@ let worker_beh ~ping ~reply ~work ~stamp ~hist ~measuring ~observe =
       end;
       stamp := -1;
       st := `Reply;
-      T.Compute work
+      T.compute work
     | `Reply ->
       st := `Wait;
-      T.Wake reply
+      T.wake reply
 
 (* One message thread: hint its group once, then loop: work (with random
    round-to-round jitter, so distinct message threads drift out of phase),
@@ -67,7 +67,7 @@ let message_beh ~pings ~reply ~work ~rng ~group ~worker_pids =
       match group with
       | None ->
         st := `Ping pings;
-        T.Compute 1
+        T.compute 1
       | Some g ->
         (* co-locate self and every worker: one hint per task, self last *)
         let hints =
@@ -75,32 +75,32 @@ let message_beh ~pings ~reply ~work ~rng ~group ~worker_pids =
           @ [ Schedulers.Hints.Locality { pid = ctx.T.self; group = g } ]
         in
         st := `Hint_rest (List.tl hints, `Ping pings);
-        T.Send_hint (List.hd hints))
+        T.send_hint ctx (List.hd hints))
     | `Hint_rest ([], _) ->
       st := `Ping pings;
-      T.Compute 1
+      T.compute 1
     | `Hint_rest (h :: rest, k) ->
       st := `Hint_rest (rest, k);
-      T.Send_hint h
+      T.send_hint ctx h
     | `Ping [] ->
       st := `Collect n_workers;
-      T.Compute 1
+      T.compute 1
     | `Ping ((ping, stamp) :: rest) ->
       (* timestamp, then the wake syscall runs in our context: if we get
          descheduled here, the sample inflates, as in real schbench *)
       stamp := ctx.T.now;
       st := `Wake (ping, rest);
-      T.Compute wake_syscall
+      T.compute wake_syscall
     | `Wake (ping, rest) ->
       st := `Ping rest;
-      T.Wake ping
+      T.wake ping
     | `Collect 0 ->
       (* work the message before the next round of pings *)
       st := `Ping pings;
-      T.Compute ((work / 2) + Stats.Prng.int rng (max 1 work))
+      T.compute ((work / 2) + Stats.Prng.int rng (max 1 work))
     | `Collect k ->
       st := `Collect (k - 1);
-      T.Block reply
+      T.block reply
 
 let run (b : Setup.built) (p : params) =
   let m = b.machine in

@@ -1057,6 +1057,70 @@ let test_summary_percent_diff () =
   check (Alcotest.float 1e-9) "zero baseline" 0.0
     (Stats.Summary.percent_diff ~baseline:0.0 ~value:5.0)
 
+(* ---------- Domain_pool ---------- *)
+
+(* After warm-up, a batch over a caller-held task array allocates nothing
+   on the calling domain: no queue, no option per claim, no float books. *)
+let test_pool_batch_no_alloc () =
+  let pool = Ds.Domain_pool.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Ds.Domain_pool.shutdown pool) (fun () ->
+      let hits = Array.make 8 0 in
+      let tasks = Array.init 8 (fun i () -> hits.(i) <- hits.(i) + 1) in
+      for _ = 1 to 100 do
+        Ds.Domain_pool.run pool tasks
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        Ds.Domain_pool.run pool tasks
+      done;
+      let words = Gc.minor_words () -. before in
+      check (Alcotest.float 0.) "caller minor words over 1000 batches" 0. words;
+      check Alcotest.(array int) "every task ran every batch" (Array.make 8 1_100) hits)
+
+(* Tiny batches of varying size on 3 domains, alternating between two
+   task sets that count into two arrays: a straggler still holding a
+   finished batch must neither take the next batch's claims nor run its
+   own stale tasks in their place, so every task of a batch runs exactly
+   once and no task of the other set runs at all. *)
+let test_pool_exactly_once () =
+  let pool = Ds.Domain_pool.create ~domains:3 () in
+  Fun.protect ~finally:(fun () -> Ds.Domain_pool.shutdown pool) (fun () ->
+      let hits = [| Array.make 7 0; Array.make 7 0 |] in
+      let batches =
+        Array.init 14 (fun b ->
+            let h = hits.(b mod 2) in
+            Array.init ((b / 2) + 1) (fun i () -> h.(i) <- h.(i) + 1))
+      in
+      for b = 0 to 9_999 do
+        let tasks = batches.(b mod 14) in
+        Array.fill hits.(0) 0 7 0;
+        Array.fill hits.(1) 0 7 0;
+        Ds.Domain_pool.run pool tasks;
+        for set = 0 to 1 do
+          Array.iteri
+            (fun i n ->
+              let want = if set = b mod 2 && i < Array.length tasks then 1 else 0 in
+              if n <> want then Alcotest.failf "batch %d: task %d of set %d ran %d times" b i set n)
+            hits.(set)
+        done
+      done)
+
+let test_pool_first_exception () =
+  let pool = Ds.Domain_pool.create ~domains:3 () in
+  Fun.protect ~finally:(fun () -> Ds.Domain_pool.shutdown pool) (fun () ->
+      let ran = Array.make 6 false in
+      let tasks =
+        Array.init 6 (fun i () ->
+            ran.(i) <- true;
+            if i = 2 then failwith "task 2")
+      in
+      Alcotest.check_raises "re-raised after the barrier" (Failure "task 2") (fun () ->
+          Ds.Domain_pool.run pool tasks);
+      check Alcotest.(array bool) "the others still ran" (Array.make 6 true) ran;
+      Array.fill ran 0 6 false;
+      Ds.Domain_pool.run pool (Array.sub tasks 3 3);
+      check Alcotest.(array bool) "the next batch runs clean" [| false; false; false; true; true; true |] ran)
+
 (* ---------- suite ---------- *)
 
 let qtest ?(count = 200) name arb prop =
@@ -1092,6 +1156,12 @@ let () =
           Alcotest.test_case "drain" `Quick test_ring_drain;
           Alcotest.test_case "invalid capacity" `Quick test_ring_invalid;
           qtest "fifo order" QCheck.(list small_int) prop_ring_fifo;
+        ] );
+      ( "domain_pool",
+        [
+          Alcotest.test_case "a warm batch allocates nothing" `Quick test_pool_batch_no_alloc;
+          Alcotest.test_case "every task exactly once per batch" `Quick test_pool_exactly_once;
+          Alcotest.test_case "first exception after the barrier" `Quick test_pool_first_exception;
         ] );
       ( "heap",
         [

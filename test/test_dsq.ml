@@ -310,10 +310,10 @@ let test_record_replay_stream_equivalence () =
 let hog ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let test_live_upgrade_round_trip () =

@@ -331,10 +331,10 @@ let build_fifo ?record () =
 let one_shot compute =
   let done_ = ref false in
   fun (_ : T.ctx) ->
-    if !done_ then T.Exit
+    if !done_ then T.exit
     else begin
       done_ := true;
-      T.Compute compute
+      T.compute compute
     end
 
 let test_enoki_runs_tasks () =
@@ -568,7 +568,7 @@ let minor_words f =
    stale. *)
 let test_schedulable_consume () =
   let e = Enoki.Enoki_c.create (module Null_sched) in
-  let task = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid:1 ~now:0 in
+  let task = T.make (T.default_spec ~name:"t" (fun _ -> T.exit)) ~pid:1 ~now:0 in
   task.T.state <- T.Runnable;
   task.T.cpu <- 2;
   let cls = null_class ~live:[ task ] e in
@@ -603,7 +603,7 @@ let test_schedulable_consume () =
 let test_crossing_allocates_nothing () =
   let e = Enoki.Enoki_c.create (module Null_sched) in
   let cls = null_class e in
-  let task = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid:1 ~now:0 in
+  let task = T.make (T.default_spec ~name:"t" (fun _ -> T.exit)) ~pid:1 ~now:0 in
   check Alcotest.bool "unpinned task" true (task.T.affinity = None);
   let n = 10_000 in
   (* a stale reply: each pick crosses twice, into pick_next_task and back
@@ -744,7 +744,7 @@ let test_isolation_semantics () =
    that a failover re-homes, so a fallback pick there returns it. *)
 let test_isolation_every_hook () =
   let nr_cpus = Kernsim.Topology.nr_cpus Kernsim.Topology.two_socket in
-  let spawn pid = T.make (T.default_spec ~name:"t" (fun _ -> T.Exit)) ~pid ~now:0 in
+  let spawn pid = T.make (T.default_spec ~name:"t" (fun _ -> T.exit)) ~pid ~now:0 in
   let waiting = spawn 7 in
   waiting.T.cpu <- 2;
   let task = spawn 1 in
@@ -807,10 +807,10 @@ let test_isolation_every_hook () =
 let hog ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let test_live_upgrade_same_module () =
@@ -921,8 +921,8 @@ let test_hints_reach_scheduler () =
       match !st with
       | `Hint ->
         st := `Work;
-        T.Send_hint (Schedulers.Hints.Locality { pid = ctx.T.self; group = 1 })
-      | `Work -> T.Exit
+        T.send_hint ctx (Schedulers.Hints.Locality { pid = ctx.T.self; group = 1 })
+      | `Work -> T.exit
   in
   ignore (M.spawn b.machine { (T.default_spec ~name:"hinter" beh) with T.policy = b.policy });
   M.run_for b.machine (Kernsim.Time.ms 10);
@@ -941,16 +941,16 @@ let pingpong_workload b ~iters =
       match !st with
       | `Recv0 ->
         st := `Send;
-        T.Block recv
+        T.block recv
       | `Send ->
         st := `Recv;
-        T.Wake send
+        T.wake send
       | `Recv ->
         incr n;
-        if !n >= iters then T.Exit
+        if !n >= iters then T.exit
         else begin
           st := `Send;
-          T.Block recv
+          T.block recv
         end
   in
   ignore

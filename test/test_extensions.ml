@@ -11,10 +11,10 @@ let build kind = Workloads.Setup.build ~topology:Kernsim.Topology.one_socket kin
 let hog ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 (* periodic sparse task: brief work, long sleep *)
@@ -23,15 +23,15 @@ let sparse ~work ~sleep ~iters =
   fun (_ : T.ctx) ->
     match !st with
     | `Work ->
-      if !left = 0 then T.Exit
+      if !left = 0 then T.exit
       else begin
         decr left;
         st := `Sleep;
-        T.Compute work
+        T.compute work
       end
     | `Sleep ->
       st := `Work;
-      T.Sleep sleep
+      T.sleep sleep
 
 let cores_touched (b : Workloads.Setup.built) ~group =
   ignore group;
@@ -120,14 +120,14 @@ let test_edf_orders_by_deadline () =
           match !st with
           | `Hint ->
             st := `Nap;
-            T.Send_hint (Schedulers.Hints.Deadline { pid = ctx.T.self; relative })
+            T.send_hint ctx (Schedulers.Hints.Deadline { pid = ctx.T.self; relative })
           | `Nap ->
             (* block so the wakeup opens a deadline window *)
             st := `Run;
-            T.Sleep (Kernsim.Time.ms 1)
+            T.sleep (Kernsim.Time.ms 1)
           | `Run ->
             order := i :: !order;
-            T.Exit
+            T.exit
       in
       ignore
         (M.spawn m
@@ -187,10 +187,10 @@ let test_rt_priority_preempts () =
         (M.spawn m
            {
              (T.default_spec ~name:"hi" (fun (ctx : T.ctx) ->
-                  if !hi_done >= 0 then T.Exit
+                  if !hi_done >= 0 then T.exit
                   else begin
                     hi_done := ctx.T.now;
-                    T.Compute (Kernsim.Time.ms 1)
+                    T.compute (Kernsim.Time.ms 1)
                   end))
              with
              T.policy = b.policy;
@@ -222,8 +222,8 @@ let test_rt_fifo_within_priority () =
         | `Go ->
           order := i :: !order;
           st := `End;
-          T.Compute (Kernsim.Time.us 100)
-        | `End -> T.Exit
+          T.compute (Kernsim.Time.us 100)
+        | `End -> T.exit
     in
     ignore
       (M.spawn m
@@ -241,7 +241,7 @@ let test_rt_starves_low_priority_under_overload () =
   let m = b.machine in
   ignore
     (M.spawn m
-       { (T.default_spec ~name:"spin-hi" (fun _ -> T.Compute (Kernsim.Time.ms 1))) with
+       { (T.default_spec ~name:"spin-hi" (fun _ -> T.compute (Kernsim.Time.ms 1))) with
          T.policy = b.policy;
          nice = -10;
          affinity = Some [ 0 ];

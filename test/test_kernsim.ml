@@ -3,6 +3,8 @@
 module T = Kernsim.Task
 module M = Kernsim.Machine
 
+type T.hint += Probe_hint | Tagged of int
+
 let check = Alcotest.check
 
 let make_machine ?(topology = Kernsim.Topology.one_socket) () =
@@ -12,20 +14,20 @@ let make_machine ?(topology = Kernsim.Topology.one_socket) () =
 let one_shot compute =
   let done_ = ref false in
   fun (_ : T.ctx) ->
-    if !done_ then T.Exit
+    if !done_ then T.exit
     else begin
       done_ := true;
-      T.Compute compute
+      T.compute compute
     end
 
 (* A task computing [chunk] per step, [steps] times. *)
 let hog ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let test_sim_event_order () =
@@ -218,16 +220,16 @@ let test_block_wake_pingpong () =
       match !st with
       | `Send ->
         st := `Wait;
-        T.Wake ch_ab
+        T.wake ch_ab
       | `Wait ->
         st := `Step;
-        T.Block ch_ba
+        T.block ch_ba
       | `Step ->
         incr n;
-        if !n >= iters then T.Exit
+        if !n >= iters then T.exit
         else begin
           st := `Wait;
-          T.Wake ch_ab
+          T.wake ch_ab
         end
   in
   let mk_pong () =
@@ -235,15 +237,15 @@ let test_block_wake_pingpong () =
     fun (_ : T.ctx) ->
       match !st with
       | `Wait ->
-        if !n >= iters then T.Exit
+        if !n >= iters then T.exit
         else begin
           st := `Reply;
-          T.Block ch_ab
+          T.block ch_ab
         end
       | `Reply ->
         incr n;
         st := `Wait;
-        T.Wake ch_ba
+        T.wake ch_ba
   in
   let a = M.spawn m (T.default_spec ~name:"ping" (mk_ping ())) in
   let b = M.spawn m (T.default_spec ~name:"pong" (mk_pong ())) in
@@ -261,10 +263,10 @@ let test_sleep_wakes_up () =
       match !st with
       | `Sleep ->
         st := `After;
-        T.Sleep (Kernsim.Time.ms 3)
+        T.sleep (Kernsim.Time.ms 3)
       | `After ->
         woke_at := ctx.T.now;
-        T.Exit
+        T.exit
   in
   ignore (M.spawn m (T.default_spec ~name:"sleeper" beh));
   M.run_for m (Kernsim.Time.ms 10);
@@ -276,20 +278,104 @@ let test_spawn_action () =
   let child_ran = ref false in
   let child_beh (_ : T.ctx) =
     child_ran := true;
-    T.Exit
+    T.exit
   in
   let parent =
     let st = ref `Spawn in
-    fun (_ : T.ctx) ->
+    fun (ctx : T.ctx) ->
       match !st with
       | `Spawn ->
         st := `Done;
-        T.Spawn (T.default_spec ~name:"child" child_beh)
-      | `Done -> T.Exit
+        T.spawn ctx (T.default_spec ~name:"child" child_beh)
+      | `Done -> T.exit
   in
   ignore (M.spawn m (T.default_spec ~name:"parent" parent));
   M.run_for m (Kernsim.Time.ms 5);
   check Alcotest.bool "child ran" true !child_ran
+
+(* ---------- action encoding ---------- *)
+
+let arg_ctors = [ (T.K_compute, T.compute); (T.K_block, T.block); (T.K_wake, T.wake); (T.K_sleep, T.sleep) ]
+
+let in_range =
+  let lo = T.Private.min_arg and hi = T.Private.max_arg in
+  QCheck.(
+    make ~print:string_of_int
+      (Gen.oneof
+         [ Gen.int_range lo hi; Gen.oneofl [ 0; 1; -1; lo; hi; lo + 1; hi - 1 ]; Gen.small_signed_int ]))
+
+let out_of_range =
+  let lo = T.Private.min_arg and hi = T.Private.max_arg in
+  QCheck.(
+    make ~print:string_of_int
+      (Gen.oneof
+         [
+           Gen.int_range (hi + 1) max_int;
+           Gen.int_range min_int (lo - 1);
+           Gen.oneofl [ hi + 1; lo - 1; max_int; min_int ];
+         ]))
+
+(* every kind with an argument reads back its kind and the argument, sign
+   included, and no two kinds share an encoding *)
+let prop_action_round_trip v =
+  List.for_all (fun (k, mk) -> T.kind (mk v) = k && T.arg (mk v) = v) arg_ctors
+  && List.length (List.sort_uniq compare (List.map (fun (_, mk) -> ((mk v : T.action) :> int)) arg_ctors)) = 4
+
+let prop_action_out_of_range v =
+  List.for_all
+    (fun (_, mk) -> match mk v with _ -> false | exception Invalid_argument _ -> true)
+    arg_ctors
+
+let test_action_payload_kinds () =
+  let ctx = T.make_ctx () in
+  check Alcotest.bool "yield" true (T.kind T.yield = T.K_yield);
+  check Alcotest.bool "exit" true (T.kind T.exit = T.K_exit);
+  check Alcotest.bool "send_hint" true (T.kind (T.send_hint ctx Probe_hint) = T.K_send_hint);
+  check Alcotest.bool "hint in its slot" true (ctx.T.hint_out = Some Probe_hint);
+  let spec = T.default_spec ~name:"x" (fun _ -> T.exit) in
+  check Alcotest.bool "spawn" true (T.kind (T.spawn ctx spec) = T.K_spawn);
+  check Alcotest.bool "spec in its slot" true
+    (match ctx.T.spawn_out with Some s -> s == spec | None -> false)
+
+(* One behaviour answers send_hint, spawn and compute in a row, twice:
+   each payload reaches the kernel before the next step, in order. *)
+let test_payload_actions_in_order () =
+  let log = ref [] in
+  let recording ops =
+    let cl = Kernsim.Cfs.factory () ops in
+    {
+      cl with
+      Kernsim.Sched_class.deliver_hint =
+        (fun task h ->
+          (match h with Tagged n -> log := Printf.sprintf "hint %d" n :: !log | _ -> ());
+          cl.deliver_hint task h);
+      task_new =
+        (fun (task : T.t) ~cpu ->
+          if task.T.name <> "parent" then log := ("new " ^ task.T.name) :: !log;
+          cl.task_new task ~cpu);
+    }
+  in
+  let m = M.create ~topology:Kernsim.Topology.one_socket ~classes:[ recording ] () in
+  let child (_ : T.ctx) = T.exit in
+  let parent =
+    let step = ref 0 in
+    fun (ctx : T.ctx) ->
+      incr step;
+      match !step with
+      | 1 | 4 -> T.send_hint ctx (Tagged !step)
+      | 2 | 5 -> T.spawn ctx (T.default_spec ~name:(Printf.sprintf "child%d" !step) child)
+      | 3 | 6 ->
+        log := Printf.sprintf "compute at step %d" !step :: !log;
+        T.compute (Kernsim.Time.us 10)
+      | _ -> T.exit
+  in
+  ignore (M.spawn m (T.default_spec ~name:"parent" parent));
+  M.run_for m (Kernsim.Time.ms 5);
+  check
+    Alcotest.(list string)
+    "payloads in order"
+    [ "hint 1"; "new child2"; "compute at step 3"; "hint 4"; "new child5"; "compute at step 6" ]
+    (List.rev !log)
 
 let test_yield_alternates () =
   let m = make_machine () in
@@ -297,11 +383,11 @@ let test_yield_alternates () =
   let mk tag =
     let n = ref 0 in
     fun (_ : T.ctx) ->
-      if !n >= 3 then T.Exit
+      if !n >= 3 then T.exit
       else begin
         incr n;
         order := tag :: !order;
-        T.Yield
+        T.yield
       end
   in
   let spec name beh = { (T.default_spec ~name beh) with T.affinity = Some [ 0 ] } in
@@ -356,8 +442,8 @@ let test_chan_semaphore_semantics () =
       match !st with
       | `Go ->
         st := `Done;
-        T.Wake ch
-      | `Done -> T.Exit
+        T.wake ch
+      | `Done -> T.exit
   in
   let consumer =
     let st = ref `Sleep in
@@ -365,13 +451,13 @@ let test_chan_semaphore_semantics () =
       match !st with
       | `Sleep ->
         st := `Take;
-        T.Sleep (Kernsim.Time.ms 2) (* let the producer signal first *)
+        T.sleep (Kernsim.Time.ms 2) (* let the producer signal first *)
       | `Take ->
         st := `Done;
-        T.Block ch
+        T.block ch
       | `Done ->
         consumer_done := true;
-        T.Exit
+        T.exit
   in
   ignore (M.spawn m (T.default_spec ~name:"prod" producer));
   ignore (M.spawn m (T.default_spec ~name:"cons" consumer));
@@ -431,6 +517,7 @@ let () =
           Alcotest.test_case "block/wake pingpong" `Quick test_block_wake_pingpong;
           Alcotest.test_case "sleep wakes" `Quick test_sleep_wakes_up;
           Alcotest.test_case "spawn action" `Quick test_spawn_action;
+          Alcotest.test_case "payload actions in order" `Quick test_payload_actions_in_order;
           Alcotest.test_case "yield alternates" `Quick test_yield_alternates;
           Alcotest.test_case "wakeup latency metric" `Quick test_wakeup_latency_recorded;
           Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
@@ -438,6 +525,16 @@ let () =
           Alcotest.test_case "affinity" `Quick test_affinity_restricts;
           Alcotest.test_case "chan semaphore" `Quick test_chan_semaphore_semantics;
           Alcotest.test_case "many tasks progress" `Quick test_many_tasks_many_cores_progress;
+        ] );
+      ( "action",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:1000 ~name:"encoding round-trips over its whole range" in_range
+               prop_action_round_trip);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:200 ~name:"an argument that does not fit raises"
+               out_of_range prop_action_out_of_range);
+          Alcotest.test_case "payload kinds fill their slots" `Quick test_action_payload_kinds;
         ] );
       ( "cfs",
         [

@@ -13,10 +13,10 @@ let machine ?(topology = Kernsim.Topology.one_socket) ?costs () =
 let one_shot compute =
   let done_ = ref false in
   fun (_ : T.ctx) ->
-    if !done_ then T.Exit
+    if !done_ then T.exit
     else begin
       done_ := true;
-      T.Compute compute
+      T.compute compute
     end
 
 (* ---------- idle-state model ---------- *)
@@ -28,15 +28,15 @@ let wakeup_p50_with_sleep sleep =
     fun (_ : T.ctx) ->
       match !st with
       | `Work ->
-        if !n = 0 then T.Exit
+        if !n = 0 then T.exit
         else begin
           decr n;
           st := `Sleep;
-          T.Compute (Kernsim.Time.us 20)
+          T.compute (Kernsim.Time.us 20)
         end
       | `Sleep ->
         st := `Work;
-        T.Sleep sleep
+        T.sleep sleep
   in
   ignore (M.spawn m (T.default_spec ~name:"sleeper" beh));
   M.run_for m (Kernsim.Time.sec 1);
@@ -58,15 +58,15 @@ let test_costs_are_configurable () =
     fun (_ : T.ctx) ->
       match !st with
       | `Work ->
-        if !n = 0 then T.Exit
+        if !n = 0 then T.exit
         else begin
           decr n;
           st := `Sleep;
-          T.Compute (Kernsim.Time.us 20)
+          T.compute (Kernsim.Time.us 20)
         end
       | `Sleep ->
         st := `Work;
-        T.Sleep (Kernsim.Time.ms 2)
+        T.sleep (Kernsim.Time.ms 2)
   in
   ignore (M.spawn m (T.default_spec ~name:"s" beh));
   M.run_for m (Kernsim.Time.sec 1);
@@ -170,10 +170,10 @@ let test_hint_ring_overflow_counted () =
   let beh =
     let n = ref 5 in
     fun (ctx : T.ctx) ->
-      if !n = 0 then T.Exit
+      if !n = 0 then T.exit
       else begin
         decr n;
-        T.Send_hint (Schedulers.Hints.Locality { pid = ctx.T.self; group = !n })
+        T.send_hint ctx (Schedulers.Hints.Locality { pid = ctx.T.self; group = !n })
       end
   in
   ignore (M.spawn m { (T.default_spec ~name:"h" beh) with T.policy = 0 });
@@ -214,10 +214,10 @@ let test_reverse_queue_reaches_inbox () =
         (fun h ->
           match h with Schedulers.Hints.Core_reclaim { slot } -> got := slot :: !got | _ -> ())
         ctx.T.inbox;
-      if !n = 0 then T.Exit
+      if !n = 0 then T.exit
       else begin
         decr n;
-        T.Compute (Kernsim.Time.us 50)
+        T.compute (Kernsim.Time.us 50)
       end
   in
   let pid = M.spawn b.machine { (T.default_spec ~name:"listener" beh) with T.policy = b.policy } in
@@ -273,8 +273,8 @@ let test_set_policy_while_blocked () =
       match !st with
       | `Wait ->
         st := `Work;
-        T.Block ch
-      | `Work -> T.Exit
+        T.block ch
+      | `Work -> T.exit
   in
   let pid = M.spawn m { (T.default_spec ~name:"b" beh) with T.policy = b.policy } in
   M.run_for m (Kernsim.Time.ms 1);
@@ -287,8 +287,8 @@ let test_set_policy_while_blocked () =
       match !st with
       | `Go ->
         st := `End;
-        T.Wake ch
-      | `End -> T.Exit
+        T.wake ch
+      | `End -> T.exit
   in
   ignore (M.spawn m { (T.default_spec ~name:"w" waker) with T.policy = b.cfs_policy });
   M.run_for m (Kernsim.Time.ms 10);

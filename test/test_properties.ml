@@ -28,18 +28,18 @@ let spawn_random_workload m ~policy ~rng ~tasks =
     List.init tasks (fun i ->
         let steps = ref (5 + Stats.Prng.int rng 15) in
         let beh (_ : T.ctx) =
-          if !steps = 0 then T.Exit
+          if !steps = 0 then T.exit
           else begin
             decr steps;
             match Stats.Prng.int rng 6 with
             | 0 | 1 ->
               let d = 1 + Stats.Prng.int rng 800_000 in
               total_work := !total_work + d;
-              T.Compute d
-            | 2 -> T.Sleep (1 + Stats.Prng.int rng 300_000)
-            | 3 -> T.Wake ch
-            | 4 -> T.Yield
-            | _ -> if Stats.Prng.int rng 2 = 0 then T.Wake ch else T.Block ch
+              T.compute d
+            | 2 -> T.sleep (1 + Stats.Prng.int rng 300_000)
+            | 3 -> T.wake ch
+            | 4 -> T.yield
+            | _ -> if Stats.Prng.int rng 2 = 0 then T.wake ch else T.block ch
           end
         in
         let affinity = if Stats.Prng.int rng 4 = 0 then Some [ Stats.Prng.int rng 8 ] else None in
@@ -59,10 +59,10 @@ let release m ch =
   let flood =
     let n = ref 64 in
     fun (_ : T.ctx) ->
-      if !n = 0 then T.Exit
+      if !n = 0 then T.exit
       else begin
         decr n;
-        T.Wake ch
+        T.wake ch
       end
   in
   ignore (M.spawn m (T.default_spec ~name:"flood" flood))

@@ -10,10 +10,10 @@ let build kind = Workloads.Setup.build ~topology:Kernsim.Topology.one_socket kin
 let hog ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let spawn_hog (b : Workloads.Setup.built) ?(nice = 0) ?affinity ~name ~work () =
@@ -208,10 +208,10 @@ let test_shinjuku_preempts_long_tasks () =
         match !st with
         | `Go ->
           st := `End;
-          T.Compute (Kernsim.Time.us 20)
+          T.compute (Kernsim.Time.us 20)
         | `End ->
           short_done := ctx.T.now :: !short_done;
-          T.Exit
+          T.exit
     in
     ignore
       (M.spawn b.machine
@@ -238,8 +238,8 @@ let test_shinjuku_fcfs_order () =
         | `Go ->
           order := i :: !order;
           st := `End;
-          T.Compute (Kernsim.Time.us 5)
-        | `End -> T.Exit
+          T.compute (Kernsim.Time.us 5)
+        | `End -> T.exit
     in
     ignore
       (M.spawn b.machine
@@ -274,14 +274,14 @@ let test_locality_groups_colocated () =
           match !st with
           | `Hint ->
             st := `Sleep;
-            T.Send_hint (Schedulers.Hints.Locality { pid = ctx.T.self; group = g })
+            T.send_hint ctx (Schedulers.Hints.Locality { pid = ctx.T.self; group = g })
           | `Sleep ->
             (* block so the next wakeup applies the group placement *)
             st := `Record;
-            T.Sleep (Kernsim.Time.ms 1)
+            T.sleep (Kernsim.Time.ms 1)
           | `Record ->
             Hashtbl.replace group_cpus ((g * 10) + i) ctx.T.cpu;
-            T.Exit
+            T.exit
       in
       ignore
         (M.spawn b.machine
@@ -321,9 +321,9 @@ let test_arachne_grants_and_reclaims () =
     let beh (_ : T.ctx) =
       if parked.(slot) then begin
         parked.(slot) <- false;
-        T.Block park.(slot)
+        T.block park.(slot)
       end
-      else T.Compute (Kernsim.Time.us 50)
+      else T.compute (Kernsim.Time.us 50)
     in
     ignore
       (M.spawn m
@@ -345,17 +345,17 @@ let test_arachne_grants_and_reclaims () =
       match !st with
       | `Ask2 ->
         st := `Wait1;
-        T.Send_hint (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = 2 })
+        T.send_hint ctx (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = 2 })
       | `Wait1 ->
         st := `Ask1;
-        T.Sleep (Kernsim.Time.ms 5)
+        T.sleep (Kernsim.Time.ms 5)
       | `Ask1 ->
         st := `Wait2;
-        T.Send_hint (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = 1 })
+        T.send_hint ctx (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = 1 })
       | `Wait2 ->
         st := `Check;
-        T.Sleep (Kernsim.Time.ms 5)
-      | `Check -> T.Exit
+        T.sleep (Kernsim.Time.ms 5)
+      | `Check -> T.exit
   in
   ignore
     (M.spawn m
@@ -413,14 +413,14 @@ let test_cfs_consistent_under_stress () =
     let beh =
       let steps = ref (10 + Stats.Prng.int rng 20) in
       fun (_ : T.ctx) ->
-        if !steps = 0 then T.Exit
+        if !steps = 0 then T.exit
         else begin
           decr steps;
           match Stats.Prng.int rng 4 with
-          | 0 -> T.Compute (Stats.Prng.int rng 500_000 + 1)
-          | 1 -> T.Sleep (Stats.Prng.int rng 200_000 + 1)
-          | 2 -> T.Wake ch
-          | _ -> if Stats.Prng.int rng 2 = 0 then T.Block ch else T.Yield
+          | 0 -> T.compute (Stats.Prng.int rng 500_000 + 1)
+          | 1 -> T.sleep (Stats.Prng.int rng 200_000 + 1)
+          | 2 -> T.wake ch
+          | _ -> if Stats.Prng.int rng 2 = 0 then T.block ch else T.yield
         end
     in
     let affinity = if i mod 3 = 0 then Some [ i mod 8 ] else None in
@@ -447,15 +447,15 @@ let prop_cfs_random_workloads_consistent seed =
     let beh =
       let steps = ref (5 + Stats.Prng.int rng 10) in
       fun (_ : T.ctx) ->
-        if !steps = 0 then T.Exit
+        if !steps = 0 then T.exit
         else begin
           decr steps;
           match Stats.Prng.int rng 5 with
-          | 0 -> T.Compute (Stats.Prng.int rng 2_000_000 + 1)
-          | 1 -> T.Sleep (Stats.Prng.int rng 500_000 + 1)
-          | 2 -> T.Wake ch
-          | 3 -> T.Block ch
-          | _ -> T.Yield
+          | 0 -> T.compute (Stats.Prng.int rng 2_000_000 + 1)
+          | 1 -> T.sleep (Stats.Prng.int rng 500_000 + 1)
+          | 2 -> T.wake ch
+          | 3 -> T.block ch
+          | _ -> T.yield
         end
     in
     ignore

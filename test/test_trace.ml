@@ -994,10 +994,10 @@ end
 let hog ~chunk ~steps =
   let left = ref steps in
   fun (_ : T.ctx) ->
-    if !left = 0 then T.Exit
+    if !left = 0 then T.exit
     else begin
       decr left;
-      T.Compute chunk
+      T.compute chunk
     end
 
 let broken_run mode ~hogs ~for_ =
