@@ -998,8 +998,7 @@ let pipe_throughput (r : Workloads.Pipe_bench.result) =
 let perf_rows () =
   let messages = if !quick then 2_000 else 20_000 in
   parallel_map Schedulers.Registry.all ~f:(fun (e : Schedulers.Registry.entry) ->
-      let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-      let reg = Metrics.Registry.create ~nr_cpus () in
+      let reg = Metrics.Registry.create () in
       let prof = Profile.create () in
       let b =
         Workloads.Setup.build ~registry:reg ~profile:prof ~topology:one_socket
@@ -1018,7 +1017,7 @@ let perf_rows () =
       in
       let wakeup =
         match Metrics.Registry.find_histogram reg "sched_wakeup_latency_ns" with
-        | Some h -> Metrics.Registry.merged h
+        | Some h -> h
         | None -> Stats.Histogram.create ()
       in
       let p q = Stats.Histogram.percentile wakeup q in
@@ -1317,18 +1316,14 @@ let dsq_rows () =
   in
   let results =
     parallel_map cells ~f:(fun ((e : Schedulers.Registry.entry), (wname, workload)) ->
-        let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-        let reg = Metrics.Registry.create ~nr_cpus () in
+        let reg = Metrics.Registry.create () in
         let b =
           Workloads.Setup.build ~registry:reg ~topology:one_socket (Workloads.Setup.of_registry e)
         in
         let thpt = workload b in
         let mets = M.metrics b.Workloads.Setup.machine in
         let wakeup = Kernsim.Accounting.wakeup_latency mets in
-        let dsq_wait =
-          Option.map Metrics.Registry.merged
-            (Metrics.Registry.find_histogram reg "dsq_dispatch_latency_ns")
-        in
+        let dsq_wait = Metrics.Registry.find_histogram reg "dsq_dispatch_latency_ns" in
         let p h q = Stats.Histogram.percentile h q in
         ( (e.name, wname),
           [

@@ -336,11 +336,7 @@ let run_cmd =
     | Some ns when ns < 0 -> usage_error "run" "--call-budget must be non-negative (got %d)" ns
     | _ -> ());
     let topology = checked (fun () -> topology_of_cores cores) in
-    let registry =
-      if metrics_out <> None then
-        Some (Metrics.Registry.create ~nr_cpus:(Kernsim.Topology.nr_cpus topology) ())
-      else None
-    in
+    let registry = if metrics_out <> None then Some (Metrics.Registry.create ()) else None in
     let sampler =
       Option.map
         (fun reg -> checked (fun () -> Metrics.Sampler.create ~interval:metrics_interval reg))

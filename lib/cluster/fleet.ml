@@ -173,7 +173,7 @@ let worker_beh t host =
       let lat = ctx.T.now - !arrived in
       host.inflight <- host.inflight - 1;
       host.completed <- host.completed + 1;
-      if t.measuring then Reg.observe host.hist ~cpu:0 lat;
+      if t.measuring then Reg.observe host.hist lat;
       let blackout = host.bl_from >= 0 && ctx.T.now >= host.bl_from && ctx.T.now <= host.bl_until in
       fx_add host.fx fx_done !tenant lat (Bool.to_int t.measuring) (Bool.to_int blackout) 0;
       (match host.tracer with
@@ -510,8 +510,8 @@ let apply_fx t host =
     if tag = fx_done then begin
       Lb.complete t.lb host.id;
       t.completed.(a0) <- t.completed.(a0) + 1;
-      if a2 <> 0 then Reg.observe t.tenant_hist.(a0) ~cpu:0 a1;
-      if a3 <> 0 then Reg.observe t.blackout_h ~cpu:0 a1
+      if a2 <> 0 then Reg.observe t.tenant_hist.(a0) a1;
+      if a3 <> 0 then Reg.observe t.blackout_h a1
     end
     else if tag = fx_drop then begin
       t.dropped.(a0) <- t.dropped.(a0) + 1;
@@ -578,7 +578,7 @@ type tenant_stat = {
 
 let tenant_stats t =
   List.init (Traffic.nr_tenants t.traffic) (fun i ->
-      let h = Reg.merged t.tenant_hist.(i) in
+      let h = t.tenant_hist.(i) in
       {
         tenant = Traffic.tenant_name t.traffic i;
         completed = t.completed.(i);
@@ -606,7 +606,7 @@ let host_stats t =
            host = h.id;
            sched = host_label h.entry;
            completed = h.completed;
-           p99 = Stats.Histogram.percentile (Reg.merged h.hist) 99.0;
+           p99 = Stats.Histogram.percentile h.hist 99.0;
            drained = Lb.drained t.lb h.id;
            quarantined = quarantined h;
          })
@@ -616,7 +616,7 @@ let upgrades t = List.rev t.upgrades_done
 
 let upgrade_failures t = t.upgrade_failures
 
-let blackout t = Reg.merged t.blackout_h
+let blackout t = t.blackout_h
 
 let oplog t = List.rev t.oplog
 

@@ -162,7 +162,8 @@ val upgrades : t -> (int * ns) list
 
 val upgrade_failures : t -> int
 
-(** Completions that landed inside a host's upgrade blackout window. *)
+(** Completions that landed inside a host's upgrade blackout window: the
+    fleet registry's histogram itself, read-only. *)
 val blackout : t -> Stats.Histogram.t
 
 (** Fleet orchestration timeline, oldest first: (when, host, op) with op

@@ -71,21 +71,23 @@ let create ?weights ~policy ~hosts ~seed () =
     picked = Array.init hosts Option.some;
   }
 
-let any_up t = Array.exists Fun.id t.up
+(* The scans are top-level functions, not local closures over [t] (nor
+   [Array.exists], which builds one), so a pick allocates nothing. *)
 
-let pick_rr t =
-  (* first up host clockwise of the cursor *)
-  let rec go k =
-    if k > t.n then None
-    else
-      let i = (t.rr + k) mod t.n in
-      if t.up.(i) then begin
-        t.rr <- i;
-        t.picked.(i)
-      end
-      else go (k + 1)
-  in
-  go 1
+let rec up_from t i = i < t.n && (t.up.(i) || up_from t (i + 1))
+
+(* first up host clockwise of the cursor, [k] steps past it onwards *)
+let rec rr_from t k =
+  if k > t.n then None
+  else
+    let i = (t.rr + k) mod t.n in
+    if t.up.(i) then begin
+      t.rr <- i;
+      t.picked.(i)
+    end
+    else rr_from t (k + 1)
+
+let pick_rr t = rr_from t 1
 
 let pick_least t =
   let best = ref max_int and ties = ref 0 in
@@ -122,8 +124,14 @@ let pick_weighted t =
     t.picked.(!best)
   end
 
+(* walk the ring clockwise from entry [k] past drained owners; terminates
+   when some host is up *)
+let rec ring_owner t k =
+  let _, host = t.ring.(k mod Array.length t.ring) in
+  if t.up.(host) then host else ring_owner t (k + 1)
+
 let pick_hash t ~key =
-  if not (any_up t) then None
+  if not (up_from t 0) then None
   else begin
     let h = mix key in
     let len = Array.length t.ring in
@@ -133,13 +141,7 @@ let pick_hash t ~key =
       let mid = (!lo + !hi) / 2 in
       if fst t.ring.(mid) < h then lo := mid + 1 else hi := mid
     done;
-    let start = if !lo = len then 0 else !lo in
-    (* walk clockwise past drained owners; terminates because some host is up *)
-    let rec go k =
-      let _, host = t.ring.((start + k) mod len) in
-      if t.up.(host) then host else go (k + 1)
-    in
-    t.picked.(go 0)
+    t.picked.(ring_owner t (if !lo = len then 0 else !lo))
   end
 
 let pick t ~key =

@@ -9,9 +9,7 @@ type t = {
   resched : cpu:int -> unit;
   send_user : pid:int -> Kernsim.Task.hint -> unit;
   charge : cpu:int -> ns -> unit;
-  log : string -> unit;
   registry : Metrics.Registry.t option;
-  trace : cpu:int -> Trace.Event.kind -> unit;
   trace_packed : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
   locks : Lock.owner;
 }
@@ -26,9 +24,7 @@ let inert ?(nr_cpus = 8) ?(policy = 0) () =
     resched = (fun ~cpu:_ -> ());
     send_user = (fun ~pid:_ _ -> ());
     charge = (fun ~cpu:_ _ -> ());
-    log = (fun _ -> ());
     registry = None;
-    trace = (fun ~cpu:_ _ -> ());
     trace_packed = (fun ~cpu:_ _ _ _ _ -> ());
     locks = Lock.owner None;
   }

@@ -2,8 +2,10 @@
 
     Mirrors the safe kernel interfaces the paper's libEnoki exposes: timers
     (Shinjuku arms a 10 us preemption timer through this), the clock, the
-    kernel-to-user reverse queue, and logging.  Everything else — run-queue
-    manipulation, task state — stays on the Enoki-C side of the boundary. *)
+    kernel-to-user reverse queue, compute charging, the metrics registry,
+    schedtrace emission and the module's lock owner.  Everything else —
+    run-queue manipulation, task state — stays on the Enoki-C side of the
+    boundary. *)
 
 type ns = Kernsim.Time.ns
 
@@ -23,17 +25,15 @@ type t = {
           module that thinks for long stretches (or a fault plan injecting
           latency spikes) charges it here, and Enoki-C counts it against
           the per-call budget *)
-  log : string -> unit;
   registry : Metrics.Registry.t option;
       (** the machine's metrics registry when observability is attached;
           library code ({!Dsq}) registers depth/latency probes through it.
           [None] must never change scheduling decisions *)
-  trace : cpu:int -> Trace.Event.kind -> unit;
-      (** emit a schedtrace event attributed to [cpu] (a no-op when the
-          machine has no tracer, and always inert at userspace) *)
   trace_packed : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
-      (** the same for a kind in its packed form ({!Trace.Tracer.emit_tag}):
-          nothing is boxed, with or without a tracer *)
+      (** emit a schedtrace event, in its packed form
+          ({!Trace.Tracer.emit_tag}), attributed to [cpu]: nothing is boxed,
+          with or without a tracer (a no-op when the machine has no tracer,
+          and always inert at userspace) *)
   locks : Lock.owner;
       (** the owner of every lock the module creates ([Lock.create
           ctx.locks]): the loaded instance's lock ids, and its recorder

@@ -1,6 +1,6 @@
 module Ops = Kernsim.Sched_class
 
-(* Crossing kinds: indices into [call_names] and [obs.o_per_call].  The
+(* Crossing kinds: indices into [call_names] and [t.crossings].  The
    table is the trace's ([Trace.Event.call_names], named as
    [Message.call_name] names them), so traces, profiles and metrics name a
    callback exactly as the record log does, and a traced crossing is just
@@ -11,21 +11,6 @@ let k_select = 0 and k_new = 1 and k_wakeup = 2 and k_blocked = 3 and k_yield = 
 and k_preempt = 5 and k_dead = 6 and k_departed = 7 and k_tick = 8 and k_pick = 9
 and k_pnt_err = 10 and k_balance = 11 and k_balance_err = 12 and k_migrate = 13 and k_prio = 14
 and k_affinity = 15 and k_hint = 16
-
-(* Registry handles for the dispatch boundary, resolved once at [create].
-   Per-callback counters are registered on a kind's first crossing (so the
-   registry lists only callbacks that ran, in first-use order) and cached
-   in the slot of that kind. *)
-type obs = {
-  reg : Metrics.Registry.t;
-  o_calls : Metrics.Registry.counter;
-  o_call_lat : Metrics.Registry.histogram;
-  o_panics : Metrics.Registry.counter;
-  o_failovers : Metrics.Registry.counter;
-  o_overruns : Metrics.Registry.counter;
-  o_violations : Metrics.Registry.counter;
-  o_per_call : Metrics.Registry.counter option array;
-}
 
 type t = {
   modul : (module Sched_trait.S); (* version registered at load time *)
@@ -43,12 +28,17 @@ type t = {
   hint_ring : (int * Kernsim.Task.hint) Ds.Ring_buffer.t;
   record : Record.t option;
   tracer : Trace.Tracer.t option;
-  obs : obs option;
+  (* The registry's counters read this instance's own ints; the crossing
+     cost histogram is the one state it keeps here, attached at [create].
+     A kind's crossing counter is registered on its first crossing, so the
+     registry lists only callbacks that ran, in first-use order. *)
+  registry : Metrics.Registry.t option;
+  mutable call_lat : Metrics.Registry.histogram option;
   profile : Profile.t option;
   (* the profile row of each call kind for the registered module, resolved
      on the kind's first crossing and reset when an upgrade swaps modules *)
   prof_cells : Profile.cell option array;
-  mutable calls : int;
+  crossings : int array; (* per call kind *)
   mutable violations : int;
   violation_kinds : (string, int) Hashtbl.t;
   mutable current_tid : int;
@@ -70,64 +60,62 @@ type t = {
   mutable history : (module Sched_trait.S) list; (* superseded versions, newest first *)
 }
 
+let calls t = Array.fold_left ( + ) 0 t.crossings
+
 let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 1024)
     ?(isolate = true) ?call_budget modul =
-  let obs =
-    Option.map
-      (fun reg ->
-        {
-          reg;
-          o_calls =
-            Metrics.Registry.counter reg ~help:"Enoki-C boundary crossings" "enoki_calls_total";
-          o_call_lat =
-            Metrics.Registry.histogram reg ~help:"simulated ns charged per boundary crossing"
-              "enoki_call_sim_ns";
-          o_panics = Metrics.Registry.counter reg ~help:"module panics caught" "enoki_panics_total";
-          o_failovers =
-            Metrics.Registry.counter reg ~help:"failovers to the CFS fallback"
-              "enoki_failovers_total";
-          o_overruns =
-            Metrics.Registry.counter reg ~help:"per-call budget overruns" "enoki_overruns_total";
-          o_violations =
-            Metrics.Registry.counter reg ~help:"API discipline violations" "enoki_violations_total";
-          o_per_call = Array.make (Array.length call_names) None;
-        })
-      registry
+  let t =
+    {
+      modul;
+      policy;
+      packed = None;
+      ops = None;
+      all_cpus = [];
+      gens = Array.make 64 0;
+      consumed = Array.make 64 0;
+      ngens = 0;
+      hint_ring = Ds.Ring_buffer.create ~capacity:hint_capacity;
+      record;
+      tracer;
+      registry;
+      call_lat = None;
+      profile;
+      prof_cells =
+        (match profile with Some _ -> Array.make (Array.length call_names) None | None -> [||]);
+      crossings = Array.make (Array.length call_names) 0;
+      violations = 0;
+      violation_kinds = Hashtbl.create 8;
+      current_tid = 0;
+      locks = Lock.owner None;
+      upgrades = [];
+      readers = 0;
+      isolate;
+      call_budget;
+      quarantined = None;
+      fallback = None;
+      panics = 0;
+      failovers = 0;
+      overruns = 0;
+      blackout = None;
+      charged_in_call = 0;
+      history = [];
+    }
   in
-  {
-    modul;
-    policy;
-    packed = None;
-    ops = None;
-    all_cpus = [];
-    gens = Array.make 64 0;
-    consumed = Array.make 64 0;
-    ngens = 0;
-    hint_ring = Ds.Ring_buffer.create ~capacity:hint_capacity;
-    record;
-    tracer;
-    obs;
-    profile;
-    prof_cells =
-      (match profile with Some _ -> Array.make (Array.length call_names) None | None -> [||]);
-    calls = 0;
-    violations = 0;
-    violation_kinds = Hashtbl.create 8;
-    current_tid = 0;
-    locks = Lock.owner None;
-    upgrades = [];
-    readers = 0;
-    isolate;
-    call_budget;
-    quarantined = None;
-    fallback = None;
-    panics = 0;
-    failovers = 0;
-    overruns = 0;
-    blackout = None;
-    charged_in_call = 0;
-    history = [];
-  }
+  (* registration order is export order *)
+  (match registry with
+  | Some reg ->
+    let counter help name read = Metrics.Registry.counter reg ~help name read in
+    counter "API discipline violations" "enoki_violations_total" (fun () -> t.violations);
+    counter "per-call budget overruns" "enoki_overruns_total" (fun () -> t.overruns);
+    counter "failovers to the CFS fallback" "enoki_failovers_total" (fun () -> t.failovers);
+    counter "module panics caught" "enoki_panics_total" (fun () -> t.panics);
+    t.call_lat <-
+      Some
+        (Metrics.Registry.histogram reg ~help:"simulated ns charged per boundary crossing"
+           "enoki_call_sim_ns");
+    counter "Enoki-C boundary crossings" "enoki_calls_total" (fun () -> calls t)
+  | None -> ());
+  t
 
 let ops_exn t =
   match t.ops with
@@ -158,27 +146,20 @@ let scheduler_name t =
     let (module S : Sched_trait.S) = t.modul in
     S.name
 
-let calls t = t.calls
-
 let violations t = t.violations
 
 (* [Hashtbl.find] rather than [find_opt]: a repeat violation boxes nothing *)
 let count_violation t kind =
   t.violations <- t.violations + 1;
   Hashtbl.replace t.violation_kinds kind
-    (1 + match Hashtbl.find t.violation_kinds kind with n -> n | exception Not_found -> 0);
-  match t.obs with Some o -> Metrics.Registry.incr o.o_violations ~cpu:0 | None -> ()
+    (1 + match Hashtbl.find t.violation_kinds kind with n -> n | exception Not_found -> 0)
 
-let per_call_counter o k =
-  match Array.unsafe_get o.o_per_call k with
-  | Some c -> c
-  | None ->
-    let c =
-      Metrics.Registry.counter o.reg ~help:"boundary crossings for one callback"
-        ("enoki_call_" ^ call_names.(k) ^ "_total")
-    in
-    o.o_per_call.(k) <- Some c;
-    c
+let first_crossing t k =
+  match t.registry with
+  | Some reg ->
+    Metrics.Registry.counter reg ~help:"boundary crossings for one callback"
+      ("enoki_call_" ^ call_names.(k) ^ "_total") (fun () -> t.crossings.(k))
+  | None -> ()
 
 (* inlined into [cross] and [leave]: the wfq pipe's profiled run over its
    unprofiled one (`bench obs` [vs_none_wall]) read 1.10-1.12 with it and
@@ -263,8 +244,8 @@ let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
      [Ctx.charge] during this call against the per-call budget *)
   let charged = t.charged_in_call in
   t.charged_in_call <- saved_charge;
-  (match t.obs with
-  | Some o -> Metrics.Registry.observe o.o_call_lat ~cpu (ops.costs.enoki_call + charged)
+  (match t.call_lat with
+  | Some h -> Metrics.Registry.observe h (ops.costs.enoki_call + charged)
   | None -> ());
   (match t.profile with
   | Some p ->
@@ -274,7 +255,6 @@ let leave t (ops : Ops.kernel_ops) ~cpu k saved_charge wall0 =
   match t.call_budget with
   | Some budget when charged > budget ->
     t.overruns <- t.overruns + 1;
-    (match t.obs with Some o -> Metrics.Registry.incr o.o_overruns ~cpu | None -> ());
     count_violation t "call_budget";
     emit t ~cpu (Trace.Event.Overrun { call = call_names.(k); charged; budget })
   | Some _ | None -> ()
@@ -290,12 +270,9 @@ let cross t ~cpu k f a b c =
   (match t.tracer with
   | Some tr -> Trace.Tracer.emit_msg_call tr ~ts:(ops.now ()) ~cpu ~call:k
   | None -> ());
-  t.calls <- t.calls + 1;
-  (match t.obs with
-  | Some o ->
-    Metrics.Registry.incr o.o_calls ~cpu;
-    Metrics.Registry.incr (per_call_counter o k) ~cpu
-  | None -> ());
+  let n = Array.unsafe_get t.crossings k in
+  if n = 0 then first_crossing t k;
+  Array.unsafe_set t.crossings k (n + 1);
   t.current_tid <- cpu;
   t.readers <- t.readers + 1;
   let saved_charge = t.charged_in_call in
@@ -549,9 +526,7 @@ let make_ctx t (ops : Ops.kernel_ops) : Ctx.t =
            per-call budget (the infinite-loop stand-in of the fault plan) *)
         t.charged_in_call <- t.charged_in_call + ns;
         ops.charge ~cpu ns);
-    log = (fun _ -> ());
-    registry = Option.map (fun o -> o.reg) t.obs;
-    trace = (fun ~cpu kind -> emit t ~cpu kind);
+    registry = t.registry;
     trace_packed = (fun ~cpu tag a b c -> emit_tag t ~cpu tag a b c);
     locks = t.locks;
   }
@@ -578,7 +553,6 @@ let fallback_exn t =
 let quarantine t ~cpu ~skip ~call exn =
   let ops = ops_exn t in
   t.panics <- t.panics + 1;
-  (match t.obs with Some o -> Metrics.Registry.incr o.o_panics ~cpu | None -> ());
   let reason = Printexc.to_string exn in
   emit t ~cpu (Trace.Event.Panic { call; reason });
   match t.quarantined with
@@ -586,7 +560,6 @@ let quarantine t ~cpu ~skip ~call exn =
   | None ->
     t.quarantined <- Some (reason, ops.now ());
     t.failovers <- t.failovers + 1;
-    (match t.obs with Some o -> Metrics.Registry.incr o.o_failovers ~cpu | None -> ());
     t.blackout <- None;
     count_violation t "panic";
     emit t ~cpu (Trace.Event.Failover { fallback = fallback_name });

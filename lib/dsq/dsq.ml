@@ -23,7 +23,7 @@ type t = {
   mutable hpos : int array; (* slot -> heap position *)
   lock : Enoki.Lock.t;
   now : unit -> int;
-  observe_wait : cpu:int -> int -> unit;
+  observe_wait : int -> unit;
   trace : cpu:int -> Trace.Event.tag -> int -> int -> int -> unit;
   mutable seq : int;
   mutable inserts : int;
@@ -42,14 +42,12 @@ let dispatch_latency_metric = "dsq_dispatch_latency_ns"
 let create ?(mode = Fifo) (ctx : Enoki.Ctx.t) name =
   let observe_wait =
     match ctx.registry with
-    | None -> fun ~cpu:_ _ -> ()
+    | None -> fun _ -> ()
     | Some reg ->
-      let h =
-        Metrics.Registry.histogram reg
-          ~help:"enqueue-to-dispatch wait across all dispatch queues (ns)"
-          dispatch_latency_metric
-      in
-      fun ~cpu w -> Metrics.Registry.observe h ~cpu w
+      Metrics.Registry.observe
+        (Metrics.Registry.histogram reg
+           ~help:"enqueue-to-dispatch wait across all dispatch queues (ns)"
+           dispatch_latency_metric)
   in
   let t =
     {
@@ -177,7 +175,7 @@ let consume_locked t () () () () =
     let token = take t e in
     t.consumes <- t.consumes + 1;
     let wait = max 0 (t.now () - stamp) in
-    t.observe_wait ~cpu:(Sched.cpu token) wait;
+    t.observe_wait wait;
     t.trace ~cpu:(Sched.cpu token) Trace.Event.T_dsq_consume t.id pid wait;
     token
   end

@@ -8,10 +8,15 @@ type t = {
   wakeup : Stats.Histogram.t;
   busy_cpu : int array;
   busy_group : (string, int ref) Hashtbl.t;
+  (* schedules, migrations and context switches count from machine start;
+     [reset] moves their window start ([w_*]) instead of zeroing them *)
   mutable schedules : int;
   mutable migrations : int;
   mutable pick_violations : int;
   mutable context_switches : int;
+  mutable w_schedules : int;
+  mutable w_migrations : int;
+  mutable w_context_switches : int;
 }
 
 let create ~nr_cpus =
@@ -23,6 +28,9 @@ let create ~nr_cpus =
     migrations = 0;
     pick_violations = 0;
     context_switches = 0;
+    w_schedules = 0;
+    w_migrations = 0;
+    w_context_switches = 0;
   }
 
 (* A detached counter: the machine's group memo starts out pointing here
@@ -54,11 +62,15 @@ let total_busy t = Array.fold_left ( + ) 0 t.busy_cpu
 
 let count_schedule t ~cpu:_ = t.schedules <- t.schedules + 1
 
-let schedules t = t.schedules
+let schedules t = t.schedules - t.w_schedules
+
+let run_schedules t = t.schedules
 
 let count_migration t = t.migrations <- t.migrations + 1
 
-let migrations t = t.migrations
+let migrations t = t.migrations - t.w_migrations
+
+let run_migrations t = t.migrations
 
 let count_pick_violation t = t.pick_violations <- t.pick_violations + 1
 
@@ -66,14 +78,16 @@ let pick_violations t = t.pick_violations
 
 let count_context_switch t = t.context_switches <- t.context_switches + 1
 
-let context_switches t = t.context_switches
+let context_switches t = t.context_switches - t.w_context_switches
+
+let run_context_switches t = t.context_switches
 
 let reset t =
   Stats.Histogram.clear t.wakeup;
   Array.fill t.busy_cpu 0 (Array.length t.busy_cpu) 0;
   (* zero in place, not [Hashtbl.reset]: cached {!cells} stay attached *)
   Hashtbl.iter (fun _ r -> r := 0) t.busy_group;
-  t.schedules <- 0;
-  t.migrations <- 0;
+  t.w_schedules <- t.schedules;
+  t.w_migrations <- t.migrations;
   t.pick_violations <- 0;
-  t.context_switches <- 0
+  t.w_context_switches <- t.context_switches

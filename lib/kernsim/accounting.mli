@@ -35,15 +35,20 @@ val busy_of_group : t -> string -> Time.ns
 
 val total_busy : t -> Time.ns
 
-(** Scheduling events. *)
+(** Scheduling events in the window since the last {!reset}; the
+    [run_*] readers count from machine start. *)
 
 val count_schedule : t -> cpu:int -> unit
 
 val schedules : t -> int
 
+val run_schedules : t -> int
+
 val count_migration : t -> unit
 
 val migrations : t -> int
+
+val run_migrations : t -> int
 
 val count_pick_violation : t -> unit
 
@@ -54,6 +59,9 @@ val count_context_switch : t -> unit
 
 val context_switches : t -> int
 
-(** Reset the latency histogram and counters but keep identities — used
-    to discard warmup. *)
+val run_context_switches : t -> int
+
+(** Start a new window: reset the latency histogram, busy time and pick
+    violations and move the scheduling-event window start, keeping
+    identities — used to discard warmup. *)
 val reset : t -> unit

@@ -29,21 +29,13 @@ type core = {
 
 type chan = { mutable count : int; waiters : Ds.Int_deque.t }
 
-(* Registry handles resolved once at construction so the hot paths pay one
-   option match plus an array increment, never a by-name lookup. *)
-type obs = {
-  o_schedules : Metrics.Registry.counter;
-  o_ctx_switches : Metrics.Registry.counter;
-  o_migrations : Metrics.Registry.counter;
-  o_wakeup_lat : Metrics.Registry.histogram;
-}
-
 type t = {
   sim : Sim.t;
   topo : Topology.t;
   costs : Costs.t;
   metrics : Accounting.t;
-  obs : obs option;
+  (* the registry's run-long wakeup histogram; its counters read [metrics] *)
+  wakeup_hist : Metrics.Registry.histogram option;
   tracer : Trace.Tracer.t option;
   tr_on : bool; (* guards event construction, not just the emit *)
   cores : core array;
@@ -111,14 +103,6 @@ let class_of_policy t policy =
 let class_of_task t (task : Task.t) = class_of_policy t task.policy
 
 let cpu_idle t cpu = t.cores.(cpu).curr < 0
-
-(* Registry recording: one option match when no registry is attached, and
-   the record calls never touch simulated time (zero-perturbation). *)
-let obs_incr t ~cpu f =
-  match t.obs with None -> () | Some o -> Metrics.Registry.incr (f o) ~cpu
-
-let obs_observe t ~cpu f v =
-  match t.obs with None -> () | Some o -> Metrics.Registry.observe (f o) ~cpu v
 
 (* Every call site is guarded by [if t.tr_on then ...] so that with no
    tracer attached the event payload is never even constructed — emits are
@@ -346,7 +330,6 @@ and try_migrate t pid ~to_cpu (cl : Sched_class.t) =
       task.cpu <- to_cpu;
       task.migrations <- task.migrations + 1;
       Accounting.count_migration t.metrics;
-      obs_incr t ~cpu:to_cpu (fun o -> o.o_migrations);
       charge t ~cpu:to_cpu t.costs.migration;
       if t.tr_on then
         Trace.Tracer.emit_migrate (tr_exn t) ~ts:(Sim.now t.sim) ~cpu:to_cpu ~pid:task.pid
@@ -397,7 +380,6 @@ and do_schedule t cpu =
     end
   end;
   Accounting.count_schedule t.metrics ~cpu;
-  obs_incr t ~cpu (fun o -> o.o_schedules);
   let next = pick_from t cpu 0 in
   (if next < 0 then begin
      if not core.in_idle then begin
@@ -444,10 +426,7 @@ and dispatch t core (task : Task.t) ~prev =
   (* charge pending overhead + context switch before the task computes *)
   let now_ = Sim.now t.sim in
   let switch_cost = if core.last_pid <> task.pid then t.costs.context_switch else 0 in
-  if switch_cost > 0 then begin
-    Accounting.count_context_switch t.metrics;
-    obs_incr t ~cpu (fun o -> o.o_ctx_switches)
-  end;
+  if switch_cost > 0 then Accounting.count_context_switch t.metrics;
   let wake_cost =
     if core.in_idle then
       if now_ - core.idle_since >= t.costs.deep_idle_after then t.costs.deep_idle_exit
@@ -470,7 +449,9 @@ and dispatch t core (task : Task.t) ~prev =
   if task.wake_pending then begin
     task.wake_pending <- false;
     Accounting.record_wakeup t.metrics (run_start - task.last_wake);
-    obs_observe t ~cpu (fun o -> o.o_wakeup_lat) (run_start - task.last_wake)
+    match t.wakeup_hist with
+    | Some h -> Metrics.Registry.observe h (run_start - task.last_wake)
+    | None -> ()
   end;
   (* the behaviour advances only once the dispatch costs have elapsed;
      a task with no compute left runs its next actions at [run_start] *)
@@ -572,21 +553,22 @@ let tick t =
 
 let create ?(costs = Costs.default) ?registry ?tracer ~topology ~classes () =
   let nr = Topology.nr_cpus topology in
-  let obs =
+  let metrics = Accounting.create ~nr_cpus:nr in
+  (* registration order is export order *)
+  let wakeup_hist =
     Option.map
       (fun reg ->
-        {
-          o_schedules =
-            Metrics.Registry.counter reg ~help:"schedule operations" "sched_schedules_total";
-          o_ctx_switches =
-            Metrics.Registry.counter reg ~help:"context switches charged"
-              "sched_context_switches_total";
-          o_migrations =
-            Metrics.Registry.counter reg ~help:"task migrations" "sched_migrations_total";
-          o_wakeup_lat =
-            Metrics.Registry.histogram reg ~help:"wakeup-to-dispatch latency (ns)"
-              "sched_wakeup_latency_ns";
-        })
+        let h =
+          Metrics.Registry.histogram reg ~help:"wakeup-to-dispatch latency (ns)"
+            "sched_wakeup_latency_ns"
+        in
+        Metrics.Registry.counter reg ~help:"task migrations" "sched_migrations_total" (fun () ->
+            Accounting.run_migrations metrics);
+        Metrics.Registry.counter reg ~help:"context switches charged"
+          "sched_context_switches_total" (fun () -> Accounting.run_context_switches metrics);
+        Metrics.Registry.counter reg ~help:"schedule operations" "sched_schedules_total"
+          (fun () -> Accounting.run_schedules metrics);
+        h)
       registry
   in
   let sim = Sim.create () in
@@ -615,8 +597,8 @@ let create ?(costs = Costs.default) ?registry ?tracer ~topology ~classes () =
       sim;
       topo = topology;
       costs;
-      metrics = Accounting.create ~nr_cpus:nr;
-      obs;
+      metrics;
+      wakeup_hist;
       tracer;
       tr_on = (match tracer with Some _ -> true | None -> false);
       cores;
@@ -773,7 +755,6 @@ let rec enforce_affinity t pid =
         task.cpu <- to_cpu;
         task.migrations <- task.migrations + 1;
         Accounting.count_migration t.metrics;
-        obs_incr t ~cpu:to_cpu (fun o -> o.o_migrations);
         if t.tr_on then
           Trace.Tracer.emit_migrate (tr_exn t) ~ts:(Sim.now t.sim) ~cpu:to_cpu ~pid:task.pid
             ~from_cpu ~to_cpu;

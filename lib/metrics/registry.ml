@@ -1,38 +1,27 @@
-type counter = { c_shards : int array }
+type histogram = Stats.Histogram.t
 
-type gauge = { mutable probe : unit -> float }
+(* Counters and gauges are readers of state their owner already keeps,
+   evaluated at read time; histograms are the only state the registry
+   holds. *)
+type metric = Counter of (unit -> int) | Gauge of (unit -> float) | Histogram of histogram
 
-type histogram = { h_shards : Stats.Histogram.t array }
-
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
-
-type entry = { name : string; help : string; metric : metric }
+type entry = { name : string; help : string; mutable metric : metric }
 
 type t = {
-  nr : int;
   tbl : (string, entry) Hashtbl.t;
   mutable order : entry list; (* newest first *)
 }
 
-let create ?(nr_cpus = 1) () =
-  if nr_cpus <= 0 then invalid_arg "Registry.create: nr_cpus must be positive";
-  { nr = nr_cpus; tbl = Hashtbl.create 64; order = [] }
+let create ?nr_cpus:_ () = { tbl = Hashtbl.create 64; order = [] }
 
-let register t ~help name make shape_name extract =
-  match Hashtbl.find_opt t.tbl name with
-  | Some entry -> (
-    match extract entry.metric with
-    | Some m -> m
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Registry: %s already registered with a different shape than %s" name
-           shape_name))
-  | None ->
-    let m = make () in
-    let entry = { name; help; metric = m } in
-    Hashtbl.replace t.tbl name entry;
-    t.order <- entry :: t.order;
-    (match extract m with Some v -> v | None -> assert false)
+let add t ~help name metric =
+  let entry = { name; help; metric } in
+  Hashtbl.replace t.tbl name entry;
+  t.order <- entry :: t.order
+
+let mismatch name shape =
+  invalid_arg
+    (Printf.sprintf "Registry: %s already registered with a different shape than %s" name shape)
 
 (* Label-decorated metric names, Prometheus style.  The registry itself
    stays a flat name -> metric map: a labelled series is just a metric
@@ -120,46 +109,29 @@ let split name =
     done;
     if !malformed then (base, []) else (base, List.rev !labels)
 
-let counter t ?(help = "") name =
-  register t ~help name
-    (fun () -> Counter { c_shards = Array.make t.nr 0 })
-    "counter"
-    (function Counter c -> Some c | _ -> None)
+let shape = function Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
 
-(* re-registering a probe under its name replaces the probe *)
-let gauge_probe t ?(help = "") name f =
-  let g =
-    register t ~help name
-      (fun () -> Gauge { probe = f })
-      "gauge"
-      (function Gauge g -> Some g | _ -> None)
-  in
-  g.probe <- f
+(* re-registering a counter or gauge under its name replaces its reader *)
+let reader t ~help name metric =
+  match Hashtbl.find_opt t.tbl name with
+  | Some e when shape e.metric = shape metric -> e.metric <- metric
+  | Some _ -> mismatch name (shape metric)
+  | None -> add t ~help name metric
+
+let counter t ?(help = "") name read = reader t ~help name (Counter read)
+
+let gauge_probe t ?(help = "") name probe = reader t ~help name (Gauge probe)
 
 let histogram t ?(help = "") name =
-  register t ~help name
-    (fun () -> Histogram { h_shards = Array.init t.nr (fun _ -> Stats.Histogram.create ()) })
-    "histogram"
-    (function Histogram h -> Some h | _ -> None)
+  match Hashtbl.find_opt t.tbl name with
+  | Some { metric = Histogram h; _ } -> h
+  | Some _ -> mismatch name "histogram"
+  | None ->
+    let h = Stats.Histogram.create () in
+    add t ~help name (Histogram h);
+    h
 
-(* ---------- recording ---------- *)
-
-let shard shards cpu = if cpu >= 0 && cpu < Array.length shards then cpu else 0
-
-let incr c ~cpu =
-  let i = shard c.c_shards cpu in
-  c.c_shards.(i) <- c.c_shards.(i) + 1
-
-let observe h ~cpu v = Stats.Histogram.record h.h_shards.(shard h.h_shards cpu) v
-
-(* ---------- reading ---------- *)
-
-let counter_value c = Array.fold_left ( + ) 0 c.c_shards
-
-let merged h =
-  let dst = Stats.Histogram.create () in
-  Array.iter (fun src -> Stats.Histogram.merge ~dst ~src) h.h_shards;
-  dst
+let observe = Stats.Histogram.record
 
 type value =
   | Counter_v of int
@@ -167,9 +139,9 @@ type value =
   | Histogram_v of Stats.Histogram.t
 
 let value_of = function
-  | Counter c -> Counter_v (counter_value c)
-  | Gauge g -> Gauge_v (g.probe ())
-  | Histogram h -> Histogram_v (merged h)
+  | Counter read -> Counter_v (read ())
+  | Gauge probe -> Gauge_v (probe ())
+  | Histogram h -> Histogram_v h
 
 let iter t f =
   List.iter (fun e -> f ~name:e.name ~help:e.help (value_of e.metric)) (List.rev t.order)

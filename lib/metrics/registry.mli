@@ -1,43 +1,45 @@
 (** The always-on scheduler metrics registry.
 
-    Everything the machine, the Enoki-C boundary, the trace layer and the
-    workload generators count or time flows through one of three metric
+    A read-out of the state the machine, the Enoki-C boundary, the trace
+    layer and the workload generators already keep, in three metric
     shapes:
 
-    - {b counters}: monotonically increasing integers, sharded per cpu so
-      hot paths touch only their own slot (context switches, migrations,
+    - {b counters}: monotonically increasing integers, read at export
+      time from their owner's own count (context switches, migrations,
       boundary crossings, panics);
     - {b gauges}: point-in-time floats computed by a probe at read time
       (runqueue depth, tracer ring drops);
-    - {b histograms}: per-cpu-sharded log-linear latency histograms
-      (reusing {!Stats.Histogram}) merged at read time (wakeup latency,
+    - {b histograms}: log-linear latency histograms ({!Stats.Histogram}),
+      the one state the registry itself holds (wakeup latency,
       per-callback latency, request latency).
 
     Recording never allocates after metric creation and never touches
     simulated time — observability must not perturb scheduling decisions
     (the zero-perturbation contract tested in [test_metrics.ml]).
 
-    Domain-safety contract: registration ({!counter}, {!histogram}, …)
-    mutates the registry's table and must stay in one domain (build time).
-    After registration, recording into {e distinct} metrics — or distinct
-    [cpu] shards of one metric — from different domains is safe as long as
-    each series has a single writer at a time and readers ({!merged}, the
-    exporters) run after a synchronization point.  This is how the fleet
-    tier shares one registry across `-j` domains: each host owns its own
-    labelled series during an epoch, multi-writer series are buffered
-    per host and applied in fixed host order at the epoch barrier, and all
-    reads happen on the coordinating domain after the barrier. *)
+    Domain-safety contract: one writer per metric.  Registration
+    ({!counter}, {!histogram}, …) mutates the registry's table and stays
+    in one domain (build time).  After registration each histogram, and
+    the state each reader reads, has a single writer at a time; readers
+    ({!iter}, the exporters) run after a synchronization point.  This is
+    how the fleet tier shares one registry across `-j` domains: each host
+    owns its own labelled series during an epoch, multi-writer series are
+    buffered per host and applied in fixed host order at the epoch
+    barrier, and all reads happen on the coordinating domain after the
+    barrier. *)
 
 type t
 
-type counter
+(** Recording into a histogram is {!Stats.Histogram.record}; readers get
+    the histogram itself and must not write to it. *)
+type histogram = Stats.Histogram.t
 
-type histogram
-
+(** [nr_cpus] is ignored: nothing in the registry is sized per cpu. *)
 val create : ?nr_cpus:int -> unit -> t
 
-(** Get-or-create by name.  Re-registering an existing name returns the
-    existing metric; a name registered under a different shape raises
+(** Registration is by name.  Re-registering a histogram returns the
+    existing one, re-registering a counter or gauge replaces its reader,
+    and a name registered under a different shape raises
     [Invalid_argument]. *)
 
 (** [labeled name labels] decorates a metric name with a Prometheus-style
@@ -52,27 +54,17 @@ val labeled : string -> (string * string) list -> string
 (** The name with any label block stripped: [base_name (labeled n ls) = n]. *)
 val base_name : string -> string
 
-val counter : t -> ?help:string -> string -> counter
+(** A counter read from its owner's own count at sample/export time. *)
+val counter : t -> ?help:string -> string -> (unit -> int) -> unit
 
-(** A gauge evaluated on demand: the probe runs at sample/export time.
-    Registering a probe again under its name replaces the probe. *)
+(** A gauge evaluated on demand: the probe runs at sample/export time. *)
 val gauge_probe : t -> ?help:string -> string -> (unit -> float) -> unit
 
 val histogram : t -> ?help:string -> string -> histogram
 
-(** Recording. [cpu] out of range is folded onto shard 0, mirroring the
-    tracer's discipline.  [cpu] is a required label so that a hot-path
-    record never boxes it into an option. *)
-
-val incr : counter -> cpu:int -> unit
-
-val observe : histogram -> cpu:int -> int -> unit
+val observe : histogram -> int -> unit
 
 (** Reading. *)
-
-(** Merge the per-cpu shards into a fresh histogram (the shards are
-    untouched). *)
-val merged : histogram -> Stats.Histogram.t
 
 type value =
   | Counter_v of int

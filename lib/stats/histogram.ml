@@ -105,14 +105,3 @@ let clear t =
   t.min_v <- max_int;
   t.max_v <- 0;
   t.sum <- 0
-
-let merge ~dst ~src =
-  for i = 0 to n_buckets - 1 do
-    dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-  done;
-  dst.total <- dst.total + src.total;
-  if src.total > 0 then begin
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v;
-    dst.sum <- dst.sum + src.sum
-  end

@@ -30,6 +30,3 @@ val percentile : t -> float -> int
 val to_buckets : t -> (int * int) list
 
 val clear : t -> unit
-
-(** Merge [src] into [dst]. *)
-val merge : dst:t -> src:t -> unit

@@ -243,14 +243,14 @@ let complete t ~req ~migrations ~now =
       Array.iteri (fun i d -> sums.(i) <- sums.(i) + d) durations;
       if Array.length t.tenant_phase_hist > 0 then begin
         let hists = t.tenant_phase_hist.(tn) in
-        Array.iteri (fun i d -> Metrics.Registry.observe hists.(i) ~cpu:0 d) durations;
-        Metrics.Registry.observe t.tenant_e2e_hist.(tn) ~cpu:0 (e2e c)
+        Array.iteri (fun i d -> Metrics.Registry.observe hists.(i) d) durations;
+        Metrics.Registry.observe t.tenant_e2e_hist.(tn) (e2e c)
       end
     end;
     if h >= 0 && h < t.hosts then begin
       if Array.length t.host_phase_hist > 0 then
         let hists = t.host_phase_hist.(h) in
-        Array.iteri (fun i d -> Metrics.Registry.observe hists.(i) ~cpu:0 d) durations
+        Array.iteri (fun i d -> Metrics.Registry.observe hists.(i) d) durations
     end;
     note_exemplar t c;
     match t.hook with Some f -> f c | None -> ()

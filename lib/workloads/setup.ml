@@ -107,11 +107,9 @@ let request_observer b =
   match b.registry with
   | None -> fun _ -> ()
   | Some reg ->
-    let h =
-      Metrics.Registry.histogram reg ~help:"workload request/wakeup latency (ns)"
-        "workload_request_latency_ns"
-    in
-    fun v -> Metrics.Registry.observe h ~cpu:0 v
+    Metrics.Registry.observe
+      (Metrics.Registry.histogram reg ~help:"workload request/wakeup latency (ns)"
+         "workload_request_latency_ns")
 
 let label = function
   | Cfs -> "cfs"

@@ -47,9 +47,9 @@ val register_tracer_probes :
   ?labels:(string * string) list -> Metrics.Registry.t -> Trace.Tracer.t -> unit
 
 (** [tracer] attaches a schedtrace sink to both the machine and (for
-    [Enoki_sched]) the Enoki-C layer; building a machine always resets the
-    process-global lock trace tap first, so at most one machine traces lock
-    events at a time.  [registry] threads a metrics registry through the
+    [Enoki_sched]) the Enoki-C layer, whose module's locks trace into it;
+    each machine's lock events stay its own, so machines built in one
+    domain never trace or record each other's locks.  [registry] threads a metrics registry through the
     machine and the Enoki-C boundary (and, when a tracer is also given,
     registers ring drop/emit probes); [profile] arms the Enoki-C
     self-profiler. *)

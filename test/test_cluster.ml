@@ -305,6 +305,8 @@ let prop_merge_equals_sort seed =
 
 (* ---------- load balancer ---------- *)
 
+let lb_policies = [ Lb.Round_robin; Lb.Least_outstanding; Lb.Weighted; Lb.Consistent_hash ]
+
 (* Draining one host must only remap that host's keys (the classic
    consistent-hashing bound), and re-admitting it must restore the
    original placement exactly. *)
@@ -334,10 +336,7 @@ let prop_consistent_hash_remap seed =
    host, and must return None exactly when all hosts are drained. *)
 let prop_pick_never_drained (policy_ix, ops) =
   let hosts = 4 in
-  let policy =
-    List.nth [ Lb.Round_robin; Lb.Least_outstanding; Lb.Weighted; Lb.Consistent_hash ]
-      (policy_ix mod 4)
-  in
+  let policy = List.nth lb_policies (policy_ix mod List.length lb_policies) in
   let lb = Lb.create ~policy ~hosts ~seed:11 () in
   let all_drained () = List.for_all (Lb.drained lb) (List.init hosts Fun.id) in
   List.iter
@@ -370,6 +369,33 @@ let test_weighted_exact_proportions () =
     counts.(h) <- counts.(h) + 1
   done;
   check Alcotest.(array int) "6:3:1 over 100 cycles" [| 600; 300; 100 |] counts
+
+(* A pick reads preallocated answers and scans in top-level loops, so
+   10k picks allocate nothing under any policy, with drained hosts for the
+   round-robin and ring scans to skip. *)
+let test_lb_picks_allocate_nothing () =
+  List.iter
+    (fun policy ->
+      let lb = Lb.create ~policy ~hosts:8 ~seed:5 () in
+      List.iter (Lb.drain lb) [ 1; 2; 5 ];
+      let sum = ref 0 in
+      let picks () =
+        for key = 1 to 10_000 do
+          match Lb.pick lb ~key:(key * 0x9E37) with Some h -> sum := !sum + h | None -> ()
+        done
+      in
+      picks ();
+      (* the reading's own cost *)
+      let empty =
+        let a = Profile.allocated_bytes () in
+        Profile.allocated_bytes () -. a
+      in
+      let before = Profile.allocated_bytes () in
+      picks ();
+      let bytes = Profile.allocated_bytes () -. before -. empty in
+      ignore (Sys.opaque_identity !sum);
+      check (Alcotest.float 0.0) (Lb.policy_name policy ^ ": bytes over 10k picks") 0.0 bytes)
+    lb_policies
 
 (* ---------- fleet tier ---------- *)
 
@@ -506,8 +532,6 @@ let test_chaos_drill_converges () =
   let victim = List.nth (Fleet.host_stats f) 1 in
   check Alcotest.bool "victim failed over (module quarantined)" true victim.Fleet.quarantined;
   check Alcotest.bool "victim back in rotation" false victim.Fleet.drained
-
-let lb_policies = [ Lb.Round_robin; Lb.Least_outstanding; Lb.Weighted; Lb.Consistent_hash ]
 
 (* ---------- parallel fleet execution ---------- *)
 
@@ -793,6 +817,7 @@ let () =
             prop_pick_never_drained;
           Alcotest.test_case "smooth WRR exact proportions" `Quick
             test_weighted_exact_proportions;
+          Alcotest.test_case "picks allocate nothing" `Quick test_lb_picks_allocate_nothing;
         ] );
       ( "fleet",
         [

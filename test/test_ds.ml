@@ -1005,15 +1005,6 @@ let test_hist_mean () =
   List.iter (Stats.Histogram.record h) [ 10; 20; 30 ];
   check (Alcotest.float 0.01) "mean" 20.0 (Stats.Histogram.mean h)
 
-let test_hist_merge () =
-  let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-  Stats.Histogram.record a 10;
-  Stats.Histogram.record b 1000;
-  Stats.Histogram.merge ~dst:a ~src:b;
-  check Alcotest.int "count" 2 (Stats.Histogram.count a);
-  check Alcotest.int "min" 10 (Stats.Histogram.min a);
-  check Alcotest.int "max" 1000 (Stats.Histogram.max a)
-
 let test_hist_clamps_zero () =
   let h = Stats.Histogram.create () in
   Stats.Histogram.record h 0;
@@ -1237,7 +1228,6 @@ let () =
           Alcotest.test_case "single value" `Quick test_hist_single;
           Alcotest.test_case "percentiles" `Quick test_hist_percentiles;
           Alcotest.test_case "mean" `Quick test_hist_mean;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "clamps nonpositive" `Quick test_hist_clamps_zero;
           qtest "percentiles monotone" QCheck.(list small_int) prop_hist_percentile_monotone;
           qtest "bounded relative error" QCheck.int prop_hist_bounded_error;

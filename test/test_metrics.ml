@@ -1,5 +1,5 @@
-(* Tests for the observability layer: the metrics registry (get-or-create,
-   shape checking, per-cpu sharding), the exporters, the sim-time sampler,
+(* Tests for the observability layer: the metrics registry (registration,
+   shape checking, counters that read their owner's counts), the exporters, the sim-time sampler,
    the Enoki-C self-profiler — and the zero-perturbation contract: a run
    with a registry, profiler and armed sampler attached must produce a
    bit-identical scheduling trace to the same run without them. *)
@@ -33,12 +33,12 @@ let expect_invalid name f =
 (* ---------- registry semantics ---------- *)
 
 let test_get_or_create () =
-  let reg = R.create ~nr_cpus:4 () in
-  let a = R.counter reg ~help:"a counter" "x_total" in
-  let b = R.counter reg "x_total" in
-  R.incr a ~cpu:0;
-  for _ = 1 to 2 do R.incr b ~cpu:0 done;
-  check Alcotest.int "handles alias one metric" 3 (counter_named reg "x_total");
+  let reg = R.create () in
+  R.counter reg ~help:"a counter" "x_total" (fun () -> 1);
+  R.counter reg "x_total" (fun () -> 3);
+  check Alcotest.int "a re-registered reader replaces the old one" 3 (counter_named reg "x_total");
+  let h = R.histogram reg "lat_ns" in
+  check Alcotest.bool "a re-registered histogram is the same one" true (R.histogram reg "lat_ns" == h);
   R.gauge_probe reg "g" (fun () -> 1.0);
   R.gauge_probe reg "g" (fun () -> 1.5);
   let gauges = ref [] in
@@ -48,39 +48,20 @@ let test_get_or_create () =
 
 let test_shape_mismatch () =
   let reg = R.create () in
-  ignore (R.counter reg "m");
+  R.counter reg "m" (fun () -> 0);
   expect_invalid "counter as histogram" (fun () -> R.histogram reg "m");
   ignore (R.histogram reg "h");
-  expect_invalid "histogram as counter" (fun () -> R.counter reg "h");
+  expect_invalid "histogram as counter" (fun () -> R.counter reg "h" (fun () -> 0));
   expect_invalid "probe over counter" (fun () -> R.gauge_probe reg "m" (fun () -> 0.))
-
-let test_sharding () =
-  let reg = R.create ~nr_cpus:4 () in
-  let c = R.counter reg "sharded_total" in
-  for cpu = 0 to 3 do
-    R.incr c ~cpu
-  done;
-  (* out-of-range cpus fold onto shard 0 rather than being lost *)
-  R.incr c ~cpu:99;
-  R.incr c ~cpu:(-1);
-  check Alcotest.int "value sums all shards" 6 (counter_named reg "sharded_total");
-  let h = R.histogram reg "sharded_ns" in
-  for i = 1 to 100 do
-    R.observe h ~cpu:(i mod 4) (i * 10)
-  done;
-  R.observe h ~cpu:42 1_000_000;
-  let m = R.merged h in
-  check Alcotest.int "merged count sums all shards" 101 (H.count m);
-  check Alcotest.int "merged keeps min" 10 (H.min m);
-  check Alcotest.int "merged keeps max" 1_000_000 (H.max m)
 
 let test_probe_and_iter () =
   let reg = R.create () in
-  let c = R.counter reg "a_total" in
+  let n = ref 0 in
+  R.counter reg "a_total" (fun () -> !n);
   let live = ref 0.0 in
   R.gauge_probe reg "depth" (fun () -> !live);
   ignore (R.histogram reg "lat_ns");
-  for _ = 1 to 7 do R.incr c ~cpu:0 done;
+  for _ = 1 to 7 do incr n done;
   live := 3.0;
   let seen = ref [] in
   R.iter reg (fun ~name ~help:_ v -> seen := (name, v) :: !seen);
@@ -91,38 +72,28 @@ let test_probe_and_iter () =
   (match List.assoc "depth" seen with
   | R.Gauge_v g -> check (Alcotest.float 0.0) "probe runs at read time" 3.0 g
   | _ -> Alcotest.fail "probe should read as a gauge");
-  check Alcotest.int "counter read by name" 7 (counter_named reg "a_total");
+  check Alcotest.int "counter reads at read time" 7 (counter_named reg "a_total");
   check Alcotest.int "absent counter" (-1) (counter_named reg "nope");
   check Alcotest.bool "find_histogram wrong shape" true (R.find_histogram reg "a_total" = None)
 
-(* ---------- histogram merge: bucket-exact, percentile-bounded ---------- *)
+(* ---------- histogram: percentile-bounded ---------- *)
 
-(* Merging per-cpu shards must be bucket-identical to recording the same
-   stream into one histogram, and the merged percentile must stay within
-   the log-linear bucket resolution of the exact (sorted-list) percentile:
+(* A registry histogram's percentile stays within the log-linear bucket
+   resolution of the exact (sorted-list) percentile:
    exact <= reported <= exact * 1.05 + 1. *)
-let merged_percentile_prop =
-  QCheck.Test.make ~count:200 ~name:"merged shards match single histogram and bound exact percentiles"
-    QCheck.(pair (int_range 1 8) (list_of_size Gen.(int_range 1 300) (int_range 1 5_000_000)))
-    (fun (shards, values) ->
-      let reg = R.create ~nr_cpus:shards () in
-      let h = R.histogram reg "h" in
-      List.iteri (fun i v -> R.observe h ~cpu:(i mod shards) v) values;
-      let merged = R.merged h in
-      let single = H.create () in
-      List.iter (H.record single) values;
-      if H.to_buckets merged <> H.to_buckets single then
-        QCheck.Test.fail_report "merged buckets differ from single-histogram buckets";
+let percentile_bound_prop =
+  QCheck.Test.make ~count:200 ~name:"percentiles bound the exact ones"
+    QCheck.(list_of_size Gen.(int_range 1 300) (int_range 1 5_000_000))
+    (fun values ->
+      let h = R.histogram (R.create ()) "h" in
+      List.iter (R.observe h) values;
       let sorted = List.sort compare values in
       let n = List.length sorted in
       List.for_all
         (fun p ->
           let rank = Stdlib.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n))) in
           let exact = List.nth sorted (rank - 1) in
-          let got = H.percentile merged p in
-          if got <> H.percentile single p then
-            QCheck.Test.fail_reportf "p%.0f: merged %d <> single %d" p got
-              (H.percentile single p);
+          let got = H.percentile h p in
           if not (exact <= got && float_of_int got <= (float_of_int exact *. 1.05) +. 1.) then
             QCheck.Test.fail_reportf "p%.0f: reported %d outside [%d, %d*1.05+1]" p got exact
               exact;
@@ -144,12 +115,11 @@ let test_to_buckets () =
 (* ---------- exporters ---------- *)
 
 let sample_registry () =
-  let reg = R.create ~nr_cpus:2 () in
-  let c = R.counter reg ~help:"total frobs" "frobs_total" in
-  for _ = 1 to 5 do R.incr c ~cpu:0 done;
+  let reg = R.create () in
+  R.counter reg ~help:"total frobs" "frobs_total" (fun () -> 5);
   R.gauge_probe reg ~help:"queue depth" "depth" (fun () -> 2.0);
   let h = R.histogram reg ~help:"latency" "lat_ns" in
-  List.iter (fun v -> R.observe h ~cpu:0 v) [ 10; 100; 1000; 1000 ];
+  List.iter (R.observe h) [ 10; 100; 1000; 1000 ];
   reg
 
 let test_prometheus () =
@@ -213,8 +183,9 @@ let test_format_of_path () =
    queue: ticks fire every [interval], hooks observe the tick timestamp,
    and snapshots capture counters as they grow. *)
 let test_sampler_ticks () =
-  let reg = R.create ~nr_cpus:1 () in
-  let c = R.counter reg "work_total" in
+  let reg = R.create () in
+  let work = ref 0 in
+  R.counter reg "work_total" (fun () -> !work);
   let smp = Metrics.Sampler.create ~interval:100 reg in
   let hook_ts = ref [] in
   Metrics.Sampler.on_flush smp (fun ~ts -> hook_ts := ts :: !hook_ts);
@@ -227,7 +198,7 @@ let test_sampler_ticks () =
     | (t, f) :: rest when t <= 500 ->
       agenda := rest;
       now := t;
-      R.incr c ~cpu:0;
+      incr work;
       f ();
       loop ()
     | _ -> ()
@@ -302,10 +273,9 @@ let prop_csv_cell_roundtrip cells =
    CSV, must come back with every labelled column intact — header cells
    parse with csv_split, then split back into (base, labels). *)
 let test_labeled_csv_roundtrip () =
-  let reg = R.create ~nr_cpus:1 () in
+  let reg = R.create () in
   let labels = [ ("tenant", "we\"b"); ("sched", "wfq,2") ] in
-  let c = R.counter reg (R.labeled "fleet_completed_total" labels) in
-  for _ = 1 to 3 do R.incr c ~cpu:0 done;
+  R.counter reg (R.labeled "fleet_completed_total" labels) (fun () -> 3);
   let smp = Metrics.Sampler.create ~interval:10 reg in
   Metrics.Sampler.flush smp ~ts:10;
   let csv = saved ~sampler:smp Metrics.Export.Csv reg in
@@ -324,10 +294,9 @@ let test_labeled_csv_roundtrip () =
 (* And the JSON summary: labelled series names are object keys; they must
    survive our own parser byte for byte. *)
 let test_labeled_json_roundtrip () =
-  let reg = R.create ~nr_cpus:1 () in
+  let reg = R.create () in
   let name = R.labeled "fleet_completed_total" [ ("tenant", "we\"b") ] in
-  let c = R.counter reg name in
-  for _ = 1 to 7 do R.incr c ~cpu:0 done;
+  R.counter reg name (fun () -> 7);
   match Metrics.Json.parse (saved Metrics.Export.Json_summary reg) with
   | Error e -> Alcotest.failf "summary does not reparse: %s" e
   | Ok j ->
@@ -475,7 +444,7 @@ let test_profile_allocates_nothing_per_crossing () =
 let run_pipe ~metered () =
   let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
   let tracer = Trace.Tracer.create ~nr_cpus () in
-  let registry = if metered then Some (R.create ~nr_cpus ()) else None in
+  let registry = if metered then Some (R.create ()) else None in
   let profile = if metered then Some (Profile.create ()) else None in
   let b =
     Workloads.Setup.build ~tracer ?registry ?profile ~topology:one_socket
@@ -514,7 +483,7 @@ let test_zero_perturbation () =
   check Alcotest.bool "machine recorded schedules" true (counter "sched_schedules_total" > 0);
   check Alcotest.bool "boundary recorded calls" true (counter "enoki_calls_total" > 0);
   (match R.find_histogram reg "workload_request_latency_ns" with
-  | Some h -> check Alcotest.bool "workload recorded latencies" true (H.count (R.merged h) > 0)
+  | Some h -> check Alcotest.bool "workload recorded latencies" true (H.count h > 0)
   | None -> Alcotest.fail "workload latency histogram missing");
   (* ...and yet scheduling was bit-identical: same final sim time, same
      event stream once the sampler's own flush markers are filtered out. *)
@@ -533,6 +502,62 @@ let test_zero_perturbation () =
       if a <> b then Alcotest.failf "traces diverge at event %d:\n  bare:    %s\n  metered: %s" i a b)
     (List.combine evs0 evs1)
 
+(* The registry's counters read the simulator's own counts from machine
+   start, while a warmup [Accounting.reset] moves only the window the
+   accounting readers report; the crossing series read Enoki-C's per-kind
+   counts, which the profile counts independently. *)
+let test_counters_read_run_long_counts () =
+  let registry = R.create () and p = Profile.create () in
+  let b =
+    Workloads.Setup.build ~registry ~profile:p ~topology:one_socket
+      (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
+  in
+  let m = b.Workloads.Setup.machine in
+  let acct = Kernsim.Machine.metrics m in
+  let params =
+    {
+      (Workloads.Schbench.default_params ~seed:1 ()) with
+      warmup = Kernsim.Time.ms 5;
+      duration = Kernsim.Time.ms 20;
+    }
+  in
+  (* run-long counts at the warmup reset, which fires just after this *)
+  let at_reset = ref (0, 0, 0) in
+  Kernsim.Machine.at m ~delay:params.warmup (fun () ->
+      at_reset :=
+        Kernsim.Accounting.
+          (run_schedules acct, run_context_switches acct, run_migrations acct));
+  ignore (Workloads.Schbench.run b params);
+  let counter = counter_named registry in
+  let s0, c0, m0 = !at_reset in
+  let series name ~run ~window ~at_reset =
+    check Alcotest.int (name ^ " reads the run-long count") run (counter name);
+    check Alcotest.int (name ^ ": the accounting reader gives the window") (run - at_reset) window
+  in
+  check Alcotest.bool "warmup scheduled" true (s0 > 0);
+  Kernsim.Accounting.(
+    series "sched_schedules_total" ~run:(run_schedules acct) ~window:(schedules acct)
+      ~at_reset:s0;
+    series "sched_context_switches_total" ~run:(run_context_switches acct)
+      ~window:(context_switches acct) ~at_reset:c0;
+    series "sched_migrations_total" ~run:(run_migrations acct) ~window:(migrations acct)
+      ~at_reset:m0);
+  let e = Option.get b.Workloads.Setup.enoki in
+  check Alcotest.int "enoki_calls_total = Enoki_c.calls" (Enoki.Enoki_c.calls e)
+    (counter "enoki_calls_total");
+  let rows = Profile.rows p in
+  check Alcotest.bool "several callbacks crossed" true (List.length rows > 3);
+  List.iter
+    (fun (r : Profile.row) ->
+      check Alcotest.int (r.call ^ " series = its crossings") r.count
+        (counter ("enoki_call_" ^ r.call ^ "_total")))
+    rows;
+  let per_call = ref 0 in
+  R.iter registry (fun ~name ~help:_ _ ->
+      if String.starts_with ~prefix:"enoki_call_" name && String.ends_with ~suffix:"_total" name
+      then incr per_call);
+  check Alcotest.int "a series per callback that crossed" (List.length rows) !per_call
+
 let test_flush_events_present () =
   let _, tr, sampler, _ = run_pipe ~metered:true () in
   let flushes = List.filter is_flush (Trace.Tracer.events tr) in
@@ -548,7 +573,7 @@ let test_sanitizer_ignores_flush () =
   let tracer = Trace.Tracer.create ~nr_cpus () in
   let san = Trace.Sanitizer.create ~nr_cpus () in
   Trace.Sanitizer.attach san tracer;
-  let registry = R.create ~nr_cpus () in
+  let registry = R.create () in
   let b =
     Workloads.Setup.build ~tracer ~registry ~topology:one_socket
       (Workloads.Setup.Enoki_sched (module Schedulers.Wfq))
@@ -573,12 +598,13 @@ let () =
         [
           Alcotest.test_case "get-or-create" `Quick test_get_or_create;
           Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
-          Alcotest.test_case "per-cpu sharding" `Quick test_sharding;
           Alcotest.test_case "probes and iteration" `Quick test_probe_and_iter;
+          Alcotest.test_case "counters read run-long counts" `Quick
+            test_counters_read_run_long_counts;
         ] );
       ( "histogram",
         [
-          QCheck_alcotest.to_alcotest merged_percentile_prop;
+          QCheck_alcotest.to_alcotest percentile_bound_prop;
           Alcotest.test_case "to_buckets" `Quick test_to_buckets;
         ] );
       ( "export",
