@@ -95,23 +95,19 @@ type t = {
   mutable requests_emitted : int;
 }
 
-(* [Stats.Prng.float], scaled here: a float returned from another module
-   is boxed, one computed in place is not *)
-let[@inline] unit_float rng = float_of_int (Stats.Prng.bits53 rng) *. 0x1p-53
-
 (* Exponential gap in ns for a per-slot rate in req/s; rates <= 0 mean "not
    in this phase", pushed effectively to infinity. *)
 let exp_gap rng ~rate_per_sec =
   if rate_per_sec <= 0.0 then max_int / 4
   else
     let mean_ns = 1e9 /. rate_per_sec in
-    max 1 (int_of_float (-.log (1.0 -. unit_float rng) *. mean_ns))
+    max 1 (int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. mean_ns))
 [@@inline]
 
 (* Geometric-ish flow length with the given mean (>= 1 always). *)
 let flow_len rng ~mean =
   if mean <= 1.0 then 1
-  else 1 + int_of_float (-.log (1.0 -. unit_float rng) *. (mean -. 1.0))
+  else 1 + int_of_float (-.log (1.0 -. Stats.Prng.float rng) *. (mean -. 1.0))
 
 (* Advance [slot]'s arrival clock past [from] under [arrival] split over
    [conns] slots.  Diurnal uses thinning against the peak rate, so the
@@ -125,7 +121,7 @@ let rec next_arrival arrival ~conns slot ~from =
     let peak = mean_rate *. (1.0 +. abs_float amplitude) /. c in
     let cand = from + exp_gap slot.rng ~rate_per_sec:peak in
     let r = diurnal_rate ~mean_rate ~amplitude ~period cand /. c in
-    if unit_float slot.rng *. peak <= r then cand
+    if Stats.Prng.float slot.rng *. peak <= r then cand
     else next_arrival arrival ~conns slot ~from:cand
   | Burst { base_rate; burst_rate; _ } when not (base_rate > 0.0 || burst_rate > 0.0) ->
     (* neither phase emits: never, rather than stepping across phase

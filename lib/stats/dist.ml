@@ -9,9 +9,6 @@ type t =
   | Lognormal of { mu : float; sigma : float }
   | Mixture of { weights : float array; parts : t array; total : float }
 
-(* [Prng.float], scaled here so the float stays local *)
-let[@inline] unit_float rng = float_of_int (Prng.bits53 rng) *. 0x1p-53
-
 (* the part [x] falls in: the first whose running weight sum exceeds [x],
    else the last *)
 let[@inline] pick weights x =
@@ -27,25 +24,25 @@ let[@inline] pick weights x =
    consuming the stream exactly as sampling the mixture would. *)
 let rec leaf t rng =
   match t with
-  | Mixture { weights; parts; total } -> leaf parts.(pick weights (unit_float rng *. total)) rng
+  | Mixture { weights; parts; total } -> leaf parts.(pick weights (Prng.float rng *. total)) rng
   | t -> t
 
 (* One draw from a leaf. *)
 let[@inline] draw t rng =
   match t with
   | Constant v -> v
-  | Uniform { lo; hi } -> lo +. ((hi -. lo) *. unit_float rng)
+  | Uniform { lo; hi } -> lo +. ((hi -. lo) *. Prng.float rng)
   | Exponential { mean } ->
-    let u = 1.0 -. unit_float rng in
+    let u = 1.0 -. Prng.float rng in
     -.mean *. log u
   | Pareto { alpha; la; ha } ->
     (* inverse CDF of the bounded Pareto *)
-    let u = unit_float rng in
+    let u = Prng.float rng in
     (-.((u *. ha) -. u -. ha) /. (ha *. la)) ** (-1.0 /. alpha)
   | Lognormal { mu; sigma } ->
     (* Box-Muller *)
-    let u1 = 1.0 -. unit_float rng in
-    let u2 = unit_float rng in
+    let u1 = 1.0 -. Prng.float rng in
+    let u2 = Prng.float rng in
     let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
     exp (mu +. (sigma *. z))
   | Mixture _ -> assert false

@@ -50,10 +50,10 @@ let split t = of_seed64 (next64 t)
 
 let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
-(* 53 high-quality bits, as recommended for doubles *)
-let bits53 t = Int64.to_int (Int64.shift_right_logical (next64 t) 11)
-
-let float t = float_of_int (bits53 t) *. 0x1p-53
+(* 53 high-quality bits, as recommended for doubles.  Inlined, so a
+   caller in another module keeps the float unboxed. *)
+let float t = float_of_int (Int64.to_int (Int64.shift_right_logical (next64 t) 11)) *. 0x1p-53
+[@@inline]
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";

@@ -7,9 +7,9 @@
     The generator is xoshiro256** seeded through splitmix64, both from
     Blackman & Vigna; splitting a fresh independent stream is cheap.  The
     four 64-bit state words live in one 32-byte buffer, read and written
-    as raw words, so {!next}, {!int}, {!bits53} and {!bool} allocate
-    nothing ({!float} boxes only its result when called from another
-    module).
+    as raw words, so {!next}, {!int} and {!float} allocate nothing (a
+    caller in another module gets {!float}'s result unboxed because the
+    release build inlines it; an [-opaque] build would box it).
 
     Domain-safety contract: a [t] is plain mutable state with no global
     backing — safe across domains only with one owner at a time.  Code
@@ -32,13 +32,6 @@ val next : t -> int
 
 (** Uniform float in [0, 1). *)
 val float : t -> float
-
-(** The 53 bits behind {!float}: [float t] is
-    [float_of_int (bits53 t) *. 0x1p-53].  A caller that scales the draw
-    itself keeps the float local to its own function, so nothing is boxed
-    (this build compiles modules opaquely: a float returned across a
-    module boundary is always boxed). *)
-val bits53 : t -> int
 
 (** [int t bound] is uniform in [0, bound). Raises when [bound <= 0]. *)
 val int : t -> int -> int

@@ -17,9 +17,8 @@
    allocated on the first cold write because most buffers never see one.
 
    Writing a slot, decoding one, and scanning and draining a run of them
-   are all in this module: the default (dev) build compiles with
-   [-opaque], where a call into another module is never inlined, and the
-   drain decodes with [unpack] inlined. *)
+   are all in this module, so the drain decodes with [unpack] inlined
+   into its loop. *)
 
 external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"

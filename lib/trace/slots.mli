@@ -14,9 +14,8 @@
     written.  A slot that was never written holds garbage, so a caller
     reads only slots it has written.  Indices are bounds-checked.
 
-    Writing, decoding and draining slots, and {!unpack}, all live here: in
-    the default (dev) build, compiled with [-opaque], a call into another
-    module is never inlined, and the drain inlines the decode. *)
+    Writing, decoding and draining slots, and {!unpack}, all live here,
+    so the drain inlines the decode. *)
 
 type t
 

@@ -830,6 +830,24 @@ let test_prng_no_alloc () =
   ignore (Sys.opaque_identity !acc);
   check (Alcotest.float 0.0) "minor words over 10k draws" 0.0 words
 
+(* A float returned from another module is unboxed only where the call is
+   inlined.  The release profile (dune-workspace) inlines [Prng.float] into
+   this loop; dev's [-opaque] cannot, and boxes every draw (2 words). *)
+let test_prng_float_no_alloc () =
+  let r = Stats.Prng.create ~seed:9 in
+  let below = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Stats.Prng.float r < 0.5 then incr below
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !below);
+  if words <> 0.0 then
+    Alcotest.failf
+      "%.0f minor words over 10k Prng.float draws: the float was boxed across the module \
+       boundary, so this is not a release-profile build (dune's dev profile passes -opaque)"
+      words
+
 (* ---------- Stats: Dist ---------- *)
 
 let rng () = Stats.Prng.create ~seed:123
@@ -1209,6 +1227,8 @@ let () =
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "golden streams" `Quick test_prng_golden;
           Alcotest.test_case "draws allocate nothing" `Quick test_prng_no_alloc;
+          Alcotest.test_case "float draws from another module allocate nothing" `Quick
+            test_prng_float_no_alloc;
         ] );
       ( "dist",
         [
