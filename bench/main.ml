@@ -45,7 +45,7 @@ let memcached_params ~mode ~load_kreqs =
 (* ---------- -j N: the domain pool ----------
 
    Bench cells are independent simulations — each builds its own machine,
-   registry and tracer, and its module owns its locks — so the matrix experiments (perf, speed, sanity, chaos)
+   registry and tracer, and its module owns its locks — so the matrix experiments (perf, speed, chaos)
    compute their rows with a small pool of domains and print them in input
    order afterwards.  Tables are byte-identical to a sequential run (the
    simulations are deterministic); only wall clock changes.  Trace export
@@ -91,7 +91,7 @@ let parallel_map (xs : 'a list) ~(f : 'a -> 'b) : 'b list =
     Ds.Domain_pool.map_list (get_pool ()) xs ~f:measured
   end
 
-(* set when any gate check fails (sanity, chaos, `gate`): the run exits 4 *)
+(* set when any gate check fails (chaos, `gate`): the run exits 4 *)
 let gate_failed = ref false
 
 let judge ?base ?error ~suite rows =
@@ -718,7 +718,7 @@ let ablation () =
   Report.note "warm cores touches fewer cores AND wakes faster -- cold cores pay the";
   Report.note "deep idle-state exit on every wakeup."
 
-(* ---------- sanity: the full scheduler matrix under the sanitizer ---------- *)
+(* ---------- chaos: fault injection and recovery across the matrix ---------- *)
 
 (* Each scheduler's sanitized workload: (run, completed?) and the
    sanitizer config.  A core arbiter (arachne: tasks are activations, only
@@ -737,38 +737,6 @@ let sanitized_workload (e : Schedulers.Registry.entry) =
       { all with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ] } )
   else
     ((fun b -> (Workloads.Pipe_bench.run b ~messages:5_000 ()).Workloads.Pipe_bench.completed), all)
-
-let sanity () =
-  Report.section "Sanity: every in-tree scheduler under the invariant sanitizer";
-  let cells =
-    parallel_map Schedulers.Registry.all ~f:(fun e ->
-        let workload, config = sanitized_workload e and kind = Workloads.Setup.of_registry e in
-        let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-        let tracer = Trace.Tracer.create ~nr_cpus () in
-        let s = Trace.Sanitizer.create ~config ~nr_cpus () in
-        Trace.Sanitizer.attach s tracer;
-        (* register for --trace= export; sanitizer stays local so the row
-           verdict below is the single report *)
-        if !trace_path <> None then
-          add_traced (Workloads.Setup.label kind, tracer, None);
-        let b = Workloads.Setup.build ~tracer ~topology:one_socket kind in
-        ignore (workload b);
-        ( Gate.row
-            [ ("scheduler", Workloads.Setup.label kind) ]
-            [
-              Gate.int "events_checked" (Trace.Sanitizer.events_seen s);
-              Gate.int "ring_drops" (Trace.Tracer.dropped tracer);
-              Gate.int "violations" (List.length (Trace.Sanitizer.violations s))
-                ~check:(Ceiling 0.);
-            ],
-          if Trace.Sanitizer.ok s then None else Some (Trace.Sanitizer.report_string s) ))
-  in
-  List.iter (fun (_, report) -> Option.iter print_endline report) cells;
-  judge ~suite:"sanity" (List.map fst cells);
-  Report.note "invariants: no double-run, no starvation, work conservation,";
-  Report.note "Schedulable token discipline, lock acquire/release pairing."
-
-(* ---------- chaos: fault injection and recovery across the matrix ---------- *)
 
 let chaos () =
   Report.section "Chaos: fault injection, failover and watchdog recovery";
@@ -990,7 +958,7 @@ let timed f =
    Every registry scheduler with the metrics registry and the Enoki-C
    self-profiler attached.  Core arbiters (activations are dispatched only
    once their runtime requests cores) are driven by the memcached runtime
-   instead of raw pipe tasks, as in sanity(). *)
+   instead of raw pipe tasks, as in chaos(). *)
 
 let pipe_throughput (r : Workloads.Pipe_bench.result) =
   if r.elapsed > 0 then float_of_int r.wakeups /. (float_of_int r.elapsed /. 1e9) else 0.
@@ -2074,7 +2042,6 @@ let experiments =
     ("ablation", ablation);
     ("loc", loc);
     ("micro", micro);
-    ("sanity", sanity);
     ("chaos", chaos);
   ]
   @ List.map (fun s -> (s.name, fun () -> run_suite ~gate:false s)) suites

@@ -8,8 +8,8 @@ type entry = { name : string; kind : kind; arbiter : bool }
 let enoki ?(arbiter = false) name m = { name; kind = Enoki m; arbiter }
 
 (* The one list every consumer derives from: the CLI's --sched vocabulary,
-   bench's sanity/chaos/perf/speed matrices and the golden digests in
-   test_schedulers.  A new scheduler appears everywhere by registering
+   bench's chaos/perf/speed matrices and the check table in
+   test/test_checks.ml.  A new scheduler appears everywhere by registering
    here once. *)
 let all =
   [

@@ -1,9 +1,9 @@
 (** The central scheduler registry.
 
     One [(name, kind)] list feeds every consumer — [bin/enoki_sim]'s
-    [--sched] vocabulary (including its help and bad-name error text) and
-    the bench harness's sanity/chaos/perf matrices — so a scheduler
-    registers exactly once. *)
+    [--sched] vocabulary (including its help and bad-name error text),
+    the bench harness's chaos/perf/speed matrices and the per-scheduler
+    check table of the tests — so a scheduler registers exactly once. *)
 
 type kind =
   | Builtin_cfs  (** the native CFS class *)

@@ -1,23 +1,15 @@
 (* Tests for lib/dsq: the dispatch-queue structure itself (FIFO stability,
-   vtime ordering, silent transfer primitives), the scx policy family built
-   on Dsq_sched.Make (sanitizer-clean runs, record/replay stream
-   equivalence, live-upgrade round trips, cross-policy rejection), and the
-   dual-queue promotion bound via the exposed pick_source decision. *)
+   vtime ordering, silent transfer primitives), cross-policy upgrade
+   rejection in the scx policy family built on Dsq_sched.Make, and the
+   dual-queue promotion bound via the exposed pick_source decision.  The
+   per-module checks every policy shares with the other modules
+   (sanitizer, record/replay, upgrade to itself) are in test_checks. *)
 
 module T = Kernsim.Task
 module M = Kernsim.Machine
 module Sched = Enoki.Schedulable
 
 let check = Alcotest.check
-
-let dsq_schedulers : (string * (module Enoki.Sched_trait.S)) list =
-  List.filter_map
-    (fun name ->
-      match Schedulers.Registry.find name with
-      | Some e ->
-        Option.map (fun m -> (name, m)) (Schedulers.Registry.enoki_module e)
-      | None -> None)
-    Schedulers.Registry.dsq_names
 
 let inert_queue ?mode name =
   Dsq.create ?mode (Enoki.Ctx.inert ()) name
@@ -246,66 +238,7 @@ let prop_promotion_bound history =
     history;
   !ok
 
-(* ---------- the policy family, end to end ---------- *)
-
-let build_sched ?record ?tracer sched =
-  Workloads.Setup.build ?record ?tracer ~topology:Kernsim.Topology.one_socket
-    (Workloads.Setup.Enoki_sched sched)
-
-let test_registry_lists_dsq_family () =
-  check Alcotest.int "three DSQ policies" 3 (List.length dsq_schedulers);
-  List.iter
-    (fun name ->
-      check Alcotest.bool (name ^ " in --sched vocabulary") true
-        (List.mem name Schedulers.Registry.names))
-    Schedulers.Registry.dsq_names
-
-let test_policies_run_sanitizer_clean () =
-  List.iter
-    (fun (name, sched) ->
-      let nr_cpus = Kernsim.Topology.nr_cpus Kernsim.Topology.one_socket in
-      let tracer = Trace.Tracer.create ~nr_cpus () in
-      let s = Trace.Sanitizer.create ~nr_cpus () in
-      Trace.Sanitizer.attach s tracer;
-      let b = build_sched ~tracer sched in
-      let r = Workloads.Pipe_bench.run b ~messages:2_000 () in
-      check Alcotest.bool (name ^ ": pipe completed") true r.Workloads.Pipe_bench.completed;
-      check Alcotest.int
-        (name ^ ": no framework violations")
-        0
-        (Enoki.Enoki_c.violations (Option.get b.Workloads.Setup.enoki));
-      if not (Trace.Sanitizer.ok s) then
-        Alcotest.failf "%s: sanitizer found violations:\n%s" name
-          (Trace.Sanitizer.report_string s))
-    dsq_schedulers
-
-let test_record_replay_stream_equivalence () =
-  (* as test_enoki's cross-scheduler check: the in-memory and streamed
-     logs of the same deterministic run are byte-identical, and the log
-     replays clean against the same policy *)
-  List.iter
-    (fun (name, sched) ->
-      let run_with record =
-        let b = build_sched ~record sched in
-        ignore (Workloads.Pipe_bench.run b ~messages:500 ())
-      in
-      let mem = Enoki.Record.create () in
-      run_with mem;
-      let mem_log = Enoki.Record.contents mem in
-      let path = Filename.temp_file "enoki-dsq" ".rec" in
-      let file = Enoki.Record.create_file ~path () in
-      run_with file;
-      Enoki.Record.close file;
-      let file_log = Enoki.Record.load_file ~path in
-      Sys.remove path;
-      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.Private.parse file_log <> []);
-      check Alcotest.string (name ^ ": memory and file logs byte-identical") mem_log file_log;
-      let report = Enoki.Replay.run sched ~log:file_log in
-      check
-        Alcotest.(list (pair int string))
-        (name ^ ": streamed log replays clean")
-        [] report.Enoki.Replay.mismatches)
-    dsq_schedulers
+(* ---------- cross-policy upgrades ---------- *)
 
 let hog ~chunk ~steps =
   let left = ref steps in
@@ -316,41 +249,10 @@ let hog ~chunk ~steps =
       T.compute chunk
     end
 
-let test_live_upgrade_round_trip () =
-  List.iter
-    (fun (name, sched) ->
-      let b = build_sched sched in
-      let pids =
-        List.init 6 (fun i ->
-            M.spawn b.Workloads.Setup.machine
-              { (T.default_spec ~name:(Printf.sprintf "h%d" i)
-                   (hog ~chunk:(Kernsim.Time.ms 1) ~steps:30))
-                with
-                T.policy = b.Workloads.Setup.policy })
-      in
-      let e = Option.get b.Workloads.Setup.enoki in
-      let stats = ref None in
-      M.at b.Workloads.Setup.machine ~delay:(Kernsim.Time.ms 10) (fun () ->
-          match Enoki.Enoki_c.upgrade e sched with
-          | Ok s -> stats := Some s
-          | Error exn -> raise exn);
-      M.run_for b.Workloads.Setup.machine (Kernsim.Time.ms 200);
-      (match !stats with
-      | Some s ->
-        check Alcotest.bool (name ^ ": state transferred") true s.Enoki.Upgrade.transferred;
-        check Alcotest.bool (name ^ ": tasks carried") true (s.Enoki.Upgrade.tasks_carried >= 6)
-      | None -> Alcotest.failf "%s: upgrade did not run" name);
-      check Alcotest.int (name ^ ": no violations across upgrade") 0
-        (Enoki.Enoki_c.violations e);
-      List.iter
-        (fun pid ->
-          check Alcotest.bool (name ^ ": task survived upgrade") true
-            ((Option.get (M.find_task b.Workloads.Setup.machine pid)).T.state = T.Dead))
-        pids)
-    dsq_schedulers
-
 let expect_incompatible ~from_name from_sched to_sched =
-  let b = build_sched from_sched in
+  let b =
+    Workloads.Setup.build ~topology:Kernsim.Topology.one_socket (Workloads.Setup.Enoki_sched from_sched)
+  in
   ignore
     (M.spawn b.Workloads.Setup.machine
        { (T.default_spec ~name:"h" (hog ~chunk:(Kernsim.Time.ms 1) ~steps:50)) with
@@ -415,11 +317,6 @@ let () =
         ] );
       ( "policies",
         [
-          Alcotest.test_case "registry lists the family" `Quick test_registry_lists_dsq_family;
-          Alcotest.test_case "sanitizer-clean pipe runs" `Quick test_policies_run_sanitizer_clean;
-          Alcotest.test_case "record/replay stream equivalence" `Quick
-            test_record_replay_stream_equivalence;
-          Alcotest.test_case "live upgrade round trip" `Quick test_live_upgrade_round_trip;
           Alcotest.test_case "cross-policy upgrade rejected" `Quick
             test_cross_policy_upgrade_rejected;
         ] );

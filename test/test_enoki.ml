@@ -1219,50 +1219,6 @@ let test_streaming_record_memory_bounded () =
   check Alcotest.(option int) "no drops" (Some 0) info.Enoki.Replay.dropped;
   check Alcotest.bool "log complete" false info.Enoki.Replay.truncated
 
-let test_stream_equivalence_across_schedulers () =
-  (* the same deterministic run recorded into memory and streamed to a
-     file must yield byte-identical logs, and the log must replay clean on
-     its own scheduler *)
-  let scheds : (string * (module Enoki.Sched_trait.S)) list =
-    [
-      ("fifo", (module Schedulers.Fifo_sched));
-      ("wfq", (module Schedulers.Wfq));
-      ("rt_fifo", (module Schedulers.Rt_fifo));
-      ("edf", (module Schedulers.Edf));
-      ("shinjuku", (module Schedulers.Shinjuku));
-      ("locality", (module Schedulers.Locality));
-      ("nest", (module Schedulers.Nest));
-      ("arachne", (module Schedulers.Arachne));
-    ]
-  in
-  List.iter
-    (fun (name, sched) ->
-      let run_with record =
-        let b =
-          Workloads.Setup.build ~record ~topology:Kernsim.Topology.one_socket
-            (Workloads.Setup.Enoki_sched sched)
-        in
-        pingpong_workload b ~iters:30;
-        M.run_for b.machine (Kernsim.Time.ms 100)
-      in
-      let mem = Enoki.Record.create () in
-      run_with mem;
-      let mem_log = Enoki.Record.contents mem in
-      let path = Filename.temp_file "enoki" ".rec" in
-      let file = Enoki.Record.create_file ~path () in
-      run_with file;
-      Enoki.Record.close file;
-      let file_log = Enoki.Record.load_file ~path in
-      Sys.remove path;
-      check Alcotest.bool (name ^ ": log non-empty") true (Enoki.Replay.Private.parse file_log <> []);
-      check Alcotest.string (name ^ ": memory and file logs byte-identical") mem_log file_log;
-      let report = Enoki.Replay.run sched ~log:file_log in
-      check
-        Alcotest.(list (pair int string))
-        (name ^ ": streamed log replays clean")
-        [] report.Enoki.Replay.mismatches)
-    scheds
-
 let test_malformed_logs_rejected () =
   let expect what ~pos log =
     match Enoki.Replay.Private.parse_full log with
@@ -1373,8 +1329,6 @@ let () =
             test_bisect_pinpoints_injected_wrong_reply;
           Alcotest.test_case "streaming memory bounded" `Quick
             test_streaming_record_memory_bounded;
-          Alcotest.test_case "memory/file logs byte-identical" `Quick
-            test_stream_equivalence_across_schedulers;
           Alcotest.test_case "malformed logs rejected" `Quick test_malformed_logs_rejected;
           Alcotest.test_case "replay sized from the log" `Quick test_replay_sized_from_log;
           Alcotest.test_case "raising call is its mismatch" `Quick

@@ -867,12 +867,12 @@ let prop_writers_match_printf events =
    with Json_check.Bad pos -> QCheck.Test.fail_reportf "invalid JSON at byte %d" pos);
   true
 
-(* ---------- sanitizer: clean runs for every in-tree scheduler ---------- *)
+(* ---------- sanitizer: a clean run ---------- *)
 
-let sanitized_run ?(config = Trace.Sanitizer.default_config) kind workload =
+let sanitized_run kind workload =
   let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
   let tracer = Trace.Tracer.create ~nr_cpus () in
-  let s = Trace.Sanitizer.create ~config ~nr_cpus () in
+  let s = Trace.Sanitizer.create ~nr_cpus () in
   Trace.Sanitizer.attach s tracer;
   let b = Workloads.Setup.build ~tracer ~topology:one_socket kind in
   workload b;
@@ -884,30 +884,6 @@ let assert_clean name (s, _) =
   check Alcotest.bool "events were checked" true (Trace.Sanitizer.events_seen s > 0);
   if not (Trace.Sanitizer.ok s) then
     Alcotest.failf "%s: %s" name (Trace.Sanitizer.report_string s)
-
-let clean_case name kind =
-  ( name ^ " sanitizes clean",
-    `Quick,
-    fun () -> assert_clean name (sanitized_run kind pipe) )
-
-let test_arachne_sanitizes_clean () =
-  (* a core arbiter is neither work-conserving nor starvation-free for
-     parked activations (the arbiter grants only the requested cores), so
-     those two invariant classes are off; everything else must hold on its
-     natural workload *)
-  let config =
-    { Trace.Sanitizer.default_config with
-      Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ]
-    }
-  in
-  let memcached b =
-    ignore
-      (Workloads.Memcached.run b
-         (Workloads.Memcached.default_params ~mode:Workloads.Memcached.Arachne_enoki
-            ~load_kreqs:100. ()))
-  in
-  assert_clean "arachne"
-    (sanitized_run ~config (Workloads.Setup.Enoki_sched (module Schedulers.Arachne)) memcached)
 
 (* ---------- broken schedulers: each invariant class must fire ----------
 
@@ -1316,21 +1292,6 @@ let () =
             (QCheck.make ~print:print_events
                (QCheck.Gen.frequency [ (1, gen_export_events); (1, gen_split_events) ]))
             prop_writers_match_printf;
-        ] );
-      ( "sanitizer-clean",
-        [
-          clean_case "cfs" Workloads.Setup.Cfs;
-          clean_case "fifo" (Workloads.Setup.Enoki_sched (module Schedulers.Fifo_sched));
-          clean_case "wfq" (Workloads.Setup.Enoki_sched (module Schedulers.Wfq));
-          clean_case "shinjuku" (Workloads.Setup.Enoki_sched (module Schedulers.Shinjuku));
-          clean_case "locality" (Workloads.Setup.Enoki_sched (module Schedulers.Locality));
-          clean_case "edf" (Workloads.Setup.Enoki_sched (module Schedulers.Edf));
-          clean_case "nest" (Workloads.Setup.Enoki_sched (module Schedulers.Nest));
-          clean_case "rt-fifo" (Workloads.Setup.Enoki_sched (module Schedulers.Rt_fifo));
-          clean_case "ghost-sol" (Workloads.Setup.Ghost Schedulers.Ghost_sim.Sol);
-          clean_case "ghost-fifo" (Workloads.Setup.Ghost Schedulers.Ghost_sim.Fifo_per_cpu);
-          clean_case "ghost-shinjuku" (Workloads.Setup.Ghost Schedulers.Ghost_sim.Gshinjuku);
-          ("arachne (arbiter invariants)", `Quick, test_arachne_sanitizes_clean);
         ] );
       ( "sanitizer-fires",
         [
