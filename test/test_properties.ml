@@ -1,7 +1,10 @@
 (* Property tests that are not per-module checks (those are the cells of
    test_checks): the record-log message codec and decoder under fuzzed and
-   adversarial input, token packing over its whole range, and a failed
-   upgrade during a fault storm leaving the old version in charge. *)
+   adversarial input, token packing over its whole range, a failed
+   upgrade during a fault storm leaving the old version in charge, and
+   generated workloads being a function of their seed on every registry
+   entry (the check table re-runs a known failure on its seed, which
+   means nothing unless the seed reproduces the run). *)
 
 module M = Kernsim.Machine
 
@@ -294,6 +297,39 @@ let prop_failed_upgrade_under_faults seed =
       (List.length unfinished) seed;
   Enoki.Enoki_c.violations e = 0
 
+(* one generated run on [e]: each task's pid, state, cpu time and exit
+   time, the demanded work and the final clock *)
+let seeded_run (e : Schedulers.Registry.entry) seed =
+  let b =
+    Workloads.Setup.build ~topology:Kernsim.Topology.one_socket (Workloads.Setup.of_registry e)
+  in
+  let rng = Stats.Prng.create ~seed in
+  let pids, ch, total_work = Random_tasks.spawn b.machine ~policy:b.policy ~rng ~tasks:10 in
+  M.run_for b.machine (Kernsim.Time.ms 200);
+  Random_tasks.release b.machine ch;
+  M.run_for b.machine (Kernsim.Time.ms 100);
+  let tasks =
+    List.map
+      (fun pid ->
+        let t = Option.get (M.find_task b.machine pid) in
+        (pid, t.Kernsim.Task.state, t.Kernsim.Task.sum_exec, t.Kernsim.Task.exited_at))
+      pids
+  in
+  (tasks, !total_work, M.now b.machine)
+
+(* a core arbiter runs generated tasks only as activations a runtime asks
+   cores for, so they never run and there is nothing to compare *)
+let prop_seed_reproduces_run seed =
+  List.iter
+    (fun (e : Schedulers.Registry.entry) ->
+      let ((tasks, _, _) as run) = seeded_run e seed in
+      if List.for_all (fun (_, _, sum_exec, _) -> sum_exec = 0) tasks then
+        QCheck.Test.fail_reportf "%s: seed %d ran no task" e.name seed;
+      if run <> seeded_run e seed then
+        QCheck.Test.fail_reportf "%s: two runs of seed %d differ" e.name seed)
+    (List.filter (fun (e : Schedulers.Registry.entry) -> not e.arbiter) Schedulers.Registry.all);
+  true
+
 let qtest ?(count = 25) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
@@ -325,5 +361,10 @@ let () =
         [
           qtest ~count:10 "failed upgrades under faults leave the old version intact" seeds
             prop_failed_upgrade_under_faults;
+        ] );
+      ( "workload-seed",
+        [
+          qtest ~count:3 "one seed gives one run on every registry entry" seeds
+            prop_seed_reproduces_run;
         ] );
     ]
