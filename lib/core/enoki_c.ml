@@ -25,7 +25,6 @@ type t = {
   mutable gens : int array;
   mutable consumed : int array;
   mutable ngens : int;
-  hint_ring : (int * Kernsim.Task.hint) Ds.Ring_buffer.t;
   record : Record.t option;
   tracer : Trace.Tracer.t option;
   (* The registry's counters read this instance's own ints; the crossing
@@ -62,8 +61,8 @@ type t = {
 
 let calls t = Array.fold_left ( + ) 0 t.crossings
 
-let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 1024)
-    ?(isolate = true) ?call_budget modul =
+let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(isolate = true) ?call_budget
+    modul =
   let t =
     {
       modul;
@@ -74,7 +73,6 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
       gens = Array.make 64 0;
       consumed = Array.make 64 0;
       ngens = 0;
-      hint_ring = Ds.Ring_buffer.create ~capacity:hint_capacity;
       record;
       tracer;
       registry;
@@ -175,8 +173,6 @@ let[@inline] profile_cell t p k =
 let violation_breakdown t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.violation_kinds []
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
-
-let hints_dropped t = Ds.Ring_buffer.dropped t.hint_ring
 
 let upgrades t = t.upgrades
 
@@ -496,18 +492,15 @@ let task_affinity_changed t (task : Kernsim.Task.t) =
   | Some r -> tap t r ~cpu (Task_affinity_changed { pid = task.pid; allowed }) R_unit
   | None -> ()
 
-(* User hints go through the shared ring, then Enoki-C synchronously drains
-   it into parse_hint calls (the enter_queue protocol of §3.3). *)
+(* A user hint reaches the module's parse_hint at once, on the sending
+   task's cpu (the enter_queue protocol of §3.3): the simulator runs one
+   action at a time, so no hint ever waits behind another. *)
 let deliver_hint t (task : Kernsim.Task.t) hint =
-  let cpu = task.cpu in
-  if Ds.Ring_buffer.push t.hint_ring (task.pid, hint) then
-    List.iter
-      (fun (pid, hint) ->
-        cross t ~cpu k_hint
-          (fun (Packed ((module S), st)) pid hint () -> S.parse_hint st ~pid ~hint)
-          pid hint ();
-        match t.record with Some r -> tap t r ~cpu (Parse_hint { pid; hint }) R_unit | None -> ())
-      (Ds.Ring_buffer.drain t.hint_ring)
+  let cpu = task.cpu and pid = task.pid in
+  cross t ~cpu k_hint
+    (fun (Packed ((module S), st)) pid hint () -> S.parse_hint st ~pid ~hint)
+    pid hint ();
+  match t.record with Some r -> tap t r ~cpu (Parse_hint { pid; hint }) R_unit | None -> ()
 
 (* ---------- registration ---------- *)
 
@@ -848,5 +841,5 @@ let failover_stats (t : t) =
   }
 
 module Private = struct
-  let hints_dropped = hints_dropped
+  let hints_parsed t = t.crossings.(k_hint)
 end

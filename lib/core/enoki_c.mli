@@ -6,12 +6,12 @@
     allocates nothing: the {!Schedulable} tokens it mints are immediate
     ints.  Enoki-C mints and validates those capabilities against its own
     per-pid table (current and last returned generation), tracks task
-    runtimes on the scheduler's
-    behalf, manages the user/kernel hint rings, charges the framework's
-    per-invocation overhead in simulated time, and implements live upgrade
-    behind a quiescing read-write lock (§3, §3.2).  The {!Message} form of a
-    call is built only for the record tap; replay feeds decoded messages
-    back through {!Lib_enoki.process}.
+    runtimes on the scheduler's behalf, hands user hints straight to the
+    module's [parse_hint], charges the framework's per-invocation overhead
+    in simulated time, and implements live upgrade behind a quiescing
+    read-write lock (§3, §3.2).  The {!Message} form of a call is built
+    only for the record tap; replay feeds decoded messages back through
+    {!Lib_enoki.process}.
 
     Usage: [let h = Enoki_c.create (module My_sched) in
             Machine.create ~classes:[ Enoki_c.factory h ] ... ] *)
@@ -21,13 +21,12 @@ type t
 (** [create (module S)] prepares a registration.  The scheduler itself is
     constructed when the machine instantiates the factory (module load
     time).  [policy] is the id user tasks use to attach (defaults to the
-    class's position, 0).  [hint_capacity] bounds the user-to-kernel hint
-    ring.  [record] enables the record tap.  [tracer] attaches a schedtrace
-    sink: Enoki-C then emits [Msg_call] at every boundary crossing,
-    [Pnt_err] for every rejected Schedulable (and bad [select_task_rq]
-    reply), and the acquire/release events of the module's locks.  The
-    module's locks ({!Ctx.t.locks}) report to this instance's recorder and
-    tracer only.
+    class's position, 0).  [record] enables the record tap.  [tracer]
+    attaches a schedtrace sink: Enoki-C then emits [Msg_call] at every
+    boundary crossing, [Pnt_err] for every rejected Schedulable (and bad
+    [select_task_rq] reply), and the acquire/release events of the
+    module's locks.  The module's locks ({!Ctx.t.locks}) report to this
+    instance's recorder and tracer only.
 
     [isolate] (default [true]) arms the module-panic boundary: an
     exception raised by the scheduler module out of any hook is caught,
@@ -54,7 +53,6 @@ val create :
   ?tracer:Trace.Tracer.t ->
   ?registry:Metrics.Registry.t ->
   ?profile:Profile.t ->
-  ?hint_capacity:int ->
   ?isolate:bool ->
   ?call_budget:Kernsim.Time.ns ->
   (module Sched_trait.S) ->
@@ -115,6 +113,6 @@ val restore :
 
 (** For the tests only. *)
 module Private : sig
-  (** Hints dropped because the user-to-kernel ring was full. *)
-  val hints_dropped : t -> int
+  (** Hints handed to the module's [parse_hint] (its crossings). *)
+  val hints_parsed : t -> int
 end

@@ -1,6 +1,7 @@
 (* A distribution is data, not a closure: a closure's float result is boxed
    on every draw, while [sample_int] inlines [draw] and truncates the
-   float before it ever leaves the function. *)
+   float before it ever leaves the function, and [sample] inlines into its
+   caller, where an unboxed float sum can take the draw. *)
 type t =
   | Constant of float
   | Uniform of { lo : float; hi : float }
@@ -47,7 +48,7 @@ let[@inline] draw t rng =
     exp (mu +. (sigma *. z))
   | Mixture _ -> assert false
 
-let sample t rng = draw (leaf t rng) rng
+let[@inline] sample t rng = draw (leaf t rng) rng
 
 let sample_int t rng = int_of_float (draw (leaf t rng) rng)
 

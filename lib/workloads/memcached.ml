@@ -50,88 +50,35 @@ let n_activations = 7
 
 let socket_round_trip = Kernsim.Time.us 50 (* native Arachne arbiter RTT *)
 
-type request = { enqueued : Kernsim.Time.ns; service : Kernsim.Time.ns }
+(* the cpu time a server spends on a request: its application work plus
+   the build's dispatch overhead *)
+let service overhead rng = Stats.Dist.sample_int service_dist rng + overhead
+
+let interval = Kernsim.Time.us 500 (* the runtime's load-estimation period *)
 
 let run (b : Setup.built) (p : params) =
   let m = b.machine in
-  let rng = Stats.Prng.create ~seed:p.seed in
-  let queue : request Queue.t = Queue.create () in
-  let req_chan = M.new_chan m in
-  let latencies = Stats.Histogram.create () in
-  let measuring = ref false in
-  let observe = Setup.request_observer b in
-  let completed = ref 0 in
-  let arrivals = ref 0 in
-  let rate_per_ns = p.load_kreqs *. 1000.0 /. 1e9 in
-  let gap_dist = Stats.Dist.exponential ~mean:(1.0 /. rate_per_ns) in
-  let server_blocks = p.mode = Cfs in
-  (* requests are emitted in small batches (RX-coalescing style) so the
-     generator task itself never becomes the bottleneck at high load *)
-  let batch = 8 in
-  let loadgen =
-    let st = ref `Sleep in
-    fun (ctx : T.ctx) ->
-      match !st with
-      | `Sleep ->
-        st := `Emit batch;
-        let gap = ref 0.0 in
-        for _ = 1 to batch do
-          gap := !gap +. Stats.Dist.sample gap_dist rng
-        done;
-        T.sleep (max 1 (int_of_float !gap))
-      | `Emit 0 ->
-        st := `Sleep;
-        T.compute 1
-      | `Emit k ->
-        st := `Emit (k - 1);
-        let service = int_of_float (Stats.Dist.sample service_dist rng) in
-        Queue.push { enqueued = ctx.T.now; service } queue;
-        incr arrivals;
-        if server_blocks then T.wake req_chan else T.compute 1
-  in
+  let reqs = Open_loop.create b ~load_kreqs:p.load_kreqs ~seed:p.seed in
+  let overhead = if p.mode = Cfs then kernel_dispatch_overhead else user_dispatch_overhead in
+  (* a blocking pool is woken per request; Arachne's activations poll *)
   ignore
     (M.spawn m
        {
-         (T.default_spec ~name:"mutilate" loadgen) with
+         (T.default_spec ~name:"mutilate"
+            (Open_loop.loadgen reqs ~batch:8 ~service:(service overhead) ~wake:(p.mode = Cfs)))
+         with
          T.policy = b.cfs_policy;
          group = "loadgen";
          affinity = Some [ 0 ];
        });
-  let record (ctx : T.ctx) req =
-    if !measuring then begin
-      Stats.Histogram.record latencies (ctx.T.now - req.enqueued);
-      observe (ctx.T.now - req.enqueued);
-      incr completed
-    end
-  in
   (match p.mode with
   | Cfs ->
     (* stock memcached: a blocking thread pool across all cores *)
     for i = 1 to 16 do
-      let beh =
-        let st = ref `Recv in
-        fun (ctx : T.ctx) ->
-          match !st with
-          | `Recv ->
-            st := `Take;
-            T.block req_chan
-          | `Take -> (
-            match Queue.take_opt queue with
-            | None ->
-              st := `Recv;
-              T.compute 1
-            | Some req ->
-              st := `Done req;
-              T.compute (req.service + kernel_dispatch_overhead))
-          | `Done req ->
-            record ctx req;
-            st := `Take;
-            T.compute 1
-      in
       ignore
         (M.spawn m
            {
-             (T.default_spec ~name:(Printf.sprintf "mc-worker-%d" i) beh) with
+             (T.default_spec ~name:(Printf.sprintf "mc-worker-%d" i) (Open_loop.server reqs)) with
              T.policy = b.policy;
              group = "memcached";
            })
@@ -141,27 +88,21 @@ let run (b : Setup.built) (p : params) =
     let reclaim_flag = Array.make n_activations false in
     let park_chans = Array.init n_activations (fun _ -> M.new_chan m) in
     let activation slot =
-      let st = ref `Poll in
+      let serving = ref (-1) in
       fun (ctx : T.ctx) ->
-        match !st with
-        | `Poll ->
-          if reclaim_flag.(slot) then begin
-            reclaim_flag.(slot) <- false;
-            st := `Poll;
-            T.block park_chans.(slot)
-          end
-          else (
-            match Queue.take_opt queue with
-            | Some req ->
-              st := `Done req;
-              T.compute (req.service + user_dispatch_overhead)
-            | None ->
-              (* hold the core and spin for work, Arachne-style *)
-              T.compute (Kernsim.Time.us 2))
-        | `Done req ->
-          record ctx req;
-          st := `Poll;
+        if !serving >= 0 then begin
+          Open_loop.complete reqs ctx serving;
           T.compute 1
+        end
+        else if reclaim_flag.(slot) then begin
+          reclaim_flag.(slot) <- false;
+          T.block park_chans.(slot)
+        end
+        else begin
+          let service = Open_loop.take reqs serving in
+          (* with no request, hold the core and spin for work, Arachne-style *)
+          T.compute (if service < 0 then Kernsim.Time.us 2 else service)
+        end
     in
     for slot = 0 to n_activations - 1 do
       ignore
@@ -173,57 +114,62 @@ let run (b : Setup.built) (p : params) =
            })
     done;
     (* the runtime: monitor load, request cores, relay grants/reclaims *)
-    let last_arrivals = ref 0 in
-    let interval = Kernsim.Time.us 500 in
-    let runtime =
-      let st = ref `Sleep in
-      fun (ctx : T.ctx) ->
-        (* relay arbiter messages to the activations *)
-        List.iter
-          (fun hint ->
-            match hint with
-            | Schedulers.Hints.Core_grant { slot; cpu = _ } ->
-              if slot < n_activations then reclaim_flag.(slot) <- false
-            | Schedulers.Hints.Core_reclaim { slot } ->
-              if slot < n_activations then reclaim_flag.(slot) <- true
-            | _ -> ())
-          ctx.T.inbox;
-        (* wake any parked activation whose reclaim was rescinded; waking a
-           non-parked one is a harmless semaphore credit it consumes when
-           it next parks *)
-        match !st with
-        | `Sleep ->
-          st := `Estimate;
-          T.sleep interval
-        | `Estimate ->
-          let new_arrivals = !arrivals - !last_arrivals in
-          last_arrivals := !arrivals;
-          let rate = float_of_int new_arrivals /. float_of_int interval in
-          let want =
-            max 2
-              (min n_activations (1 + int_of_float (ceil (rate *. mean_service_ns *. 1.15))))
-          in
-          st := `Wake_granted want;
-          if p.mode = Arachne_native then T.compute (socket_round_trip / 2) else T.compute 1
-        | `Wake_granted want ->
-          st := `Request want;
-          T.send_hint ctx (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = want })
-        | `Request _ ->
-          (* wake parked activations that are no longer reclaimed *)
-          let to_wake = ref [] in
-          Array.iteri
-            (fun slot flagged ->
-              if (not flagged) && M.chan_waiters m park_chans.(slot) > 0 then
-                to_wake := slot :: !to_wake)
-            reclaim_flag;
-          st := `Waking !to_wake;
-          if p.mode = Arachne_native then T.compute (socket_round_trip / 2) else T.compute 1
-        | `Waking [] ->
-          st := `Sleep;
-          T.compute 1
-        | `Waking (slot :: rest) ->
-          st := `Waking rest;
-          T.wake park_chans.(slot)
+    let relay = function
+      | Schedulers.Hints.Core_grant { slot; cpu = _ } ->
+        if slot < n_activations then reclaim_flag.(slot) <- false
+      | Schedulers.Hints.Core_reclaim { slot } ->
+        if slot < n_activations then reclaim_flag.(slot) <- true
+      | _ -> ()
+    in
+    let arbiter_delay = if p.mode = Arachne_native then socket_round_trip / 2 else 1 in
+    (* one period: sleep, estimate the load, request cores, then wake the
+       parked activations that are no longer reclaimed, one a step, as
+       listed when the request went out (highest slot first) *)
+    let sleep = 0 and estimate = 1 and request = 2 and list_wakes = 3 and waking = 4 in
+    let st = ref sleep and last_arrivals = ref 0 and want = ref 0 in
+    let to_wake = Array.make n_activations 0 and n_wake = ref 0 in
+    let runtime (ctx : T.ctx) =
+      (* relay arbiter messages to the activations; waking a non-parked
+         activation is a harmless semaphore credit it consumes when it
+         next parks *)
+      List.iter relay ctx.T.inbox;
+      let s = !st in
+      if s = sleep then begin
+        st := estimate;
+        T.sleep interval
+      end
+      else if s = estimate then begin
+        let arrivals = Open_loop.arrivals reqs in
+        let rate = float_of_int (arrivals - !last_arrivals) /. float_of_int interval in
+        last_arrivals := arrivals;
+        want :=
+          max 2 (min n_activations (1 + int_of_float (ceil (rate *. mean_service_ns *. 1.15))));
+        st := request;
+        T.compute arbiter_delay
+      end
+      else if s = request then begin
+        st := list_wakes;
+        T.send_hint ctx (Schedulers.Hints.Core_request { pid = ctx.T.self; cores = !want })
+      end
+      else if s = list_wakes then begin
+        n_wake := 0;
+        for slot = 0 to n_activations - 1 do
+          if (not reclaim_flag.(slot)) && M.chan_waiters m park_chans.(slot) > 0 then begin
+            to_wake.(!n_wake) <- slot;
+            incr n_wake
+          end
+        done;
+        st := waking;
+        T.compute arbiter_delay
+      end
+      else if !n_wake > 0 then begin
+        decr n_wake;
+        T.wake park_chans.(to_wake.(!n_wake))
+      end
+      else begin
+        st := sleep;
+        T.compute 1
+      end
     in
     ignore
       (M.spawn m
@@ -233,15 +179,12 @@ let run (b : Setup.built) (p : params) =
            group = "runtime";
            affinity = Some [ 0 ];
          }));
-  M.at m ~delay:p.warmup (fun () ->
-      Kernsim.Accounting.reset (M.metrics m);
-      measuring := true);
-  M.run_for m (p.warmup + p.duration);
+  let r = Open_loop.run reqs ~warmup:p.warmup ~duration:p.duration in
   let busy = Kernsim.Accounting.busy_of_group (M.metrics m) "memcached" in
   {
     offered_kreqs = p.load_kreqs;
-    achieved_kreqs = float_of_int !completed /. Kernsim.Time.to_sec p.duration /. 1000.0;
-    p99_us = Kernsim.Time.to_us (Stats.Histogram.percentile latencies 99.0);
-    p50_us = Kernsim.Time.to_us (Stats.Histogram.percentile latencies 50.0);
+    achieved_kreqs = r.achieved_kreqs;
+    p99_us = r.p99_us;
+    p50_us = r.p50_us;
     avg_cores = float_of_int busy /. float_of_int p.duration;
   }

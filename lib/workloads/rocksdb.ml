@@ -42,89 +42,32 @@ let worker_cpus = [ 1; 2; 3; 4; 5 ]
 
 let loadgen_cpu = 6
 
-type request = { enqueued : Kernsim.Time.ns; service : Kernsim.Time.ns }
+(* 99.5% GETs, 0.5% range queries *)
+let service rng = if Stats.Prng.float rng < range_fraction then range_service else get_service
 
 let run (b : Setup.built) (p : params) =
   let m = b.machine in
-  let rng = Stats.Prng.create ~seed:p.seed in
-  let queue : request Queue.t = Queue.create () in
-  let req_chan = M.new_chan m in
-  let latencies = Stats.Histogram.create () in
-  let measuring = ref false in
-  let observe = Setup.request_observer b in
-  let completed = ref 0 in
-  (* open-loop Poisson load generator, pinned to its reserved core *)
-  let rate_per_ns = p.load_kreqs *. 1000.0 /. 1e9 in
-  let gap_dist = Stats.Dist.exponential ~mean:(1.0 /. rate_per_ns) in
-  (* requests are emitted in small batches (RX-coalescing style) so the
-     generator's own dispatch overhead never throttles the offered load *)
-  let batch = 4 in
-  let loadgen =
-    let st = ref `Sleep in
-    fun (ctx : T.ctx) ->
-      match !st with
-      | `Sleep ->
-        st := `Emit batch;
-        let gap = ref 0.0 in
-        for _ = 1 to batch do
-          gap := !gap +. Stats.Dist.sample gap_dist rng
-        done;
-        T.sleep (max 1 (int_of_float !gap))
-      | `Emit 0 ->
-        st := `Sleep;
-        T.compute 1
-      | `Emit k ->
-        st := `Emit (k - 1);
-        let service =
-          if Stats.Prng.float rng < range_fraction then range_service else get_service
-        in
-        Queue.push { enqueued = ctx.T.now; service } queue;
-        T.wake req_chan
-  in
+  let reqs = Open_loop.create b ~load_kreqs:p.load_kreqs ~seed:p.seed in
+  (* the open-loop Poisson load generator, pinned to its reserved core *)
   ignore
     (M.spawn m
        {
-         (T.default_spec ~name:"loadgen" loadgen) with
+         (T.default_spec ~name:"loadgen" (Open_loop.loadgen reqs ~batch:4 ~service ~wake:true)) with
          T.policy = b.cfs_policy;
          group = "loadgen";
          affinity = Some [ loadgen_cpu ];
        });
   (* 50 workers on five cores under the scheduler under test *)
   for i = 1 to p.workers do
-    let beh =
-      let st = ref `Recv in
-      fun (ctx : T.ctx) ->
-        match !st with
-        | `Recv ->
-          st := `Work;
-          T.block req_chan
-        | `Work -> (
-          match Queue.take_opt queue with
-          | None ->
-            st := `Recv;
-            T.compute 1
-          | Some req ->
-            st := `Done req;
-            T.compute req.service)
-        | `Done req ->
-          if !measuring then begin
-            Stats.Histogram.record latencies (ctx.T.now - req.enqueued);
-            observe (ctx.T.now - req.enqueued);
-            incr completed
-          end;
-          st := `Work;
-          T.compute 1
-    in
-    let spec =
-      {
-        (T.default_spec ~name:(Printf.sprintf "rocksdb-%d" i) beh) with
-        T.policy = b.policy;
-        group = "rocksdb";
-        affinity = Some worker_cpus;
-        nice = (if b.policy = b.cfs_policy then -20 else 0);
-      }
-    in
-    ignore (M.spawn m spec)
+    ignore
+      (M.spawn m
+         {
+           (T.default_spec ~name:(Printf.sprintf "rocksdb-%d" i) (Open_loop.server reqs)) with
+           T.policy = b.policy;
+           group = "rocksdb";
+           affinity = Some worker_cpus;
+           nice = (if b.policy = b.cfs_policy then -20 else 0);
+         })
   done;
   (* background housekeeping on its reserved core *)
   let background =
@@ -174,15 +117,12 @@ let run (b : Setup.built) (p : params) =
              nice = 19;
            })
     done;
-  M.at m ~delay:p.warmup (fun () ->
-      Kernsim.Accounting.reset (M.metrics m);
-      measuring := true);
-  M.run_for m (p.warmup + p.duration);
+  let r = Open_loop.run reqs ~warmup:p.warmup ~duration:p.duration in
   let batch_busy = Kernsim.Accounting.busy_of_group (M.metrics m) "batch" in
   {
     offered_kreqs = p.load_kreqs;
-    achieved_kreqs = float_of_int !completed /. Kernsim.Time.to_sec p.duration /. 1000.0;
-    p99_us = Kernsim.Time.to_us (Stats.Histogram.percentile latencies 99.0);
-    p50_us = Kernsim.Time.to_us (Stats.Histogram.percentile latencies 50.0);
+    achieved_kreqs = r.achieved_kreqs;
+    p99_us = r.p99_us;
+    p50_us = r.p50_us;
     batch_cpus = float_of_int batch_busy /. float_of_int p.duration;
   }

@@ -222,21 +222,13 @@ let short_schbench =
     duration = Kernsim.Time.ms 100;
   }
 
-let ftrace_digest kind run =
-  let tracer = Trace.Tracer.create ~nr_cpus:(Kernsim.Topology.nr_cpus one_socket) () in
-  let b = Workloads.Setup.build ~tracer ~topology:one_socket kind in
-  run b;
-  let path = Filename.temp_file "golden" ".txt" in
-  Trace.Export.save ~path Trace.Export.Ftrace (Trace.Tracer.events tracer);
-  let digest = Digest.to_hex (Digest.file path) in
-  Sys.remove path;
-  digest
-
 let schbench b = ignore (Workloads.Schbench.run b short_schbench)
 
 let golden_runs (e : R.entry) =
   let kind = Workloads.Setup.of_registry e in
-  let base = [ ("pipe", ftrace_digest kind pipe); ("schbench", ftrace_digest kind schbench) ] in
+  let base =
+    [ ("pipe", Golden.ftrace_digest kind pipe); ("schbench", Golden.ftrace_digest kind schbench) ]
+  in
   match R.enoki_module e with
   | None -> base
   | Some m ->
@@ -247,7 +239,7 @@ let golden_runs (e : R.entry) =
     in
     let faulted preset =
       let plan = Result.get_ok (Fault.Plan.parse preset) in
-      ftrace_digest (Workloads.Setup.Enoki_sched (Fault.Inject.wrap ~seed:11 ~plan m)) pipe
+      Golden.ftrace_digest (Workloads.Setup.Enoki_sched (Fault.Inject.wrap ~seed:11 ~plan m)) pipe
     in
     base
     @ [

@@ -991,6 +991,22 @@ let test_dist_sample_int_no_alloc () =
       check (Alcotest.float 0.0) (name ^ ": minor words over 10k draws") 0.0 words)
     dist_cases
 
+(* [sample] inlines into its caller, so a draw summed into a float (the
+   open-loop generators' arrival gaps) is never boxed *)
+let test_dist_sample_sum_no_alloc () =
+  List.iter
+    (fun (name, d, _) ->
+      let r = Stats.Prng.create ~seed:5 in
+      let sum = ref 0.0 in
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        sum := !sum +. Stats.Dist.sample d r
+      done;
+      let words = Gc.minor_words () -. before in
+      ignore (Sys.opaque_identity (int_of_float !sum));
+      check (Alcotest.float 0.0) (name ^ ": minor words over 10k summed draws") 0.0 words)
+    dist_cases
+
 (* ---------- Stats: Histogram ---------- *)
 
 let test_hist_empty () =
@@ -1241,6 +1257,7 @@ let () =
           Alcotest.test_case "draws match the closure reference" `Quick
             test_dist_matches_closure_reference;
           Alcotest.test_case "sample_int allocates nothing" `Quick test_dist_sample_int_no_alloc;
+          Alcotest.test_case "sample summed allocates nothing" `Quick test_dist_sample_sum_no_alloc;
         ] );
       ( "histogram",
         [

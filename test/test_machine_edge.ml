@@ -157,16 +157,16 @@ let test_cfs_numa_threshold () =
 
 (* ---------- hint delivery plumbing ---------- *)
 
-let test_hint_ring_overflow_counted () =
+let test_hint_burst_parsed () =
   Schedulers.Hints.register_codecs ();
-  let enoki = Enoki.Enoki_c.create ~hint_capacity:1 (module Schedulers.Locality) in
+  let enoki = Enoki.Enoki_c.create (module Schedulers.Locality) in
   let m =
     M.create ~topology:Kernsim.Topology.one_socket
       ~classes:[ Enoki.Enoki_c.factory enoki; Kernsim.Cfs.factory () ]
       ()
   in
-  (* the ring drains synchronously on every push, so a capacity-1 ring
-     still accepts a burst sent one action at a time *)
+  (* each hint reaches parse_hint as it is sent, so a burst sent one
+     action at a time arrives whole *)
   let beh =
     let n = ref 5 in
     fun (ctx : T.ctx) ->
@@ -178,7 +178,7 @@ let test_hint_ring_overflow_counted () =
   in
   ignore (M.spawn m { (T.default_spec ~name:"h" beh) with T.policy = 0 });
   M.run_for m (Kernsim.Time.ms 5);
-  check Alcotest.int "no drops with synchronous drain" 0 (Enoki.Enoki_c.Private.hints_dropped enoki)
+  check Alcotest.int "every hint parsed" 5 (Enoki.Enoki_c.Private.hints_parsed enoki)
 
 let test_reverse_queue_reaches_inbox () =
   (* kernel-to-user messages land in the task inbox at its next action *)
@@ -330,7 +330,7 @@ let () =
       ("numa", [ Alcotest.test_case "threshold balancing" `Quick test_cfs_numa_threshold ]);
       ( "hints",
         [
-          Alcotest.test_case "ring overflow accounting" `Quick test_hint_ring_overflow_counted;
+          Alcotest.test_case "ring overflow accounting" `Quick test_hint_burst_parsed;
           Alcotest.test_case "reverse queue to inbox" `Quick test_reverse_queue_reaches_inbox;
         ] );
       ( "metrics",

@@ -171,6 +171,62 @@ let test_memcached_arachne_scales_cores () =
   check Alcotest.bool "more load, more cores" true (high.avg_cores > low.avg_cores +. 1.0);
   check Alcotest.bool "scales within 2..7" true (high.avg_cores <= 7.2)
 
+(* ---------- driver streams ----------
+
+   ftrace md5s of short runs of both request drivers: rocksdb on cfs, on
+   cfs beside the batch app, on shinjuku and on ghost-sol, and memcached
+   in all three server modes.  They pin every decision the open-loop
+   request path leads to, so a rewrite of the drivers must leave each one
+   unchanged.  The rings are sized so that no run drops an event. *)
+
+let short_run = (Kernsim.Time.ms 50, Kernsim.Time.ms 150)
+
+let rocksdb_run ~with_batch b =
+  let warmup, duration = short_run in
+  ignore
+    (Workloads.Rocksdb.run b
+       { (Workloads.Rocksdb.default_params ~load_kreqs:30.0 ~with_batch ()) with warmup; duration })
+
+let memcached_run mode b =
+  let warmup, duration = short_run in
+  ignore
+    (Workloads.Memcached.run b
+       { (Workloads.Memcached.default_params ~mode ~load_kreqs:100.0 ()) with warmup; duration })
+
+let driver_goldens =
+  let module S = Workloads.Setup in
+  let module Mc = Workloads.Memcached in
+  let arachne = S.Enoki_sched (module Schedulers.Arachne) in
+  let rocksdb = rocksdb_run ~with_batch:false in
+  [
+    ("rocksdb/cfs", S.Cfs, rocksdb, "8b862b07cac3cfedad25012047d7c232");
+    ("rocksdb/cfs+batch", S.Cfs, rocksdb_run ~with_batch:true, "0ae36c214b4c33a3cd8942b996879bca");
+    ( "rocksdb/shinjuku",
+      S.Enoki_sched (module Schedulers.Shinjuku),
+      rocksdb,
+      "ae80c30a2e794c5e8b695c782c591c18" );
+    ( "rocksdb/ghost-sol",
+      S.Ghost Schedulers.Ghost_sim.Sol,
+      rocksdb,
+      "16c83092e25c60c29d5ee38235712f59" );
+    ("memcached/cfs", S.Cfs, memcached_run Mc.Cfs, "d93f99430519d25be9e05d56d920040c");
+    ( "memcached/arachne-native",
+      arachne,
+      memcached_run Mc.Arachne_native,
+      "3ef6954f8713e645e60bf29fb90dcf08" );
+    ( "memcached/arachne-enoki",
+      arachne,
+      memcached_run Mc.Arachne_enoki,
+      "63c827384bf4b8f4efba4e242d23a4ef" );
+  ]
+
+let driver_golden_cases =
+  List.map
+    (fun (name, kind, run, expected) ->
+      Alcotest.test_case name `Quick (fun () ->
+          check Alcotest.string name expected (Golden.ftrace_digest ~capacity:(1 lsl 18) kind run)))
+    driver_goldens
+
 (* ---------- fairness (appendix) ---------- *)
 
 let test_fairness_colocated_5x () =
@@ -292,6 +348,7 @@ let () =
           Alcotest.test_case "cfs serves" `Quick test_memcached_cfs_serves;
           Alcotest.test_case "arachne scales cores" `Quick test_memcached_arachne_scales_cores;
         ] );
+      ("driver streams", driver_golden_cases);
       ( "fairness",
         [
           Alcotest.test_case "colocated 5x" `Quick test_fairness_colocated_5x;
