@@ -45,7 +45,7 @@ let memcached_params ~mode ~load_kreqs =
 (* ---------- -j N: the domain pool ----------
 
    Bench cells are independent simulations — each builds its own machine,
-   registry and tracer, and its module owns its locks — so the matrix experiments (perf, speed, chaos)
+   registry and tracer, and its module owns its locks — so the matrix experiments (perf, dsq)
    compute their rows with a small pool of domains and print them in input
    order afterwards.  Tables are byte-identical to a sequential run (the
    simulations are deterministic); only wall clock changes.  Trace export
@@ -91,7 +91,7 @@ let parallel_map (xs : 'a list) ~(f : 'a -> 'b) : 'b list =
     Ds.Domain_pool.map_list (get_pool ()) xs ~f:measured
   end
 
-(* set when any gate check fails (chaos, `gate`): the run exits 4 *)
+(* set when any gate check fails: the run exits 4 *)
 let gate_failed = ref false
 
 let judge ?base ?error ~suite rows =
@@ -718,141 +718,6 @@ let ablation () =
   Report.note "warm cores touches fewer cores AND wakes faster -- cold cores pay the";
   Report.note "deep idle-state exit on every wakeup."
 
-(* ---------- chaos: fault injection and recovery across the matrix ---------- *)
-
-(* Each scheduler's sanitized workload: (run, completed?) and the
-   sanitizer config.  A core arbiter (arachne: tasks are activations, only
-   dispatched once its runtime requests cores) is driven by the memcached
-   runtime rather than raw pipe tasks, and is neither work-conserving nor
-   starvation-free for parked activations: those two invariants are
-   renounced by design. *)
-let sanitized_workload (e : Schedulers.Registry.entry) =
-  let all = Trace.Sanitizer.default_config in
-  if e.arbiter then
-    ( (fun b ->
-        ignore
-          (Workloads.Memcached.run b
-             (memcached_params ~mode:Workloads.Memcached.Arachne_enoki ~load_kreqs:100.));
-        true),
-      { all with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ] } )
-  else
-    ((fun b -> (Workloads.Pipe_bench.run b ~messages:5_000 ()).Workloads.Pipe_bench.completed), all)
-
-let chaos () =
-  Report.section "Chaos: fault injection, failover and watchdog recovery";
-  let nr_cpus = Kernsim.Topology.nr_cpus one_socket in
-  (* every Enoki module in the registry gets the full plan matrix; the
-     non-module entries (CFS, ghOSt) become controls below *)
-  let mods =
-    List.filter_map
-      (fun (e : Schedulers.Registry.entry) ->
-        let workload, config = sanitized_workload e in
-        Option.map (fun m -> (e.name, m, workload, config)) (Schedulers.Registry.enoki_module e))
-      Schedulers.Registry.all
-  in
-  (* plan name, spec, per-call budget, watchdog armed *)
-  let plans =
-    [
-      ("panic", "panic", None, false);
-      ("chaos", "chaos", None, false);
-      ("wedge+wd", "wedge@pick_next_task:after=500", Some 1_000_000, true);
-    ]
-  in
-  (* chaos plans inject wrong replies on purpose, so their verdict columns
-     are informational; every other row must end clean and done *)
-  let recovered ~judged s completed =
-    [
-      Gate.int "violations" (List.length (Trace.Sanitizer.violations s))
-        ~check:(if judged then Ceiling 0. else Info);
-      Gate.bool "done" completed ~check:(if judged then Floor 1. else Info);
-    ]
-  in
-  let run_one name (module S : Enoki.Sched_trait.S) workload config ~plan_name ~spec ~budget
-      ~watchdog =
-    let tracer = Trace.Tracer.create ~nr_cpus () in
-    let s = Trace.Sanitizer.create ~config ~nr_cpus () in
-    Trace.Sanitizer.attach s tracer;
-    if !trace_path <> None then
-      add_traced (Printf.sprintf "chaos-%s-%s" name plan_name, tracer, None);
-    let plan =
-      match Fault.Plan.parse spec with Ok p -> p | Error m -> failwith ("chaos: " ^ m)
-    in
-    let tally = Hashtbl.create 8 in
-    let wrapped = Fault.Inject.wrap ~tally ~seed:1 ~plan (module S) in
-    let b =
-      Workloads.Setup.build ~tracer ?call_budget:budget ~topology:one_socket
-        (Workloads.Setup.Enoki_sched wrapped)
-    in
-    let e = Option.get b.Workloads.Setup.enoki in
-    let rollbacks = ref 0 in
-    let wd =
-      if not watchdog then None
-      else begin
-        let w =
-          Fault.Watchdog.create ~sanitizer:s
-            ~action:(fun ~reason:_ ~at:_ ->
-              (* pre-upgrade, last-known-good is the pristine unwrapped module *)
-              Enoki.Enoki_c.restore e ~pristine:(module S) (function
-                | Ok _ -> incr rollbacks
-                | Error _ -> ()))
-            ()
-        in
-        Fault.Watchdog.attach w tracer;
-        Some w
-      end
-    in
-    let completed = workload b in
-    let f = Enoki.Enoki_c.failover_stats e in
-    Gate.row
-      [ ("scheduler", name); ("plan", plan_name) ]
-      ([
-         Gate.int "injected" (Hashtbl.fold (fun _ v acc -> acc + v) tally 0);
-         Gate.int "panics" f.Enoki.Enoki_c.panics;
-         Gate.int "failovers" f.Enoki.Enoki_c.failovers;
-       ]
-      @ Option.to_list (Option.map (Gate.int "blackout_ns") f.Enoki.Enoki_c.blackout)
-      @ [ Gate.int "overruns" f.Enoki.Enoki_c.overruns ]
-      @ Option.to_list
-          (Option.map (fun w -> Gate.int "wd_fires" (List.length (Fault.Watchdog.fires w))) wd)
-      @ (if watchdog then [ Gate.int "rollbacks" !rollbacks ] else [])
-      @ recovered ~judged:(plan_name <> "chaos") s completed)
-  in
-  let control (e : Schedulers.Registry.entry) =
-    let workload, config = sanitized_workload e in
-    let tracer = Trace.Tracer.create ~nr_cpus () in
-    let s = Trace.Sanitizer.create ~config ~nr_cpus () in
-    Trace.Sanitizer.attach s tracer;
-    let b = Workloads.Setup.build ~tracer ~topology:one_socket (Workloads.Setup.of_registry e) in
-    let completed = workload b in
-    Gate.row [ ("scheduler", e.name); ("plan", "control") ] (recovered ~judged:true s completed)
-  in
-  let cells =
-    List.concat_map
-      (fun (name, m, workload, config) ->
-        List.map
-          (fun (plan_name, spec, budget, watchdog) ->
-            `Inject (name, m, workload, config, plan_name, spec, budget, watchdog))
-          plans)
-      mods
-    @ List.filter_map
-        (fun e ->
-          if Option.is_none (Schedulers.Registry.enoki_module e) then Some (`Control e) else None)
-        Schedulers.Registry.all
-  in
-  let rows =
-    parallel_map cells ~f:(function
-      | `Inject (name, m, workload, config, plan_name, spec, budget, watchdog) ->
-        run_one name m workload config ~plan_name ~spec ~budget ~watchdog
-      | `Control c -> control c)
-  in
-  judge ~suite:"chaos" rows;
-  Report.note "panic plans must stay clean: the module dies, the boundary quarantines it";
-  Report.note "and fails over to built-in CFS with no double-run or token leak.";
-  Report.note "chaos plans inject wrong replies, so token-discipline violations there";
-  Report.note "are the injected fault surfacing downstream, not a framework bug.";
-  Report.note "wedge+wd: the watchdog detects call-budget overruns and re-registers the";
-  Report.note "pristine module; rollbacks > 0 with a clean verdict means recovery worked."
-
 (* ---------- the gated suites ----------
 
    perf, speed, dsq, fleet and obs each emit Gate rows.  `bench <suite>`
@@ -901,7 +766,7 @@ let timed f =
    Every registry scheduler with the metrics registry and the Enoki-C
    self-profiler attached.  Core arbiters (activations are dispatched only
    once their runtime requests cores) are driven by the memcached runtime
-   instead of raw pipe tasks, as in chaos(). *)
+   instead of raw pipe tasks. *)
 
 let pipe_throughput (r : Workloads.Pipe_bench.result) =
   if r.elapsed > 0 then float_of_int r.wakeups /. (float_of_int r.elapsed /. 1e9) else 0.
@@ -1986,7 +1851,6 @@ let experiments =
     ("appendix", appendix);
     ("ablation", ablation);
     ("loc", loc);
-    ("chaos", chaos);
   ]
   @ List.map (fun s -> (s.name, fun () -> run_suite ~gate:false s)) suites
 

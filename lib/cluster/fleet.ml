@@ -413,20 +413,7 @@ let create ?(topology = Kernsim.Topology.one_socket) ?(workers = 6) ?(queue_cap 
                group = "server";
              })
       done;
-      (* a ghOSt global agent really spins on its core *)
-      (match host.built.Workloads.Setup.agent_core with
-      | Some core ->
-        let spin (_ : T.ctx) = T.compute (Kernsim.Time.us 100) in
-        ignore
-          (M.spawn m
-             {
-               (T.default_spec ~name:"ghost-agent" spin) with
-               T.policy = host.built.Workloads.Setup.cfs_policy;
-               group = "ghost-agent";
-               nice = -20;
-               affinity = Some [ core ];
-             })
-      | None -> ());
+      Workloads.Setup.spawn_agent host.built;
       (* the watchdog path: panic burst of 1 (the drill injects exactly
          one), action deferred to the epoch poll via [pending_drain] *)
       (match (host.tracer, host.sanitizer) with

@@ -14,10 +14,10 @@ type t = {
   locks : Lock.owner;
 }
 
-let inert ?(nr_cpus = 8) ?(policy = 0) () =
+let inert ?(nr_cpus = 8) () =
   {
     nr_cpus;
-    policy;
+    policy = 0;
     now = (fun () -> 0);
     set_timer = (fun ~cpu:_ _ -> ());
     cancel_timer = (fun ~cpu:_ -> ());

@@ -43,4 +43,4 @@ type t = {
 (** A context whose effects are inert, with a fresh lock owner nobody
     observes; replay and unit tests construct schedulers against this
     (timers cannot fire at userspace). *)
-val inert : ?nr_cpus:int -> ?policy:int -> unit -> t
+val inert : ?nr_cpus:int -> unit -> t

@@ -47,7 +47,6 @@ type t = {
   mutable upgrades : Upgrade.stats list;
   mutable readers : int; (* quiescing read-write lock: in-flight calls *)
   (* fault isolation (the paper's "kernel survives module bugs" property) *)
-  isolate : bool;
   call_budget : Kernsim.Time.ns option;
   mutable quarantined : (string * Kernsim.Time.ns) option; (* reason, since *)
   mutable fallback : Ops.t option; (* instantiated CFS, while quarantined *)
@@ -61,8 +60,7 @@ type t = {
 
 let calls t = Array.fold_left ( + ) 0 t.crossings
 
-let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(isolate = true) ?call_budget
-    modul =
+let create ?(policy = 0) ?record ?tracer ?registry ?profile ?call_budget modul =
   let t =
     {
       modul;
@@ -87,7 +85,6 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(isolate = true) ?c
       locks = Lock.owner None;
       upgrades = [];
       readers = 0;
-      isolate;
       call_budget;
       quarantined = None;
       fallback = None;
@@ -580,7 +577,7 @@ let isolated t ~cpu ~skip k modul (fallback : Ops.t -> _) a b c =
   match t.quarantined with
   | Some _ -> fallback (fallback_exn t) a b c
   | None -> (
-    try modul t a b c with exn when t.isolate ->
+    try modul t a b c with exn ->
       fallback (quarantine t ~cpu ~skip ~call:call_names.(k) exn) a b c)
 
 let rec arm_record_drain t (ops : Ops.kernel_ops) r =
@@ -788,8 +785,7 @@ let upgrade t (module New : Sched_trait.S) =
         (try readopt t ops
          with exn ->
            (* the incoming module panicked during re-adoption *)
-           if t.isolate then ignore (quarantine t ~cpu:0 ~skip:(-1) ~call:"reregister_init" exn)
-           else raise exn);
+           ignore (quarantine t ~cpu:0 ~skip:(-1) ~call:"reregister_init" exn));
         for cpu = 0 to ops.nr_cpus - 1 do
           ops.resched_cpu cpu
         done

@@ -28,13 +28,11 @@ type t
     module's locks.  The module's locks ({!Ctx.t.locks}) report to this
     instance's recorder and tracer only.
 
-    [isolate] (default [true]) arms the module-panic boundary: an
-    exception raised by the scheduler module out of any hook is caught,
-    the module is quarantined, and the class fails over to a built-in
-    kernsim CFS instance so the machine keeps scheduling (ghOSt's
-    fallback-to-CFS, the paper's "kernel survives module bugs" property).
-    With [isolate = false] module exceptions propagate and abort the
-    machine, the pre-fault-subsystem behaviour.
+    The module-panic boundary is always armed: an exception raised by
+    the scheduler module out of any hook is caught, the module is
+    quarantined, and the class fails over to a built-in kernsim CFS
+    instance so the machine keeps scheduling (ghOSt's fallback-to-CFS,
+    the paper's "kernel survives module bugs" property).
 
     [call_budget] bounds the simulated time one dispatch may charge
     through [Ctx.charge]; exceeding it counts a ["call_budget"] violation
@@ -53,7 +51,6 @@ val create :
   ?tracer:Trace.Tracer.t ->
   ?registry:Metrics.Registry.t ->
   ?profile:Profile.t ->
-  ?isolate:bool ->
   ?call_budget:Kernsim.Time.ns ->
   (module Sched_trait.S) ->
   t

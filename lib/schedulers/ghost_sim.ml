@@ -159,8 +159,23 @@ let runnable_here t cpu pid =
 let rec first_runnable t q cpu e =
   if e < 0 || runnable_here t cpu (Q.pid q e) then e else first_runnable t q cpu (Q.next q e)
 
+(* run the first queued task runnable on [cpu], or return -1 *)
+let take_first t cpu =
+  let q = queue_for t cpu in
+  let e = first_runnable t q cpu (Q.head q) in
+  if e < 0 then -1
+  else begin
+    let pid = Q.pid q e in
+    Q.take q e;
+    t.running.(cpu) <- pid;
+    pid
+  end
+
+(* The agent's own core runs only what no worker may run (a task allowed
+   only that core), straight off the queue: no agent round trip, no
+   charge. *)
 let pick_next_task t ~cpu =
-  if cpu = t.agent then -1
+  if cpu = t.agent then take_first t cpu
   else if t.policy = Gshinjuku || t.ready.(cpu) then begin
     if t.policy = Gshinjuku then begin
       (* commit the agent's transaction: cost on this core, plus the agent
@@ -169,18 +184,9 @@ let pick_next_task t ~cpu =
       if t.agent >= 0 then t.ops.charge ~cpu:t.agent t.ops.costs.ghost_agent_remote
     end;
     t.ready.(cpu) <- false;
-    let q = queue_for t cpu in
-    let e = first_runnable t q cpu (Q.head q) in
-    if e < 0 then -1
-    else begin
-      let pid = Q.pid q e in
-      Q.take q e;
-      t.running.(cpu) <- pid;
-      (match t.policy with
-      | Gshinjuku -> t.ops.set_timer ~cpu Shinjuku.default_slice
-      | Fifo_per_cpu | Sol -> ());
-      pid
-    end
+    let pid = take_first t cpu in
+    if pid >= 0 && t.policy = Gshinjuku then t.ops.set_timer ~cpu Shinjuku.default_slice;
+    pid
   end
   else begin
     if not (Q.is_empty (queue_for t cpu)) then kick_agent t ~cpu;

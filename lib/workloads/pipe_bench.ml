@@ -10,9 +10,9 @@ type result = {
 
 (* Per-message application work: the read/write syscall pair plus copying
    the token through the pipe. *)
-let default_work = 1_650
+let work = 1_650
 
-let run (b : Setup.built) ?(same_core = false) ?(messages = 50_000) ?(work = default_work) () =
+let run (b : Setup.built) ?(same_core = false) ?(messages = 50_000) () =
   let m = b.machine in
   let ch_ab = M.new_chan m and ch_ba = M.new_chan m in
   let affinity = if same_core then Some [ 0 ] else None in

@@ -12,13 +12,7 @@ type result = {
   completed : bool;  (** both tasks exited within the time budget *)
 }
 
-val run :
-  Setup.built ->
-  ?same_core:bool ->
-  ?messages:int ->
-  ?work:Kernsim.Time.ns ->
-  unit ->
-  result
+val run : Setup.built -> ?same_core:bool -> ?messages:int -> unit -> result
 
 (** The Arachne row of Tables 3 and 4: the ping-pong runs between
     user-level threads inside one kernel task, so each wakeup costs only a

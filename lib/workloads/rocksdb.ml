@@ -89,21 +89,7 @@ let run (b : Setup.built) (p : params) =
          group = "background";
          affinity = Some [ background_cpu ];
        });
-  (* a ghOSt global agent is a real userspace thread spinning on its
-     dedicated core; make it consume the core for real *)
-  (match b.agent_core with
-  | Some core ->
-    let spin (_ : T.ctx) = T.compute (Kernsim.Time.us 100) in
-    ignore
-      (M.spawn m
-         {
-           (T.default_spec ~name:"ghost-agent" spin) with
-           T.policy = b.cfs_policy;
-           group = "ghost-agent";
-           nice = -20;
-           affinity = Some [ core ];
-         })
-  | None -> ());
+  Setup.spawn_agent b;
   (* the co-located batch application: CFS, lowest priority, free to roam *)
   if p.with_batch then
     for i = 1 to 8 do

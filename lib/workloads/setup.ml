@@ -100,6 +100,23 @@ let build ?costs ?record ?tracer ?registry ?profile ?call_budget ~topology kind 
       registry;
     }
 
+(* A ghOSt global agent is a userspace thread spinning on its dedicated
+   core: a CFS task pinned there makes it consume the core for real. *)
+let spawn_agent b =
+  match b.agent_core with
+  | Some core ->
+    let spin (_ : Kernsim.Task.ctx) = Kernsim.Task.compute (Kernsim.Time.us 100) in
+    ignore
+      (Kernsim.Machine.spawn b.machine
+         {
+           (Kernsim.Task.default_spec ~name:"ghost-agent" spin) with
+           Kernsim.Task.policy = b.cfs_policy;
+           group = "ghost-agent";
+           nice = -20;
+           affinity = Some [ core ];
+         })
+  | None -> ()
+
 (* Workload generators record end-to-end request/wakeup latencies through
    this: a registry histogram when one is attached, a no-op otherwise, so
    call sites stay unconditional. *)

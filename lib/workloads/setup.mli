@@ -32,12 +32,16 @@ type built = {
   enoki : Enoki.Enoki_c.t option;  (** present for [Enoki_sched] (upgrade, stats) *)
   agent_core : int option;
       (** core occupied by a spinning userspace scheduling agent (ghOSt
-          global policies); workloads spawn the spinner so the core is
+          global policies); workloads call {!spawn_agent} so the core is
           really consumed *)
   registry : Metrics.Registry.t option;
       (** the metrics registry handed to [build], so workloads can record
           request latencies into it *)
 }
+
+(** Spawn the ghOSt agent's spinner: a nice -20 CFS task pinned to
+    [agent_core]; nothing when there is no agent core. *)
+val spawn_agent : built -> unit
 
 (** Register ring emit/drop/buffered gauge probes for [tracer] in [reg],
     optionally under a {!Metrics.Registry.labeled} block (the fleet labels

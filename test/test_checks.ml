@@ -20,8 +20,8 @@ let check = Alcotest.check
 
 let one_socket = Kernsim.Topology.one_socket
 
-let build ?record ?tracer ?(topology = one_socket) (e : R.entry) =
-  Workloads.Setup.build ?record ?tracer ~topology (Workloads.Setup.of_registry e)
+let build ?record (e : R.entry) =
+  Workloads.Setup.build ?record ~topology:one_socket (Workloads.Setup.of_registry e)
 
 let module_of (e : R.entry) =
   match R.enoki_module e with
@@ -45,20 +45,21 @@ let property ~count name prop =
 (* The arbiter exemption, written once: a core arbiter dispatches its
    activations only once its runtime requests cores, so it runs the
    memcached runtime instead of the pipe, and it renounces work
-   conservation and starvation freedom by design. *)
-let sanitized_workload (e : R.entry) =
+   conservation and starvation freedom by design.  [memcached] adjusts
+   the runtime's default parameters; the default shortens the run to
+   100 + 400 ms. *)
+let short_memcached (p : Workloads.Memcached.params) =
+  { p with warmup = Kernsim.Time.ms 100; duration = Kernsim.Time.ms 400 }
+
+let sanitized_workload ?(memcached = short_memcached) (e : R.entry) =
   let all = Trace.Sanitizer.default_config in
   if e.arbiter then
     ( (fun b ->
         ignore
           (Workloads.Memcached.run b
-             {
-               (Workloads.Memcached.default_params ~mode:Workloads.Memcached.Arachne_enoki
-                  ~load_kreqs:100. ())
-               with
-               warmup = Kernsim.Time.ms 100;
-               duration = Kernsim.Time.ms 400;
-             })),
+             (memcached
+                (Workloads.Memcached.default_params ~mode:Workloads.Memcached.Arachne_enoki
+                   ~load_kreqs:100. ())))),
       { all with Trace.Sanitizer.disabled = [ Trace.Sanitizer.Work_conservation; Starvation ] } )
   else
     ( (fun b ->
@@ -66,21 +67,38 @@ let sanitized_workload (e : R.entry) =
         if not r.completed then Alcotest.failf "%s: the pipe did not complete" e.name),
       all )
 
+(* The entry's sanitized workload on a machine of [kind] (the entry's
+   own by default) behind a tracer and the sanitizer.  The returned [run]
+   drives it, fails on any sanitizer finding, and answers whether an
+   event of a given name was traced. *)
+let sanitized ?memcached ?(topology = one_socket) ?call_budget ?kind (e : R.entry) =
+  let workload, config = sanitized_workload ?memcached e in
+  let nr_cpus = Kernsim.Topology.nr_cpus topology in
+  let tracer = Trace.Tracer.create ~nr_cpus () in
+  let s = Trace.Sanitizer.create ~config ~nr_cpus () in
+  Trace.Sanitizer.attach s tracer;
+  let traced = Hashtbl.create 8 in
+  Trace.Tracer.subscribe tracer (fun ~ts:_ ~cpu:_ tag _ _ _ kind ->
+      if tag = Trace.Event.T_cold then Hashtbl.replace traced (Trace.Event.name kind) ());
+  let kind = Option.value kind ~default:(Workloads.Setup.of_registry e) in
+  let b = Workloads.Setup.build ~tracer ?call_budget ~topology kind in
+  let run () =
+    workload b;
+    check Alcotest.bool "events were checked" true (Trace.Sanitizer.events_seen s > 0);
+    if not (Trace.Sanitizer.ok s) then
+      Alcotest.failf "%s on %d cpus: %s" e.name nr_cpus (Trace.Sanitizer.report_string s);
+    Hashtbl.mem traced
+  in
+  (b, tracer, s, run)
+
 let sanitizer_clean ~cores (e : R.entry) =
   let topology =
     if cores = Kernsim.Topology.nr_cpus one_socket then one_socket
     else Kernsim.Topology.create ~cores ~cores_per_llc:cores ~cores_per_node:cores
   in
-  let workload, config = sanitized_workload e in
-  let tracer = Trace.Tracer.create ~nr_cpus:cores () in
-  let s = Trace.Sanitizer.create ~config ~nr_cpus:cores () in
-  Trace.Sanitizer.attach s tracer;
-  let b = build ~tracer ~topology e in
-  workload b;
-  check Alcotest.bool "events were checked" true (Trace.Sanitizer.events_seen s > 0);
-  check Alcotest.int "Enoki-C violations" 0 (violations b);
-  if not (Trace.Sanitizer.ok s) then
-    Alcotest.failf "%s on %d cpus: %s" e.name cores (Trace.Sanitizer.report_string s)
+  let b, _, _, run = sanitized ~topology e in
+  let (_ : string -> bool) = run () in
+  check Alcotest.int "Enoki-C violations" 0 (violations b)
 
 (* ---------- liveness over generated workloads ---------- *)
 
@@ -205,6 +223,51 @@ let upgrade_to_itself (e : R.entry) seed =
     QCheck.Test.fail_reportf "%s (seed %d): %s" e.name seed
       (String.concat "; " (List.rev !problems));
   true
+
+(* ---------- fault isolation ---------- *)
+
+(* A module bug does not take the kernel down.  Made to panic once, the
+   module is quarantined and its tasks fail over to CFS.  Made to wedge
+   past a 1 ms call budget, it is restored to the pristine module by a
+   watchdog.  Under [panic] a core arbiter's runtime runs for its default
+   300 + 1200 ms: the short run makes fewer than the 400 [task_wakeup]
+   crossings the preset waits for. *)
+let fault_isolation (e : R.entry) =
+  let faulted ?memcached ?call_budget spec =
+    let plan = Result.get_ok (Fault.Plan.parse spec) in
+    let kind = Workloads.Setup.Enoki_sched (Fault.Inject.wrap ~seed:1 ~plan (module_of e)) in
+    let b, tracer, s, run = sanitized ?memcached ?call_budget ~kind e in
+    (Option.get b.enoki, tracer, s, run)
+  in
+  let c, _, _, run = faulted ~memcached:Fun.id "panic" in
+  let traced = run () in
+  let f = Enoki.Enoki_c.failover_stats c in
+  check Alcotest.(pair int int) "panics, failovers" (1, 1) (f.panics, f.failovers);
+  check Alcotest.bool "quarantined" true (f.quarantined <> None);
+  check Alcotest.bool "blackout measured" true (f.blackout <> None);
+  check Alcotest.(pair bool bool) "panic, failover traced" (true, true)
+    (traced "panic", traced "failover");
+  let c, tracer, s, run =
+    faulted ~call_budget:(Kernsim.Time.ms 1) "wedge@pick_next_task:after=500"
+  in
+  let restores = ref 0 in
+  let w =
+    Fault.Watchdog.create ~sanitizer:s
+      ~action:(fun ~reason:_ ~at:_ ->
+        Enoki.Enoki_c.restore c ~pristine:(module_of e) (function
+          | Ok _ -> incr restores
+          | Error exn -> raise exn))
+      ()
+  in
+  Fault.Watchdog.attach w tracer;
+  let traced = run () in
+  check Alcotest.bool "overruns" true ((Enoki.Enoki_c.failover_stats c).overruns >= 1);
+  check Alcotest.bool "watchdog fired" true (Fault.Watchdog.fires w <> []);
+  check Alcotest.bool "watchdog_fire traced" true (traced "watchdog_fire");
+  check Alcotest.bool "restore ran" true (!restores >= 1);
+  check Alcotest.bool "upgrade pause reported" true (Enoki.Enoki_c.upgrades c <> []);
+  let (module P) = module_of e in
+  check Alcotest.string "pristine module registered" P.name (Enoki.Enoki_c.scheduler_name c)
 
 (* ---------- golden digests ---------- *)
 
@@ -341,6 +404,34 @@ let goldens_unchanged (e : R.entry) =
   in
   if missing <> [] then Alcotest.failf "no golden digest for:\n%s" (String.concat "\n" missing)
 
+(* ---------- an observed run is unchanged ---------- *)
+
+(* The tracer, a metrics registry and the profiler, attached at once,
+   leave the golden pipe's decision stream as it was, and what they
+   export agrees with the simulator's own counts. *)
+let observed_unchanged (e : R.entry) =
+  let tracer = Trace.Tracer.create ~nr_cpus:(Kernsim.Topology.nr_cpus one_socket) () in
+  let registry = Metrics.Registry.create () and profile = Profile.create () in
+  let b =
+    Workloads.Setup.build ~tracer ~registry ~profile ~topology:one_socket
+      (Workloads.Setup.of_registry e)
+  in
+  pipe b;
+  check Alcotest.string "ftrace md5 = the pipe golden"
+    (List.assoc (e.name ^ "/pipe") golden)
+    (Golden.digest ~label:e.name tracer);
+  let count h = Stats.Histogram.count h in
+  check Alcotest.int "sched_wakeup_latency_ns count = Accounting's"
+    (count (Kernsim.Accounting.wakeup_latency (M.metrics b.machine)))
+    (count (Option.get (Metrics.Registry.find_histogram registry "sched_wakeup_latency_ns")));
+  let total = ref 0 in
+  Metrics.Registry.iter registry (fun ~name ~help:_ -> function
+    | Metrics.Registry.Counter_v n when name = "enoki_calls_total" -> total := n
+    | _ -> ());
+  let calls = match b.enoki with Some c -> Enoki.Enoki_c.calls c | None -> 0 in
+  check Alcotest.(pair int int) "Profile.crossings, enoki_calls_total = Enoki_c.calls"
+    (calls, calls) (Profile.crossings profile, !total)
+
 (* ---------- the table ---------- *)
 
 type check =
@@ -372,19 +463,6 @@ let arbiter (e : R.entry) =
           generated tasks never run")
   else None
 
-(* A ghOSt policy with a global agent spins on one core, and a task allowed
-   only that core never runs. *)
-let agent_core (e : R.entry) =
-  match e.kind with
-  | Ghost p when Schedulers.Ghost_sim.agent_cpu p ~nr_cpus:(Kernsim.Topology.nr_cpus one_socket) <> None
-    ->
-    Some
-      (Fails_on
-         ( 4,
-           "a task allowed only the agent's core never runs: seed 4 leaves r5, pinned to cpu 7, \
-            runnable" ))
-  | _ -> None
-
 (* edf and nest read [ctx.now ()], which the record log does not carry,
    so an honest replay diverges: see ROADMAP, "Time in the record log". *)
 let reads_the_clock (e : R.entry) =
@@ -403,13 +481,15 @@ let cells =
   [
     cell "sanitizer-clean, 8-cpu machine" (Once (sanitizer_clean ~cores:8));
     cell "sanitizer-clean, 80-cpu machine" (Once (sanitizer_clean ~cores:80));
-    cell "liveness" (Seeds (25, tasks_finish)) ~exempt:[ arbiter; agent_core ];
+    cell "liveness" (Seeds (25, tasks_finish)) ~exempt:[ arbiter ];
     cell "record, stream, replay: pipe" (Once record_pipe) ~exempt:[ not_a_module ];
     cell "record, stream, replay: generated" (Seeds (5, record_generated))
       ~exempt:[ not_a_module; reads_the_clock ];
     cell "upgrade to itself under load" (Seeds (10, upgrade_to_itself))
       ~exempt:[ not_a_module; arbiter ];
+    cell "fault isolation" (Once fault_isolation) ~exempt:[ not_a_module ];
     cell "goldens" (Once goldens_unchanged);
+    cell "observed run unchanged" (Once observed_unchanged);
   ]
 
 let run_cell (e : R.entry) c () =

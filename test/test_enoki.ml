@@ -708,19 +708,15 @@ let test_crossing_allocates_nothing () =
   check Alcotest.int "every rejection counted" (n + 1) (Enoki.Enoki_c.violations e)
 
 let test_isolation_semantics () =
-  let panicking ?call_budget ~isolate charge =
-    let e = Enoki.Enoki_c.create ~isolate ?call_budget (module Null_sched) in
+  let panicking ?call_budget charge =
+    let e = Enoki.Enoki_c.create ?call_budget (module Null_sched) in
     let cls = null_class e in
     tick_panic := Some charge;
     Fun.protect ~finally:(fun () -> tick_panic := None) (fun () ->
         (e, match cls.task_tick ~cpu:2 ~queued:true with () -> None | exception exn -> Some exn))
   in
-  (* isolation off: the module's exception unwinds the class hook *)
-  let e, raised = panicking ~isolate:false 0 in
-  check Alcotest.bool "exception propagates" true (raised = Some Boom);
-  check Alcotest.int "no panic counted" 0 (Enoki.Enoki_c.failover_stats e).panics;
-  (* isolation on: the same module is quarantined behind the CFS fallback *)
-  let e, raised = panicking ~isolate:true 0 in
+  (* the module is quarantined behind the CFS fallback *)
+  let e, raised = panicking 0 in
   let f = Enoki.Enoki_c.failover_stats e in
   check Alcotest.bool "exception contained" true (raised = None);
   check Alcotest.int "one panic" 1 f.panics;
@@ -728,7 +724,7 @@ let test_isolation_semantics () =
   check Alcotest.bool "quarantined" true (f.quarantined <> None);
   check Alcotest.int "no budget: no overrun" 0 f.overruns;
   (* a call that charges past its budget and then raises is both *)
-  let e, raised = panicking ~isolate:true ~call_budget:(Kernsim.Time.us 1) (Kernsim.Time.us 5) in
+  let e, raised = panicking ~call_budget:(Kernsim.Time.us 1) (Kernsim.Time.us 5) in
   let f = Enoki.Enoki_c.failover_stats e in
   check Alcotest.bool "contained" true (raised = None);
   check Alcotest.int "counted as an overrun" 1 f.overruns;
